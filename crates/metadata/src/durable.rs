@@ -5,10 +5,21 @@
 //! per data shard plus one for the directory shard, laid out as
 //!
 //! ```text
-//! <root>/snapshot.json      latest checkpoint (atomic temp-file + rename)
+//! <root>/snapshot.bin       latest checkpoint (atomic temp-file + rename)
 //! <root>/dir/wal-*.log      directory ops: users, workspaces, shares
 //! <root>/shard-<i>/wal-*.log   commit records of partition i
 //! ```
+//!
+//! **One format.** Every file holds `wal` frames
+//! (`[len u32][seq u64][crc u64][payload]`) whose payloads are
+//! [`BinaryCodec`] maps `{"lsn", "op", ...}` of four kinds: `user`, `ws`,
+//! `share`, `commit`. The snapshot is a compacted log in that format: frame
+//! 0 is a header `{"format": "stacksync-metadata-v2", "records": N}`, frames
+//! 1..=N are the `user` records, then the `ws` records, then one `share` per
+//! member, then one `commit` per item chain carrying every version, oldest
+//! first. A frame's `seq` and its record's `lsn` are its position in the
+//! file. A chain whose record would exceed [`wal::MAX_RECORD_LEN`] fails the
+//! checkpoint with `InvalidInput` before anything on disk changes.
 //!
 //! **Write path.** Every mutating operation appends one record *inside* the
 //! same critical section that mutates the in-memory state — so each log's
@@ -20,32 +31,53 @@
 //! larger LSN, and sorting all logs' records by LSN yields a valid
 //! serialization for replay.
 //!
-//! **Recovery.** Open loads the snapshot (if any), replays every log with
-//! torn-tail tolerance, merges the records by LSN, and applies them through
-//! idempotent appliers: a record already reflected in the snapshot confirms
-//! against the stored chain instead of double-applying. A crash can only
-//! lose a *suffix* of un-fsynced records per log — and those were never
-//! acknowledged — so recovery always lands on exactly the state every
-//! acknowledged operation saw: no lost acked commit, no double-commit,
-//! gap-free version chains.
+//! **Recovery.** Loading a snapshot is replaying a compacted log: open
+//! feeds the snapshot's records, in file order, and then every log's records
+//! (torn-tail tolerant, merged by LSN) through one `parse_record` →
+//! `apply_op`. The appliers are idempotent: a record already reflected in
+//! the snapshot confirms against the stored chain instead of
+//! double-applying. A crash can only lose a *suffix* of un-fsynced records
+//! per log — and those were never acknowledged — so recovery always lands on
+//! exactly the state every acknowledged operation saw: no lost acked commit,
+//! no double-commit, gap-free version chains.
 //!
-//! **Checkpoint.** [`ShardedStore::checkpoint`] captures each log's
-//! watermark under its shard lock, writes the snapshot atomically, then
-//! truncates sealed segments below the watermarks. Records landing between
-//! the per-shard captures replay idempotently over the snapshot.
+//! A snapshot gets no torn-tail tolerance, because it was renamed into place
+//! whole and the logs were truncated against it: a frame that fails its
+//! checksum, a sequence number out of place, a record count that disagrees
+//! with the header, a record that does not decode or a chain with a gap each
+//! fail the whole open with `InvalidData`, never a partly loaded store. So
+//! does a root that holds only a `snapshot.json` of the earlier JSON format,
+//! which this version cannot load and must not ignore.
+//!
+//! **Checkpoint.** [`ShardedStore::checkpoint`] copies each shard and its
+//! log's watermark under the shard lock and the directory, with its
+//! watermark, *last*: a workspace is in the directory before its shard takes
+//! a commit for it, so the copied directory holds every workspace a copied
+//! chain belongs to, whatever ran in between. It streams the snapshot into a
+//! temp file, fsyncs and renames it, then truncates sealed segments below
+//! the watermarks. Records landing between the captures replay idempotently
+//! over the snapshot.
 
 use crate::error::{MetadataError, MetadataResult};
 use crate::model::{CommitOutcome, ItemMetadata, Workspace, WorkspaceId};
 use crate::shard::{route_workspace, Directory, Shard, ShardedStore};
-use crate::snapshot::{item_from_value, item_to_value, parts_from_value, parts_to_value};
+use crate::snapshot::{item_from_value, item_to_value, parts_to_value};
 use crate::snapshot::{write_atomic, StoreParts};
 use crate::store::ItemTables;
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use wire::{BinaryCodec, Codec, JsonCodec, Value, WireError, WireResult};
+use wire::{BinaryCodec, Codec, Value, WireError, WireResult};
+
+const SNAPSHOT_FILE: &str = "snapshot.bin";
+/// What `write_atomic` writes before renaming; one left by a crash is junk.
+const SNAPSHOT_TEMP_FILE: &str = "snapshot.tmp";
+/// The snapshot of the earlier JSON format, refused at open.
+const LEGACY_SNAPSHOT_FILE: &str = "snapshot.json";
+const SNAPSHOT_FORMAT: &str = "stacksync-metadata-v2";
 
 /// The WAL side of a durable [`ShardedStore`]: one log per shard, one for
 /// the directory, and the store-wide LSN counter.
@@ -261,6 +293,124 @@ pub(crate) fn wait(ticket: Option<wal::Ticket>) -> MetadataResult<()> {
 }
 
 // ---------------------------------------------------------------------------
+// Snapshot file: the same records, compacted
+// ---------------------------------------------------------------------------
+
+/// Streams `parts` as a snapshot file; the module docs give the layout.
+fn write_snapshot(out: &mut impl Write, parts: &StoreParts) -> std::io::Result<()> {
+    let shares: usize = parts.workspaces.iter().map(|w| w.members.len()).sum();
+    let records = parts.users.len() + parts.workspaces.len() + shares + parts.histories.len();
+    let mut seq = 0u64;
+    let mut payload = Vec::new();
+    let mut frame = Vec::new();
+    // Frames one record, numbered by its position in the file.
+    let mut put = |record: &dyn Fn(u64) -> Value| -> std::io::Result<()> {
+        payload.clear();
+        BinaryCodec.encode_into(&record(seq), &mut payload);
+        if payload.len() > wal::MAX_RECORD_LEN {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "snapshot record {seq} is {} bytes, more than a frame holds",
+                    payload.len()
+                ),
+            ));
+        }
+        frame.clear();
+        wal::frame_into(&mut frame, seq, &payload);
+        seq += 1;
+        out.write_all(&frame)
+    };
+    put(&|_| {
+        Value::Map(vec![
+            ("format".into(), Value::from(SNAPSHOT_FORMAT)),
+            ("records".into(), Value::U64(records as u64)),
+        ])
+    })?;
+    for user in &parts.users {
+        put(&|lsn| user_record(lsn, user))?;
+    }
+    for ws in &parts.workspaces {
+        put(&|lsn| ws_record(lsn, &ws.id.0, &ws.owner, &ws.name))?;
+    }
+    for ws in &parts.workspaces {
+        for member in &ws.members {
+            put(&|lsn| share_record(lsn, &ws.id.0, member))?;
+        }
+    }
+    for chain in &parts.histories {
+        put(&|lsn| {
+            let items = chain.iter().map(item_to_value).collect();
+            commit_record(lsn, &chain[0].workspace, items)
+        })?;
+    }
+    Ok(())
+}
+
+/// The record count a snapshot's header frame announces.
+fn parse_snapshot_header(bytes: &[u8]) -> WireResult<u64> {
+    let v = BinaryCodec.decode(bytes)?;
+    let format = v.field("format")?.as_str()?;
+    if format != SNAPSHOT_FORMAT {
+        return Err(WireError::Invalid(format!(
+            "unsupported metadata snapshot format `{format}`"
+        )));
+    }
+    v.field("records")?.as_u64()
+}
+
+/// Replays the snapshot at `path`, if there is one, into the empty state
+/// `open_durable` starts from; `Ok(false)` when there is none.
+fn load_snapshot(
+    path: &Path,
+    directory: &mut Directory,
+    tables: &mut [ItemTables],
+    item_home: &mut HashMap<u64, WorkspaceId>,
+) -> std::io::Result<bool> {
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
+        Err(e) => return Err(e),
+    };
+    let bad = |what: String| invalid(format!("{}: {what}", path.display()));
+    let mut announced = None;
+    let mut frames = 0u64;
+    let mut at = 0usize;
+    loop {
+        match wal::next_frame(&bytes, at) {
+            wal::Frame::End => break,
+            wal::Frame::Torn { reason } => return Err(bad(format!("byte {at}: {reason}"))),
+            wal::Frame::Record { seq, payload, next } => {
+                if seq != frames {
+                    return Err(bad(format!("frame {frames} carries sequence {seq}")));
+                }
+                let payload = &bytes[payload];
+                if frames == 0 {
+                    let records =
+                        parse_snapshot_header(payload).map_err(|e| bad(format!("header: {e}")))?;
+                    announced = Some(records);
+                } else {
+                    let (_, op) =
+                        parse_record(payload).map_err(|e| bad(format!("frame {frames}: {e}")))?;
+                    apply_op(directory, tables, item_home, op)
+                        .map_err(|e| bad(format!("frame {frames}: {e}")))?;
+                }
+                frames += 1;
+                at = next;
+            }
+        }
+    }
+    match announced {
+        Some(records) if records == frames - 1 => Ok(true),
+        Some(records) => Err(bad(format!(
+            "holds {} of the {records} records its header announces",
+            frames - 1
+        ))),
+        None => Err(bad("no header frame".to_string())),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Replay
 // ---------------------------------------------------------------------------
 
@@ -378,7 +528,8 @@ impl ShardedStore {
     ///
     /// # Errors
     ///
-    /// Filesystem errors, or `InvalidData` when the snapshot or a log
+    /// Filesystem errors, or `InvalidData` when the snapshot is damaged in
+    /// any way, is of the earlier JSON format (`snapshot.json`), or a log
     /// record fails to decode or violates a replay invariant.
     pub fn open_durable(
         root: impl AsRef<Path>,
@@ -390,40 +541,32 @@ impl ShardedStore {
         std::fs::create_dir_all(&root)?;
         let n = shards.max(1);
 
+        // A checkpoint that died between creating its temp file and the
+        // rename left one behind; nothing reads it.
+        match std::fs::remove_file(root.join(SNAPSHOT_TEMP_FILE)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
+
         // Base state: the latest snapshot, if one exists.
-        let snap_path = root.join("snapshot.json");
         let mut directory = Directory::default();
         let mut tables: Vec<ItemTables> = (0..n).map(|_| ItemTables::default()).collect();
         let mut item_home: HashMap<u64, WorkspaceId> = HashMap::new();
-        let snapshot_loaded = snap_path.exists();
-        if snapshot_loaded {
-            let bytes = std::fs::read(&snap_path)?;
-            let value = JsonCodec.decode(&bytes).map_err(invalid)?;
-            let parts = parts_from_value(&value).map_err(invalid)?;
-            for user in parts.users {
-                directory.users.insert(user);
-            }
-            for ws in parts.workspaces {
-                if let Some(num) = ws.id.0.strip_prefix("ws-").and_then(|s| s.parse().ok()) {
-                    directory.next_workspace = directory.next_workspace.max(num);
-                }
-                tables[route_workspace(&ws.id.0, n)]
-                    .by_workspace
-                    .entry(ws.id.0.clone())
-                    .or_default();
-                directory.workspaces.insert(ws.id.0.clone(), ws);
-            }
-            for versions in parts.histories {
-                let Some(first) = versions.first() else {
-                    continue;
-                };
-                let ws = first.workspace.clone();
-                let id = first.item_id;
-                let t = &mut tables[route_workspace(&ws.0, n)];
-                t.by_workspace.entry(ws.0.clone()).or_default().insert(id);
-                t.items.insert(id, versions);
-                item_home.insert(id, ws);
-            }
+        let snapshot_loaded = load_snapshot(
+            &root.join(SNAPSHOT_FILE),
+            &mut directory,
+            &mut tables,
+            &mut item_home,
+        )?;
+        let legacy = root.join(LEGACY_SNAPSHOT_FILE);
+        if !snapshot_loaded && legacy.exists() {
+            // The logs were truncated against it, so opening without it
+            // would silently lose everything it covers.
+            return Err(invalid(format!(
+                "{} is a snapshot in the JSON format of an earlier version, which this \
+                 version cannot load; the logs beside it no longer hold what it covers",
+                legacy.display()
+            )));
         }
 
         // Open every log, collecting the replayed records.
@@ -514,37 +657,49 @@ impl ShardedStore {
     /// Serializes the full store state into the wire data model — the same
     /// `stacksync-metadata-v1` format as [`crate::InMemoryStore::snapshot`].
     pub fn snapshot(&self) -> Value {
-        parts_to_value(&self.dump_parts())
+        parts_to_value(&self.capture().0)
     }
 
-    fn dump_parts(&self) -> StoreParts {
-        let (users, workspaces) = {
-            let dir = self.directory.lock();
-            (
-                dir.users.iter().cloned().collect(),
-                dir.workspaces.values().cloned().collect(),
-            )
-        };
+    /// Copies the whole state and, on a durable store, each log's watermark
+    /// (the directory's, then one per shard) under the lock that orders its
+    /// appends.
+    ///
+    /// The directory is copied *after* the shards. `create_workspace` puts a
+    /// workspace in the directory before its shard accepts a commit for it,
+    /// and nothing removes one, so the copied directory holds the workspace
+    /// of every copied chain even when workspaces are created and committed
+    /// to between the copies. The other order can capture a chain whose
+    /// workspace is missing, a snapshot no replay accepts.
+    fn capture(&self) -> (StoreParts, u64, Vec<u64>) {
+        let plane = self.wal.as_deref();
         let mut histories: Vec<Vec<ItemMetadata>> = Vec::new();
-        for shard in &self.shards {
-            histories.extend(shard.tables.lock().items.values().cloned());
+        let mut marks = Vec::new();
+        for (i, shard) in self.shards.iter().enumerate() {
+            let t = shard.tables.lock();
+            histories.extend(t.items.values().cloned());
+            marks.extend(plane.map(|p| p.shard_logs[i].mark()));
         }
         histories.sort_by_key(|v| v[0].item_id);
-        StoreParts {
-            users,
-            workspaces,
+        let dir = self.directory.lock();
+        let parts = StoreParts {
+            users: dir.users.iter().cloned().collect(),
+            workspaces: dir.workspaces.values().cloned().collect(),
             histories,
-        }
+        };
+        (parts, plane.map_or(0, |p| p.dir_log.mark()), marks)
     }
 
     /// Writes a snapshot (atomic temp-file + rename) and truncates every
-    /// log's sealed segments below the watermark captured under its shard
+    /// log's sealed segments below the watermark `capture` took under its
     /// lock. Records appended between the captures replay idempotently over
-    /// the snapshot, so the checkpoint is safe under concurrent commits.
+    /// the snapshot, so the checkpoint is safe under concurrent commits and
+    /// directory operations.
     ///
     /// # Errors
     ///
-    /// `Unsupported` on a non-durable store; filesystem or WAL errors.
+    /// `Unsupported` on a non-durable store; `InvalidInput` when one item's
+    /// chain encodes to more than [`wal::MAX_RECORD_LEN`] (nothing on disk
+    /// has changed then); filesystem or WAL errors.
     pub fn checkpoint(&self) -> std::io::Result<()> {
         let plane = self.wal.as_ref().ok_or_else(|| {
             std::io::Error::new(
@@ -552,31 +707,10 @@ impl ShardedStore {
                 "checkpoint requires a store opened with open_durable",
             )
         })?;
-        let (users, workspaces, dir_mark) = {
-            let dir = self.directory.lock();
-            (
-                dir.users.iter().cloned().collect(),
-                dir.workspaces.values().cloned().collect(),
-                plane.dir_log.mark(),
-            )
-        };
-        let mut histories: Vec<Vec<ItemMetadata>> = Vec::new();
-        let mut marks = Vec::with_capacity(self.shards.len());
-        for (i, shard) in self.shards.iter().enumerate() {
-            let t = shard.tables.lock();
-            histories.extend(t.items.values().cloned());
-            marks.push(plane.shard_logs[i].mark());
-        }
-        histories.sort_by_key(|v| v[0].item_id);
-        let parts = StoreParts {
-            users,
-            workspaces,
-            histories,
-        };
-        write_atomic(
-            &plane.root.join("snapshot.json"),
-            &JsonCodec.encode(&parts_to_value(&parts)),
-        )?;
+        let (parts, dir_mark, marks) = self.capture();
+        write_atomic(&plane.root.join(SNAPSHOT_FILE), |out| {
+            write_snapshot(out, &parts)
+        })?;
         plane.dir_log.truncate_through(dir_mark).map_err(wal_io)?;
         for (log, mark) in plane.shard_logs.iter().zip(marks) {
             log.truncate_through(mark).map_err(wal_io)?;
@@ -615,5 +749,87 @@ impl std::fmt::Debug for WalPlane {
             .field("root", &self.root)
             .field("shards", &self.shard_logs.len())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::store::MetadataStore;
+
+    fn ws1() -> Workspace {
+        Workspace {
+            id: WorkspaceId("ws-1".into()),
+            owner: "u".into(),
+            name: "W".into(),
+            members: vec!["v".into()],
+        }
+    }
+
+    fn chain(ws: &str, versions: &[u64]) -> Vec<ItemMetadata> {
+        let first = ItemMetadata::new_file(9, &WorkspaceId(ws.into()), "f", vec![], 1, "d");
+        versions
+            .iter()
+            .map(|&version| ItemMetadata {
+                version,
+                ..first.clone()
+            })
+            .collect()
+    }
+
+    /// Writes `parts` as the snapshot of an otherwise empty root and opens it.
+    fn open_with(tag: &str, parts: &StoreParts) -> std::io::Result<ShardedStore> {
+        let root = std::env::temp_dir().join(format!("meta-snap-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root)?;
+        write_atomic(&root.join(SNAPSHOT_FILE), |out| write_snapshot(out, parts))?;
+        let mut cfg = wal::LogConfig::named("snap-test");
+        cfg.sync = wal::SyncPolicy::Manual;
+        let opened = ShardedStore::open_durable(&root, 2, Duration::ZERO, cfg);
+        let _ = std::fs::remove_dir_all(&root);
+        opened.map(|(store, _)| store)
+    }
+
+    fn parts(workspaces: Vec<Workspace>, histories: Vec<Vec<ItemMetadata>>) -> StoreParts {
+        StoreParts {
+            users: vec!["u".into(), "v".into()],
+            workspaces,
+            histories,
+        }
+    }
+
+    #[test]
+    fn snapshot_chains_go_through_the_replay_checks() {
+        let store = open_with("ok", &parts(vec![ws1()], vec![chain("ws-1", &[1, 2, 3])])).unwrap();
+        assert_eq!(store.history(9).unwrap().len(), 3);
+        assert_eq!(
+            store.get_workspace(&ws1().id).unwrap().members,
+            vec!["v".to_string()]
+        );
+
+        for (tag, doctored) in [
+            ("gap", parts(vec![ws1()], vec![chain("ws-1", &[1, 3])])),
+            ("headless", parts(vec![ws1()], vec![chain("ws-1", &[2, 3])])),
+            // `capture` cannot produce this one (directory copied last).
+            ("homeless", parts(vec![], vec![chain("ws-1", &[1])])),
+        ] {
+            let err = open_with(tag, &doctored).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{tag}: {err}");
+            assert!(err.to_string().contains(SNAPSHOT_FILE), "{tag}: {err}");
+        }
+    }
+
+    #[test]
+    fn snapshot_header_must_carry_this_format() {
+        let header = |format: &str| {
+            BinaryCodec.encode(&Value::Map(vec![
+                ("format".into(), Value::from(format)),
+                ("records".into(), Value::U64(3)),
+            ]))
+        };
+        assert_eq!(parse_snapshot_header(&header(SNAPSHOT_FORMAT)), Ok(3));
+        assert!(parse_snapshot_header(&header("stacksync-metadata-v1")).is_err());
+        // A record is not a header.
+        assert!(parse_snapshot_header(&BinaryCodec.encode(&user_record(0, "u"))).is_err());
     }
 }

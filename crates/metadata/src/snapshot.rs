@@ -7,7 +7,8 @@ use crate::error::MetadataResult;
 use crate::model::{ItemMetadata, Workspace, WorkspaceId};
 use crate::store::InMemoryStore;
 use content::ChunkId;
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use wire::{Codec, JsonCodec, Value, WireError, WireResult};
 
 pub(crate) fn item_to_value(item: &ItemMetadata) -> Value {
@@ -156,18 +157,23 @@ pub(crate) fn parts_from_value(value: &Value) -> WireResult<StoreParts> {
     })
 }
 
-/// Crash-safe file write: the bytes land in a temp file in the target's
-/// directory, are fsynced, and only then renamed over the destination — so
-/// at every instant the destination is either the complete old content or
-/// the complete new content, never a torn mix. (The rename is atomic on
-/// POSIX filesystems; the directory fsync afterwards is best-effort, which
-/// is all portability allows.)
-pub(crate) fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+/// Crash-safe file write: what `write` produces lands, through a buffer, in
+/// a temp file in the target's directory, is fsynced, and only then renamed
+/// over the destination — so at every instant the destination is either the
+/// complete old content or the complete new content, never a torn mix. (The
+/// rename is atomic on POSIX filesystems; the directory fsync afterwards is
+/// best-effort, which is all portability allows.)
+pub(crate) fn write_atomic(
+    path: &std::path::Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     let tmp = path.with_extension("tmp");
     {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        write(&mut out)?;
+        // `into_inner` flushes; dropping the writer would discard the error.
+        let f = out.into_inner().map_err(|e| e.into_error())?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
@@ -227,7 +233,7 @@ impl InMemoryStore {
     ///
     /// Filesystem errors.
     pub fn checkpoint(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        write_atomic(path.as_ref(), &self.snapshot_json())
+        write_atomic(path.as_ref(), |out| out.write_all(&self.snapshot_json()))
     }
 
     /// Loads a checkpoint from a file.

@@ -260,12 +260,18 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar.
+                    // Copy the run up to the next quote or backslash, checked
+                    // once; checking the rest of the line per character made
+                    // a long line quadratic. An unterminated run is reported
+                    // by the next turn of the loop.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len]).map_err(|_| "invalid utf-8")?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -746,6 +752,22 @@ mod tests {
         );
         assert!(Json::parse("{\"unterminated\":").is_err());
         assert!(Json::parse("[1,2] trailing").is_err());
+        assert!(Json::parse("\"no closing quote é").is_err());
+    }
+
+    /// With a scanner that re-validates the rest of the line per character
+    /// this does not finish in minutes.
+    #[test]
+    fn megabytes_of_string_parse_in_linear_time() {
+        let plain = "span é ".repeat(2 * 1024 * 1024 / 8);
+        let escaped = "fifteen plain b\\n".repeat(1024 * 1024 / 17);
+        let v = Json::parse(&format!("[\"{plain}\",\"{escaped}\"]")).unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0].as_str(), Some(plain.as_str()));
+        assert_eq!(
+            items[1].as_str(),
+            Some("fifteen plain b\n".repeat(1024 * 1024 / 17).as_str())
+        );
     }
 
     /// Builds the writer + server dump pair for one synthetic commit with

@@ -10,10 +10,14 @@
 //!
 //! where `crc` is FNV-1a over the little-endian `seq` bytes followed by the
 //! payload — the same hash family the repo already uses for shard routing and
-//! history fingerprints. Appends are buffered under the log lock and made
-//! durable by a dedicated group-commit flusher thread that coalesces every
-//! waiting appender into a single `write` + `fsync` (tunable interval / byte
-//! thresholds, [`LogConfig`]), so N committers pay one fsync, not N.
+//! history fingerprints. The framing itself is public ([`frame_into`],
+//! [`next_frame`]), so that any other file of records (the metadata
+//! snapshot) carries these frames and this checksum, not a second kind.
+//!
+//! Appends are buffered under the log lock and made durable by a dedicated
+//! group-commit flusher thread that coalesces every waiting appender into a
+//! single `write` + `fsync` (tunable interval / byte thresholds,
+//! [`LogConfig`]), so N committers pay one fsync, not N.
 //!
 //! Recovery ([`Log::open`]) replays segments in order and tolerates a torn
 //! tail: the scan stops at the first record whose length prefix or checksum
@@ -38,7 +42,7 @@ mod log;
 mod record;
 
 pub use crate::log::{Log, Recovery, Ticket};
-pub use crate::record::MAX_RECORD_LEN;
+pub use crate::record::{frame_into, next_frame, Frame, MAX_RECORD_LEN};
 
 use std::fmt;
 use std::time::Duration;

@@ -5,6 +5,10 @@
 //! and anything torn — short header, short payload, or flipped bits — does
 //! not. The scanner never panics on arbitrary bytes; it classifies the tail
 //! and reports where the last valid frame ended.
+//!
+//! [`frame_into`] and [`next_frame`] are public so that other files of
+//! records (the metadata snapshot) use this framing and this checksum
+//! instead of growing their own.
 
 use std::ops::Range;
 
@@ -30,8 +34,9 @@ pub(crate) fn fnv1a(parts: &[&[u8]]) -> u64 {
     hash
 }
 
-/// Appends one framed record to `buf`.
-pub(crate) fn frame_into(buf: &mut Vec<u8>, seq: u64, payload: &[u8]) {
+/// Appends one framed record to `buf`. The caller checks that `payload` is
+/// no longer than [`MAX_RECORD_LEN`]; the scanner refuses a longer frame.
+pub fn frame_into(buf: &mut Vec<u8>, seq: u64, payload: &[u8]) {
     debug_assert!(payload.len() <= MAX_RECORD_LEN);
     let seq_le = seq.to_le_bytes();
     let crc = fnv1a(&[&seq_le, payload]);
@@ -43,23 +48,31 @@ pub(crate) fn frame_into(buf: &mut Vec<u8>, seq: u64, payload: &[u8]) {
 }
 
 /// Outcome of scanning for one frame at `at`.
-pub(crate) enum Frame {
-    /// A verified record; `payload` indexes into the scanned buffer.
+#[derive(Debug)]
+pub enum Frame {
+    /// A verified record.
     Record {
+        /// Sequence number stored in the frame.
         seq: u64,
+        /// Where the payload lies in the scanned buffer.
         payload: Range<usize>,
+        /// Offset of the frame after this one.
         next: usize,
     },
-    /// Clean end of buffer — `at` was exactly the buffer length.
+    /// Clean end of buffer: `at` was the buffer length (or beyond it).
     End,
     /// The bytes at `at` do not form a verifiable frame (torn tail or
-    /// corruption); `reason` says why.
-    Torn { reason: String },
+    /// corruption).
+    Torn {
+        /// Why the frame did not verify.
+        reason: String,
+    },
 }
 
-/// Scans the frame starting at byte `at` of `buf`.
-pub(crate) fn next_frame(buf: &[u8], at: usize) -> Frame {
-    let remaining = buf.len() - at;
+/// Scans the frame starting at byte `at` of `buf`. Never panics, whatever
+/// the bytes are.
+pub fn next_frame(buf: &[u8], at: usize) -> Frame {
+    let remaining = buf.len().saturating_sub(at);
     if remaining == 0 {
         return Frame::End;
     }
@@ -115,6 +128,7 @@ mod tests {
             _ => panic!("expected record"),
         }
         assert!(matches!(next_frame(&buf, buf.len()), Frame::End));
+        assert!(matches!(next_frame(&buf, buf.len() + 1), Frame::End));
     }
 
     #[test]

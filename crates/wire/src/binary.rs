@@ -4,7 +4,7 @@
 
 use crate::error::{WireError, WireResult};
 use crate::value::Value;
-use crate::Codec;
+use crate::{Codec, MAX_DEPTH};
 
 const TAG_NULL: u8 = 0x00;
 const TAG_FALSE: u8 = 0x01;
@@ -28,7 +28,7 @@ impl Codec for BinaryCodec {
 
     fn decode(&self, bytes: &[u8]) -> WireResult<Value> {
         let mut reader = Reader { bytes, pos: 0 };
-        let value = read_value(&mut reader)?;
+        let value = read_value(&mut reader, 0)?;
         if reader.pos != bytes.len() {
             return Err(WireError::TrailingBytes(bytes.len() - reader.pos));
         }
@@ -115,7 +115,8 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn read_value(r: &mut Reader<'_>) -> WireResult<Value> {
+/// Reads one value that `depth` lists and maps already enclose.
+fn read_value(r: &mut Reader<'_>, depth: usize) -> WireResult<Value> {
     match r.byte()? {
         TAG_NULL => Ok(Value::Null),
         TAG_FALSE => Ok(Value::Bool(false)),
@@ -138,11 +139,12 @@ fn read_value(r: &mut Reader<'_>) -> WireResult<Value> {
             let len = read_len(r)?;
             Ok(Value::Bytes(r.take(len)?.to_vec()))
         }
+        TAG_LIST | TAG_MAP if depth == MAX_DEPTH => Err(WireError::TooDeep),
         TAG_LIST => {
             let len = read_len(r)?;
             let mut items = Vec::with_capacity(len.min(r.remaining()));
             for _ in 0..len {
-                items.push(read_value(r)?);
+                items.push(read_value(r, depth + 1)?);
             }
             Ok(Value::List(items))
         }
@@ -155,7 +157,7 @@ fn read_value(r: &mut Reader<'_>) -> WireResult<Value> {
                 let key = std::str::from_utf8(raw)
                     .map_err(|_| WireError::InvalidUtf8)?
                     .to_string();
-                entries.push((key, read_value(r)?));
+                entries.push((key, read_value(r, depth + 1)?));
             }
             Ok(Value::Map(entries))
         }
@@ -312,6 +314,39 @@ mod tests {
         }
     }
 
+    /// A `null` inside one-element containers, lists and maps as `lists` says.
+    fn nested(lists: &[bool]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for &list in lists {
+            if list {
+                bytes.extend_from_slice(&[TAG_LIST, 1]);
+            } else {
+                bytes.extend_from_slice(&[TAG_MAP, 1, 1, b'k']);
+            }
+        }
+        bytes.push(TAG_NULL);
+        bytes
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_the_stack() {
+        assert!(BinaryCodec.decode(&nested(&[true; MAX_DEPTH])).is_ok());
+        assert!(BinaryCodec.decode(&nested(&[false; MAX_DEPTH])).is_ok());
+        assert_eq!(
+            BinaryCodec.decode(&nested(&[true; MAX_DEPTH + 1])),
+            Err(WireError::TooDeep)
+        );
+        assert_eq!(
+            BinaryCodec.decode(&nested(&[false; MAX_DEPTH + 1])),
+            Err(WireError::TooDeep)
+        );
+        // A 64 KB frame that overflowed a 2 MiB stack before the limit.
+        assert_eq!(
+            BinaryCodec.decode(&nested(&[true; 32_000])),
+            Err(WireError::TooDeep)
+        );
+    }
+
     #[test]
     fn zigzag_inverts() {
         for v in [0i64, 1, -1, 42, -42, i64::MIN, i64::MAX] {
@@ -348,6 +383,22 @@ mod tests {
         #[test]
         fn prop_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
             let _ = BinaryCodec.decode(&bytes);
+        }
+
+        #[test]
+        fn prop_nesting_past_the_limit_is_refused(
+            lists in proptest::collection::vec(any::<bool>(), 0..3 * MAX_DEPTH),
+            cut in 0usize..4096,
+        ) {
+            let bytes = nested(&lists);
+            match BinaryCodec.decode(&bytes) {
+                Ok(_) => prop_assert!(lists.len() <= MAX_DEPTH),
+                Err(e) => {
+                    prop_assert!(lists.len() > MAX_DEPTH);
+                    prop_assert_eq!(e, WireError::TooDeep);
+                }
+            }
+            let _ = BinaryCodec.decode(&bytes[..cut.min(bytes.len())]);
         }
 
         #[test]

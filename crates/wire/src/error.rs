@@ -36,6 +36,8 @@ pub enum WireError {
     MissingField(String),
     /// Trailing bytes remained after a complete value.
     TrailingBytes(usize),
+    /// Lists and maps were nested deeper than [`crate::MAX_DEPTH`].
+    TooDeep,
     /// Catch-all for domain-specific conversion problems.
     Invalid(String),
 }
@@ -55,6 +57,9 @@ impl fmt::Display for WireError {
             }
             WireError::MissingField(k) => write!(f, "missing field `{k}`"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
+            WireError::TooDeep => {
+                write!(f, "nested deeper than {} levels", crate::MAX_DEPTH)
+            }
             WireError::Invalid(m) => write!(f, "invalid value: {m}"),
         }
     }
@@ -83,6 +88,7 @@ mod tests {
             },
             WireError::MissingField("id".into()),
             WireError::TrailingBytes(2),
+            WireError::TooDeep,
             WireError::Invalid("nope".into()),
         ];
         for e in errors {

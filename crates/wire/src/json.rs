@@ -10,7 +10,8 @@
 
 use crate::error::{WireError, WireResult};
 use crate::value::Value;
-use crate::Codec;
+use crate::{Codec, MAX_DEPTH};
+use std::fmt::Write;
 
 /// The JSON transport.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -40,18 +41,31 @@ pub(crate) fn to_json_string(value: &Value) -> String {
     out
 }
 
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Value of one hex digit, either case.
+fn hex_nibble(digit: u8) -> Option<u8> {
+    match digit {
+        b'0'..=b'9' => Some(digit - b'0'),
+        b'a'..=b'f' => Some(digit - b'a' + 10),
+        b'A'..=b'F' => Some(digit - b'A' + 10),
+        _ => None,
+    }
+}
+
 fn write_value(out: &mut String, value: &Value) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::I64(v) => out.push_str(&v.to_string()),
-        Value::U64(v) => out.push_str(&v.to_string()),
+        // Writing into a `String` cannot fail.
+        Value::I64(v) => write!(out, "{v}").expect("fmt to String"),
+        Value::U64(v) => write!(out, "{v}").expect("fmt to String"),
         Value::F64(v) => {
             if v.is_finite() {
                 // Debug formatting always includes '.' or 'e', so the text
                 // re-parses as a float rather than an integer.
-                out.push_str(&format!("{v:?}"));
+                write!(out, "{v:?}").expect("fmt to String");
             } else {
                 out.push_str("null");
             }
@@ -59,8 +73,10 @@ fn write_value(out: &mut String, value: &Value) {
         Value::Str(s) => write_string(out, s),
         Value::Bytes(b) => {
             out.push_str("{\"$bytes\":\"");
+            out.reserve(b.len() * 2 + 2);
             for byte in b {
-                out.push_str(&format!("{byte:02x}"));
+                out.push(char::from(HEX_DIGITS[usize::from(byte >> 4)]));
+                out.push(char::from(HEX_DIGITS[usize::from(byte & 0x0f)]));
             }
             out.push_str("\"}");
         }
@@ -98,7 +114,7 @@ fn write_string(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).expect("fmt to String"),
             c => out.push(c),
         }
     }
@@ -106,15 +122,20 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
-    text: &'a [u8],
+    /// The document. The scanner steps over its bytes; string runs are
+    /// copied out of it as `str`, without a second validation.
+    text: &'a str,
     pos: usize,
+    /// Lists and maps currently open around `pos`.
+    depth: usize,
 }
 
 /// Parses a complete JSON document.
 fn parse(text: &str) -> WireResult<Value> {
     let mut p = Parser {
-        text: text.as_bytes(),
+        text,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -133,14 +154,18 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while matches!(self.text.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.text.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> WireResult<()> {
@@ -153,7 +178,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Value) -> WireResult<Value> {
-        if self.text[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -167,11 +192,24 @@ impl<'a> Parser<'a> {
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
             b'"' => Ok(Value::Str(self.string()?)),
-            b'[' => self.list(),
-            b'{' => self.map(),
+            b'[' => self.nested(Self::list),
+            b'{' => self.nested(Self::map),
             b'-' | b'0'..=b'9' => self.number(),
             c => Err(self.err(format!("unexpected character '{}'", c as char))),
         }
+    }
+
+    /// Parses a list or map one level further in. The parser recurses once
+    /// per level, so the depth of the input must not decide the depth of
+    /// the stack.
+    fn nested(&mut self, container: fn(&mut Self) -> WireResult<Value>) -> WireResult<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(WireError::TooDeep);
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn list(&mut self) -> WireResult<Value> {
@@ -279,12 +317,23 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 _ => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.text[self.pos..])
-                        .map_err(|_| WireError::InvalidUtf8)?;
-                    let c = rest.chars().next().ok_or(WireError::UnexpectedEof)?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // piece. `text` is valid UTF-8 and both delimiters are
+                    // ASCII, so the run starts and ends on scalar boundaries
+                    // (`get` checks that) and needs no second validation:
+                    // validating the rest of the document here, once per
+                    // character, made parsing quadratic.
+                    let start = self.pos;
+                    let len = self.bytes()[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .ok_or(WireError::UnexpectedEof)?;
+                    let run = self
+                        .text
+                        .get(start..start + len)
+                        .ok_or(WireError::InvalidUtf8)?;
+                    out.push_str(run);
+                    self.pos = start + len;
                 }
             }
         }
@@ -294,7 +343,7 @@ impl<'a> Parser<'a> {
         if self.pos + 4 > self.text.len() {
             return Err(WireError::UnexpectedEof);
         }
-        let hex = std::str::from_utf8(&self.text[self.pos..self.pos + 4])
+        let hex = std::str::from_utf8(&self.bytes()[self.pos..self.pos + 4])
             .map_err(|_| WireError::InvalidUtf8)?;
         let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad hex digits"))?;
         self.pos += 4;
@@ -317,8 +366,8 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let raw =
-            std::str::from_utf8(&self.text[start..self.pos]).map_err(|_| WireError::InvalidUtf8)?;
+        let raw = std::str::from_utf8(&self.bytes()[start..self.pos])
+            .map_err(|_| WireError::InvalidUtf8)?;
         if is_float {
             raw.parse::<f64>()
                 .map(Value::F64)
@@ -338,22 +387,12 @@ fn finish_map(entries: Vec<(String, Value)>) -> Value {
     if entries.len() == 1 && entries[0].0 == "$bytes" {
         if let Value::Str(hex) = &entries[0].1 {
             if hex.len() % 2 == 0 {
-                let mut bytes = Vec::with_capacity(hex.len() / 2);
-                let mut valid = true;
-                let raw = hex.as_bytes();
-                for pair in raw.chunks(2) {
-                    match std::str::from_utf8(pair)
-                        .ok()
-                        .and_then(|h| u8::from_str_radix(h, 16).ok())
-                    {
-                        Some(b) => bytes.push(b),
-                        None => {
-                            valid = false;
-                            break;
-                        }
-                    }
-                }
-                if valid {
+                let bytes: Option<Vec<u8>> = hex
+                    .as_bytes()
+                    .chunks_exact(2)
+                    .map(|pair| Some(hex_nibble(pair[0])? << 4 | hex_nibble(pair[1])?))
+                    .collect();
+                if let Some(bytes) = bytes {
                     return Value::Bytes(bytes);
                 }
             }
@@ -456,6 +495,74 @@ mod tests {
         assert!(matches!(v, Value::Map(_)));
     }
 
+    #[test]
+    fn hex_digits_of_either_case_and_nothing_else() {
+        assert_eq!(
+            parse(r#"{"$bytes":"00fFA9"}"#).unwrap(),
+            Value::Bytes(vec![0x00, 0xff, 0xa9])
+        );
+        // `from_str_radix` would take a sign; a hex pair is two digits.
+        for not_hex in [
+            r#"{"$bytes":"+f"}"#,
+            r#"{"$bytes":"0g"}"#,
+            r#"{"$bytes":"é"}"#,
+        ] {
+            assert!(
+                matches!(parse(not_hex).unwrap(), Value::Map(_)),
+                "{not_hex}"
+            );
+        }
+    }
+
+    /// Regression guard for the quadratic string scanner: with it, this test
+    /// does not finish in minutes; without it, it takes milliseconds.
+    #[test]
+    fn four_mebibyte_document_roundtrips() {
+        let long = "κ-plain ".repeat(2 * 1024 * 1024 / 9);
+        let escaped = "fifteen plain b\n".repeat(1024 * 1024 / 16);
+        let mut items = vec![Value::Str(long), Value::Str(escaped)];
+        items.extend((0..50_000).map(|i| Value::Str(format!("short string {i:05}"))));
+        let doc = Value::List(items);
+        let text = JsonCodec.encode(&doc);
+        assert!(text.len() >= 4 * 1024 * 1024, "{} bytes", text.len());
+        assert_eq!(JsonCodec.decode(&text).unwrap(), doc);
+    }
+
+    /// `depth` containers around a `1`, lists and maps as `lists` says.
+    fn nested(lists: &[bool]) -> String {
+        let mut text = String::new();
+        for &list in lists {
+            text.push_str(if list { "[" } else { "{\"k\":" });
+        }
+        text.push('1');
+        for &list in lists.iter().rev() {
+            text.push(if list { ']' } else { '}' });
+        }
+        text
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_the_stack() {
+        assert!(parse(&nested(&[true; MAX_DEPTH])).is_ok());
+        assert!(parse(&nested(&[false; MAX_DEPTH])).is_ok());
+        assert_eq!(
+            parse(&nested(&[true; MAX_DEPTH + 1])),
+            Err(WireError::TooDeep)
+        );
+        assert_eq!(
+            parse(&nested(&[false; MAX_DEPTH + 1])),
+            Err(WireError::TooDeep)
+        );
+        // Siblings do not add up: depth is what encloses, not what was seen.
+        let wide = format!("[{}]", vec![nested(&[true; MAX_DEPTH - 1]); 3].join(","));
+        assert!(parse(&wide).is_ok());
+        // Overflowed a 2 MiB stack before the limit.
+        assert_eq!(
+            JsonCodec.decode("[".repeat(100_000).as_bytes()),
+            Err(WireError::TooDeep)
+        );
+    }
+
     /// Normalizes a value the way a JSON round-trip would.
     fn json_normalize(v: &Value) -> Value {
         match v {
@@ -498,8 +605,23 @@ mod tests {
         }
 
         #[test]
-        fn prop_parser_never_panics(s in "\\PC{0,128}") {
+        fn prop_parser_never_panics(
+            s in "\\PC{0,128}",
+            lists in proptest::collection::vec(any::<bool>(), 0..3 * MAX_DEPTH),
+        ) {
             let _ = parse(&s);
+            // The same text under any number of open containers, and a
+            // well-formed document of that depth: refused past the limit.
+            let well_formed = nested(&lists);
+            let open = &well_formed[..well_formed.find('1').unwrap()];
+            let _ = parse(&format!("{open}{s}"));
+            match parse(&well_formed) {
+                Ok(_) => prop_assert!(lists.len() <= MAX_DEPTH),
+                Err(e) => {
+                    prop_assert!(lists.len() > MAX_DEPTH);
+                    prop_assert_eq!(e, WireError::TooDeep);
+                }
+            }
         }
     }
 }

@@ -42,10 +42,18 @@ pub use json::JsonCodec;
 pub use pool::{encode_pooled, encode_to_bytes, encoded_len, BufPool};
 pub use value::{FromValue, ToValue, Value};
 
+/// How many lists and maps a decoder lets enclose one value; deeper input is
+/// refused with [`WireError::TooDeep`]. Both decoders recurse once per level,
+/// so without a limit the nesting of a frame from outside the program would
+/// decide how much stack decoding takes (a 64 KB frame of nested one-element
+/// lists overflows a 2 MiB thread). Nothing the program emits nests more than
+/// a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A transport encoding for [`Value`]s.
 ///
 /// Implementations must guarantee `decode(encode(v)) == v` for every value
-/// `v` (NaN floats excepted).
+/// `v` nested no deeper than [`MAX_DEPTH`] (NaN floats excepted).
 pub trait Codec: Send + Sync {
     /// Serializes a value to bytes.
     ///
