@@ -1,32 +1,39 @@
 //! `pipeline` — staged, multi-core ingest: chunk → hash → (compress).
 //!
 //! The single upload path every file crosses (paper §4.1) as a worker
-//! pipeline instead of a scalar loop:
+//! pipeline instead of a scalar loop, in two stages a caller can run
+//! apart:
 //!
-//! 1. **Chunk** — the configured [`Chunker`] scans the input once and
-//!    produces chunk spans. This stage is sequential by nature (CDC
-//!    boundaries depend on the preceding bytes) but runs at memory
-//!    speed — a Buzhash roll per byte — so it is never the bottleneck.
-//! 2. **Hash + compress** — every span becomes an independent task;
-//!    the calling thread and the pool workers drain a shared index
-//!    counter, fingerprint each chunk, and optionally compress it.
-//!    When a file yields fewer spans than workers (one big file), the
-//!    FastHash tree splits *within* the chunk across the idle cores.
-//! 3. **Re-sequence** — results land in a slot table indexed by span
-//!    order, so the report lists chunks in input order no matter how
-//!    the workers interleave.
+//! 1. **Index** ([`IngestPipeline::index`]) — the configured [`Chunker`]
+//!    scans the input once and produces chunk spans. That scan is
+//!    sequential by nature (CDC boundaries depend on the preceding bytes)
+//!    but runs at memory speed — a Buzhash roll per byte — so it is never
+//!    the bottleneck. Every span then becomes an independent fingerprint
+//!    task; the calling thread and the pool workers drain a shared index
+//!    counter. When a file yields fewer spans than workers (one big
+//!    file), the FastHash tree splits *within* the chunk across the idle
+//!    cores.
+//! 2. **Pack** ([`IngestPipeline::pack`]) — compress a chosen subset of
+//!    the indexed chunks on the same pool. Compression is the expensive
+//!    stage (tens of MB/s against hundreds for the fingerprint), and
+//!    which chunks need it is something only the store can say, so a
+//!    caller that can ask first packs only what the store lacks.
+//!
+//! [`IngestPipeline::ingest`] is exactly "index, then pack everything".
+//! Results land in a slot table indexed by task order, so reports list
+//! chunks in input order no matter how the workers interleave.
 //!
 //! The input is [`Bytes`] end to end: each task takes a zero-copy
 //! `data.slice(span)` window, and with compression disabled that same
 //! window *is* the stored payload — no byte is copied between the
 //! caller's buffer and the store.
 //!
-//! Backpressure is structural: `ingest` is synchronous and dispatches
-//! only its own spans, so a caller can never enqueue more than one
+//! Backpressure is structural: both stages are synchronous and dispatch
+//! only their own tasks, so a caller can never enqueue more than one
 //! file of work, and the pool is shared across calls without fairness
-//! machinery (slots are claimed one span at a time).
+//! machinery (slots are claimed one task at a time).
 
-use crate::chunker::{ChunkSpan, Chunker};
+use crate::chunker::Chunker;
 use crate::compress::Algorithm;
 use crate::{ChunkId, Fingerprint};
 use bytes::Bytes;
@@ -34,6 +41,39 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// One chunk after the index stage: where it sits and what it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexedChunk {
+    /// Byte offset of the chunk within the input.
+    pub offset: usize,
+    /// Uncompressed chunk length.
+    pub len: usize,
+    /// Content fingerprint of the uncompressed chunk.
+    pub id: ChunkId,
+}
+
+/// A file after the index stage: its bytes, held by handle, and the
+/// fingerprinted chunks that partition them. Input to
+/// [`IngestPipeline::pack`].
+#[derive(Debug)]
+pub struct FileIndex {
+    data: Bytes,
+    chunks: Vec<IndexedChunk>,
+}
+
+impl FileIndex {
+    /// Chunks in input order.
+    pub fn chunks(&self) -> &[IndexedChunk] {
+        &self.chunks
+    }
+
+    /// Zero-copy window of chunk `i`.
+    fn window(&self, i: usize) -> Bytes {
+        let chunk = &self.chunks[i];
+        self.data.slice(chunk.offset..chunk.offset + chunk.len)
+    }
+}
 
 /// One chunk out of the pipeline, in input order.
 #[derive(Debug, Clone)]
@@ -168,128 +208,175 @@ impl IngestPipeline {
         self.config.fingerprint
     }
 
-    /// Runs the full pipeline over one input buffer.
-    pub fn ingest(&self, data: Bytes) -> IngestReport {
-        let started = Instant::now();
+    /// The index stage: chunk boundaries and one fingerprint per chunk.
+    /// Nothing is compressed and nothing is copied.
+    pub fn index(&self, data: Bytes) -> FileIndex {
         let chunk_started = Instant::now();
         let spans = self.chunker.chunk(&data);
         self.metrics.chunk_seconds.record(chunk_started.elapsed());
 
         let n = spans.len();
-        let chunks = if n == 0 {
-            Vec::new()
+        // Hash an oversized single span across the pool via the tree
+        // hash instead of leaving the other workers idle.
+        let hash_workers = if n < self.workers() {
+            self.workers() / n.max(1)
         } else {
-            // Hash an oversized single span across the pool via the tree
-            // hash instead of leaving the other workers idle.
-            let hash_workers = if n < self.workers() {
-                self.workers() / n.max(1)
-            } else {
-                1
-            };
-            let state = Arc::new(CallState {
-                data: data.clone(),
-                spans,
-                fingerprint: self.config.fingerprint,
-                compression: self.config.compression,
-                hash_workers,
-                next: AtomicUsize::new(0),
-                pending: AtomicUsize::new(n),
-                results: Mutex::new((0..n).map(|_| None).collect()),
-                done: Mutex::new(false),
-                done_cv: Condvar::new(),
-                hash_seconds: Arc::clone(&self.metrics.hash_seconds),
-                compress_seconds: Arc::clone(&self.metrics.compress_seconds),
-            });
-            if let Some(pool) = &self.pool {
-                let helpers = pool.size().min(n.saturating_sub(1));
-                for _ in 0..helpers {
-                    let st = Arc::clone(&state);
-                    pool.submit(Box::new(move || st.drain()));
-                }
-            }
-            state.drain();
-            state.wait_done();
-            let mut slots = state.results.lock().expect("ingest results poisoned");
-            slots
-                .drain(..)
-                .map(|c| c.expect("ingest slot incomplete"))
-                .collect()
+            1
+        };
+        let ids = {
+            let (data, spans) = (data.clone(), spans.clone());
+            let fingerprint = self.config.fingerprint;
+            let hash_seconds = Arc::clone(&self.metrics.hash_seconds);
+            self.map_tasks(n, move |i| {
+                let hash_started = Instant::now();
+                let id = fingerprint.of_parallel(&data[spans[i].range()], hash_workers);
+                hash_seconds.record(hash_started.elapsed());
+                id
+            })
         };
 
-        let logical_bytes = data.len() as u64;
+        self.metrics.bytes_total.add(data.len() as u64);
+        self.metrics.chunks_total.add(n as u64);
+        self.metrics.files_total.inc();
+        let chunks = spans
+            .iter()
+            .zip(ids)
+            .map(|(span, id)| IndexedChunk {
+                offset: span.offset,
+                len: span.len,
+                id,
+            })
+            .collect();
+        FileIndex { data, chunks }
+    }
+
+    /// The pack stage: the stored payload of each chunk named in `which`
+    /// (indices into [`FileIndex::chunks`]), in `which` order — the
+    /// compressed form, or the chunk's zero-copy window when no
+    /// compression stage is configured.
+    ///
+    /// # Panics
+    ///
+    /// If an index in `which` is out of range for `index`.
+    pub fn pack(&self, index: &FileIndex, which: &[usize]) -> Vec<Bytes> {
+        let windows: Vec<Bytes> = which.iter().map(|&i| index.window(i)).collect();
+        let payloads = match self.config.compression {
+            None => windows,
+            Some(algorithm) => {
+                let compress_seconds = Arc::clone(&self.metrics.compress_seconds);
+                self.map_tasks(windows.len(), move |k| {
+                    let compress_started = Instant::now();
+                    let packed = algorithm.compress(&windows[k]);
+                    compress_seconds.record(compress_started.elapsed());
+                    packed
+                })
+            }
+        };
+        self.metrics
+            .payload_bytes_total
+            .add(payloads.iter().map(|p| p.len() as u64).sum());
+        payloads
+    }
+
+    /// Runs the full pipeline over one input buffer: index, then pack
+    /// every chunk.
+    pub fn ingest(&self, data: Bytes) -> IngestReport {
+        let started = Instant::now();
+        let index = self.index(data);
+        let all: Vec<usize> = (0..index.chunks.len()).collect();
+        let payloads = self.pack(&index, &all);
+        let compressed = self.config.compression.is_some();
+        let chunks: Vec<IngestedChunk> = index
+            .chunks
+            .iter()
+            .zip(payloads)
+            .map(|(chunk, payload)| IngestedChunk {
+                offset: chunk.offset,
+                len: chunk.len,
+                id: chunk.id,
+                payload,
+                compressed,
+            })
+            .collect();
+
         let payload_bytes: u64 = chunks.iter().map(|c| c.payload.len() as u64).sum();
         let elapsed = started.elapsed();
-        self.metrics.bytes_total.add(logical_bytes);
-        self.metrics.payload_bytes_total.add(payload_bytes);
-        self.metrics.chunks_total.add(chunks.len() as u64);
-        self.metrics.files_total.inc();
         self.metrics.ingest_seconds.record(elapsed);
         IngestReport {
             chunks,
-            logical_bytes,
+            logical_bytes: index.data.len() as u64,
             payload_bytes,
             elapsed,
         }
     }
+
+    /// Runs `task(0)`..`task(n - 1)` on the calling thread and the pool,
+    /// and returns the results in task order.
+    fn map_tasks<T: Send + 'static>(
+        &self,
+        n: usize,
+        task: impl Fn(usize) -> T + Send + Sync + 'static,
+    ) -> Vec<T> {
+        let helpers = self
+            .pool
+            .as_ref()
+            .map_or(0, |pool| pool.size().min(n.saturating_sub(1)));
+        if helpers == 0 {
+            return (0..n).map(task).collect();
+        }
+        let state = Arc::new(CallState {
+            task,
+            n,
+            next: AtomicUsize::new(0),
+            pending: AtomicUsize::new(n),
+            results: Mutex::new((0..n).map(|_| None).collect()),
+            done: Mutex::new(false),
+            done_cv: Condvar::new(),
+        });
+        let pool = self.pool.as_ref().expect("helpers imply a pool");
+        for _ in 0..helpers {
+            let st = Arc::clone(&state);
+            pool.submit(Box::new(move || st.drain()));
+        }
+        state.drain();
+        state.wait_done();
+        let mut slots = state.results.lock().expect("ingest results poisoned");
+        slots
+            .drain(..)
+            .map(|c| c.expect("ingest slot incomplete"))
+            .collect()
+    }
 }
 
-/// Shared state of one `ingest` call, drained cooperatively by the
+/// Shared state of one stage of one call, drained cooperatively by the
 /// calling thread and the pool workers.
-struct CallState {
-    data: Bytes,
-    spans: Vec<ChunkSpan>,
-    fingerprint: Fingerprint,
-    compression: Option<Algorithm>,
-    hash_workers: usize,
+struct CallState<T, F> {
+    task: F,
+    n: usize,
     next: AtomicUsize,
     pending: AtomicUsize,
-    results: Mutex<Vec<Option<IngestedChunk>>>,
+    results: Mutex<Vec<Option<T>>>,
     done: Mutex<bool>,
     done_cv: Condvar,
-    hash_seconds: Arc<obs::Histogram>,
-    compress_seconds: Arc<obs::Histogram>,
 }
 
-impl CallState {
+impl<T, F: Fn(usize) -> T> CallState<T, F> {
     fn drain(&self) {
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.spans.len() {
+            if i >= self.n {
                 return;
             }
-            let chunk = self.process(self.spans[i]);
+            let result = (self.task)(i);
             {
                 let mut slots = self.results.lock().expect("ingest results poisoned");
-                slots[i] = Some(chunk);
+                slots[i] = Some(result);
             }
             if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
                 let mut done = self.done.lock().expect("ingest done flag poisoned");
                 *done = true;
                 self.done_cv.notify_all();
             }
-        }
-    }
-
-    fn process(&self, span: ChunkSpan) -> IngestedChunk {
-        let window = self.data.slice(span.range());
-        let hash_started = Instant::now();
-        let id = self.fingerprint.of_parallel(&window, self.hash_workers);
-        self.hash_seconds.record(hash_started.elapsed());
-        let (payload, compressed) = match self.compression {
-            None => (window, false),
-            Some(alg) => {
-                let compress_started = Instant::now();
-                let packed = alg.compress(&window);
-                self.compress_seconds.record(compress_started.elapsed());
-                (packed, true)
-            }
-        };
-        IngestedChunk {
-            offset: span.offset,
-            len: span.len,
-            id,
-            payload,
-            compressed,
         }
     }
 
@@ -516,8 +603,62 @@ mod tests {
         }
     }
 
+    #[test]
+    fn pack_returns_the_chosen_chunks_in_the_order_asked() {
+        let data = Bytes::from(b"stacksync ".repeat(2_000));
+        let p = pipeline(2, Some(Algorithm::Lzss));
+        let index = p.index(data.clone());
+        assert_eq!(index.chunks().len(), 5);
+        let packed = p.pack(&index, &[3, 0]);
+        assert_eq!(packed.len(), 2);
+        for (payload, i) in packed.iter().zip([3usize, 0]) {
+            let c = index.chunks()[i];
+            assert_eq!(
+                Algorithm::decompress(payload).unwrap(),
+                data.slice(c.offset..c.offset + c.len)
+            );
+        }
+        assert!(p.pack(&index, &[]).is_empty());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn prop_ingest_is_index_then_pack_all(
+            len in 0usize..60_000,
+            seed in any::<u64>(),
+            compressible in any::<bool>(),
+            compress in any::<bool>(),
+        ) {
+            let data = if compressible {
+                Bytes::from(random_bytes(len / 50 + 1, seed).repeat(50))
+            } else {
+                Bytes::from(random_bytes(len, seed))
+            };
+            for workers in [1usize, 2] {
+                let p = IngestPipeline::new(
+                    Arc::new(ContentDefinedChunker::test_scale()),
+                    PipelineConfig {
+                        workers,
+                        fingerprint: Fingerprint::FastHash,
+                        compression: compress.then_some(Algorithm::Lzss),
+                    },
+                );
+                let report = p.ingest(data.clone());
+                let index = p.index(data.clone());
+                let all: Vec<usize> = (0..index.chunks().len()).collect();
+                let payloads = p.pack(&index, &all);
+                prop_assert_eq!(report.chunks.len(), index.chunks().len());
+                for ((whole, staged), payload) in report.chunks.iter().zip(index.chunks()).zip(&payloads) {
+                    prop_assert_eq!(whole.id, staged.id);
+                    prop_assert_eq!((whole.offset, whole.len), (staged.offset, staged.len));
+                    prop_assert_eq!(&whole.payload, payload);
+                }
+                let staged_bytes: u64 = payloads.iter().map(|p| p.len() as u64).sum();
+                prop_assert_eq!(report.payload_bytes, staged_bytes);
+            }
+        }
+
         #[test]
         fn prop_pipeline_partitions_and_orders(
             len in 0usize..60_000,

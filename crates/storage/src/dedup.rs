@@ -10,11 +10,13 @@
 //! * [`RefcountTracker`] — pure bookkeeping: per-file chunk lists and
 //!   per-chunk reference counts, with running logical/stored byte
 //!   totals. No I/O; `workload`'s dedup-ratio report drives it directly.
-//! * [`SwiftStore::put_chunks`](crate::SwiftStore::put_chunks) and
+//! * [`SwiftStore::offer_chunks`](crate::SwiftStore::offer_chunks) and
 //!   friends — the store front-end wraps a tracker per
 //!   `(owner, container)` scope and skips backend writes for chunks
 //!   that are already live (the dedup fast path), revives orphans in
-//!   place, and garbage-collects refcount-zero chunks on demand.
+//!   place, and garbage-collects refcount-zero chunks on demand. A chunk
+//!   may be offered by name alone; the store then says which payloads
+//!   it needs before anything is recorded.
 //!
 //! ## Invariants
 //!
@@ -261,6 +263,33 @@ pub struct DedupChunk {
     pub logical_len: u64,
 }
 
+/// One chunk of a file being offered through
+/// [`SwiftStore::offer_chunks`](crate::SwiftStore::offer_chunks): a name
+/// the store may already hold, and the payload only if the caller has
+/// gone to the cost of producing it.
+#[derive(Debug, Clone, Copy)]
+pub struct ChunkOffer<'a> {
+    /// Object name (the fingerprint hex).
+    pub name: &'a str,
+    /// Uncompressed content length.
+    pub logical_len: u64,
+    /// Stored payload (possibly compressed), or `None` to ask whether the
+    /// store holds the chunk already.
+    pub payload: Option<&'a Bytes>,
+}
+
+/// The store's answer to an offer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum OfferOutcome {
+    /// Every chunk is held or came with its payload: the file is recorded.
+    Stored(PutChunksReceipt),
+    /// Nothing was recorded. These indices into the offer name chunks that
+    /// came without a payload and that the store does not hold; each
+    /// missing name is listed once, at its first position. Offer again
+    /// with their payloads.
+    Missing(Vec<usize>),
+}
+
 /// What a [`SwiftStore::put_chunks`](crate::SwiftStore::put_chunks) call
 /// actually did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -297,6 +326,8 @@ struct DedupMetrics {
     revived_total: Arc<obs::Counter>,
     gc_collected_total: Arc<obs::Counter>,
     gc_reclaimed_bytes_total: Arc<obs::Counter>,
+    offer_missing_total: Arc<obs::Counter>,
+    offer_retries_total: Arc<obs::Counter>,
 }
 
 impl DedupMetrics {
@@ -312,6 +343,8 @@ impl DedupMetrics {
             revived_total: obs::counter("storage.dedup.revived_total"),
             gc_collected_total: obs::counter("storage.dedup.gc_collected_total"),
             gc_reclaimed_bytes_total: obs::counter("storage.dedup.gc_reclaimed_bytes_total"),
+            offer_missing_total: obs::counter("storage.offer.missing_total"),
+            offer_retries_total: obs::counter("storage.offer.retries_total"),
         }
     }
 }
@@ -376,6 +409,13 @@ impl DedupRegistry {
         self.metrics.hits_total.add(outcome.dedup_hits);
         self.metrics.revived_total.add(outcome.revived);
         self.metrics.writes_total.add(outcome.to_write.len() as u64);
+    }
+
+    /// An offer was answered "missing": `chunks` payloads asked for, one
+    /// offer the caller has to repeat.
+    pub(crate) fn record_offer_missing(&self, chunks: usize) {
+        self.metrics.offer_missing_total.add(chunks as u64);
+        self.metrics.offer_retries_total.inc();
     }
 
     pub(crate) fn record_gc(&self, report: &GcReport) {

@@ -14,7 +14,8 @@
 //!   benchmarks read;
 //! * chunk-refcount deduplication ([`dedup`]): per-container reference
 //!   counts let overwrites and deletes reclaim space safely — see
-//!   [`SwiftStore::put_chunks`], [`SwiftStore::release_file`] and
+//!   [`SwiftStore::offer_chunks`] (and its all-payloads form
+//!   [`SwiftStore::put_chunks`]), [`SwiftStore::release_file`] and
 //!   [`SwiftStore::gc_chunks`].
 //!
 //! ## Example
@@ -40,7 +41,10 @@ mod store;
 mod traffic;
 
 pub use backend::{DiskBackend, MemoryBackend, ObjectBackend};
-pub use dedup::{ChunkMeta, DedupChunk, DedupStats, GcReport, PutChunksReceipt, RefcountTracker};
+pub use dedup::{
+    ChunkMeta, ChunkOffer, DedupChunk, DedupStats, GcReport, OfferOutcome, PutChunksReceipt,
+    RefcountTracker,
+};
 pub use latency::LatencyModel;
 pub use store::{StorageError, StorageResult, SwiftStore, Token};
 pub use traffic::TrafficStats;

@@ -2,7 +2,10 @@
 //! ACLs and traffic accounting over a pluggable [`ObjectBackend`].
 
 use crate::backend::{MemoryBackend, ObjectBackend};
-use crate::dedup::{ChunkMeta, DedupChunk, DedupRegistry, DedupStats, GcReport, PutChunksReceipt};
+use crate::dedup::{
+    ChunkMeta, ChunkOffer, DedupChunk, DedupRegistry, DedupStats, GcReport, OfferOutcome,
+    PutChunksReceipt,
+};
 use crate::latency::LatencyModel;
 use crate::traffic::TrafficStats;
 use bytes::Bytes;
@@ -418,17 +421,103 @@ impl SwiftStore {
         Ok(self.backend.usage(&token.account)?)
     }
 
-    /// Uploads a file's chunk list with refcount dedup: chunks already
-    /// live in the container are skipped entirely (no transfer), orphans
-    /// are revived in place, and only genuinely new chunks hit the
-    /// backend. Re-putting an existing `file_key` is an overwrite — the
-    /// previous version's references are released *after* the new ones
-    /// are recorded, so a chunk shared between versions never transiently
+    /// Offers a file's chunk list with refcount dedup. A chunk may come
+    /// without its payload, which asks "do you hold this already?": if
+    /// every such chunk is tracked (live, or an orphan not yet collected)
+    /// the file is recorded exactly as [`SwiftStore::put_chunks`] would —
+    /// live chunks skipped (no transfer), orphans revived in place, only
+    /// genuinely new chunks written to the backend — and if not, nothing
+    /// changes and the answer lists the payloads the store needs.
+    ///
+    /// Re-recording an existing `file_key` is an overwrite — the previous
+    /// version's references are released *after* the new ones are
+    /// recorded, so a chunk shared between versions never transiently
     /// orphans.
     ///
-    /// The scope lock is held across the backend writes, so a concurrent
-    /// [`SwiftStore::gc_chunks`] on the same container can never collect
-    /// a chunk this call references.
+    /// Presence is checked and the file recorded under one hold of the
+    /// scope lock, the lock [`SwiftStore::gc_chunks`] takes: a recorded
+    /// file never names a chunk the store does not hold, however a sweep
+    /// interleaves with the offers. A chunk offered *with* its payload is
+    /// never reported missing, so offering again with what was asked for
+    /// terminates unless a sweep keeps collecting other chunks in between.
+    ///
+    /// # Errors
+    ///
+    /// Authorization/container errors, or backend I/O failures.
+    pub fn offer_chunks(
+        &self,
+        token: &Token,
+        owner: &str,
+        container: &str,
+        file_key: &str,
+        chunks: &[ChunkOffer<'_>],
+    ) -> StorageResult<OfferOutcome> {
+        self.authorize(token, owner, container)?;
+        self.check_container(token, owner, container)?;
+        let payloads: HashMap<&str, &Bytes> = chunks
+            .iter()
+            .filter_map(|c| Some((c.name, c.payload?)))
+            .collect();
+        let scope = self.dedup.scope(owner, container);
+        let mut tracker = scope.lock();
+
+        let mut asked = HashSet::new();
+        let missing: Vec<usize> = chunks
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| {
+                !payloads.contains_key(c.name)
+                    && !tracker.is_tracked(c.name)
+                    && asked.insert(c.name)
+            })
+            .map(|(i, _)| i)
+            .collect();
+        if !missing.is_empty() {
+            drop(tracker);
+            // The caller learns what to send: one control round trip.
+            std::thread::sleep(self.latency.control_delay());
+            self.dedup.record_offer_missing(missing.len());
+            return Ok(OfferOutcome::Missing(missing));
+        }
+
+        let before = tracker.stats();
+        let metas: Vec<ChunkMeta> = chunks
+            .iter()
+            .map(|c| ChunkMeta {
+                name: c.name.to_string(),
+                logical_len: c.logical_len,
+                // Only read for a chunk the tracker has not seen, and
+                // those all have a payload by now.
+                stored_len: payloads.get(c.name).map_or(0, |p| p.len() as u64),
+            })
+            .collect();
+        let outcome = tracker.record_file(file_key, &metas);
+        let mut bytes_written = 0u64;
+        for name in &outcome.to_write {
+            let payload = payloads[name.as_str()];
+            std::thread::sleep(self.latency.upload_delay(payload.len()));
+            self.traffic.record_put(payload.len());
+            self.backend.put(owner, container, name, payload)?;
+            bytes_written += payload.len() as u64;
+        }
+        if outcome.dedup_hits + outcome.revived > 0 {
+            // Skipped chunks still cost one control round trip (the
+            // client learns they exist), not a transfer.
+            std::thread::sleep(self.latency.control_delay());
+        }
+        self.dedup.observe_delta(before, tracker.stats());
+        self.dedup.record_put_outcome(&outcome);
+        Ok(OfferOutcome::Stored(PutChunksReceipt {
+            uploaded: outcome.to_write.len() as u64,
+            revived: outcome.revived,
+            dedup_hits: outcome.dedup_hits,
+            bytes_written,
+        }))
+    }
+
+    /// Uploads a file's chunk list with refcount dedup: the offer in
+    /// which every chunk comes with its payload, so the store never has
+    /// to ask. See [`SwiftStore::offer_chunks`].
     ///
     /// # Errors
     ///
@@ -441,43 +530,20 @@ impl SwiftStore {
         file_key: &str,
         chunks: &[DedupChunk],
     ) -> StorageResult<PutChunksReceipt> {
-        self.authorize(token, owner, container)?;
-        self.check_container(token, owner, container)?;
-        let scope = self.dedup.scope(owner, container);
-        let mut tracker = scope.lock();
-        let before = tracker.stats();
-        let metas: Vec<ChunkMeta> = chunks
+        let offer: Vec<ChunkOffer<'_>> = chunks
             .iter()
-            .map(|c| ChunkMeta {
-                name: c.name.clone(),
+            .map(|c| ChunkOffer {
+                name: &c.name,
                 logical_len: c.logical_len,
-                stored_len: c.payload.len() as u64,
+                payload: Some(&c.payload),
             })
             .collect();
-        let outcome = tracker.record_file(file_key, &metas);
-        let by_name: HashMap<&str, &DedupChunk> =
-            chunks.iter().map(|c| (c.name.as_str(), c)).collect();
-        let mut bytes_written = 0u64;
-        for name in &outcome.to_write {
-            let chunk = by_name[name.as_str()];
-            std::thread::sleep(self.latency.upload_delay(chunk.payload.len()));
-            self.traffic.record_put(chunk.payload.len());
-            self.backend.put(owner, container, name, &chunk.payload)?;
-            bytes_written += chunk.payload.len() as u64;
+        match self.offer_chunks(token, owner, container, file_key, &offer)? {
+            OfferOutcome::Stored(receipt) => Ok(receipt),
+            OfferOutcome::Missing(_) => {
+                unreachable!("a chunk offered with its payload is never reported missing")
+            }
         }
-        if outcome.dedup_hits + outcome.revived > 0 {
-            // Skipped chunks still cost one control round trip (the
-            // client learns they exist), not a transfer.
-            std::thread::sleep(self.latency.control_delay());
-        }
-        self.dedup.observe_delta(before, tracker.stats());
-        self.dedup.record_put_outcome(&outcome);
-        Ok(PutChunksReceipt {
-            uploaded: outcome.to_write.len() as u64,
-            revived: outcome.revived,
-            dedup_hits: outcome.dedup_hits,
-            bytes_written,
-        })
     }
 
     /// Releases a file's chunk references (the file was deleted).
@@ -933,6 +999,266 @@ mod tests {
         // Every surviving live chunk is still present in the backend.
         let listed = s.list(&t, "chunks").unwrap();
         assert_eq!(listed.len() as u64, after.live_chunks);
+    }
+
+    fn offer<'a>(name: &'a str, payload: Option<&'a Bytes>) -> ChunkOffer<'a> {
+        ChunkOffer {
+            name,
+            logical_len: 8,
+            payload,
+        }
+    }
+
+    #[test]
+    fn offer_by_name_records_only_what_the_store_holds() {
+        let (s, t) = store();
+        let (pa, pb) = (Bytes::from_static(b"aaaa"), Bytes::from_static(b"bbbb"));
+        s.put_chunks(&t, "u1", "chunks", "f1", &[dchunk("a", b"aaaa")])
+            .unwrap();
+        // `a` is held, `b` is not (named twice: asked for once).
+        let names = [offer("a", None), offer("b", None), offer("b", None)];
+        assert_eq!(
+            s.offer_chunks(&t, "u1", "chunks", "f2", &names).unwrap(),
+            OfferOutcome::Missing(vec![1])
+        );
+        // With `b`'s payload at one of its positions the file is recorded;
+        // `a` never travelled.
+        let full = [offer("a", None), offer("b", Some(&pb)), offer("b", None)];
+        assert_eq!(
+            s.offer_chunks(&t, "u1", "chunks", "f2", &full).unwrap(),
+            OfferOutcome::Stored(PutChunksReceipt {
+                uploaded: 1,
+                revived: 0,
+                dedup_hits: 2,
+                bytes_written: 4,
+            })
+        );
+        assert_eq!(&s.get(&t, "chunks", "b").unwrap()[..], b"bbbb");
+        // An orphan still counts as held: it is revived, not asked for.
+        s.release_file(&t, "u1", "chunks", "f1").unwrap();
+        s.release_file(&t, "u1", "chunks", "f2").unwrap();
+        assert_eq!(
+            s.offer_chunks(&t, "u1", "chunks", "f3", &[offer("a", None)])
+                .unwrap(),
+            OfferOutcome::Stored(PutChunksReceipt {
+                uploaded: 0,
+                revived: 1,
+                dedup_hits: 0,
+                bytes_written: 0,
+            })
+        );
+        // A payload for a chunk the store holds is simply not written.
+        let r = s
+            .offer_chunks(&t, "u1", "chunks", "f4", &[offer("a", Some(&pa))])
+            .unwrap();
+        assert!(matches!(r, OfferOutcome::Stored(r) if r.uploaded == 0 && r.dedup_hits == 1));
+    }
+
+    #[test]
+    fn offer_answered_missing_changes_nothing() {
+        let (s, t) = store();
+        s.put_chunks(
+            &t,
+            "u1",
+            "chunks",
+            "f",
+            &[dchunk("old", b"oo"), dchunk("keep", b"kk")],
+        )
+        .unwrap();
+        let payload = Bytes::from_static(b"nn");
+        let scope = s.dedup.scope("u1", "chunks");
+        let (stats, files) = {
+            let tracker = scope.lock();
+            (tracker.stats(), tracker.file_count())
+        };
+        let before = (
+            stats,
+            files,
+            s.list(&t, "chunks").unwrap(),
+            s.traffic().uploaded_bytes(),
+            s.traffic().put_count(),
+            s.traffic().delete_count(),
+        );
+
+        // An overwrite of `f` that would release `old`, write `new` and
+        // keep `keep` — but names one chunk the store has never seen.
+        let chunks = [
+            offer("keep", None),
+            offer("new", Some(&payload)),
+            offer("ghost", None),
+        ];
+        assert_eq!(
+            s.offer_chunks(&t, "u1", "chunks", "f", &chunks).unwrap(),
+            OfferOutcome::Missing(vec![2])
+        );
+
+        let tracker = scope.lock();
+        assert_eq!(tracker.stats(), before.0);
+        assert_eq!(tracker.stats(), tracker.recompute_stats());
+        assert_eq!(tracker.file_count(), before.1);
+        assert_eq!(tracker.refs("old"), 1);
+        assert!(!tracker.is_tracked("new") && !tracker.is_tracked("ghost"));
+        drop(tracker);
+        assert_eq!(s.list(&t, "chunks").unwrap(), before.2);
+        assert_eq!(s.traffic().uploaded_bytes(), before.3);
+        assert_eq!(s.traffic().put_count(), before.4);
+        assert_eq!(s.traffic().delete_count(), before.5);
+    }
+
+    /// Offers `names` as one file the way a client does: by name first,
+    /// then again with every payload the store asked for. Returns the
+    /// receipt and the answers that said "missing", in order.
+    fn offer_until_stored(
+        s: &SwiftStore,
+        t: &Token,
+        file_key: &str,
+        names: &[String],
+        payload_of: impl Fn(&str) -> Bytes,
+        mut between: impl FnMut(usize),
+    ) -> (PutChunksReceipt, Vec<Vec<usize>>) {
+        let mut payloads: Vec<Option<Bytes>> = vec![None; names.len()];
+        let mut asked = Vec::new();
+        loop {
+            let chunks: Vec<ChunkOffer<'_>> = names
+                .iter()
+                .zip(&payloads)
+                .map(|(name, payload)| offer(name, payload.as_ref()))
+                .collect();
+            match s
+                .offer_chunks(t, "u1", "chunks", file_key, &chunks)
+                .unwrap()
+            {
+                OfferOutcome::Stored(receipt) => return (receipt, asked),
+                OfferOutcome::Missing(missing) => {
+                    for &i in &missing {
+                        assert!(
+                            payloads[i].is_none(),
+                            "asked again for a payload it was sent"
+                        );
+                        payloads[i] = Some(payload_of(&names[i]));
+                    }
+                    asked.push(missing);
+                    between(asked.len());
+                }
+            }
+        }
+    }
+
+    /// Device A updates a file whose unchanged chunks only device B's
+    /// file still references, B deletes that file, and a sweep runs —
+    /// between A's offers. First with the interleaving forced (three
+    /// threads stepping each other over channels), then free-running.
+    #[test]
+    fn offer_racing_delete_and_gc_reuploads_what_was_collected() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::mpsc;
+
+        let (store, token) = store();
+        let (s, t) = (&store, &token);
+        let payload_of = |name: &str| Bytes::from(format!("payload of {name}").into_bytes());
+        let shared_names: Vec<String> = (0..3).map(|c| format!("shared-{c}")).collect();
+        let shared: Vec<DedupChunk> = shared_names
+            .iter()
+            .map(|n| DedupChunk {
+                name: n.clone(),
+                payload: payload_of(n),
+                logical_len: 8,
+            })
+            .collect();
+
+        // Forced: A's first offer, then B's delete, then the sweep, then
+        // A's second offer.
+        s.put_chunks(t, "u1", "chunks", "b-file", &shared).unwrap();
+        let (to_b, b_go) = mpsc::channel::<()>();
+        let (to_gc, gc_go) = mpsc::channel::<()>();
+        let (to_a, a_go) = mpsc::channel::<()>();
+        std::thread::scope(|sc| {
+            sc.spawn(move || {
+                b_go.recv().unwrap();
+                assert!(s.release_file(t, "u1", "chunks", "b-file").unwrap());
+                to_gc.send(()).unwrap();
+            });
+            sc.spawn(move || {
+                gc_go.recv().unwrap();
+                assert_eq!(s.gc_chunks(t, "u1", "chunks").unwrap().collected, 3);
+                to_a.send(()).unwrap();
+            });
+            let mut names = shared_names.clone();
+            names.push("a-new-0".to_string());
+            let (receipt, asked) =
+                offer_until_stored(s, t, "a-file", &names, payload_of, |round| {
+                    if round == 1 {
+                        to_b.send(()).unwrap();
+                        a_go.recv().unwrap();
+                    }
+                });
+            // The store held the shared chunks at the first offer, had
+            // lost them by the second, and took them back at the third.
+            assert_eq!(asked, vec![vec![3], vec![0, 1, 2]]);
+            assert_eq!(receipt.uploaded, 4);
+            assert_eq!(receipt.dedup_hits + receipt.revived, 0);
+            for name in &names {
+                assert_eq!(s.get(t, "chunks", name).unwrap(), payload_of(name));
+            }
+        });
+
+        // Free-running: whatever the interleaving, a recorded chunk list
+        // is fully fetchable, and the store is only ever asked once per
+        // payload.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let stop = AtomicBool::new(false);
+        let rounds = 200;
+        std::thread::scope(|sc| {
+            // Also on a failed assertion, or the sweeper spins for ever.
+            let _stop = StopOnDrop(&stop);
+            let (b_turn, b_wait) = mpsc::channel::<usize>();
+            let (b_ready, a_wait) = mpsc::channel::<()>();
+            let (stop, shared) = (&stop, &shared);
+            sc.spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    s.gc_chunks(t, "u1", "chunks").unwrap();
+                    std::thread::yield_now();
+                }
+            });
+            sc.spawn(move || {
+                for i in b_wait {
+                    s.put_chunks(t, "u1", "chunks", &format!("b-{i}"), shared)
+                        .unwrap();
+                    b_ready.send(()).unwrap();
+                    assert!(s
+                        .release_file(t, "u1", "chunks", &format!("b-{i}"))
+                        .unwrap());
+                }
+            });
+            for i in 1..=rounds {
+                // Between rounds A's file lets go of the shared chunks,
+                // so only B's file keeps them from the sweep.
+                s.put_chunks(t, "u1", "chunks", "a-file", &[]).unwrap();
+                b_turn.send(i).unwrap();
+                a_wait.recv().unwrap();
+                let mut names = shared_names.clone();
+                names.push(format!("a-new-{i}"));
+                let (_, asked) = offer_until_stored(s, t, "a-file", &names, payload_of, |_| {});
+                assert!(asked.len() <= names.len(), "round {i}: {asked:?}");
+                for name in &names {
+                    let got = s
+                        .get(t, "chunks", name)
+                        .unwrap_or_else(|e| panic!("round {i}: recorded chunk {name} lost: {e}"));
+                    assert_eq!(got, payload_of(name));
+                }
+            }
+            drop(b_turn);
+        });
+
+        let scope = s.dedup.scope("u1", "chunks");
+        let tracker = scope.lock();
+        assert_eq!(tracker.stats(), tracker.recompute_stats());
+        assert_eq!(tracker.file_count(), 1);
     }
 
     #[test]

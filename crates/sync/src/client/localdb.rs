@@ -1,10 +1,14 @@
-//! The client's local database: path → versioned entry, plus the per-user
-//! chunk cache that drives deduplication (paper §4.1: "The local database
-//! maps the fingerprints to the corresponding files", dedup "applied on a
-//! per-user basis").
+//! The client's local database: path → versioned entry, plus the
+//! fingerprint index the paper describes (§4.1: "The local database maps
+//! the fingerprints to the corresponding files") — for every chunk of
+//! every live entry, where in the local folder a copy of it sits.
+//!
+//! The index is a hint, not a promise: the folder can be rewritten
+//! between the moment a location is recorded and the moment it is read,
+//! so whoever takes bytes from a location fingerprints them again.
 
 use content::ChunkId;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 /// Local record of one synchronized file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -13,19 +17,33 @@ pub struct FileEntry {
     pub item_id: u64,
     /// Last version this device knows of.
     pub version: u64,
-    /// Chunk fingerprints of that version.
-    pub chunks: Vec<ChunkId>,
+    /// Chunks of that version in file order: fingerprint and
+    /// uncompressed length.
+    pub chunks: Vec<(ChunkId, usize)>,
     /// File size in bytes.
     pub size: u64,
     /// Whether the entry is a deletion tombstone.
     pub deleted: bool,
 }
 
+/// Where a copy of a chunk sits in the local folder.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChunkLocation {
+    /// Path of the file holding it.
+    pub path: String,
+    /// Byte offset within that file.
+    pub offset: usize,
+    /// Chunk length in bytes.
+    pub len: usize,
+}
+
 /// The local database of a desktop client.
 #[derive(Debug, Default)]
 pub struct LocalDb {
     files: BTreeMap<String, FileEntry>,
-    known_chunks: HashSet<ChunkId>,
+    /// Fingerprint → one place that held the chunk when its entry was
+    /// recorded. A chunk in several files keeps the latest.
+    locations: HashMap<ChunkId, ChunkLocation>,
 }
 
 impl LocalDb {
@@ -39,14 +57,44 @@ impl LocalDb {
         self.files.get(path)
     }
 
-    /// Inserts or replaces an entry.
+    /// Inserts or replaces an entry. The replaced version's chunk
+    /// locations are dropped and the new version's recorded.
     pub fn upsert(&mut self, path: &str, entry: FileEntry) {
-        self.files.insert(path.to_string(), entry);
+        let mut offset = 0;
+        let placed: Vec<(ChunkId, ChunkLocation)> = entry
+            .chunks
+            .iter()
+            .map(|&(id, len)| {
+                let location = ChunkLocation {
+                    path: path.to_string(),
+                    offset,
+                    len,
+                };
+                offset += len;
+                (id, location)
+            })
+            .collect();
+        if let Some(old) = self.files.insert(path.to_string(), entry) {
+            self.drop_locations(path, &old);
+        }
+        self.locations.extend(placed);
     }
 
     /// Removes an entry entirely (not a tombstone — forget the path).
     pub fn forget(&mut self, path: &str) -> Option<FileEntry> {
-        self.files.remove(path)
+        let old = self.files.remove(path)?;
+        self.drop_locations(path, &old);
+        Some(old)
+    }
+
+    /// Forgets the places `old` (the entry `path` used to have) gave its
+    /// chunks, unless another file has claimed the chunk since.
+    fn drop_locations(&mut self, path: &str, old: &FileEntry) {
+        for (id, _) in &old.chunks {
+            if self.locations.get(id).is_some_and(|l| l.path == path) {
+                self.locations.remove(id);
+            }
+        }
     }
 
     /// Paths of live (non-tombstone) entries, sorted.
@@ -58,20 +106,10 @@ impl LocalDb {
             .collect()
     }
 
-    /// Whether this user is already known to hold a chunk — if so, the
-    /// upload is skipped (per-user dedup).
-    pub fn chunk_known(&self, id: &ChunkId) -> bool {
-        self.known_chunks.contains(id)
-    }
-
-    /// Records chunks as present in the user's store.
-    pub fn mark_chunks_known<I: IntoIterator<Item = ChunkId>>(&mut self, ids: I) {
-        self.known_chunks.extend(ids);
-    }
-
-    /// Number of distinct chunks known.
-    pub fn known_chunk_count(&self) -> usize {
-        self.known_chunks.len()
+    /// Where the local folder held a copy of the chunk when it was last
+    /// indexed. The caller must fingerprint what it finds there.
+    pub fn locate(&self, id: &ChunkId) -> Option<&ChunkLocation> {
+        self.locations.get(id)
     }
 }
 
@@ -113,19 +151,68 @@ mod tests {
         assert_eq!(db.live_paths(), vec!["alive.txt"]);
     }
 
+    fn with_chunks(v: u64, chunks: &[(ChunkId, usize)]) -> FileEntry {
+        FileEntry {
+            chunks: chunks.to_vec(),
+            size: chunks.iter().map(|(_, len)| *len as u64).sum(),
+            ..entry(v)
+        }
+    }
+
+    fn at(path: &str, offset: usize, len: usize) -> ChunkLocation {
+        ChunkLocation {
+            path: path.to_string(),
+            offset,
+            len,
+        }
+    }
+
     #[test]
-    fn chunk_dedup_cache() {
+    fn locations_follow_the_entries() {
+        let mut db = LocalDb::new();
+        let (a, b, c) = (ChunkId::of(b"a"), ChunkId::of(b"b"), ChunkId::of(b"c"));
+        assert_eq!(db.locate(&a), None);
+        db.upsert("f", with_chunks(1, &[(a, 10), (b, 20)]));
+        assert_eq!(db.locate(&a), Some(&at("f", 0, 10)));
+        assert_eq!(db.locate(&b), Some(&at("f", 10, 20)));
+
+        // The next version keeps `b` (at a new offset), drops `a`.
+        db.upsert("f", with_chunks(2, &[(c, 5), (b, 20)]));
+        assert_eq!(db.locate(&a), None);
+        assert_eq!(db.locate(&c), Some(&at("f", 0, 5)));
+        assert_eq!(db.locate(&b), Some(&at("f", 5, 20)));
+
+        // A tombstone has no chunks; forgetting drops them too.
+        db.upsert("g", with_chunks(1, &[(a, 10)]));
+        db.upsert(
+            "f",
+            FileEntry {
+                deleted: true,
+                ..entry(3)
+            },
+        );
+        assert_eq!(db.locate(&b), None);
+        assert_eq!(db.locate(&c), None);
+        assert!(db.forget("g").is_some());
+        assert_eq!(db.locate(&a), None);
+    }
+
+    #[test]
+    fn a_chunk_claimed_by_a_later_file_survives_the_earlier_one() {
+        // A rename as the client sees it: the new path first, then the
+        // tombstone of the old one.
         let mut db = LocalDb::new();
         let a = ChunkId::of(b"a");
-        let b = ChunkId::of(b"b");
-        assert!(!db.chunk_known(&a));
-        db.mark_chunks_known([a, b]);
-        assert!(db.chunk_known(&a));
-        assert!(db.chunk_known(&b));
-        assert_eq!(db.known_chunk_count(), 2);
-        // Idempotent.
-        db.mark_chunks_known([a]);
-        assert_eq!(db.known_chunk_count(), 2);
+        db.upsert("old", with_chunks(1, &[(a, 10)]));
+        db.upsert("new", with_chunks(1, &[(a, 10)]));
+        db.upsert(
+            "old",
+            FileEntry {
+                deleted: true,
+                ..entry(2)
+            },
+        );
+        assert_eq!(db.locate(&a), Some(&at("new", 0, 10)));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 mod localdb;
 mod vfs;
 
-pub use localdb::{FileEntry, LocalDb};
+pub use localdb::{ChunkLocation, FileEntry, LocalDb};
 pub use vfs::VirtualFs;
 
 use crate::conflict::conflict_copy_path;
@@ -24,7 +24,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use storage::{DedupChunk, SwiftStore, Token};
+use storage::{ChunkOffer, OfferOutcome, SwiftStore, Token};
 use wire::Value;
 
 /// Chunking strategy — one of the extension hooks the paper calls out
@@ -160,6 +160,7 @@ struct StatsInner {
     chunk_bytes_uploaded: AtomicU64,
     chunks_deduplicated: AtomicU64,
     chunks_downloaded: AtomicU64,
+    chunks_reused: AtomicU64,
     conflicts: AtomicU64,
     notifications: AtomicU64,
 }
@@ -201,6 +202,12 @@ impl ClientStats {
         self.inner.chunks_downloaded.load(Ordering::Relaxed)
     }
 
+    /// Chunks taken from the local folder (and fingerprinted again)
+    /// instead of downloaded while applying remote changes.
+    pub fn chunks_reused(&self) -> u64 {
+        self.inner.chunks_reused.load(Ordering::Relaxed)
+    }
+
     /// Conflicts this device lost (conflict copies created).
     pub fn conflicts(&self) -> u64 {
         self.inner.conflicts.load(Ordering::Relaxed)
@@ -228,6 +235,9 @@ struct ClientShared {
     /// Chunk→hash→compress ingest pipeline (the Indexer of §4.1, staged
     /// across `ClientConfig::ingest_workers` threads).
     pipeline: IngestPipeline,
+    /// `sync.client.chunks_reused_total`, summed over every client of
+    /// the process.
+    reused_total: Arc<obs::Counter>,
 }
 
 /// A StackSync desktop client bound to one workspace.
@@ -358,6 +368,7 @@ impl DesktopClient {
             stats: ClientStats::default(),
             proxy,
             pipeline,
+            reused_total: obs::counter("sync.client.chunks_reused_total"),
             config,
         });
 
@@ -416,8 +427,7 @@ impl DesktopClient {
     /// Storage or middleware failures; the commit itself is asynchronous
     /// and reported later via notification.
     pub fn write_file(&self, path: &str, contents: Vec<u8>) -> SyncResult<()> {
-        self.shared.fs.lock().write(path, contents.clone());
-        index_and_commit(&self.shared, path, Bytes::from(contents))
+        write_and_commit(&self.shared, path, Bytes::from(contents))
     }
 
     /// Deletes a file from the workspace and synchronizes the deletion.
@@ -475,10 +485,9 @@ impl DesktopClient {
     ///
     /// [`SyncError::NoSuchFile`] if `from` is not in the workspace.
     pub fn rename_file(&self, from: &str, to: &str) -> SyncResult<()> {
-        let contents = self
-            .read_file(from)
-            .ok_or_else(|| SyncError::NoSuchFile(from.to_string()))?;
-        self.write_file(to, contents)?;
+        let contents = self.shared.fs.lock().read(from).cloned();
+        let contents = contents.ok_or_else(|| SyncError::NoSuchFile(from.to_string()))?;
+        write_and_commit(&self.shared, to, contents)?;
         self.delete_file(from)
     }
 
@@ -510,7 +519,7 @@ impl DesktopClient {
                 .fs
                 .lock()
                 .read(path)
-                .is_some_and(|b| b == expected)
+                .is_some_and(|b| b[..] == *expected)
         })
     }
 
@@ -563,33 +572,60 @@ fn dedup_file_key(workspace: &WorkspaceId, path: &str) -> String {
     format!("item-{:016x}", stable_item_id(workspace, path))
 }
 
-/// Chunks, hashes, compresses, dedups, uploads and commits one path (the
-/// Indexer of §4.1, run through the staged ingest pipeline).
+/// Puts one buffer into the folder and synchronizes it; the folder and
+/// the indexer share the buffer.
+fn write_and_commit(shared: &Arc<ClientShared>, path: &str, contents: Bytes) -> SyncResult<()> {
+    shared.fs.lock().write(path, contents.clone());
+    index_and_commit(shared, path, contents)
+}
+
+/// Chunks, hashes, dedups, compresses what is new, uploads and commits
+/// one path (the Indexer of §4.1, run through the staged ingest
+/// pipeline).
 fn index_and_commit(shared: &Arc<ClientShared>, path: &str, contents: Bytes) -> SyncResult<()> {
     let size = contents.len() as u64;
-    let report = shared.pipeline.ingest(contents);
-    let ids: Vec<ChunkId> = report.chunks.iter().map(|c| c.id).collect();
+    let index = shared.pipeline.index(contents);
+    let names: Vec<String> = index.chunks().iter().map(|c| chunk_hex(&c.id)).collect();
 
-    // Ship the chunk list through the refcount store: already-live
-    // chunks are skipped server-side (per-user dedup), and overwriting
-    // this item releases its previous version's references.
-    let chunks: Vec<DedupChunk> = report
-        .chunks
-        .iter()
-        .map(|c| DedupChunk {
-            name: chunk_hex(&c.id),
-            payload: c.payload.clone(),
-            logical_len: c.len as u64,
-        })
-        .collect();
-    let receipt = shared.store.put_chunks(
-        &shared.token,
-        &shared.container_owner,
-        &shared.container,
-        &dedup_file_key(&shared.workspace, path),
-        &chunks,
-    )?;
-    shared.db.lock().mark_chunks_known(ids.iter().copied());
+    // Offer the chunk list to the refcount store by name first: it
+    // answers with the chunks it lacks, and only those are compressed
+    // and offered again. Already-live chunks are skipped server-side
+    // (per-user dedup), and overwriting this item releases its previous
+    // version's references. The store records the file only once it
+    // holds every chunk, so the commit below never names a missing one;
+    // a sweep that collects a chunk between two offers just makes the
+    // next answer ask for it.
+    let file_key = dedup_file_key(&shared.workspace, path);
+    let mut payloads: Vec<Option<Bytes>> = vec![None; names.len()];
+    let receipt = loop {
+        let offer: Vec<ChunkOffer<'_>> = index
+            .chunks()
+            .iter()
+            .zip(&names)
+            .zip(&payloads)
+            .map(|((chunk, name), payload)| ChunkOffer {
+                name,
+                logical_len: chunk.len as u64,
+                payload: payload.as_ref(),
+            })
+            .collect();
+        let answer = shared.store.offer_chunks(
+            &shared.token,
+            &shared.container_owner,
+            &shared.container,
+            &file_key,
+            &offer,
+        )?;
+        match answer {
+            OfferOutcome::Stored(receipt) => break receipt,
+            OfferOutcome::Missing(missing) => {
+                let packed = shared.pipeline.pack(&index, &missing);
+                for (i, payload) in missing.into_iter().zip(packed) {
+                    payloads[i] = Some(payload);
+                }
+            }
+        }
+    };
     shared
         .stats
         .inner
@@ -608,6 +644,7 @@ fn index_and_commit(shared: &Arc<ClientShared>, path: &str, contents: Bytes) -> 
 
     // Build the version proposal and update the local db optimistically so
     // consecutive local edits chain version numbers.
+    let ids: Vec<ChunkId> = index.chunks().iter().map(|c| c.id).collect();
     let proposal = {
         let mut db = shared.db.lock();
         let (item_id, version) = match db.get(path) {
@@ -619,7 +656,7 @@ fn index_and_commit(shared: &Arc<ClientShared>, path: &str, contents: Bytes) -> 
             FileEntry {
                 item_id,
                 version,
-                chunks: ids.clone(),
+                chunks: index.chunks().iter().map(|c| (c.id, c.len)).collect(),
                 size,
                 deleted: false,
             },
@@ -656,31 +693,69 @@ fn send_commit(shared: &Arc<ClientShared>, proposals: Vec<ItemMetadata>) -> Sync
     Ok(())
 }
 
-/// Downloads and reassembles an item's content from the chunk store.
-fn fetch_item_content(shared: &Arc<ClientShared>, item: &ItemMetadata) -> SyncResult<Vec<u8>> {
+/// The chunk's bytes from the local folder, if the local database knows
+/// a place for them and what is there now still has that fingerprint. A
+/// file rewritten since it was indexed simply fails the check.
+fn local_chunk(shared: &Arc<ClientShared>, id: &ChunkId) -> Option<Bytes> {
+    let location = shared.db.lock().locate(id)?.clone();
+    let file = shared.fs.lock().read(&location.path)?.clone();
+    let end = location.offset.checked_add(location.len)?;
+    if end > file.len() {
+        return None;
+    }
+    let window = file.slice(location.offset..end);
+    (shared.config.fingerprint.of(&window) == *id).then_some(window)
+}
+
+/// Downloads one chunk from the store, decompresses it and checks its
+/// fingerprint.
+fn download_chunk(shared: &Arc<ClientShared>, id: &ChunkId) -> SyncResult<Bytes> {
+    let raw = shared.store.get_in(
+        &shared.token,
+        &shared.container_owner,
+        &shared.container,
+        &chunk_hex(id),
+    )?;
+    let plain =
+        Algorithm::decompress(&raw).map_err(|e| SyncError::Corrupt(format!("chunk {id}: {e}")))?;
+    if shared.config.fingerprint.of(&plain) != *id {
+        return Err(SyncError::Corrupt(format!(
+            "chunk {id} failed fingerprint verification"
+        )));
+    }
+    Ok(plain)
+}
+
+/// Reassembles an item's content: each chunk from the local folder when
+/// a verified copy is there, from the chunk store otherwise. Either way
+/// its fingerprint has been compared to the committed id. Returns the
+/// content and the chunk lengths, in file order.
+fn fetch_item_content(
+    shared: &Arc<ClientShared>,
+    item: &ItemMetadata,
+) -> SyncResult<(Vec<u8>, Vec<usize>)> {
     let mut contents = Vec::with_capacity(item.size as usize);
+    let mut lens = Vec::with_capacity(item.chunks.len());
+    let mut reused = 0;
     for id in &item.chunks {
-        let raw = shared.store.get_in(
-            &shared.token,
-            &shared.container_owner,
-            &shared.container,
-            &chunk_hex(id),
-        )?;
-        let plain = Algorithm::decompress(&raw)
-            .map_err(|e| SyncError::Corrupt(format!("chunk {id}: {e}")))?;
-        if shared.config.fingerprint.of(&plain) != *id {
-            return Err(SyncError::Corrupt(format!(
-                "chunk {id} failed fingerprint verification"
-            )));
-        }
-        shared
-            .stats
-            .inner
-            .chunks_downloaded
-            .fetch_add(1, Ordering::Relaxed);
+        let plain = match local_chunk(shared, id) {
+            Some(plain) => {
+                reused += 1;
+                plain
+            }
+            None => download_chunk(shared, id)?,
+        };
+        lens.push(plain.len());
         contents.extend_from_slice(&plain);
     }
-    Ok(contents)
+    let downloaded = item.chunks.len() as u64 - reused;
+    let stats = &shared.stats.inner;
+    stats
+        .chunks_downloaded
+        .fetch_add(downloaded, Ordering::Relaxed);
+    stats.chunks_reused.fetch_add(reused, Ordering::Relaxed);
+    shared.reused_total.add(reused);
+    Ok((contents, lens))
 }
 
 /// Materializes a server-side item locally (startup sync path).
@@ -699,16 +774,14 @@ fn materialize_item(shared: &Arc<ClientShared>, item: &ItemMetadata) -> SyncResu
         );
         return Ok(());
     }
-    let contents = fetch_item_content(shared, item)?;
-    shared.fs.lock().write(&item.path, contents);
-    let mut db = shared.db.lock();
-    db.mark_chunks_known(item.chunks.iter().copied());
-    db.upsert(
+    let (contents, lens) = fetch_item_content(shared, item)?;
+    shared.fs.lock().write(&item.path, Bytes::from(contents));
+    shared.db.lock().upsert(
         &item.path,
         FileEntry {
             item_id: item.item_id,
             version: item.version,
-            chunks: item.chunks.clone(),
+            chunks: item.chunks.iter().copied().zip(lens).collect(),
             size: item.size,
             deleted: false,
         },
@@ -758,14 +831,13 @@ fn apply_notification(
                 .current
                 .clone()
                 .ok_or_else(|| SyncError::Corrupt("conflict without current version".into()))?;
-            let losing_bytes = shared.fs.lock().read(&item.path).map(|b| b.to_vec());
+            let losing_bytes = shared.fs.lock().read(&item.path).cloned();
             materialize_item(shared, &current)?;
             if let Some(bytes) = losing_bytes {
                 let copy_path = conflict_copy_path(&item.path, &shared.config.device);
-                shared.fs.lock().write(&copy_path, bytes.clone());
                 // The conflict copy is a brand-new file that must itself be
                 // synchronized to every device.
-                index_and_commit(shared, &copy_path, Bytes::from(bytes))?;
+                write_and_commit(shared, &copy_path, bytes)?;
             }
         }
         // Conflicts lost by *other* devices need no local action: the
@@ -797,6 +869,68 @@ mod tests {
         assert_eq!(c.compression, Algorithm::Store);
         assert_eq!(c.call_retries, 5);
         assert_eq!(c.call_timeout, Duration::from_millis(1500));
+    }
+
+    /// 4 KiB chunks, each different from every other.
+    fn distinct_chunks(n: usize, seed: u8) -> Vec<u8> {
+        (0..n * 4096)
+            .map(|i| (i / 4096) as u8 ^ (i % 251) as u8 ^ seed)
+            .collect()
+    }
+
+    #[test]
+    fn folder_bytes_that_no_longer_match_the_index_are_fetched_not_reused() {
+        // A local write racing a notification for the same path, stopped
+        // where it matters: the new bytes are in the folder, the local
+        // database still describes the old ones.
+        let broker = Broker::in_process();
+        let store = SwiftStore::new(storage::LatencyModel::instant());
+        let meta: Arc<dyn metadata::MetadataStore> = Arc::new(metadata::InMemoryStore::new());
+        let service = crate::SyncService::builder(&broker)
+            .store(meta.clone())
+            .build();
+        let _server = service.bind(&broker).unwrap();
+        let ws = crate::provision_user(meta.as_ref(), "alice", "Docs").unwrap();
+        let config = |device: &str| ClientConfig::new("alice", device).with_chunk_size(4096);
+        let a = DesktopClient::connect(&broker, &store, config("laptop"), &ws).unwrap();
+        let b = DesktopClient::connect(&broker, &store, config("phone"), &ws).unwrap();
+        let timeout = Duration::from_secs(5);
+
+        let v1 = distinct_chunks(3, 0);
+        a.write_file("f.bin", v1.clone()).unwrap();
+        assert!(b.wait_for_content("f.bin", &v1, timeout));
+        assert_eq!(b.stats().chunks_downloaded(), 3);
+
+        // The first chunk is rewritten under the index's feet.
+        let mut local = v1.clone();
+        local[..4096].fill(0xEE);
+        b.shared.fs.lock().write("f.bin", Bytes::from(local));
+
+        let mut v2 = v1.clone();
+        v2.extend_from_slice(&distinct_chunks(1, 0x55));
+        a.write_file("f.bin", v2.clone()).unwrap();
+        assert!(b.wait_for_version("f.bin", 2, timeout));
+        assert_eq!(
+            b.read_file("f.bin").unwrap(),
+            v2,
+            "the notified version, byte for byte"
+        );
+        // Chunk 0 failed the fingerprint check and was fetched like the
+        // appended one; chunks 1 and 2 still matched and were reused.
+        assert_eq!(b.stats().chunks_downloaded(), 3 + 2);
+        assert_eq!(b.stats().chunks_reused(), 2);
+
+        // A file that shrank under the index: the location is out of
+        // range, which is a miss and not a panic.
+        b.shared
+            .fs
+            .lock()
+            .write("f.bin", Bytes::from(vec![1u8; 10]));
+        let v3 = distinct_chunks(4, 0);
+        a.write_file("f.bin", v3.clone()).unwrap();
+        assert!(b.wait_for_version("f.bin", 3, timeout));
+        assert_eq!(b.read_file("f.bin").unwrap(), v3);
+        assert_eq!(b.stats().chunks_reused(), 2);
     }
 
     #[test]

@@ -4,13 +4,19 @@
 //! workspace in memory so experiments are deterministic and fast. The
 //! watcher role collapses into explicit mutation calls — every change to
 //! the virtual folder is observed immediately, like an inotify event.
+//!
+//! Contents are [`Bytes`]: a reader takes a handle to a version, not a
+//! copy of it, and keeps it after the path is rewritten — which is how
+//! the indexer and the folder share one buffer, and how the previous
+//! version of a file stays readable while the next one is assembled.
 
+use bytes::Bytes;
 use std::collections::BTreeMap;
 
 /// An in-memory folder: path → contents.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct VirtualFs {
-    files: BTreeMap<String, Vec<u8>>,
+    files: BTreeMap<String, Bytes>,
 }
 
 impl VirtualFs {
@@ -20,17 +26,17 @@ impl VirtualFs {
     }
 
     /// Writes (creates or replaces) a file.
-    pub fn write(&mut self, path: &str, contents: Vec<u8>) {
+    pub fn write(&mut self, path: &str, contents: Bytes) {
         self.files.insert(path.to_string(), contents);
     }
 
-    /// Reads a file.
-    pub fn read(&self, path: &str) -> Option<&[u8]> {
-        self.files.get(path).map(|v| v.as_slice())
+    /// Reads a file: a handle to its current contents, cheap to clone.
+    pub fn read(&self, path: &str) -> Option<&Bytes> {
+        self.files.get(path)
     }
 
     /// Removes a file; returns its contents if it existed.
-    pub fn remove(&mut self, path: &str) -> Option<Vec<u8>> {
+    pub fn remove(&mut self, path: &str) -> Option<Bytes> {
         self.files.remove(path)
     }
 
@@ -68,29 +74,39 @@ mod tests {
     fn write_read_remove() {
         let mut fs = VirtualFs::new();
         assert!(fs.is_empty());
-        fs.write("a/b.txt", vec![1, 2, 3]);
-        assert_eq!(fs.read("a/b.txt"), Some([1u8, 2, 3].as_slice()));
+        fs.write("a/b.txt", Bytes::from(vec![1, 2, 3]));
+        assert_eq!(fs.read("a/b.txt").unwrap(), &[1u8, 2, 3]);
         assert!(fs.contains("a/b.txt"));
         assert_eq!(fs.len(), 1);
         assert_eq!(fs.total_size(), 3);
-        assert_eq!(fs.remove("a/b.txt"), Some(vec![1, 2, 3]));
+        assert_eq!(fs.remove("a/b.txt").unwrap(), &[1u8, 2, 3]);
         assert!(fs.is_empty());
     }
 
     #[test]
     fn overwrite_replaces() {
         let mut fs = VirtualFs::new();
-        fs.write("x", vec![1]);
-        fs.write("x", vec![2, 3]);
-        assert_eq!(fs.read("x"), Some([2u8, 3].as_slice()));
+        fs.write("x", Bytes::from(vec![1]));
+        fs.write("x", Bytes::from(vec![2, 3]));
+        assert_eq!(fs.read("x").unwrap(), &[2u8, 3]);
         assert_eq!(fs.len(), 1);
+    }
+
+    #[test]
+    fn a_handle_outlives_the_version_it_read() {
+        let mut fs = VirtualFs::new();
+        fs.write("x", Bytes::from(vec![1, 2]));
+        let old = fs.read("x").unwrap().clone();
+        fs.write("x", Bytes::from(vec![3]));
+        assert_eq!(old, &[1u8, 2]);
+        assert_eq!(fs.read("x").unwrap(), &[3u8]);
     }
 
     #[test]
     fn paths_sorted() {
         let mut fs = VirtualFs::new();
-        fs.write("z", vec![]);
-        fs.write("a", vec![]);
+        fs.write("z", Bytes::new());
+        fs.write("a", Bytes::new());
         assert_eq!(fs.paths(), vec!["a", "z"]);
     }
 }

@@ -485,6 +485,8 @@ fn rename_costs_metadata_only_and_propagates() {
     assert!(b.wait_for_content("old-name.bin", &payload, T));
     let uploads_before = a.stats().chunks_uploaded();
 
+    let downloads_before = b.stats().chunks_downloaded();
+
     a.rename_file("old-name.bin", "new-name.bin").unwrap();
     assert!(b.wait_for_content("new-name.bin", &payload, T));
     assert!(b.wait_for_absent("old-name.bin", T));
@@ -493,6 +495,12 @@ fn rename_costs_metadata_only_and_propagates() {
         uploads_before,
         "a rename must not re-upload any chunk (dedup)"
     );
+    assert_eq!(
+        b.stats().chunks_downloaded(),
+        downloads_before,
+        "a rename must not download any chunk: the old path holds them all"
+    );
+    assert_eq!(b.stats().chunks_reused(), 3);
     // Renaming a missing file errors.
     assert!(a.rename_file("ghost.bin", "x.bin").is_err());
 }
@@ -570,4 +578,148 @@ fn delete_releases_chunks_for_gc() {
     let late =
         DesktopClient::connect(&s.broker, &s.store, small_config("alice", "tablet"), &ws).unwrap();
     assert_eq!(late.read_file("keeper.bin").unwrap(), shared_payload);
+}
+
+/// High-entropy bytes: no two chunks of a file alike.
+fn noise(len: usize, seed: u64) -> Vec<u8> {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 56) as u8
+        })
+        .collect()
+}
+
+#[test]
+fn append_only_update_moves_only_the_new_chunks() {
+    use content::chunker::{Chunker, ContentDefinedChunker, FixedChunker};
+    use std::collections::HashSet;
+
+    type Case = (Box<dyn Chunker>, fn(ClientConfig) -> ClientConfig);
+    let cases: [Case; 2] = [
+        (Box::new(FixedChunker::new(4096)), |c| {
+            c.with_chunk_size(4096)
+        }),
+        (
+            Box::new(ContentDefinedChunker::new(1024, 8192, 11, 48)),
+            |c| c.with_cdc(1024, 8192, 11, 48),
+        ),
+    ];
+    for (chunker, configure) in cases {
+        let s = stack();
+        let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
+        let cfg = |device: &str| configure(ClientConfig::new("alice", device));
+        let a = DesktopClient::connect(&s.broker, &s.store, cfg("laptop"), &ws).unwrap();
+        let b = DesktopClient::connect(&s.broker, &s.store, cfg("phone"), &ws).unwrap();
+        let ids = |data: &[u8]| -> Vec<content::ChunkId> {
+            chunker
+                .chunk(data)
+                .iter()
+                .map(|span| content::Fingerprint::Sha1.of(&data[span.range()]))
+                .collect()
+        };
+
+        let v1 = noise(40_000, 1);
+        a.write_file("log.bin", v1.clone()).unwrap();
+        assert!(b.wait_for_content("log.bin", &v1, T));
+        let before = (
+            a.stats().chunks_uploaded(),
+            b.stats().chunks_downloaded(),
+            b.stats().chunks_reused(),
+        );
+
+        let mut v2 = v1.clone();
+        v2.extend_from_slice(&noise(3_000, 2));
+        a.write_file("log.bin", v2.clone()).unwrap();
+        assert!(b.wait_for_content("log.bin", &v2, T));
+
+        let old: HashSet<_> = ids(&v1).into_iter().collect();
+        let new = ids(&v2);
+        let fresh = new.iter().filter(|id| !old.contains(id)).count() as u64;
+        let kept = new.len() as u64 - fresh;
+        let name = chunker.name();
+        assert!(fresh >= 1 && kept >= 4, "{name}: {fresh} new, {kept} kept");
+        assert_eq!(a.stats().chunks_uploaded() - before.0, fresh, "{name}");
+        assert_eq!(b.stats().chunks_downloaded() - before.1, fresh, "{name}");
+        assert_eq!(b.stats().chunks_reused() - before.2, kept, "{name}");
+    }
+
+    // The process-wide counters a running stack exports saw it too (other
+    // tests of this binary add to them, so only a floor can be checked).
+    let exported = obs::render_text();
+    for name in [
+        "sync_client_chunks_reused_total",
+        "storage_offer_missing_total",
+        "storage_offer_retries_total",
+    ] {
+        let value = exported
+            .lines()
+            .find_map(|line| line.strip_prefix(name)?.trim().parse::<f64>().ok());
+        assert!(value.is_some_and(|v| v >= 2.0), "{name}: {value:?}");
+    }
+}
+
+#[test]
+fn update_racing_delete_and_gc_leaves_every_commit_fetchable() {
+    // Each round the laptop rewrites its file to hold three chunks that
+    // only a file of the phone references, plus a new tail, while the
+    // phone deletes that file and a sweeper collects whatever nobody
+    // references. Whichever way a round interleaves, a committed chunk
+    // list must be one the store holds.
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let s = stack();
+    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
+    let a =
+        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "laptop"), &ws).unwrap();
+    let b =
+        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "phone"), &ws).unwrap();
+    let token = s.store.authenticate("alice", "pw-alice").unwrap();
+    let container = "alice-chunks";
+
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let stop = AtomicBool::new(false);
+    let mut last = Vec::new();
+    std::thread::scope(|sc| {
+        let _stop = StopOnDrop(&stop);
+        sc.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                s.store.gc_chunks(&token, "alice", container).unwrap();
+                std::thread::yield_now();
+            }
+        });
+        for round in 0..30u64 {
+            let shared = noise(3 * 4096, 100 + round);
+            let theirs = format!("phone-{round}.bin");
+            b.write_file(&theirs, shared.clone()).unwrap();
+            let mut mine = shared;
+            mine.extend_from_slice(&noise(1_000, 200 + round));
+            std::thread::scope(|pair| {
+                pair.spawn(|| b.delete_file(&theirs).unwrap());
+                a.write_file("laptop.bin", mine.clone()).unwrap();
+            });
+            last = mine;
+        }
+    });
+
+    // The phone converges on the last version, and a device that was not
+    // there for any of it can fetch every chunk the store's head names.
+    assert!(b.wait_for_content("laptop.bin", &last, T));
+    let late =
+        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "tablet"), &ws).unwrap();
+    assert_eq!(late.read_file("laptop.bin").unwrap(), last);
+    assert_eq!(late.list_files(), vec!["laptop.bin"]);
+    // Exactly the last version's chunks outlive a final sweep.
+    s.store.gc_chunks(&token, "alice", container).unwrap();
+    let stats = s.store.dedup_stats(&token, "alice", container).unwrap();
+    assert_eq!((stats.live_chunks, stats.orphan_chunks), (4, 0));
+    assert_eq!(s.store.list(&token, container).unwrap().len(), 4);
 }

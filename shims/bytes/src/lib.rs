@@ -1,6 +1,9 @@
 //! Local stand-in for the `bytes` crate: a cheaply clonable, immutable byte
-//! buffer backed by `Arc<[u8]>`. Only the surface this workspace uses is
-//! provided. Built because the environment has no crates.io access.
+//! buffer backed by `Arc<Vec<u8>>`, so that — as in the real crate —
+//! `Bytes::from(Vec<u8>)` takes the vector over instead of copying it (a
+//! client hands whole files across this conversion). Only the surface this
+//! workspace uses is provided. Built because the environment has no
+//! crates.io access.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -13,13 +16,13 @@ use std::sync::Arc;
 /// allocation and only narrows the visible window.
 #[derive(Clone)]
 pub struct Bytes {
-    inner: Arc<[u8]>,
+    inner: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
-    fn from_arc(inner: Arc<[u8]>) -> Self {
+    fn from_arc(inner: Arc<Vec<u8>>) -> Self {
         let end = inner.len();
         Bytes {
             inner,
@@ -30,17 +33,17 @@ impl Bytes {
 
     /// Creates an empty buffer.
     pub fn new() -> Self {
-        Bytes::from_arc(Arc::from(&[][..]))
+        Bytes::from_arc(Arc::new(Vec::new()))
     }
 
     /// Wraps a static byte slice (copied into shared storage).
     pub fn from_static(bytes: &'static [u8]) -> Self {
-        Bytes::from_arc(Arc::from(bytes))
+        Bytes::from_arc(Arc::new(bytes.to_vec()))
     }
 
     /// Copies a slice into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from_arc(Arc::from(data))
+        Bytes::from_arc(Arc::new(data.to_vec()))
     }
 
     /// Length in bytes.
@@ -192,13 +195,13 @@ impl<const N: usize> PartialEq<&[u8; N]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Bytes::from_arc(Arc::from(v.into_boxed_slice()))
+        Bytes::from_arc(Arc::new(v))
     }
 }
 
 impl From<Box<[u8]>> for Bytes {
     fn from(v: Box<[u8]>) -> Self {
-        Bytes::from_arc(Arc::from(v))
+        Bytes::from_arc(Arc::new(v.into_vec()))
     }
 }
 
@@ -259,6 +262,17 @@ mod tests {
         let c = b.clone();
         assert_eq!(b, c);
         assert!(std::sync::Arc::ptr_eq(&b.inner, &c.inner));
+    }
+
+    #[test]
+    fn from_vec_takes_the_allocation_over() {
+        let v = vec![3u8; 4096];
+        let at = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), at, "From<Vec<u8>> must not copy");
+        let boxed: Box<[u8]> = vec![4u8; 64].into_boxed_slice();
+        let at = boxed.as_ptr();
+        assert_eq!(Bytes::from(boxed).as_ptr(), at);
     }
 
     #[test]
