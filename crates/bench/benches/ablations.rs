@@ -8,7 +8,7 @@
 use content::chunker::{Chunker, ContentDefinedChunker, FixedChunker};
 use content::ChunkId;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use metadata::{InMemoryStore, ItemMetadata, MetadataStore};
+use metadata::{ItemMetadata, MetadataStore, ShardedStore};
 use objectmq::provision::{GgOneModel, PredictiveProvisioner, ReactiveProvisioner};
 use objectmq::RemoteObject;
 use stacksync::SyncService;
@@ -51,7 +51,7 @@ fn bench_commit_dispatch(c: &mut Criterion) {
     group.throughput(Throughput::Elements(1));
 
     let broker = objectmq::Broker::in_process();
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     meta.create_user("bench").unwrap();
     let ws = meta.create_workspace("bench", "ws").unwrap();
     let service = SyncService::builder(&broker).store(meta).build();

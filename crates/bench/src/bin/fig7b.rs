@@ -75,7 +75,7 @@ fn main() {
 /// Replays the trace through the real stack and reports measured traffic.
 fn live_stack(trace: &Trace, benchmark_bytes: u64) {
     use baselines::FileSet;
-    use metadata::{InMemoryStore, MetadataStore};
+    use metadata::{MetadataStore, ShardedStore};
     use objectmq::Broker;
     use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
     use std::sync::Arc;
@@ -84,7 +84,7 @@ fn live_stack(trace: &Trace, benchmark_bytes: u64) {
     header("Fig 7(b) addendum: live StackSync stack (real middleware path)");
     let broker = Broker::in_process();
     let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     let service = SyncService::builder(&broker).store(meta.clone()).build();
     let _server = service.bind(&broker).expect("bind service");
     let ws = provision_user(meta.as_ref(), "bench", "ws").expect("provision");

@@ -6,7 +6,7 @@
 
 use bench::{arg_value, header};
 use elastic::BoxplotStats;
-use metadata::{InMemoryStore, MetadataStore};
+use metadata::{MetadataStore, ShardedStore};
 use objectmq::Broker;
 use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
 use std::sync::Arc;
@@ -26,7 +26,7 @@ fn main() {
     header("Fig 7(e): synchronization time for 6 devices (real stack)");
     let broker = Broker::in_process();
     let store = SwiftStore::new(LatencyModel::lan_cluster());
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     let service = SyncService::builder(&broker).store(meta.clone()).build();
     let _server = service.bind(&broker).expect("bind");
     let ws = provision_user(meta.as_ref(), "alice", "ws").expect("provision");

@@ -16,7 +16,7 @@
 //! workspace metadata — rides the TCP frame protocol.
 
 use bench::{arg_value, header};
-use metadata::{InMemoryStore, MetadataStore, WorkspaceId};
+use metadata::{MetadataStore, ShardedStore, WorkspaceId};
 use mqsim::MessageBroker;
 use net::{BrokerServer, NetBroker};
 use objectmq::{Broker, BrokerConfig};
@@ -85,7 +85,7 @@ fn driver() {
     });
 
     let broker = Broker::new(mq, BrokerConfig::default());
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     let service = SyncService::builder(&broker).store(meta.clone()).build();
     let _service_handle = service.bind(&broker).expect("bind service");
     let ws = provision_user(meta.as_ref(), "alice", "ws").expect("provision");

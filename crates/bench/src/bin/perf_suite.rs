@@ -1,24 +1,25 @@
-//! Machine-readable performance suite: broker throughput and ObjectMQ RPC
-//! latency in both the batched and unbatched protocol modes, plus sync
-//! commit throughput, metadata-store contention, and the durable commit
-//! plane. Writes `BENCH_4.json` (transport), `BENCH_5.json` (metadata
+//! Machine-readable performance suite: broker throughput one message at a
+//! time and in batches, ObjectMQ RPC latency in process and over TCP, plus
+//! sync commit throughput, metadata-store contention, and the durable
+//! commit plane. Writes `BENCH_4.json` (transport), `BENCH_5.json` (metadata
 //! sharding), `BENCH_6.json` (connection scaling on the poll-based reactor)
 //! and `BENCH_7.json` (WAL group commit + recovery) at the repo root so
 //! runs can be compared across commits.
 //!
-//! The batched/unbatched pairs are measured in the same run so the ratio
-//! is meaningful on any machine:
-//!
-//! * broker: one-at-a-time publish/consume/ack vs `publish_batch_to_queue`
-//!   + `recv_batch` + `ack_all` in batches of [`BATCH`];
-//! * TCP RPC: `depth` concurrent callers over a loopback [`BrokerServer`]
-//!   with the coalescing send path and `AckMany` on vs off.
+//! The broker pair is measured in the same run so the ratio is meaningful
+//! on any machine: one-at-a-time publish/consume/ack vs
+//! `publish_batch_to_queue` + `recv_batch` + `ack_all` in batches of
+//! [`BATCH`] (both are `mqsim` API). The TCP RPC figure is `depth`
+//! concurrent callers over a loopback [`BrokerServer`]; the wire protocol
+//! has one mode (coalesced writes, `AckMany`), and its last comparison
+//! against the one-frame-per-write protocol it replaced is BENCH_4.json
+//! (DESIGN.md §8).
 //!
 //! The contention scenario runs 8 writer threads against 8 workspaces in
 //! two variants — cpu-bound, and with a modeled ACID back-end transaction
-//! latency held inside the commit critical section — against the
-//! global-mutex [`InMemoryStore`] and the partitioned
-//! [`metadata::ShardedStore`] in the same run.
+//! latency held inside the commit critical section — against a
+//! [`ShardedStore`] with one shard (the global serialization point) and
+//! with [`CONTENTION_SHARDS`] in the same run.
 //!
 //! The durable scenario runs the same 8-writer contention workload against
 //! [`metadata::ShardedStore::open_durable`] — every commit journaled to a
@@ -39,17 +40,17 @@
 //! `--smoke` shrinks every workload to a few iterations for CI (and caps
 //! the connection scenario at 2 000 connections); `--out` /
 //! `--out-contention` / `--out-conn` / `--out-durable` override the output
-//! paths; `--gate` exits nonzero if the batched mode fails to beat the
-//! unbatched mode, the sharded store falls below the global store, the
+//! paths; `--gate` exits nonzero if batched broker throughput fails to
+//! beat one-at-a-time, the sharded store falls below the one-shard store, the
 //! durable sharded store falls below 60% of the non-durable sharded store,
 //! or the reactor fails to sustain an attempted connection level (or its
 //! commit p99 collapses relative to the smallest level), measured in the
 //! same run (relative gates, so they are robust to machine speed).
 
 use bench::{arg_value, has_flag, header};
-use metadata::{InMemoryStore, ItemMetadata, MetadataStore, ShardedStore};
+use metadata::{ItemMetadata, MetadataStore, ShardedStore};
 use mqsim::{Delivery, Message, MessageBroker, QueueOptions};
-use net::{BrokerServer, NetBroker, NetConfig, ServerConfig};
+use net::{BrokerServer, NetBroker, NetConfig};
 use objectmq::{Broker, BrokerConfig};
 use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
 use std::sync::Arc;
@@ -227,19 +228,10 @@ fn pipelined_rpc_latency(broker: &Broker, calls: usize, depth: usize) -> Percent
     percentiles(&mut samples)
 }
 
-/// Loopback server + client in the given protocol mode, handed to `f`.
-fn with_loopback<T>(batch: bool, f: impl FnOnce(&Broker) -> T) -> T {
-    let server_config = ServerConfig {
-        batch,
-        ..ServerConfig::default()
-    };
-    let client_config = NetConfig {
-        batch,
-        ..NetConfig::default()
-    };
-    let server =
-        BrokerServer::bind_with("127.0.0.1:0", MessageBroker::new(), server_config).unwrap();
-    let client = NetBroker::connect_with(server.local_addr(), client_config).unwrap();
+/// Loopback server + client, handed to `f`.
+fn with_loopback<T>(f: impl FnOnce(&Broker) -> T) -> T {
+    let server = BrokerServer::bind("127.0.0.1:0", MessageBroker::new()).unwrap();
+    let client = NetBroker::connect(server.local_addr()).unwrap();
     let broker = Broker::over(Arc::new(client), BrokerConfig::default());
     let result = f(&broker);
     server.shutdown();
@@ -249,7 +241,7 @@ fn with_loopback<T>(batch: bool, f: impl FnOnce(&Broker) -> T) -> T {
 fn commit_throughput(commits: usize) -> f64 {
     let broker = Broker::in_process();
     let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     let service = SyncService::builder(&broker).store(meta.clone()).build();
     let _server = service.bind(&broker).expect("bind service");
     let ws = provision_user(meta.as_ref(), "perf", "ws").expect("provision");
@@ -273,9 +265,9 @@ const CONTENTION_WRITERS: usize = 8;
 const CONTENTION_SHARDS: usize = 8;
 /// Modeled ACID back-end in-transaction time for the `txn_latency`
 /// contention variant: the row locks PostgreSQL would hold across the
-/// round trip, spent inside the store's commit critical section. The
-/// global mutex serializes this across all workspaces; shards only
-/// serialize it within a workspace's partition.
+/// round trip, spent inside the store's commit critical section. One
+/// shard serializes this across all workspaces; several only serialize it
+/// within a workspace's partition.
 const TXN_LATENCY: Duration = Duration::from_micros(200);
 
 /// Multi-workspace commit throughput against one store: each writer thread
@@ -334,7 +326,8 @@ impl ContentionPair {
 }
 
 fn contention_scenario(commits_per_writer: usize, latency: Duration) -> ContentionPair {
-    let global: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::with_commit_latency(latency));
+    let global: Arc<dyn MetadataStore> =
+        Arc::new(ShardedStore::with_shards_and_latency(1, latency));
     let sharded: Arc<dyn MetadataStore> = Arc::new(ShardedStore::with_shards_and_latency(
         CONTENTION_SHARDS,
         latency,
@@ -472,7 +465,7 @@ fn connection_scaling(levels: &[usize], commits_per_client: usize) -> Vec<ConnLe
     let server = BrokerServer::bind("127.0.0.1:0", mq.clone()).expect("bind server");
     let addr = server.local_addr();
     let service_broker = Broker::new(mq, BrokerConfig::default());
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     let service = SyncService::builder(&service_broker)
         .store(meta.clone())
         .build();
@@ -958,26 +951,13 @@ fn main() {
         inproc.mean * 1e3
     );
 
-    println!(
-        "ObjectMQ RPC, TCP loopback, depth {PIPELINE_DEPTH}, unbatched protocol ({calls} calls)..."
-    );
-    let tcp_unbatched = with_loopback(false, |b| pipelined_rpc_latency(b, calls, PIPELINE_DEPTH));
+    println!("ObjectMQ RPC, TCP loopback, depth {PIPELINE_DEPTH} ({calls} calls)...");
+    let tcp_batched = with_loopback(|b| pipelined_rpc_latency(b, calls, PIPELINE_DEPTH));
     println!(
         "  p50 {:.3} ms | p99 {:.3} ms | mean {:.3} ms",
-        tcp_unbatched.p50 * 1e3,
-        tcp_unbatched.p99 * 1e3,
-        tcp_unbatched.mean * 1e3
-    );
-    println!(
-        "ObjectMQ RPC, TCP loopback, depth {PIPELINE_DEPTH}, batched protocol ({calls} calls)..."
-    );
-    let tcp_batched = with_loopback(true, |b| pipelined_rpc_latency(b, calls, PIPELINE_DEPTH));
-    println!(
-        "  p50 {:.3} ms | p99 {:.3} ms | mean {:.3} ms ({:.0}% lower p50)",
         tcp_batched.p50 * 1e3,
         tcp_batched.p99 * 1e3,
-        tcp_batched.mean * 1e3,
-        (1.0 - tcp_batched.p50 / tcp_unbatched.p50) * 100.0
+        tcp_batched.mean * 1e3
     );
 
     println!("sync commit throughput ({commits} commits of 16 KiB)...");
@@ -986,7 +966,7 @@ fn main() {
 
     println!(
         "metadata contention, cpu-bound ({CONTENTION_WRITERS} writers x {contention_commits} \
-         commits, {CONTENTION_SHARDS} shards vs global mutex)..."
+         commits, {CONTENTION_SHARDS} shards vs 1)..."
     );
     let cpu_bound = contention_scenario(contention_commits, Duration::ZERO);
     println!(
@@ -1045,9 +1025,7 @@ fn main() {
             "\"p99_s\": {ip99:.9}, \"mean_s\": {imean:.9} }},\n",
             "  \"rpc_tcp_loopback\": {{ \"calls\": {calls}, \"depth\": {depth}, ",
             "\"pacing_ms\": {pacing_ms:.1}, ",
-            "\"unbatched\": {{ \"p50_s\": {up50:.9}, \"p99_s\": {up99:.9}, \"mean_s\": {umean:.9} }}, ",
-            "\"batched\": {{ \"p50_s\": {tp50:.9}, \"p99_s\": {tp99:.9}, \"mean_s\": {tmean:.9} }}, ",
-            "\"p50_reduction\": {red:.3} }},\n",
+            "\"batched\": {{ \"p50_s\": {tp50:.9}, \"p99_s\": {tp99:.9}, \"mean_s\": {tmean:.9} }} }},\n",
             "  \"commit\": {{ \"commits\": {commits}, \"commits_per_sec\": {cps:.1} }}\n",
             "}}\n"
         ),
@@ -1063,13 +1041,9 @@ fn main() {
         imean = inproc.mean,
         depth = PIPELINE_DEPTH,
         pacing_ms = CALL_PACING.as_secs_f64() * 1e3,
-        up50 = tcp_unbatched.p50,
-        up99 = tcp_unbatched.p99,
-        umean = tcp_unbatched.mean,
         tp50 = tcp_batched.p50,
         tp99 = tcp_batched.p99,
         tmean = tcp_batched.mean,
-        red = 1.0 - tcp_batched.p50 / tcp_unbatched.p50,
         commits = commits,
         cps = commits_per_sec,
     );
@@ -1177,7 +1151,7 @@ fn main() {
     if gate && txn_latency.sharded < txn_latency.global {
         eprintln!(
             "GATE FAILED: sharded contention throughput {:.0} commits/s fell below the \
-             global mutex's {:.0} commits/s in the same run",
+             one-shard store's {:.0} commits/s in the same run",
             txn_latency.sharded, txn_latency.global
         );
         std::process::exit(1);

@@ -187,7 +187,8 @@ impl ControlCtx<'_> {
         self.interarrival.variance()
     }
 
-    /// This tick's state as a policy [`Observation`] — the simulator-side
+    /// This tick's state as a policy
+    /// [`Observation`](objectmq::provision::Observation) — the simulator-side
     /// counterpart of the live controller's queue statistics, so the same
     /// `Provisioner` trait objects drive both pools.
     pub fn observation(&self) -> objectmq::provision::Observation {

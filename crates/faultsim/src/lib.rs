@@ -12,7 +12,7 @@
 //! * **[`FaultPlan`]** — a seeded [`mqsim::DeliveryInterceptor`] injecting
 //!   message drop / duplicate / reorder / defer at the broker choke point,
 //!   with every decision drawn from a [`SimRng`] stream. The byte-level
-//!   twin for real sockets is [`net::FaultProxy`], which severs, stalls
+//!   twin for real sockets is `net::FaultProxy`, which severs, stalls
 //!   and corrupts TCP mid-frame.
 //! * **[`sim`]** — a single-threaded discrete-event scheduler driving the
 //!   *real* stack (broker, SyncService dispatch, metadata store) through a

@@ -12,7 +12,7 @@
 //! notification to a reader). The components are the real ones — the real
 //! [`mqsim::MessageBroker`] with a [`FaultPlan`] installed, the real
 //! [`stacksync::SyncService`] dispatch path, the real
-//! [`metadata::InMemoryStore`] — so the invariants checked are properties
+//! [`metadata::ShardedStore`] — so the invariants checked are properties
 //! of production code, not of a model. Same seed ⇒ same schedule, same
 //! history, same verdict, every time, in milliseconds.
 //!
@@ -27,7 +27,7 @@ use crate::history::{Event, History, SubmitFate};
 use crate::plan::{FaultPlan, FaultRates};
 use crate::rng::SimRng;
 use content::ChunkId;
-use metadata::{InMemoryStore, ItemMetadata, MetadataStore, ShardedStore};
+use metadata::{ItemMetadata, MetadataStore, ShardedStore};
 use objectmq::{Broker, BrokerConfig, RemoteObject, Request};
 use stacksync::{provision_user, workspace_notification_oid, SyncService};
 use std::collections::BTreeMap;
@@ -45,48 +45,52 @@ const SHARED_ITEM: u64 = 1;
 /// Item ids `OWN_ITEM_BASE + w` are private to writer `w`.
 const OWN_ITEM_BASE: u64 = 100;
 
-/// Which metadata back-end the simulated stack commits against.
+/// How the [`ShardedStore`] the simulated stack commits against is built.
 ///
 /// The store is pure state — it consumes no scheduler randomness — so for
 /// any seed the run's fingerprint must be identical across selections: the
 /// sharding identity property checked end-to-end through the real broker,
 /// service, and fault schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreSelection {
-    /// The global-mutex [`InMemoryStore`].
-    Global,
-    /// A [`ShardedStore`] with the given shard count.
-    Sharded(usize),
-    /// A WAL-backed [`ShardedStore`] ([`ShardedStore::open_durable`]) with
-    /// the given shard count, rooted in a per-run scratch directory that is
-    /// removed when the run finishes. The directory name is derived from
-    /// the seed (never from scheduler draws), so durability costs no
-    /// randomness and the fingerprint-identity property extends to it.
-    Durable(usize),
+pub struct StoreSelection {
+    /// Partition count; 1 is the single-database serialization point.
+    pub shards: usize,
+    /// WAL-backed ([`ShardedStore::open_durable`]), rooted in a per-run
+    /// scratch directory that is removed when the run finishes. The
+    /// directory name is derived from the seed (never from scheduler
+    /// draws), so durability costs no randomness and the
+    /// fingerprint-identity property extends to it.
+    pub durable: bool,
+}
+
+impl Default for StoreSelection {
+    fn default() -> Self {
+        StoreSelection {
+            shards: 1,
+            durable: false,
+        }
+    }
 }
 
 impl StoreSelection {
     fn build(self, seed: u64) -> (Arc<dyn MetadataStore>, Option<std::path::PathBuf>) {
-        match self {
-            StoreSelection::Global => (Arc::new(InMemoryStore::new()), None),
-            StoreSelection::Sharded(n) => (Arc::new(ShardedStore::with_shards(n)), None),
-            StoreSelection::Durable(n) => {
-                static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-                let unique = NEXT.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                let dir = std::env::temp_dir().join(format!(
-                    "faultsim-durable-{}-{seed}-{unique}",
-                    std::process::id()
-                ));
-                let mut cfg = wal::LogConfig::named("faultsim");
-                // Manual sync: flushes happen inline in ticket waits, so
-                // the run stays single-threaded and deterministic.
-                cfg.sync = wal::SyncPolicy::Manual;
-                let (store, _) =
-                    ShardedStore::open_durable(&dir, n, std::time::Duration::ZERO, cfg)
-                        .expect("open durable store in scratch dir");
-                (Arc::new(store), Some(dir))
-            }
+        if !self.durable {
+            return (Arc::new(ShardedStore::with_shards(self.shards)), None);
         }
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let unique = NEXT.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        let dir = std::env::temp_dir().join(format!(
+            "faultsim-durable-{}-{seed}-{unique}",
+            std::process::id()
+        ));
+        let mut cfg = wal::LogConfig::named("faultsim");
+        // Manual sync: flushes happen inline in ticket waits, so the run
+        // stays single-threaded and deterministic.
+        cfg.sync = wal::SyncPolicy::Manual;
+        let (store, _) =
+            ShardedStore::open_durable(&dir, self.shards, std::time::Duration::ZERO, cfg)
+                .expect("open durable store in scratch dir");
+        (Arc::new(store), Some(dir))
     }
 }
 
@@ -117,7 +121,7 @@ impl Default for SimConfig {
             rates: FaultRates::chaotic(),
             crash_permille: 150,
             max_steps: 100_000,
-            store: StoreSelection::Global,
+            store: StoreSelection::default(),
         }
     }
 }
@@ -580,7 +584,10 @@ mod tests {
     #[test]
     fn sharded_store_run_passes() {
         let config = SimConfig {
-            store: StoreSelection::Sharded(8),
+            store: StoreSelection {
+                shards: 8,
+                durable: false,
+            },
             ..SimConfig::default()
         };
         let report = run(1, &config);
@@ -590,7 +597,10 @@ mod tests {
     #[test]
     fn durable_store_run_passes() {
         let config = SimConfig {
-            store: StoreSelection::Durable(4),
+            store: StoreSelection {
+                shards: 4,
+                durable: true,
+            },
             ..SimConfig::default()
         };
         let report = run(1, &config);
@@ -605,7 +615,8 @@ mod tests {
         // the WAL-backed one, whose scratch path derives from the seed.
         for seed in [1, 7, 23] {
             let global = run(seed, &SimConfig::default());
-            for store in [StoreSelection::Sharded(8), StoreSelection::Durable(8)] {
+            for durable in [false, true] {
+                let store = StoreSelection { shards: 8, durable };
                 let other = run(
                     seed,
                     &SimConfig {

@@ -654,8 +654,10 @@ impl ShardedStore {
         self.wal.is_some()
     }
 
-    /// Serializes the full store state into the wire data model — the same
-    /// `stacksync-metadata-v1` format as [`crate::InMemoryStore::snapshot`].
+    /// Dumps the full store state (users, workspaces, every item's version
+    /// chain) into the wire data model, in an order that does not depend on
+    /// the shard count: two stores hold the same state exactly when their
+    /// dumps are equal.
     pub fn snapshot(&self) -> Value {
         parts_to_value(&self.capture().0)
     }

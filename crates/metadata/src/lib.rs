@@ -7,26 +7,28 @@
 //! (paper §4). The SyncService talks to it through an extensible DAO so the
 //! back-end can be replaced.
 //!
-//! This crate reproduces that tier as a serializable in-memory store:
+//! This crate reproduces that tier as one serializable store:
 //!
 //! * [`MetadataStore`] is the DAO trait (the paper's extension hook);
-//! * [`InMemoryStore`] implements it with one big serialization lock —
-//!   every commit is atomic and totally ordered, which is exactly the
-//!   property Algorithm 1 relies on to declare winners;
-//! * [`ShardedStore`] implements the same DAO over N per-workspace
-//!   partitions routed by `hash(workspace_id)`, so commits to different
-//!   workspaces proceed in parallel while each workspace keeps the same
-//!   totally-ordered transaction semantics (Algorithm 1 never crosses
-//!   workspaces);
+//! * [`ShardedStore`] is its one implementation: N per-workspace
+//!   partitions routed by `hash(workspace_id)`, each behind its own
+//!   serialization lock. Within a partition every commit is atomic and
+//!   totally ordered — the property Algorithm 1 relies on to declare
+//!   winners — and commits to workspaces on different partitions proceed
+//!   in parallel (Algorithm 1 never crosses workspaces).
+//!   [`ShardedStore::with_shards`]`(1)` is the single-database
+//!   serialization point; [`ShardedStore::new`] is the in-memory store
+//!   sized to the machine; [`ShardedStore::open_durable`] puts a
+//!   write-ahead log and a binary snapshot under it;
 //! * [`ItemMetadata`]/[`CommitOutcome`] model versioned items and the
 //!   commit results piggybacked in `CommitNotification`s.
 //!
 //! ## Example
 //!
 //! ```
-//! use metadata::{InMemoryStore, MetadataStore, ItemMetadata, CommitResult};
+//! use metadata::{ShardedStore, MetadataStore, ItemMetadata, CommitResult};
 //!
-//! let store = InMemoryStore::new();
+//! let store = ShardedStore::new();
 //! store.create_user("alice").unwrap();
 //! let ws = store.create_workspace("alice", "Documents").unwrap();
 //! let item = ItemMetadata::new_file(1, &ws, "report.txt", vec![], 0, "device-1");
@@ -48,4 +50,4 @@ pub use durable::DurableRecovery;
 pub use error::{MetadataError, MetadataResult};
 pub use model::{CommitOutcome, CommitResult, ItemMetadata, Workspace, WorkspaceId};
 pub use shard::ShardedStore;
-pub use store::{InMemoryStore, MetadataStore};
+pub use store::MetadataStore;

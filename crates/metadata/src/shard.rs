@@ -97,17 +97,21 @@ impl std::fmt::Debug for Shard {
 }
 
 /// Partitioned metadata store: N independent per-workspace partitions
-/// behind the same [`MetadataStore`] DAO as [`crate::InMemoryStore`].
+/// behind the [`MetadataStore`] DAO.
 ///
-/// For any per-workspace history the outcomes are identical to the
-/// global-mutex store (the per-item transaction body is literally the same
-/// code); what changes is that transactions on different workspaces no
-/// longer serialize against each other.
+/// For any per-workspace history the outcomes are the same at every shard
+/// count (the per-item transaction body is one piece of code,
+/// `ItemTables::apply_proposal`); what the count changes is which
+/// transactions serialize against each other. With one shard every commit
+/// does — the moral equivalent of `SERIALIZABLE` isolation on a single
+/// database.
 ///
-/// Like [`crate::InMemoryStore`], an optional commit latency models the
-/// transaction time of the ACID back-end, held under the *partition* lock
-/// — so it serializes commits within a workspace's shard but overlaps
-/// across shards.
+/// An optional commit latency models the transaction time of the ACID
+/// back-end this store stands in for (the paper's PostgreSQL). It is spent
+/// **while holding the partition lock**, exactly as a relational back-end
+/// holds its row locks across the transaction round trip — so it
+/// serializes commits within a workspace's shard but overlaps across
+/// shards.
 #[derive(Debug)]
 pub struct ShardedStore {
     pub(crate) directory: Mutex<Directory>,
@@ -133,9 +137,8 @@ impl Default for ShardedStore {
 }
 
 impl ShardedStore {
-    /// Creates a store with one partition per available CPU (at least 2 —
-    /// a single partition would just be [`crate::InMemoryStore`] with
-    /// extra steps).
+    /// Creates an in-memory store with one partition per available CPU (at
+    /// least 2, so the default always exercises cross-shard routing).
     pub fn new() -> Self {
         let cpus = std::thread::available_parallelism()
             .map(|n| n.get())

@@ -1,10 +1,8 @@
-//! The DAO trait and the serializable in-memory implementation.
+//! The DAO trait and the item tables Algorithm 1 runs on.
 
 use crate::error::{MetadataError, MetadataResult};
 use crate::model::{CommitOutcome, CommitResult, ItemMetadata, Workspace, WorkspaceId};
-use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::time::Duration;
+use std::collections::{BTreeSet, HashMap};
 
 /// The Data Access Object the SyncService talks through (paper §4.2.1:
 /// "The SyncService interacts with the Metadata back-end using an
@@ -12,9 +10,9 @@ use std::time::Duration;
 ///
 /// Every read that can miss returns a [`MetadataResult`] with a typed
 /// not-found error ([`MetadataError::UnknownWorkspace`] /
-/// [`MetadataError::UnknownItem`]) rather than a bare `Option`, so store
-/// implementations with internal routing (e.g. [`crate::ShardedStore`])
-/// have a place to surface *why* a lookup failed.
+/// [`MetadataError::UnknownItem`]) rather than a bare `Option`, so a store
+/// with internal routing ([`crate::ShardedStore`]) has a place to surface
+/// *why* a lookup failed.
 pub trait MetadataStore: Send + Sync {
     /// Registers a user.
     ///
@@ -93,10 +91,9 @@ pub trait MetadataStore: Send + Sync {
     fn history(&self, item_id: u64) -> MetadataResult<Vec<ItemMetadata>>;
 }
 
-/// The item tables every store partition maintains: version chains plus the
-/// per-workspace index. Shared between [`InMemoryStore`] (one global
-/// partition) and [`crate::ShardedStore`] (one per shard), so Algorithm 1
-/// is written exactly once.
+/// The item tables every partition of [`crate::ShardedStore`] maintains:
+/// version chains plus the per-workspace index. Algorithm 1 is written
+/// here, once.
 #[derive(Debug, Default)]
 pub(crate) struct ItemTables {
     /// item id -> all versions, oldest first.
@@ -194,241 +191,30 @@ impl ItemTables {
     }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    users: BTreeSet<String>,
-    workspaces: BTreeMap<String, Workspace>,
-    tables: ItemTables,
-    next_workspace: u64,
-}
-
-/// Serializable in-memory metadata store.
-///
-/// One mutex serializes every transaction — the moral equivalent of
-/// `SERIALIZABLE` isolation, and the strongest form of the ACID semantics
-/// the paper leans on. Clones share state.
-///
-/// The optional *commit latency* models the transaction time of the ACID
-/// back-end this store stands in for (the paper's PostgreSQL): it is spent
-/// **while holding the store lock**, exactly as a relational back-end holds
-/// its row locks across the transaction round trip. With the global mutex,
-/// that latency serializes across every workspace — the bottleneck
-/// [`crate::ShardedStore`] removes.
-#[derive(Debug, Default)]
-pub struct InMemoryStore {
-    inner: Mutex<Inner>,
-    commit_latency: Duration,
-}
-
-impl InMemoryStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty store whose commit transactions each take
-    /// `latency`, held under the serialization lock (see the type docs).
-    pub fn with_commit_latency(latency: Duration) -> Self {
-        InMemoryStore {
-            inner: Mutex::new(Inner::default()),
-            commit_latency: latency,
-        }
-    }
-
-    /// Dumps the full state for snapshotting: users, workspaces, and every
-    /// item's version history (oldest first).
-    pub(crate) fn dump(&self) -> (Vec<String>, Vec<Workspace>, Vec<Vec<ItemMetadata>>) {
-        let inner = self.inner.lock();
-        let users = inner.users.iter().cloned().collect();
-        let workspaces = inner.workspaces.values().cloned().collect();
-        let mut histories: Vec<Vec<ItemMetadata>> = inner.tables.items.values().cloned().collect();
-        histories.sort_by_key(|v| v[0].item_id);
-        (users, workspaces, histories)
-    }
-
-    /// Rebuilds a store from dumped state (inverse of
-    /// [`InMemoryStore::dump`]). Workspace id allocation resumes past the
-    /// highest restored id.
-    pub(crate) fn from_dump(
-        users: Vec<String>,
-        workspaces: Vec<Workspace>,
-        histories: Vec<Vec<ItemMetadata>>,
-    ) -> InMemoryStore {
-        let mut inner = Inner {
-            users: users.into_iter().collect(),
-            ..Inner::default()
-        };
-        for ws in workspaces {
-            inner.next_workspace = inner.next_workspace.max(
-                ws.id
-                    .0
-                    .strip_prefix("ws-")
-                    .and_then(|n| n.parse::<u64>().ok())
-                    .unwrap_or(0),
-            );
-            inner
-                .tables
-                .by_workspace
-                .entry(ws.id.0.clone())
-                .or_default();
-            inner.workspaces.insert(ws.id.0.clone(), ws);
-        }
-        for versions in histories {
-            if let Some(first) = versions.first() {
-                inner
-                    .tables
-                    .by_workspace
-                    .entry(first.workspace.0.clone())
-                    .or_default()
-                    .insert(first.item_id);
-                inner.tables.items.insert(first.item_id, versions);
-            }
-        }
-        InMemoryStore {
-            inner: Mutex::new(inner),
-            commit_latency: Duration::ZERO,
-        }
-    }
-}
-
-impl MetadataStore for InMemoryStore {
-    fn create_user(&self, user: &str) -> MetadataResult<()> {
-        let mut inner = self.inner.lock();
-        if !inner.users.insert(user.to_string()) {
-            return Err(MetadataError::UserExists(user.to_string()));
-        }
-        Ok(())
-    }
-
-    fn create_workspace(&self, user: &str, name: &str) -> MetadataResult<WorkspaceId> {
-        let mut inner = self.inner.lock();
-        if !inner.users.contains(user) {
-            return Err(MetadataError::UnknownUser(user.to_string()));
-        }
-        inner.next_workspace += 1;
-        let id = WorkspaceId(format!("ws-{}", inner.next_workspace));
-        inner.workspaces.insert(
-            id.0.clone(),
-            Workspace {
-                id: id.clone(),
-                owner: user.to_string(),
-                name: name.to_string(),
-                members: Vec::new(),
-            },
-        );
-        inner
-            .tables
-            .by_workspace
-            .insert(id.0.clone(), BTreeSet::new());
-        Ok(id)
-    }
-
-    fn workspaces_of(&self, user: &str) -> MetadataResult<Vec<Workspace>> {
-        let inner = self.inner.lock();
-        if !inner.users.contains(user) {
-            return Err(MetadataError::UnknownUser(user.to_string()));
-        }
-        Ok(inner
-            .workspaces
-            .values()
-            .filter(|w| w.owner == user || w.members.iter().any(|m| m == user))
-            .cloned()
-            .collect())
-    }
-
-    fn share_workspace(&self, workspace: &WorkspaceId, user: &str) -> MetadataResult<()> {
-        let mut inner = self.inner.lock();
-        if !inner.users.contains(user) {
-            return Err(MetadataError::UnknownUser(user.to_string()));
-        }
-        let ws = inner
-            .workspaces
-            .get_mut(&workspace.0)
-            .ok_or_else(|| MetadataError::UnknownWorkspace(workspace.0.clone()))?;
-        if ws.owner != user && !ws.members.iter().any(|m| m == user) {
-            ws.members.push(user.to_string());
-        }
-        Ok(())
-    }
-
-    fn get_workspace(&self, workspace: &WorkspaceId) -> MetadataResult<Workspace> {
-        self.inner
-            .lock()
-            .workspaces
-            .get(&workspace.0)
-            .cloned()
-            .ok_or_else(|| MetadataError::UnknownWorkspace(workspace.0.clone()))
-    }
-
-    fn commit(
-        &self,
-        workspace: &WorkspaceId,
-        proposals: Vec<ItemMetadata>,
-    ) -> MetadataResult<Vec<CommitOutcome>> {
-        let lock_start = obs::now_ns();
-        let mut inner = self.inner.lock();
-        let lock_end = obs::now_ns();
-        if !inner.workspaces.contains_key(&workspace.0) {
-            return Err(MetadataError::UnknownWorkspace(workspace.0.clone()));
-        }
-        if !self.commit_latency.is_zero() {
-            std::thread::sleep(self.commit_latency);
-        }
-        let mut outcomes = Vec::with_capacity(proposals.len());
-        for proposed in proposals {
-            outcomes.push(inner.tables.apply_proposal(workspace, proposed)?);
-        }
-        // Critical-path instrumentation: how long this commit waited on the
-        // serialization lock vs. spent in the transaction proper.
-        if let Some(parent) = obs::current() {
-            let txn_end = obs::now_ns();
-            obs::record_manual("meta.lock_wait", &parent, lock_start, lock_end);
-            obs::record_manual("meta.txn", &parent, lock_end, txn_end);
-        }
-        Ok(outcomes)
-    }
-
-    fn current_items(&self, workspace: &WorkspaceId) -> MetadataResult<Vec<ItemMetadata>> {
-        self.inner
-            .lock()
-            .tables
-            .current_of(workspace)
-            .ok_or_else(|| MetadataError::UnknownWorkspace(workspace.0.clone()))
-    }
-
-    fn get_current(&self, item_id: u64) -> MetadataResult<ItemMetadata> {
-        self.inner
-            .lock()
-            .tables
-            .items
-            .get(&item_id)
-            .and_then(|v| v.last())
-            .cloned()
-            .ok_or(MetadataError::UnknownItem(item_id))
-    }
-
-    fn history(&self, item_id: u64) -> MetadataResult<Vec<ItemMetadata>> {
-        self.inner
-            .lock()
-            .tables
-            .items
-            .get(&item_id)
-            .cloned()
-            .ok_or(MetadataError::UnknownItem(item_id))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedStore;
     use content::ChunkId;
     use std::sync::Arc;
+    use std::time::Duration;
 
-    fn setup() -> (InMemoryStore, WorkspaceId) {
-        let s = InMemoryStore::new();
-        s.create_user("alice").unwrap();
-        let ws = s.create_workspace("alice", "Documents").unwrap();
-        (s, ws)
+    /// Runs `test` against a fresh store at 1 shard — the single-database
+    /// serialization point — and at 8: the DAO contract does not depend on
+    /// the partitioning.
+    fn at_1_and_8_shards(test: impl Fn(ShardedStore)) {
+        for shards in [1, 8] {
+            test(ShardedStore::with_shards(shards));
+        }
+    }
+
+    /// As [`at_1_and_8_shards`], with alice's "Documents" workspace provisioned.
+    fn with_workspace(test: impl Fn(ShardedStore, WorkspaceId)) {
+        at_1_and_8_shards(|s| {
+            s.create_user("alice").unwrap();
+            let ws = s.create_workspace("alice", "Documents").unwrap();
+            test(s, ws);
+        });
     }
 
     fn file(id: u64, ws: &WorkspaceId, version: u64) -> ItemMetadata {
@@ -440,246 +226,264 @@ mod tests {
 
     #[test]
     fn duplicate_user_rejected() {
-        let s = InMemoryStore::new();
-        s.create_user("u").unwrap();
-        assert!(matches!(
-            s.create_user("u"),
-            Err(MetadataError::UserExists(_))
-        ));
+        at_1_and_8_shards(|s| {
+            s.create_user("u").unwrap();
+            assert!(matches!(
+                s.create_user("u"),
+                Err(MetadataError::UserExists(_))
+            ));
+        });
     }
 
     #[test]
     fn workspace_requires_user() {
-        let s = InMemoryStore::new();
-        assert!(matches!(
-            s.create_workspace("ghost", "x"),
-            Err(MetadataError::UnknownUser(_))
-        ));
+        at_1_and_8_shards(|s| {
+            assert!(matches!(
+                s.create_workspace("ghost", "x"),
+                Err(MetadataError::UnknownUser(_))
+            ));
+        });
     }
 
     #[test]
     fn workspaces_of_lists_only_own() {
-        let s = InMemoryStore::new();
-        s.create_user("a").unwrap();
-        s.create_user("b").unwrap();
-        let wa = s.create_workspace("a", "A").unwrap();
-        let _wb = s.create_workspace("b", "B").unwrap();
-        let list = s.workspaces_of("a").unwrap();
-        assert_eq!(list.len(), 1);
-        assert_eq!(list[0].id, wa);
+        at_1_and_8_shards(|s| {
+            s.create_user("a").unwrap();
+            s.create_user("b").unwrap();
+            let wa = s.create_workspace("a", "A").unwrap();
+            let _wb = s.create_workspace("b", "B").unwrap();
+            let list = s.workspaces_of("a").unwrap();
+            assert_eq!(list.len(), 1);
+            assert_eq!(list[0].id, wa);
+        });
     }
 
     #[test]
     fn first_commit_creates_version_one() {
-        let (s, ws) = setup();
-        let outcomes = s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
-        assert!(matches!(
-            outcomes[0].result,
-            CommitResult::Committed { version: 1 }
-        ));
-        assert_eq!(s.get_current(1).unwrap().version, 1);
+        with_workspace(|s, ws| {
+            let outcomes = s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
+            assert!(matches!(
+                outcomes[0].result,
+                CommitResult::Committed { version: 1 }
+            ));
+            assert_eq!(s.get_current(1).unwrap().version, 1);
+        });
     }
 
     #[test]
     fn sequential_versions_commit() {
-        let (s, ws) = setup();
-        s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
-        let out = s.commit(&ws, vec![file(1, &ws, 2)]).unwrap();
-        assert!(out[0].is_committed());
-        assert_eq!(s.get_current(1).unwrap().version, 2);
-        assert_eq!(s.history(1).unwrap().len(), 2);
+        with_workspace(|s, ws| {
+            s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
+            let out = s.commit(&ws, vec![file(1, &ws, 2)]).unwrap();
+            assert!(out[0].is_committed());
+            assert_eq!(s.get_current(1).unwrap().version, 2);
+            assert_eq!(s.history(1).unwrap().len(), 2);
+        });
     }
 
     #[test]
     fn stale_version_conflicts_and_carries_current() {
-        let (s, ws) = setup();
-        s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
-        s.commit(&ws, vec![file(1, &ws, 2)]).unwrap();
-        // A second client still at version 1 proposes its own version 2.
-        let mut stale = file(1, &ws, 2);
-        stale.modified_by = "other-dev".to_string();
-        let out = s.commit(&ws, vec![stale]).unwrap();
-        match &out[0].result {
-            CommitResult::Conflict { current } => assert_eq!(current.version, 2),
-            other => panic!("expected conflict, got {other:?}"),
-        }
-        // No rollback: current stays at version 2.
-        assert_eq!(s.get_current(1).unwrap().version, 2);
+        with_workspace(|s, ws| {
+            s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
+            s.commit(&ws, vec![file(1, &ws, 2)]).unwrap();
+            // A second client still at version 1 proposes its own version 2.
+            let mut stale = file(1, &ws, 2);
+            stale.modified_by = "other-dev".to_string();
+            let out = s.commit(&ws, vec![stale]).unwrap();
+            match &out[0].result {
+                CommitResult::Conflict { current } => assert_eq!(current.version, 2),
+                other => panic!("expected conflict, got {other:?}"),
+            }
+            // No rollback: current stays at version 2.
+            assert_eq!(s.get_current(1).unwrap().version, 2);
+        });
     }
 
     #[test]
     fn replayed_commit_confirms_idempotently() {
         // At-least-once delivery (crash before ack, transport redelivery)
         // replays the exact same proposal; it must confirm, not conflict.
-        let (s, ws) = setup();
-        s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
-        let out = s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
-        assert!(matches!(
-            out[0].result,
-            CommitResult::Committed { version: 1 }
-        ));
-        // The replay is recognized, not stored as a second version.
-        assert_eq!(s.history(1).unwrap().len(), 1);
+        with_workspace(|s, ws| {
+            s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
+            let out = s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
+            assert!(matches!(
+                out[0].result,
+                CommitResult::Committed { version: 1 }
+            ));
+            // The replay is recognized, not stored as a second version.
+            assert_eq!(s.history(1).unwrap().len(), 1);
+        });
     }
 
     #[test]
     fn skipping_versions_conflicts() {
-        let (s, ws) = setup();
-        s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
-        let out = s.commit(&ws, vec![file(1, &ws, 5)]).unwrap();
-        assert!(!out[0].is_committed());
+        with_workspace(|s, ws| {
+            s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
+            let out = s.commit(&ws, vec![file(1, &ws, 5)]).unwrap();
+            assert!(!out[0].is_committed());
+        });
     }
 
     #[test]
     fn mixed_batch_gets_per_item_outcomes() {
-        let (s, ws) = setup();
-        s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
-        let out = s
-            .commit(&ws, vec![file(1, &ws, 2), file(2, &ws, 1), file(1, &ws, 9)])
-            .unwrap();
-        assert!(out[0].is_committed());
-        assert!(out[1].is_committed());
-        assert!(
-            !out[2].is_committed(),
-            "stale proposal in same batch conflicts"
-        );
+        with_workspace(|s, ws| {
+            s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
+            let out = s
+                .commit(&ws, vec![file(1, &ws, 2), file(2, &ws, 1), file(1, &ws, 9)])
+                .unwrap();
+            assert!(out[0].is_committed());
+            assert!(out[1].is_committed());
+            assert!(
+                !out[2].is_committed(),
+                "stale proposal in same batch conflicts"
+            );
+        });
     }
 
     #[test]
     fn tombstone_flow() {
-        let (s, ws) = setup();
-        s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
-        let cur = s.get_current(1).unwrap();
-        let out = s.commit(&ws, vec![cur.tombstone("dev")]).unwrap();
-        assert!(out[0].is_committed());
-        let current = s.get_current(1).unwrap();
-        assert!(current.is_deleted);
-        // Tombstones still appear in the workspace listing (clients need
-        // them to delete local copies).
-        let items = s.current_items(&ws).unwrap();
-        assert_eq!(items.len(), 1);
-        assert!(items[0].is_deleted);
+        with_workspace(|s, ws| {
+            s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
+            let cur = s.get_current(1).unwrap();
+            let out = s.commit(&ws, vec![cur.tombstone("dev")]).unwrap();
+            assert!(out[0].is_committed());
+            let current = s.get_current(1).unwrap();
+            assert!(current.is_deleted);
+            // Tombstones still appear in the workspace listing (clients need
+            // them to delete local copies).
+            let items = s.current_items(&ws).unwrap();
+            assert_eq!(items.len(), 1);
+            assert!(items[0].is_deleted);
+        });
     }
 
     #[test]
     fn unknown_workspace_errors() {
-        let (s, _) = setup();
-        let bogus = WorkspaceId::from("nope");
-        assert!(matches!(
-            s.commit(&bogus, vec![]),
-            Err(MetadataError::UnknownWorkspace(_))
-        ));
-        assert!(matches!(
-            s.current_items(&bogus),
-            Err(MetadataError::UnknownWorkspace(_))
-        ));
-        assert!(matches!(
-            s.get_workspace(&bogus),
-            Err(MetadataError::UnknownWorkspace(_))
-        ));
+        with_workspace(|s, _| {
+            let bogus = WorkspaceId::from("nope");
+            assert!(matches!(
+                s.commit(&bogus, vec![]),
+                Err(MetadataError::UnknownWorkspace(_))
+            ));
+            assert!(matches!(
+                s.current_items(&bogus),
+                Err(MetadataError::UnknownWorkspace(_))
+            ));
+            assert!(matches!(
+                s.get_workspace(&bogus),
+                Err(MetadataError::UnknownWorkspace(_))
+            ));
+        });
     }
 
     #[test]
     fn unknown_item_errors() {
-        let (s, _) = setup();
-        assert!(matches!(
-            s.get_current(404),
-            Err(MetadataError::UnknownItem(404))
-        ));
-        assert!(matches!(
-            s.history(404),
-            Err(MetadataError::UnknownItem(404))
-        ));
+        with_workspace(|s, _| {
+            assert!(matches!(
+                s.get_current(404),
+                Err(MetadataError::UnknownItem(404))
+            ));
+            assert!(matches!(
+                s.history(404),
+                Err(MetadataError::UnknownItem(404))
+            ));
+        });
     }
 
     #[test]
     fn items_are_pinned_to_their_workspace() {
-        let s = InMemoryStore::new();
-        s.create_user("alice").unwrap();
-        let ws1 = s.create_workspace("alice", "A").unwrap();
-        let ws2 = s.create_workspace("alice", "B").unwrap();
-        s.commit(&ws1, vec![file(1, &ws1, 1)]).unwrap();
-        assert!(matches!(
-            s.commit(&ws2, vec![file(1, &ws2, 2)]),
-            Err(MetadataError::WrongWorkspace { item: 1, .. })
-        ));
+        at_1_and_8_shards(|s| {
+            s.create_user("alice").unwrap();
+            let ws1 = s.create_workspace("alice", "A").unwrap();
+            let ws2 = s.create_workspace("alice", "B").unwrap();
+            s.commit(&ws1, vec![file(1, &ws1, 1)]).unwrap();
+            assert!(matches!(
+                s.commit(&ws2, vec![file(1, &ws2, 2)]),
+                Err(MetadataError::WrongWorkspace { item: 1, .. })
+            ));
+        });
     }
 
     #[test]
     fn concurrent_commits_have_exactly_one_winner() {
-        let (s, ws) = setup();
-        s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
-        let s = Arc::new(s);
-        // 8 devices race to commit version 2 of the same item — the paper's
-        // conflict scenario. Exactly one must win.
-        let mut handles = Vec::new();
-        for d in 0..8 {
-            let s = s.clone();
-            let ws = ws.clone();
-            handles.push(std::thread::spawn(move || {
-                let proposal = ItemMetadata {
-                    modified_by: format!("device-{d}"),
-                    ..ItemMetadata {
-                        version: 2,
-                        ..ItemMetadata::new_file(1, &ws, "f1.txt", vec![], 1, "x")
-                    }
-                };
-                s.commit(&ws, vec![proposal]).unwrap()[0].is_committed()
-            }));
-        }
-        let wins: usize = handles
-            .into_iter()
-            .map(|h| h.join().unwrap() as usize)
-            .sum();
-        assert_eq!(wins, 1, "exactly one concurrent committer wins");
-        assert_eq!(s.get_current(1).unwrap().version, 2);
+        with_workspace(|s, ws| {
+            s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
+            let s = Arc::new(s);
+            // 8 devices race to commit version 2 of the same item — the paper's
+            // conflict scenario. Exactly one must win.
+            let mut handles = Vec::new();
+            for d in 0..8 {
+                let s = s.clone();
+                let ws = ws.clone();
+                handles.push(std::thread::spawn(move || {
+                    let proposal = ItemMetadata {
+                        modified_by: format!("device-{d}"),
+                        ..ItemMetadata {
+                            version: 2,
+                            ..ItemMetadata::new_file(1, &ws, "f1.txt", vec![], 1, "x")
+                        }
+                    };
+                    s.commit(&ws, vec![proposal]).unwrap()[0].is_committed()
+                }));
+            }
+            let wins: usize = handles
+                .into_iter()
+                .map(|h| h.join().unwrap() as usize)
+                .sum();
+            assert_eq!(wins, 1, "exactly one concurrent committer wins");
+            assert_eq!(s.get_current(1).unwrap().version, 2);
+        });
     }
 
     #[test]
     fn chunks_are_stored_with_versions() {
-        let (s, ws) = setup();
-        let c1 = ChunkId::of(b"one");
-        let c2 = ChunkId::of(b"two");
-        let mut f = file(1, &ws, 1);
-        f.chunks = vec![c1, c2];
-        s.commit(&ws, vec![f]).unwrap();
-        assert_eq!(s.get_current(1).unwrap().chunks, vec![c1, c2]);
+        with_workspace(|s, ws| {
+            let c1 = ChunkId::of(b"one");
+            let c2 = ChunkId::of(b"two");
+            let mut f = file(1, &ws, 1);
+            f.chunks = vec![c1, c2];
+            s.commit(&ws, vec![f]).unwrap();
+            assert_eq!(s.get_current(1).unwrap().chunks, vec![c1, c2]);
+        });
     }
 
     #[test]
     fn commit_latency_is_spent_inside_the_transaction() {
-        let s = InMemoryStore::with_commit_latency(Duration::from_millis(5));
-        s.create_user("u").unwrap();
-        let ws = s.create_workspace("u", "W").unwrap();
-        let start = std::time::Instant::now();
-        s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(5));
-        // Reads stay instant — only the write transaction pays.
-        assert_eq!(s.get_current(1).unwrap().version, 1);
+        for shards in [1, 8] {
+            let s = ShardedStore::with_shards_and_latency(shards, Duration::from_millis(5));
+            s.create_user("u").unwrap();
+            let ws = s.create_workspace("u", "W").unwrap();
+            let start = std::time::Instant::now();
+            s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
+            assert!(start.elapsed() >= Duration::from_millis(5));
+            // Reads stay instant — only the write transaction pays.
+            assert_eq!(s.get_current(1).unwrap().version, 1);
+        }
     }
 
     #[test]
     fn version_monotonicity_property() {
         // Drive a pseudo-random schedule of valid/stale commits and check
         // the history is strictly monotonically versioned.
-        let (s, ws) = setup();
-        s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
-        let mut state = 0x2545F4914F6CDD1Du64;
-        for _ in 0..200 {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            let cur = s.get_current(1).unwrap().version;
-            let proposed = if state.is_multiple_of(3) {
-                cur + 1
-            } else {
-                state % 7
-            };
-            let _ = s.commit(&ws, vec![file(1, &ws, proposed)]);
-        }
-        let history = s.history(1).unwrap();
-        for (i, v) in history.iter().enumerate() {
-            assert_eq!(v.version, i as u64 + 1, "history must be gapless");
-        }
+        with_workspace(|s, ws| {
+            s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
+            let mut state = 0x2545F4914F6CDD1Du64;
+            for _ in 0..200 {
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                let cur = s.get_current(1).unwrap().version;
+                let proposed = if state.is_multiple_of(3) {
+                    cur + 1
+                } else {
+                    state % 7
+                };
+                let _ = s.commit(&ws, vec![file(1, &ws, proposed)]);
+            }
+            let history = s.history(1).unwrap();
+            for (i, v) in history.iter().enumerate() {
+                assert_eq!(v.version, i as u64 + 1, "history must be gapless");
+            }
+        });
     }
 }

@@ -128,11 +128,15 @@ fn checkpoint_composes_with_log_replay() {
         "snapshot + replay never double-applies a commit"
     );
 
-    // A second checkpoint + reopen cycle stays stable.
+    // A second checkpoint replaces the first through the temp file and the
+    // rename: the temp file is gone, the snapshot is the whole new state (no
+    // record is left to replay), and the reopen cycle stays stable.
     store.checkpoint().unwrap();
+    assert!(!root.join("snapshot.tmp").exists());
     drop(store);
     let (store, rec) = open(&root, 2);
     assert!(rec.snapshot_loaded);
+    assert_eq!(rec.replayed, 0);
     assert_eq!(snap_bytes(&store), before);
 
     let _ = std::fs::remove_dir_all(&root);

@@ -2,17 +2,26 @@
 //! commits are exactly "accept iff version == current + 1 (or first
 //! version, or an identical replay of the current version)", histories
 //! stay gapless, and the store agrees with the oracle under arbitrary
-//! schedules.
+//! schedules. The oracle is the independent reference: it shares no code
+//! with the store, and the store must agree with it at 1 shard and at 8.
 
-use metadata::{CommitResult, InMemoryStore, ItemMetadata, MetadataStore, WorkspaceId};
+use metadata::{CommitResult, ItemMetadata, MetadataStore, ShardedStore, WorkspaceId};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use wal::{LogConfig, SyncPolicy};
 
 #[derive(Debug, Clone)]
 struct Proposal {
     item: u64,
     version: u64,
     deleted: bool,
+}
+
+/// The shard counts every property is checked at: the single serialization
+/// point and a partitioned store.
+fn arb_shards() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(1usize), Just(8usize)]
 }
 
 fn arb_proposal() -> impl Strategy<Value = Proposal> {
@@ -29,8 +38,9 @@ proptest! {
     #[test]
     fn store_agrees_with_version_oracle(
         proposals in proptest::collection::vec(arb_proposal(), 1..80),
+        shards in arb_shards(),
     ) {
-        let store = InMemoryStore::new();
+        let store = ShardedStore::with_shards(shards);
         store.create_user("u").unwrap();
         let ws = store.create_workspace("u", "w").unwrap();
         // Oracle: item -> (current version, deleted flag of that version).
@@ -90,6 +100,7 @@ proptest! {
     #[test]
     fn batch_commit_equals_sequential_commits(
         proposals in proptest::collection::vec(arb_proposal(), 1..40),
+        shards in arb_shards(),
     ) {
         // Committing a batch must produce exactly the same outcomes as
         // committing its elements one by one (Algorithm 1 processes the
@@ -100,14 +111,14 @@ proptest! {
             ..ItemMetadata::new_file(p.item, ws, &format!("f{}", p.item), vec![], 1, "d")
         };
 
-        let batched = InMemoryStore::new();
+        let batched = ShardedStore::with_shards(shards);
         batched.create_user("u").unwrap();
         let ws_b = batched.create_workspace("u", "w").unwrap();
         let outcomes_batched = batched
             .commit(&ws_b, proposals.iter().map(|p| mk(p, &ws_b)).collect())
             .unwrap();
 
-        let sequential = InMemoryStore::new();
+        let sequential = ShardedStore::with_shards(shards);
         sequential.create_user("u").unwrap();
         let ws_s = sequential.create_workspace("u", "w").unwrap();
         let mut outcomes_sequential = Vec::new();
@@ -123,8 +134,22 @@ proptest! {
     #[test]
     fn snapshot_restore_is_lossless(
         proposals in proptest::collection::vec(arb_proposal(), 1..40),
+        shards in arb_shards(),
     ) {
-        let store = InMemoryStore::new();
+        // Whatever a random schedule leaves in a durable store, a
+        // checkpoint followed by a reopen gives back, from the snapshot.
+        static RUN: AtomicU64 = AtomicU64::new(0);
+        let root = std::env::temp_dir().join(format!(
+            "meta-lossless-{}-{}",
+            std::process::id(),
+            RUN.fetch_add(1, Ordering::Relaxed)
+        ));
+        let open = || {
+            let mut cfg = LogConfig::named("meta-lossless");
+            cfg.sync = SyncPolicy::Manual;
+            ShardedStore::open_durable(&root, shards, std::time::Duration::ZERO, cfg).unwrap()
+        };
+        let (store, _) = open();
         store.create_user("u").unwrap();
         let ws = store.create_workspace("u", "w").unwrap();
         for p in &proposals {
@@ -135,13 +160,14 @@ proptest! {
             };
             let _ = store.commit(&ws, vec![meta]);
         }
-        let restored = InMemoryStore::restore(&store.snapshot()).unwrap();
-        prop_assert_eq!(
-            restored.current_items(&ws).unwrap(),
-            store.current_items(&ws).unwrap()
-        );
-        for item in 0u64..6 {
-            prop_assert_eq!(restored.history(item).ok(), store.history(item).ok());
-        }
+        store.checkpoint().unwrap();
+        let before = store.snapshot();
+        drop(store);
+        let (restored, recovery) = open();
+        let after = restored.snapshot();
+        drop(restored);
+        let _ = std::fs::remove_dir_all(&root);
+        prop_assert!(recovery.snapshot_loaded);
+        prop_assert_eq!(after, before);
     }
 }

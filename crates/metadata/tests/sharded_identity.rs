@@ -1,19 +1,23 @@
 //! The sharding identity property: for any multi-workspace commit
 //! interleaving, [`ShardedStore`] produces exactly the same
-//! [`CommitOutcome`] sequence per workspace as the global-mutex
-//! [`InMemoryStore`].
+//! [`CommitOutcome`] sequence per workspace at N shards as at one — the
+//! single-database serialization point, where one lock orders every commit.
 //!
-//! This is what licenses swapping the store under a live SyncService pool:
-//! partitioning changes *which commits can overlap in time*, never *what
-//! any single commit decides*. The property replays one randomly generated
+//! This is what licenses partitioning the store under a live SyncService
+//! pool: it changes *which commits can overlap in time*, never *what any
+//! single commit decides*. The property replays one randomly generated
 //! interleaved history — proposals hopping between several workspaces,
 //! valid versions, stale versions, replays, tombstones, and
 //! wrong-workspace pokes — through both stores in the same order and
 //! demands identical outcomes, identical errors, identical final state.
+//! The two arms reach the wrong-workspace verdict through different code:
+//! with one shard the foreign item is in the only table and the pin check
+//! of Algorithm 1's body rejects it; with N it is on another shard and the
+//! cross-shard item registry does.
 
 use metadata::{
-    CommitOutcome, CommitResult, InMemoryStore, ItemMetadata, MetadataError, MetadataStore,
-    ShardedStore, WorkspaceId,
+    CommitOutcome, CommitResult, ItemMetadata, MetadataError, MetadataStore, ShardedStore,
+    WorkspaceId,
 };
 use proptest::prelude::*;
 
@@ -110,9 +114,9 @@ proptest! {
     #[test]
     fn sharded_matches_global_outcome_for_outcome(
         steps in proptest::collection::vec(arb_step(), 1..120),
-        shards in 1usize..9,
+        shards in 2usize..9,
     ) {
-        let global = InMemoryStore::new();
+        let global = ShardedStore::with_shards(1);
         let sharded = ShardedStore::with_shards(shards);
         let ws_g = provision(&global);
         let ws_s = provision(&sharded);
@@ -149,7 +153,7 @@ proptest! {
         steps in proptest::collection::vec(arb_step(), 1..60),
         shards in 2usize..9,
     ) {
-        let global = InMemoryStore::new();
+        let global = ShardedStore::with_shards(1);
         let sharded = ShardedStore::with_shards(shards);
         let ws_g = provision(&global);
         let ws_s = provision(&sharded);

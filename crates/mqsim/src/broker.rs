@@ -1,6 +1,9 @@
-//! The broker: queue/exchange registry and publish paths, plus a mirrored
-//! cluster for high availability (paper §3.4: "high availability can be
-//! achieved by using clusters of messaging brokers").
+//! The broker: queue/exchange registry and publish paths. Broker high
+//! availability is left to the broker product, as the paper does (§3.4:
+//! "high availability can be achieved by using clusters of messaging
+//! brokers"); what this broker guarantees across its own death is that
+//! published, unacked messages of durable queues come back
+//! ([`MessageBroker::open_durable`]).
 
 use crate::consumer::Consumer;
 use crate::error::{MqError, MqResult};
@@ -14,7 +17,7 @@ use crate::waker::{ReadyWaker, WakerCell};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -324,16 +327,7 @@ impl MessageBroker {
     /// exchange* path).
     pub fn publish_to_queue(&self, queue: &str, message: Message) -> MqResult<()> {
         self.check_up()?;
-        self.publish_internal(queue, message, None)
-    }
-
-    pub(crate) fn publish_internal(
-        &self,
-        queue: &str,
-        message: Message,
-        cluster_id: Option<u64>,
-    ) -> MqResult<()> {
-        self.queue(queue)?.push(message, cluster_id)
+        self.queue(queue)?.push(message)
     }
 
     /// Publishes a batch of messages to one queue under a single queue-lock
@@ -342,7 +336,7 @@ impl MessageBroker {
     /// individually.
     pub fn publish_batch_to_queue(&self, queue: &str, messages: Vec<Message>) -> MqResult<()> {
         self.check_up()?;
-        self.queue(queue)?.push_batch(messages, None)
+        self.queue(queue)?.push_batch(messages)
     }
 
     /// Declares an exchange of the given kind. Redeclaration with the same
@@ -414,7 +408,7 @@ impl MessageBroker {
                 } else {
                     message.as_ref().expect("taken only at last").clone()
                 };
-                core.push(copy, None)?;
+                core.push(copy)?;
                 delivered += 1;
             }
         }
@@ -476,164 +470,11 @@ impl MessageBroker {
             .cloned()
             .ok_or_else(|| MqError::QueueNotFound(name.to_string()))
     }
-
-    pub(crate) fn remove_cluster_copy(&self, queue: &str, cluster_id: u64) {
-        if let Ok(core) = self.queue(queue) {
-            core.remove_cluster_id(cluster_id);
-        }
-    }
-}
-
-/// A primary/mirror broker cluster.
-///
-/// Publishes are mirrored to every node; consumers attach to the primary.
-/// When the primary is killed, the next node is promoted and messages that
-/// were never acknowledged on the failed primary are still present on the
-/// mirrors — so the "no invocation is ever lost" property survives broker
-/// failure, with at-least-once delivery.
-#[derive(Debug, Clone)]
-pub struct BrokerCluster {
-    nodes: Arc<Vec<MessageBroker>>,
-    active: Arc<AtomicU64>,
-    next_cluster_id: Arc<AtomicU64>,
-}
-
-impl BrokerCluster {
-    /// Creates a cluster of `n` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "cluster needs at least one node");
-        BrokerCluster {
-            nodes: Arc::new((0..n).map(|_| MessageBroker::new()).collect()),
-            active: Arc::new(AtomicU64::new(0)),
-            next_cluster_id: Arc::new(AtomicU64::new(1)),
-        }
-    }
-
-    /// The currently active (primary) node.
-    pub fn primary(&self) -> &MessageBroker {
-        let idx = self.active.load(Ordering::Acquire) as usize;
-        &self.nodes[idx % self.nodes.len()]
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the cluster has no nodes (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Declares a queue on all nodes.
-    pub fn declare_queue(&self, name: &str, options: QueueOptions) -> MqResult<()> {
-        for node in self.nodes.iter() {
-            node.declare_queue(name, options.clone())?;
-        }
-        Ok(())
-    }
-
-    /// Publishes a message to the queue on all live nodes, tagged with a
-    /// cluster-wide id so mirrored copies can be dropped on ack.
-    pub fn publish_to_queue(&self, queue: &str, message: Message) -> MqResult<()> {
-        let id = self.next_cluster_id.fetch_add(1, Ordering::Relaxed);
-        let mut published_somewhere = false;
-        let last = self.nodes.len() - 1;
-        let mut message = Some(message);
-        for (i, node) in self.nodes.iter().enumerate() {
-            // Mirror copies share the payload and properties (both
-            // refcounted) instead of deep-cloning per node; the last node
-            // takes the original without touching the refcounts at all.
-            let copy = if i == last {
-                message.take().expect("last node takes the message")
-            } else {
-                message.as_ref().expect("taken only at last").clone()
-            };
-            match node.publish_internal(queue, copy, Some(id)) {
-                Ok(()) => published_somewhere = true,
-                Err(MqError::BrokerDown) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        if published_somewhere {
-            Ok(())
-        } else {
-            Err(MqError::BrokerDown)
-        }
-    }
-
-    /// Subscribes to the queue on the primary node.
-    pub fn subscribe(&self, queue: &str) -> MqResult<ClusterConsumer> {
-        let consumer = self.primary().subscribe(queue)?;
-        Ok(ClusterConsumer {
-            cluster: self.clone(),
-            consumer,
-            queue: queue.to_string(),
-        })
-    }
-
-    /// Kills the primary and promotes the next live node. Returns the index
-    /// of the new primary.
-    ///
-    /// # Errors
-    ///
-    /// [`MqError::BrokerDown`] if every node is dead after the kill.
-    pub fn fail_primary(&self) -> MqResult<usize> {
-        self.primary().kill();
-        for step in 1..=self.nodes.len() {
-            let idx = (self.active.load(Ordering::Acquire) as usize + step) % self.nodes.len();
-            if self.nodes[idx].is_up() {
-                self.active.store(idx as u64, Ordering::Release);
-                return Ok(idx);
-            }
-        }
-        Err(MqError::BrokerDown)
-    }
-
-    fn ack_everywhere(&self, queue: &str, cluster_id: u64) {
-        for node in self.nodes.iter() {
-            node.remove_cluster_copy(queue, cluster_id);
-        }
-    }
-}
-
-/// Consumer attached to the cluster's primary node. Acks propagate to the
-/// mirrors so they drop their copies.
-#[derive(Debug)]
-pub struct ClusterConsumer {
-    cluster: BrokerCluster,
-    consumer: Consumer,
-    queue: String,
-}
-
-impl ClusterConsumer {
-    /// Blocking receive from the primary. Returns `(payload, ack)` where
-    /// calling `ack` removes the message cluster-wide.
-    pub fn recv_timeout(&self, timeout: Duration) -> MqResult<(Message, impl FnOnce() + '_)> {
-        let (tag, message, _redelivered, cluster_id) =
-            self.consumer.queue.recv(self.consumer.id, timeout)?;
-        let queue = self.queue.clone();
-        let cluster = self.cluster.clone();
-        let core = self.consumer.queue.clone();
-        let ack = move || {
-            let _ = core.ack(tag);
-            if let Some(id) = cluster_id {
-                cluster.ack_everywhere(&queue, id);
-            }
-        };
-        Ok((message, ack))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const T: Duration = Duration::from_millis(200);
 
     #[test]
     fn declare_is_idempotent_with_same_options() {
@@ -733,55 +574,6 @@ mod tests {
         b.restart();
         b.publish_to_queue("q", Message::from_static(b"x")).unwrap();
         assert_eq!(b.queue_depth("q").unwrap(), 1, "state preserved over crash");
-    }
-
-    #[test]
-    fn cluster_survives_primary_failure_without_losing_messages() {
-        let cluster = BrokerCluster::new(3);
-        cluster.declare_queue("q", QueueOptions::default()).unwrap();
-        for i in 0..5u8 {
-            cluster
-                .publish_to_queue("q", Message::from_bytes(vec![i]))
-                .unwrap();
-        }
-        // Consume and ack two on the primary.
-        {
-            let consumer = cluster.subscribe("q").unwrap();
-            for _ in 0..2 {
-                let (_m, ack) = consumer.recv_timeout(T).unwrap();
-                ack();
-            }
-        }
-        // Primary dies; promote a mirror. The 3 unconsumed messages survive.
-        cluster.fail_primary().unwrap();
-        let consumer = cluster.subscribe("q").unwrap();
-        let mut remaining = Vec::new();
-        while let Ok((m, ack)) = consumer.recv_timeout(T) {
-            remaining.push(m.payload()[0]);
-            ack();
-        }
-        remaining.sort_unstable();
-        assert_eq!(remaining, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn cluster_ack_removes_mirror_copies() {
-        let cluster = BrokerCluster::new(2);
-        cluster.declare_queue("q", QueueOptions::default()).unwrap();
-        cluster
-            .publish_to_queue("q", Message::from_static(b"only"))
-            .unwrap();
-        {
-            let consumer = cluster.subscribe("q").unwrap();
-            let (_m, ack) = consumer.recv_timeout(T).unwrap();
-            ack();
-        }
-        cluster.fail_primary().unwrap();
-        let consumer = cluster.subscribe("q").unwrap();
-        assert!(
-            consumer.recv_timeout(Duration::from_millis(50)).is_err(),
-            "acked message must not reappear on the mirror"
-        );
     }
 
     #[test]

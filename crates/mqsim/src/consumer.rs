@@ -2,7 +2,7 @@
 
 use crate::error::MqResult;
 use crate::message::{DeliveryTag, Message};
-use crate::queue::{ConsumerId, QueueCore};
+use crate::queue::{ConsumerId, Delivered, QueueCore};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -14,8 +14,8 @@ use std::time::Duration;
 /// server object's in-flight invocations get redispatched (paper §3.4).
 #[derive(Debug)]
 pub struct Consumer {
-    pub(crate) queue: Arc<QueueCore>,
-    pub(crate) id: ConsumerId,
+    queue: Arc<QueueCore>,
+    id: ConsumerId,
     cancelled: bool,
 }
 
@@ -40,7 +40,7 @@ impl Consumer {
     /// Returns [`crate::MqError::RecvTimeout`] on timeout and
     /// [`crate::MqError::Closed`] if the queue was deleted.
     pub fn recv_timeout(&self, timeout: Duration) -> MqResult<Delivery> {
-        let (tag, message, redelivered, _cluster) = self.queue.recv(self.id, timeout)?;
+        let (tag, message, redelivered) = self.queue.recv(self.id, timeout)?;
         Ok(Delivery {
             message,
             tag,
@@ -52,7 +52,7 @@ impl Consumer {
 
     /// Returns a message immediately if one is ready.
     pub fn try_recv(&self) -> Option<Delivery> {
-        let (tag, message, redelivered, _cluster) = self.queue.try_recv(self.id)?;
+        let (tag, message, redelivered) = self.queue.try_recv(self.id)?;
         Some(Delivery {
             message,
             tag,
@@ -100,9 +100,9 @@ impl Consumer {
         self.wrap_batch(got)
     }
 
-    fn wrap_batch(&self, got: Vec<(DeliveryTag, Message, bool, Option<u64>)>) -> Vec<Delivery> {
+    fn wrap_batch(&self, got: Vec<Delivered>) -> Vec<Delivery> {
         got.into_iter()
-            .map(|(tag, message, redelivered, _cluster)| Delivery {
+            .map(|(tag, message, redelivered)| Delivery {
                 message,
                 tag,
                 redelivered,

@@ -22,7 +22,7 @@ pub enum MqError {
     Closed,
     /// The delivery tag is unknown or was already acknowledged.
     UnknownDeliveryTag(u64),
-    /// The broker node is down (used by the cluster fault injector).
+    /// The broker node is down ([`crate::MessageBroker::kill`]).
     BrokerDown,
     /// A network transport carrying broker operations failed (connection
     /// refused, peer gone, protocol violation). Only produced by remote

@@ -55,7 +55,7 @@ mod stats;
 mod waker;
 
 pub use api::{AnyDelivery, MessageConsumer, Messaging};
-pub use broker::{BrokerCluster, BrokerRecovery, MessageBroker, QueueOptions};
+pub use broker::{BrokerRecovery, MessageBroker, QueueOptions};
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use consumer::{Consumer, Delivery};
 pub use error::{MqError, MqResult};

@@ -50,16 +50,14 @@ impl QueueObs {
 pub(crate) type ConsumerId = u64;
 
 /// One delivered entry as handed to [`Consumer`](crate::Consumer):
-/// `(tag, message, redelivered, cluster_id)`.
-pub(crate) type Delivered = (DeliveryTag, Message, bool, Option<u64>);
+/// `(tag, message, redelivered)`.
+pub(crate) type Delivered = (DeliveryTag, Message, bool);
 
 /// A ready-to-deliver entry.
 #[derive(Debug)]
 struct ReadyEntry {
     message: Message,
     redelivered: bool,
-    /// Cluster-wide message id, used by `BrokerCluster` mirroring.
-    cluster_id: Option<u64>,
     /// Journal id of the publish record on a durable queue; carried so the
     /// eventual ack (or purge) can cancel the record.
     jid: Option<u64>,
@@ -70,7 +68,6 @@ struct ReadyEntry {
 struct InFlight {
     message: Message,
     consumer: ConsumerId,
-    cluster_id: Option<u64>,
     jid: Option<u64>,
 }
 
@@ -149,7 +146,7 @@ impl QueueCore {
     ///
     /// If a [`crate::DeliveryInterceptor`] is installed, it may divert the
     /// message: drop it, enqueue a duplicate, or cut to the front.
-    pub(crate) fn push(&self, mut message: Message, cluster_id: Option<u64>) -> MqResult<()> {
+    pub(crate) fn push(&self, mut message: Message) -> MqResult<()> {
         message.mark_enqueued();
         let fault = match self.interceptor.get() {
             Some(hook) => hook.on_publish(&self.name, message.payload()),
@@ -169,7 +166,7 @@ impl QueueCore {
             }
             None => (None, None),
         };
-        let enqueued = self.apply_publish(&mut state, message, fault, cluster_id, jid);
+        let enqueued = self.apply_publish(&mut state, message, fault, jid);
         drop(state);
         self.obs.published.inc();
         self.arrivals.record();
@@ -204,7 +201,6 @@ impl QueueCore {
             ReadyEntry {
                 message,
                 redelivered: true,
-                cluster_id: None,
                 jid: Some(jid),
             },
         ));
@@ -221,11 +217,7 @@ impl QueueCore {
     /// `on_publish` decisions are staged before the lock is taken, in batch
     /// order), counters advance per message, and FIFO order within the batch
     /// is preserved.
-    pub(crate) fn push_batch(
-        &self,
-        messages: Vec<Message>,
-        cluster_id: Option<u64>,
-    ) -> MqResult<()> {
+    pub(crate) fn push_batch(&self, messages: Vec<Message>) -> MqResult<()> {
         let n = messages.len() as u64;
         if n == 0 {
             return Ok(());
@@ -260,7 +252,7 @@ impl QueueCore {
                 }
                 None => None,
             };
-            enqueued += self.apply_publish(&mut state, message, fault, cluster_id, jid);
+            enqueued += self.apply_publish(&mut state, message, fault, jid);
         }
         drop(state);
         self.obs.published.add(n);
@@ -290,14 +282,12 @@ impl QueueCore {
         state: &mut QueueState,
         message: Message,
         fault: PublishFault,
-        cluster_id: Option<u64>,
         jid: Option<u64>,
     ) -> usize {
         state.published += 1;
         let entry = |message| ReadyEntry {
             message,
             redelivered: false,
-            cluster_id,
             jid,
         };
         match fault {
@@ -376,7 +366,6 @@ impl QueueCore {
                 ReadyEntry {
                     message: inflight.message,
                     redelivered: true,
-                    cluster_id: inflight.cluster_id,
                     jid: inflight.jid,
                 },
             ));
@@ -399,29 +388,24 @@ impl QueueCore {
         consumer: ConsumerId,
         tag: DeliveryTag,
         entry: ReadyEntry,
-    ) -> (DeliveryTag, Message, bool, Option<u64>) {
+    ) -> Delivered {
         state.delivered += 1;
         state.unacked.insert(
             tag.0,
             InFlight {
                 message: entry.message.clone(),
                 consumer,
-                cluster_id: entry.cluster_id,
                 jid: entry.jid,
             },
         );
         self.obs.delivered.inc();
         self.obs.record_wait(&entry.message);
-        (tag, entry.message, entry.redelivered, entry.cluster_id)
+        (tag, entry.message, entry.redelivered)
     }
 
-    /// Blocking receive with timeout. Returns the message, its tag, the
-    /// redelivered flag and the cluster id.
-    pub(crate) fn recv(
-        &self,
-        consumer: ConsumerId,
-        timeout: Duration,
-    ) -> MqResult<(DeliveryTag, Message, bool, Option<u64>)> {
+    /// Blocking receive with timeout. Returns the message, its tag and the
+    /// redelivered flag.
+    pub(crate) fn recv(&self, consumer: ConsumerId, timeout: Duration) -> MqResult<Delivered> {
         let deadline = Instant::now() + timeout;
         let mut state = self.state.lock();
         loop {
@@ -512,10 +496,7 @@ impl QueueCore {
     }
 
     /// Non-blocking receive.
-    pub(crate) fn try_recv(
-        &self,
-        consumer: ConsumerId,
-    ) -> Option<(DeliveryTag, Message, bool, Option<u64>)> {
+    pub(crate) fn try_recv(&self, consumer: ConsumerId) -> Option<Delivered> {
         let mut state = self.state.lock();
         if state.closed {
             return None;
@@ -543,9 +524,8 @@ impl QueueCore {
         out
     }
 
-    /// Acknowledges a delivery, removing it from the broker. Returns the
-    /// cluster id so mirrored nodes can drop their copy.
-    pub(crate) fn ack(&self, tag: DeliveryTag) -> MqResult<Option<u64>> {
+    /// Acknowledges a delivery, removing it from the broker.
+    pub(crate) fn ack(&self, tag: DeliveryTag) -> MqResult<()> {
         let mut state = self.state.lock();
         match state.unacked.remove(&tag.0) {
             Some(f) => {
@@ -555,7 +535,7 @@ impl QueueCore {
                 if let (Some(journal), Some(jid)) = (&self.journal, f.jid) {
                     journal.record_ack(jid);
                 }
-                Ok(f.cluster_id)
+                Ok(())
             }
             None => Err(MqError::UnknownDeliveryTag(tag.0)),
         }
@@ -601,7 +581,6 @@ impl QueueCore {
                     ReadyEntry {
                         message: f.message,
                         redelivered: true,
-                        cluster_id: f.cluster_id,
                         jid: f.jid,
                     },
                 ));
@@ -612,27 +591,6 @@ impl QueueCore {
             }
             None => Err(MqError::UnknownDeliveryTag(tag.0)),
         }
-    }
-
-    /// Removes a *ready* message carrying the given cluster id. Used by
-    /// mirror nodes when the primary acknowledges.
-    pub(crate) fn remove_cluster_id(&self, cluster_id: u64) -> bool {
-        let mut state = self.state.lock();
-        let before = state.ready.len();
-        let mut dropped_jids = Vec::new();
-        state.ready.retain(|(_, e)| {
-            let matches = e.cluster_id == Some(cluster_id);
-            if matches {
-                if let Some(jid) = e.jid {
-                    dropped_jids.push(jid);
-                }
-            }
-            !matches
-        });
-        let removed = state.ready.len() != before;
-        drop(state);
-        self.journal_acks(dropped_jids);
-        removed
     }
 
     /// Drops all ready messages; returns how many were purged. On a durable
@@ -711,10 +669,10 @@ mod tests {
         let queue = q();
         let c = queue.register_consumer().unwrap();
         for i in 0..5u8 {
-            queue.push(Message::from_bytes(vec![i]), None).unwrap();
+            queue.push(Message::from_bytes(vec![i])).unwrap();
         }
         for i in 0..5u8 {
-            let (tag, m, redelivered, _) = queue.recv(c, Duration::from_millis(10)).unwrap();
+            let (tag, m, redelivered) = queue.recv(c, Duration::from_millis(10)).unwrap();
             assert_eq!(m.payload(), &[i]);
             assert!(!redelivered);
             queue.ack(tag).unwrap();
@@ -734,13 +692,13 @@ mod tests {
     fn unacked_requeued_on_consumer_unregister() {
         let queue = q();
         let c = queue.register_consumer().unwrap();
-        queue.push(Message::from_static(b"a"), None).unwrap();
-        let (_tag, _m, _, _) = queue.recv(c, Duration::from_millis(10)).unwrap();
+        queue.push(Message::from_static(b"a")).unwrap();
+        let (_tag, _m, _) = queue.recv(c, Duration::from_millis(10)).unwrap();
         assert_eq!(queue.depth(), 0);
         queue.unregister_consumer(c);
         assert_eq!(queue.depth(), 1);
         let c2 = queue.register_consumer().unwrap();
-        let (_, m, redelivered, _) = queue.recv(c2, Duration::from_millis(10)).unwrap();
+        let (_, m, redelivered) = queue.recv(c2, Duration::from_millis(10)).unwrap();
         assert_eq!(m.payload(), b"a");
         assert!(redelivered, "requeued message must be flagged redelivered");
     }
@@ -749,7 +707,7 @@ mod tests {
     fn double_ack_is_an_error() {
         let queue = q();
         let c = queue.register_consumer().unwrap();
-        queue.push(Message::from_static(b"a"), None).unwrap();
+        queue.push(Message::from_static(b"a")).unwrap();
         let (tag, ..) = queue.recv(c, Duration::from_millis(10)).unwrap();
         queue.ack(tag).unwrap();
         assert!(matches!(
@@ -762,12 +720,12 @@ mod tests {
     fn requeue_puts_message_at_front() {
         let queue = q();
         let c = queue.register_consumer().unwrap();
-        queue.push(Message::from_static(b"first"), None).unwrap();
-        queue.push(Message::from_static(b"second"), None).unwrap();
+        queue.push(Message::from_static(b"first")).unwrap();
+        queue.push(Message::from_static(b"second")).unwrap();
         let (tag, m, ..) = queue.recv(c, Duration::from_millis(10)).unwrap();
         assert_eq!(m.payload(), b"first");
         queue.requeue(tag).unwrap();
-        let (_, m2, redelivered, _) = queue.recv(c, Duration::from_millis(10)).unwrap();
+        let (_, m2, redelivered) = queue.recv(c, Duration::from_millis(10)).unwrap();
         assert_eq!(m2.payload(), b"first", "requeued message redelivered first");
         assert!(redelivered);
     }
@@ -787,8 +745,8 @@ mod tests {
     fn stats_track_counts() {
         let queue = q();
         let c = queue.register_consumer().unwrap();
-        queue.push(Message::from_static(b"a"), None).unwrap();
-        queue.push(Message::from_static(b"b"), None).unwrap();
+        queue.push(Message::from_static(b"a")).unwrap();
+        queue.push(Message::from_static(b"b")).unwrap();
         let (tag, ..) = queue.recv(c, Duration::from_millis(10)).unwrap();
         queue.ack(tag).unwrap();
         let s = queue.stats();
@@ -804,8 +762,8 @@ mod tests {
     fn purge_drops_ready_only() {
         let queue = q();
         let c = queue.register_consumer().unwrap();
-        queue.push(Message::from_static(b"a"), None).unwrap();
-        queue.push(Message::from_static(b"b"), None).unwrap();
+        queue.push(Message::from_static(b"a")).unwrap();
+        queue.push(Message::from_static(b"b")).unwrap();
         let (_tag, ..) = queue.recv(c, Duration::from_millis(10)).unwrap();
         assert_eq!(queue.purge(), 1);
         let s = queue.stats();
@@ -818,12 +776,12 @@ mod tests {
         let queue = q();
         let c = queue.register_consumer().unwrap();
         let batch: Vec<Message> = (0..5u8).map(|i| Message::from_bytes(vec![i])).collect();
-        queue.push_batch(batch, None).unwrap();
+        queue.push_batch(batch).unwrap();
         assert_eq!(queue.depth(), 5);
         assert_eq!(queue.stats().published, 5);
         let got = queue.recv_batch(c, Duration::from_millis(10), 10).unwrap();
         assert_eq!(got.len(), 5);
-        for (i, (_, m, redelivered, _)) in got.iter().enumerate() {
+        for (i, (_, m, redelivered)) in got.iter().enumerate() {
             assert_eq!(m.payload(), &[i as u8]);
             assert!(!redelivered);
         }
@@ -834,10 +792,7 @@ mod tests {
         let queue = q();
         let c = queue.register_consumer().unwrap();
         queue
-            .push_batch(
-                (0..6u8).map(|i| Message::from_bytes(vec![i])).collect(),
-                None,
-            )
+            .push_batch((0..6u8).map(|i| Message::from_bytes(vec![i])).collect())
             .unwrap();
         let first = queue.recv_batch(c, Duration::from_millis(10), 4).unwrap();
         assert_eq!(first.len(), 4);
@@ -861,10 +816,7 @@ mod tests {
         let queue = q();
         let c = queue.register_consumer().unwrap();
         queue
-            .push_batch(
-                (0..3u8).map(|i| Message::from_bytes(vec![i])).collect(),
-                None,
-            )
+            .push_batch((0..3u8).map(|i| Message::from_bytes(vec![i])).collect())
             .unwrap();
         let got = queue.recv_batch(c, Duration::from_millis(10), 8).unwrap();
         let mut tags: Vec<DeliveryTag> = got.iter().map(|(t, ..)| *t).collect();
@@ -873,15 +825,5 @@ mod tests {
         assert_eq!(queue.stats().acked, 3);
         assert_eq!(queue.stats().unacked, 0);
         assert_eq!(queue.ack_many(&tags), 0, "second ack finds nothing");
-    }
-
-    #[test]
-    fn remove_cluster_id_removes_only_matching() {
-        let queue = q();
-        queue.push(Message::from_static(b"a"), Some(1)).unwrap();
-        queue.push(Message::from_static(b"b"), Some(2)).unwrap();
-        assert!(queue.remove_cluster_id(1));
-        assert!(!queue.remove_cluster_id(1));
-        assert_eq!(queue.depth(), 1);
     }
 }

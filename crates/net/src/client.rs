@@ -71,11 +71,6 @@ pub struct NetConfig {
     pub backoff_cap: Duration,
     /// TCP connection-establishment timeout per reconnect attempt.
     pub connect_timeout: Duration,
-    /// Whether to batch acknowledgements (cumulative `AckMany` frames) and
-    /// batch publishes on [`Messaging::publish_batch_to_queue`]. When
-    /// `false` every ack and publish is its own frame — the pre-batching
-    /// protocol, kept for A/B benchmarking.
-    pub batch: bool,
     /// Time source for the reconnect backoff. Fault-injection tests swap in
     /// a [`mqsim::VirtualClock`] so backoff is stepped instead of slept.
     pub clock: Arc<dyn Clock>,
@@ -90,7 +85,6 @@ impl Default for NetConfig {
             backoff_initial: Duration::from_millis(20),
             backoff_cap: Duration::from_secs(2),
             connect_timeout: Duration::from_secs(2),
-            batch: true,
             clock: Arc::new(SystemClock::new()),
         }
     }
@@ -743,11 +737,7 @@ fn try_connect(client: &Arc<ClientInner>) -> bool {
         fd,
         reader: Mutex::new(ClientReader {
             stream,
-            frames: if client.config.batch {
-                FrameBuffer::with_readahead()
-            } else {
-                FrameBuffer::new()
-            },
+            frames: FrameBuffer::with_readahead(),
         }),
         last_rx: Mutex::new(Instant::now()),
         last_ping: Mutex::new(Instant::now()),
@@ -780,9 +770,9 @@ fn disconnect_and_reschedule(client: &Arc<ClientInner>) {
 struct ClientReader {
     stream: TcpStream,
     /// Keeps partial frames across `WouldBlock`, so a readiness event that
-    /// ends mid-frame never desynchronizes the stream. In batched mode it
-    /// also reads ahead of frame boundaries, so one syscall drains a whole
-    /// burst of coalesced replies and deliveries.
+    /// ends mid-frame never desynchronizes the stream. It also reads ahead
+    /// of frame boundaries, so one syscall drains a whole burst of coalesced
+    /// replies and deliveries.
     frames: FrameBuffer,
 }
 
@@ -1067,13 +1057,6 @@ impl Messaging for NetBroker {
         if messages.is_empty() {
             return Ok(());
         }
-        if !self.inner.config.batch {
-            // Pre-batching protocol: one frame (and one round trip) each.
-            for message in messages {
-                self.publish_to_queue(queue, message)?;
-            }
-            return Ok(());
-        }
         self.inner
             .request(&Request::PublishBatch(queue.into(), messages))
             .map(|_| ())
@@ -1182,14 +1165,9 @@ impl NetConsumer {
                 let _ = client.send(&Request::Requeue(sub.id, tag).to_frame(corr));
                 return;
             }
-            if !client.config.batch {
-                let corr = client.next_corr.fetch_add(1, Ordering::Relaxed);
-                let _ = client.send(&Request::Ack(sub.id, tag).to_frame(corr));
-                return;
-            }
-            // Batched path: stash the ack. Flush when the local buffer has
-            // run dry (the server is waiting on credit with nothing more
-            // in flight to us) or when enough have accumulated.
+            // Stash the ack. Flush when the local buffer has run dry (the
+            // server is waiting on credit with nothing more in flight to us)
+            // or when enough have accumulated.
             let buffer_empty = sub.buffer.lock().is_empty();
             let should_flush = {
                 let mut pending = sub.pending_acks.lock();
@@ -1520,36 +1498,6 @@ mod tests {
         loop {
             let stats = client.queue_stats("q").unwrap();
             if stats.acked == 20 && stats.unacked == 0 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "acks never applied: {stats:?}");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        client.close();
-        server.shutdown();
-    }
-
-    #[test]
-    fn unbatched_client_still_round_trips() {
-        let server = BrokerServer::bind("127.0.0.1:0", MessageBroker::new()).unwrap();
-        let config = NetConfig {
-            batch: false,
-            ..NetConfig::default()
-        };
-        let client = NetBroker::connect_with(server.local_addr(), config).unwrap();
-        client.declare_queue("q", QueueOptions::default()).unwrap();
-        let batch: Vec<Message> = (0..5u8).map(|i| Message::from_bytes(vec![i])).collect();
-        client.publish_batch_to_queue("q", batch).unwrap();
-        let consumer = client.subscribe("q").unwrap();
-        for i in 0..5u8 {
-            let d = consumer.recv_timeout(Duration::from_secs(2)).unwrap();
-            assert_eq!(d.message.payload(), &[i]);
-            d.ack();
-        }
-        let deadline = Instant::now() + Duration::from_secs(2);
-        loop {
-            let stats = client.queue_stats("q").unwrap();
-            if stats.acked == 5 {
                 break;
             }
             assert!(Instant::now() < deadline, "acks never applied: {stats:?}");

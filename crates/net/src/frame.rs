@@ -165,8 +165,8 @@ impl FrameBuffer {
         FrameBuffer::default()
     }
 
-    /// Creates a buffer that reads up to [`READAHEAD`] bytes per syscall
-    /// regardless of frame boundaries. Pair with
+    /// Creates a buffer that reads up to 64 KiB per syscall regardless of
+    /// frame boundaries. Pair with
     /// [`FrameBuffer::take_buffered`] to drain everything a single read
     /// pulled in — the receive half of the coalesced-write protocol.
     pub fn with_readahead() -> Self {

@@ -42,4 +42,4 @@ pub use frame::{
     FrameError, Request, ServerFrame, MAX_FRAME,
 };
 pub use proxy::FaultProxy;
-pub use server::{BrokerServer, ServerConfig};
+pub use server::BrokerServer;

@@ -72,25 +72,9 @@ const READ_BURSTS: usize = 32;
 /// bounding how long the first reply of a large burst waits on the rest.
 const MAX_COALESCED_FRAMES: u64 = 32;
 
-/// Tuning knobs for a [`BrokerServer`].
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Whether dispatch pushes several pending deliveries per offer
-    /// (bounded by credit and `max_batch`). When `false`, every delivery
-    /// is dispatched and written individually.
-    pub batch: bool,
-    /// Upper bound on deliveries pushed per dispatch offer when batching.
-    pub max_batch: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            batch: true,
-            max_batch: 64,
-        }
-    }
-}
+/// Upper bound on deliveries pushed per dispatch offer (credit bounds it
+/// further).
+const MAX_BATCH: usize = 64;
 
 /// A TCP front-end for one [`MessageBroker`].
 pub struct BrokerServer {
@@ -105,7 +89,6 @@ pub struct BrokerServer {
 
 struct ServerShared {
     broker: MessageBroker,
-    config: ServerConfig,
     stop: AtomicBool,
     conns: Mutex<Vec<Arc<ConnShared>>>,
     /// Dispatch registry: every live subscription across every connection,
@@ -355,19 +338,6 @@ impl BrokerServer {
     ///
     /// Propagates socket errors from bind.
     pub fn bind(addr: impl ToSocketAddrs, broker: MessageBroker) -> std::io::Result<Self> {
-        Self::bind_with(addr, broker, ServerConfig::default())
-    }
-
-    /// Like [`BrokerServer::bind`], with explicit tuning knobs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors from bind.
-    pub fn bind_with(
-        addr: impl ToSocketAddrs,
-        broker: MessageBroker,
-        config: ServerConfig,
-    ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -380,7 +350,6 @@ impl BrokerServer {
         }
         let shared = Arc::new(ServerShared {
             broker,
-            config,
             stop: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
             dispatch: Mutex::new(HashMap::new()),
@@ -600,15 +569,10 @@ fn accept_conn(shared: &Arc<ServerShared>, stream: TcpStream) {
         conns.push(conn.clone());
         shared.connections_gauge.set(conns.len() as f64);
     }
-    // Batched mode reads ahead of frame boundaries: one syscall can pull in
-    // a whole pipeline of requests, which are then all answered with one
-    // coalesced write. Unbatched keeps the pre-batching one-frame-per-read,
-    // one-write-per-reply protocol for A/B comparison.
-    let frames = if shared.config.batch {
-        FrameBuffer::with_readahead()
-    } else {
-        FrameBuffer::new()
-    };
+    // Read ahead of frame boundaries: one syscall can pull in a whole
+    // pipeline of requests, which are then all answered with one coalesced
+    // write.
+    let frames = FrameBuffer::with_readahead();
     let source = Arc::new(ConnSource {
         conn,
         shared: Arc::downgrade(shared),
@@ -837,14 +801,14 @@ fn execute(
         Request::ExchangeExists(name) => Ok(Value::Bool(broker.exchange_exists(&name))),
         Request::PublishToQueue(queue, message) => {
             let res = broker.publish_to_queue(&queue, message);
-            if res.is_ok() && shared.config.batch {
+            if res.is_ok() {
                 *after_reply = Some(dispatch_hook(conn, shared, Some(queue)));
             }
             res.map(|()| Value::Null)
         }
         Request::PublishBatch(queue, messages) => {
             let res = broker.publish_batch_to_queue(&queue, messages);
-            if res.is_ok() && shared.config.batch {
+            if res.is_ok() {
                 *after_reply = Some(dispatch_hook(conn, shared, Some(queue)));
             }
             res.map(|()| Value::Null)
@@ -853,7 +817,7 @@ fn execute(
             let res = broker.publish(&exchange, &key, message);
             // Exchange routing fans out to queues this thread does not
             // know by name; offer deliveries to every subscription.
-            if matches!(res, Ok(n) if n > 0) && shared.config.batch {
+            if matches!(res, Ok(n) if n > 0) {
                 *after_reply = Some(dispatch_hook(conn, shared, None));
             }
             res.map(|n| Value::U64(n as u64))
@@ -881,25 +845,15 @@ fn execute(
                     conn: Arc::downgrade(conn),
                     sub: Arc::downgrade(&sub_shared),
                 });
-            // Push any backlog right behind the subscribe reply; batched
-            // frames ride the same coalesced write, unbatched ones go out
-            // one write per delivery.
+            // Push any backlog right behind the subscribe reply; the frames
+            // ride the same coalesced write.
             let ar_conn = conn.clone();
             let ar_shared = shared.clone();
             *after_reply = Some(Box::new(move || {
-                if ar_shared.config.batch {
-                    let max_batch = ar_shared.config.max_batch.max(1);
-                    if let Dispatch::Delivered { n, .. } =
-                        try_dispatch(&ar_conn, &sub_shared, max_batch)
-                    {
-                        ar_shared.deliveries.add(n);
-                    }
-                } else {
-                    while let Dispatch::Delivered { n, .. } = try_dispatch(&ar_conn, &sub_shared, 1)
-                    {
-                        ar_shared.deliveries.add(n);
-                        ar_conn.flush_out();
-                    }
+                if let Dispatch::Delivered { n, .. } =
+                    try_dispatch(&ar_conn, &sub_shared, MAX_BATCH)
+                {
+                    ar_shared.deliveries.add(n);
                 }
             }));
             Ok(Value::Null)
@@ -1054,8 +1008,8 @@ fn dispatch_hook(
 }
 
 /// After-reply hook: push ready deliveries for one subscription on this
-/// connection (used after acks free credit). Batched frames ride the loop
-/// thread's burst flush; unbatched mode writes one frame at a time.
+/// connection (used after acks free credit). The frames ride the loop
+/// thread's burst flush.
 fn sub_dispatch_hook(conn: &Arc<ConnShared>, shared: &Arc<ServerShared>, sub: u64) -> AfterReply {
     let conn = conn.clone();
     let shared = shared.clone();
@@ -1063,17 +1017,8 @@ fn sub_dispatch_hook(conn: &Arc<ConnShared>, shared: &Arc<ServerShared>, sub: u6
         let Some(s) = conn.subs.lock().get(&sub).cloned() else {
             return;
         };
-        if shared.config.batch {
-            if let Dispatch::Delivered { n, .. } =
-                try_dispatch(&conn, &s, shared.config.max_batch.max(1))
-            {
-                shared.deliveries.add(n);
-            }
-        } else {
-            while let Dispatch::Delivered { n, .. } = try_dispatch(&conn, &s, 1) {
-                shared.deliveries.add(n);
-                conn.flush_out();
-            }
+        if let Dispatch::Delivered { n, .. } = try_dispatch(&conn, &s, MAX_BATCH) {
+            shared.deliveries.add(n);
         }
     })
 }
@@ -1169,21 +1114,10 @@ fn dispatch_group(
     if targets.is_empty() {
         return;
     }
-    if !shared.config.batch {
-        // Pre-batching shape: one delivery per dispatch, one write each.
-        for (conn, sub) in targets {
-            while let Dispatch::Delivered { n, .. } = try_dispatch(conn, sub, 1) {
-                shared.deliveries.add(n);
-                conn.flush_out();
-            }
-        }
-        return;
-    }
-    let max_batch = shared.config.max_batch.max(1);
     let per_sub = if targets.len() > 1 {
-        (max_batch / targets.len()).max(1)
+        (MAX_BATCH / targets.len()).max(1)
     } else {
-        max_batch
+        MAX_BATCH
     };
     let start = shared.dispatch_cursor.fetch_add(1, Ordering::Relaxed) as usize % targets.len();
     for i in 0..targets.len() {
@@ -1369,53 +1303,6 @@ mod tests {
         assert_eq!(stats.unacked, 0);
         // Redundant cumulative ack is tolerated.
         call(&mut c, Request::AckMany(1, tags), 5).unwrap();
-        server.shutdown();
-    }
-
-    #[test]
-    fn unbatched_config_still_delivers() {
-        let server = BrokerServer::bind_with(
-            "127.0.0.1:0",
-            MessageBroker::new(),
-            ServerConfig {
-                batch: false,
-                max_batch: 1,
-            },
-        )
-        .unwrap();
-        let mut c = connect(&server);
-        call(
-            &mut c,
-            Request::DeclareQueue("q".into(), Default::default()),
-            1,
-        )
-        .unwrap();
-        call(
-            &mut c,
-            Request::PublishToQueue("q".into(), Message::from_static(b"solo")),
-            2,
-        )
-        .unwrap();
-        call(
-            &mut c,
-            Request::Subscribe {
-                queue: "q".into(),
-                sub: 1,
-                credit: 4,
-            },
-            3,
-        )
-        .unwrap();
-        let (frame, _) = read_frame(&mut c).unwrap();
-        match ServerFrame::from_value(&frame).unwrap() {
-            ServerFrame::Deliver {
-                sub, tag, message, ..
-            } => {
-                assert_eq!(message.payload(), b"solo");
-                call(&mut c, Request::Ack(sub, tag), 4).unwrap();
-            }
-            other => panic!("expected deliver, got {other:?}"),
-        }
         server.shutdown();
     }
 

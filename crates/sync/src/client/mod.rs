@@ -885,7 +885,7 @@ mod tests {
         // database still describes the old ones.
         let broker = Broker::in_process();
         let store = SwiftStore::new(storage::LatencyModel::instant());
-        let meta: Arc<dyn metadata::MetadataStore> = Arc::new(metadata::InMemoryStore::new());
+        let meta: Arc<dyn metadata::MetadataStore> = Arc::new(metadata::ShardedStore::new());
         let service = crate::SyncService::builder(&broker)
             .store(meta.clone())
             .build();

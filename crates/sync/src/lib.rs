@@ -25,7 +25,7 @@
 //! ```
 //! use objectmq::Broker;
 //! use storage::{SwiftStore, LatencyModel};
-//! use metadata::{InMemoryStore, MetadataStore};
+//! use metadata::{ShardedStore, MetadataStore};
 //! use stacksync::{SyncService, DesktopClient, ClientConfig};
 //! use std::sync::Arc;
 //! use std::time::Duration;
@@ -33,7 +33,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let broker = Broker::in_process();
 //! let store = SwiftStore::new(LatencyModel::instant());
-//! let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+//! let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
 //! let service = SyncService::builder(&broker).store(meta.clone()).build();
 //! let _server = service.bind(&broker)?;
 //!

@@ -4,7 +4,7 @@ use crate::protocol::{
     item_from_value, item_to_value, workspace_to_value, CommitNotification, NotifiedChange,
 };
 use crate::workspace_notification_oid;
-use metadata::{InMemoryStore, MetadataStore, WorkspaceId};
+use metadata::{MetadataStore, ShardedStore, WorkspaceId};
 use objectmq::{Broker, Oid, OmqResult, Proxy, RemoteObject, ServerHandle};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -49,8 +49,8 @@ struct ServiceInner {
 }
 
 /// Builds a [`SyncService`]: picks the metadata store (the DAO the paper
-/// says is replaceable — [`InMemoryStore`], [`metadata::ShardedStore`], or
-/// any other [`MetadataStore`]) and the service tuning, then [`build`]s.
+/// says is replaceable — a [`ShardedStore`], in memory or durable, or any
+/// other [`MetadataStore`]) and the service tuning, then [`build`]s.
 ///
 /// [`build`]: SyncServiceBuilder::build
 pub struct SyncServiceBuilder {
@@ -69,8 +69,8 @@ impl std::fmt::Debug for SyncServiceBuilder {
 }
 
 impl SyncServiceBuilder {
-    /// Selects the metadata back-end. Defaults to a fresh
-    /// [`InMemoryStore`] when not called.
+    /// Selects the metadata back-end. Defaults to a fresh in-memory
+    /// [`ShardedStore::new`] when not called.
     #[must_use]
     pub fn store(mut self, store: Arc<dyn MetadataStore>) -> Self {
         self.store = Some(store);
@@ -97,7 +97,7 @@ impl SyncServiceBuilder {
     pub fn build(self) -> SyncService {
         let meta = self
             .store
-            .unwrap_or_else(|| Arc::new(InMemoryStore::new()) as Arc<dyn MetadataStore>);
+            .unwrap_or_else(|| Arc::new(ShardedStore::new()) as Arc<dyn MetadataStore>);
         let service = SyncService {
             inner: Arc::new(ServiceInner {
                 meta,
@@ -327,11 +327,11 @@ impl RemoteObject for SyncService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metadata::{InMemoryStore, ItemMetadata};
+    use metadata::{ItemMetadata, ShardedStore};
 
     fn setup() -> (Broker, SyncService, WorkspaceId, Arc<dyn MetadataStore>) {
         let broker = Broker::in_process();
-        let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+        let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
         meta.create_user("alice").unwrap();
         let ws = meta.create_workspace("alice", "Docs").unwrap();
         let service = SyncService::builder(&broker).store(meta.clone()).build();

@@ -2,7 +2,7 @@
 //! in-process broker, SyncService over the metadata store, desktop clients
 //! over the chunk store.
 
-use metadata::{InMemoryStore, MetadataStore};
+use metadata::{MetadataStore, ShardedStore};
 use objectmq::Broker;
 use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
 use std::sync::Arc;
@@ -22,7 +22,7 @@ struct Stack {
 fn stack() -> Stack {
     let broker = Broker::in_process();
     let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     let service = SyncService::builder(&broker).store(meta.clone()).build();
     let server = service.bind(&broker).unwrap();
     Stack {
@@ -175,7 +175,7 @@ fn conflict_creates_conflict_copy_and_converges() {
     // 50 ms service time (Table 3) makes the race deterministic.
     let broker = Broker::in_process();
     let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     let service = SyncService::builder(&broker)
         .store(meta.clone())
         .service_delay(Duration::from_millis(100))

@@ -4,7 +4,7 @@
 //! their instance (by design, §3.4), so the service must translate bad
 //! input into application errors instead.
 
-use metadata::{InMemoryStore, MetadataStore};
+use metadata::{MetadataStore, ShardedStore};
 use objectmq::{Broker, RemoteObject};
 use proptest::prelude::*;
 use stacksync::SyncService;
@@ -13,7 +13,7 @@ use wire::Value;
 
 fn service() -> SyncService {
     let broker = Broker::in_process();
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     meta.create_user("u").unwrap();
     meta.create_workspace("u", "w").unwrap();
     SyncService::builder(&broker).store(meta).build()
@@ -78,7 +78,7 @@ fn listener_rejects_malformed_notifications_gracefully() {
 
     let broker = Broker::in_process();
     let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     let service = SyncService::builder(&broker).store(meta.clone()).build();
     let _server = service.bind(&broker).unwrap();
     let ws = provision_user(meta.as_ref(), "alice", "Docs").unwrap();

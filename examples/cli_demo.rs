@@ -31,7 +31,7 @@ impl Cloud {
     fn start() -> Result<Self, Box<dyn std::error::Error>> {
         let broker = Broker::in_process();
         let store = SwiftStore::new(LatencyModel::instant());
-        let meta: Arc<dyn MetadataStore> = Arc::new(metadata::InMemoryStore::new());
+        let meta: Arc<dyn MetadataStore> = Arc::new(metadata::ShardedStore::new());
         let service = SyncService::builder(&broker).store(meta.clone()).build();
         let node = RemoteBroker::start(broker.clone(), 1)?;
         node.register_factory(SYNC_SERVICE_OID, service.factory());

@@ -7,7 +7,7 @@
 //! cargo run -p stacksync-examples --bin personal_cloud
 //! ```
 
-use metadata::{InMemoryStore, MetadataStore};
+use metadata::{MetadataStore, ShardedStore};
 use objectmq::{Broker, RemoteBroker, Supervisor, SupervisorConfig};
 use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService, SYNC_SERVICE_OID};
 use std::sync::Arc;
@@ -17,7 +17,7 @@ use storage::{LatencyModel, SwiftStore};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let broker = Broker::in_process();
     let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     let service = SyncService::builder(&broker).store(meta.clone()).build();
 
     // Two slave nodes that can host SyncService instances.

@@ -5,7 +5,7 @@
 //! cargo run -p stacksync-examples --bin quickstart
 //! ```
 
-use metadata::{InMemoryStore, MetadataStore};
+use metadata::{MetadataStore, ShardedStore};
 use objectmq::{Broker, RemoteObject};
 use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
 use std::sync::Arc;
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Metadata tier (PostgreSQL stand-in), storage tier (Swift stand-in),
     // and the SyncService bound on the same messaging layer.
     let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     let service = SyncService::builder(&broker).store(meta.clone()).build();
     let _sync_server = service.bind(&broker)?;
 

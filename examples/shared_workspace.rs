@@ -6,7 +6,7 @@
 //! cargo run -p stacksync-examples --bin shared_workspace
 //! ```
 
-use metadata::{InMemoryStore, MetadataStore};
+use metadata::{MetadataStore, ShardedStore};
 use objectmq::Broker;
 use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
 use std::sync::Arc;
@@ -18,7 +18,7 @@ const WAIT: Duration = Duration::from_secs(10);
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let broker = Broker::in_process();
     let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     // Inject the paper's measured 50 ms commit service time so concurrent
     // edits genuinely race (and conflict) like on a real deployment.
     let service = SyncService::builder(&broker)

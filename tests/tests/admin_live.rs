@@ -6,7 +6,7 @@
 //! the snapshot sequence number advances, and the trace of the wire commit
 //! is serveable.
 
-use metadata::{InMemoryStore, ItemMetadata, MetadataStore};
+use metadata::{ItemMetadata, MetadataStore, ShardedStore};
 use mqsim::MessageBroker;
 use net::{BrokerServer, NetBroker};
 use objectmq::{Broker, BrokerConfig};
@@ -38,7 +38,7 @@ fn admin_endpoints_serve_a_live_tcp_stack() {
     let mq = MessageBroker::new();
     let server = BrokerServer::bind("127.0.0.1:0", mq.clone()).expect("bind server");
     let broker = Broker::new(mq, BrokerConfig::default());
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     meta.create_user("alice").unwrap();
     let ws = meta.create_workspace("alice", "Docs").unwrap();
     let service = SyncService::builder(&broker).store(meta.clone()).build();

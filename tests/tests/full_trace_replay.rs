@@ -5,7 +5,7 @@
 //! the live measurements.
 
 use baselines::{run_trace, FileSet, StackSyncModel};
-use metadata::{InMemoryStore, MetadataStore};
+use metadata::{MetadataStore, ShardedStore};
 use objectmq::Broker;
 use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
 use std::sync::Arc;
@@ -28,7 +28,7 @@ fn trace_replay_converges_to_reference_fileset() {
     let trace = test_trace();
     let broker = Broker::in_process();
     let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     let service = SyncService::builder(&broker).store(meta.clone()).build();
     let _server = service.bind(&broker).unwrap();
     let ws = provision_user(meta.as_ref(), "replay", "ws").unwrap();
@@ -112,7 +112,7 @@ fn live_traffic_agrees_with_protocol_model() {
     // Live measurement.
     let broker = Broker::in_process();
     let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     let service = SyncService::builder(&broker).store(meta.clone()).build();
     let _server = service.bind(&broker).unwrap();
     let ws = provision_user(meta.as_ref(), "model", "ws").unwrap();

@@ -4,7 +4,7 @@
 //! spawned/retired while clients keep committing.
 
 use integration_tests::wait_until;
-use metadata::{InMemoryStore, MetadataStore};
+use metadata::{MetadataStore, ShardedStore};
 use mqsim::QueueStats;
 use objectmq::provision::{
     AutoScaler, GgOneModel, PredictiveProvisioner, ReactiveProvisioner, ScalingPolicy,
@@ -19,7 +19,7 @@ use storage::{LatencyModel, SwiftStore};
 fn autoscaler_grows_live_pool_under_load_and_shrinks_after() {
     let broker = Broker::in_process();
     let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     // A deliberately slow service (20 ms per commit) so load is visible.
     let service = SyncService::builder(&broker)
         .store(meta.clone())
@@ -121,7 +121,7 @@ fn queue_stats_expose_provisioning_signals() {
     // arrival rate must be observable while a slow pool lags behind.
     let broker = Broker::in_process();
     let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     let service = SyncService::builder(&broker)
         .store(meta.clone())
         .service_delay(Duration::from_millis(50))

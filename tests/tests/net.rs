@@ -12,7 +12,7 @@
 //! two fit together.
 
 use integration_tests::wait_until;
-use metadata::{InMemoryStore, MetadataStore};
+use metadata::{MetadataStore, ShardedStore};
 use mqsim::{Message, MessageBroker, Messaging as _, QueueOptions};
 use net::{BrokerServer, FaultProxy, NetBroker, NetConfig};
 use objectmq::{Broker, BrokerConfig};
@@ -36,7 +36,7 @@ impl TcpStack {
         let mq = MessageBroker::new();
         let server = BrokerServer::bind("127.0.0.1:0", mq.clone()).expect("bind server");
         let broker = Broker::new(mq, BrokerConfig::default());
-        let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+        let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
         let service = SyncService::builder(&broker).store(meta.clone()).build();
         let service_handle = service.bind(&broker).expect("bind service");
         TcpStack {

@@ -5,7 +5,7 @@
 //! (`omq.call_sync → proxy.publish / queue.wait → skeleton.dispatch →
 //! handler.exec / reply.publish`, plus `reply.wait` back on the caller).
 
-use metadata::{InMemoryStore, ItemMetadata, MetadataStore};
+use metadata::{ItemMetadata, MetadataStore, ShardedStore};
 use objectmq::Broker;
 use stacksync::{SyncService, SYNC_SERVICE_OID};
 use std::collections::HashMap;
@@ -20,7 +20,7 @@ fn item_value(item: &ItemMetadata) -> Value {
 #[test]
 fn call_sync_produces_counters_histograms_and_a_complete_trace() {
     let broker = Broker::in_process();
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     meta.create_user("alice").unwrap();
     let ws = meta.create_workspace("alice", "Docs").unwrap();
     let service = SyncService::builder(&broker).store(meta.clone()).build();

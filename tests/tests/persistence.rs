@@ -1,8 +1,9 @@
-//! Whole-deployment persistence: chunks on a disk backend plus a metadata
-//! checkpoint let the entire "server side" restart without losing the
-//! personal cloud — the deployment property a downstream user needs.
+//! Whole-deployment persistence: chunks on a disk backend plus a durable
+//! metadata store (write-ahead log and checkpoint) let the entire "server
+//! side" restart without losing the personal cloud — the deployment
+//! property a downstream user needs.
 
-use metadata::{InMemoryStore, MetadataStore, WorkspaceId};
+use metadata::{MetadataStore, ShardedStore, WorkspaceId};
 use objectmq::Broker;
 use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
 use std::path::PathBuf;
@@ -16,11 +17,17 @@ fn temp_dir(tag: &str) -> PathBuf {
     d
 }
 
+fn open_meta(root: &PathBuf) -> (Arc<ShardedStore>, metadata::DurableRecovery) {
+    let (store, recovery) =
+        ShardedStore::open_durable(root, 4, Duration::ZERO, wal::LogConfig::named("e2e-meta"))
+            .unwrap();
+    (Arc::new(store), recovery)
+}
+
 #[test]
 fn server_side_restart_preserves_the_cloud() {
     let chunk_root = temp_dir("chunks");
-    let checkpoint =
-        std::env::temp_dir().join(format!("stacksync-e2e-meta-{}.json", std::process::id()));
+    let meta_root = temp_dir("meta");
     let payload: Vec<u8> = (0..50_000u32).map(|i| (i % 241) as u8).collect();
     let ws: WorkspaceId;
 
@@ -29,7 +36,7 @@ fn server_side_restart_preserves_the_cloud() {
         let broker = Broker::in_process();
         let backend = Arc::new(DiskBackend::open(&chunk_root).unwrap());
         let store = SwiftStore::with_backend(LatencyModel::instant(), backend);
-        let meta = Arc::new(InMemoryStore::new());
+        let (meta, _) = open_meta(&meta_root);
         let service = SyncService::builder(&broker).store(meta.clone()).build();
         let _server = service.bind(&broker).unwrap();
         ws = provision_user(meta.as_ref(), "alice", "Docs").unwrap();
@@ -50,7 +57,7 @@ fn server_side_restart_preserves_the_cloud() {
             service.commits_processed() >= 3
         }));
         // Checkpoint the metadata tier; chunks are already on disk.
-        meta.checkpoint(&checkpoint).unwrap();
+        meta.checkpoint().unwrap();
         // Everything is dropped here: broker, service, clients — a crash.
     }
 
@@ -59,7 +66,8 @@ fn server_side_restart_preserves_the_cloud() {
         let broker = Broker::in_process();
         let backend = Arc::new(DiskBackend::open(&chunk_root).unwrap());
         let store = SwiftStore::with_backend(LatencyModel::instant(), backend);
-        let meta = Arc::new(InMemoryStore::load_checkpoint(&checkpoint).unwrap());
+        let (meta, recovery) = open_meta(&meta_root);
+        assert!(recovery.snapshot_loaded);
         let service = SyncService::builder(&broker).store(meta.clone()).build();
         let _server = service.bind(&broker).unwrap();
 
@@ -92,7 +100,7 @@ fn server_side_restart_preserves_the_cloud() {
     }
 
     std::fs::remove_dir_all(&chunk_root).ok();
-    std::fs::remove_file(&checkpoint).ok();
+    std::fs::remove_dir_all(&meta_root).ok();
 }
 
 /// Test helper: look up an item version by path within a workspace.
@@ -100,7 +108,7 @@ trait VersionByPath {
     fn get_current_version_of(&self, path: &str, ws: &WorkspaceId) -> Option<u64>;
 }
 
-impl VersionByPath for InMemoryStore {
+impl VersionByPath for ShardedStore {
     fn get_current_version_of(&self, path: &str, ws: &WorkspaceId) -> Option<u64> {
         self.current_items(ws)
             .ok()?
