@@ -102,6 +102,15 @@ fn main() {
         &ws,
     )
     .expect("connect client");
+    // A second device of the same account: it fetches what the first
+    // commits, so `sync.client.fetch_seconds` has samples.
+    let watcher = DesktopClient::connect(
+        &broker,
+        &store,
+        ClientConfig::new("admin-smoke", "smoke-watch"),
+        &ws,
+    )
+    .expect("connect watcher");
 
     // A steady trickle of real commits keeps every admin surface non-empty
     // while the scraper probes it. Every WAL-journaled commit feeds the
@@ -109,7 +118,9 @@ fn main() {
     // The write path runs the chunk→hash→compress ingest pipeline and the
     // refcount dedup store, so `content.ingest.*` and `storage.dedup.*`
     // stay live too; periodic delete + GC sweeps exercise orphan
-    // collection.
+    // collection. Every tenth file, the first included, spans three
+    // chunks, which is what it takes to reach the worker pool
+    // (`content.pool.*`) in both directions.
     let gc_token = store
         .authenticate("admin-smoke", "pw-admin-smoke")
         .expect("authenticate");
@@ -117,7 +128,12 @@ fn main() {
     let mut i = 0u64;
     while Instant::now() < deadline {
         let path = format!("smoke-{}.dat", i % 8);
-        let mut payload = vec![0xA5; 1024];
+        let len = if i.is_multiple_of(10) {
+            2 * content::DEFAULT_CHUNK_SIZE + 1024
+        } else {
+            1024
+        };
+        let mut payload = vec![0xA5; len];
         payload.extend_from_slice(&i.to_be_bytes());
         client.write_file(&path, payload).expect("commit");
         if i % 10 == 9 {
@@ -133,6 +149,7 @@ fn main() {
     let _ = live.join();
     server.shutdown();
     drop(client);
+    drop(watcher);
     drop(service);
     drop(broker);
     drop(meta);

@@ -619,14 +619,21 @@ struct IngestPoint {
     size: usize,
     workers: usize,
     mbps: f64,
+    /// Share of the point's pooled tasks that a pool helper ran instead
+    /// of the caller (`content.pool.helped_total / tasks_total`).
+    helped: f64,
 }
 
 /// Results of the content-plane ingest scenario (BENCH_9).
 struct IngestResults {
     /// Single-thread chunk + SHA-1 loop — the seed ingest path.
     scalar: Vec<IngestPoint>,
-    /// FastHash staged pipeline at several worker counts.
+    /// FastHash staged pipeline, no compression, at several worker
+    /// counts: short tasks (~280 µs per 512 KiB chunk).
     pipeline: Vec<IngestPoint>,
+    /// The shipped client's pipeline, SHA-1 + LZSS, at the same worker
+    /// counts: long tasks (~13 ms per chunk).
+    pipeline_shipped: Vec<IngestPoint>,
     /// One-shot SHA-1 over a 4 MB buffer, MB/s.
     sha1_hash_mbps: f64,
     /// One-shot FastHash over the same buffer, MB/s.
@@ -665,17 +672,23 @@ fn best_mbps(size: usize, reps: usize, mut run: impl FnMut() -> Duration) -> f64
 }
 
 /// Measures ingest throughput: the scalar chunk+SHA-1 loop (the paper's
-/// client, single thread) against the staged FastHash pipeline at
-/// [`INGEST_WORKERS`], over files of `sizes`; plus a one-shot hash
+/// client, single thread) against the staged pipeline at
+/// [`INGEST_WORKERS`] — FastHash without compression, and SHA-1 + LZSS as
+/// shipped — over files of `sizes`, each point with the share of its
+/// tasks the shared pool's helpers ran; plus a one-shot hash
 /// algorithm comparison and a workload dedup replay.
 fn ingest_scenario(sizes: &[usize], reps: usize, smoke: bool) -> IngestResults {
     use content::chunker::{Chunker, FixedChunker};
+    use content::compress::Algorithm;
     use content::pipeline::{IngestPipeline, PipelineConfig};
     use content::{ChunkId, Fingerprint};
 
     let chunk_size = content::DEFAULT_CHUNK_SIZE;
     let mut scalar = Vec::new();
     let mut pipeline = Vec::new();
+    let mut pipeline_shipped = Vec::new();
+    let pool_tasks = obs::counter("content.pool.tasks_total");
+    let pool_helped = obs::counter("content.pool.helped_total");
 
     for &size in sizes {
         let data = ingest_payload(size);
@@ -695,28 +708,48 @@ fn ingest_scenario(sizes: &[usize], reps: usize, smoke: bool) -> IngestResults {
             size,
             workers: 1,
             mbps,
+            helped: 0.0,
         });
 
-        for &workers in INGEST_WORKERS {
-            let pipe = IngestPipeline::new(
-                std::sync::Arc::new(FixedChunker::new(chunk_size)),
-                PipelineConfig {
+        let arms = [
+            ("fasthash     ", Fingerprint::FastHash, None, &mut pipeline),
+            (
+                "sha1+lzss    ",
+                Fingerprint::Sha1,
+                Some(Algorithm::Lzss),
+                &mut pipeline_shipped,
+            ),
+        ];
+        for (label, fingerprint, compression, points) in arms {
+            for &workers in INGEST_WORKERS {
+                let pipe = IngestPipeline::new(
+                    std::sync::Arc::new(FixedChunker::new(chunk_size)),
+                    PipelineConfig {
+                        workers,
+                        fingerprint,
+                        compression,
+                    },
+                );
+                let (tasks_before, helped_before) = (pool_tasks.value(), pool_helped.value());
+                let mbps = best_mbps(size, reps, || {
+                    let report = pipe.ingest(data.clone());
+                    assert_eq!(report.logical_bytes, size as u64);
+                    report.elapsed
+                });
+                let tasks = pool_tasks.value() - tasks_before;
+                let helped = (pool_helped.value() - helped_before) as f64 / tasks.max(1) as f64;
+                println!(
+                    "  {label} w={workers} {size:>9} B: {mbps:>8.1} MB/s, helpers ran {:.0} % \
+                     of {tasks} pooled tasks",
+                    helped * 100.0
+                );
+                points.push(IngestPoint {
+                    size,
                     workers,
-                    fingerprint: Fingerprint::FastHash,
-                    compression: None,
-                },
-            );
-            let mbps = best_mbps(size, reps, || {
-                let report = pipe.ingest(data.clone());
-                assert_eq!(report.logical_bytes, size as u64);
-                report.elapsed
-            });
-            println!("  pipeline w={workers}     {:>9} B: {mbps:>8.1} MB/s", size);
-            pipeline.push(IngestPoint {
-                size,
-                workers,
-                mbps,
-            });
+                    mbps,
+                    helped,
+                });
+            }
         }
     }
 
@@ -760,6 +793,7 @@ fn ingest_scenario(sizes: &[usize], reps: usize, smoke: bool) -> IngestResults {
     IngestResults {
         scalar,
         pipeline,
+        pipeline_shipped,
         sha1_hash_mbps,
         fasthash_mbps,
         dedup,
@@ -789,8 +823,8 @@ fn run_ingest(smoke: bool, gate: bool, out_path: &str) {
             .iter()
             .map(|p| {
                 format!(
-                    "    {{ \"size\": {}, \"workers\": {}, \"mbps\": {:.1} }}",
-                    p.size, p.workers, p.mbps
+                    "    {{ \"size\": {}, \"workers\": {}, \"mbps\": {:.1}, \"helped\": {:.3} }}",
+                    p.size, p.workers, p.mbps, p.helped
                 )
             })
             .collect::<Vec<_>>()
@@ -805,7 +839,9 @@ fn run_ingest(smoke: bool, gate: bool, out_path: &str) {
             "  \"hash_one_shot\": {{ \"bytes\": {probe}, \"sha1_mbps\": {sm:.1}, ",
             "\"fasthash_mbps\": {fm:.1}, \"speedup\": {sp:.3} }},\n",
             "  \"scalar_sha1\": [\n{scalar}\n  ],\n",
+            "  \"host_workers\": {host},\n",
             "  \"pipeline_fasthash\": [\n{pipeline}\n  ],\n",
+            "  \"pipeline_sha1_lzss\": [\n{shipped}\n  ],\n",
             "  \"dedup\": {{ \"ops\": {ops}, \"logical_bytes\": {lb}, \"stored_bytes\": {sb}, ",
             "\"ratio\": {ratio:.3}, \"chunk_writes\": {cw}, \"dedup_hits\": {dh}, ",
             "\"gc_reclaimed_bytes\": {gc} }}\n",
@@ -818,7 +854,9 @@ fn run_ingest(smoke: bool, gate: bool, out_path: &str) {
         fm = r.fasthash_mbps,
         sp = r.fasthash_mbps / r.sha1_hash_mbps,
         scalar = fmt_points(&r.scalar),
+        host = content::pipeline::host_workers(),
         pipeline = fmt_points(&r.pipeline),
+        shipped = fmt_points(&r.pipeline_shipped),
         ops = r.dedup.ops,
         lb = r.dedup.logical_bytes_written,
         sb = r.dedup.bytes_stored,

@@ -234,24 +234,49 @@ fn subtree_cv(key: &Cv, data: &[u8], chunk_counter: u64) -> Cv {
     parent_cv(key, &left, &right, 0)
 }
 
-/// Hashes a subtree, splitting work across up to `budget` threads.
-/// Splitting stops below [`PARALLEL_MIN`] bytes, where spawn overhead
-/// exceeds the hash work.
-fn subtree_cv_parallel(key: &Cv, data: &[u8], chunk_counter: u64, budget: usize) -> Cv {
-    const PARALLEL_MIN: usize = 128 * 1024;
-    if budget <= 1 || data.len() < PARALLEL_MIN.max(2 * CHUNK_LEN) {
-        return subtree_cv(key, data, chunk_counter);
-    }
+/// Below this many bytes a subtree is hashed where it is: a thread spawn
+/// costs more than the hash work it would take over.
+const PARALLEL_MIN: usize = 128 * 1024;
+
+#[cfg(test)]
+thread_local! {
+    /// Threads the parallel hash spawned from this thread, so a test can
+    /// see that small inputs start none (per thread: tests run in
+    /// parallel).
+    static SPAWNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Chaining values of the two subtrees under the node covering `data`
+/// (more than one leaf chunk), the right one on a second thread when the
+/// budget and [`PARALLEL_MIN`] allow. The root and every inner node split
+/// here, so one threshold governs both.
+fn children_cv_parallel(key: &Cv, data: &[u8], chunk_counter: u64, budget: usize) -> (Cv, Cv) {
     let total = data.len().div_ceil(CHUNK_LEN);
     let split = left_chunks(total) * CHUNK_LEN;
     let (ldata, rdata) = data.split_at(split);
     let rcounter = chunk_counter + (split / CHUNK_LEN) as u64;
+    if budget <= 1 || data.len() < PARALLEL_MIN {
+        return (
+            subtree_cv(key, ldata, chunk_counter),
+            subtree_cv(key, rdata, rcounter),
+        );
+    }
     let (lbudget, rbudget) = (budget / 2 + budget % 2, budget / 2);
-    let (left, right) = std::thread::scope(|scope| {
+    #[cfg(test)]
+    SPAWNS.with(|spawns| spawns.set(spawns.get() + 1));
+    std::thread::scope(|scope| {
         let r = scope.spawn(move || subtree_cv_parallel(key, rdata, rcounter, rbudget));
         let left = subtree_cv_parallel(key, ldata, chunk_counter, lbudget);
         (left, r.join().expect("fasthash worker panicked"))
-    });
+    })
+}
+
+/// Hashes a subtree, splitting work across up to `budget` threads.
+fn subtree_cv_parallel(key: &Cv, data: &[u8], chunk_counter: u64, budget: usize) -> Cv {
+    if data.len() <= CHUNK_LEN {
+        return chunk_cv(key, data, chunk_counter, 0);
+    }
+    let (left, right) = children_cv_parallel(key, data, chunk_counter, budget);
     parent_cv(key, &left, &right, 0)
 }
 
@@ -286,26 +311,14 @@ pub fn hash_keyed(key: &Cv, data: &[u8]) -> [u8; OUT_LEN] {
 }
 
 /// One-shot hash using up to `workers` threads for the subtree work.
-/// `workers <= 1` (or input below the parallel threshold) runs inline.
+/// `workers <= 1`, or input below the 128 KiB parallel threshold, runs
+/// inline.
 pub fn hash_parallel(data: &[u8], workers: usize) -> [u8; OUT_LEN] {
     let key = &DEFAULT_KEY;
     if data.len() <= CHUNK_LEN {
         return root_digest(&chunk_cv(key, data, 0, ROOT));
     }
-    let total = data.len().div_ceil(CHUNK_LEN);
-    let split = left_chunks(total) * CHUNK_LEN;
-    let (ldata, rdata) = data.split_at(split);
-    let rcounter = (split / CHUNK_LEN) as u64;
-    let (left, right) = if workers <= 1 {
-        (subtree_cv(key, ldata, 0), subtree_cv(key, rdata, rcounter))
-    } else {
-        let (lbudget, rbudget) = (workers / 2 + workers % 2, workers / 2);
-        std::thread::scope(|scope| {
-            let r = scope.spawn(move || subtree_cv_parallel(key, rdata, rcounter, rbudget));
-            let left = subtree_cv_parallel(key, ldata, 0, lbudget);
-            (left, r.join().expect("fasthash worker panicked"))
-        })
-    };
+    let (left, right) = children_cv_parallel(key, data, 0, workers);
     root_digest(&parent_cv(key, &left, &right, ROOT))
 }
 
@@ -485,6 +498,28 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), oneshot, "split at {split}");
+        }
+    }
+
+    #[test]
+    fn parallel_spawns_nothing_below_the_threshold() {
+        let spawned_by = |len: usize, workers: usize| {
+            let data = random_bytes(len, len as u64);
+            let before = SPAWNS.with(|spawns| spawns.get());
+            assert_eq!(hash_parallel(&data, workers), hash(&data), "len {len}");
+            SPAWNS.with(|spawns| spawns.get()) - before
+        };
+        for workers in [1, 2, 4] {
+            for len in [2 * CHUNK_LEN, 64 * 1024, PARALLEL_MIN - 1] {
+                assert_eq!(spawned_by(len, workers), 0, "len {len} workers {workers}");
+            }
+            for len in [PARALLEL_MIN, PARALLEL_MIN + 1, 4 * PARALLEL_MIN] {
+                assert_eq!(
+                    spawned_by(len, workers) > 0,
+                    workers > 1,
+                    "len {len} workers {workers}: the root splits on this thread"
+                );
+            }
         }
     }
 

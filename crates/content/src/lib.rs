@@ -291,10 +291,24 @@ mod tests {
 
     #[test]
     fn of_parallel_matches_of() {
-        let data = vec![0x5Au8; 300_000];
-        for algo in [Fingerprint::Sha1, Fingerprint::FastHash] {
-            for workers in [1, 2, 4] {
-                assert_eq!(algo.of_parallel(&data, workers), algo.of(&data));
+        // Both sides of fasthash's 128 KiB spawn threshold.
+        for len in [
+            8 * 1024,
+            128 * 1024 - 1,
+            128 * 1024,
+            128 * 1024 + 1,
+            300_000,
+        ] {
+            let data = vec![0x5Au8; len];
+            for algo in [Fingerprint::Sha1, Fingerprint::FastHash] {
+                for workers in [1, 2, 4] {
+                    assert_eq!(
+                        algo.of_parallel(&data, workers),
+                        algo.of(&data),
+                        "{} len {len} workers {workers}",
+                        algo.name()
+                    );
+                }
             }
         }
     }

@@ -9,12 +9,12 @@
 //!    sequential by nature (CDC boundaries depend on the preceding bytes)
 //!    but runs at memory speed — a Buzhash roll per byte — so it is never
 //!    the bottleneck. Every span then becomes an independent fingerprint
-//!    task; the calling thread and the pool workers drain a shared index
-//!    counter. When a file yields fewer spans than workers (one big
-//!    file), the FastHash tree splits *within* the chunk across the idle
-//!    cores.
+//!    task; the calling thread and the pool's helpers drain a shared
+//!    index counter. When a file yields fewer spans than workers (one
+//!    big file), the FastHash tree splits *within* the chunk across the
+//!    idle cores.
 //! 2. **Pack** ([`IngestPipeline::pack`]) — compress a chosen subset of
-//!    the indexed chunks on the same pool. Compression is the expensive
+//!    the indexed chunks the same way. Compression is the expensive
 //!    stage (tens of MB/s against hundreds for the fingerprint), and
 //!    which chunks need it is something only the store can say, so a
 //!    caller that can ask first packs only what the store lacks.
@@ -28,18 +28,29 @@
 //! window *is* the stored payload — no byte is copied between the
 //! caller's buffer and the store.
 //!
-//! Backpressure is structural: both stages are synchronous and dispatch
-//! only their own tasks, so a caller can never enqueue more than one
-//! file of work, and the pool is shared across calls without fairness
+//! Both stages, and the sync client's download window, run on one
+//! scheduler ([`IngestPipeline::map_tasks`]) over one pool: a process has
+//! a single set of helper threads, started by the first call that can use
+//! one and sized from the host once ([`host_workers`]). A pipeline owns
+//! no thread; its `workers` is the most threads one of its calls may
+//! occupy. The calling thread always drains its own tasks, so a busy pool
+//! can slow a call but never block it, and a task may itself call
+//! `map_tasks`.
+//!
+//! Backpressure is structural: every stage is synchronous and dispatches
+//! only its own tasks, so a caller can never enqueue more than one file
+//! of work, and the pool is shared across calls without fairness
 //! machinery (slots are claimed one task at a time).
 
 use crate::chunker::Chunker;
 use crate::compress::Algorithm;
 use crate::{ChunkId, Fingerprint};
 use bytes::Bytes;
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// One chunk after the index stage: where it sits and what it is.
@@ -120,8 +131,9 @@ impl IngestReport {
 /// Pipeline configuration.
 #[derive(Clone)]
 pub struct PipelineConfig {
-    /// Worker threads (including the calling thread); `0` and `1` both
-    /// mean fully inline, no pool.
+    /// The most threads one call may occupy (the calling thread plus
+    /// helpers from the process-wide pool); `0` and `1` both mean fully
+    /// inline. A host with fewer cores simply has fewer helpers to lend.
     pub workers: usize,
     /// Fingerprint algorithm for chunk ids.
     pub fingerprint: Fingerprint,
@@ -140,12 +152,11 @@ impl Default for PipelineConfig {
     }
 }
 
-/// The staged ingest pipeline. Construction spawns the worker pool
-/// (for `workers > 1`); dropping shuts it down and joins the threads.
+/// The staged ingest pipeline. It owns no thread: every pipeline of the
+/// process borrows helpers from one shared pool, a call at a time.
 pub struct IngestPipeline {
     chunker: Arc<dyn Chunker + Send + Sync>,
     config: PipelineConfig,
-    pool: Option<Pool>,
     metrics: Metrics,
 }
 
@@ -178,17 +189,9 @@ impl Metrics {
 impl IngestPipeline {
     /// Creates a pipeline over the given chunker.
     pub fn new(chunker: Arc<dyn Chunker + Send + Sync>, config: PipelineConfig) -> Self {
-        let pool = if config.workers > 1 {
-            // The calling thread participates, so spawn one fewer.
-            Some(Pool::spawn(config.workers - 1))
-        } else {
-            None
-        };
-        obs::gauge("content.ingest.workers").set(config.workers.max(1) as f64);
         IngestPipeline {
             chunker,
             config,
-            pool,
             metrics: Metrics::new(),
         }
     }
@@ -310,67 +313,87 @@ impl IngestPipeline {
         }
     }
 
-    /// Runs `task(0)`..`task(n - 1)` on the calling thread and the pool,
-    /// and returns the results in task order.
-    fn map_tasks<T: Send + 'static>(
+    /// Runs `task(0)`..`task(n - 1)` on the calling thread and at most
+    /// `workers - 1` helpers of the process-wide pool, and returns the
+    /// results in task order. A stage of one task, or a pipeline of one
+    /// worker, never leaves the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// If a task panics, on whichever thread: the first panic is raised
+    /// again here once the tasks already started have finished.
+    pub fn map_tasks<T: Send + 'static>(
         &self,
         n: usize,
         task: impl Fn(usize) -> T + Send + Sync + 'static,
     ) -> Vec<T> {
-        let helpers = self
-            .pool
-            .as_ref()
-            .map_or(0, |pool| pool.size().min(n.saturating_sub(1)));
-        if helpers == 0 {
+        let workers = self.workers().min(n);
+        if workers <= 1 {
             return (0..n).map(task).collect();
         }
-        let state = Arc::new(CallState {
-            task,
-            n,
-            next: AtomicUsize::new(0),
-            pending: AtomicUsize::new(n),
-            results: Mutex::new((0..n).map(|_| None).collect()),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
-        });
-        let pool = self.pool.as_ref().expect("helpers imply a pool");
-        for _ in 0..helpers {
-            let st = Arc::clone(&state);
-            pool.submit(Box::new(move || st.drain()));
-        }
-        state.drain();
-        state.wait_done();
-        let mut slots = state.results.lock().expect("ingest results poisoned");
-        slots
-            .drain(..)
-            .map(|c| c.expect("ingest slot incomplete"))
-            .collect()
+        Pool::global().map(workers - 1, n, task)
     }
 }
 
+/// Helper threads the pool starts at most, whatever the host reports: a
+/// file is a few dozen 512 KiB tasks, not hundreds.
+const MAX_HELPERS: usize = 15;
+
+/// Threads one call can occupy on this host: the calling thread plus the
+/// helpers of the process-wide pool. The host is asked once per process
+/// (the answer re-reads affinity and cgroup files on every call, and a
+/// client is configured per connection).
+pub fn host_workers() -> usize {
+    static HOST_WORKERS: OnceLock<usize> = OnceLock::new();
+    *HOST_WORKERS.get_or_init(|| {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        cores.min(MAX_HELPERS + 1)
+    })
+}
+
+/// What one call has to show for itself so far.
+enum Outcome<T> {
+    /// The slot table, filled in task order as tasks finish.
+    Slots(Vec<Option<T>>),
+    /// The first panic out of a task. From then on it is the call's
+    /// outcome, and tasks not yet started are skipped.
+    Panicked(Box<dyn Any + Send>),
+}
+
 /// Shared state of one stage of one call, drained cooperatively by the
-/// calling thread and the pool workers.
+/// calling thread and the pool's helpers.
 struct CallState<T, F> {
     task: F,
     n: usize,
     next: AtomicUsize,
     pending: AtomicUsize,
-    results: Mutex<Vec<Option<T>>>,
+    outcome: Mutex<Outcome<T>>,
     done: Mutex<bool>,
     done_cv: Condvar,
 }
 
 impl<T, F: Fn(usize) -> T> CallState<T, F> {
-    fn drain(&self) {
+    /// Claims and runs tasks until none is left; returns how many ran
+    /// here. A panicking task is caught, so the thread — a helper every
+    /// client of the process shares — survives it and `pending` still
+    /// reaches zero.
+    fn drain(&self) -> u64 {
+        let mut ran = 0;
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
             if i >= self.n {
-                return;
+                return ran;
             }
-            let result = (self.task)(i);
-            {
-                let mut slots = self.results.lock().expect("ingest results poisoned");
-                slots[i] = Some(result);
+            if matches!(*self.outcome(), Outcome::Slots(_)) {
+                let result = catch_unwind(AssertUnwindSafe(|| (self.task)(i)));
+                let mut outcome = self.outcome();
+                match (result, &mut *outcome) {
+                    (Ok(value), Outcome::Slots(slots)) => slots[i] = Some(value),
+                    (Err(panic), Outcome::Slots(_)) => *outcome = Outcome::Panicked(panic),
+                    // A later panic, or a result nobody will read.
+                    (_, Outcome::Panicked(_)) => {}
+                }
+                ran += 1;
             }
             if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
                 let mut done = self.done.lock().expect("ingest done flag poisoned");
@@ -378,6 +401,10 @@ impl<T, F: Fn(usize) -> T> CallState<T, F> {
                 self.done_cv.notify_all();
             }
         }
+    }
+
+    fn outcome(&self) -> MutexGuard<'_, Outcome<T>> {
+        self.outcome.lock().expect("ingest outcome poisoned")
     }
 
     fn wait_done(&self) {
@@ -390,79 +417,108 @@ impl<T, F: Fn(usize) -> T> CallState<T, F> {
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A minimal persistent worker pool: a locked deque plus a condvar.
+/// A minimal persistent helper pool: a locked deque plus a condvar. The
+/// threads live as long as the process.
 struct Pool {
     shared: Arc<PoolShared>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    size: usize,
+    tasks_total: Arc<obs::Counter>,
+    helped_total: Arc<obs::Counter>,
 }
 
 struct PoolShared {
-    queue: Mutex<PoolQueue>,
+    jobs: Mutex<VecDeque<Job>>,
     work_cv: Condvar,
 }
 
-struct PoolQueue {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
-}
-
 impl Pool {
-    fn spawn(size: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            queue: Mutex::new(PoolQueue {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-        });
-        let threads = (0..size)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("ingest-{i}"))
-                    .spawn(move || loop {
-                        let job = {
-                            let mut q = shared.queue.lock().expect("ingest pool poisoned");
-                            loop {
-                                if let Some(job) = q.jobs.pop_front() {
-                                    break job;
-                                }
-                                if q.shutdown {
-                                    return;
-                                }
-                                q = shared.work_cv.wait(q).expect("ingest pool poisoned");
-                            }
-                        };
-                        job();
-                    })
-                    .expect("spawn ingest worker")
-            })
-            .collect();
-        Pool { shared, threads }
+    /// The pool every pipeline of the process shares, started on first
+    /// use with one helper per core beyond the caller's.
+    fn global() -> &'static Pool {
+        static POOL: OnceLock<Pool> = OnceLock::new();
+        POOL.get_or_init(|| {
+            obs::gauge("content.ingest.workers").set(host_workers() as f64);
+            Pool::spawn(host_workers() - 1)
+        })
     }
 
-    fn size(&self) -> usize {
-        self.threads.len()
+    fn spawn(size: usize) -> Self {
+        let shared = Arc::new(PoolShared {
+            jobs: Mutex::new(VecDeque::new()),
+            work_cv: Condvar::new(),
+        });
+        for i in 0..size {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name(format!("ingest-{i}"))
+                .spawn(move || loop {
+                    let job = {
+                        let mut jobs = shared.jobs.lock().expect("ingest pool poisoned");
+                        loop {
+                            if let Some(job) = jobs.pop_front() {
+                                break job;
+                            }
+                            jobs = shared.work_cv.wait(jobs).expect("ingest pool poisoned");
+                        }
+                    };
+                    job();
+                })
+                .expect("spawn ingest helper");
+        }
+        Pool {
+            shared,
+            size,
+            tasks_total: obs::counter("content.pool.tasks_total"),
+            helped_total: obs::counter("content.pool.helped_total"),
+        }
+    }
+
+    /// [`IngestPipeline::map_tasks`] with at most `max_helpers` of this
+    /// pool's threads beside the caller.
+    fn map<T: Send + 'static>(
+        &self,
+        max_helpers: usize,
+        n: usize,
+        task: impl Fn(usize) -> T + Send + Sync + 'static,
+    ) -> Vec<T> {
+        self.tasks_total.add(n as u64);
+        let helpers = self.size.min(max_helpers).min(n.saturating_sub(1));
+        if helpers == 0 {
+            return (0..n).map(task).collect();
+        }
+        let state = Arc::new(CallState {
+            task,
+            n,
+            next: AtomicUsize::new(0),
+            pending: AtomicUsize::new(n),
+            outcome: Mutex::new(Outcome::Slots((0..n).map(|_| None).collect())),
+            done: Mutex::new(false),
+            done_cv: Condvar::new(),
+        });
+        for _ in 0..helpers {
+            let st = Arc::clone(&state);
+            let helped_total = Arc::clone(&self.helped_total);
+            self.submit(Box::new(move || helped_total.add(st.drain())));
+        }
+        // The caller works through its own tasks whether or not a helper
+        // ever turns up, then waits only for tasks already running.
+        state.drain();
+        state.wait_done();
+        let outcome = std::mem::replace(&mut *state.outcome(), Outcome::Slots(Vec::new()));
+        match outcome {
+            Outcome::Slots(slots) => slots
+                .into_iter()
+                .map(|slot| slot.expect("ingest slot incomplete"))
+                .collect(),
+            Outcome::Panicked(panic) => resume_unwind(panic),
+        }
     }
 
     fn submit(&self, job: Job) {
-        let mut q = self.shared.queue.lock().expect("ingest pool poisoned");
-        q.jobs.push_back(job);
-        drop(q);
+        let mut jobs = self.shared.jobs.lock().expect("ingest pool poisoned");
+        jobs.push_back(job);
+        drop(jobs);
         self.shared.work_cv.notify_one();
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        {
-            let mut q = self.shared.queue.lock().expect("ingest pool poisoned");
-            q.shutdown = true;
-        }
-        self.shared.work_cv.notify_all();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
     }
 }
 
@@ -471,6 +527,7 @@ mod tests {
     use super::*;
     use crate::chunker::{ContentDefinedChunker, FixedChunker};
     use proptest::prelude::*;
+    use std::sync::atomic::AtomicBool;
 
     fn random_bytes(len: usize, seed: u64) -> Vec<u8> {
         let mut state = seed.wrapping_mul(2862933555777941757).wrapping_add(7);
@@ -601,6 +658,115 @@ mod tests {
             let report = p.ingest(data);
             assert_eq!(report.chunks.len(), 3);
         }
+    }
+
+    /// A pool of exactly `size` helpers, apart from the process-wide one;
+    /// its idle threads last until the test process exits.
+    fn private_pool(size: usize) -> &'static Pool {
+        Box::leak(Box::new(Pool::spawn(size)))
+    }
+
+    /// Runs `body` on a thread of its own and fails, instead of hanging
+    /// the suite, if it has not returned in time.
+    fn within<R: Send + 'static>(limit: Duration, body: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(body()));
+        rx.recv_timeout(limit).expect("the call never returned")
+    }
+
+    fn on_helper_thread() -> bool {
+        std::thread::current()
+            .name()
+            .is_some_and(|name| name.starts_with("ingest-"))
+    }
+
+    /// A task body for a one-helper pool: the caller and the helper are
+    /// each held in their first task until the other has one too, so both
+    /// are known to take part; then the side `panics` names, if any,
+    /// panics.
+    fn rendezvous(panics: Option<bool>) -> impl Fn(usize) -> usize + Send + Sync + 'static {
+        let both_running = std::sync::Barrier::new(2);
+        let (helper_met, caller_met) = (AtomicBool::new(false), AtomicBool::new(false));
+        move |i| {
+            let helper = on_helper_thread();
+            let met = if helper { &helper_met } else { &caller_met };
+            if !met.swap(true, Ordering::Relaxed) {
+                both_running.wait();
+                if panics == Some(helper) {
+                    panic!("task {i} failed");
+                }
+            }
+            i
+        }
+    }
+
+    #[test]
+    fn a_panicking_task_reaches_the_caller_and_the_pool_survives() {
+        // A panic on the helper is the interleaving that used to hang the
+        // caller and kill the thread.
+        for panic_on_helper in [true, false] {
+            let pool = private_pool(1);
+            let (outcome, next) = within(Duration::from_secs(30), move || {
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    pool.map(1, 16, rendezvous(Some(panic_on_helper)))
+                }));
+                // Returns only if the pool's one thread is still serving.
+                (outcome, pool.map(1, 16, rendezvous(None)))
+            });
+            let payload = outcome.expect_err("the task's panic is the call's outcome");
+            let message = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.ends_with("failed"), "{message}");
+            assert_eq!(next, (0..16).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn busy_one_helper_pool_never_blocks_concurrent_or_nested_calls() {
+        // 8 callers share one helper, and every fourth task is itself a
+        // call on the same pool — from the helper's thread too. Each
+        // caller drains its own tasks, so everything finishes whoever the
+        // helper happens to be serving.
+        let pool = private_pool(1);
+        let sums = within(Duration::from_secs(60), move || {
+            let callers: Vec<_> = (0..8u64)
+                .map(|caller| {
+                    std::thread::spawn(move || {
+                        let results = pool.map(1, 64, move |i| {
+                            let own = caller * 1000 + i as u64;
+                            if i % 4 == 0 {
+                                own + pool.map(1, 8, |k| k as u64).iter().sum::<u64>()
+                            } else {
+                                own
+                            }
+                        });
+                        results.iter().sum::<u64>()
+                    })
+                })
+                .collect();
+            callers
+                .into_iter()
+                .map(|c| c.join().expect("caller panicked"))
+                .collect::<Vec<u64>>()
+        });
+        for (caller, sum) in sums.iter().enumerate() {
+            let nested = 16 * (0..8u64).sum::<u64>();
+            let own = 64 * caller as u64 * 1000 + (0..64u64).sum::<u64>();
+            assert_eq!(*sum, own + nested, "caller {caller}");
+        }
+    }
+
+    #[test]
+    fn one_worker_or_one_task_stays_on_the_caller() {
+        let on_caller = |workers: usize, n: usize| {
+            let caller = std::thread::current().id();
+            pipeline(workers, None)
+                .map_tasks(n, move |_| std::thread::current().id() == caller)
+                .into_iter()
+                .all(|same| same)
+        };
+        assert!(on_caller(1, 64));
+        assert!(on_caller(8, 1));
+        assert!(host_workers() >= 1 && host_workers() <= MAX_HELPERS + 1);
     }
 
     #[test]

@@ -79,8 +79,12 @@ pub struct ClientConfig {
     /// SHA-1). All devices of a workspace must agree — chunk objects are
     /// addressed by fingerprint hex.
     pub fingerprint: Fingerprint,
-    /// Worker threads in the ingest pipeline (default 1: the indexer
-    /// runs inline, matching the paper's single-threaded client).
+    /// Threads one file's chunks may occupy, both ways: fingerprinting
+    /// and compressing on the way up, fetching, decompressing and
+    /// verifying on the way down. Default: one per core of the host
+    /// ([`content::pipeline::host_workers`]); every client of the process
+    /// borrows them from one shared pool. `with_ingest_workers(1)` is the
+    /// paper's arrangement, a single-threaded client.
     pub ingest_workers: usize,
     /// `@SyncMethod` timeout (paper Fig. 6: 1500 ms).
     pub call_timeout: Duration,
@@ -99,7 +103,7 @@ impl ClientConfig {
             },
             compression: Algorithm::Lzss,
             fingerprint: Fingerprint::Sha1,
-            ingest_workers: 1,
+            ingest_workers: content::pipeline::host_workers(),
             call_timeout: Duration::from_millis(1500),
             call_retries: 5,
         }
@@ -137,8 +141,8 @@ impl ClientConfig {
         self
     }
 
-    /// Runs the ingest pipeline with `workers` threads (clamped to at
-    /// least 1).
+    /// Lets one file's chunks occupy at most `workers` threads (clamped
+    /// to at least 1, which keeps everything on the calling thread).
     pub fn with_ingest_workers(mut self, workers: usize) -> Self {
         self.ingest_workers = workers.max(1);
         self
@@ -232,12 +236,15 @@ struct ClientShared {
     db: Mutex<LocalDb>,
     stats: ClientStats,
     proxy: Proxy,
-    /// Chunk→hash→compress ingest pipeline (the Indexer of §4.1, staged
-    /// across `ClientConfig::ingest_workers` threads).
+    /// Chunk→hash→compress ingest pipeline (the Indexer of §4.1); its
+    /// scheduler also runs the download window, both capped at
+    /// `ClientConfig::ingest_workers` threads.
     pipeline: IngestPipeline,
     /// `sync.client.chunks_reused_total`, summed over every client of
     /// the process.
     reused_total: Arc<obs::Counter>,
+    /// `sync.client.fetch_seconds`: reassembling one item's content.
+    fetch_seconds: Arc<obs::Histogram>,
 }
 
 /// A StackSync desktop client bound to one workspace.
@@ -369,6 +376,7 @@ impl DesktopClient {
             proxy,
             pipeline,
             reused_total: obs::counter("sync.client.chunks_reused_total"),
+            fetch_seconds: obs::histogram("sync.client.fetch_seconds"),
             config,
         });
 
@@ -726,27 +734,44 @@ fn download_chunk(shared: &Arc<ClientShared>, id: &ChunkId) -> SyncResult<Bytes>
     Ok(plain)
 }
 
+/// One chunk of an item, verified: from the local folder when a copy
+/// with that fingerprint is there (`true`), from the chunk store
+/// otherwise.
+fn fetch_chunk(shared: &Arc<ClientShared>, id: &ChunkId) -> SyncResult<(Bytes, bool)> {
+    match local_chunk(shared, id) {
+        Some(plain) => Ok((plain, true)),
+        None => Ok((download_chunk(shared, id)?, false)),
+    }
+}
+
 /// Reassembles an item's content: each chunk from the local folder when
 /// a verified copy is there, from the chunk store otherwise. Either way
 /// its fingerprint has been compared to the committed id. Returns the
 /// content and the chunk lengths, in file order.
+///
+/// Chunks are fetched a window of `ingest_workers` at a time on the
+/// pipeline's scheduler and appended in file order before the next window
+/// starts, so the file is never held twice: the extra memory is one
+/// window. The first failing chunk in file order is the error.
 fn fetch_item_content(
     shared: &Arc<ClientShared>,
     item: &ItemMetadata,
 ) -> SyncResult<(Vec<u8>, Vec<usize>)> {
+    let started = Instant::now();
     let mut contents = Vec::with_capacity(item.size as usize);
     let mut lens = Vec::with_capacity(item.chunks.len());
     let mut reused = 0;
-    for id in &item.chunks {
-        let plain = match local_chunk(shared, id) {
-            Some(plain) => {
-                reused += 1;
-                plain
-            }
-            None => download_chunk(shared, id)?,
-        };
-        lens.push(plain.len());
-        contents.extend_from_slice(&plain);
+    for window in item.chunks.chunks(shared.pipeline.workers()) {
+        let (client, ids) = (Arc::clone(shared), window.to_vec());
+        let fetched = shared
+            .pipeline
+            .map_tasks(window.len(), move |k| fetch_chunk(&client, &ids[k]));
+        for chunk in fetched {
+            let (plain, local) = chunk?;
+            reused += u64::from(local);
+            lens.push(plain.len());
+            contents.extend_from_slice(&plain);
+        }
     }
     let downloaded = item.chunks.len() as u64 - reused;
     let stats = &shared.stats.inner;
@@ -755,6 +780,7 @@ fn fetch_item_content(
         .fetch_add(downloaded, Ordering::Relaxed);
     stats.chunks_reused.fetch_add(reused, Ordering::Relaxed);
     shared.reused_total.add(reused);
+    shared.fetch_seconds.record(started.elapsed());
     Ok((contents, lens))
 }
 
@@ -878,23 +904,52 @@ mod tests {
             .collect()
     }
 
+    /// A broker, a chunk store and a bound SyncService over one workspace
+    /// of alice's.
+    struct TestStack {
+        broker: Broker,
+        store: SwiftStore,
+        workspace: WorkspaceId,
+        _service: crate::SyncService,
+        _server: ServerHandle,
+    }
+
+    impl TestStack {
+        fn new() -> Self {
+            let broker = Broker::in_process();
+            let store = SwiftStore::new(storage::LatencyModel::instant());
+            let meta: Arc<dyn metadata::MetadataStore> = Arc::new(metadata::ShardedStore::new());
+            let service = crate::SyncService::builder(&broker)
+                .store(meta.clone())
+                .build();
+            let server = service.bind(&broker).unwrap();
+            let workspace = crate::provision_user(meta.as_ref(), "alice", "Docs").unwrap();
+            TestStack {
+                broker,
+                store,
+                workspace,
+                _service: service,
+                _server: server,
+            }
+        }
+
+        fn connect(&self, config: ClientConfig) -> DesktopClient {
+            DesktopClient::connect(&self.broker, &self.store, config, &self.workspace).unwrap()
+        }
+    }
+
+    const TIMEOUT: Duration = Duration::from_secs(5);
+
     #[test]
     fn folder_bytes_that_no_longer_match_the_index_are_fetched_not_reused() {
         // A local write racing a notification for the same path, stopped
         // where it matters: the new bytes are in the folder, the local
         // database still describes the old ones.
-        let broker = Broker::in_process();
-        let store = SwiftStore::new(storage::LatencyModel::instant());
-        let meta: Arc<dyn metadata::MetadataStore> = Arc::new(metadata::ShardedStore::new());
-        let service = crate::SyncService::builder(&broker)
-            .store(meta.clone())
-            .build();
-        let _server = service.bind(&broker).unwrap();
-        let ws = crate::provision_user(meta.as_ref(), "alice", "Docs").unwrap();
+        let stack = TestStack::new();
         let config = |device: &str| ClientConfig::new("alice", device).with_chunk_size(4096);
-        let a = DesktopClient::connect(&broker, &store, config("laptop"), &ws).unwrap();
-        let b = DesktopClient::connect(&broker, &store, config("phone"), &ws).unwrap();
-        let timeout = Duration::from_secs(5);
+        let a = stack.connect(config("laptop"));
+        let b = stack.connect(config("phone"));
+        let timeout = TIMEOUT;
 
         let v1 = distinct_chunks(3, 0);
         a.write_file("f.bin", v1.clone()).unwrap();
@@ -931,6 +986,162 @@ mod tests {
         assert!(b.wait_for_version("f.bin", 3, timeout));
         assert_eq!(b.read_file("f.bin").unwrap(), v3);
         assert_eq!(b.stats().chunks_reused(), 2);
+    }
+
+    /// Everything a schedule leaves behind that the thread count could
+    /// conceivably have touched.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        devices: Vec<Device>,
+        /// Store-side puts, gets, deletes, bytes up, bytes down.
+        traffic: [u64; 5],
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Device {
+        /// Path and bytes of every file in the folder.
+        folder: Vec<(String, Vec<u8>)>,
+        /// Database entry of every path the schedule used.
+        entries: Vec<Option<FileEntry>>,
+        /// Chunks uploaded, bytes uploaded, chunks deduplicated,
+        /// downloaded, reused.
+        counters: [u64; 5],
+    }
+
+    /// Multi-chunk ADD, append UPDATE (the watcher reuses its local
+    /// chunks), rename (metadata only), then a device that joins late.
+    fn run_schedule(configure: impl Fn(ClientConfig) -> ClientConfig) -> Outcome {
+        let stack = TestStack::new();
+        let config = |device: &str| configure(ClientConfig::new("alice", device));
+        let a = stack.connect(config("laptop"));
+        let b = stack.connect(config("phone"));
+
+        let v1 = distinct_chunks(10, 3);
+        a.write_file("f.bin", v1.clone()).unwrap();
+        assert!(b.wait_for_content("f.bin", &v1, TIMEOUT));
+        let mut v2 = v1;
+        v2.extend_from_slice(&distinct_chunks(3, 0x77)[..9_000]);
+        a.write_file("f.bin", v2.clone()).unwrap();
+        assert!(b.wait_for_content("f.bin", &v2, TIMEOUT));
+        a.rename_file("f.bin", "g.bin").unwrap();
+        assert!(b.wait_for_content("g.bin", &v2, TIMEOUT));
+        assert!(b.wait_for_absent("f.bin", TIMEOUT));
+        let c = stack.connect(config("tablet"));
+        assert_eq!(c.read_file("g.bin").unwrap(), v2);
+
+        let devices = [&a, &b, &c]
+            .map(|device| {
+                let folder = device
+                    .list_files()
+                    .into_iter()
+                    .map(|path| {
+                        let bytes = device.read_file(&path).unwrap();
+                        (path, bytes)
+                    })
+                    .collect();
+                let db = device.shared.db.lock();
+                let entries = ["f.bin", "g.bin"].map(|path| db.get(path).cloned());
+                let stats = device.stats();
+                let counters = [
+                    stats.chunks_uploaded(),
+                    stats.chunk_bytes_uploaded(),
+                    stats.chunks_deduplicated(),
+                    stats.chunks_downloaded(),
+                    stats.chunks_reused(),
+                ];
+                Device {
+                    folder,
+                    entries: entries.to_vec(),
+                    counters,
+                }
+            })
+            .to_vec();
+        let traffic = stack.store.traffic();
+        Outcome {
+            devices,
+            traffic: [
+                traffic.put_count(),
+                traffic.get_count(),
+                traffic.delete_count(),
+                traffic.uploaded_bytes(),
+                traffic.downloaded_bytes(),
+            ],
+        }
+    }
+
+    #[test]
+    fn the_thread_count_decides_nothing() {
+        let chunkings: [fn(ClientConfig) -> ClientConfig; 2] = [
+            |c| c.with_chunk_size(4096),
+            |c| c.with_cdc(1024, 8192, 11, 48),
+        ];
+        for chunking in chunkings {
+            let inline = run_schedule(|c| chunking(c).with_ingest_workers(1));
+            let [.., downloaded, reused] = inline.devices[1].counters;
+            assert!(downloaded >= 10 && reused >= 10, "{downloaded} {reused}");
+            // The default (one thread per core), and a window wider than
+            // this host has cores.
+            assert_eq!(run_schedule(chunking), inline);
+            assert_eq!(run_schedule(|c| chunking(c).with_ingest_workers(4)), inline);
+        }
+    }
+
+    #[test]
+    fn a_corrupt_chunk_mid_file_is_named_in_file_order_and_changes_nothing() {
+        let stack = TestStack::new();
+        let config = |device: &str| {
+            ClientConfig::new("alice", device)
+                .with_chunk_size(4096)
+                .with_ingest_workers(8)
+        };
+        let a = stack.connect(config("laptop"));
+        let b = stack.connect(config("phone"));
+        let v1 = distinct_chunks(6, 0);
+        a.write_file("f.bin", v1.clone()).unwrap();
+        assert!(b.wait_for_content("f.bin", &v1, TIMEOUT));
+        let entry_before = b.shared.db.lock().get("f.bin").cloned().unwrap();
+        let downloaded_before = b.stats().chunks_downloaded();
+
+        // Version 2 as the store would hold it after an honest upload,
+        // six new chunks in one window — except that chunk 2 holds some
+        // other chunk's bytes (found out last: decompress, then hash) and
+        // chunk 4 is not an LZSS stream at all (found out first).
+        let v2 = distinct_chunks(6, 0x99);
+        let ids: Vec<ChunkId> = v2.chunks(4096).map(|c| Fingerprint::Sha1.of(c)).collect();
+        for (i, (id, plain)) in ids.iter().zip(v2.chunks(4096)).enumerate() {
+            let stored = match i {
+                2 => Algorithm::Lzss.compress(&v1[..4096]),
+                4 => Bytes::from_static(b"\xffnot a chunk"),
+                _ => Algorithm::Lzss.compress(plain),
+            };
+            let (owner, container) = (&b.shared.container_owner, &b.shared.container);
+            stack
+                .store
+                .put_in(&b.shared.token, owner, container, &chunk_hex(id), stored)
+                .unwrap();
+        }
+        let item = ItemMetadata {
+            item_id: entry_before.item_id,
+            workspace: stack.workspace.clone(),
+            path: "f.bin".to_string(),
+            version: 2,
+            chunks: ids.clone(),
+            size: v2.len() as u64,
+            is_deleted: false,
+            modified_by: "laptop".to_string(),
+        };
+        for _ in 0..20 {
+            let error = materialize_item(&b.shared, &item).unwrap_err();
+            assert_eq!(
+                error.to_string(),
+                SyncError::Corrupt(format!("chunk {} failed fingerprint verification", ids[2]))
+                    .to_string(),
+                "the first bad chunk in file order, whichever task finished first"
+            );
+        }
+        assert_eq!(b.read_file("f.bin").unwrap(), v1, "the folder keeps v1");
+        assert_eq!(b.shared.db.lock().get("f.bin"), Some(&entry_before));
+        assert_eq!(b.stats().chunks_downloaded(), downloaded_before);
     }
 
     #[test]
