@@ -3,7 +3,7 @@
 //! sync commit throughput, metadata-store contention, and the durable
 //! commit plane. Writes `BENCH_4.json` (transport), `BENCH_5.json` (metadata
 //! sharding), `BENCH_6.json` (connection scaling on the poll-based reactor)
-//! and `BENCH_7.json` (WAL group commit + recovery) at the repo root so
+//! and `BENCH_7.json` (WAL commit + recovery) at the repo root so
 //! runs can be compared across commits.
 //!
 //! The broker pair is measured in the same run so the ratio is meaningful
@@ -23,11 +23,11 @@
 //!
 //! The durable scenario runs the same 8-writer contention workload against
 //! [`metadata::ShardedStore::open_durable`] — every commit journaled to a
-//! per-shard group-commit WAL and fsynced before acknowledgement — and
-//! then measures recovery: reopen-with-replay over the full log, and
-//! reopen after a snapshot checkpoint. The WAL lives in `/dev/shm` when
-//! available (CI filesystems make fsync absurdly slow or silently async;
-//! see DESIGN.md §11), falling back to the system temp dir.
+//! per-shard WAL and fsynced by the committing thread before it is
+//! acknowledged — and then measures recovery: reopen-with-replay over the
+//! full log, and reopen after a snapshot checkpoint. The WAL lives in
+//! `/dev/shm` when available (CI filesystems make fsync absurdly slow or
+//! silently async; see DESIGN.md §11), falling back to the system temp dir.
 //!
 //! The connection-scaling scenario grows a fleet of mostly-idle
 //! [`NetBroker`] clients against one [`BrokerServer`] — 256, 2 000, then
@@ -360,7 +360,7 @@ struct DurableNumbers {
 /// journaling? (Against the cpu-bound in-memory store the comparison is
 /// meaningless: any fsync at all loses to a pure memcpy.)
 ///
-/// The WAL root prefers `/dev/shm`: this scenario compares lock/group-commit
+/// The WAL root prefers `/dev/shm`: this scenario compares lock/commit
 /// protocols, and a CI filesystem's fsync pathology (or lack of real
 /// durability) would swamp that signal.
 fn durable_scenario(commits_per_writer: usize) -> DurableNumbers {
@@ -1035,7 +1035,7 @@ fn main() {
 
     println!(
         "durable commit plane ({CONTENTION_WRITERS} writers x {contention_commits} commits, \
-         per-shard WAL group commit vs in-memory)..."
+         per-shard WAL, committer fsyncs, vs in-memory)..."
     );
     let durable = durable_scenario(contention_commits);
     println!(

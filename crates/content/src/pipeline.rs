@@ -116,18 +116,6 @@ pub struct IngestReport {
     pub elapsed: Duration,
 }
 
-impl IngestReport {
-    /// Ingest throughput in bytes per second.
-    pub fn bytes_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.logical_bytes as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Pipeline configuration.
 #[derive(Clone)]
 pub struct PipelineConfig {
@@ -194,11 +182,6 @@ impl IngestPipeline {
             config,
             metrics: Metrics::new(),
         }
-    }
-
-    /// Convenience constructor: paper-default 512 KB fixed chunking.
-    pub fn with_default_chunker(config: PipelineConfig) -> Self {
-        IngestPipeline::new(Arc::new(crate::chunker::FixedChunker::default()), config)
     }
 
     /// The configured worker count (≥ 1).

@@ -106,18 +106,18 @@ fn scratch_dir(seed: u64) -> PathBuf {
     ))
 }
 
-fn manual(name: &str) -> wal::LogConfig {
-    let mut cfg = wal::LogConfig::named(name);
-    cfg.sync = wal::SyncPolicy::Manual;
-    cfg
-}
-
 fn open_store(dir: &PathBuf, shards: usize) -> std::io::Result<ShardedStore> {
-    ShardedStore::open_durable(dir, shards, Duration::ZERO, manual("killsim-meta")).map(|(s, _)| s)
+    ShardedStore::open_durable(
+        dir,
+        shards,
+        Duration::ZERO,
+        wal::LogConfig::named("killsim-meta"),
+    )
+    .map(|(s, _)| s)
 }
 
 fn open_broker(dir: &PathBuf) -> std::io::Result<MessageBroker> {
-    MessageBroker::open_durable(dir, manual("killsim-mq")).map(|(b, _)| b)
+    MessageBroker::open_durable(dir, wal::LogConfig::named("killsim-mq")).map(|(b, _)| b)
 }
 
 /// Runs one seeded kill-restart schedule to completion.

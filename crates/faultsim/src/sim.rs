@@ -83,10 +83,9 @@ impl StoreSelection {
             "faultsim-durable-{}-{seed}-{unique}",
             std::process::id()
         ));
-        let mut cfg = wal::LogConfig::named("faultsim");
-        // Manual sync: flushes happen inline in ticket waits, so the run
-        // stays single-threaded and deterministic.
-        cfg.sync = wal::SyncPolicy::Manual;
+        // The WAL flushes inline in ticket waits and owns no thread, so the
+        // run stays single-threaded and deterministic.
+        let cfg = wal::LogConfig::named("faultsim");
         let (store, _) =
             ShardedStore::open_durable(&dir, self.shards, std::time::Duration::ZERO, cfg)
                 .expect("open durable store in scratch dir");

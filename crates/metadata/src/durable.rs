@@ -24,8 +24,9 @@
 //! **Write path.** Every mutating operation appends one record *inside* the
 //! same critical section that mutates the in-memory state — so each log's
 //! record order equals its shard's commit order — and waits for durability
-//! *after* releasing the lock, so the fsync (group commit, [`wal::Log`])
-//! never serializes other workspaces. Records carry a store-wide LSN drawn
+//! *after* releasing the lock, so the fsync (made by the waiting thread
+//! itself, for everything its log has buffered — [`wal::Log`]) never
+//! serializes other workspaces. Records carry a store-wide LSN drawn
 //! from one atomic counter; because an operation's LSN is assigned before
 //! its caller observes completion, any causally-later operation gets a
 //! larger LSN, and sorting all logs' records by LSN yields a valid
@@ -523,8 +524,8 @@ impl ShardedStore {
     /// Recovery replays the logs over the latest snapshot; see the module
     /// docs for the invariants.
     ///
-    /// `template` supplies the WAL tuning (sync policy, group-commit
-    /// interval/bytes, segment size); each log derives its name from it.
+    /// `template` supplies the sync policy and segment size; each log
+    /// derives its name from it.
     ///
     /// # Errors
     ///
@@ -785,8 +786,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         std::fs::create_dir_all(&root)?;
         write_atomic(&root.join(SNAPSHOT_FILE), |out| write_snapshot(out, parts))?;
-        let mut cfg = wal::LogConfig::named("snap-test");
-        cfg.sync = wal::SyncPolicy::Manual;
+        let cfg = wal::LogConfig::named("snap-test");
         let opened = ShardedStore::open_durable(&root, 2, Duration::ZERO, cfg);
         let _ = std::fs::remove_dir_all(&root);
         opened.map(|(store, _)| store)

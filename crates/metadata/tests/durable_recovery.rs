@@ -18,20 +18,12 @@ fn temp_root(tag: &str) -> PathBuf {
     dir
 }
 
-fn cfg(sync: SyncPolicy) -> LogConfig {
-    let mut cfg = LogConfig::named("meta-test");
-    cfg.sync = sync;
-    cfg
-}
-
-/// Manual sync keeps the WAL single-threaded and deterministic: every
-/// store operation flushes inline when it waits on its ticket.
-fn manual_cfg() -> LogConfig {
-    cfg(SyncPolicy::Manual)
+fn cfg() -> LogConfig {
+    LogConfig::named("meta-test")
 }
 
 fn open(root: &PathBuf, shards: usize) -> (ShardedStore, metadata::DurableRecovery) {
-    ShardedStore::open_durable(root, shards, std::time::Duration::ZERO, manual_cfg()).unwrap()
+    ShardedStore::open_durable(root, shards, std::time::Duration::ZERO, cfg()).unwrap()
 }
 
 fn snap_bytes(store: &ShardedStore) -> Vec<u8> {
@@ -260,7 +252,7 @@ fn checkpointed_store(root: &PathBuf) -> Vec<u8> {
 }
 
 fn open_error(root: &PathBuf) -> std::io::Error {
-    match ShardedStore::open_durable(root, 2, std::time::Duration::ZERO, manual_cfg()) {
+    match ShardedStore::open_durable(root, 2, std::time::Duration::ZERO, cfg()) {
         Ok(_) => panic!("a damaged root opened as a store"),
         Err(e) => e,
     }
@@ -380,7 +372,8 @@ fn stale_snapshot_temp_file_is_removed_at_open() {
 
 /// Unsynced logs: these tests are about the snapshot, not about fsync.
 fn open_unsynced(root: &PathBuf, shards: usize) -> (ShardedStore, metadata::DurableRecovery) {
-    let cfg = cfg(SyncPolicy::Never);
+    let mut cfg = cfg();
+    cfg.sync = SyncPolicy::Never;
     ShardedStore::open_durable(root, shards, std::time::Duration::ZERO, cfg).unwrap()
 }
 

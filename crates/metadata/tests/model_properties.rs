@@ -9,7 +9,7 @@ use metadata::{CommitResult, ItemMetadata, MetadataStore, ShardedStore, Workspac
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use wal::{LogConfig, SyncPolicy};
+use wal::LogConfig;
 
 #[derive(Debug, Clone)]
 struct Proposal {
@@ -145,8 +145,7 @@ proptest! {
             RUN.fetch_add(1, Ordering::Relaxed)
         ));
         let open = || {
-            let mut cfg = LogConfig::named("meta-lossless");
-            cfg.sync = SyncPolicy::Manual;
+            let cfg = LogConfig::named("meta-lossless");
             ShardedStore::open_durable(&root, shards, std::time::Duration::ZERO, cfg).unwrap()
         };
         let (store, _) = open();

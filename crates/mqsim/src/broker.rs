@@ -122,8 +122,7 @@ impl MessageBroker {
     /// re-enqueues every journaled publish without a journaled ack (flagged
     /// redelivered — at-least-once across process death).
     ///
-    /// `config` supplies the WAL tuning (sync policy, group-commit
-    /// interval/bytes, segment size).
+    /// `config` supplies the journal's name, sync policy and segment size.
     ///
     /// # Errors
     ///
@@ -455,11 +454,6 @@ impl MessageBroker {
     /// Brings a killed node back up.
     pub fn restart(&self) {
         self.inner.down.store(false, Ordering::Release);
-    }
-
-    /// Whether the node is up.
-    pub fn is_up(&self) -> bool {
-        !self.inner.down.load(Ordering::Acquire)
     }
 
     fn queue(&self, name: &str) -> MqResult<Arc<QueueCore>> {

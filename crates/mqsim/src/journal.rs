@@ -3,10 +3,12 @@
 //!
 //! The journal gives durable queues RabbitMQ-style persistence: a publish
 //! to a durable queue is acknowledged only after its record is fsynced
-//! (group commit — concurrent publishers share one fsync), while acks are
-//! journaled *fire-and-forget* (buffered, flushed by the next group commit
-//! or on close). Because the log is a single FIFO, an ack record can never
-//! become durable before the publish it refers to.
+//! (the publisher flushes; publishers that journaled meanwhile share that
+//! fsync), while acks are journaled *fire-and-forget*: buffered, and flushed
+//! by the next waited publish, on close, or by the log itself once 256 KiB of
+//! them are pending — the most a kill can turn into redeliveries. Because
+//! the log is a single FIFO, an ack record can never become durable before
+//! the publish it refers to.
 //!
 //! Recovery replays the log in order: pending = publishes minus acks minus
 //! deleted queues. Requeued messages keep their journal id, so a consumer

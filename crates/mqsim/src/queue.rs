@@ -157,8 +157,8 @@ impl QueueCore {
             return Err(MqError::Closed);
         }
         // Durable queues journal the publish under the queue lock (record
-        // order = enqueue order) and wait for the fsync after releasing it,
-        // so concurrent publishers coalesce into one group commit.
+        // order = enqueue order) and make it durable after releasing it, so
+        // the first publisher to flush covers the others that journaled.
         let (jid, ticket) = match &self.journal {
             Some(journal) => {
                 let (jid, ticket) = journal.record_publish(&self.name, &message)?;

@@ -15,10 +15,8 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn manual_cfg() -> wal::LogConfig {
-    let mut cfg = wal::LogConfig::named("broker-test");
-    cfg.sync = wal::SyncPolicy::Manual;
-    cfg
+fn cfg() -> wal::LogConfig {
+    wal::LogConfig::named("broker-test")
 }
 
 #[test]
@@ -26,7 +24,7 @@ fn unacked_durable_messages_survive_restart() {
     let dir = temp_dir("restart");
 
     {
-        let (broker, rec) = MessageBroker::open_durable(&dir, manual_cfg()).unwrap();
+        let (broker, rec) = MessageBroker::open_durable(&dir, cfg()).unwrap();
         assert_eq!(rec.replayed, 0);
         assert!(broker.is_durable());
 
@@ -63,7 +61,7 @@ fn unacked_durable_messages_survive_restart() {
         broker.journal_flush().unwrap();
     }
 
-    let (broker, rec) = MessageBroker::open_durable(&dir, manual_cfg()).unwrap();
+    let (broker, rec) = MessageBroker::open_durable(&dir, cfg()).unwrap();
     assert_eq!(rec.queues, 1);
     assert_eq!(rec.requeued, 2);
     assert!(!rec.torn);
@@ -89,7 +87,7 @@ fn unacked_durable_messages_survive_restart() {
     drop(consumer);
     drop(broker);
 
-    let (_broker, rec) = MessageBroker::open_durable(&dir, manual_cfg()).unwrap();
+    let (_broker, rec) = MessageBroker::open_durable(&dir, cfg()).unwrap();
     assert_eq!(rec.requeued, 0);
 
     std::fs::remove_dir_all(&dir).ok();
@@ -100,7 +98,7 @@ fn lost_acks_cause_redelivery_not_loss() {
     let dir = temp_dir("lost-acks");
 
     {
-        let (broker, _) = MessageBroker::open_durable(&dir, manual_cfg()).unwrap();
+        let (broker, _) = MessageBroker::open_durable(&dir, cfg()).unwrap();
         broker.declare_queue("q", QueueOptions::durable()).unwrap();
         broker
             .publish_to_queue("q", Message::from_static(b"m"))
@@ -111,7 +109,7 @@ fn lost_acks_cause_redelivery_not_loss() {
         broker.journal_simulate_crash(0);
     }
 
-    let (broker, rec) = MessageBroker::open_durable(&dir, manual_cfg()).unwrap();
+    let (broker, rec) = MessageBroker::open_durable(&dir, cfg()).unwrap();
     assert_eq!(rec.requeued, 1, "a lost ack redelivers, never loses");
     let consumer = broker.subscribe("q").unwrap();
     let d = consumer.recv_timeout(Duration::from_secs(1)).unwrap();
@@ -125,7 +123,7 @@ fn lost_acks_cause_redelivery_not_loss() {
 fn crashed_journal_rejects_durable_publishes() {
     let dir = temp_dir("crashed");
 
-    let (broker, _) = MessageBroker::open_durable(&dir, manual_cfg()).unwrap();
+    let (broker, _) = MessageBroker::open_durable(&dir, cfg()).unwrap();
     broker.declare_queue("q", QueueOptions::durable()).unwrap();
     broker
         .declare_queue("scratch", QueueOptions::default())
@@ -150,7 +148,7 @@ fn deleted_durable_queue_stays_deleted_after_restart() {
     let dir = temp_dir("delete");
 
     {
-        let (broker, _) = MessageBroker::open_durable(&dir, manual_cfg()).unwrap();
+        let (broker, _) = MessageBroker::open_durable(&dir, cfg()).unwrap();
         broker
             .declare_queue("gone", QueueOptions::durable())
             .unwrap();
@@ -166,7 +164,7 @@ fn deleted_durable_queue_stays_deleted_after_restart() {
         broker.delete_queue("gone").unwrap();
     }
 
-    let (broker, rec) = MessageBroker::open_durable(&dir, manual_cfg()).unwrap();
+    let (broker, rec) = MessageBroker::open_durable(&dir, cfg()).unwrap();
     assert_eq!(rec.queues, 1);
     assert_eq!(rec.requeued, 1);
     assert!(broker.queue_stats("gone").is_err());
@@ -188,7 +186,7 @@ fn non_durable_queues_are_not_journaled() {
     let dir = temp_dir("mixed");
 
     {
-        let (broker, _) = MessageBroker::open_durable(&dir, manual_cfg()).unwrap();
+        let (broker, _) = MessageBroker::open_durable(&dir, cfg()).unwrap();
         broker
             .declare_queue("mem", QueueOptions::default())
             .unwrap();
@@ -197,7 +195,7 @@ fn non_durable_queues_are_not_journaled() {
             .unwrap();
     }
 
-    let (broker, rec) = MessageBroker::open_durable(&dir, manual_cfg()).unwrap();
+    let (broker, rec) = MessageBroker::open_durable(&dir, cfg()).unwrap();
     assert_eq!(rec.replayed, 0);
     assert_eq!(rec.queues, 0);
     assert!(broker.queue_stats("mem").is_err());

@@ -116,6 +116,10 @@ struct ServerShared {
     /// Last time the full backstop sweep ran.
     last_backstop: Mutex<Instant>,
     deliveries: Arc<obs::Counter>,
+    /// `net.backstop_rescued_total`: deliveries only the backstop sweep
+    /// made. While it reads 0 the sweep is doing nothing the dirty-queue
+    /// edges and the direct paths do not already do.
+    backstop_rescued: Arc<obs::Counter>,
     connections_gauge: Arc<obs::Gauge>,
 }
 
@@ -360,6 +364,7 @@ impl BrokerServer {
             dispatch_pending: AtomicBool::new(false),
             last_backstop: Mutex::new(Instant::now()),
             deliveries: obs::counter("net.server.deliveries_total"),
+            backstop_rescued: obs::counter("net.backstop_rescued_total"),
             connections_gauge: obs::gauge("net.server.connections"),
         });
         // Broker-side readiness feeds loop 0's dispatch sweep. Weak: the
@@ -772,7 +777,8 @@ fn drain_ready(shared: &ServerShared) {
         }
     };
     if run_backstop {
-        dispatch_ready(shared, None, None);
+        let rescued = dispatch_ready(shared, None, None);
+        shared.backstop_rescued.add(rescued);
     }
 }
 
@@ -1004,7 +1010,9 @@ fn dispatch_hook(
 ) -> AfterReply {
     let current = conn.id;
     let shared = shared.clone();
-    Box::new(move || dispatch_ready(&shared, queue.as_deref(), Some(current)))
+    Box::new(move || {
+        dispatch_ready(&shared, queue.as_deref(), Some(current));
+    })
 }
 
 /// After-reply hook: push ready deliveries for one subscription on this
@@ -1054,14 +1062,15 @@ fn prune_entries(entries: &mut Vec<DispatchSub>) {
 /// Offers ready deliveries to the subscriptions of `queue` (every queue
 /// when `None`). `current_id` is the connection whose loop thread is
 /// calling — its frames are left in the out-buffer for the caller's burst
-/// flush; every other connection is flushed here.
-fn dispatch_ready(shared: &ServerShared, queue: Option<&str>, current_id: Option<u64>) {
+/// flush; every other connection is flushed here. Returns the number of
+/// deliveries made.
+fn dispatch_ready(shared: &ServerShared, queue: Option<&str>, current_id: Option<u64>) -> u64 {
     let groups: Vec<Vec<(Arc<ConnShared>, Arc<SubShared>)>> = {
         let mut registry = shared.dispatch.lock();
         match queue {
             Some(q) => {
                 let Some(entries) = registry.get_mut(q) else {
-                    return;
+                    return 0;
                 };
                 let (live, saw_dead) = collect_live(entries);
                 if saw_dead {
@@ -1071,7 +1080,7 @@ fn dispatch_ready(shared: &ServerShared, queue: Option<&str>, current_id: Option
                     }
                 }
                 if live.is_empty() {
-                    return;
+                    return 0;
                 }
                 vec![live]
             }
@@ -1097,22 +1106,23 @@ fn dispatch_ready(shared: &ServerShared, queue: Option<&str>, current_id: Option
             }
         }
     };
-    for group in &groups {
-        dispatch_group(shared, group, current_id);
-    }
+    groups
+        .iter()
+        .map(|group| dispatch_group(shared, group, current_id))
+        .sum()
 }
 
 /// Dispatches one queue's competing-consumer group: rotate the starting
 /// point and cap how much any one subscription takes, so a pool of workers
 /// shares a queue instead of the first-registered consumer with spare
-/// credit soaking up everything.
+/// credit soaking up everything. Returns the number of deliveries made.
 fn dispatch_group(
     shared: &ServerShared,
     targets: &[(Arc<ConnShared>, Arc<SubShared>)],
     current_id: Option<u64>,
-) {
+) -> u64 {
     if targets.is_empty() {
-        return;
+        return 0;
     }
     let per_sub = if targets.len() > 1 {
         (MAX_BATCH / targets.len()).max(1)
@@ -1120,20 +1130,23 @@ fn dispatch_group(
         MAX_BATCH
     };
     let start = shared.dispatch_cursor.fetch_add(1, Ordering::Relaxed) as usize % targets.len();
+    let mut delivered = 0;
     for i in 0..targets.len() {
         let (conn, sub) = &targets[(start + i) % targets.len()];
         if let Dispatch::Delivered { n, drained } = try_dispatch(conn, sub, per_sub) {
             shared.deliveries.add(n);
+            delivered += n;
             if current_id != Some(conn.id) {
                 conn.flush_out();
             }
             // The queue gave out before the budget did: the siblings have
             // nothing left to take.
             if drained {
-                return;
+                break;
             }
         }
     }
+    delivered
 }
 
 #[cfg(test)]

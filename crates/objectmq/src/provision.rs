@@ -68,13 +68,6 @@ impl GgOneModel {
         (eta.max(1.0)) as usize
     }
 
-    /// Updates the measured service-time statistics (monitored online in
-    /// the paper).
-    pub fn observe_service(&mut self, mean: Duration, variance: f64) {
-        self.mean_service = mean.as_secs_f64();
-        self.var_service = variance;
-    }
-
     /// Updates the measured interarrival-time variance.
     pub fn observe_interarrival_variance(&mut self, variance: f64) {
         self.var_interarrival = variance;
@@ -513,11 +506,6 @@ impl AutoScaler {
     /// The predictive sub-policy.
     pub fn predictive(&self) -> &PredictiveProvisioner {
         &self.predictive
-    }
-
-    /// Mutable access (for history feeding / misprediction injection).
-    pub fn predictive_mut(&mut self) -> &mut PredictiveProvisioner {
-        &mut self.predictive
     }
 
     /// Feeds an online measurement of the interarrival-time variance σ²_a

@@ -81,12 +81,6 @@ impl ServerHandle {
         &self.stats
     }
 
-    /// Shared handle to the stats, e.g. for a supervisor to keep after the
-    /// instance dies.
-    pub fn stats_arc(&self) -> Arc<ServiceStats> {
-        self.stats.clone()
-    }
-
     /// Whether the instance is still running.
     pub fn is_alive(&self) -> bool {
         !self.stop.load(Ordering::Acquire) && !self.crash.load(Ordering::Acquire)

@@ -152,11 +152,6 @@ pub fn trace_spans(trace_id: u64) -> Vec<FinishedSpan> {
         .collect()
 }
 
-/// Empties the trace ring buffer (tests and targeted captures).
-pub fn clear_spans() {
-    span::ring_clear()
-}
-
 /// Thread-local current span context, if one is installed via
 /// [`set_current`]. Used to parent child spans across module boundaries.
 pub fn current() -> Option<SpanContext> {

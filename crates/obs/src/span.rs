@@ -57,13 +57,6 @@ pub struct FinishedSpan {
     pub annotations: Vec<String>,
 }
 
-impl FinishedSpan {
-    /// Span duration in seconds.
-    pub fn duration_secs(&self) -> f64 {
-        self.end_ns.saturating_sub(self.start_ns) as f64 / 1e9
-    }
-}
-
 fn next_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     // SplitMix64 over a sequence number: unique and well-spread, without
@@ -136,15 +129,6 @@ impl Span {
     pub fn note(&mut self, annotation: impl Into<String>) {
         if self.recording {
             self.annotations.push(annotation.into());
-        }
-    }
-
-    /// Elapsed time so far, in seconds.
-    pub fn elapsed_secs(&self) -> f64 {
-        if self.recording {
-            crate::now_ns().saturating_sub(self.start_ns) as f64 / 1e9
-        } else {
-            0.0
         }
     }
 
@@ -239,13 +223,6 @@ fn ring_push(span: FinishedSpan) {
 pub(crate) fn ring_snapshot() -> Vec<FinishedSpan> {
     let ring = ring().lock().unwrap_or_else(|e| e.into_inner());
     ring.spans.iter().cloned().collect()
-}
-
-pub(crate) fn ring_clear() {
-    let (_, occupancy) = ring_metrics();
-    let mut ring = ring().lock().unwrap_or_else(|e| e.into_inner());
-    ring.spans.clear();
-    occupancy.set(0.0);
 }
 
 /// Configured ring capacity (tests size their overflow runs off this).

@@ -20,7 +20,7 @@ use content::pipeline::{IngestPipeline, PipelineConfig};
 use content::{sha1, ChunkId, Fingerprint};
 use metadata::{ItemMetadata, Workspace, WorkspaceId};
 use objectmq::{Broker, Proxy, RemoteObject, ServerHandle};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -234,6 +234,10 @@ struct ClientShared {
     container: String,
     fs: Mutex<VirtualFs>,
     db: Mutex<LocalDb>,
+    /// How many times `fs` or `db` changed; `wait_for_*` sleep on
+    /// `changed` until it moves.
+    generation: Mutex<u64>,
+    changed: Condvar,
     stats: ClientStats,
     proxy: Proxy,
     /// Chunk→hash→compress ingest pipeline (the Indexer of §4.1); its
@@ -245,6 +249,15 @@ struct ClientShared {
     reused_total: Arc<obs::Counter>,
     /// `sync.client.fetch_seconds`: reassembling one item's content.
     fetch_seconds: Arc<obs::Histogram>,
+}
+
+impl ClientShared {
+    /// Wakes the `wait_for_*` callers; called after every change to `fs`
+    /// or `db`, with neither lock held.
+    fn note_change(&self) {
+        *self.generation.lock() += 1;
+        self.changed.notify_all();
+    }
 }
 
 /// A StackSync desktop client bound to one workspace.
@@ -372,6 +385,8 @@ impl DesktopClient {
             container,
             fs: Mutex::new(VirtualFs::new()),
             db: Mutex::new(LocalDb::new()),
+            generation: Mutex::new(0),
+            changed: Condvar::new(),
             stats: ClientStats::default(),
             proxy,
             pipeline,
@@ -447,6 +462,7 @@ impl DesktopClient {
         if self.shared.fs.lock().remove(path).is_none() {
             return Err(SyncError::NoSuchFile(path.to_string()));
         }
+        self.shared.note_change();
         let proposal = {
             let mut db = self.shared.db.lock();
             let entry = db
@@ -472,6 +488,7 @@ impl DesktopClient {
                 modified_by: self.shared.config.device.clone(),
             }
         };
+        self.shared.note_change();
         // Release the item's chunk references: chunks no other file
         // holds become orphans, reclaimed by the store's next GC sweep.
         self.shared.store.release_file(
@@ -519,10 +536,10 @@ impl DesktopClient {
             .map(|e| e.version)
     }
 
-    /// Polls until the path holds exactly `expected` bytes (test/benchmark
+    /// Blocks until the path holds exactly `expected` bytes (test/benchmark
     /// helper). Returns whether the condition was met before the timeout.
     pub fn wait_for_content(&self, path: &str, expected: &[u8], timeout: Duration) -> bool {
-        self.wait(timeout, || {
+        self.wait_for_change(timeout, || {
             self.shared
                 .fs
                 .lock()
@@ -531,9 +548,9 @@ impl DesktopClient {
         })
     }
 
-    /// Polls until the path reaches at least `version`.
+    /// Blocks until the path reaches at least `version`.
     pub fn wait_for_version(&self, path: &str, version: u64, timeout: Duration) -> bool {
-        self.wait(timeout, || {
+        self.wait_for_change(timeout, || {
             self.shared
                 .db
                 .lock()
@@ -542,12 +559,39 @@ impl DesktopClient {
         })
     }
 
-    /// Polls until the path disappears from the workspace.
+    /// Blocks until the path disappears from the workspace.
     pub fn wait_for_absent(&self, path: &str, timeout: Duration) -> bool {
-        self.wait(timeout, || !self.shared.fs.lock().contains(path))
+        self.wait_for_change(timeout, || !self.shared.fs.lock().contains(path))
     }
 
-    /// Polls an arbitrary predicate over the client.
+    /// Looks at the folder or the local database once per change to either
+    /// (`ClientShared::note_change`), so the caller returns when the change
+    /// it waits for lands and not at the next tick of a poll.
+    fn wait_for_change(&self, timeout: Duration, mut pred: impl FnMut() -> bool) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut seen = *self.shared.generation.lock();
+        loop {
+            if pred() {
+                return true;
+            }
+            if Instant::now() >= deadline {
+                return false;
+            }
+            // A change that landed after `seen` was read has moved the
+            // generation, so this does not sleep through it; waking for
+            // any other reason only costs one more look.
+            let mut generation = self.shared.generation.lock();
+            if *generation == seen {
+                self.shared.changed.wait_until(&mut generation, deadline);
+            }
+            seen = *generation;
+        }
+    }
+
+    /// Polls an arbitrary predicate every 5 ms. A poll, because the
+    /// predicate may read state whose changes the client cannot see (the
+    /// service's commit counter, another device's folder), so there is
+    /// nothing here to wake it.
     pub fn wait(&self, timeout: Duration, mut pred: impl FnMut() -> bool) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
@@ -584,6 +628,7 @@ fn dedup_file_key(workspace: &WorkspaceId, path: &str) -> String {
 /// the indexer share the buffer.
 fn write_and_commit(shared: &Arc<ClientShared>, path: &str, contents: Bytes) -> SyncResult<()> {
     shared.fs.lock().write(path, contents.clone());
+    shared.note_change();
     index_and_commit(shared, path, contents)
 }
 
@@ -680,6 +725,7 @@ fn index_and_commit(shared: &Arc<ClientShared>, path: &str, contents: Bytes) -> 
             modified_by: shared.config.device.clone(),
         }
     };
+    shared.note_change();
     send_commit(shared, vec![proposal])
 }
 
@@ -798,6 +844,7 @@ fn materialize_item(shared: &Arc<ClientShared>, item: &ItemMetadata) -> SyncResu
                 deleted: true,
             },
         );
+        shared.note_change();
         return Ok(());
     }
     let (contents, lens) = fetch_item_content(shared, item)?;
@@ -812,6 +859,7 @@ fn materialize_item(shared: &Arc<ClientShared>, item: &ItemMetadata) -> SyncResu
             deleted: false,
         },
     );
+    shared.note_change();
     Ok(())
 }
 
@@ -1142,6 +1190,46 @@ mod tests {
         assert_eq!(b.read_file("f.bin").unwrap(), v1, "the folder keeps v1");
         assert_eq!(b.shared.db.lock().get("f.bin"), Some(&entry_before));
         assert_eq!(b.stats().chunks_downloaded(), downloaded_before);
+    }
+
+    #[test]
+    fn a_waiter_wakes_with_the_apply_not_at_the_next_poll() {
+        let stack = TestStack::new();
+        let watcher = stack.connect(ClientConfig::new("alice", "phone"));
+        let version_of = |version| ItemMetadata {
+            item_id: stable_item_id(&stack.workspace, "f.txt"),
+            workspace: stack.workspace.clone(),
+            path: "f.txt".to_string(),
+            version,
+            chunks: vec![],
+            size: 0,
+            is_deleted: false,
+            modified_by: "laptop".to_string(),
+        };
+        let (woke_tx, woke_rx) = std::sync::mpsc::channel();
+        let mut lateness: Vec<Duration> = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for version in 1..=100 {
+                    assert!(watcher.wait_for_version("f.txt", version, TIMEOUT));
+                    woke_tx.send(Instant::now()).unwrap();
+                }
+            });
+            (1..=100)
+                .map(|version| {
+                    // Lets the watcher get to sleep, which is the case being
+                    // measured; one that has not just sees the version on
+                    // its first look.
+                    std::thread::sleep(Duration::from_millis(2));
+                    materialize_item(&watcher.shared, &version_of(version)).unwrap();
+                    let applied = Instant::now();
+                    woke_rx.recv().unwrap().saturating_duration_since(applied)
+                })
+                .collect()
+        });
+        lateness.sort();
+        // A 5 ms poll is late by 2.5 ms in the median; a median, so that one
+        // descheduled wake-up on a busy box fails nothing.
+        assert!(lateness[50] < Duration::from_millis(1), "{lateness:?}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Segmented write-ahead log with group commit.
+//! Segmented write-ahead log whose waiters flush.
 //!
 //! This is the durability primitive behind the metadata plane's commit path
 //! and mqsim's durable queues. One [`Log`] owns a directory of segment files
@@ -14,10 +14,14 @@
 //! [`next_frame`]), so that any other file of records (the metadata
 //! snapshot) carries these frames and this checksum, not a second kind.
 //!
-//! Appends are buffered under the log lock and made durable by a dedicated
-//! group-commit flusher thread that coalesces every waiting appender into a
-//! single `write` + `fsync` (tunable interval / byte thresholds,
-//! [`LogConfig`]), so N committers pay one fsync, not N.
+//! Appends are buffered under the log lock. The thread that needs a record
+//! durable makes it so: [`Ticket::wait`] takes the lock and, if no earlier
+//! flush covered its record, `write`s and `fdatasync`s everything pending.
+//! The lock is the group-commit window — appenders and waiters that arrive
+//! during an fsync queue on it, and the first of them to get in flushes for
+//! all of them. A log owns no thread and no timer, so what is pending at any
+//! moment is a function of the calls made, which is what the fault simulator
+//! replays; production and simulation run the same path.
 //!
 //! Recovery ([`Log::open`]) replays segments in order and tolerates a torn
 //! tail: the scan stops at the first record whose length prefix or checksum
@@ -45,44 +49,28 @@ pub use crate::log::{Log, Recovery, Ticket};
 pub use crate::record::{frame_into, next_frame, Frame, MAX_RECORD_LEN};
 
 use std::fmt;
-use std::time::Duration;
 
-/// When appended records hit the disk.
+/// Whether appended records are fsynced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// Group commit: a flusher thread coalesces pending appenders into one
-    /// `write` + `fsync`. Appenders block in [`Ticket::wait`] until their
-    /// record is covered by an fsync. The default.
-    Batched,
-    /// Every append performs its own `write` + `fsync` inline. Simple and
-    /// slow; useful as the baseline the group-commit numbers are judged by.
-    Immediate,
-    /// Write without ever calling `fsync` — durability is whatever the OS
-    /// page cache provides. For tests and throughput ceilings only.
+    /// Appends buffer; [`Ticket::wait`] (or [`Log::flush`], or an `append`
+    /// that finds 256 KiB already buffered) writes and fsyncs everything
+    /// pending, and returns `Ok` only for a record an fsync covers. The
+    /// default.
+    Durable,
+    /// Every append writes inline and nothing ever calls `fsync` —
+    /// durability is whatever the OS page cache provides. For tests and
+    /// throughput ceilings only.
     Never,
-    /// No flusher thread: appends buffer, and the flush (write + fsync)
-    /// happens inline in [`Ticket::wait`] or [`Log::flush`]. Group commit
-    /// still works — one waiter flushes everything buffered so far — but
-    /// with no background thread the pending-buffer contents at any point
-    /// are a pure function of the call sequence, which is what the
-    /// deterministic fault simulator needs for reproducible crash windows.
-    Manual,
 }
 
-/// Tuning knobs for a [`Log`].
+/// What a [`Log`] is called, whether it syncs, and how big a segment grows.
 #[derive(Debug, Clone)]
 pub struct LogConfig {
     /// Short name used in flight-recorder events and error messages.
     pub name: String,
     /// Durability policy (see [`SyncPolicy`]).
     pub sync: SyncPolicy,
-    /// How long the flusher waits after the first pending append for more
-    /// appenders to join the batch. Zero flushes as soon as the flusher
-    /// wakes; the fsync itself still batches whoever queued during it.
-    pub group_commit_interval: Duration,
-    /// Pending-buffer size that triggers an immediate flush regardless of
-    /// the interval.
-    pub group_commit_bytes: usize,
     /// Active-segment size at which the segment is sealed and a new one
     /// started. Sealed segments are the unit of truncation.
     pub segment_bytes: u64,
@@ -92,9 +80,7 @@ impl Default for LogConfig {
     fn default() -> Self {
         LogConfig {
             name: "wal".to_string(),
-            sync: SyncPolicy::Batched,
-            group_commit_interval: Duration::from_micros(100),
-            group_commit_bytes: 256 * 1024,
+            sync: SyncPolicy::Durable,
             segment_bytes: 8 * 1024 * 1024,
         }
     }

@@ -1,14 +1,13 @@
-//! The segmented log: append/group-commit, sealing, truncation, recovery.
+//! The segmented log: append, flush-by-waiter, sealing, truncation, recovery.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::mem;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::record::{frame_into, next_frame, Frame};
 use crate::{LogConfig, SyncPolicy, WalError, WalResult};
@@ -85,10 +84,6 @@ struct Shared {
     dir: PathBuf,
     config: LogConfig,
     state: Mutex<State>,
-    /// Signals the flusher that pending bytes exist (or the log is closing).
-    work: Condvar,
-    /// Signals appenders that `durable_end` advanced (or the log died).
-    durable: Condvar,
     metrics: Metrics,
 }
 
@@ -105,39 +100,36 @@ impl Ticket {
         self.seq
     }
 
-    /// Blocks until the record is covered by an fsync (or returns the
-    /// error that prevented it). Under `SyncPolicy::Immediate`/`Never` the
-    /// record is already settled and this returns without blocking.
+    /// Returns once the record is covered by an fsync (or returns the error
+    /// that prevented it). If no earlier flush covered it, this thread takes
+    /// the log lock and flushes everything pending itself; a waiter that
+    /// queued on the lock behind that flush usually finds its record covered
+    /// and returns at once. Under [`SyncPolicy::Never`] the record settled in
+    /// `append` and this does not block.
     pub fn wait(&self) -> WalResult<()> {
         let mut s = self.shared.state.lock();
-        loop {
-            if s.durable_end > self.seq {
-                return Ok(());
-            }
-            if s.crashed {
-                return Err(WalError::Crashed);
-            }
-            if let Some(e) = &s.io_error {
-                return Err(WalError::Io(e.clone()));
-            }
-            if s.closed {
-                return Err(WalError::Closed);
-            }
-            if self.shared.config.sync == SyncPolicy::Manual {
-                flush_locked(&self.shared, &mut s)?;
-                continue;
-            }
-            self.shared.durable.wait(&mut s);
+        if s.durable_end > self.seq {
+            return Ok(());
         }
+        ensure_live(&s)?;
+        // Live and not covered, so the record is still in `pending`: the
+        // flush either covers it or fails.
+        flush_locked(&self.shared, &mut s)?;
+        debug_assert!(s.durable_end > self.seq);
+        Ok(())
     }
 }
 
-/// A segmented, checksummed, group-committed append log. See the crate docs
-/// for the format and the durability contract.
+/// A segmented, checksummed append log whose waiters flush. See the crate
+/// docs for the format and the durability contract.
 pub struct Log {
     shared: Arc<Shared>,
-    flusher: Mutex<Option<JoinHandle<()>>>,
 }
+
+/// Most bytes a durable log buffers before `append` itself flushes. Appends
+/// somebody waits on never get near it; it bounds what fire-and-forget
+/// appends (mqsim's acks) can lose to a crash and hold in memory.
+const MAX_PENDING_BYTES: usize = 256 * 1024;
 
 fn segment_path(dir: &Path, first_seq: u64) -> PathBuf {
     dir.join(format!("wal-{first_seq:020}.log"))
@@ -286,30 +278,10 @@ impl Log {
                 crashed: false,
                 closed: false,
             }),
-            work: Condvar::new(),
-            durable: Condvar::new(),
             metrics: Metrics::new(),
         });
 
-        let flusher = if shared.config.sync == SyncPolicy::Batched {
-            let for_thread = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name(format!("wal-flush-{}", shared.config.name))
-                    .spawn(move || flusher_loop(&for_thread))
-                    .map_err(io_err)?,
-            )
-        } else {
-            None
-        };
-
-        Ok((
-            Log {
-                shared,
-                flusher: Mutex::new(flusher),
-            },
-            recovery,
-        ))
+        Ok((Log { shared }, recovery))
     }
 
     /// Appends one record, returning a [`Ticket`] that settles when the
@@ -328,14 +300,11 @@ impl Log {
         frame_into(&mut s.pending, seq, payload);
         s.pending_records += 1;
         self.shared.metrics.appends.inc();
-        match self.shared.config.sync {
-            SyncPolicy::Batched => {
-                self.shared.work.notify_one();
-            }
-            SyncPolicy::Manual => {}
-            SyncPolicy::Immediate | SyncPolicy::Never => {
-                flush_locked(&self.shared, &mut s)?;
-            }
+        // `Never` has nothing to wait for, so it writes here. A durable log
+        // leaves the flush to whoever waits — except that appends nobody
+        // waits on (mqsim's acks) must not pile up without limit.
+        if self.shared.config.sync == SyncPolicy::Never || s.pending.len() > MAX_PENDING_BYTES {
+            flush_locked(&self.shared, &mut s)?;
         }
         Ok(Ticket {
             shared: Arc::clone(&self.shared),
@@ -351,8 +320,8 @@ impl Log {
         Ok(ticket.seq())
     }
 
-    /// Writes and syncs everything buffered. A no-op when nothing is
-    /// pending; mainly useful under [`SyncPolicy::Manual`].
+    /// Writes and syncs everything buffered, for records nobody waits on. A
+    /// no-op when nothing is pending.
     pub fn flush(&self) -> WalResult<()> {
         let mut s = self.shared.state.lock();
         ensure_live(&s)?;
@@ -442,8 +411,6 @@ impl Log {
         s.pending.clear();
         s.pending_records = 0;
         s.crashed = true;
-        self.shared.work.notify_all();
-        self.shared.durable.notify_all();
         obs::flight_event!(
             "wal",
             "{}: simulated crash ({keep} torn byte(s) survive, {dropped} dropped)",
@@ -454,21 +421,14 @@ impl Log {
     /// Flushes pending records and stops accepting appends. Called by
     /// `Drop`; explicit calls are idempotent.
     pub fn close(&self) {
-        {
-            let mut s = self.shared.state.lock();
-            if s.closed {
-                return;
-            }
-            if !s.crashed && s.io_error.is_none() {
-                let _ = flush_locked(&self.shared, &mut s);
-            }
-            s.closed = true;
-            self.shared.work.notify_all();
-            self.shared.durable.notify_all();
+        let mut s = self.shared.state.lock();
+        if s.closed {
+            return;
         }
-        if let Some(handle) = self.flusher.lock().take() {
-            let _ = handle.join();
+        if !s.crashed && s.io_error.is_none() {
+            let _ = flush_locked(&self.shared, &mut s);
         }
+        s.closed = true;
     }
 }
 
@@ -515,7 +475,6 @@ fn flush_locked(shared: &Shared, s: &mut parking_lot::MutexGuard<'_, State>) -> 
     let fail = |s: &mut parking_lot::MutexGuard<'_, State>, shared: &Shared, e: std::io::Error| {
         let msg = e.to_string();
         s.io_error = Some(msg.clone());
-        shared.durable.notify_all();
         obs::flight_event!("wal", "{}: write failed: {msg}", shared.config.name);
         Err(WalError::Io(msg))
     };
@@ -534,7 +493,6 @@ fn flush_locked(shared: &Shared, s: &mut parking_lot::MutexGuard<'_, State>) -> 
     s.durable_end = s.next_seq;
     shared.metrics.group_size.set(batch_records as f64);
     shared.metrics.flushed_bytes.add(batch.len() as u64);
-    shared.durable.notify_all();
 
     if s.active_len >= shared.config.segment_bytes {
         roll_segment(shared, s)?;
@@ -553,7 +511,6 @@ fn roll_segment(shared: &Shared, s: &mut parking_lot::MutexGuard<'_, State>) -> 
         Err(e) => {
             let msg = e.to_string();
             s.io_error = Some(msg.clone());
-            shared.durable.notify_all();
             return Err(WalError::Io(msg));
         }
     };
@@ -572,34 +529,6 @@ fn roll_segment(shared: &Shared, s: &mut parking_lot::MutexGuard<'_, State>) -> 
         shared.config.name
     );
     Ok(())
-}
-
-/// The group-commit thread: waits for pending appends, lingers up to
-/// `group_commit_interval` so more appenders can join (the wait releases the
-/// lock), then flushes the whole batch with one write + fsync.
-fn flusher_loop(shared: &Shared) {
-    loop {
-        let mut s = shared.state.lock();
-        while s.pending.is_empty() && !s.closed && !s.crashed {
-            shared.work.wait(&mut s);
-        }
-        if s.crashed || (s.closed && s.pending.is_empty()) {
-            return;
-        }
-        let interval = shared.config.group_commit_interval;
-        if !interval.is_zero() && s.pending.len() < shared.config.group_commit_bytes && !s.closed {
-            let _ = shared.work.wait_for(&mut s, interval);
-            if s.crashed {
-                return;
-            }
-        }
-        // Errors are recorded in the state and surfaced to appenders; the
-        // loop keeps running so close() can still join us.
-        let _ = flush_locked(shared, &mut s);
-        if s.io_error.is_some() {
-            return;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -649,7 +578,7 @@ mod tests {
         for t in 0..8u64 {
             let log = Arc::clone(&log);
             handles.push(std::thread::spawn(move || {
-                for i in 0..50u64 {
+                for i in 0..200u64 {
                     log.append_durable(&(t * 1000 + i).to_le_bytes()).unwrap();
                 }
             }));
@@ -657,10 +586,40 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+        // No thread but the appenders exists, so each of them made progress
+        // by flushing for itself and for whoever had buffered by then; a
+        // waiter that found its record covered did not fsync again. (Process
+        // totals: every flush, in this test or another, covers an append.)
+        let m = &log.shared.metrics;
+        assert!(m.fsync_seconds.count() <= m.appends.value());
         drop(log);
         let (_log, rec) = Log::open(&dir, cfg("group")).unwrap();
-        assert_eq!(rec.records.len(), 400);
+        assert_eq!(rec.records.len(), 1600);
         // Sequence numbers are dense regardless of interleaving.
+        for (i, (seq, _)) in rec.records.iter().enumerate() {
+            assert_eq!(*seq, i as u64);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unwaited_appends_are_bounded_in_memory_and_in_loss() {
+        // What mqsim's `record_ack` does: append, drop the ticket.
+        const ACK: [u8; 9] = [7; 9];
+        const FRAME: usize = 20 + ACK.len();
+        let dir = temp_dir("unwaited");
+        let (log, _) = Log::open(&dir, cfg("unwaited")).unwrap();
+        for _ in 0..50_000 {
+            let _ = log.append(&ACK).unwrap();
+            let pending = log.shared.state.lock().pending.len();
+            assert!(pending <= MAX_PENDING_BYTES, "{pending} bytes pending");
+        }
+        log.simulate_crash(0);
+        drop(log);
+        let (_log, rec) = Log::open(&dir, cfg("unwaited")).unwrap();
+        assert!(rec.torn.is_none());
+        let lost = 50_000 - rec.records.len();
+        assert!(lost <= MAX_PENDING_BYTES / FRAME, "{lost} records lost");
         for (i, (seq, _)) in rec.records.iter().enumerate() {
             assert_eq!(*seq, i as u64);
         }
@@ -708,18 +667,12 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    fn manual_cfg(name: &str) -> LogConfig {
-        let mut config = cfg(name);
-        config.sync = SyncPolicy::Manual;
-        config
-    }
-
     #[test]
     fn simulated_crash_preserves_acked_loses_only_tail() {
-        // Manual policy: no flusher thread, so the pending buffer at crash
+        // No thread flushes behind our back, so the pending buffer at crash
         // time is exactly the unwaited appends — deterministic.
         let dir = temp_dir("crash");
-        let (log, _) = Log::open(&dir, manual_cfg("crash")).unwrap();
+        let (log, _) = Log::open(&dir, cfg("crash")).unwrap();
         for i in 0..20u64 {
             log.append_durable(&i.to_le_bytes()).unwrap();
         }
@@ -729,7 +682,7 @@ mod tests {
         log.simulate_crash(5);
         assert!(matches!(log.append(b"after death"), Err(WalError::Crashed)));
         drop(log);
-        let (_log, rec) = Log::open(&dir, manual_cfg("crash")).unwrap();
+        let (_log, rec) = Log::open(&dir, cfg("crash")).unwrap();
         assert_eq!(rec.records.len(), 20, "every acked record survives");
         assert!(rec.torn.is_some(), "the torn partial frame is detected");
         assert_eq!(rec.next_seq(), 20);
@@ -739,12 +692,12 @@ mod tests {
     #[test]
     fn crash_with_full_surviving_buffer_keeps_unacked_record() {
         let dir = temp_dir("crash-full");
-        let (log, _) = Log::open(&dir, manual_cfg("crash-full")).unwrap();
+        let (log, _) = Log::open(&dir, cfg("crash-full")).unwrap();
         log.append_durable(b"acked").unwrap();
         let _t = log.append(b"buffered").unwrap();
         log.simulate_crash(usize::MAX);
         drop(log);
-        let (_log, rec) = Log::open(&dir, manual_cfg("crash-full")).unwrap();
+        let (_log, rec) = Log::open(&dir, cfg("crash-full")).unwrap();
         assert_eq!(rec.records.len(), 2);
         assert!(rec.torn.is_none());
         let _ = fs::remove_dir_all(&dir);
@@ -753,7 +706,7 @@ mod tests {
     #[test]
     fn waiters_fail_on_crash() {
         let dir = temp_dir("waiters");
-        let (log, _) = Log::open(&dir, manual_cfg("waiters")).unwrap();
+        let (log, _) = Log::open(&dir, cfg("waiters")).unwrap();
         let ticket = log.append(b"doomed").unwrap();
         log.simulate_crash(0);
         assert_eq!(ticket.wait(), Err(WalError::Crashed));
@@ -761,32 +714,37 @@ mod tests {
     }
 
     #[test]
-    fn manual_policy_flushes_via_wait_and_flush() {
-        let dir = temp_dir("manual");
-        let (log, _) = Log::open(&dir, manual_cfg("manual")).unwrap();
+    fn wait_and_flush_settle_everything_buffered() {
+        let dir = temp_dir("flush");
+        let (log, _) = Log::open(&dir, cfg("flush")).unwrap();
         let a = log.append(b"a").unwrap();
         let b = log.append(b"b").unwrap();
         // One wait settles the whole buffered batch.
         a.wait().unwrap();
+        assert!(log.shared.state.lock().pending.is_empty());
         b.wait().unwrap();
         let c = log.append(b"c").unwrap();
         log.flush().unwrap();
         c.wait().unwrap();
         drop(log);
-        let (_log, rec) = Log::open(&dir, manual_cfg("manual")).unwrap();
+        let (_log, rec) = Log::open(&dir, cfg("flush")).unwrap();
         assert_eq!(rec.records.len(), 3);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn immediate_and_never_policies_settle_inline() {
-        for sync in [SyncPolicy::Immediate, SyncPolicy::Never] {
+    fn both_policies_settle_a_waited_append() {
+        for sync in [SyncPolicy::Durable, SyncPolicy::Never] {
             let dir = temp_dir("policy");
             let mut config = cfg("policy");
             config.sync = sync;
             let (log, _) = Log::open(&dir, config.clone()).unwrap();
             let t = log.append(b"x").unwrap();
+            // `Never` wrote in `append`; `Durable` leaves it to the waiter.
+            let buffered = log.shared.state.lock().pending.len();
+            assert_eq!(buffered > 0, sync == SyncPolicy::Durable);
             t.wait().unwrap();
+            assert!(log.shared.state.lock().pending.is_empty());
             drop(log);
             let (_log, rec) = Log::open(&dir, config).unwrap();
             assert_eq!(rec.records.len(), 1);

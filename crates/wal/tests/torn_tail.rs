@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use wal::{Log, LogConfig, SyncPolicy};
+use wal::{Log, LogConfig};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -22,10 +22,8 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn manual_config() -> LogConfig {
-    let mut config = LogConfig::named("torn-prop");
-    config.sync = SyncPolicy::Manual;
-    config
+fn config() -> LogConfig {
+    LogConfig::named("torn-prop")
 }
 
 /// Deterministic payload for record `i` of length `len`.
@@ -56,7 +54,7 @@ fn first_segment(dir: &PathBuf) -> PathBuf {
 fn check_damage(lens: &[usize], pos_seed: u64, damage_kind: bool, flip_mask: u8) {
     let dir = temp_dir(if damage_kind { "flip" } else { "cut" });
     {
-        let (log, _) = Log::open(&dir, manual_config()).unwrap();
+        let (log, _) = Log::open(&dir, config()).unwrap();
         for (i, &len) in lens.iter().enumerate() {
             // Tickets are deliberately not awaited: the trailing Log::flush
             // makes every buffered frame durable in one pass.
@@ -91,7 +89,7 @@ fn check_damage(lens: &[usize], pos_seed: u64, damage_kind: bool, flip_mask: u8)
         }
     }
 
-    let (log, rec) = Log::open(&dir, manual_config()).unwrap();
+    let (log, rec) = Log::open(&dir, config()).unwrap();
     prop_assert_eq!(rec.records.len(), expect);
     for (i, (seq, body)) in rec.records.iter().enumerate() {
         prop_assert_eq!(*seq, i as u64);
@@ -120,7 +118,7 @@ fn check_damage(lens: &[usize], pos_seed: u64, damage_kind: bool, flip_mask: u8)
     let seq = log.append_durable(b"post-recovery").unwrap();
     prop_assert_eq!(seq, expect as u64);
     drop(log);
-    let (_log, rec2) = Log::open(&dir, manual_config()).unwrap();
+    let (_log, rec2) = Log::open(&dir, config()).unwrap();
     prop_assert_eq!(rec2.records.len(), expect + 1);
     prop_assert!(rec2.torn.is_none(), "recovery truncated the damage away");
 
@@ -154,7 +152,7 @@ proptest! {
         let dir = temp_dir("garbage");
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join(format!("wal-{:020}.log", 0)), &garbage).unwrap();
-        let (log, rec) = Log::open(&dir, manual_config()).unwrap();
+        let (log, rec) = Log::open(&dir, config()).unwrap();
         // Whatever was salvaged is a valid dense-prefix chain.
         for (i, (seq, _)) in rec.records.iter().enumerate() {
             prop_assert_eq!(*seq, i as u64);

@@ -147,29 +147,13 @@ impl Ub1Trace {
         }
     }
 
-    /// Aggregates a day into mean rates (req/s) per slot of `slot_minutes`
-    /// — the feed for the 15-minute predictive provisioner.
-    ///
-    /// Thin forwarder kept for the fig8* harness binaries; prefer
-    /// [`Ub1Trace::schedule`] with [`ArrivalSchedule::slots_of`].
-    pub fn day_slot_rates(&self, day: usize, slot_minutes: usize) -> Vec<f64> {
-        self.schedule().day(day).slots_of(slot_minutes).rates()
-    }
-
     /// Concatenated slot rates (req/s) for a day range — e.g. days 0..7 as
     /// the predictor's training history.
     ///
     /// Thin forwarder; prefer [`Ub1Trace::schedule`] per day.
     pub fn slot_rates(&self, days: std::ops::Range<usize>, slot_minutes: usize) -> Vec<f64> {
-        days.flat_map(|d| self.day_slot_rates(d, slot_minutes))
+        days.flat_map(|d| self.schedule().day(d).slots_of(slot_minutes).rates())
             .collect()
-    }
-
-    /// Peak arrivals per minute over a day.
-    ///
-    /// Thin forwarder; prefer [`ArrivalSchedule::peak_per_minute`].
-    pub fn day_peak(&self, day: usize) -> f64 {
-        self.schedule().day(day).peak_per_minute()
     }
 }
 
@@ -316,8 +300,7 @@ impl<'a> ArrivalSchedule<'a> {
             })
     }
 
-    /// Mean trace rates (req/s) per slot — byte-identical aggregation to
-    /// the old `day_slot_rates`, which now forwards here.
+    /// Mean trace rates (req/s) per slot.
     pub fn rates(&self) -> Vec<f64> {
         self.iter().map(|s| s.trace_rate).collect()
     }
@@ -378,7 +361,7 @@ mod tests {
     #[test]
     fn peak_is_near_the_paper_number() {
         let t = trace();
-        let peak = t.day_peak(7);
+        let peak = t.schedule().day(7).peak_per_minute();
         assert!(
             (6000.0..16000.0).contains(&peak),
             "day-8 peak {peak:.0} should be near 8,514 req/min"
@@ -412,8 +395,8 @@ mod tests {
         // must be high — that is the property the predictive provisioner
         // exploits.
         let t = trace();
-        let a = t.day_slot_rates(0, 15);
-        let b = t.day_slot_rates(7, 15);
+        let a = t.schedule().day(0).slots_of(15).rates();
+        let b = t.schedule().day(7).slots_of(15).rates();
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         let (ma, mb) = (mean(&a), mean(&b));
         let cov: f64 = a.iter().zip(&b).map(|(x, y)| (x - ma) * (y - mb)).sum();
@@ -426,7 +409,7 @@ mod tests {
     #[test]
     fn slot_rates_aggregate_correctly() {
         let t = trace();
-        let slots = t.day_slot_rates(0, 15);
+        let slots = t.schedule().day(0).slots_of(15).rates();
         assert_eq!(slots.len(), 96);
         // Rate in req/s: slot sum / (15*60).
         let manual: f64 = t.day(0)[..15].iter().sum::<f64>() / 900.0;
@@ -460,14 +443,16 @@ mod tests {
     fn schedule_rates_match_legacy_accessors() {
         let t = trace();
         assert_eq!(t.schedule().day(0).slots_of(15).rates(), {
-            // The forwarder itself goes through the schedule, so recompute
-            // the legacy aggregation by hand.
+            // The aggregation the schedule replaced, by hand.
             t.day(0)
                 .chunks(15)
                 .map(|slot| slot.iter().sum::<f64>() / (slot.len() as f64 * 60.0))
                 .collect::<Vec<f64>>()
         });
-        assert_eq!(t.schedule().day(7).peak_per_minute(), t.day_peak(7));
+        assert_eq!(
+            t.schedule().day(7).peak_per_minute(),
+            t.day(7).iter().cloned().fold(0.0, f64::max)
+        );
     }
 
     #[test]
@@ -486,9 +471,9 @@ mod tests {
         assert!((s0.rate - s0.trace_rate * 1440.0).abs() < 1e-6);
         let s1 = &slots[1];
         assert!((s1.start.as_secs_f64() - 0.625).abs() < 1e-9);
-        // Uncompressed slot rates agree with the legacy accessor.
-        let legacy = t.day_slot_rates(7, 15);
-        for (s, r) in slots.iter().zip(&legacy) {
+        // Compression leaves the trace rates what `rates()` reports.
+        let uncompressed = t.schedule().day(7).slots_of(15).rates();
+        for (s, r) in slots.iter().zip(&uncompressed) {
             assert!((s.trace_rate - r).abs() < 1e-12);
         }
     }
