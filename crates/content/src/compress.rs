@@ -42,7 +42,9 @@ impl Algorithm {
     /// framing, which every reader already understands.
     pub fn compress(&self, data: &[u8]) -> Bytes {
         if *self == Algorithm::Lzss {
-            let mut out = Vec::with_capacity(data.len() / 2 + 16);
+            // Tag, header, and the longest an LZSS stream gets (a flag bit
+            // per literal): sized once, `compress_into` never grows it.
+            let mut out = Vec::with_capacity(data.len() + data.len() / 8 + 10);
             out.push(1u8);
             compress_into(data, &mut out);
             if out.len() - 1 < data.len() {
@@ -97,39 +99,99 @@ impl fmt::Display for CompressError {
 
 impl Error for CompressError {}
 
-/// "No position": the empty value of both match tables.
-const NONE: u32 = u32::MAX;
+/// Buckets of the `head` table (15 hash bits).
+const HASH_SIZE: usize = 1 << 15;
+/// Longest input one stream frames: a stamp (below) is a `u32`, starts at
+/// `WINDOW` or later and must not wrap within a call.
+const MAX_INPUT: usize = u32::MAX as usize - WINDOW;
 
-/// The hash-chain match tables, kept per thread so a call costs a reset
-/// of `head` and not two fresh allocations: at 4 KiB per chunk the
-/// allocator, not the coder, used to set the speed.
+/// The hash-chain match tables, kept per thread and not cleared between
+/// calls (refilling `head` was 3 µs a call: nothing to a chunk, a third of
+/// what a 2 KiB file takes).
+///
+/// Entries are *stamps*, `base + position`, and each call's `base` lies a
+/// window past the last stamp the call before it could have stored. What
+/// an earlier call left in `head` — like the zero of a bucket never
+/// written — is therefore a window or more behind the position being
+/// searched: the test that ends a chain anyway.
 struct MatchTables {
-    /// Hash bucket -> most recent position with that hash.
-    head: Vec<u32>,
-    /// Position (mod `WINDOW`) -> previous position with the same hash.
-    /// Never reset: a slot is written when its position is inserted, and
-    /// only inserted positions are ever followed.
-    prev: Vec<u32>,
+    /// Hash bucket -> stamp of the most recent position with that hash.
+    head: Box<[u32; HASH_SIZE]>,
+    /// Stamp (mod `WINDOW`) -> stamp of the previous position with the same
+    /// hash. A slot is written when its position is inserted and only
+    /// in-window stamps, which this call inserted, are ever followed.
+    prev: Box<[u32; WINDOW]>,
+    /// Stamp the next call gives its first byte.
+    next_base: u64,
+}
+
+impl MatchTables {
+    fn new() -> Self {
+        let zeroed = |len| vec![0u32; len].into_boxed_slice();
+        MatchTables {
+            head: zeroed(HASH_SIZE).try_into().expect("length is HASH_SIZE"),
+            prev: zeroed(WINDOW).try_into().expect("length is WINDOW"),
+            next_base: WINDOW as u64,
+        }
+    }
+
+    /// The base for an input of `len` bytes. Once per 4 GiB compressed on
+    /// the thread the stamps would wrap, and the tables start over empty.
+    fn claim(&mut self, len: usize) -> u32 {
+        if self.next_base + len as u64 > u64::from(u32::MAX) {
+            self.head.fill(0);
+            self.next_base = WINDOW as u64;
+        }
+        let base = self.next_base as u32;
+        self.next_base += (len + WINDOW) as u64;
+        base
+    }
+}
+
+/// Puts `stamp` at the head of the chain of positions that start with
+/// `word`; returns the head it replaces.
+#[inline(always)]
+fn insert(head: &mut [u32; HASH_SIZE], prev: &mut [u32; WINDOW], word: u32, stamp: u32) -> u32 {
+    let first = std::mem::replace(&mut head[hash4(word)], stamp);
+    prev[stamp as usize % WINDOW] = first;
+    first
 }
 
 thread_local! {
-    static TABLES: RefCell<MatchTables> = RefCell::new(MatchTables {
-        head: vec![NONE; 1 << 15],
-        prev: vec![NONE; WINDOW],
-    });
+    static TABLES: RefCell<MatchTables> = RefCell::new(MatchTables::new());
 }
 
-fn hash3(data: &[u8], pos: usize) -> usize {
-    let v = u32::from(data[pos])
-        | (u32::from(data[pos + 1]) << 8)
-        | (u32::from(data[pos + 2]) << 16)
-        | (u32::from(data[pos + 3]) << 24);
-    (v.wrapping_mul(2654435761) >> 17) as usize & 0x7fff
+fn read32(data: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(data[at..at + 4].try_into().expect("four bytes"))
+}
+
+fn hash4(v: u32) -> usize {
+    (v.wrapping_mul(2654435761) >> 17) as usize & (HASH_SIZE - 1)
+}
+
+/// Length of the common prefix of two equally long slices, eight bytes at
+/// a time.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut matched = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = u64::from_le_bytes(x.try_into().expect("eight bytes"))
+            ^ u64::from_le_bytes(y.try_into().expect("eight bytes"));
+        if diff != 0 {
+            return matched + (diff.trailing_zeros() / 8) as usize;
+        }
+        matched += 8;
+    }
+    matched
+        + a[matched..]
+            .iter()
+            .zip(&b[matched..])
+            .take_while(|(x, y)| x == y)
+            .count()
 }
 
 /// Compresses with raw LZSS framing (`LZS1` + length + token stream).
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
+    let mut out = Vec::new();
     compress_into(data, &mut out);
     out
 }
@@ -139,94 +201,188 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 ///
 /// # Panics
 ///
-/// If `data` is 4 GiB or longer: the framing's length field and the match
-/// tables hold positions as `u32`.
+/// If `data` is longer than 4 GiB − 32 KiB: the framing's length field and
+/// the match tables hold positions as `u32`.
 pub fn compress_into(data: &[u8], out: &mut Vec<u8>) {
     assert!(
-        data.len() < NONE as usize,
-        "LZSS input must be shorter than 4 GiB"
+        data.len() <= MAX_INPUT,
+        "LZSS input must not exceed 4 GiB - 32 KiB"
     );
     TABLES.with(|tables| {
         let tables = &mut *tables.borrow_mut();
-        tables.head.fill(NONE);
-        compress_with(data, out, &mut tables.head, &mut tables.prev);
+        let base = tables.claim(data.len());
+        compress_with(data, out, base, &mut tables.head, &mut tables.prev);
     });
 }
 
-fn compress_with(data: &[u8], out: &mut Vec<u8>, head: &mut [u32], prev: &mut [u32]) {
+/// One flag byte and the up to eight tokens it describes, assembled here
+/// and appended to the stream in one piece.
+struct Group {
+    /// `bytes[0]` is the flag byte; a token is at most three bytes.
+    bytes: [u8; Group::MAX_BYTES],
+    len: usize,
+    tokens: u32,
+}
+
+impl Group {
+    const MAX_BYTES: usize = 1 + 8 * 3;
+
+    fn new() -> Self {
+        Group {
+            bytes: [0; Group::MAX_BYTES],
+            len: 1,
+            tokens: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn literal(&mut self, byte: u8, out: &mut Vec<u8>) {
+        self.bytes[self.len] = byte;
+        self.len += 1;
+        self.token_done(out);
+    }
+
+    #[inline(always)]
+    fn reference(&mut self, dist: u32, len: usize, out: &mut Vec<u8>) {
+        self.bytes[0] |= 1 << self.tokens;
+        let [lo, hi] = (dist as u16).to_le_bytes();
+        self.bytes[self.len..self.len + 3].copy_from_slice(&[lo, hi, (len - MIN_MATCH) as u8]);
+        self.len += 3;
+        self.token_done(out);
+    }
+
+    #[inline(always)]
+    fn token_done(&mut self, out: &mut Vec<u8>) {
+        self.tokens += 1;
+        if self.tokens == 8 {
+            self.flush(out);
+        }
+    }
+
+    /// Appends the group if it holds a token: a stream never ends in a
+    /// flag byte that describes nothing.
+    fn flush(&mut self, out: &mut Vec<u8>) {
+        if self.tokens > 0 {
+            out.extend_from_slice(&self.bytes[..self.len]);
+            *self = Group::new();
+        }
+    }
+}
+
+/// The encoder: greedy, longest match among the first [`MAX_CHAIN`]
+/// in-window positions of the hash chain, nearest first, the nearer one
+/// winning a tie. What it emits is pinned byte for byte by
+/// `tests/lzss_golden.rs` and `tests/kernel_oracle.rs`; what makes it fast
+/// is that it looks only at candidates that could still change the answer:
+///
+/// * a match shorter than [`MIN_MATCH`] is never emitted, so a candidate
+///   is measured only if its first four bytes are the four bytes here;
+/// * a candidate replaces the match held only if it is strictly longer, so
+///   it must agree at offset `best_len` before it is measured;
+/// * most positions of incompressible input have no candidate worth
+///   either, and that is decided without a data-dependent branch per
+///   chain step (see the loop).
+fn compress_with(
+    data: &[u8],
+    out: &mut Vec<u8>,
+    base: u32,
+    head: &mut [u32; HASH_SIZE],
+    prev: &mut [u32; WINDOW],
+) {
+    const IN_WINDOW: u32 = WINDOW as u32;
+    let n = data.len();
+    // All literals is the longest a stream gets: one flag bit a byte.
+    out.reserve(8 + n + n.div_ceil(8));
     out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(n as u32).to_le_bytes());
 
-    let mut flags_at = usize::MAX;
-    let mut flag_bit = 8;
+    let mut group = Group::new();
+    // Positions with four bytes to hash; the last three are only literals.
+    let hashable = n.saturating_sub(MIN_MATCH - 1);
+
     let mut pos = 0;
+    while pos < hashable {
+        // Inserting before searching changes nothing the search sees: it
+        // starts from the bucket's previous head and never reads this
+        // position's own `prev` slot (every candidate is nearer than a
+        // window).
+        let (word, stamp) = (read32(data, pos), base + pos as u32);
+        let first = insert(head, prev, word, stamp);
 
-    let mut push_token = |out: &mut Vec<u8>, is_match: bool| {
-        if flag_bit == 8 {
-            flags_at = out.len();
-            out.push(0);
-            flag_bit = 0;
+        // The first three chain entries, loaded whether or not the chain
+        // gets that far (an index is always in range; what a slot off the
+        // chain holds is ignored through `in_window`). On random bytes a
+        // bucket holds about one in-window position, rarely one with these
+        // four bytes, so this one branch is nearly always taken and the
+        // position costs no misprediction.
+        let second = prev[first as usize % WINDOW];
+        let third = prev[second as usize % WINDOW];
+        let dist = [first, second, third].map(|s| stamp.wrapping_sub(s));
+        let near = dist.map(|d| d < IN_WINDOW);
+        let in_window = [near[0], near[0] && near[1], near[0] && near[1] && near[2]];
+        let same_word = |i: usize| {
+            // In the window means inserted by this call, so `dist <= pos`;
+            // otherwise any readable offset will do.
+            in_window[i] & (read32(data, pos.saturating_sub(dist[i] as usize)) == word)
+        };
+        if !(same_word(0) | same_word(1) | in_window[2]) {
+            group.literal(data[pos], out);
+            pos += 1;
+            continue;
         }
-        if is_match {
-            out[flags_at] |= 1 << flag_bit;
-        }
-        flag_bit += 1;
-    };
 
-    while pos < data.len() {
-        let mut best_len = 0;
-        let mut best_dist = 0;
-        if pos + MIN_MATCH <= data.len() {
-            let h = hash3(data, pos);
-            let mut next = head[h];
-            let mut steps = 0;
-            while next != NONE && steps < MAX_CHAIN {
-                let candidate = next as usize;
-                if candidate + WINDOW <= pos || candidate >= pos {
-                    break;
-                }
-                let limit = (data.len() - pos).min(MAX_MATCH);
-                let mut len = 0;
-                while len < limit && data[candidate + len] == data[pos + len] {
-                    len += 1;
-                }
+        let limit = (n - pos).min(MAX_MATCH);
+        let (mut best_len, mut best_dist) = (MIN_MATCH - 1, 0);
+        // The four bytes ending at offset `best_len`, where a longer match
+        // must agree; at first, the four bytes here.
+        let mut beat = word;
+        let mut candidate = first;
+        for _ in 0..MAX_CHAIN {
+            let dist = stamp.wrapping_sub(candidate);
+            if dist >= IN_WINDOW {
+                break;
+            }
+            let at = pos - dist as usize;
+            // `best_len < limit`, so the read ends inside `data`.
+            if read32(data, at + best_len - 3) == beat && read32(data, at) == word {
+                let len = MIN_MATCH
+                    + common_prefix(
+                        &data[at + MIN_MATCH..at + limit],
+                        &data[pos + MIN_MATCH..pos + limit],
+                    );
                 if len > best_len {
-                    best_len = len;
-                    best_dist = pos - candidate;
+                    (best_len, best_dist) = (len, dist);
                     if len == limit {
                         break;
                     }
+                    beat = read32(data, pos + best_len - 3);
                 }
-                next = prev[candidate % WINDOW];
-                steps += 1;
             }
+            candidate = prev[candidate as usize % WINDOW];
         }
 
         if best_len >= MIN_MATCH {
-            push_token(out, true);
-            out.extend_from_slice(&(best_dist as u16).to_le_bytes());
-            out.push((best_len - MIN_MATCH) as u8);
-            // Insert hash entries for every covered position.
+            group.reference(best_dist, best_len, out);
             let end = pos + best_len;
-            while pos < end {
-                if pos + MIN_MATCH <= data.len() {
-                    let h = hash3(data, pos);
-                    prev[pos % WINDOW] = head[h];
-                    head[h] = pos as u32;
-                }
-                pos += 1;
+            for covered in pos + 1..end.min(hashable) {
+                insert(head, prev, read32(data, covered), base + covered as u32);
             }
+            pos = end;
         } else {
-            push_token(out, false);
-            out.push(data[pos]);
-            if pos + MIN_MATCH <= data.len() {
-                let h = hash3(data, pos);
-                prev[pos % WINDOW] = head[h];
-                head[h] = pos as u32;
-            }
+            group.literal(data[pos], out);
             pos += 1;
         }
     }
+    for &byte in &data[pos..] {
+        group.literal(byte, out);
+    }
+    group.flush(out);
+}
+
+/// What `stream_len` bytes of tokens can expand to at most: a full group is
+/// 25 bytes (a flag byte and eight references) for 8 × [`MAX_MATCH`] out.
+fn max_expansion(stream_len: usize) -> usize {
+    (stream_len / 25 + 1).saturating_mul(8 * MAX_MATCH)
 }
 
 /// Decompresses raw LZSS framing.
@@ -239,37 +395,47 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CompressError> {
         return Err(CompressError::BadHeader);
     }
     let expected = u32::from_le_bytes([data[4], data[5], data[6], data[7]]) as usize;
-    let mut out = Vec::with_capacity(expected);
+    // The header is the sender's claim: reserve no more than the bytes that
+    // came with it can deliver. A claim they cannot meet is found out where
+    // they run out (`Truncated`), not by an allocation of 4 GiB.
+    let mut out = Vec::with_capacity(expected.min(max_expansion(data.len() - 8)));
     let mut pos = 8;
-    let mut flags = 0u8;
-    let mut flag_bit = 8;
     while out.len() < expected {
-        if flag_bit == 8 {
-            flags = *data.get(pos).ok_or(CompressError::Truncated)?;
-            pos += 1;
-            flag_bit = 0;
-        }
-        let is_match = flags & (1 << flag_bit) != 0;
-        flag_bit += 1;
-        if is_match {
-            if pos + 3 > data.len() {
-                return Err(CompressError::Truncated);
+        let flags = *data.get(pos).ok_or(CompressError::Truncated)?;
+        pos += 1;
+        // Eight literals, all present and all owed: one copy.
+        if flags == 0 && expected - out.len() >= 8 {
+            if let Some(literals) = data.get(pos..pos + 8) {
+                out.extend_from_slice(literals);
+                pos += 8;
+                continue;
             }
-            let dist = u16::from_le_bytes([data[pos], data[pos + 1]]) as usize;
-            let len = data[pos + 2] as usize + MIN_MATCH;
+        }
+        for bit in 0..8 {
+            if out.len() >= expected {
+                break;
+            }
+            if flags & (1 << bit) == 0 {
+                out.push(*data.get(pos).ok_or(CompressError::Truncated)?);
+                pos += 1;
+                continue;
+            }
+            let token = data.get(pos..pos + 3).ok_or(CompressError::Truncated)?;
+            let dist = u16::from_le_bytes([token[0], token[1]]) as usize;
+            let len = token[2] as usize + MIN_MATCH;
             pos += 3;
             if dist == 0 || dist > out.len() {
                 return Err(CompressError::BadReference);
             }
             let start = out.len() - dist;
-            for i in 0..len {
-                let b = out[start + i];
-                out.push(b);
+            if dist >= len {
+                out.extend_from_within(start..start + len);
+            } else {
+                // The match runs into its own output.
+                for i in start..start + len {
+                    out.push(out[i]);
+                }
             }
-        } else {
-            let b = *data.get(pos).ok_or(CompressError::Truncated)?;
-            pos += 1;
-            out.push(b);
         }
     }
     if out.len() != expected {
@@ -351,6 +517,44 @@ mod tests {
         let mut bad = MAGIC.to_vec();
         bad.extend_from_slice(&100u32.to_le_bytes());
         assert_eq!(decompress(&bad).unwrap_err(), CompressError::Truncated);
+    }
+
+    #[test]
+    fn reservation_follows_the_stream_not_the_header() {
+        assert_eq!(max_expansion(0), 8 * MAX_MATCH);
+        assert_eq!(max_expansion(usize::MAX), usize::MAX);
+        // The densest stream there is: nothing valid claims more than the
+        // bound, so a valid stream is still reserved in one piece.
+        let zeros = vec![0u8; 1 << 20];
+        let packed = compress(&zeros);
+        assert!(zeros.len() <= max_expansion(packed.len() - 8));
+        assert!(max_expansion(packed.len() - 8) < zeros.len() + 8 * MAX_MATCH);
+    }
+
+    #[test]
+    fn stamps_start_over_before_they_wrap() {
+        // 4 GiB through one thread without compressing 4 GiB: put the
+        // thread's base just short of the wrap and compare against what a
+        // thread that never compressed anything produces.
+        let data: Vec<u8> = b"wrap around, wrap around, wrap again. "
+            .iter()
+            .cycle()
+            .take(3 * WINDOW)
+            .cloned()
+            .collect();
+        let fresh = compress_on_new_thread(&data);
+        for short_of_wrap in [0, 1, data.len() as u64 - 1, data.len() as u64] {
+            TABLES.with(|tables| {
+                tables.borrow_mut().next_base = u64::from(u32::MAX) - short_of_wrap;
+            });
+            assert_eq!(compress(&data), fresh, "{short_of_wrap} short of the wrap");
+            assert_eq!(compress(&data[..100]), compress_on_new_thread(&data[..100]));
+        }
+    }
+
+    fn compress_on_new_thread(data: &[u8]) -> Vec<u8> {
+        let data = data.to_vec();
+        std::thread::spawn(move || compress(&data)).join().unwrap()
     }
 
     #[test]

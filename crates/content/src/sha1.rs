@@ -36,82 +36,114 @@ impl Sha1 {
     pub fn update(&mut self, mut data: &[u8]) {
         self.length = self.length.wrapping_add(data.len() as u64);
         if self.buffered > 0 {
-            let need = 64 - self.buffered;
-            let take = need.min(data.len());
+            let take = (64 - self.buffered).min(data.len());
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
             self.buffered += take;
             data = &data[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        // Whole blocks are read where they lie.
+        let mut blocks = data.chunks_exact(64);
+        for block in blocks.by_ref() {
+            compress(&mut self.state, block.try_into().expect("64-byte block"));
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffered = data.len();
-        }
+        let rest = blocks.remainder();
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
     }
 
     /// Finishes and returns the 20-byte digest.
     pub fn finalize(mut self) -> [u8; 20] {
+        // Padding: 0x80, zeros to 56 mod 64, 8-byte big-endian bit length.
         let bit_length = self.length.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0x00]);
-        }
-        // Manual injection of the length (update would change self.length,
-        // which no longer matters).
-        self.buffer[56..64].copy_from_slice(&bit_length.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
+        let mut padding = [0u8; 72];
+        padding[0] = 0x80;
+        let zeros = (119 - self.buffered) % 64;
+        padding[1 + zeros..9 + zeros].copy_from_slice(&bit_length.to_be_bytes());
+        self.update(&padding[..9 + zeros]);
         let mut out = [0u8; 20];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+/// One round: `$e` takes the step's sum and `$b` its rotation, in place.
+/// The caller renames the five registers from round to round, which is
+/// the specification's `e = d; d = c; …` shuffle at no cost.
+macro_rules! round {
+    ($f:ident, $k:literal, $w:expr; $a:ident $b:ident $c:ident $d:ident $e:ident) => {
+        $e = $e
+            .wrapping_add($a.rotate_left(5))
+            .wrapping_add($f($b, $c, $d))
+            .wrapping_add($k)
+            .wrapping_add($w);
+        $b = $b.rotate_left(30);
+    };
+}
+
+/// Five rounds, after which the registers are back in their places.
+/// `$w` maps a round number to its schedule word.
+macro_rules! rounds5 {
+    ($f:ident, $k:literal, $w:ident, $t:expr; $a:ident $b:ident $c:ident $d:ident $e:ident) => {
+        round!($f, $k, $w($t); $a $b $c $d $e);
+        round!($f, $k, $w($t + 1); $e $a $b $c $d);
+        round!($f, $k, $w($t + 2); $d $e $a $b $c);
+        round!($f, $k, $w($t + 3); $c $d $e $a $b);
+        round!($f, $k, $w($t + 4); $b $c $d $e $a);
+    };
+}
+
+macro_rules! rounds20 {
+    ($f:ident, $k:literal, $w:ident, $t:expr; $($r:ident)+) => {
+        rounds5!($f, $k, $w, $t; $($r)+);
+        rounds5!($f, $k, $w, $t + 5; $($r)+);
+        rounds5!($f, $k, $w, $t + 10; $($r)+);
+        rounds5!($f, $k, $w, $t + 15; $($r)+);
+    };
+}
+
+// The round functions with an operation fewer each than as the standard
+// writes them: `choose` in three, `majority` in four.
+fn choose(b: u32, c: u32, d: u32) -> u32 {
+    d ^ (b & (c ^ d))
+}
+
+fn parity(b: u32, c: u32, d: u32) -> u32 {
+    b ^ c ^ d
+}
+
+fn majority(b: u32, c: u32, d: u32) -> u32 {
+    (b & c) | (d & (b | c))
+}
+
+/// The block function, its 80 rounds written out: every schedule index and
+/// rotation is a constant and the schedule is the sixteen words a round can
+/// still reach, not all eighty.
+fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(bytes.try_into().expect("four bytes"));
+    }
+    let mut schedule = |t: usize| {
+        if t >= 16 {
+            w[t % 16] =
+                (w[(t + 13) % 16] ^ w[(t + 8) % 16] ^ w[(t + 2) % 16] ^ w[t % 16]).rotate_left(1);
         }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
-                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
-            };
-            let temp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = temp;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        w[t % 16]
+    };
+    let [mut a, mut b, mut c, mut d, mut e] = *state;
+    rounds20!(choose, 0x5A827999, schedule, 0; a b c d e);
+    rounds20!(parity, 0x6ED9EBA1, schedule, 20; a b c d e);
+    rounds20!(majority, 0x8F1BBCDC, schedule, 40; a b c d e);
+    rounds20!(parity, 0xCA62C1D6, schedule, 60; a b c d e);
+    for (word, add) in state.iter_mut().zip([a, b, c, d, e]) {
+        *word = word.wrapping_add(add);
     }
 }
 

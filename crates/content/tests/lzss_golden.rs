@@ -59,3 +59,37 @@ fn lzss_stream_is_byte_identical_to_the_pinned_one() {
         );
     }
 }
+
+#[test]
+fn bulk_upload_chunks_compress_to_the_pinned_streams() {
+    // The sixteen 512 KiB chunks of `stackbench`'s `bulk_upload` base file,
+    // as the encoder before PR 17 framed them: (stream length, stream
+    // digest). These are the bytes that workload's upload counts are made of.
+    const PINNED: [(usize, &str); 16] = [
+        (507596, "4e2b404cea86dc15422c932529e655f19227c817"),
+        (524637, "d79354925eea1cc07fdb4a799f49cd9185c8506e"),
+        (485456, "e39aea3b65434c101ec8281cd4e7992c04342808"),
+        (504381, "d4a388c8c16729667846fb512d676b55a8f05136"),
+        (480751, "9f4dc7f890c75f4129521238af9f0179b34af814"),
+        (504468, "4bc6cdfbe8cca6231ddd9f79f646ddeffeec2202"),
+        (497101, "19c9af45c5d5e9dd97bbf1d101fc8cf7374bb2d9"),
+        (489420, "d22b4bde5b4fd4e7d84e7cd704cc0af6b4e2b980"),
+        (513953, "ba8100b919f73729e80cc2050ee474bc43f80d1f"),
+        (503123, "c32d9e517d9e3c44b616ff0d1b9ca18051bc905e"),
+        (507253, "59f4bf77db8126935d95c0c39cdcb9d7e91a6071"),
+        (496726, "86dc12f9e8a7cf6fccfe414c90e0f90c195777d1"),
+        (491777, "6c6e0888ee1c467b63327a2e80969ed633caa7f2"),
+        (508701, "796fc152e4c2c4b1708fe2d9bb1397cd1d198f04"),
+        (495638, "75fa43d1896d44ff120a6f02e5079ac8a6861b41"),
+        (487187, "ef6c9a92a5dd8ccb767d4770b3ae621a0fd67d94"),
+    ];
+    let file = workload::content_gen::generate_default(8 << 20, 0x8_0000);
+    for (i, chunk) in file.chunks(content::DEFAULT_CHUNK_SIZE).enumerate() {
+        let stream = compress(chunk);
+        assert_eq!(
+            (stream.len(), ChunkId::of(&stream).to_string().as_str()),
+            PINNED[i],
+            "chunk {i}: LZSS stream changed"
+        );
+    }
+}
