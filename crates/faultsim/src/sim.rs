@@ -204,7 +204,7 @@ fn encode_proposal(proposal: &Proposal) -> Vec<u8> {
 }
 
 fn decode_proposal(payload: &[u8]) -> Result<Proposal, String> {
-    let value = wire::BinaryCodec
+    let mut value = wire::BinaryCodec
         .decode(payload)
         .map_err(|e| e.to_string())?;
     Ok(Proposal {
@@ -213,7 +213,9 @@ fn decode_proposal(payload: &[u8]) -> Result<Proposal, String> {
             .and_then(wire::Value::as_str)
             .map_err(|e| e.to_string())?
             .to_string(),
-        item: stacksync::protocol::item_from_value(value.field("item").map_err(|e| e.to_string())?)
+        item: value
+            .take_field("item")
+            .and_then(stacksync::protocol::item_from_value)
             .map_err(|e| e.to_string())?,
     })
 }
@@ -484,7 +486,8 @@ pub fn run(seed: u64, config: &SimConfig) -> SimReport {
     }
     match service.dispatch("get_changes", &[Value::from(ws.0.as_str())]) {
         Ok(Value::List(items)) => {
-            for value in &items {
+            let listed = items.len();
+            for value in items {
                 match stacksync::protocol::item_from_value(value) {
                     Ok(item) => {
                         if current_versions.get(&item.item_id) != Some(&item.version) {
@@ -499,10 +502,10 @@ pub fn run(seed: u64, config: &SimConfig) -> SimReport {
                     Err(e) => violations.push(format!("get_changes returned bad item: {e}")),
                 }
             }
-            if items.len() != current_versions.len() {
+            if listed != current_versions.len() {
                 violations.push(format!(
                     "get_changes returned {} items, store tracks {}",
-                    items.len(),
+                    listed,
                     current_versions.len()
                 ));
             }
@@ -533,7 +536,7 @@ fn decode_notification(payload: &[u8]) -> Result<stacksync::CommitNotification, 
     let value = wire::BinaryCodec
         .decode(payload)
         .map_err(|e| e.to_string())?;
-    let request = Request::from_value(&value).map_err(|e| e.to_string())?;
+    let request = Request::from_value(value).map_err(|e| e.to_string())?;
     if request.method != "notify_commit" {
         return Err(format!("unexpected method {}", request.method));
     }

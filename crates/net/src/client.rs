@@ -151,6 +151,7 @@ struct ClientInner {
     next_sub: AtomicU64,
     stop: AtomicBool,
     reconnects: Arc<obs::Counter>,
+    rpc_seconds: Arc<obs::Histogram>,
     bytes_out: Arc<obs::Counter>,
     tx: TxObs,
 }
@@ -229,6 +230,7 @@ impl NetBroker {
             next_sub: AtomicU64::new(1),
             stop: AtomicBool::new(false),
             reconnects: obs::counter("net.client.reconnects"),
+            rpc_seconds: obs::histogram("net.client.rpc_seconds"),
             bytes_out: obs::counter("net.client.bytes_out"),
             tx: TxObs::new(),
         });
@@ -343,7 +345,6 @@ impl ClientInner {
     /// Sends one request and waits for its reply, retrying across
     /// reconnects until the operation deadline.
     fn request(&self, req: &Request) -> MqResult<Value> {
-        let rpc_seconds = obs::histogram("net.client.rpc_seconds");
         let started = Instant::now();
         let deadline = started + self.config.op_timeout;
         loop {
@@ -379,7 +380,7 @@ impl ClientInner {
             self.pending.lock().remove(&corr);
             match outcome {
                 Some(result) => {
-                    rpc_seconds.record(started.elapsed());
+                    self.rpc_seconds.record(started.elapsed());
                     return result;
                 }
                 None => continue, // reconnect happened mid-request: retry

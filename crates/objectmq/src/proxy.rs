@@ -83,21 +83,31 @@ impl Proxy {
         &self.oid
     }
 
+    /// A fresh invocation: its id and the message carrying it. The
+    /// arguments move into the envelope, and a retry publishes a clone of
+    /// the message, which shares the encoded bytes.
     fn request_message(
         &self,
-        request: &Request,
+        method: &str,
+        args: Vec<Value>,
         expect_reply: bool,
-        trace: Option<&obs::SpanContext>,
-    ) -> Message {
-        let payload = wire::encode_to_bytes(self.codec.as_ref(), &request.to_value());
+        trace: &obs::SpanContext,
+    ) -> (String, Message) {
+        let id = fresh_id();
+        let request = Request {
+            id: id.clone(),
+            method: method.to_string(),
+            args,
+        };
+        let payload = wire::encode_to_bytes(self.codec.as_ref(), &request.into_value());
         let props = MessageProperties {
-            correlation_id: Some(request.id.clone()),
+            correlation_id: Some(id.clone()),
             reply_to: expect_reply.then(|| self.response_queue.clone()),
             content_type: Some(format!("omq/{}", self.codec.name())),
             persistent: true,
-            trace: trace.map(obs::SpanContext::encode),
+            trace: Some(trace.encode()),
         };
-        Message::with_properties(payload, props)
+        (id, Message::with_properties(payload, props))
     }
 
     /// Opens the root span for one invocation, parented under the caller's
@@ -121,14 +131,9 @@ impl Proxy {
     /// Only middleware errors (e.g. the `oid` queue disappeared) are
     /// reported; remote failures are invisible by design.
     pub fn call_async(&self, method: &str, args: Vec<Value>) -> CallResult<()> {
-        let request = Request {
-            id: fresh_id(),
-            method: method.to_string(),
-            args,
-        };
         self.obs.calls.inc();
         let root = self.invocation_span("omq.call_async", method);
-        let message = self.request_message(&request, false, Some(&root.context()));
+        let (_, message) = self.request_message(method, args, false, &root.context());
         let publish = root.child("proxy.publish");
         let published = self.mq.publish_to_queue(&self.oid, message);
         publish.finish();
@@ -152,14 +157,10 @@ impl Proxy {
         timeout: Duration,
         retries: u32,
     ) -> CallResult<Value> {
-        let request = Request {
-            id: fresh_id(),
-            method: method.to_string(),
-            args,
-        };
         self.obs.calls.inc();
         let root = self.invocation_span("omq.call_sync", method);
         let ctx = root.context();
+        let (id, message) = self.request_message(method, args, true, &ctx);
         let started = Instant::now();
         let mut attempts = 0;
         let result = loop {
@@ -167,15 +168,14 @@ impl Proxy {
             if attempts > 1 {
                 self.obs.retries.inc();
             }
-            let message = self.request_message(&request, true, Some(&ctx));
             let publish = obs::Span::start_child_of("proxy.publish", &ctx);
-            let published = self.mq.publish_to_queue(&self.oid, message);
+            let published = self.mq.publish_to_queue(&self.oid, message.clone());
             publish.finish();
             if let Err(e) = published {
                 break Err(CallError::from(e));
             }
             let wait = obs::Span::start_child_of("reply.wait", &ctx);
-            let response = self.await_response(&request.id, timeout);
+            let response = self.await_response(&id, timeout);
             wait.finish();
             match response {
                 Some(response) => {
@@ -202,14 +202,9 @@ impl Proxy {
     ///
     /// Middleware errors only (e.g. the fanout exchange is gone).
     pub fn call_multi_async(&self, method: &str, args: Vec<Value>) -> CallResult<usize> {
-        let request = Request {
-            id: fresh_id(),
-            method: method.to_string(),
-            args,
-        };
         self.obs.calls.inc();
         let root = self.invocation_span("omq.call_multi_async", method);
-        let message = self.request_message(&request, false, Some(&root.context()));
+        let (_, message) = self.request_message(method, args, false, &root.context());
         let publish = root.child("proxy.publish");
         let published = self.mq.publish(&self.multi_exchange, "", message);
         publish.finish();
@@ -231,15 +226,10 @@ impl Proxy {
         args: Vec<Value>,
         timeout: Duration,
     ) -> CallResult<Vec<Result<Value, String>>> {
-        let request = Request {
-            id: fresh_id(),
-            method: method.to_string(),
-            args,
-        };
         self.obs.calls.inc();
         let root = self.invocation_span("omq.call_multi_sync", method);
         let ctx = root.context();
-        let message = self.request_message(&request, true, Some(&ctx));
+        let (id, message) = self.request_message(method, args, true, &ctx);
         let publish = root.child("proxy.publish");
         let published = self.mq.publish(&self.multi_exchange, "", message);
         publish.finish();
@@ -258,7 +248,7 @@ impl Proxy {
             if now >= deadline {
                 break;
             }
-            match self.recv_correlated(&request.id, deadline - now) {
+            match self.recv_correlated(&id, deadline - now) {
                 Some(response) => results.push(response.outcome),
                 None => break,
             }
@@ -387,7 +377,7 @@ mod tests {
                     id: format!("other-{i}"),
                     outcome: Ok(Value::Null),
                 };
-                let payload = noise_codec.encode(&response.to_value());
+                let payload = noise_codec.encode(&response.into_value());
                 let _ = noise_mq.publish_to_queue("resp", Message::from_bytes(payload));
                 i += 1;
                 std::thread::sleep(Duration::from_millis(2));

@@ -3,8 +3,9 @@
 
 use crate::error::OmqResult;
 use crate::info::ServiceStats;
-use crate::rpc::{decode_request, Response};
+use crate::rpc::{decode_request, Request, Response};
 use mqsim::{Message, MessageConsumer, MessageProperties, Messaging};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -176,6 +177,9 @@ fn serve_loop(ctx: LoopCtx, consumer: Box<dyn MessageConsumer>) {
     let dispatched = obs::counter("omq.dispatches_total");
     let panics = obs::counter("omq.dispatch_panics_total");
     let malformed = obs::counter("omq.malformed_requests_total");
+    // `omq.service_seconds.{method}` and `omq.response_seconds.{method}`,
+    // looked up in the registry the first time this thread serves a method.
+    let mut method_seconds: HashMap<String, [Arc<obs::Histogram>; 2]> = HashMap::new();
     loop {
         if ctx.stop.load(Ordering::Acquire) || ctx.crash.load(Ordering::Acquire) {
             return;
@@ -227,13 +231,13 @@ fn serve_loop(ctx: LoopCtx, consumer: Box<dyn MessageConsumer>) {
         });
         let mut exec_span = dispatch_span.as_ref().map(|d| d.child("handler.exec"));
 
-        let object = ctx.object.clone();
-        let method = request.method.clone();
-        let args = request.args.clone();
+        let Request { id, method, args } = request;
         // Install the exec context so nested code (handlers issuing their
         // own calls, services tagging workspaces) links into this trace.
         let prev = obs::set_current(exec_span.as_ref().map(|s| s.context()));
-        let outcome = catch_unwind(AssertUnwindSafe(move || object.dispatch(&method, &args)));
+        // The arguments move into the call and are freed when it returns.
+        let outcome = catch_unwind(AssertUnwindSafe(|| ctx.object.dispatch(&method, &args)));
+        drop(args);
         obs::set_current(prev);
         let notes = obs::take_annotations();
         ctx.stats.set_busy(false);
@@ -255,8 +259,16 @@ fn serve_loop(ctx: LoopCtx, consumer: Box<dyn MessageConsumer>) {
         let response_time = queued_since.map(|t| t.elapsed()).unwrap_or(service);
         ctx.stats.record(service, response_time);
         dispatched.inc();
-        obs::histogram(&format!("omq.service_seconds.{}", request.method)).record(service);
-        obs::histogram(&format!("omq.response_seconds.{}", request.method)).record(response_time);
+        if !method_seconds.contains_key(&method) {
+            let resolved = [
+                obs::histogram(&format!("omq.service_seconds.{method}")),
+                obs::histogram(&format!("omq.response_seconds.{method}")),
+            ];
+            method_seconds.insert(method.clone(), resolved);
+        }
+        let [service_seconds, response_seconds] = &method_seconds[&method];
+        service_seconds.record(service);
+        response_seconds.record(response_time);
         if let Some(exec) = exec_span.as_mut() {
             for note in notes {
                 exec.note(note);
@@ -268,12 +280,12 @@ fn serve_loop(ctx: LoopCtx, consumer: Box<dyn MessageConsumer>) {
 
         if let Some(reply_to) = delivery.message.properties().reply_to.clone() {
             let response = Response {
-                id: request.id.clone(),
+                id: id.clone(),
                 outcome,
             };
-            let payload = wire::encode_to_bytes(ctx.codec.as_ref(), &response.to_value());
+            let payload = wire::encode_to_bytes(ctx.codec.as_ref(), &response.into_value());
             let props = MessageProperties {
-                correlation_id: Some(request.id),
+                correlation_id: Some(id),
                 reply_to: None,
                 content_type: Some(format!("omq/{}", ctx.codec.name())),
                 persistent: true,

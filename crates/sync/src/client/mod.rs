@@ -247,8 +247,13 @@ struct ClientShared {
     /// `sync.client.chunks_reused_total`, summed over every client of
     /// the process.
     reused_total: Arc<obs::Counter>,
-    /// `sync.client.fetch_seconds`: reassembling one item's content.
+    /// `sync.client.fetch_seconds`: fetching and verifying one window of
+    /// items (on the notification path, one item).
     fetch_seconds: Arc<obs::Histogram>,
+    /// `Some` while the start-up state is being materialized: what the
+    /// listener received meanwhile, in arrival order. `connect` applies it
+    /// once the snapshot is in place, so nothing runs beside the window.
+    parked: Mutex<Option<Vec<CommitNotification>>>,
 }
 
 impl ClientShared {
@@ -262,9 +267,10 @@ impl ClientShared {
 
 /// A StackSync desktop client bound to one workspace.
 ///
-/// Construction performs the paper's startup protocol: a synchronous
-/// `get_changes` to fetch the workspace state, then registration for push
-/// notifications. Afterwards every local mutation is indexed, deduplicated,
+/// Construction performs the paper's startup protocol: registration for
+/// push notifications, then a synchronous `get_changes` to fetch the
+/// workspace state (a commit made in between is parked and applied after
+/// it). Afterwards every local mutation is indexed, deduplicated,
 /// uploaded and committed asynchronously, and remote commits arrive as push
 /// notifications applied to the local folder.
 pub struct DesktopClient {
@@ -305,6 +311,10 @@ impl RemoteObject for NotificationListener {
                 let value = args.first().ok_or("notify_commit needs a notification")?;
                 let notification =
                     CommitNotification::from_value(value).map_err(|e| e.to_string())?;
+                if let Some(parked) = self.shared.parked.lock().as_mut() {
+                    parked.push(notification);
+                    return Ok(Value::Null);
+                }
                 apply_notification(&self.shared, &notification).map_err(|e| e.to_string())?;
                 Ok(Value::Null)
             }
@@ -337,9 +347,9 @@ impl DesktopClient {
     }
 
     /// Connects a device to a workspace: authenticates against the storage
-    /// back-end, fetches the current workspace state with a synchronous
-    /// `get_changes`, materializes it locally, and registers for push
-    /// notifications.
+    /// back-end, registers for push notifications, fetches the current
+    /// workspace state with a synchronous `get_changes` and materializes it
+    /// locally, then applies what was notified meanwhile.
     ///
     /// # Errors
     ///
@@ -392,34 +402,25 @@ impl DesktopClient {
             pipeline,
             reused_total: obs::counter("sync.client.chunks_reused_total"),
             fetch_seconds: obs::histogram("sync.client.fetch_seconds"),
+            parked: Mutex::new(Some(Vec::new())),
             config,
         });
 
-        // Startup: getChanges is the one synchronous, costly call (paper:
-        // "StackSync clients perform only on startup").
-        let state = shared.proxy.call_sync(
-            "get_changes",
-            vec![Value::from(workspace.0.as_str())],
-            shared.config.call_timeout,
-            shared.config.call_retries,
-        )?;
-        shared.stats.inner.control_received.fetch_add(
-            wire::encoded_len(&wire::BinaryCodec, &state) as u64,
-            Ordering::Relaxed,
-        );
-        for item_value in state.as_list()? {
-            let item = item_from_value(item_value)?;
-            materialize_item(&shared, &item)?;
-        }
-
-        // Register for push notifications: bind a listener object to the
-        // workspace's fanout oid.
+        // Subscribe, then snapshot: a commit that lands after the listener
+        // is bound is either in the `get_changes` reply or parked behind
+        // it, so the joining device cannot miss it. Bound the other way
+        // round, a commit between the reply and the bind was lost until
+        // that file changed again.
         let listener = broker.bind(
             workspace_notification_oid(workspace),
             NotificationListener {
                 shared: shared.clone(),
             },
         )?;
+        if let Err(error) = join(&shared) {
+            listener.shutdown();
+            return Err(error);
+        }
 
         Ok(DesktopClient {
             shared,
@@ -613,6 +614,45 @@ impl DesktopClient {
     }
 }
 
+/// The start-up protocol behind a bound listener: `get_changes` (the one
+/// synchronous, costly call, paper: "StackSync clients perform only on
+/// startup"), the state it lists, then the notifications parked meanwhile,
+/// in arrival order; the ones the snapshot already covered fail
+/// `apply_notification`'s "only if newer" check.
+fn join(shared: &Arc<ClientShared>) -> SyncResult<()> {
+    let state = shared.proxy.call_sync(
+        "get_changes",
+        vec![Value::from(shared.workspace.0.as_str())],
+        shared.config.call_timeout,
+        shared.config.call_retries,
+    )?;
+    shared.stats.inner.control_received.fetch_add(
+        wire::encoded_len(&wire::BinaryCodec, &state) as u64,
+        Ordering::Relaxed,
+    );
+    // The reply is consumed item by item, so the tree is gone before the
+    // first chunk is fetched.
+    let items = state
+        .into_list()?
+        .into_iter()
+        .map(item_from_value)
+        .collect::<Result<Vec<ItemMetadata>, _>>()?;
+    materialize_all(shared, &items)?;
+    loop {
+        let arrived = match &mut *shared.parked.lock() {
+            Some(parked) if !parked.is_empty() => std::mem::take(parked),
+            // From here on the listener applies what it receives.
+            parked => {
+                *parked = None;
+                return Ok(());
+            }
+        };
+        for notification in &arrived {
+            apply_notification(shared, notification)?;
+        }
+    }
+}
+
 fn chunk_hex(id: &ChunkId) -> String {
     id.to_string()
 }
@@ -790,75 +830,147 @@ fn fetch_chunk(shared: &Arc<ClientShared>, id: &ChunkId) -> SyncResult<(Bytes, b
     }
 }
 
-/// Reassembles an item's content: each chunk from the local folder when
-/// a verified copy is there, from the chunk store otherwise. Either way
-/// its fingerprint has been compared to the committed id. Returns the
-/// content and the chunk lengths, in file order.
-///
-/// Chunks are fetched a window of `ingest_workers` at a time on the
-/// pipeline's scheduler and appended in file order before the next window
-/// starts, so the file is never held twice: the extra memory is one
-/// window. The first failing chunk in file order is the error.
-fn fetch_item_content(
-    shared: &Arc<ClientShared>,
-    item: &ItemMetadata,
-) -> SyncResult<(Vec<u8>, Vec<usize>)> {
-    let started = Instant::now();
-    let mut contents = Vec::with_capacity(item.size as usize);
-    let mut lens = Vec::with_capacity(item.chunks.len());
-    let mut reused = 0;
-    for window in item.chunks.chunks(shared.pipeline.workers()) {
-        let (client, ids) = (Arc::clone(shared), window.to_vec());
-        let fetched = shared
-            .pipeline
-            .map_tasks(window.len(), move |k| fetch_chunk(&client, &ids[k]));
-        for chunk in fetched {
-            let (plain, local) = chunk?;
-            reused += u64::from(local);
-            lens.push(plain.len());
-            contents.extend_from_slice(&plain);
-        }
+/// Plain bytes of the files materialized together (an item larger than
+/// this is a window of its own). What a window costs is its chunks in
+/// memory beside the files assembled from them; what it buys is every core
+/// busy on one-chunk files. One unbounded window over the benchmark's
+/// 18 MiB in 3 012 files read 2 ms of 43 lower than three of 8 MiB and
+/// peaked 5 MiB higher (DESIGN.md §13): the barriers cost little, and
+/// without them the memory grows with the workspace.
+const WINDOW_BYTES: u64 = 8 << 20;
+
+/// Materializes server-side items locally, in order: the start-up state
+/// and, as a one-item slice, every notified change. Items are taken a
+/// window of at most [`WINDOW_BYTES`] at a time; where the windows fall
+/// depends on the sizes the items declare and on nothing else.
+fn materialize_all(shared: &Arc<ClientShared>, items: &[ItemMetadata]) -> SyncResult<()> {
+    let mut rest = items;
+    while !rest.is_empty() {
+        let (window, later) = rest.split_at(window_len(rest));
+        materialize_window(shared, window)?;
+        rest = later;
     }
-    let downloaded = item.chunks.len() as u64 - reused;
-    let stats = &shared.stats.inner;
-    stats
-        .chunks_downloaded
-        .fetch_add(downloaded, Ordering::Relaxed);
-    stats.chunks_reused.fetch_add(reused, Ordering::Relaxed);
-    shared.reused_total.add(reused);
-    shared.fetch_seconds.record(started.elapsed());
-    Ok((contents, lens))
+    Ok(())
 }
 
-/// Materializes a server-side item locally (startup sync path).
-fn materialize_item(shared: &Arc<ClientShared>, item: &ItemMetadata) -> SyncResult<()> {
-    if item.is_deleted {
-        shared.fs.lock().remove(&item.path);
-        shared.db.lock().upsert(
-            &item.path,
-            FileEntry {
+/// How many of `items`, from the front, make the next window: as many as
+/// declare at most [`WINDOW_BYTES`] together, and at least one.
+fn window_len(items: &[ItemMetadata]) -> usize {
+    let mut bytes = 0u64;
+    let mut taken = 0;
+    for item in items {
+        let size = if item.is_deleted { 0 } else { item.size };
+        bytes = bytes.saturating_add(size);
+        if taken > 0 && bytes > WINDOW_BYTES {
+            break;
+        }
+        taken += 1;
+    }
+    taken
+}
+
+/// One window: every chunk of every file in it goes through the
+/// pipeline's scheduler as one task (from the local folder when a verified
+/// copy is there, from the chunk store otherwise; either way its
+/// fingerprint has been compared to the committed id), then the files go
+/// into the folder and the local database in item order, under one hold of
+/// each lock. The first failing chunk in item-then-file order is the
+/// error, and a window that fails changes neither folder nor database nor
+/// counters. No file of the window is in the database while its chunks are
+/// fetched, so a chunk two of its files share is fetched for both.
+fn materialize_window(shared: &Arc<ClientShared>, window: &[ItemMetadata]) -> SyncResult<()> {
+    let started = Instant::now();
+    let ids: Vec<ChunkId> = window
+        .iter()
+        .filter(|item| !item.is_deleted)
+        .flat_map(|item| item.chunks.iter().copied())
+        .collect();
+    let tasks = ids.len();
+    let client = Arc::clone(shared);
+    let mut fetched = shared
+        .pipeline
+        .map_tasks(tasks, move |k| fetch_chunk(&client, &ids[k]))
+        .into_iter();
+
+    let mut reused = 0;
+    // `None`: a tombstone.
+    let mut files: Vec<Option<Bytes>> = Vec::with_capacity(window.len());
+    let mut entries: Vec<FileEntry> = Vec::with_capacity(window.len());
+    for item in window {
+        if item.is_deleted {
+            files.push(None);
+            entries.push(FileEntry {
                 item_id: item.item_id,
                 version: item.version,
                 chunks: vec![],
                 size: 0,
                 deleted: true,
-            },
-        );
-        shared.note_change();
-        return Ok(());
-    }
-    let (contents, lens) = fetch_item_content(shared, item)?;
-    shared.fs.lock().write(&item.path, Bytes::from(contents));
-    shared.db.lock().upsert(
-        &item.path,
-        FileEntry {
+            });
+            continue;
+        }
+        let mut chunks = Vec::with_capacity(item.chunks.len());
+        for _ in &item.chunks {
+            let (plain, local) = fetched.next().expect("one result per task")?;
+            reused += u64::from(local);
+            chunks.push(plain);
+        }
+        let lens: Vec<usize> = chunks.iter().map(Bytes::len).collect();
+        // A one-chunk file is its verified chunk. The capacity of any
+        // other comes from the chunks in hand, not from the size the
+        // service declared, which is checked against them instead.
+        let contents = if chunks.len() == 1 {
+            chunks.swap_remove(0)
+        } else {
+            let mut contents = Vec::with_capacity(lens.iter().sum());
+            for chunk in &chunks {
+                contents.extend_from_slice(chunk);
+            }
+            Bytes::from(contents)
+        };
+        if contents.len() as u64 != item.size {
+            return Err(SyncError::Corrupt(format!(
+                "`{}` v{} declares {} bytes, its chunks hold {}",
+                item.path,
+                item.version,
+                item.size,
+                contents.len()
+            )));
+        }
+        files.push(Some(contents));
+        entries.push(FileEntry {
             item_id: item.item_id,
             version: item.version,
             chunks: item.chunks.iter().copied().zip(lens).collect(),
             size: item.size,
             deleted: false,
-        },
-    );
+        });
+    }
+
+    let stats = &shared.stats.inner;
+    stats
+        .chunks_downloaded
+        .fetch_add(tasks as u64 - reused, Ordering::Relaxed);
+    stats.chunks_reused.fetch_add(reused, Ordering::Relaxed);
+    shared.reused_total.add(reused);
+    shared.fetch_seconds.record(started.elapsed());
+
+    {
+        let mut fs = shared.fs.lock();
+        for (item, contents) in window.iter().zip(files) {
+            match contents {
+                Some(contents) => fs.write(&item.path, contents),
+                None => {
+                    fs.remove(&item.path);
+                }
+            }
+        }
+    }
+    {
+        let mut db = shared.db.lock();
+        for (item, entry) in window.iter().zip(entries) {
+            db.upsert(&item.path, entry);
+        }
+    }
     shared.note_change();
     Ok(())
 }
@@ -894,7 +1006,7 @@ fn apply_notification(
                 db.get(&item.path).is_none_or(|e| item.version > e.version)
             };
             if newer {
-                materialize_item(shared, item)?;
+                materialize_all(shared, std::slice::from_ref(item))?;
             }
         } else if own_device && item.modified_by == shared.config.device {
             // We lost a conflict: keep our bytes as a conflict copy, adopt
@@ -906,7 +1018,7 @@ fn apply_notification(
                 .clone()
                 .ok_or_else(|| SyncError::Corrupt("conflict without current version".into()))?;
             let losing_bytes = shared.fs.lock().read(&item.path).cloned();
-            materialize_item(shared, &current)?;
+            materialize_all(shared, std::slice::from_ref(&current))?;
             if let Some(bytes) = losing_bytes {
                 let copy_path = conflict_copy_path(&item.path, &shared.config.device);
                 // The conflict copy is a brand-new file that must itself be
@@ -1056,6 +1168,32 @@ mod tests {
         counters: [u64; 5],
     }
 
+    fn observe(device: &DesktopClient, paths: &[&str]) -> Device {
+        let folder = device
+            .list_files()
+            .into_iter()
+            .map(|path| {
+                let bytes = device.read_file(&path).unwrap();
+                (path, bytes)
+            })
+            .collect();
+        let db = device.shared.db.lock();
+        let entries = paths.iter().map(|path| db.get(path).cloned()).collect();
+        let stats = device.stats();
+        let counters = [
+            stats.chunks_uploaded(),
+            stats.chunk_bytes_uploaded(),
+            stats.chunks_deduplicated(),
+            stats.chunks_downloaded(),
+            stats.chunks_reused(),
+        ];
+        Device {
+            folder,
+            entries,
+            counters,
+        }
+    }
+
     /// Multi-chunk ADD, append UPDATE (the watcher reuses its local
     /// chunks), rename (metadata only), then a device that joins late.
     fn run_schedule(configure: impl Fn(ClientConfig) -> ClientConfig) -> Outcome {
@@ -1078,31 +1216,7 @@ mod tests {
         assert_eq!(c.read_file("g.bin").unwrap(), v2);
 
         let devices = [&a, &b, &c]
-            .map(|device| {
-                let folder = device
-                    .list_files()
-                    .into_iter()
-                    .map(|path| {
-                        let bytes = device.read_file(&path).unwrap();
-                        (path, bytes)
-                    })
-                    .collect();
-                let db = device.shared.db.lock();
-                let entries = ["f.bin", "g.bin"].map(|path| db.get(path).cloned());
-                let stats = device.stats();
-                let counters = [
-                    stats.chunks_uploaded(),
-                    stats.chunk_bytes_uploaded(),
-                    stats.chunks_deduplicated(),
-                    stats.chunks_downloaded(),
-                    stats.chunks_reused(),
-                ];
-                Device {
-                    folder,
-                    entries: entries.to_vec(),
-                    counters,
-                }
-            })
+            .map(|device| observe(device, &["f.bin", "g.bin"]))
             .to_vec();
         let traffic = stack.store.traffic();
         Outcome {
@@ -1179,7 +1293,7 @@ mod tests {
             modified_by: "laptop".to_string(),
         };
         for _ in 0..20 {
-            let error = materialize_item(&b.shared, &item).unwrap_err();
+            let error = materialize_all(&b.shared, std::slice::from_ref(&item)).unwrap_err();
             assert_eq!(
                 error.to_string(),
                 SyncError::Corrupt(format!("chunk {} failed fingerprint verification", ids[2]))
@@ -1190,6 +1304,224 @@ mod tests {
         assert_eq!(b.read_file("f.bin").unwrap(), v1, "the folder keeps v1");
         assert_eq!(b.shared.db.lock().get("f.bin"), Some(&entry_before));
         assert_eq!(b.stats().chunks_downloaded(), downloaded_before);
+    }
+
+    /// An item as the service would list it, its chunks not looked at.
+    fn declared(path: &str, size: u64, is_deleted: bool) -> ItemMetadata {
+        ItemMetadata {
+            item_id: 1,
+            workspace: WorkspaceId::from("ws"),
+            path: path.to_string(),
+            version: 1,
+            chunks: vec![],
+            size,
+            is_deleted,
+            modified_by: "laptop".to_string(),
+        }
+    }
+
+    #[test]
+    fn a_window_is_the_items_that_declare_at_most_its_bytes_and_at_least_one() {
+        let w = WINDOW_BYTES;
+        let lens = |sizes: &[u64]| {
+            let items: Vec<ItemMetadata> = sizes
+                .iter()
+                .map(|&size| declared("f", size, false))
+                .collect();
+            let (mut rest, mut lens) = (&items[..], vec![]);
+            while !rest.is_empty() {
+                lens.push(window_len(rest));
+                rest = &rest[lens[lens.len() - 1]..];
+            }
+            lens
+        };
+        assert_eq!(lens(&[1, 2, 3]), [3]);
+        assert_eq!(
+            lens(&[w - 1, 1, 1]),
+            [2, 1],
+            "filled to the byte, then the next"
+        );
+        assert_eq!(lens(&[w, 0, 0, 1]), [3, 1], "empty files ride along");
+        assert_eq!(lens(&[1, w]), [1, 1]);
+        assert_eq!(lens(&[w + 1, 0, 1]), [1, 2], "too large for any: its own");
+        assert_eq!(lens(&[u64::MAX, u64::MAX, 5]), [1, 1, 1], "no overflow");
+        // A tombstone's declared size is not read.
+        let items = [declared("a", w, false), declared("b", w, true)];
+        assert_eq!(window_len(&items), 2);
+    }
+
+    #[test]
+    fn a_join_is_the_same_state_whatever_the_thread_count() {
+        // Files below, at and above the window, one of exactly its size,
+        // an empty one and a tombstone, in the order the store lists them.
+        let stack = TestStack::new();
+        let config = |device: &str| {
+            ClientConfig::new("alice", device)
+                .with_chunk_size(256 * 1024)
+                .with_compression(Algorithm::Store)
+        };
+        let window = WINDOW_BYTES as usize;
+        let body = |len: usize, seed: u8| -> Vec<u8> {
+            (0..len)
+                .map(|i| (i / 4096) as u8 ^ (i % 251) as u8 ^ seed)
+                .collect()
+        };
+        let files = [
+            ("small-a.bin", body(5_000, 1)),
+            ("exact.bin", body(window, 2)),
+            ("empty.bin", vec![]),
+            ("small-b.bin", body(300_000, 3)),
+            ("above.bin", body(window + 70_000, 4)),
+            ("gone.bin", body(9_000, 5)),
+            ("small-c.bin", body(1, 6)),
+        ];
+        let writer = stack.connect(config("laptop"));
+        for (path, contents) in &files {
+            writer.write_file(path, contents.clone()).unwrap();
+        }
+        writer.delete_file("gone.bin").unwrap();
+        let commits = files.len() as u64 + 1;
+        assert!(writer.wait(TIMEOUT, || stack._service.commits_processed() == commits));
+        let paths: Vec<&str> = files.iter().map(|(path, _)| *path).collect();
+
+        let join = |device: &str, configure: fn(ClientConfig) -> ClientConfig| {
+            let joiner = stack.connect(configure(config(device)));
+            observe(&joiner, &paths)
+        };
+        let inline = join("one", |c| c.with_ingest_workers(1));
+        assert_eq!(inline.folder.len(), files.len() - 1);
+        for (path, contents) in &files {
+            let held = inline.folder.iter().find(|(held, _)| held == path);
+            match *path {
+                "gone.bin" => assert_eq!(held, None),
+                _ => assert!(held.is_some_and(|(_, bytes)| bytes == contents), "{path}"),
+            }
+        }
+        let tombstone = inline.entries[5].as_ref().unwrap();
+        assert!(tombstone.deleted && tombstone.version == 2);
+        let [.., downloaded, reused] = inline.counters;
+        let chunks: u64 = files
+            .iter()
+            .filter(|(path, _)| *path != "gone.bin")
+            .map(|(_, contents)| contents.len().div_ceil(256 * 1024) as u64)
+            .sum();
+        assert_eq!(downloaded + reused, chunks);
+        assert_eq!(join("host", |c| c), inline);
+        assert_eq!(join("four", |c| c.with_ingest_workers(4)), inline);
+    }
+
+    #[test]
+    fn a_corrupt_chunk_mid_window_is_named_in_item_then_file_order_and_changes_nothing() {
+        let stack = TestStack::new();
+        let config = |device: &str| {
+            ClientConfig::new("alice", device)
+                .with_chunk_size(4096)
+                .with_ingest_workers(8)
+        };
+        let a = stack.connect(config("laptop"));
+        let b = stack.connect(config("phone"));
+        let paths: Vec<String> = (0..6).map(|i| format!("f{i}.bin")).collect();
+        let v1: Vec<Vec<u8>> = (0..6).map(|i| distinct_chunks(2, i)).collect();
+        for (path, contents) in paths.iter().zip(&v1) {
+            a.write_file(path, contents.clone()).unwrap();
+        }
+        for (path, contents) in paths.iter().zip(&v1) {
+            assert!(b.wait_for_content(path, contents, TIMEOUT));
+        }
+        let path_refs: Vec<&str> = paths.iter().map(String::as_str).collect();
+        let before = observe(&b, &path_refs);
+
+        // Version 2 of all six as one window of twelve tasks, stored
+        // honestly except that the second chunk of f3 holds some other
+        // chunk's bytes (found out last: decompress, then hash) and the
+        // first chunk of f4 is not an LZSS stream at all (found out first).
+        let mut items = Vec::new();
+        let mut first_bad = None;
+        for (i, path) in paths.iter().enumerate() {
+            let v2 = distinct_chunks(2, 0x90 + i as u8);
+            let ids: Vec<ChunkId> = v2.chunks(4096).map(|c| Fingerprint::Sha1.of(c)).collect();
+            for (k, (id, plain)) in ids.iter().zip(v2.chunks(4096)).enumerate() {
+                let stored = match (i, k) {
+                    (3, 1) => {
+                        first_bad = Some(*id);
+                        Algorithm::Lzss.compress(&v1[0][..4096])
+                    }
+                    (4, 0) => Bytes::from_static(b"\xffnot a chunk"),
+                    _ => Algorithm::Lzss.compress(plain),
+                };
+                let (owner, container) = (&b.shared.container_owner, &b.shared.container);
+                stack
+                    .store
+                    .put_in(&b.shared.token, owner, container, &chunk_hex(id), stored)
+                    .unwrap();
+            }
+            items.push(ItemMetadata {
+                item_id: stable_item_id(&stack.workspace, path),
+                workspace: stack.workspace.clone(),
+                path: path.clone(),
+                version: 2,
+                chunks: ids,
+                size: v2.len() as u64,
+                is_deleted: false,
+                modified_by: "laptop".to_string(),
+            });
+        }
+        assert_eq!(window_len(&items), items.len(), "one window");
+        for _ in 0..20 {
+            let error = materialize_all(&b.shared, &items).unwrap_err();
+            assert_eq!(
+                error.to_string(),
+                SyncError::Corrupt(format!(
+                    "chunk {} failed fingerprint verification",
+                    first_bad.unwrap()
+                ))
+                .to_string(),
+                "the first bad chunk in item-then-file order, whichever task finished first"
+            );
+        }
+        assert_eq!(
+            observe(&b, &path_refs),
+            before,
+            "not even f0, which was whole"
+        );
+    }
+
+    #[test]
+    fn a_declared_size_is_checked_and_never_reserved() {
+        let stack = TestStack::new();
+        let config = |device: &str| ClientConfig::new("alice", device).with_chunk_size(4096);
+        let a = stack.connect(config("laptop"));
+        let b = stack.connect(config("phone"));
+        let v1 = distinct_chunks(3, 7);
+        a.write_file("f.bin", v1.clone()).unwrap();
+        assert!(b.wait_for_content("f.bin", &v1, TIMEOUT));
+        let entry = b.shared.db.lock().get("f.bin").cloned().unwrap();
+
+        // The same three chunks under a size only the service vouches for:
+        // reserving it would abort the process (`u64::MAX`) or take 4 GiB.
+        for size in [u64::MAX, 4 << 30, v1.len() as u64 + 1, 0] {
+            let item = ItemMetadata {
+                item_id: entry.item_id,
+                workspace: stack.workspace.clone(),
+                path: "f.bin".to_string(),
+                version: 2,
+                chunks: entry.chunks.iter().map(|(id, _)| *id).collect(),
+                size,
+                is_deleted: false,
+                modified_by: "laptop".to_string(),
+            };
+            let error = materialize_all(&b.shared, std::slice::from_ref(&item)).unwrap_err();
+            assert_eq!(
+                error.to_string(),
+                SyncError::Corrupt(format!(
+                    "`f.bin` v2 declares {size} bytes, its chunks hold {}",
+                    v1.len()
+                ))
+                .to_string()
+            );
+        }
+        assert_eq!(b.shared.db.lock().get("f.bin"), Some(&entry));
+        assert_eq!(b.read_file("f.bin").unwrap(), v1);
     }
 
     #[test]
@@ -1220,7 +1552,7 @@ mod tests {
                     // measured; one that has not just sees the version on
                     // its first look.
                     std::thread::sleep(Duration::from_millis(2));
-                    materialize_item(&watcher.shared, &version_of(version)).unwrap();
+                    materialize_all(&watcher.shared, &[version_of(version)]).unwrap();
                     let applied = Instant::now();
                     woke_rx.recv().unwrap().saturating_duration_since(applied)
                 })

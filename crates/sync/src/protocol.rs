@@ -7,10 +7,16 @@ use wire::{Value, WireError, WireResult};
 
 /// Lowers an item's metadata into the wire model.
 pub fn item_to_value(item: &ItemMetadata) -> Value {
+    item_into_value(item.clone())
+}
+
+/// [`item_to_value`] for a caller that owns the item: the strings move
+/// into the value (a `get_changes` reply lowers every item of a workspace).
+pub fn item_into_value(item: ItemMetadata) -> Value {
     Value::Map(vec![
         ("item".into(), Value::U64(item.item_id)),
-        ("ws".into(), Value::Str(item.workspace.0.clone())),
-        ("path".into(), Value::Str(item.path.clone())),
+        ("ws".into(), Value::Str(item.workspace.0)),
+        ("path".into(), Value::Str(item.path)),
         ("version".into(), Value::U64(item.version)),
         (
             "chunks".into(),
@@ -23,16 +29,17 @@ pub fn item_to_value(item: &ItemMetadata) -> Value {
         ),
         ("size".into(), Value::U64(item.size)),
         ("deleted".into(), Value::Bool(item.is_deleted)),
-        ("device".into(), Value::Str(item.modified_by.clone())),
+        ("device".into(), Value::Str(item.modified_by)),
     ])
 }
 
-/// Parses an item's metadata from the wire model.
+/// Parses an item's metadata from the wire model, moving the strings out
+/// of it. Keys it does not know are ignored.
 ///
 /// # Errors
 ///
-/// Returns a [`WireError`] on shape mismatches.
-pub fn item_from_value(value: &Value) -> WireResult<ItemMetadata> {
+/// Returns a [`WireError`] on shape mismatches; a missing field is named.
+pub fn item_from_value(mut value: Value) -> WireResult<ItemMetadata> {
     let chunks = value
         .field("chunks")?
         .as_list()?
@@ -47,13 +54,13 @@ pub fn item_from_value(value: &Value) -> WireResult<ItemMetadata> {
         .collect::<WireResult<Vec<ChunkId>>>()?;
     Ok(ItemMetadata {
         item_id: value.field("item")?.as_u64()?,
-        workspace: WorkspaceId(value.field("ws")?.as_str()?.to_string()),
-        path: value.field("path")?.as_str()?.to_string(),
+        workspace: WorkspaceId(value.take_field("ws")?.into_string()?),
+        path: value.take_field("path")?.into_string()?,
         version: value.field("version")?.as_u64()?,
         chunks,
         size: value.field("size")?.as_u64()?,
         is_deleted: value.field("deleted")?.as_bool()?,
-        modified_by: value.field("device")?.as_str()?.to_string(),
+        modified_by: value.take_field("device")?.into_string()?,
     })
 }
 
@@ -174,10 +181,10 @@ impl CommitNotification {
             .iter()
             .map(|v| {
                 Ok(NotifiedChange {
-                    metadata: item_from_value(v.field("meta")?)?,
+                    metadata: item_from_value(v.field("meta")?.clone())?,
                     confirmed: v.field("confirmed")?.as_bool()?,
                     current: match v.get("current") {
-                        Some(cur) => Some(item_from_value(cur)?),
+                        Some(cur) => Some(item_from_value(cur.clone())?),
                         None => None,
                     },
                 })
@@ -217,13 +224,51 @@ mod tests {
     #[test]
     fn item_roundtrip() {
         let item = sample_item();
-        assert_eq!(item_from_value(&item_to_value(&item)).unwrap(), item);
+        assert_eq!(item_from_value(item_to_value(&item)).unwrap(), item);
+    }
+
+    #[test]
+    fn lowering_an_owned_item_is_lowering_a_borrowed_one() {
+        let item = sample_item();
+        assert_eq!(item_into_value(item.clone()), item_to_value(&item));
+    }
+
+    #[test]
+    fn unknown_keys_are_ignored_and_each_missing_field_is_named() {
+        let item = sample_item();
+        let Value::Map(entries) = item_to_value(&item) else {
+            panic!("an item lowers into a map");
+        };
+        let mut extended = entries.clone();
+        extended.insert(0, ("mtime".into(), Value::U64(7)));
+        extended.push(("acl".into(), Value::List(vec![])));
+        assert_eq!(item_from_value(Value::Map(extended)).unwrap(), item);
+
+        assert_eq!(entries.len(), 8);
+        for missing in 0..entries.len() {
+            let mut rest = entries.clone();
+            let (key, _) = rest.remove(missing);
+            assert_eq!(
+                item_from_value(Value::Map(rest)),
+                Err(WireError::MissingField(key))
+            );
+        }
+        // A string where the parser moves a string out, of another type.
+        let mut mistyped = entries;
+        mistyped[2].1 = Value::U64(1);
+        assert!(matches!(
+            item_from_value(Value::Map(mistyped)),
+            Err(WireError::TypeMismatch {
+                expected: "str",
+                ..
+            })
+        ));
     }
 
     #[test]
     fn tombstone_roundtrip() {
         let t = sample_item().tombstone("phone");
-        assert_eq!(item_from_value(&item_to_value(&t)).unwrap(), t);
+        assert_eq!(item_from_value(item_to_value(&t)).unwrap(), t);
     }
 
     #[test]
@@ -270,7 +315,7 @@ mod tests {
                 }
             }
         }
-        assert!(item_from_value(&v).is_err());
+        assert!(item_from_value(v).is_err());
     }
 
     #[test]

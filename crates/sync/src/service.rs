@@ -1,7 +1,7 @@
 //! The SyncService: the paper's stateless server object (§4.2.1).
 
 use crate::protocol::{
-    item_from_value, item_to_value, workspace_to_value, CommitNotification, NotifiedChange,
+    item_from_value, item_into_value, workspace_to_value, CommitNotification, NotifiedChange,
 };
 use crate::workspace_notification_oid;
 use metadata::{MetadataStore, ShardedStore, WorkspaceId};
@@ -232,7 +232,9 @@ impl SyncService {
             .meta
             .current_items(&WorkspaceId(ws.to_string()))
             .map_err(|e| e.to_string())?;
-        Ok(Value::List(items.iter().map(item_to_value).collect()))
+        Ok(Value::List(
+            items.into_iter().map(item_into_value).collect(),
+        ))
     }
 
     /// Algorithm 1 of the paper.
@@ -253,7 +255,7 @@ impl SyncService {
             .and_then(|v| v.as_list().ok())
             .ok_or("commit_request needs a change list")?
             .iter()
-            .map(item_from_value)
+            .map(|proposal| item_from_value(proposal.clone()))
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| e.to_string())?;
 
@@ -342,7 +344,7 @@ mod tests {
         vec![
             Value::from(ws.0.as_str()),
             Value::from(device),
-            Value::List(items.iter().map(item_to_value).collect()),
+            Value::List(items.into_iter().map(item_into_value).collect()),
         ]
     }
 

@@ -723,3 +723,67 @@ fn update_racing_delete_and_gc_leaves_every_commit_fetchable() {
     assert_eq!((stats.live_chunks, stats.orphan_chunks), (4, 0));
     assert_eq!(s.store.list(&token, container).unwrap().len(), 4);
 }
+
+#[test]
+fn a_commit_made_while_a_device_joins_reaches_it() {
+    use objectmq::RemoteObject;
+    use stacksync::SYNC_SERVICE_OID;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::OnceLock;
+    use wire::Value;
+
+    // The service, bound by hand so that one `get_changes` can be stopped
+    // where the lost update used to happen: the snapshot is taken, the
+    // reply is not yet on its way, and device A commits in between.
+    let broker = Broker::in_process();
+    let store = SwiftStore::new(LatencyModel::instant());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
+    let service = SyncService::builder(&broker).store(meta.clone()).build();
+    let ws = provision_user(meta.as_ref(), "alice", "Docs").unwrap();
+    let writer: Arc<OnceLock<DesktopClient>> = Arc::new(OnceLock::new());
+    let armed = Arc::new(AtomicBool::new(false));
+    let update = vec![0xB2; 3000];
+    // Two instances: the one holding the joiner's `get_changes` cannot
+    // serve the commit it waits for.
+    let _instances: Vec<_> = (0..2)
+        .map(|_| {
+            let (service, writer, armed) = (service.clone(), writer.clone(), armed.clone());
+            let update = update.clone();
+            let object = move |method: &str, args: &[Value]| {
+                let reply = service.dispatch(method, args);
+                if method == "get_changes" && armed.swap(false, Ordering::SeqCst) {
+                    let a = writer.get().expect("armed after the writer connected");
+                    let notified = a.stats().notifications();
+                    a.write_file("n100.txt", update.clone()).unwrap();
+                    // A hears of its own commit through the workspace's
+                    // fan-out, so by then every device bound to it has
+                    // been sent the notification.
+                    assert!(a.wait(T, || a.stats().notifications() > notified));
+                }
+                reply
+            };
+            broker.bind(SYNC_SERVICE_OID, object).unwrap()
+        })
+        .collect();
+
+    let a = DesktopClient::connect(&broker, &store, small_config("alice", "laptop"), &ws).unwrap();
+    for i in 0..300 {
+        a.write_file(&format!("n{i:03}.txt"), noise(2048, i))
+            .unwrap();
+    }
+    assert!(a.wait(T, || service.commits_processed() == 300));
+    assert!(writer.set(a).is_ok());
+    let a = writer.get().unwrap();
+
+    armed.store(true, Ordering::SeqCst);
+    let b = DesktopClient::connect(&broker, &store, small_config("alice", "phone"), &ws).unwrap();
+    assert!(!armed.load(Ordering::SeqCst), "the join was intercepted");
+    assert_eq!(a.file_version("n100.txt"), Some(2));
+    assert!(
+        b.wait_for_content("n100.txt", &update, T),
+        "the joiner is left with v{:?} of a file at v2",
+        b.file_version("n100.txt")
+    );
+    assert_eq!(b.file_version("n100.txt"), Some(2));
+    assert_eq!(b.list_files().len(), 300);
+}

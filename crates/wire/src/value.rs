@@ -159,6 +159,52 @@ impl Value {
             .ok_or_else(|| WireError::MissingField(key.to_string()))
     }
 
+    /// Moves the field of a map value out, leaving `Null` in its place, so
+    /// a parser that owns the value takes strings and lists instead of
+    /// copying them.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::MissingField`], as [`Value::field`].
+    pub fn take_field(&mut self, key: &str) -> WireResult<Value> {
+        match self {
+            Value::Map(entries) => entries.iter_mut().find(|(k, _)| k == key),
+            _ => None,
+        }
+        .map(|(_, v)| std::mem::replace(v, Value::Null))
+        .ok_or_else(|| WireError::MissingField(key.to_string()))
+    }
+
+    /// The contained string, by value.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::TypeMismatch`] unless the value is `Str`.
+    pub fn into_string(self) -> WireResult<String> {
+        match self {
+            Value::Str(s) => Ok(s),
+            other => Err(WireError::TypeMismatch {
+                expected: "str",
+                found: other.kind(),
+            }),
+        }
+    }
+
+    /// The contained list, by value.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::TypeMismatch`] unless the value is `List`.
+    pub fn into_list(self) -> WireResult<Vec<Value>> {
+        match self {
+            Value::List(l) => Ok(l),
+            other => Err(WireError::TypeMismatch {
+                expected: "list",
+                found: other.kind(),
+            }),
+        }
+    }
+
     /// Short type name for diagnostics.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -383,6 +429,27 @@ mod tests {
         assert_eq!(v.get("b"), Some(&Value::I64(2)));
         assert_eq!(v.get("z"), None);
         assert!(matches!(v.field("z"), Err(WireError::MissingField(_))));
+    }
+
+    #[test]
+    fn owned_accessors_move_the_payload_out() {
+        let mut v = Value::Map(vec![
+            ("s".into(), Value::from("text")),
+            ("l".into(), Value::List(vec![Value::I64(1)])),
+        ]);
+        assert_eq!(v.take_field("s").unwrap().into_string().unwrap(), "text");
+        assert_eq!(v.get("s"), Some(&Value::Null), "taken, the key stays");
+        assert_eq!(
+            v.take_field("l").unwrap().into_list().unwrap(),
+            vec![Value::I64(1)]
+        );
+        assert_eq!(v.take_field("z"), Err(WireError::MissingField("z".into())));
+        assert_eq!(
+            Value::U64(1).take_field("s"),
+            Err(WireError::MissingField("s".into()))
+        );
+        assert!(Value::U64(1).into_string().is_err());
+        assert!(Value::from("x").into_list().is_err());
     }
 
     #[test]
