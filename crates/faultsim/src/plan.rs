@@ -98,11 +98,6 @@ impl FaultPlan {
         self.active.store(false, Ordering::Release);
     }
 
-    /// Re-enables fault injection.
-    pub fn activate(&self) {
-        self.active.store(true, Ordering::Release);
-    }
-
     /// Count of non-identity actions taken so far.
     pub fn faults_injected(&self) -> u64 {
         self.faults_injected.load(Ordering::Relaxed)

@@ -270,7 +270,7 @@ impl MessageBroker {
 
     /// Installs a ready-waker on this node: a cheap, non-blocking callback
     /// invoked with the queue name whenever any queue gains deliverable
-    /// messages (publish, requeue, orphaned redelivery) or closes. It
+    /// messages (publish, requeue, orphaned redelivery). It
     /// applies to every queue, including queues declared before the call;
     /// `None` restores the un-hooked fast path. One slot per node —
     /// installing replaces the previous waker (the event-driven

@@ -78,21 +78,6 @@ impl Consumer {
         Ok(self.wrap_batch(got))
     }
 
-    /// Whether the underlying queue has been deleted. Polling dispatchers
-    /// use this to tell "nothing ready right now" apart from "this
-    /// subscription is dead".
-    pub fn is_closed(&self) -> bool {
-        self.queue.is_closed()
-    }
-
-    /// Blocks until the queue has at least one ready message (without
-    /// consuming it), the queue closes, or `timeout` elapses. Returns
-    /// `true` when a message may be available — a competing consumer can
-    /// still take it first, so pair this with [`Consumer::try_recv_batch`].
-    pub fn wait_ready(&self, timeout: Duration) -> bool {
-        self.queue.wait_ready(timeout)
-    }
-
     /// Drains up to `max_n` ready deliveries without blocking. Returns an
     /// empty vec when nothing is ready.
     pub fn try_recv_batch(&self, max_n: usize) -> Vec<Delivery> {
@@ -341,29 +326,6 @@ mod tests {
         assert_eq!(got.len(), 2);
         crate::Delivery::ack_all(got);
         assert_eq!(broker.queue_stats("q").unwrap().depth, 0);
-    }
-
-    #[test]
-    fn wait_ready_hints_without_consuming() {
-        let broker = MessageBroker::new();
-        broker.declare_queue("q", QueueOptions::default()).unwrap();
-        let c = broker.subscribe("q").unwrap();
-        assert!(!c.wait_ready(Duration::from_millis(10)));
-        let b2 = broker.clone();
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            b2.publish_to_queue("q", Message::from_static(b"x"))
-                .unwrap();
-        });
-        assert!(c.wait_ready(Duration::from_secs(2)));
-        // The hint does not consume: the message is still in the queue.
-        assert_eq!(broker.queue_stats("q").unwrap().depth, 1);
-        c.recv_timeout(T).unwrap().ack();
-        h.join().unwrap();
-        assert!(!c.is_closed());
-        broker.delete_queue("q").unwrap();
-        assert!(c.is_closed());
-        assert!(!c.wait_ready(Duration::from_millis(5)));
     }
 
     #[test]

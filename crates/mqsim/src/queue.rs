@@ -463,38 +463,6 @@ impl QueueCore {
         }
     }
 
-    /// Blocks until at least one ready entry exists (without consuming it),
-    /// the queue closes, or the timeout elapses. Returns `true` when a
-    /// message *may* be available; a racing consumer can still win it, so
-    /// callers follow up with [`QueueCore::try_recv_batch`].
-    ///
-    /// An installed interceptor is not consulted here — it only decides at
-    /// actual take time — so this can report ready entries the interceptor
-    /// would defer. That is fine for its purpose (a wakeup hint).
-    pub(crate) fn wait_ready(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock();
-        loop {
-            if state.closed {
-                return false;
-            }
-            if !state.ready.is_empty() {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            state.waiting += 1;
-            let _ = self.available.wait_until(&mut state, deadline);
-            state.waiting -= 1;
-        }
-    }
-
-    /// Whether the queue has been deleted.
-    pub(crate) fn is_closed(&self) -> bool {
-        self.state.lock().closed
-    }
-
     /// Non-blocking receive.
     pub(crate) fn try_recv(&self, consumer: ConsumerId) -> Option<Delivered> {
         let mut state = self.state.lock();
@@ -622,9 +590,6 @@ impl QueueCore {
         state.closed = true;
         drop(state);
         self.available.notify_all();
-        // Close is not a ready-gain, but waiters parked on this queue need
-        // to observe the transition and prune their registrations.
-        self.waker.wake(&self.name);
     }
 
     /// Number of ready messages.

@@ -10,8 +10,7 @@
 //! its unacked messages back onto the ready list. A [`ReadyWaker`]
 //! installed with
 //! [`MessageBroker::set_ready_waker`](crate::MessageBroker::set_ready_waker)
-//! is invoked with the queue name at each such transition (and on queue
-//! close, so waiters can observe shutdown).
+//! is invoked with the queue name at each such transition.
 //!
 //! Contract: the callback runs on the thread that caused the transition,
 //! *after* the queue's state lock is released, and may itself call back
@@ -23,7 +22,7 @@
 use std::sync::Arc;
 
 /// Callback invoked with the queue name after the queue gains ready
-/// messages (or closes). See the module docs for the exact contract.
+/// messages. See the module docs for the exact contract.
 pub type ReadyWaker = Arc<dyn Fn(&str) + Send + Sync>;
 
 /// Shared, swappable waker slot. One cell per broker node, cloned into

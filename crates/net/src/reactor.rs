@@ -11,8 +11,8 @@
 //! 3. dispatches `ready()` to each source whose fd fired (`POLLERR` /
 //!    `POLLHUP` / `POLLNVAL` are folded into readability so failures
 //!    surface through the source's read path);
-//! 4. on the tick deadline, runs every source's `tick()` (heartbeats,
-//!    reconnect backoff, backstop dispatch sweeps);
+//! 4. on the tick deadline, runs every source's `tick()` (the client
+//!    connection's heartbeat; no server source has time-based work);
 //! 5. runs the owner's per-pass callback (the server drains its
 //!    dispatch-pending flag here).
 //!

@@ -12,14 +12,22 @@
 //!
 //! Requests are executed synchronously against the broker on the loop
 //! thread (every broker operation is non-blocking) and answered with a
-//! `reply` frame. Deliveries are pushed by the same loops: a publish
-//! executed on a reader path offers the new messages to matching
-//! subscriptions immediately (coalescing same-connection deliveries into
-//! the very write that carries the publish reply), and a broker-side
-//! ready-waker ([`mqsim::MessageBroker::set_ready_waker`]) marks queues
-//! dirty so loop 0's per-pass sweep catches transitions that happen off
-//! the wire — in-process publishers, requeues, fanout. A periodic backstop
-//! sweep bounds the staleness of anything the direct paths miss.
+//! `reply` frame. Deliveries are pushed by the same loops, and only by the
+//! event that made a message deliverable — there is no timed sweep:
+//!
+//! - a publish executed on a reader path offers the new messages to
+//!   matching subscriptions immediately (coalescing same-connection
+//!   deliveries into the very write that carries the publish reply);
+//! - a broker-side ready-waker ([`mqsim::MessageBroker::set_ready_waker`])
+//!   marks a queue dirty whenever it gains ready messages — in-process
+//!   publishers, requeues, a dead consumer's orphans — and loop 0's next
+//!   pass dispatches it;
+//! - an ack or requeue that frees credit offers its own subscription;
+//! - a subscribe offers the queue's backlog right behind its reply.
+//!
+//! Each offer runs until the queue is empty or every subscription of the
+//! queue is out of credit, so nothing deliverable is left for a later
+//! event to find.
 //!
 //! ## Backpressure
 //!
@@ -46,7 +54,7 @@ use crate::reactor::{EventSource, Reactor, Ready, INTEREST_READ, INTEREST_WRITE}
 use crate::stats_to_value;
 use crate::tx::{write_some, OutBuf, TxObs, WriteState, MAX_SPARE};
 use mqsim::{Delivery, MessageBroker, MqError, MqResult};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::{AsRawFd, RawFd};
@@ -55,13 +63,8 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 use wire::Value;
 
-/// Reactor tick cadence: upper bound on poll sleep, and the cadence of
-/// per-source `tick()` maintenance.
+/// Upper bound on a loop's poll sleep; no server source has `tick()` work.
 const SERVER_TICK: Duration = Duration::from_millis(10);
-
-/// The dispatch backstop sweep re-offers every queue to every subscription
-/// at least this often, catching anything the direct paths missed.
-const DISPATCH_BACKSTOP: Duration = Duration::from_millis(20);
 
 /// Max complete `read_step` bursts one connection may consume per readiness
 /// event before yielding the loop to its neighbours (level-triggered poll
@@ -107,19 +110,14 @@ struct ServerShared {
     /// Connection id allocator.
     next_conn: AtomicU64,
     /// The reactor loops. Loop 0 additionally owns the listener and the
-    /// dispatch sweep; connections are assigned round-robin across all.
+    /// dirty-queue dispatch; connections are assigned round-robin across
+    /// all.
     reactors: Vec<Arc<Reactor>>,
-    /// Queues flagged ready by the broker waker, awaiting the next sweep.
+    /// Queues flagged ready by the broker waker, awaiting loop 0's pass.
     dirty: Mutex<HashSet<String>>,
     /// Fast-path flag: set with `dirty`, consumed by loop 0's pass.
     dispatch_pending: AtomicBool,
-    /// Last time the full backstop sweep ran.
-    last_backstop: Mutex<Instant>,
     deliveries: Arc<obs::Counter>,
-    /// `net.backstop_rescued_total`: deliveries only the backstop sweep
-    /// made. While it reads 0 the sweep is doing nothing the dirty-queue
-    /// edges and the direct paths do not already do.
-    backstop_rescued: Arc<obs::Counter>,
     connections_gauge: Arc<obs::Gauge>,
 }
 
@@ -163,7 +161,6 @@ struct SubShared {
     consumer: Mutex<mqsim::Consumer>,
     /// Remaining delivery credit; dispatch stops at zero.
     credit: Mutex<u64>,
-    credit_cv: Condvar,
     /// Deliveries pushed to the client and not yet acked/requeued, by tag.
     /// Dropping this map requeues them all.
     unacked: Mutex<HashMap<u64, Delivery>>,
@@ -183,7 +180,6 @@ impl SubShared {
             delivery.requeue();
         }
         *self.credit.lock() += 1;
-        self.credit_cv.notify_one();
         Ok(())
     }
 
@@ -206,13 +202,11 @@ impl SubShared {
         }
         Delivery::ack_all(deliveries);
         *self.credit.lock() += n;
-        self.credit_cv.notify_one();
         Ok(())
     }
 
     fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
-        self.credit_cv.notify_all();
     }
 }
 
@@ -227,6 +221,10 @@ enum Flush {
 }
 
 impl ConnShared {
+    /// Marks the connection dead and shuts its socket down. The shutdown is
+    /// also the owning loop's wake-up: the fd polls as hung up on the next
+    /// pass, and `ready` tears the connection down, whichever thread killed
+    /// it.
     fn kill(&self) {
         if !self.dead.swap(true, Ordering::AcqRel) {
             let _ = self.stream.shutdown(std::net::Shutdown::Both);
@@ -362,12 +360,10 @@ impl BrokerServer {
             reactors,
             dirty: Mutex::new(HashSet::new()),
             dispatch_pending: AtomicBool::new(false),
-            last_backstop: Mutex::new(Instant::now()),
             deliveries: obs::counter("net.server.deliveries_total"),
-            backstop_rescued: obs::counter("net.backstop_rescued_total"),
             connections_gauge: obs::gauge("net.server.connections"),
         });
-        // Broker-side readiness feeds loop 0's dispatch sweep. Weak: the
+        // Broker-side readiness feeds loop 0's dirty-queue pass. Weak: the
         // broker may outlive this server, and the waker must not keep the
         // server state alive.
         let waker_shared = Arc::downgrade(&shared);
@@ -707,19 +703,6 @@ impl EventSource for ConnSource {
         }
         Ready::Continue
     }
-
-    fn tick(&self) -> Ready {
-        // Backstop for kills that raced the event path (e.g.
-        // `disconnect_all` between passes).
-        if self.conn.dead.load(Ordering::Acquire) {
-            match self.shared.upgrade() {
-                Some(shared) => teardown_conn(&self.conn, &shared),
-                None => self.conn.kill(),
-            }
-            return Ready::Remove;
-        }
-        Ready::Continue
-    }
 }
 
 /// Tears one connection down: kills the socket, releases every
@@ -751,34 +734,18 @@ fn note_ready(shared: &ServerShared, queue: &str) {
     }
 }
 
-/// Loop 0's per-pass dispatch sweep: drains the dirty-queue set, and every
-/// [`DISPATCH_BACKSTOP`] re-offers *all* queues (catching credit refills
-/// and anything a direct path missed).
+/// Loop 0's per-pass callback: offers every queue the waker marked dirty
+/// since the last pass. The flag is cleared before the set is drained, so
+/// a queue marked after the drain has set it again and woken the loop.
 fn drain_ready(shared: &ServerShared) {
     if shared.stop.load(Ordering::Acquire) {
         return;
     }
     if shared.dispatch_pending.swap(false, Ordering::AcqRel) {
-        let dirty: Vec<String> = {
-            let mut dirty = shared.dirty.lock();
-            dirty.drain().collect()
-        };
+        let dirty: Vec<String> = shared.dirty.lock().drain().collect();
         for queue in &dirty {
             dispatch_ready(shared, Some(queue), None);
         }
-    }
-    let run_backstop = {
-        let mut last = shared.last_backstop.lock();
-        if last.elapsed() >= DISPATCH_BACKSTOP {
-            *last = Instant::now();
-            true
-        } else {
-            false
-        }
-    };
-    if run_backstop {
-        let rescued = dispatch_ready(shared, None, None);
-        shared.backstop_rescued.add(rescued);
     }
 }
 
@@ -834,7 +801,6 @@ fn execute(
                 sub,
                 consumer: Mutex::new(consumer),
                 credit: Mutex::new(credit.max(1)),
-                credit_cv: Condvar::new(),
                 unacked: Mutex::new(HashMap::new()),
                 stop: AtomicBool::new(false),
             });
@@ -853,15 +819,7 @@ fn execute(
                 });
             // Push any backlog right behind the subscribe reply; the frames
             // ride the same coalesced write.
-            let ar_conn = conn.clone();
-            let ar_shared = shared.clone();
-            *after_reply = Some(Box::new(move || {
-                if let Dispatch::Delivered { n, .. } =
-                    try_dispatch(&ar_conn, &sub_shared, MAX_BATCH)
-                {
-                    ar_shared.deliveries.add(n);
-                }
-            }));
+            *after_reply = Some(sub_dispatch_hook(conn, shared, sub));
             Ok(Value::Null)
         }
         Request::Unsubscribe(sub) => match conn.subs.lock().remove(&sub) {
@@ -872,9 +830,8 @@ fn execute(
             None => Ok(Value::Bool(false)),
         },
         // Resolving deliveries frees credit, which may unblock ready
-        // messages for this very subscription: offer them right away so a
-        // credit-capped consumer is refilled by its own ack round trip
-        // instead of waiting for the backstop sweep.
+        // messages for this very subscription: no other event will offer
+        // them, so this ack round trip refills the credit-capped consumer.
         Request::Ack(sub, tag) => {
             let res = with_sub(conn, sub, |s| s.resolve(tag, true));
             if res.is_ok() {
@@ -935,29 +892,24 @@ enum Dispatch {
     /// means the queue ran out before the budget did, so siblings of a
     /// competing-consumer pool have nothing left to take.
     Delivered { n: u64, drained: bool },
-    /// Nothing to push: no credit, nothing ready, or another dispatcher
-    /// holds the consumer (and will deliver what we would have).
+    /// Nothing to push: the subscription is gone, out of credit, or its
+    /// queue has nothing ready (or was deleted).
     Idle,
-    /// The queue was deleted; the subscription is dead.
-    Closed,
 }
 
-/// Opportunistically pushes ready broker messages for one subscription,
-/// encoding `deliver` frames into the owning connection's out-buffer. The
-/// caller owns the eventual flush, so a loop thread dispatching to its
-/// own connection coalesces the deliveries into the write that carries its
-/// reply burst.
+/// Pushes ready broker messages for one subscription, encoding `deliver`
+/// frames into the owning connection's out-buffer. The caller owns the
+/// eventual flush, so a loop thread dispatching to its own connection
+/// coalesces the deliveries into the write that carries its reply burst.
 ///
 /// The consumer mutex is held from the budget read to the credit decrement
 /// (two dispatchers cannot overdraw the window) and across the enqueue
-/// (per-subscription delivery order stays FIFO). `try_lock` keeps loop
-/// threads from ever parking here: whoever holds the consumer is already
-/// delivering the same messages.
+/// (per-subscription delivery order stays FIFO). A dispatcher that finds
+/// it held waits for it: the holder may have taken its batch before this
+/// caller's message arrived, and nothing else would offer that message.
+/// The wait is one `try_recv_batch` plus the frame encoding.
 fn try_dispatch(conn: &ConnShared, s: &SubShared, max_batch: usize) -> Dispatch {
-    let consumer = match s.consumer.try_lock() {
-        Some(c) => c,
-        None => return Dispatch::Idle,
-    };
+    let consumer = s.consumer.lock();
     if s.stop.load(Ordering::Acquire) || conn.dead.load(Ordering::Acquire) {
         return Dispatch::Idle;
     }
@@ -967,11 +919,7 @@ fn try_dispatch(conn: &ConnShared, s: &SubShared, max_batch: usize) -> Dispatch 
     }
     let batch = consumer.try_recv_batch(budget);
     if batch.is_empty() {
-        return if consumer.is_closed() {
-            Dispatch::Closed
-        } else {
-            Dispatch::Idle
-        };
+        return Dispatch::Idle;
     }
     let drained = batch.len() < budget;
     let n = batch.len() as u64;
@@ -1016,8 +964,9 @@ fn dispatch_hook(
 }
 
 /// After-reply hook: push ready deliveries for one subscription on this
-/// connection (used after acks free credit). The frames ride the loop
-/// thread's burst flush.
+/// connection (its backlog after a subscribe, or what freed credit
+/// unblocks after an ack or requeue). The frames ride the loop thread's
+/// burst flush.
 fn sub_dispatch_hook(conn: &Arc<ConnShared>, shared: &Arc<ServerShared>, sub: u64) -> AfterReply {
     let conn = conn.clone();
     let shared = shared.clone();
@@ -1025,9 +974,8 @@ fn sub_dispatch_hook(conn: &Arc<ConnShared>, shared: &Arc<ServerShared>, sub: u6
         let Some(s) = conn.subs.lock().get(&sub).cloned() else {
             return;
         };
-        if let Dispatch::Delivered { n, .. } = try_dispatch(&conn, &s, MAX_BATCH) {
-            shared.deliveries.add(n);
-        }
+        let current = conn.id;
+        dispatch_group(&shared, &[(conn, s)], Some(current));
     })
 }
 
@@ -1062,15 +1010,14 @@ fn prune_entries(entries: &mut Vec<DispatchSub>) {
 /// Offers ready deliveries to the subscriptions of `queue` (every queue
 /// when `None`). `current_id` is the connection whose loop thread is
 /// calling — its frames are left in the out-buffer for the caller's burst
-/// flush; every other connection is flushed here. Returns the number of
-/// deliveries made.
-fn dispatch_ready(shared: &ServerShared, queue: Option<&str>, current_id: Option<u64>) -> u64 {
-    let groups: Vec<Vec<(Arc<ConnShared>, Arc<SubShared>)>> = {
+/// flush; every other connection is flushed here.
+fn dispatch_ready(shared: &ServerShared, queue: Option<&str>, current_id: Option<u64>) {
+    let groups: Vec<Vec<LiveSub>> = {
         let mut registry = shared.dispatch.lock();
         match queue {
             Some(q) => {
                 let Some(entries) = registry.get_mut(q) else {
-                    return 0;
+                    return;
                 };
                 let (live, saw_dead) = collect_live(entries);
                 if saw_dead {
@@ -1080,7 +1027,7 @@ fn dispatch_ready(shared: &ServerShared, queue: Option<&str>, current_id: Option
                     }
                 }
                 if live.is_empty() {
-                    return 0;
+                    return;
                 }
                 vec![live]
             }
@@ -1106,23 +1053,20 @@ fn dispatch_ready(shared: &ServerShared, queue: Option<&str>, current_id: Option
             }
         }
     };
-    groups
-        .iter()
-        .map(|group| dispatch_group(shared, group, current_id))
-        .sum()
+    for group in &groups {
+        dispatch_group(shared, group, current_id);
+    }
 }
 
 /// Dispatches one queue's competing-consumer group: rotate the starting
-/// point and cap how much any one subscription takes, so a pool of workers
-/// shares a queue instead of the first-registered consumer with spare
-/// credit soaking up everything. Returns the number of deliveries made.
-fn dispatch_group(
-    shared: &ServerShared,
-    targets: &[(Arc<ConnShared>, Arc<SubShared>)],
-    current_id: Option<u64>,
-) -> u64 {
+/// point and cap how much any one subscription takes per round, so a pool
+/// of workers shares a queue instead of the first-registered consumer with
+/// spare credit soaking up everything. Rounds repeat until the queue runs
+/// dry or no subscription takes anything (all out of credit): a message
+/// left behind by the per-round cap has no later event to deliver it.
+fn dispatch_group(shared: &ServerShared, targets: &[LiveSub], current_id: Option<u64>) {
     if targets.is_empty() {
-        return 0;
+        return;
     }
     let per_sub = if targets.len() > 1 {
         (MAX_BATCH / targets.len()).max(1)
@@ -1130,144 +1074,181 @@ fn dispatch_group(
         MAX_BATCH
     };
     let start = shared.dispatch_cursor.fetch_add(1, Ordering::Relaxed) as usize % targets.len();
-    let mut delivered = 0;
-    for i in 0..targets.len() {
-        let (conn, sub) = &targets[(start + i) % targets.len()];
-        if let Dispatch::Delivered { n, drained } = try_dispatch(conn, sub, per_sub) {
-            shared.deliveries.add(n);
-            delivered += n;
-            if current_id != Some(conn.id) {
-                conn.flush_out();
-            }
-            // The queue gave out before the budget did: the siblings have
-            // nothing left to take.
-            if drained {
-                break;
+    loop {
+        let mut took = false;
+        for i in 0..targets.len() {
+            let (conn, sub) = &targets[(start + i) % targets.len()];
+            if let Dispatch::Delivered { n, drained } = try_dispatch(conn, sub, per_sub) {
+                shared.deliveries.add(n);
+                if current_id != Some(conn.id) {
+                    conn.flush_out();
+                }
+                // The queue gave out before the budget did: the siblings
+                // have nothing left to take.
+                if drained {
+                    return;
+                }
+                took = true;
             }
         }
+        if !took {
+            return;
+        }
     }
-    delivered
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{read_frame, write_frame};
+    use crate::frame::{read_frame, stats_from_value, write_frame};
     use mqsim::Message;
+    use std::collections::VecDeque;
 
-    fn connect(server: &BrokerServer) -> TcpStream {
-        let s = TcpStream::connect(server.local_addr()).unwrap();
-        s.set_nodelay(true).unwrap();
-        s
+    /// One delivery as a [`Peer`] read it.
+    struct Got {
+        sub: u64,
+        tag: u64,
+        redelivered: bool,
+        payload: Vec<u8>,
     }
 
-    fn call(stream: &mut TcpStream, req: Request, corr: u64) -> MqResult<Value> {
-        write_frame(stream, &req.to_frame(corr)).unwrap();
-        loop {
-            let (frame, _) = read_frame(stream).unwrap();
-            match ServerFrame::from_value(&frame).unwrap() {
-                ServerFrame::Reply { corr: c, result } if c == corr => return result,
-                _ => continue,
+    /// A raw wire client. Its reads give up after 5 s, so a delivery no
+    /// dispatch edge sends fails the test instead of hanging it, and the
+    /// deliveries it reads past while waiting for a reply are kept.
+    struct Peer {
+        stream: TcpStream,
+        corr: u64,
+        early: VecDeque<Got>,
+    }
+
+    impl Peer {
+        fn connect(server: &BrokerServer) -> Peer {
+            let stream = TcpStream::connect(server.local_addr()).unwrap();
+            stream.set_nodelay(true).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let early = VecDeque::new();
+            Peer {
+                stream,
+                corr: 0,
+                early,
             }
         }
+
+        /// Reads one frame: a delivery is queued, a reply returned.
+        fn pump(&mut self) -> Option<(u64, MqResult<Value>)> {
+            let (frame, _) =
+                read_frame(&mut self.stream).expect("nothing arrived within 5 s: a missed edge");
+            match ServerFrame::from_value(&frame).unwrap() {
+                ServerFrame::Reply { corr, result } => Some((corr, result)),
+                ServerFrame::Deliver {
+                    sub,
+                    tag,
+                    redelivered,
+                    message,
+                } => {
+                    let payload = message.payload().to_vec();
+                    self.early.push_back(Got {
+                        sub,
+                        tag,
+                        redelivered,
+                        payload,
+                    });
+                    None
+                }
+            }
+        }
+
+        fn try_call(&mut self, req: Request) -> MqResult<Value> {
+            self.corr += 1;
+            write_frame(&mut self.stream, &req.to_frame(self.corr)).unwrap();
+            loop {
+                match self.pump() {
+                    Some((corr, result)) if corr == self.corr => return result,
+                    _ => {}
+                }
+            }
+        }
+
+        fn call(&mut self, req: Request) -> Value {
+            self.try_call(req).unwrap()
+        }
+
+        fn publish(&mut self, payload: u8) {
+            let message = Message::from_bytes(vec![payload]);
+            self.call(Request::PublishToQueue("q".into(), message));
+        }
+
+        fn subscribe(&mut self, sub: u64, credit: u64) {
+            let queue = "q".into();
+            self.call(Request::Subscribe { queue, sub, credit });
+        }
+
+        fn next_delivery(&mut self) -> Got {
+            loop {
+                if let Some(got) = self.early.pop_front() {
+                    return got;
+                }
+                self.pump();
+            }
+        }
+    }
+
+    /// A server whose broker has an empty queue `q`.
+    fn server_with_queue() -> BrokerServer {
+        let broker = MessageBroker::new();
+        broker.declare_queue("q", Default::default()).unwrap();
+        BrokerServer::bind("127.0.0.1:0", broker).unwrap()
+    }
+
+    /// Publishes to `q` in-process: only the ready-waker tells the server.
+    fn publish(server: &BrokerServer, payloads: std::ops::Range<u8>) {
+        let batch = payloads.map(|i| Message::from_bytes(vec![i])).collect();
+        server.broker().publish_batch_to_queue("q", batch).unwrap();
     }
 
     #[test]
     fn declare_publish_subscribe_deliver_ack() {
         let server = BrokerServer::bind("127.0.0.1:0", MessageBroker::new()).unwrap();
-        let mut c = connect(&server);
-        call(
-            &mut c,
-            Request::DeclareQueue("q".into(), Default::default()),
-            1,
-        )
-        .unwrap();
-        call(
-            &mut c,
-            Request::PublishToQueue("q".into(), Message::from_static(b"hi")),
-            2,
-        )
-        .unwrap();
-        call(
-            &mut c,
-            Request::Subscribe {
-                queue: "q".into(),
-                sub: 1,
-                credit: 4,
-            },
-            3,
-        )
-        .unwrap();
-        // Next frame must be the delivery.
-        let (frame, _) = read_frame(&mut c).unwrap();
-        let (sub, tag) = match ServerFrame::from_value(&frame).unwrap() {
-            ServerFrame::Deliver {
-                sub, tag, message, ..
-            } => {
-                assert_eq!(message.payload(), b"hi");
-                (sub, tag)
-            }
-            other => panic!("expected deliver, got {other:?}"),
-        };
-        call(&mut c, Request::Ack(sub, tag), 4).unwrap();
-        let stats = call(&mut c, Request::QueueStats("q".into()), 5).unwrap();
-        let stats = crate::frame::stats_from_value(&stats).unwrap();
-        assert_eq!(stats.acked, 1);
-        assert_eq!(stats.unacked, 0);
+        let mut c = Peer::connect(&server);
+        c.call(Request::DeclareQueue("q".into(), Default::default()));
+        c.publish(7);
+        c.subscribe(1, 4);
+        let got = c.next_delivery();
+        assert_eq!((got.sub, got.payload), (1, vec![7]));
+        c.call(Request::Ack(got.sub, got.tag));
+        let stats = stats_from_value(&c.call(Request::QueueStats("q".into()))).unwrap();
+        assert_eq!((stats.acked, stats.unacked), (1, 0));
         server.shutdown();
     }
 
     #[test]
     fn errors_cross_the_wire() {
         let server = BrokerServer::bind("127.0.0.1:0", MessageBroker::new()).unwrap();
-        let mut c = connect(&server);
-        let err = call(&mut c, Request::QueueDepth("nope".into()), 1).unwrap_err();
+        let mut c = Peer::connect(&server);
+        let err = c.try_call(Request::QueueDepth("nope".into())).unwrap_err();
         assert_eq!(err, MqError::QueueNotFound("nope".into()));
         server.shutdown();
     }
 
     #[test]
     fn dropping_connection_requeues_unacked() {
-        let server = BrokerServer::bind("127.0.0.1:0", MessageBroker::new()).unwrap();
-        let mut c = connect(&server);
-        call(
-            &mut c,
-            Request::DeclareQueue("q".into(), Default::default()),
-            1,
-        )
-        .unwrap();
-        call(
-            &mut c,
-            Request::PublishToQueue("q".into(), Message::from_static(b"m")),
-            2,
-        )
-        .unwrap();
-        call(
-            &mut c,
-            Request::Subscribe {
-                queue: "q".into(),
-                sub: 1,
-                credit: 4,
-            },
-            3,
-        )
-        .unwrap();
-        let (frame, _) = read_frame(&mut c).unwrap();
-        assert!(matches!(
-            ServerFrame::from_value(&frame).unwrap(),
-            ServerFrame::Deliver { .. }
-        ));
+        let server = server_with_queue();
+        let mut c = Peer::connect(&server);
+        c.publish(0);
+        c.subscribe(1, 4);
+        c.next_delivery();
         drop(c); // connection dies with the delivery unacked
-        let broker = server.broker().clone();
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        let deadline = Instant::now() + Duration::from_secs(2);
         loop {
-            let stats = broker.queue_stats("q").unwrap();
+            let stats = server.broker().queue_stats("q").unwrap();
             if stats.depth == 1 && stats.unacked == 0 {
                 assert!(stats.redelivered >= 1);
                 break;
             }
             assert!(
-                std::time::Instant::now() < deadline,
+                Instant::now() < deadline,
                 "message was not requeued: {stats:?}"
             );
             std::thread::sleep(Duration::from_millis(10));
@@ -1277,81 +1258,170 @@ mod tests {
 
     #[test]
     fn publish_batch_and_ack_many_over_the_wire() {
-        let server = BrokerServer::bind("127.0.0.1:0", MessageBroker::new()).unwrap();
-        let mut c = connect(&server);
-        call(
-            &mut c,
-            Request::DeclareQueue("q".into(), Default::default()),
-            1,
-        )
-        .unwrap();
-        let batch: Vec<Message> = (0..6u8).map(|i| Message::from_bytes(vec![i])).collect();
-        call(&mut c, Request::PublishBatch("q".into(), batch), 2).unwrap();
+        let server = server_with_queue();
+        let mut c = Peer::connect(&server);
+        let batch = (0..6u8).map(|i| Message::from_bytes(vec![i])).collect();
+        c.call(Request::PublishBatch("q".into(), batch));
         assert_eq!(server.broker().queue_stats("q").unwrap().published, 6);
-        call(
-            &mut c,
-            Request::Subscribe {
-                queue: "q".into(),
-                sub: 1,
-                credit: 16,
-            },
-            3,
-        )
-        .unwrap();
+        c.subscribe(1, 16);
         // All six deliveries arrive, in order, then get acked in one frame.
-        let mut tags = Vec::new();
-        while tags.len() < 6 {
-            let (frame, _) = read_frame(&mut c).unwrap();
-            match ServerFrame::from_value(&frame).unwrap() {
-                ServerFrame::Deliver { tag, message, .. } => {
-                    assert_eq!(message.payload(), &[tags.len() as u8]);
-                    tags.push(tag);
-                }
-                other => panic!("expected deliver, got {other:?}"),
-            }
-        }
-        call(&mut c, Request::AckMany(1, tags.clone()), 4).unwrap();
+        let tags: Vec<u64> = (0..6u8)
+            .map(|i| {
+                let got = c.next_delivery();
+                assert_eq!(got.payload, [i]);
+                got.tag
+            })
+            .collect();
+        c.call(Request::AckMany(1, tags.clone()));
         let stats = server.broker().queue_stats("q").unwrap();
-        assert_eq!(stats.acked, 6);
-        assert_eq!(stats.unacked, 0);
+        assert_eq!((stats.acked, stats.unacked), (6, 0));
         // Redundant cumulative ack is tolerated.
-        call(&mut c, Request::AckMany(1, tags), 5).unwrap();
+        c.call(Request::AckMany(1, tags));
         server.shutdown();
     }
 
     #[test]
     fn credit_limits_in_flight_deliveries() {
-        let server = BrokerServer::bind("127.0.0.1:0", MessageBroker::new()).unwrap();
-        let mut c = connect(&server);
-        call(
-            &mut c,
-            Request::DeclareQueue("q".into(), Default::default()),
-            1,
-        )
-        .unwrap();
+        let server = server_with_queue();
+        let mut c = Peer::connect(&server);
         for i in 0..10 {
-            call(
-                &mut c,
-                Request::PublishToQueue("q".into(), Message::from_bytes(vec![i as u8])),
-                2 + i,
-            )
-            .unwrap();
+            c.publish(i);
         }
-        call(
-            &mut c,
-            Request::Subscribe {
-                queue: "q".into(),
-                sub: 1,
-                credit: 3,
-            },
-            100,
-        )
-        .unwrap();
+        c.subscribe(1, 3);
         // With credit 3 and no acks, exactly 3 messages leave the queue.
         std::thread::sleep(Duration::from_millis(150));
         let stats = server.broker().queue_stats("q").unwrap();
-        assert_eq!(stats.unacked, 3, "stats: {stats:?}");
-        assert_eq!(stats.depth, 7);
+        assert_eq!((stats.unacked, stats.depth), (3, 7), "stats: {stats:?}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_dispatcher_waits_for_a_consumer_another_thread_holds() {
+        let server = server_with_queue();
+        let mut c = Peer::connect(&server);
+        c.subscribe(1, 4);
+        // The explicit `dispatch_ready` below is the only dispatcher.
+        server.broker().set_ready_waker(None);
+        let sub = server.shared.conns.lock()[0].subs.lock()[&1].clone();
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel();
+        // The holder took its (empty) batch before the message arrived, and
+        // lets go only after the dispatcher below has started.
+        let holder = std::thread::spawn(move || {
+            let consumer = sub.consumer.lock();
+            held_tx.send(()).unwrap();
+            go_rx.recv().unwrap();
+            std::thread::sleep(Duration::from_millis(50));
+            drop(consumer);
+        });
+        held_rx.recv().unwrap();
+        publish(&server, 0..1);
+        go_tx.send(()).unwrap();
+        dispatch_ready(&server.shared, Some("q"), None);
+        let stats = server.broker().queue_stats("q").unwrap();
+        let queued = (stats.depth, stats.unacked);
+        assert_eq!(queued, (0, 1), "the message stayed queued: {stats:?}");
+        assert_eq!(c.next_delivery().payload, [0]);
+        holder.join().unwrap();
+        server.shutdown();
+    }
+
+    /// Each case leaves a message that only its own edge can deliver, the
+    /// last one on its queue, so a missing edge fails at the 5 s read
+    /// deadline. A publish over the wire and a `Requeue` are covered by
+    /// `client::tests::timeout_race_loses_no_delivery_or_credit` and
+    /// `dropped_delivery_requeues_on_server`.
+    #[test]
+    fn every_cause_of_deliverability_has_an_edge() {
+        fn in_process_publish(server: &BrokerServer) {
+            let mut c = Peer::connect(server);
+            c.subscribe(1, 4);
+            publish(server, 0..1);
+            assert_eq!(c.next_delivery().payload, [0]);
+        }
+        fn ack_at_credit_one(server: &BrokerServer, many: bool) {
+            let mut c = Peer::connect(server);
+            c.subscribe(1, 1);
+            publish(server, 0..2);
+            let first = c.next_delivery();
+            assert_eq!(first.payload, [0]);
+            // Out of credit: 1 stays queued until the ack frees some.
+            c.call(if many {
+                Request::AckMany(first.sub, vec![first.tag])
+            } else {
+                Request::Ack(first.sub, first.tag)
+            });
+            assert_eq!(c.next_delivery().payload, [1]);
+        }
+        fn teardown_redelivers_to_a_sibling(server: &BrokerServer) {
+            let mut a = Peer::connect(server);
+            a.subscribe(1, 1);
+            publish(server, 0..1);
+            a.next_delivery();
+            let mut b = Peer::connect(server);
+            b.subscribe(1, 1);
+            drop(a); // dies holding the delivery unacked
+            let got = b.next_delivery();
+            assert!(got.redelivered);
+            assert_eq!(got.payload, [0]);
+        }
+        // More than one offer takes (`MAX_BATCH` a round).
+        const N: u8 = 100;
+        fn subscribe_backlog_past_one_offer(server: &BrokerServer) {
+            publish(server, 0..N);
+            let mut c = Peer::connect(server);
+            c.subscribe(1, u64::from(N));
+            for i in 0..N {
+                assert_eq!(c.next_delivery().payload, [i]);
+            }
+        }
+        fn competing_pair_past_one_round(server: &BrokerServer) {
+            let mut c = Peer::connect(server);
+            c.subscribe(1, MAX_BATCH as u64);
+            c.subscribe(2, MAX_BATCH as u64);
+            publish(server, 0..N);
+            let mut got: Vec<u8> = (0..N).map(|_| c.next_delivery().payload[0]).collect();
+            got.sort_unstable();
+            assert_eq!(got, (0..N).collect::<Vec<_>>());
+        }
+        type Case = (&'static str, fn(&BrokerServer));
+        let cases: [Case; 6] = [
+            ("in-process publish", in_process_publish),
+            ("Ack at credit 1", |s| ack_at_credit_one(s, false)),
+            ("AckMany at credit 1", |s| ack_at_credit_one(s, true)),
+            ("teardown", teardown_redelivers_to_a_sibling),
+            ("subscribe backlog", subscribe_backlog_past_one_offer),
+            ("competing pair", competing_pair_past_one_round),
+        ];
+        for (name, case) in cases {
+            eprintln!("case: {name}");
+            let server = server_with_queue();
+            case(&server);
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn disconnect_all_leaves_no_connection_registered() {
+        let server = server_with_queue();
+        let baseline = server.reactor_registrations();
+        let mut peers: Vec<Peer> = (0..8).map(|_| Peer::connect(&server)).collect();
+        for peer in &mut peers {
+            peer.call(Request::Ping);
+        }
+        assert_eq!(server.reactor_registrations(), baseline + peers.len());
+        // The peers stay open: only the server's own shutdown of each
+        // socket can wake the loops that own them.
+        server.disconnect_all();
+        assert_eq!(server.live_connections(), 0);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.reactor_registrations() != baseline {
+            let left = server.reactor_registrations();
+            assert!(Instant::now() < deadline, "{left} registrations left");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(server.shared.conns.lock().is_empty());
+        drop(peers);
         server.shutdown();
     }
 }
