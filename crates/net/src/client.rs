@@ -7,14 +7,16 @@
 //! (see [`crate::reactor`]) that multiplexes every client connection over
 //! nonblocking sockets, plus a small dialer pool that performs blocking
 //! connect + clock-handshake attempts off the loop. Each connection is a
-//! per-fd state machine registered with the reactor; its `tick()` is the
-//! heartbeat — a ping per quiet [`NetConfig::heartbeat`] interval, and a
-//! connection silent through four intervals is declared dead. When the
+//! per-fd state machine registered with the reactor; its deadline is the
+//! heartbeat — a ping after a quiet [`NetConfig::heartbeat`] interval, and
+//! a connection silent through four intervals is declared dead. When the
 //! socket dies (read error, ping timeout, reset) the client is handed back
 //! to the dialers, which reconnect with capped exponential backoff plus
-//! jitter, then replay every live subscription under its original
-//! subscription id. The server side requeued whatever was unacked when the
-//! old connection died, so redelivery after reconnect is automatic.
+//! jitter (a failed dial parks the client until a backoff deadline; both
+//! deadlines are read on [`NetConfig::clock`]), then replay every live
+//! subscription under its original subscription id. The server side
+//! requeued whatever was unacked when the old connection died, so
+//! redelivery after reconnect is automatic.
 //!
 //! Requests are retried transparently across reconnects until the operation
 //! timeout elapses, so a blocking publish simply rides through a short
@@ -22,10 +24,10 @@
 //! connection *generation*; a stale-generation delivery is dropped instead
 //! of acked, because its server-side tag died with the old connection.
 
-use crate::frame::{encode_frame_into, read_frame, write_frame, FrameBuffer, Request, ServerFrame};
+use crate::frame::{read_frame, write_frame, FrameBuffer, Request, ServerFrame};
 use crate::reactor::{EventSource, Reactor, Ready, INTEREST_READ, INTEREST_WRITE};
 use crate::stats_from_value;
-use crate::tx::{write_some, OutBuf, TxObs, WriteState, MAX_SPARE};
+use crate::tx::{Flush, TxQueue, WriteState};
 use mqsim::{
     AnyDelivery, Clock, ExchangeKind, Message, MessageConsumer, Messaging, MqError, MqResult,
     QueueOptions, QueueStats, SystemClock,
@@ -43,10 +45,6 @@ use wire::Value;
 /// Acks accumulated past this count are flushed as one `AckMany` frame even
 /// while deliveries are still buffered locally.
 const ACK_BATCH: usize = 32;
-
-/// Tick cadence of the shared client reactor: heartbeat resolution and the
-/// polling period of reconnect-backoff deadlines.
-const CLIENT_TICK: Duration = Duration::from_millis(10);
 
 /// Threads in the shared dialer pool (blocking connect + handshake).
 const DIALERS: usize = 4;
@@ -71,8 +69,10 @@ pub struct NetConfig {
     pub backoff_cap: Duration,
     /// TCP connection-establishment timeout per reconnect attempt.
     pub connect_timeout: Duration,
-    /// Time source for the reconnect backoff. Fault-injection tests swap in
-    /// a [`mqsim::VirtualClock`] so backoff is stepped instead of slept.
+    /// Time source for the heartbeat and the reconnect backoff. The client
+    /// reactor sleeps in `poll(2)` toward the earliest of these deadlines;
+    /// stepping a [`mqsim::VirtualClock`] does not wake a parked `poll`, so
+    /// a stepped deadline is acted on at the reactor's next pass.
     pub clock: Arc<dyn Clock>,
 }
 
@@ -130,16 +130,10 @@ struct ClientInner {
     /// the dialer has replayed resubscribes (which themselves go through
     /// `send`).
     link_up: AtomicBool,
-    /// The socket refused part of a drain (`WouldBlock`): the reactor adds
-    /// `POLLOUT` interest and retries on writability.
-    want_write: AtomicBool,
+    tx: TxQueue,
     /// Consecutive failed dial attempts, reset on success; drives the
     /// exponential backoff.
     attempt: AtomicU32,
-    /// Encoded frames waiting for the next coalesced write.
-    out: Mutex<OutBuf>,
-    /// Recycled drain buffer for `flush_out`.
-    spare: Mutex<Vec<u8>>,
     /// Bumped on every successful reconnect; deliveries carry the
     /// generation they arrived under.
     generation: AtomicU64,
@@ -152,8 +146,6 @@ struct ClientInner {
     stop: AtomicBool,
     reconnects: Arc<obs::Counter>,
     rpc_seconds: Arc<obs::Histogram>,
-    bytes_out: Arc<obs::Counter>,
-    tx: TxObs,
 }
 
 struct ReqSlot {
@@ -217,10 +209,8 @@ impl NetBroker {
             config,
             writer: Mutex::new(None),
             link_up: AtomicBool::new(false),
-            want_write: AtomicBool::new(false),
+            tx: TxQueue::new("net.client.bytes_out"),
             attempt: AtomicU32::new(0),
-            out: Mutex::new(OutBuf::default()),
-            spare: Mutex::new(Vec::new()),
             generation: AtomicU64::new(0),
             connected: Mutex::new(false),
             connected_cv: Condvar::new(),
@@ -231,8 +221,6 @@ impl NetBroker {
             stop: AtomicBool::new(false),
             reconnects: obs::counter("net.client.reconnects"),
             rpc_seconds: obs::histogram("net.client.rpc_seconds"),
-            bytes_out: obs::counter("net.client.bytes_out"),
-            tx: TxObs::new(),
         });
         // Hand the first dial to the shared runtime; every later reconnect
         // is scheduled by the reactor when the registered source dies.
@@ -294,7 +282,7 @@ impl ClientInner {
     /// with `ConnectionLost` so their callers retry.
     fn drop_connection(&self) {
         self.link_up.store(false, Ordering::Release);
-        self.want_write.store(false, Ordering::Release);
+        self.tx.want_write.store(false, Ordering::Release);
         let writer = self.writer.lock().take();
         if let Some(st) = writer {
             // Shutting the socket down surfaces as EOF/`POLLHUP` on the
@@ -305,7 +293,7 @@ impl ClientInner {
         // Discard frames queued for the dead connection — acks and pings
         // addressed to the old generation must not ride the next one.
         {
-            let mut out = self.out.lock();
+            let mut out = self.tx.out.lock();
             out.buf.clear();
             out.frames = 0;
         }
@@ -398,16 +386,9 @@ impl ClientInner {
         if !self.link_up.load(Ordering::Acquire) {
             return false;
         }
-        {
-            let mut out = self.out.lock();
-            match encode_frame_into(frame, &mut out.buf) {
-                Ok(_) => out.frames += 1,
-                Err(_) => {
-                    drop(out);
-                    self.drop_connection();
-                    return false;
-                }
-            }
+        if !self.tx.push(frame) {
+            self.drop_connection();
+            return false;
         }
         self.flush_out()
     }
@@ -419,91 +400,33 @@ impl ClientInner {
     /// arms `POLLOUT`; the reactor finishes it when the socket drains.
     fn flush_out(&self) -> bool {
         loop {
-            let mut writer_guard = match self.writer.try_lock() {
-                Some(g) => g,
-                None => return true,
+            let Some(mut writer) = self.writer.try_lock() else {
+                return true;
             };
-            let outcome = loop {
-                let Some(st) = writer_guard.as_mut() else {
-                    // Disconnected under our feet: the frames die with the
-                    // old connection (callers observe `false` and retry).
-                    break ClientFlush::NoConn;
-                };
-                if st.pos < st.residue.len() {
-                    match write_some(&mut st.stream, &st.residue[st.pos..]) {
-                        Ok(n) => {
-                            st.pos += n;
-                            if st.pos < st.residue.len() {
-                                // Set while still holding the writer: the
-                                // concurrent flush that completes this drain
-                                // is the one that clears the bit.
-                                self.want_write.store(true, Ordering::Release);
-                                break ClientFlush::Blocked;
-                            }
-                            let done = std::mem::take(&mut st.residue);
-                            st.pos = 0;
-                            recycle(&self.spare, done);
-                        }
-                        Err(_) => break ClientFlush::Failed,
-                    }
-                    continue;
-                }
-                let (drain, frames) = {
-                    let mut out = self.out.lock();
-                    if out.buf.is_empty() {
-                        break ClientFlush::Drained;
-                    }
-                    let mut drain = std::mem::take(&mut *self.spare.lock());
-                    std::mem::swap(&mut drain, &mut out.buf);
-                    (drain, std::mem::take(&mut out.frames))
-                };
-                self.bytes_out.add(drain.len() as u64);
-                self.tx.record_drain(drain.len(), frames);
-                st.residue = drain;
-                st.pos = 0;
+            // Disconnected under our feet: the frames die with the old
+            // connection (callers observe `false` and retry).
+            let Some(st) = writer.as_mut() else {
+                return false;
             };
-            drop(writer_guard);
+            let outcome = self.tx.drain(st);
+            drop(writer);
             match outcome {
-                ClientFlush::Failed => {
+                Flush::Failed => {
                     self.drop_connection();
                     return false;
                 }
-                ClientFlush::NoConn => return false,
-                ClientFlush::Blocked => {
+                Flush::Blocked => {
                     // Interest is recomputed per poll pass; wake the loop so
-                    // it picks up `POLLOUT` now rather than next tick.
+                    // it picks up `POLLOUT`, which nothing else would.
                     if let Some(rt) = runtime_if_started() {
                         rt.reactor.wake();
                     }
                     return true;
                 }
-                ClientFlush::Drained => {
-                    self.want_write.store(false, Ordering::Release);
-                    // Lost-wakeup guard: a frame enqueued while we were
-                    // releasing the writer saw `try_lock` fail and went
-                    // home — re-check.
-                    if self.out.lock().buf.is_empty() {
-                        return true;
-                    }
-                }
+                Flush::Drained if self.tx.settled() => return true,
+                Flush::Drained => {}
             }
         }
-    }
-}
-
-/// Outcome of one `flush_out` drain attempt under the writer lock.
-enum ClientFlush {
-    Drained,
-    Blocked,
-    NoConn,
-    Failed,
-}
-
-/// Returns a cleared drain buffer to the spare slot unless it grew too big.
-fn recycle(spare: &Mutex<Vec<u8>>, mut drain: Vec<u8>) {
-    drain.clear();
-    if drain.capacity() <= MAX_SPARE {
-        *spare.lock() = drain;
     }
 }
 
@@ -539,8 +462,8 @@ fn flush_acks(client: &ClientInner, sub: &SubInner) {
 // ---------------------------------------------------------------------------
 
 /// A client parked in exponential backoff, re-dialed once its own clock
-/// reaches `deadline` (checked by the reactor's per-pass callback, so
-/// virtual-clock tests can step through the wait).
+/// reaches `deadline`: the reactor's per-pass callback promotes it and
+/// reports the earliest deadline still parked as its own.
 struct WaitingDial {
     client: Arc<ClientInner>,
     deadline: Duration,
@@ -580,7 +503,7 @@ fn runtime_if_started() -> Option<&'static ClientRuntime> {
 }
 
 fn init_runtime() -> std::io::Result<ClientRuntime> {
-    let reactor = Reactor::start("net.client", CLIENT_TICK)?;
+    let reactor = Reactor::start("net.client")?;
     let (tx, rx) = mpsc::channel::<Arc<ClientInner>>();
     let rx = Arc::new(Mutex::new(rx));
     for i in 0..DIALERS {
@@ -591,32 +514,31 @@ fn init_runtime() -> std::io::Result<ClientRuntime> {
     }
     let waiting: Arc<Mutex<Vec<WaitingDial>>> = Arc::new(Mutex::new(Vec::new()));
     // Per-pass callback: promote parked clients whose backoff expired back
-    // into the dial queue. Runs at least once per reactor tick.
+    // into the dial queue, and report when the next one expires.
     let pass_waiting = waiting.clone();
     let pass_tx = Mutex::new(tx.clone());
     reactor.set_pass(Arc::new(move || {
-        let due: Vec<Arc<ClientInner>> = {
-            let mut waiting = pass_waiting.lock();
-            if waiting.is_empty() {
-                return;
+        let mut next: Option<Duration> = None;
+        let mut due = Vec::new();
+        pass_waiting.lock().retain(|entry| {
+            if entry.client.stop.load(Ordering::Acquire) {
+                return false;
             }
-            let mut due = Vec::new();
-            waiting.retain(|entry| {
-                if entry.client.stop.load(Ordering::Acquire) {
-                    return false;
-                }
-                if entry.client.config.clock.now() >= entry.deadline {
-                    due.push(entry.client.clone());
-                    return false;
-                }
-                true
-            });
-            due
-        };
+            let left = entry
+                .deadline
+                .saturating_sub(entry.client.config.clock.now());
+            if left.is_zero() {
+                due.push(entry.client.clone());
+                return false;
+            }
+            next = Some(next.map_or(left, |n| n.min(left)));
+            true
+        });
         let tx = pass_tx.lock();
         for client in due {
             let _ = tx.send(client);
         }
+        next
     }));
     Ok(ClientRuntime {
         reactor,
@@ -675,6 +597,8 @@ fn dial_one(client: &Arc<ClientInner>, rng: &mut rand::rngs::StdRng) {
             client: client.clone(),
             deadline,
         });
+        // A new deadline: the loop may be asleep with none, or a later one.
+        rt.reactor.wake();
     }
 }
 
@@ -732,6 +656,7 @@ fn try_connect(client: &Arc<ClientInner>) -> bool {
     }
 
     let fd = stream.as_raw_fd();
+    let now = client.config.clock.now();
     let source = Arc::new(ClientSource {
         client: client.clone(),
         generation,
@@ -740,8 +665,8 @@ fn try_connect(client: &Arc<ClientInner>) -> bool {
             stream,
             frames: FrameBuffer::with_readahead(),
         }),
-        last_rx: Mutex::new(Instant::now()),
-        last_ping: Mutex::new(Instant::now()),
+        last_rx: Mutex::new(now),
+        last_ping: Mutex::new(now),
         bytes_in: obs::counter("net.client.bytes_in"),
     });
     rt.reactor.register(source);
@@ -786,10 +711,10 @@ struct ClientSource {
     /// Cached at registration so `fd()` never takes the reader lock.
     fd: RawFd,
     reader: Mutex<ClientReader>,
-    /// Last time any frame arrived; drives the dead-peer timeout.
-    last_rx: Mutex<Instant>,
-    /// Last time a ping was sent; rate-limits pings to one per heartbeat.
-    last_ping: Mutex<Instant>,
+    /// Clock reading when the last frame arrived (the dead-peer deadline).
+    last_rx: Mutex<Duration>,
+    /// Clock reading when the last ping went out (one per heartbeat).
+    last_ping: Mutex<Duration>,
     bytes_in: Arc<obs::Counter>,
 }
 
@@ -821,7 +746,7 @@ impl ClientSource {
             }
         }
         if any {
-            *self.last_rx.lock() = Instant::now();
+            *self.last_rx.lock() = self.client.config.clock.now();
         }
         Ok(())
     }
@@ -867,7 +792,7 @@ impl EventSource for ClientSource {
 
     fn interest(&self) -> u8 {
         let mut interest = INTEREST_READ;
-        if self.client.want_write.load(Ordering::Acquire) {
+        if self.client.tx.want_write.load(Ordering::Acquire) {
             interest |= INTEREST_WRITE;
         }
         interest
@@ -891,7 +816,17 @@ impl EventSource for ClientSource {
         Ready::Continue
     }
 
-    fn tick(&self) -> Ready {
+    /// A ping once the link and the last ping are a heartbeat old; death
+    /// once the link is four.
+    fn deadline(&self) -> Option<Duration> {
+        let heartbeat = self.client.config.heartbeat;
+        let last_rx = *self.last_rx.lock();
+        let ping = (last_rx + heartbeat).max(*self.last_ping.lock() + heartbeat);
+        let due = ping.min(last_rx + heartbeat * 4);
+        Some(due.saturating_sub(self.client.config.clock.now()))
+    }
+
+    fn on_deadline(&self) -> Ready {
         if self.client.stop.load(Ordering::Acquire) {
             self.client.drop_connection();
             return Ready::Remove;
@@ -899,21 +834,19 @@ impl EventSource for ClientSource {
         if self.stale() {
             return Ready::Remove;
         }
-        let heartbeat = self.client.config.heartbeat;
-        let since = self.last_rx.lock().elapsed();
-        if since >= heartbeat * 4 {
+        let now = self.client.config.clock.now();
+        if now >= *self.last_rx.lock() + self.client.config.heartbeat * 4 {
             // Peer silent through the whole grace window: dead. Matches the
             // old reader's three-missed-heartbeats rule.
             disconnect_and_reschedule(&self.client);
             return Ready::Remove;
         }
-        if since >= heartbeat && self.last_ping.lock().elapsed() >= heartbeat {
-            *self.last_ping.lock() = Instant::now();
-            let corr = self.client.next_corr.fetch_add(1, Ordering::Relaxed);
-            if !self.client.send(&Request::Ping.to_frame(corr)) {
-                disconnect_and_reschedule(&self.client);
-                return Ready::Remove;
-            }
+        // Not dead, so the ping is what fell due.
+        *self.last_ping.lock() = now;
+        let corr = self.client.next_corr.fetch_add(1, Ordering::Relaxed);
+        if !self.client.send(&Request::Ping.to_frame(corr)) {
+            disconnect_and_reschedule(&self.client);
+            return Ready::Remove;
         }
         Ready::Continue
     }

@@ -7,20 +7,22 @@
 //!
 //! 1. snapshots the source table and rebuilds the `pollfd` set (plus a
 //!    self-wake pipe at slot 0);
-//! 2. blocks in `poll(2)` until readiness, a wake, or the tick deadline;
+//! 2. blocks in `poll(2)` until readiness, a wake, or the earliest
+//!    deadline reported (rounded up to whole ms; none: `-1`, no timeout);
 //! 3. dispatches `ready()` to each source whose fd fired (`POLLERR` /
 //!    `POLLHUP` / `POLLNVAL` are folded into readability so failures
 //!    surface through the source's read path);
-//! 4. on the tick deadline, runs every source's `tick()` (the client
-//!    connection's heartbeat; no server source has time-based work);
-//! 5. runs the owner's per-pass callback (the server drains its
-//!    dispatch-pending flag here).
+//! 4. runs `on_deadline()` for each source whose deadline has passed (the
+//!    client connection's heartbeat, the listener's accept-error pause);
+//! 5. runs the owner's per-pass callback, which reports its own deadline
+//!    (the server drains its dispatch-pending flag here; the client
+//!    promotes reconnects whose backoff expired).
 //!
-//! Cross-thread wakeups go through a nonblocking `UnixStream` pair: any
-//! thread that changes a source's interest set (say, a writer that hit
-//! `WouldBlock` and now needs `POLLOUT`) or enqueues work for the loop
-//! calls [`Reactor::wake`], which writes one byte to the pipe; the loop
-//! wakes, drains the pipe, and rebuilds interests from source state.
+//! There is no timer: any thread that changes a source's interest set
+//! (say, a writer that hit `WouldBlock` and now needs `POLLOUT`), gives the
+//! loop new timed work or enqueues work for it calls [`Reactor::wake`],
+//! which writes one byte to a nonblocking `UnixStream` pair; the loop
+//! wakes, drains the pipe, and rebuilds interests and deadlines.
 //!
 //! Observability (the PR-6 surface, per reactor):
 //! `<name>.reactor.fds` — registered sources gauge;
@@ -66,8 +68,13 @@ pub(crate) trait EventSource: Send + Sync {
     /// The fd fired. Error/hangup conditions arrive as `readable` so they
     /// surface through the ordinary read path (a read yields `Eof`/`Err`).
     fn ready(&self, readable: bool, writable: bool) -> Ready;
-    /// Periodic maintenance at the reactor's tick cadence.
-    fn tick(&self) -> Ready {
+    /// Time left until this source's next timed work (`None`: it has
+    /// none), re-read every pass.
+    fn deadline(&self) -> Option<Duration> {
+        None
+    }
+    /// The deadline has passed: run the timed work.
+    fn on_deadline(&self) -> Ready {
         Ready::Continue
     }
 }
@@ -79,10 +86,13 @@ struct ReactorShared {
     /// wake is already pending, which is all a wake means).
     wake_tx: parking_lot::Mutex<UnixStream>,
     stop: AtomicBool,
-    /// Per-pass callback run after event dispatch (and ticks).
-    pass: parking_lot::Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
+    pass: parking_lot::Mutex<Option<Arc<PassFn>>>,
     wakeups: Arc<obs::Counter>,
 }
+
+/// Per-pass callback, run after event dispatch and deadlines. Returns the
+/// time left until its own next deadline (`None`: it has none).
+pub(crate) type PassFn = dyn Fn() -> Option<Duration> + Send + Sync;
 
 /// One event-loop thread. Dropping the reactor stops and joins it.
 pub(crate) struct Reactor {
@@ -92,9 +102,8 @@ pub(crate) struct Reactor {
 
 impl Reactor {
     /// Spawns the loop thread. `name` prefixes the reactor metrics (e.g.
-    /// `net.server`); `tick` is the cadence of `tick()` callbacks and the
-    /// upper bound on poll sleep.
-    pub(crate) fn start(name: &str, tick: Duration) -> std::io::Result<Arc<Reactor>> {
+    /// `net.server`).
+    pub(crate) fn start(name: &str) -> std::io::Result<Arc<Reactor>> {
         let (wake_rx, wake_tx) = UnixStream::pair()?;
         wake_rx.set_nonblocking(true)?;
         wake_tx.set_nonblocking(true)?;
@@ -110,7 +119,7 @@ impl Reactor {
         let loop_name = name.to_string();
         let thread = std::thread::Builder::new()
             .name(format!("reactor-{name}"))
-            .spawn(move || run_loop(&loop_name, &loop_shared, wake_rx, tick))?;
+            .spawn(move || run_loop(&loop_name, &loop_shared, wake_rx))?;
         Ok(Arc::new(Reactor {
             shared,
             thread: parking_lot::Mutex::new(Some(thread)),
@@ -118,7 +127,7 @@ impl Reactor {
     }
 
     /// Installs the per-pass callback (run on the loop thread each pass).
-    pub(crate) fn set_pass(&self, pass: Arc<dyn Fn() + Send + Sync>) {
+    pub(crate) fn set_pass(&self, pass: Arc<PassFn>) {
         *self.shared.pass.lock() = Some(pass);
     }
 
@@ -162,14 +171,15 @@ impl Drop for Reactor {
     }
 }
 
-fn run_loop(name: &str, shared: &ReactorShared, mut wake_rx: UnixStream, tick: Duration) {
+fn run_loop(name: &str, shared: &ReactorShared, mut wake_rx: UnixStream) {
     let fds_gauge = obs::gauge(&format!("{name}.reactor.fds"));
     let ready_gauge = obs::gauge(&format!("{name}.reactor.ready_per_tick"));
     let ready_total = obs::counter(&format!("{name}.reactor.ready_events_total"));
     let loop_hist = obs::histogram(&format!("{name}.reactor.loop_seconds"));
     let mut pollfds: Vec<libc::pollfd> = Vec::new();
     let mut snapshot: Vec<(u64, Arc<dyn EventSource>)> = Vec::new();
-    let mut next_tick = Instant::now() + tick;
+    // When the per-pass callback's own deadline falls due.
+    let mut pass_due: Option<Instant> = None;
     while !shared.stop.load(Ordering::SeqCst) {
         snapshot.clear();
         {
@@ -179,6 +189,8 @@ fn run_loop(name: &str, shared: &ReactorShared, mut wake_rx: UnixStream, tick: D
         fds_gauge.set(snapshot.len() as f64);
         pollfds.clear();
         pollfds.push(libc::pollfd::new(wake_rx.as_raw_fd(), libc::POLLIN));
+        let now = Instant::now();
+        let mut wait = pass_due.map(|at| at.saturating_duration_since(now));
         for (_, source) in &snapshot {
             let interest = source.interest();
             let mut events = 0i16;
@@ -189,14 +201,13 @@ fn run_loop(name: &str, shared: &ReactorShared, mut wake_rx: UnixStream, tick: D
                 events |= libc::POLLOUT;
             }
             pollfds.push(libc::pollfd::new(source.fd(), events));
+            wait = wait.into_iter().chain(source.deadline()).min();
         }
-        let now = Instant::now();
-        let timeout_ms = if next_tick > now {
-            (next_tick - now).as_millis().min(i32::MAX as u128) as i32
-        } else {
-            0
-        };
-        let ready = match libc::poll(&mut pollfds, timeout_ms.max(1)) {
+        // Rounded up, so the pass after the wait finds the deadline due.
+        let timeout_ms = wait.map_or(-1, |w| {
+            w.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32
+        });
+        let ready = match libc::poll(&mut pollfds, timeout_ms) {
             Ok(n) => n,
             Err(_) => {
                 // A failing poll (EBADF from a racing close) self-heals:
@@ -216,29 +227,25 @@ fn run_loop(name: &str, shared: &ReactorShared, mut wake_rx: UnixStream, tick: D
         let mut fired = 0usize;
         for (i, (token, source)) in snapshot.iter().enumerate() {
             let revents = pollfds[i + 1].revents;
-            if revents == 0 {
-                continue;
+            let mut verdict = Ready::Continue;
+            if revents != 0 {
+                fired += 1;
+                let readable =
+                    revents & (libc::POLLIN | libc::POLLERR | libc::POLLHUP | libc::POLLNVAL) != 0;
+                let writable = revents & libc::POLLOUT != 0;
+                verdict = source.ready(readable, writable);
             }
-            fired += 1;
-            let readable =
-                revents & (libc::POLLIN | libc::POLLERR | libc::POLLHUP | libc::POLLNVAL) != 0;
-            let writable = revents & libc::POLLOUT != 0;
-            if source.ready(readable, writable) == Ready::Remove {
+            if verdict == Ready::Continue && source.deadline() == Some(Duration::ZERO) {
+                verdict = source.on_deadline();
+            }
+            if verdict == Ready::Remove {
                 shared.sources.lock().remove(token);
             }
         }
-        if Instant::now() >= next_tick {
-            for (token, source) in &snapshot {
-                if source.tick() == Ready::Remove {
-                    shared.sources.lock().remove(token);
-                }
-            }
-            next_tick = Instant::now() + tick;
-        }
         let pass = shared.pass.lock().clone();
-        if let Some(pass) = pass {
-            pass();
-        }
+        pass_due = pass
+            .and_then(|pass| pass())
+            .map(|left| Instant::now() + left);
         if ready > 0 {
             ready_gauge.set(fired as f64);
             ready_total.add(fired as u64);

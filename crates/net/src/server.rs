@@ -8,7 +8,8 @@
 //! length-prefixed frames across `WouldBlock` boundaries on the read side,
 //! and a residue buffer carries partially-written coalesced batches on the
 //! write side (`POLLOUT` interest is raised only while a partial write is
-//! outstanding).
+//! outstanding). An idle loop sleeps in `poll(2)` until a socket or a wake
+//! needs it: its one timed work is the listener's 10 ms accept-error pause.
 //!
 //! Requests are executed synchronously against the broker on the loop
 //! thread (every broker operation is non-blocking) and answered with a
@@ -49,10 +50,10 @@
 //! and resubscribes therefore sees exactly the at-least-once behaviour of
 //! the in-process broker.
 
-use crate::frame::{encode_frame_into, FrameBuffer, Request, ServerFrame};
+use crate::frame::{FrameBuffer, Request, ServerFrame};
 use crate::reactor::{EventSource, Reactor, Ready, INTEREST_READ, INTEREST_WRITE};
 use crate::stats_to_value;
-use crate::tx::{write_some, OutBuf, TxObs, WriteState, MAX_SPARE};
+use crate::tx::{Flush, TxQueue, WriteState};
 use mqsim::{Delivery, MessageBroker, MqError, MqResult};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -62,9 +63,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 use wire::Value;
-
-/// Upper bound on a loop's poll sleep; no server source has `tick()` work.
-const SERVER_TICK: Duration = Duration::from_millis(10);
 
 /// Max complete `read_step` bursts one connection may consume per readiness
 /// event before yielding the loop to its neighbours (level-triggered poll
@@ -134,20 +132,12 @@ struct ConnShared {
     id: u64,
     stream: TcpStream,
     writer: Mutex<WriteState>,
-    /// Encoded frames waiting for the next coalesced write.
-    out: Mutex<OutBuf>,
-    /// Recycled drain buffer, so steady-state flushing never allocates.
-    spare: Mutex<Vec<u8>>,
+    tx: TxQueue,
     subs: Mutex<HashMap<u64, Arc<SubShared>>>,
     dead: AtomicBool,
-    /// True while a partial write is parked in `residue`: the owning
-    /// reactor polls this fd for `POLLOUT` until the flush completes.
-    want_write: AtomicBool,
     /// The reactor loop this connection is registered with (woken when
     /// write interest changes).
     reactor: Weak<Reactor>,
-    bytes_out: Arc<obs::Counter>,
-    tx: TxObs,
 }
 
 struct SubShared {
@@ -210,16 +200,6 @@ impl SubShared {
     }
 }
 
-/// Outcome of one inner drain pass in [`ConnShared::flush_out`].
-enum Flush {
-    /// Out-buffer and residue fully on the wire.
-    Drained,
-    /// The kernel stopped taking bytes; residue parked, `POLLOUT` armed.
-    Blocked,
-    /// Socket error: the connection is dead.
-    Failed,
-}
-
 impl ConnShared {
     /// Marks the connection dead and shuts its socket down. The shutdown is
     /// also the owning loop's wake-up: the fd polls as hung up on the next
@@ -238,13 +218,8 @@ impl ConnShared {
     /// of requests can be answered with one coalesced write. The caller owns
     /// the eventual `flush_out`. Any error kills the connection.
     fn enqueue(&self, frame: &Value) {
-        let mut out = self.out.lock();
-        match encode_frame_into(frame, &mut out.buf) {
-            Ok(_) => out.frames += 1,
-            Err(_) => {
-                drop(out);
-                self.kill();
-            }
+        if !self.tx.push(frame) {
+            self.kill();
         }
     }
 
@@ -257,75 +232,22 @@ impl ConnShared {
     /// this one's slow reader.
     fn flush_out(&self) {
         loop {
-            let mut writer = match self.writer.try_lock() {
-                Some(w) => w,
-                // The holder drains everything enqueued before releasing.
-                None => return,
+            // The holder drains everything enqueued before releasing.
+            let Some(mut writer) = self.writer.try_lock() else {
+                return;
             };
-            let outcome = loop {
-                let st = &mut *writer;
-                // Finish any parked residue before taking a new drain, so
-                // wire byte order matches enqueue order.
-                if st.pos < st.residue.len() {
-                    match write_some(&mut st.stream, &st.residue[st.pos..]) {
-                        Ok(n) => {
-                            st.pos += n;
-                            if st.pos < st.residue.len() {
-                                // Set the interest bit while still holding
-                                // the writer, so a concurrent flush that
-                                // completes the drain is the one that
-                                // clears it.
-                                self.want_write.store(true, Ordering::Release);
-                                break Flush::Blocked;
-                            }
-                            let mut done = std::mem::take(&mut st.residue);
-                            st.pos = 0;
-                            done.clear();
-                            if done.capacity() <= MAX_SPARE {
-                                *self.spare.lock() = done;
-                            }
-                        }
-                        Err(_) => break Flush::Failed,
-                    }
-                    continue;
-                }
-                let (drain, frames) = {
-                    let mut out = self.out.lock();
-                    if out.buf.is_empty() {
-                        break Flush::Drained;
-                    }
-                    let mut drain = std::mem::take(&mut *self.spare.lock());
-                    std::mem::swap(&mut drain, &mut out.buf);
-                    (drain, std::mem::take(&mut out.frames))
-                };
-                self.bytes_out.add(drain.len() as u64);
-                self.tx.record_drain(drain.len(), frames);
-                st.residue = drain;
-                st.pos = 0;
-            };
+            let outcome = self.tx.drain(&mut writer);
             drop(writer);
             match outcome {
-                Flush::Failed => {
-                    self.kill();
-                    return;
-                }
+                Flush::Failed => return self.kill(),
                 Flush::Blocked => {
                     if let Some(reactor) = self.reactor.upgrade() {
                         reactor.wake();
                     }
                     return;
                 }
-                Flush::Drained => {
-                    // A stale bit from an older blocked flush costs one
-                    // spurious `POLLOUT` pass; the next flush clears it.
-                    self.want_write.store(false, Ordering::Release);
-                    // Lost-wakeup guard: a frame enqueued while we were
-                    // releasing the writer saw `try_lock` fail and went
-                    // home — re-check.
-                    if self.out.lock().buf.is_empty() {
-                        return;
-                    }
-                }
+                Flush::Drained if self.tx.settled() => return,
+                Flush::Drained => {}
             }
         }
     }
@@ -348,7 +270,7 @@ impl BrokerServer {
         let loops = std::thread::available_parallelism().map_or(1, |n| (n.get() / 2).clamp(1, 4));
         let mut reactors = Vec::with_capacity(loops);
         for i in 0..loops {
-            reactors.push(Reactor::start(&format!("net.server.loop{i}"), SERVER_TICK)?);
+            reactors.push(Reactor::start(&format!("net.server.loop{i}"))?);
         }
         let shared = Arc::new(ServerShared {
             broker,
@@ -379,11 +301,13 @@ impl BrokerServer {
             if let Some(s) = pass_shared.upgrade() {
                 drain_ready(&s);
             }
+            None
         }));
         shared.reactors[0].register(Arc::new(ListenerSource {
             listener,
             shared: Arc::downgrade(&shared),
             accepts: obs::counter("net.server.accepts_total"),
+            paused_until: Mutex::new(None),
         }));
         // The guard lives in BrokerServer (not ServerShared), so the
         // registry's strong reference to the closure cannot keep the server
@@ -498,6 +422,8 @@ struct ListenerSource {
     listener: TcpListener,
     shared: Weak<ServerShared>,
     accepts: Arc<obs::Counter>,
+    /// Set by an accept error: the listener leaves the poll set until then.
+    paused_until: Mutex<Option<Instant>>,
 }
 
 impl EventSource for ListenerSource {
@@ -506,7 +432,16 @@ impl EventSource for ListenerSource {
     }
 
     fn interest(&self) -> u8 {
-        INTEREST_READ
+        self.paused_until.lock().map_or(INTEREST_READ, |_| 0)
+    }
+
+    fn deadline(&self) -> Option<Duration> {
+        (*self.paused_until.lock()).map(|at| at.saturating_duration_since(Instant::now()))
+    }
+
+    fn on_deadline(&self) -> Ready {
+        *self.paused_until.lock() = None;
+        Ready::Continue
     }
 
     fn ready(&self, _readable: bool, _writable: bool) -> Ready {
@@ -527,10 +462,11 @@ impl EventSource for ListenerSource {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(_) => {
-                    // A persistent accept error (e.g. EMFILE) must not
-                    // busy-spin the loop: level-triggered poll would
-                    // re-fire immediately, so pace the retries.
-                    std::thread::sleep(Duration::from_millis(10));
+                    // A persistent accept error (e.g. EMFILE) must neither
+                    // busy-spin the loop (level-triggered poll re-fires at
+                    // once) nor stall its other connections: the listener
+                    // sits out 10 ms, and only it.
+                    *self.paused_until.lock() = Some(Instant::now() + Duration::from_millis(10));
                     break;
                 }
             }
@@ -555,14 +491,10 @@ fn accept_conn(shared: &Arc<ServerShared>, stream: TcpStream) {
         id,
         stream,
         writer: Mutex::new(WriteState::new(writer)),
-        out: Mutex::new(OutBuf::default()),
-        spare: Mutex::new(Vec::new()),
+        tx: TxQueue::new("net.server.bytes_out"),
         subs: Mutex::new(HashMap::new()),
         dead: AtomicBool::new(false),
-        want_write: AtomicBool::new(false),
         reactor: Arc::downgrade(reactor),
-        bytes_out: obs::counter("net.server.bytes_out"),
-        tx: TxObs::new(),
     });
     {
         let mut conns = shared.conns.lock();
@@ -646,7 +578,7 @@ impl ConnSource {
                 // for syscall count. A bounded flush keeps the amortization
                 // (dozens of frames per write) without the head-of-burst
                 // replies waiting on the tail's execution.
-                if self.conn.out.lock().frames >= MAX_COALESCED_FRAMES {
+                if self.conn.tx.out.lock().frames >= MAX_COALESCED_FRAMES {
                     self.conn.flush_out();
                 }
                 next = match frames.take_buffered() {
@@ -673,7 +605,7 @@ impl EventSource for ConnSource {
 
     fn interest(&self) -> u8 {
         let mut interest = INTEREST_READ;
-        if self.conn.want_write.load(Ordering::Acquire) {
+        if self.conn.tx.want_write.load(Ordering::Acquire) {
             interest |= INTEREST_WRITE;
         }
         interest

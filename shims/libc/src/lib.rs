@@ -12,8 +12,8 @@
 //! * [`poll`] passes a valid `&mut [pollfd]` pointer/length pair; the
 //!   kernel only writes `revents` within that range. A slice entry holding
 //!   a closed or bogus fd is reported via `POLLNVAL`, never UB.
-//! * [`raise_nofile_limit`] / [`nofile_limit`] pass pointers to local
-//!   `rlimit` values the kernel fills or reads in place.
+//! * [`raise_nofile_limit`] / [`set_nofile_limit`] / [`nofile_limit`] pass
+//!   pointers to local `rlimit` values the kernel fills or reads in place.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -144,6 +144,22 @@ pub fn raise_nofile_limit(target: u64) -> io::Result<u64> {
         return Err(io::Error::last_os_error());
     }
     Ok(want)
+}
+
+/// Sets the soft open-fd limit to `soft`, clamped to the hard limit.
+/// Lowering it is how a process exhausts its descriptors cheaply (the next
+/// `open`, `socket` or `accept` fails with `EMFILE`).
+pub fn set_nofile_limit(soft: u64) -> io::Result<()> {
+    let (_, hard) = nofile_limit()?;
+    let lim = rlimit {
+        rlim_cur: soft.min(hard),
+        rlim_max: hard,
+    };
+    // SAFETY: passes a valid pointer to a fully initialized local.
+    if unsafe { ffi::setrlimit(RLIMIT_NOFILE, &lim) } != 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
 }
 
 #[cfg(test)]

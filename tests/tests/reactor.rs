@@ -26,6 +26,10 @@ fn connection_churn_leaks_no_fds_or_registrations() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let server = BrokerServer::bind("127.0.0.1:0", MessageBroker::new()).expect("bind server");
     let addr = server.local_addr();
+    // The listener alone. Read before any connection: a torn-down
+    // connection leaves `live_connections` a moment before its loop drops
+    // the registration, so a count read after the warmup could include it.
+    let reg_baseline = server.reactor_registrations();
 
     // Warm up the process-wide client runtime (reactor thread, wake pipe,
     // dialer pool) so its long-lived fds are part of the baseline, then
@@ -39,9 +43,12 @@ fn connection_churn_leaks_no_fds_or_registrations() {
     wait_until(
         "warmup connection to unwind from both reactors",
         Duration::from_secs(10),
-        || server.live_connections() == 0 && client_reactor_registrations() == 0,
+        || {
+            server.live_connections() == 0
+                && server.reactor_registrations() == reg_baseline
+                && client_reactor_registrations() == 0
+        },
     );
-    let reg_baseline = server.reactor_registrations();
     let fd_baseline = open_fds();
 
     // 1000 short-lived clients, 20 at a time: connect, one real RPC, drop.
