@@ -23,6 +23,11 @@
 //! Results land in a slot table indexed by task order, so reports list
 //! chunks in input order no matter how the workers interleave.
 //!
+//! [`IngestPipeline::reindex`] is the index stage for a new version of a
+//! file whose previous version is indexed already: a chunk at the same
+//! offset, of the same length and with the same bytes (one `memcmp`)
+//! keeps its id, and only the others are hashed.
+//!
 //! The input is [`Bytes`] end to end: each task takes a zero-copy
 //! `data.slice(span)` window, and with compression disabled that same
 //! window *is* the stored payload — no byte is copied between the
@@ -66,17 +71,58 @@ pub struct IndexedChunk {
 
 /// A file after the index stage: its bytes, held by handle, and the
 /// fingerprinted chunks that partition them. Input to
-/// [`IngestPipeline::pack`].
+/// [`IngestPipeline::pack`] and, as the previous version, to
+/// [`IngestPipeline::reindex`].
 #[derive(Debug)]
 pub struct FileIndex {
     data: Bytes,
     chunks: Vec<IndexedChunk>,
+    /// How many of `chunks` were fingerprinted to make this index.
+    hashed: usize,
 }
 
 impl FileIndex {
+    /// An index whose ids are already known: `chunks` lists each chunk's
+    /// id and length in file order. The caller vouches that every id is
+    /// the fingerprint of its span of `data`; nothing is hashed.
+    pub fn known(data: Bytes, chunks: &[(ChunkId, usize)]) -> Self {
+        let mut offset = 0;
+        let chunks = chunks
+            .iter()
+            .map(|&(id, len)| {
+                let chunk = IndexedChunk { offset, len, id };
+                offset += len;
+                chunk
+            })
+            .collect();
+        FileIndex {
+            data,
+            chunks,
+            hashed: 0,
+        }
+    }
+
     /// Chunks in input order.
     pub fn chunks(&self) -> &[IndexedChunk] {
         &self.chunks
+    }
+
+    /// How many chunks were fingerprinted to make this index; the others
+    /// took the id of a byte-identical chunk of the previous version.
+    pub fn hashed(&self) -> usize {
+        self.hashed
+    }
+
+    /// The id of this index's chunk at exactly `offset`, if it has the
+    /// length and the bytes of `bytes`.
+    fn id_of(&self, offset: usize, bytes: &[u8]) -> Option<ChunkId> {
+        let i = self
+            .chunks
+            .binary_search_by_key(&offset, |chunk| chunk.offset)
+            .ok()?;
+        let chunk = &self.chunks[i];
+        let held = self.data.get(offset..offset.checked_add(chunk.len)?)?;
+        (held == bytes).then_some(chunk.id)
     }
 
     /// Zero-copy window of chunk `i`.
@@ -197,6 +243,19 @@ impl IngestPipeline {
     /// The index stage: chunk boundaries and one fingerprint per chunk.
     /// Nothing is compressed and nothing is copied.
     pub fn index(&self, data: Bytes) -> FileIndex {
+        self.index_over(data, None)
+    }
+
+    /// The index stage for a new version of a file: a chunk at the same
+    /// offset, of the same length and with the same bytes as one of
+    /// `previous` takes that chunk's id, and only the rest is hashed. The
+    /// result is the one [`IngestPipeline::index`] returns, as long as
+    /// `previous`'s ids are right.
+    pub fn reindex(&self, data: Bytes, previous: FileIndex) -> FileIndex {
+        self.index_over(data, Some(previous))
+    }
+
+    fn index_over(&self, data: Bytes, previous: Option<FileIndex>) -> FileIndex {
         let chunk_started = Instant::now();
         let spans = self.chunker.chunk(&data);
         self.metrics.chunk_seconds.record(chunk_started.elapsed());
@@ -214,12 +273,20 @@ impl IngestPipeline {
             let fingerprint = self.config.fingerprint;
             let hash_seconds = Arc::clone(&self.metrics.hash_seconds);
             self.map_tasks(n, move |i| {
+                let bytes = &data[spans[i].range()];
+                let kept = previous
+                    .as_ref()
+                    .and_then(|p| p.id_of(spans[i].offset, bytes));
+                if let Some(id) = kept {
+                    return (id, false);
+                }
                 let hash_started = Instant::now();
-                let id = fingerprint.of_parallel(&data[spans[i].range()], hash_workers);
+                let id = fingerprint.of_parallel(bytes, hash_workers);
                 hash_seconds.record(hash_started.elapsed());
-                id
+                (id, true)
             })
         };
+        let hashed = ids.iter().filter(|(_, hashed)| *hashed).count();
 
         self.metrics.bytes_total.add(data.len() as u64);
         self.metrics.chunks_total.add(n as u64);
@@ -227,13 +294,17 @@ impl IngestPipeline {
         let chunks = spans
             .iter()
             .zip(ids)
-            .map(|(span, id)| IndexedChunk {
+            .map(|(span, (id, _))| IndexedChunk {
                 offset: span.offset,
                 len: span.len,
                 id,
             })
             .collect();
-        FileIndex { data, chunks }
+        FileIndex {
+            data,
+            chunks,
+            hashed,
+        }
     }
 
     /// The pack stage: the stored payload of each chunk named in `which`
@@ -768,6 +839,69 @@ mod tests {
             );
         }
         assert!(p.pack(&index, &[]).is_empty());
+    }
+
+    /// `v1` changed by one of the edits a file sees: an append, a
+    /// same-length rewrite of a few bytes, a truncation, a prefix, none.
+    fn edited(v1: &[u8], edit: u8, at: usize, seed: u64) -> Vec<u8> {
+        let at = at % (v1.len() + 1);
+        let mut v2 = v1.to_vec();
+        match edit % 5 {
+            0 => v2.extend_from_slice(&random_bytes(at % 9_000 + 1, seed)),
+            1 if !v2.is_empty() => {
+                let end = (at + 3).min(v2.len());
+                let start = end.saturating_sub(3);
+                for byte in &mut v2[start..end] {
+                    *byte ^= 0x5a;
+                }
+            }
+            2 => v2.truncate(at),
+            3 => v2
+                .splice(0..0, random_bytes(at % 5_000 + 1, seed))
+                .for_each(drop),
+            _ => {}
+        }
+        v2
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_reindex_is_index_and_hashes_only_what_changed(
+            len in 0usize..40_000,
+            seed in any::<u64>(),
+            edit in any::<u8>(),
+            at in any::<usize>(),
+            cdc in any::<bool>(),
+        ) {
+            let chunker: Arc<dyn Chunker + Send + Sync> = if cdc {
+                Arc::new(ContentDefinedChunker::test_scale())
+            } else {
+                Arc::new(FixedChunker::new(4096))
+            };
+            let p = IngestPipeline::new(
+                chunker,
+                PipelineConfig { workers: 2, fingerprint: Fingerprint::FastHash, compression: None },
+            );
+            let v1 = Bytes::from(random_bytes(len, seed));
+            let v2 = Bytes::from(edited(&v1, edit, at, !seed));
+            let old = p.index(v1.clone());
+            // The previous version as a caller that kept only its ids has it.
+            let ids: Vec<(ChunkId, usize)> = old.chunks().iter().map(|c| (c.id, c.len)).collect();
+            let previous = FileIndex::known(v1.clone(), &ids);
+            prop_assert_eq!(previous.hashed(), 0);
+            let unchanged = |c: &IndexedChunk| {
+                old.chunks().iter().any(|old| {
+                    (old.offset, old.len) == (c.offset, c.len)
+                        && v1[old.offset..old.offset + old.len] == v2[c.offset..c.offset + c.len]
+                })
+            };
+            let fresh = p.index(v2.clone());
+            let changed = fresh.chunks().iter().filter(|c| !unchanged(c)).count();
+            let index = p.reindex(v2.clone(), previous);
+            prop_assert_eq!(index.chunks(), fresh.chunks());
+            prop_assert_eq!(index.hashed(), changed);
+        }
     }
 
     proptest! {

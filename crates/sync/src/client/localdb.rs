@@ -4,8 +4,13 @@
 //! every live entry, where in the local folder a copy of it sits.
 //!
 //! The index is a hint, not a promise: the folder can be rewritten
-//! between the moment a location is recorded and the moment it is read,
-//! so whoever takes bytes from a location fingerprints them again.
+//! between the moment a location is recorded and the moment it is read.
+//! So every entry also records the stamp of the folder version its chunk
+//! ids were computed from or verified against ([`super::VirtualFs`]
+//! stamps each write once). While the folder still holds the version with
+//! that stamp, each span of it hashes to its id and is not hashed again;
+//! bytes under any other stamp are fingerprinted again before anyone
+//! trusts them.
 
 use content::ChunkId;
 use std::collections::{BTreeMap, HashMap};
@@ -24,6 +29,9 @@ pub struct FileEntry {
     pub size: u64,
     /// Whether the entry is a deletion tombstone.
     pub deleted: bool,
+    /// Stamp of the folder version `chunks` were computed from or checked
+    /// against; `None` for a tombstone.
+    pub stamp: Option<u64>,
 }
 
 /// Where a copy of a chunk sits in the local folder.
@@ -35,6 +43,9 @@ pub struct ChunkLocation {
     pub offset: usize,
     /// Chunk length in bytes.
     pub len: usize,
+    /// Stamp of the folder version the chunk was recorded from: while the
+    /// file at `path` carries it, the span holds the chunk.
+    pub stamp: Option<u64>,
 }
 
 /// The local database of a desktop client.
@@ -69,6 +80,7 @@ impl LocalDb {
                     path: path.to_string(),
                     offset,
                     len,
+                    stamp: entry.stamp,
                 };
                 offset += len;
                 (id, location)
@@ -107,7 +119,9 @@ impl LocalDb {
     }
 
     /// Where the local folder held a copy of the chunk when it was last
-    /// indexed. The caller must fingerprint what it finds there.
+    /// indexed. What the folder holds there now is the chunk if the file
+    /// still carries the location's stamp; otherwise the caller must
+    /// fingerprint it.
     pub fn locate(&self, id: &ChunkId) -> Option<&ChunkLocation> {
         self.locations.get(id)
     }
@@ -124,6 +138,7 @@ mod tests {
             chunks: vec![],
             size: 0,
             deleted: false,
+            stamp: None,
         }
     }
 
@@ -155,15 +170,17 @@ mod tests {
         FileEntry {
             chunks: chunks.to_vec(),
             size: chunks.iter().map(|(_, len)| *len as u64).sum(),
+            stamp: Some(v),
             ..entry(v)
         }
     }
 
-    fn at(path: &str, offset: usize, len: usize) -> ChunkLocation {
+    fn at(path: &str, offset: usize, len: usize, stamp: u64) -> ChunkLocation {
         ChunkLocation {
             path: path.to_string(),
             offset,
             len,
+            stamp: Some(stamp),
         }
     }
 
@@ -173,14 +190,14 @@ mod tests {
         let (a, b, c) = (ChunkId::of(b"a"), ChunkId::of(b"b"), ChunkId::of(b"c"));
         assert_eq!(db.locate(&a), None);
         db.upsert("f", with_chunks(1, &[(a, 10), (b, 20)]));
-        assert_eq!(db.locate(&a), Some(&at("f", 0, 10)));
-        assert_eq!(db.locate(&b), Some(&at("f", 10, 20)));
+        assert_eq!(db.locate(&a), Some(&at("f", 0, 10, 1)));
+        assert_eq!(db.locate(&b), Some(&at("f", 10, 20, 1)));
 
         // The next version keeps `b` (at a new offset), drops `a`.
         db.upsert("f", with_chunks(2, &[(c, 5), (b, 20)]));
         assert_eq!(db.locate(&a), None);
-        assert_eq!(db.locate(&c), Some(&at("f", 0, 5)));
-        assert_eq!(db.locate(&b), Some(&at("f", 5, 20)));
+        assert_eq!(db.locate(&c), Some(&at("f", 0, 5, 2)));
+        assert_eq!(db.locate(&b), Some(&at("f", 5, 20, 2)));
 
         // A tombstone has no chunks; forgetting drops them too.
         db.upsert("g", with_chunks(1, &[(a, 10)]));
@@ -212,7 +229,7 @@ mod tests {
                 ..entry(2)
             },
         );
-        assert_eq!(db.locate(&a), Some(&at("new", 0, 10)));
+        assert_eq!(db.locate(&a), Some(&at("new", 0, 10, 1)));
     }
 
     #[test]

@@ -9,14 +9,33 @@
 //! copy of it, and keeps it after the path is rewritten — which is how
 //! the indexer and the folder share one buffer, and how the previous
 //! version of a file stays readable while the next one is assembled.
+//!
+//! Every write is stamped with a counter of the folder's own. A stamp
+//! names one immutable buffer, so whoever recorded what a version's
+//! chunks are (the local database) can tell, by comparing stamps, whether
+//! the folder still holds that very version, without reading it.
 
 use bytes::Bytes;
 use std::collections::BTreeMap;
 
+/// One version of a file: its bytes and the stamp of the write that put
+/// them in the folder.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Stamped {
+    /// The file's contents.
+    pub bytes: Bytes,
+    /// Which write of this folder made them: a counter starting at 1,
+    /// never handed out twice. [`Bytes`] are immutable, so two reads with
+    /// the same stamp saw the same bytes.
+    pub stamp: u64,
+}
+
 /// An in-memory folder: path → contents.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct VirtualFs {
-    files: BTreeMap<String, Bytes>,
+    files: BTreeMap<String, Stamped>,
+    /// The stamp of the latest write.
+    stamp: u64,
 }
 
 impl VirtualFs {
@@ -25,19 +44,30 @@ impl VirtualFs {
         Self::default()
     }
 
-    /// Writes (creates or replaces) a file.
-    pub fn write(&mut self, path: &str, contents: Bytes) {
-        self.files.insert(path.to_string(), contents);
+    /// Writes (creates or replaces) a file. Returns the stamp of this
+    /// write and the version it replaced, if any.
+    pub fn write(&mut self, path: &str, contents: Bytes) -> (u64, Option<Stamped>) {
+        self.stamp += 1;
+        let version = Stamped {
+            bytes: contents,
+            stamp: self.stamp,
+        };
+        (self.stamp, self.files.insert(path.to_string(), version))
     }
 
     /// Reads a file: a handle to its current contents, cheap to clone.
     pub fn read(&self, path: &str) -> Option<&Bytes> {
+        self.files.get(path).map(|version| &version.bytes)
+    }
+
+    /// Reads a file together with the stamp of the write that made it.
+    pub fn read_stamped(&self, path: &str) -> Option<&Stamped> {
         self.files.get(path)
     }
 
     /// Removes a file; returns its contents if it existed.
     pub fn remove(&mut self, path: &str) -> Option<Bytes> {
-        self.files.remove(path)
+        self.files.remove(path).map(|version| version.bytes)
     }
 
     /// Whether the path exists.
@@ -62,7 +92,7 @@ impl VirtualFs {
 
     /// Total bytes stored.
     pub fn total_size(&self) -> u64 {
-        self.files.values().map(|v| v.len() as u64).sum()
+        self.files.values().map(|v| v.bytes.len() as u64).sum()
     }
 }
 
@@ -100,6 +130,25 @@ mod tests {
         fs.write("x", Bytes::from(vec![3]));
         assert_eq!(old, &[1u8, 2]);
         assert_eq!(fs.read("x").unwrap(), &[3u8]);
+    }
+
+    #[test]
+    fn every_write_gets_a_new_stamp_and_returns_the_version_it_replaced() {
+        let mut fs = VirtualFs::new();
+        let (first, replaced) = fs.write("x", Bytes::from(vec![1]));
+        assert_eq!(replaced, None);
+        let (second, replaced) = fs.write("x", Bytes::from(vec![1]));
+        assert!(second > first, "the same bytes, another write");
+        assert_eq!(replaced.map(|v| v.stamp), Some(first));
+        let (other, _) = fs.write("y", Bytes::new());
+        assert!(other > second);
+        fs.remove("x");
+        let (again, replaced) = fs.write("x", Bytes::from(vec![1]));
+        assert!(
+            again > other && replaced.is_none(),
+            "a stamp is never reused"
+        );
+        assert_eq!(fs.read_stamped("x").map(|v| v.stamp), Some(again));
     }
 
     #[test]

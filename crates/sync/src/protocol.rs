@@ -200,7 +200,7 @@ impl CommitNotification {
     /// Encoded size under the default binary transport — used for control
     /// traffic accounting.
     pub fn encoded_size(&self) -> usize {
-        wire::encoded_len(&wire::BinaryCodec, &self.to_value())
+        wire::Codec::encoded_len(&wire::BinaryCodec, &self.to_value())
     }
 }
 

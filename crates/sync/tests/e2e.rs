@@ -506,6 +506,60 @@ fn rename_costs_metadata_only_and_propagates() {
 }
 
 #[test]
+fn renaming_a_file_onto_itself_changes_nothing_anywhere() {
+    let s = stack();
+    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
+    let a =
+        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "laptop"), &ws).unwrap();
+    let b =
+        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "phone"), &ws).unwrap();
+    let payload = noise(9_000, 3);
+    a.write_file("same.bin", payload.clone()).unwrap();
+    assert!(b.wait_for_content("same.bin", &payload, T));
+    assert!(a.wait(T, || s.service.commits_processed() == 1));
+    let token = s.store.authenticate("alice", "pw-alice").unwrap();
+    let chunks = || {
+        s.store
+            .dedup_stats(&token, "alice", "alice-chunks")
+            .unwrap()
+    };
+    let (live, sent) = (chunks().live_chunks, a.stats().control_sent_bytes());
+
+    a.rename_file("same.bin", "same.bin").unwrap();
+    assert_eq!(a.stats().control_sent_bytes(), sent, "no commit was sent");
+    // The laptop's commits reach the service in the order it sent them,
+    // so once a later one is applied, any from the rename would be too.
+    a.write_file("marker.txt", b"after".to_vec()).unwrap();
+    assert!(b.wait_for_content("marker.txt", b"after", T));
+    assert_eq!(
+        s.service.commits_processed(),
+        2,
+        "the marker's, and no other"
+    );
+    for device in [&a, &b] {
+        assert_eq!(
+            device.read_file("same.bin").unwrap(),
+            payload,
+            "{}",
+            device.device()
+        );
+        assert_eq!(
+            device.file_version("same.bin"),
+            Some(1),
+            "{}",
+            device.device()
+        );
+    }
+    assert_eq!(
+        chunks().live_chunks,
+        live + 1,
+        "the file's chunks and the marker's"
+    );
+    assert_eq!(chunks().orphan_chunks, 0);
+    assert!(a.rename_file("ghost.bin", "ghost.bin").is_err());
+}
+
+#[test]
 fn fasthash_pipeline_full_sync_roundtrip() {
     // Two devices running the parallel ingest pipeline with the FastHash
     // fingerprint and content-defined chunking: content must round-trip
@@ -660,6 +714,67 @@ fn append_only_update_moves_only_the_new_chunks() {
             .find_map(|line| line.strip_prefix(name)?.trim().parse::<f64>().ok());
         assert!(value.is_some_and(|v| v >= 2.0), "{name}: {value:?}");
     }
+}
+
+#[test]
+fn an_append_update_fingerprints_only_the_chunks_that_changed() {
+    use content::chunker::{Chunker, ContentDefinedChunker, FixedChunker};
+
+    type Case = (Box<dyn Chunker>, fn(ClientConfig) -> ClientConfig);
+    let cases: [Case; 2] = [
+        (Box::new(FixedChunker::new(4096)), |c| {
+            c.with_chunk_size(4096)
+        }),
+        (
+            Box::new(ContentDefinedChunker::new(1024, 8192, 11, 48)),
+            |c| c.with_cdc(1024, 8192, 11, 48),
+        ),
+    ];
+    for (chunker, configure) in cases {
+        let s = stack();
+        let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
+        let cfg = |device: &str| configure(ClientConfig::new("alice", device));
+        let a = DesktopClient::connect(&s.broker, &s.store, cfg("laptop"), &ws).unwrap();
+        let b = DesktopClient::connect(&s.broker, &s.store, cfg("phone"), &ws).unwrap();
+        let name = chunker.name();
+
+        let v1 = noise(40_000, 5);
+        let n = chunker.chunk(&v1).len() as u64;
+        a.write_file("log.bin", v1.clone()).unwrap();
+        assert!(b.wait_for_content("log.bin", &v1, T));
+        // An ADD hashes every chunk on the writer and verifies every
+        // download on the watcher.
+        assert_eq!(a.stats().fingerprints(), n, "{name}");
+        assert_eq!(b.stats().fingerprints(), n, "{name}");
+
+        let mut v2 = v1.clone();
+        v2.extend_from_slice(&noise(3_000, 6));
+        a.write_file("log.bin", v2.clone()).unwrap();
+        assert!(b.wait_for_content("log.bin", &v2, T));
+        let old = chunker.chunk(&v1);
+        let changed = chunker
+            .chunk(&v2)
+            .iter()
+            .filter(|span| !old.contains(span))
+            .count() as u64;
+        assert!(changed >= 1 && changed < n, "{name}: {changed} of {n}");
+        assert_eq!(a.stats().fingerprints() - n, changed, "{name}: the writer");
+        let downloaded = b.stats().chunks_downloaded() - n;
+        assert_eq!(downloaded, changed, "{name}");
+        assert_eq!(
+            b.stats().fingerprints() - n,
+            downloaded,
+            "{name}: the watcher"
+        );
+    }
+    let exported = obs::render_text();
+    let value = exported.lines().find_map(|line| {
+        line.strip_prefix("sync_client_fingerprints_total")?
+            .trim()
+            .parse::<f64>()
+            .ok()
+    });
+    assert!(value.is_some_and(|v| v >= 4.0), "{value:?}");
 }
 
 #[test]

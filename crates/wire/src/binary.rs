@@ -35,6 +35,11 @@ impl Codec for BinaryCodec {
         Ok(value)
     }
 
+    /// Counts the bytes the encoding would take, writing none.
+    fn encoded_len(&self, value: &Value) -> usize {
+        value_len(value)
+    }
+
     fn name(&self) -> &'static str {
         "binary"
     }
@@ -84,6 +89,39 @@ fn write_value(out: &mut Vec<u8>, value: &Value) {
             }
         }
     }
+}
+
+/// Bytes [`write_value`] writes for `value`: its tag, then as
+/// [`write_value`] lays it out.
+fn value_len(value: &Value) -> usize {
+    1 + match value {
+        Value::Null | Value::Bool(_) => 0,
+        Value::I64(v) => varint_len(zigzag(*v)),
+        Value::U64(v) => varint_len(*v),
+        Value::F64(_) => 8,
+        Value::Str(s) => prefixed_len(s.len()),
+        Value::Bytes(b) => prefixed_len(b.len()),
+        Value::List(items) => {
+            varint_len(items.len() as u64) + items.iter().map(value_len).sum::<usize>()
+        }
+        Value::Map(entries) => {
+            varint_len(entries.len() as u64)
+                + entries
+                    .iter()
+                    .map(|(key, item)| prefixed_len(key.len()) + value_len(item))
+                    .sum::<usize>()
+        }
+    }
+}
+
+/// Bytes of `len` bytes behind their varint length prefix.
+fn prefixed_len(len: usize) -> usize {
+    varint_len(len as u64) + len
+}
+
+/// Bytes [`write_varint`] writes for `v`: one per started 7 bits.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 struct Reader<'a> {
@@ -445,9 +483,17 @@ mod tests {
         }
 
         #[test]
+        fn prop_encoded_len_is_the_length_of_the_encoding(v in arb_value()) {
+            for codec in [&BinaryCodec as &dyn Codec, &crate::JsonCodec] {
+                prop_assert_eq!(codec.encoded_len(&v), codec.encode(&v).len(), "{}", codec.name());
+            }
+        }
+
+        #[test]
         fn prop_varint_roundtrip(v in any::<u64>()) {
             let mut out = Vec::new();
             write_varint(&mut out, v);
+            prop_assert_eq!(varint_len(v), out.len());
             let mut r = Reader { bytes: &out, pos: 0 };
             prop_assert_eq!(read_varint(&mut r).unwrap(), v);
             prop_assert_eq!(r.pos, out.len());

@@ -39,7 +39,7 @@ mod value;
 pub use binary::BinaryCodec;
 pub use error::{WireError, WireResult};
 pub use json::JsonCodec;
-pub use pool::{encode_pooled, encode_to_bytes, encoded_len, BufPool};
+pub use pool::{encode_pooled, encode_to_bytes, BufPool};
 pub use value::{FromValue, ToValue, Value};
 
 /// How many lists and maps a decoder lets enclose one value; deeper input is
@@ -79,6 +79,17 @@ pub trait Codec: Send + Sync {
     ///
     /// Returns a [`WireError`] when the input is truncated or malformed.
     fn decode(&self, bytes: &[u8]) -> WireResult<Value>;
+
+    /// Byte length of `value`'s encoding: `encode(value).len()`, always.
+    ///
+    /// The default encodes into a pooled buffer and measures it; a codec
+    /// that can count without writing overrides it.
+    fn encoded_len(&self, value: &Value) -> usize {
+        BufPool::with(|buf| {
+            self.encode_into(value, buf);
+            buf.len()
+        })
+    }
 
     /// Short name for diagnostics (`"binary"`, `"json"`).
     fn name(&self) -> &'static str;

@@ -3,8 +3,8 @@
 //! Every hot-path serialization used to pay a fresh `Vec` allocation (plus
 //! its growth reallocations) per message. [`BufPool`] keeps a small stack of
 //! warmed-up buffers per thread so repeated encodes reuse capacity; the
-//! convenience wrappers [`encode_pooled`], [`encode_to_bytes`] and
-//! [`encoded_len`] cover the common shapes.
+//! convenience wrappers [`encode_pooled`] and [`encode_to_bytes`] cover
+//! the common shapes.
 //!
 //! Buffers handed to the closure are always empty (`len == 0`) but carry
 //! whatever capacity previous encodes grew them to. Oversized buffers are
@@ -83,14 +83,6 @@ pub fn encode_to_bytes(codec: &dyn Codec, value: &Value) -> Bytes {
     encode_pooled(codec, value, Bytes::copy_from_slice)
 }
 
-/// Byte length of `value`'s encoding, without keeping the bytes.
-///
-/// Used by size-estimation paths (batching heuristics, chunk planning) that
-/// previously allocated a throwaway `Vec` just to read its `len()`.
-pub fn encoded_len(codec: &dyn Codec, value: &Value) -> usize {
-    encode_pooled(codec, value, <[u8]>::len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,7 +107,7 @@ mod tests {
             let fresh = codec.encode(&v);
             let pooled = encode_pooled(codec, &v, <[u8]>::to_vec);
             assert_eq!(fresh, pooled, "codec {}", codec.name());
-            assert_eq!(encoded_len(codec, &v), fresh.len());
+            assert_eq!(codec.encoded_len(&v), fresh.len());
             assert_eq!(encode_to_bytes(codec, &v).as_ref(), fresh.as_slice());
         }
     }
