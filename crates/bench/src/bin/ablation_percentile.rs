@@ -24,7 +24,8 @@ fn main() {
             duration_minutes: 12 * 60, // trough→peak half day
             start_minute: 4 * 60,
             ..Day8Config::default()
-        });
+        })
+        .expect("the half day fits the day");
         println!(
             "{:>10.2} {:>11.2}% {:>14} {:>14} {:>9.1}%",
             percentile,

@@ -31,7 +31,10 @@ fn main() {
         duration_minutes: duration,
         ..Day8Config::default()
     };
-    let summary = run_day8(&config);
+    let summary = run_day8(&config).unwrap_or_else(|e| {
+        eprintln!("fig8ab: {e}");
+        std::process::exit(2)
+    });
 
     // Optional per-minute CSV for plotting (--csv <path>).
     if let Some(path) = arg_value("--csv") {

@@ -33,7 +33,10 @@ fn main() {
     };
 
     header("Fig 8(c): expected (mispredicted) vs observed arrivals");
-    let fooled = run_day8(&base);
+    let fooled = run_day8(&base).unwrap_or_else(|e| {
+        eprintln!("fig8cde: {e}");
+        std::process::exit(2)
+    });
     println!(
         "{:>6} {:>12} {:>12} {:>6}",
         "minute", "observed/min", "expected/min", "inst"
@@ -72,14 +75,17 @@ fn main() {
     );
 
     // Ablation: what if only the (fooled) predictive policy ran?
+    // Same window as `fooled`, which already ran: these cannot fail.
     let pred_only = run_day8(&Day8Config {
         policy: ScalingPolicy::Predictive,
         ..base.clone()
-    });
+    })
+    .expect("the window fits the day");
     let accurate = run_day8(&Day8Config {
         mispredict_shift_hours: None,
         ..base
-    });
+    })
+    .expect("the window fits the day");
     header("comparison");
     println!(
         "accurate prediction:            {:>6.2}% SLA violations",

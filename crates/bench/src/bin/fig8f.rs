@@ -5,17 +5,15 @@
 //! requests arriving while the instance was up vs down.
 
 use bench::header;
-use elastic::experiment::{run_fault_tolerance, FaultConfig};
+use elastic::experiment::{run_fault_tolerance, CRASH_PERIOD, DOWNTIME, FAULT_MINUTES};
 use elastic::BoxplotStats;
 
 fn main() {
     header("Fig 8(f): response times under a 30-second crash loop");
-    let config = FaultConfig::default();
     println!(
-        "window: first {} min of day 8 | crash every {:.0} s | outage {:.1} s",
-        config.duration_minutes, config.crash_period, config.downtime
+        "window: first {FAULT_MINUTES} min of day 8 | crash every {CRASH_PERIOD:.0} s | outage {DOWNTIME:.1} s"
     );
-    let summary = run_fault_tolerance(&config);
+    let summary = run_fault_tolerance();
 
     println!(
         "\noffered {} requests, completed {} (loss = {})",

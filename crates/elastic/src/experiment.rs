@@ -1,12 +1,44 @@
 //! Drivers for the paper's auto-scaling experiments (Fig. 8).
+//!
+//! The simulated day is the live replay ([`crate::live`]) at compression
+//! 1.0: both drivers cut their window out of the same
+//! [`workload::ArrivalSchedule`] with [`day_window`], draw their arrivals
+//! from [`workload::poisson_arrivals`], and run the policy that
+//! [`autoscaler`] trains. The time-compression factor is the only parameter
+//! between the two.
 
-use crate::sim::{poisson_arrivals, Completion, PoolSim, PoolSimConfig, ServiceTimeDist};
+use crate::sim::{Completion, PoolSim, PoolSimConfig, ServiceTimeDist};
 use crate::stats::BoxplotStats;
 use objectmq::provision::{
-    AutoScaler, GgOneModel, PredictiveProvisioner, Provisioner, ReactiveProvisioner, ScalingPolicy,
+    AutoScaler, Decision, GgOneModel, PredictiveProvisioner, Provisioner, ReactiveProvisioner,
+    ScalingPolicy, PREDICTIVE_PERIOD,
 };
-use std::time::Duration;
-use workload::{Ub1Config, Ub1Trace};
+use workload::ub1::MINUTES_PER_DAY;
+use workload::{poisson_arrivals, ArrivalSchedule, Ub1Config, Ub1Trace};
+
+/// The trace day both Fig. 8 drivers replay (index 7: the paper's day 8).
+pub const DAY: usize = 7;
+/// Days `0..TRAIN_DAYS` are the predictive provisioner's history.
+pub const TRAIN_DAYS: usize = 7;
+/// Width of a predictor slot in trace minutes: the predictive period.
+pub const SLOT_MINUTES: usize = (PREDICTIVE_PERIOD.as_secs() / 60) as usize;
+/// Percentile of a slot's history that the predictor provisions for.
+pub const PERCENTILE: f64 = 0.95;
+/// Response-time SLA `d` of the simulated day, seconds (paper: 450 ms).
+pub const SLA: f64 = 0.450;
+
+/// Fig. 8(f) window: the first minutes of day 8.
+pub const FAULT_MINUTES: usize = 10;
+/// Fig. 8(f) crash period, seconds (paper: every 30 seconds).
+pub const CRASH_PERIOD: f64 = 30.0;
+/// Fig. 8(f) outage per crash, seconds: supervisor detection (≤1 s) plus
+/// respawn.
+pub const DOWNTIME: f64 = 1.5;
+/// Fig. 8(f) arrival-rate cap, so that one instance suffices (the paper
+/// chose a window that "requires a single instance").
+const FAULT_MAX_RATE_PER_MIN: f64 = 300.0;
+/// Fig. 8(f) simulation seed.
+const FAULT_SEED: u64 = 86;
 
 /// Configuration of a day-8 auto-scaling run (Fig. 8(a)–(e)).
 #[derive(Debug, Clone)]
@@ -15,12 +47,6 @@ pub struct Day8Config {
     pub ub1: Ub1Config,
     /// Which provisioning policies run (the ablation knob).
     pub policy: ScalingPolicy,
-    /// Response-time SLA `d`, seconds (paper: 450 ms).
-    pub sla: f64,
-    /// Predictive period (paper: 15 minutes).
-    pub predictive_period: Duration,
-    /// Reactive period (paper: 5 minutes).
-    pub reactive_period: Duration,
     /// Percentile of the history used as the slot prediction.
     pub percentile: f64,
     /// Fig. 8(c)–(e): shift (hours) applied to the slot the predictive
@@ -39,16 +65,74 @@ impl Default for Day8Config {
         Day8Config {
             ub1: Ub1Config::default(),
             policy: ScalingPolicy::Both,
-            sla: 0.450,
-            predictive_period: Duration::from_secs(900),
-            reactive_period: Duration::from_secs(300),
-            percentile: 0.95,
+            percentile: PERCENTILE,
             mispredict_shift_hours: None,
             start_minute: 0,
-            duration_minutes: 24 * 60,
+            duration_minutes: MINUTES_PER_DAY,
             seed: 8,
         }
     }
+}
+
+/// The replay window of both Fig. 8 drivers: `minutes` trace minutes of
+/// day 8 from `start_minute`, replayed `compression` times faster than
+/// real time.
+///
+/// # Errors
+///
+/// Fails if the window is empty or runs past the end of the day.
+pub fn day_window(
+    trace: &Ub1Trace,
+    start_minute: usize,
+    minutes: usize,
+    compression: f64,
+) -> Result<ArrivalSchedule<'_>, String> {
+    if minutes == 0 || start_minute + minutes > MINUTES_PER_DAY {
+        return Err(format!(
+            "a window of {minutes} minutes from minute {start_minute} must fit in \
+             day 8's {MINUTES_PER_DAY} minutes"
+        ));
+    }
+    Ok(trace
+        .schedule()
+        .day(DAY)
+        .window(start_minute, minutes)
+        .compress(compression))
+}
+
+/// The policy of both Fig. 8 drivers. Trains the predictive provisioner on
+/// the per-slot rates of days `0..TRAIN_DAYS`, compressed like `window`, so
+/// predictions are in the rate unit the driver observes. The returned
+/// scaler runs at the window's compression and starts its slot clock at
+/// the window's start, moved by `shift_secs` (the Fig. 8(c)–(e)
+/// misprediction).
+pub fn autoscaler(
+    trace: &Ub1Trace,
+    window: &ArrivalSchedule<'_>,
+    model: GgOneModel,
+    policy: ScalingPolicy,
+    percentile: f64,
+    shift_secs: f64,
+) -> AutoScaler {
+    let compression = window.compression();
+    let mut predictive = PredictiveProvisioner::new(model.clone(), PREDICTIVE_PERIOD, percentile);
+    for day in 0..TRAIN_DAYS {
+        let history = trace
+            .schedule()
+            .day(day)
+            .slots_of(SLOT_MINUTES)
+            .compress(compression);
+        for slot in history.iter() {
+            predictive.observe(slot.index, slot.rate);
+        }
+    }
+    let offset_secs = window.start_minute() as f64 * 60.0 + shift_secs;
+    AutoScaler::new(
+        predictive,
+        ReactiveProvisioner::paper_defaults(model),
+        policy,
+    )
+    .with_compression(compression, offset_secs)
 }
 
 /// Per-minute series point (the x-axis of every Fig. 8 panel).
@@ -120,57 +204,58 @@ struct MinuteAgg {
 /// `mispredict_shift_hours` is set): trains the predictive provisioner on
 /// a week of synthesized UB1 history, then replays (a window of) day 8
 /// under the configured policies.
-pub fn run_day8(config: &Day8Config) -> SimSummary {
-    let trace = Ub1Trace::synthesize(&config.ub1, 8);
-    let slot_minutes = (config.predictive_period.as_secs() / 60) as usize;
+///
+/// # Errors
+///
+/// Fails if the window does not fit in the day (see [`day_window`]).
+pub fn run_day8(config: &Day8Config) -> Result<SimSummary, String> {
+    replay_day8(config, |_, _| {})
+}
 
-    // Train on days 1..7 (indices 0..7).
+/// [`run_day8`], handing every decision that sets the pool target to
+/// `on_target`, with the minute of the control tick that made it (0 for
+/// the initial pool).
+fn replay_day8(
+    config: &Day8Config,
+    mut on_target: impl FnMut(usize, &Decision),
+) -> Result<SimSummary, String> {
+    let trace = Ub1Trace::synthesize(&config.ub1, DAY + 1);
+    let window = day_window(&trace, config.start_minute, config.duration_minutes, 1.0)?;
+    let service = ServiceTimeDist::paper();
     let model = GgOneModel {
-        target_response: config.sla,
-        mean_service: ServiceTimeDist::paper().mean,
-        var_interarrival: ServiceTimeDist::paper().variance(),
-        var_service: ServiceTimeDist::paper().variance(),
+        target_response: SLA,
+        mean_service: service.mean,
+        var_interarrival: service.variance(),
+        var_service: service.variance(),
     };
-    let mut predictive =
-        PredictiveProvisioner::new(model.clone(), config.predictive_period, config.percentile);
-    predictive.observe_series(&trace.slot_rates(0..7, slot_minutes));
-    let reactive = ReactiveProvisioner::paper_defaults(model.clone());
-
-    // The slot mapping positions the run within the trace day (and, for
-    // Fig. 8(c)–(e), shifts the predictor onto the wrong slot); the cadence
-    // periods live inside the scaler so the control loop below is just
-    // "hand over an observation".
     let shift_secs = config.mispredict_shift_hours.unwrap_or(0.0) * 3600.0;
-    let wall_offset = config.start_minute as f64 * 60.0;
-    let mut scaler = AutoScaler::new(predictive, reactive, config.policy)
-        .with_periods(config.predictive_period, config.reactive_period)
-        .with_slot_mapping(1.0, wall_offset + shift_secs);
+    let mut scaler = autoscaler(
+        &trace,
+        &window,
+        model,
+        config.policy,
+        config.percentile,
+        shift_secs,
+    );
 
-    // Day-8 arrival process over the experiment window.
-    let day8 = trace.day(7);
-    let window: Vec<f64> = day8
-        .iter()
-        .skip(config.start_minute)
-        .take(config.duration_minutes)
-        .cloned()
-        .collect();
-    let arrivals = poisson_arrivals(&window, config.seed);
-    let end_time = window.len() as f64 * 60.0;
+    let arrivals = window.poisson_arrivals(config.seed);
+    let minutes = window.minutes();
+    let end_time = minutes as f64 * 60.0;
 
     // Initial pool: what the predictor wants for the starting slot (with
     // the misprediction shift applied, the wrong slot).
-    let initial = scaler
-        .predictive_tick(Duration::ZERO)
-        .unwrap_or(scaler.target());
+    let primed = scaler.prime();
+    on_target(0, &primed);
+    let initial = primed.target;
+    let mut last_predicted = primed.predicted_rate.unwrap_or(0.0);
 
     // Per-minute aggregation.
-    let minutes = window.len();
     let mut aggs: Vec<MinuteAgg> = (0..minutes)
         .map(|_| MinuteAgg {
             arrivals: 0,
             rts: Vec::new(),
             instances: initial,
-            predicted: scaler.predictive().last_prediction().unwrap_or(0.0) * 60.0,
+            predicted: last_predicted * 60.0,
         })
         .collect();
     for &a in &arrivals {
@@ -179,16 +264,14 @@ pub fn run_day8(config: &Day8Config) -> SimSummary {
     }
 
     let mut sim = PoolSim::new(PoolSimConfig {
-        service: ServiceTimeDist::paper(),
+        service,
         spawn_delay: 1.0,
         seed: config.seed ^ 0xA5A5,
     });
-
-    let mut last_predicted = scaler.predictive().last_prediction().unwrap_or(0.0);
     let mut completions: Vec<Completion> = Vec::with_capacity(arrivals.len());
 
     // The whole dual-timescale wiring — σ²_a refresh with η² scaling,
-    // predictive slot provisioning, reactive correction — now lives behind
+    // predictive slot provisioning, reactive correction — lives behind
     // `Provisioner::propose`; this loop only ferries observations in and
     // decisions out, exactly like the live `ElasticController`.
     let provisioner: &mut dyn Provisioner = &mut scaler;
@@ -199,19 +282,20 @@ pub fn run_day8(config: &Day8Config) -> SimSummary {
         60.0, // bookkeeping tick every simulated minute
         |ctx| {
             let observation = ctx.observation();
+            let now = ctx.now();
             if let Some(decision) = provisioner.propose(&observation) {
                 if decision.reset_variance_window {
                     ctx.reset_interarrival_stats();
                 }
                 if decision.changed {
                     ctx.set_target(decision.target);
+                    on_target((now / 60.0) as usize, &decision);
                 }
                 if let Some(rate) = decision.predicted_rate {
                     last_predicted = rate;
                 }
             }
             // Record the pool size and live prediction for this minute.
-            let now = ctx.now();
             let minute = ((now / 60.0) as usize).saturating_sub(1).min(minutes - 1);
             aggs[minute].instances = ctx.live().max(ctx.target());
             aggs[minute].predicted = last_predicted * 60.0;
@@ -220,38 +304,7 @@ pub fn run_day8(config: &Day8Config) -> SimSummary {
         |c| completions.push(c),
     );
 
-    summarize(config.sla, aggs, completions)
-}
-
-/// Configuration of the Fig. 8(f) fault-tolerance experiment.
-#[derive(Debug, Clone)]
-pub struct FaultConfig {
-    /// Experiment length (paper: the first 10 minutes of day 8).
-    pub duration_minutes: usize,
-    /// Crash period (paper: every 30 seconds).
-    pub crash_period: f64,
-    /// Outage length per crash: supervisor detection (≤1 s) + respawn.
-    pub downtime: f64,
-    /// Arrival rate cap so one instance suffices (the paper chose a window
-    /// that "requires a single instance").
-    pub max_rate_per_min: f64,
-    /// SLA for reporting, seconds.
-    pub sla: f64,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            duration_minutes: 10,
-            crash_period: 30.0,
-            downtime: 1.5,
-            max_rate_per_min: 300.0,
-            sla: 0.450,
-            seed: 86,
-        }
-    }
+    Ok(summarize(SLA, aggs, completions))
 }
 
 /// Result of the fault-tolerance experiment: response-time distributions
@@ -269,43 +322,36 @@ pub struct FaultSummary {
 }
 
 /// Runs the Fig. 8(f) experiment: a single SyncService instance crashing
-/// every `crash_period` seconds while serving the (rate-capped) start of
-/// day 8; the supervisor restores it after `downtime`.
-pub fn run_fault_tolerance(config: &FaultConfig) -> FaultSummary {
-    let trace = Ub1Trace::synthesize(&Ub1Config::default(), 8);
-    let day8 = trace.day(7);
+/// every [`CRASH_PERIOD`] seconds while serving the (rate-capped) first
+/// [`FAULT_MINUTES`] of day 8; the supervisor restores it after
+/// [`DOWNTIME`].
+pub fn run_fault_tolerance() -> FaultSummary {
+    let trace = Ub1Trace::synthesize(&Ub1Config::default(), DAY + 1);
+    let window = trace.schedule().day(DAY).window(0, FAULT_MINUTES);
     // Cap the rate so a single instance suffices, as in the paper's chosen
     // window.
-    let peak = day8
-        .iter()
-        .take(config.duration_minutes)
-        .cloned()
-        .fold(0.0, f64::max);
-    let scale = if peak > config.max_rate_per_min {
-        config.max_rate_per_min / peak
+    let peak = window.peak_per_minute();
+    let scale = if peak > FAULT_MAX_RATE_PER_MIN {
+        FAULT_MAX_RATE_PER_MIN / peak
     } else {
         1.0
     };
-    let window: Vec<f64> = day8
-        .iter()
-        .take(config.duration_minutes)
-        .map(|r| r * scale)
-        .collect();
-    let arrivals = poisson_arrivals(&window, config.seed);
-    let end_time = window.len() as f64 * 60.0 + 120.0;
+    let rates = window.per_minute().iter().map(|r| r * scale);
+    let arrivals = poisson_arrivals(rates, 1.0, FAULT_SEED);
+    let end_time = FAULT_MINUTES as f64 * 60.0 + 120.0;
 
-    // Crash schedule: every crash_period seconds.
+    // Crash schedule: every CRASH_PERIOD seconds.
     let mut crashes = Vec::new();
-    let mut t = config.crash_period;
-    while t < window.len() as f64 * 60.0 {
-        crashes.push((t, t + config.downtime));
-        t += config.crash_period;
+    let mut t = CRASH_PERIOD;
+    while t < FAULT_MINUTES as f64 * 60.0 {
+        crashes.push((t, t + DOWNTIME));
+        t += CRASH_PERIOD;
     }
 
     let mut sim = PoolSim::new(PoolSimConfig {
         service: ServiceTimeDist::paper(),
         spawn_delay: 0.5,
-        seed: config.seed ^ 0x5A5A,
+        seed: FAULT_SEED ^ 0x5A5A,
     });
     let mut completions = Vec::new();
     sim.run(
@@ -321,7 +367,7 @@ pub fn run_fault_tolerance(config: &FaultConfig) -> FaultSummary {
     let in_outage = |t: f64| {
         crashes
             .iter()
-            .any(|&(down, up)| (down..up + config.downtime).contains(&t))
+            .any(|&(down, up)| (down..up + DOWNTIME).contains(&t))
     };
     type ArrivalResponse = Vec<(f64, f64)>;
     let (down_pairs, up_pairs): (ArrivalResponse, ArrivalResponse) = completions
@@ -402,7 +448,8 @@ mod tests {
             start_minute: 3 * 60,
             duration_minutes: 9 * 60,
             ..Day8Config::default()
-        });
+        })
+        .unwrap();
         assert!(summary.instance_minutes > 0);
         assert!(
             summary.elasticity_savings() > 0.15,
@@ -413,7 +460,7 @@ mod tests {
 
     #[test]
     fn autoscaling_meets_the_sla() {
-        let summary = run_day8(&quick_config());
+        let summary = run_day8(&quick_config()).unwrap();
         assert!(summary.completed > 10_000, "workload must be substantial");
         assert!(
             summary.sla_violation_fraction < 0.05,
@@ -437,7 +484,8 @@ mod tests {
             start_minute: 6 * 60,
             duration_minutes: 6 * 60,
             ..Day8Config::default()
-        });
+        })
+        .unwrap();
         let first = summary.points[10].instances;
         let last = summary.points[summary.points.len() - 10].instances;
         assert!(
@@ -451,12 +499,13 @@ mod tests {
         // Fig. 8(c)-(e): with the predictor fooled (quiet-hour pattern for
         // a busy hour), early response times degrade; the reactive policy
         // then corrects and the tail of the run is healthy again.
-        let accurate = run_day8(&quick_config());
+        let accurate = run_day8(&quick_config()).unwrap();
         let fooled = run_day8(&Day8Config {
             // Predict for the middle of the night instead.
             mispredict_shift_hours: Some(16.0),
             ..quick_config()
-        });
+        })
+        .unwrap();
         assert!(
             fooled.sla_violation_fraction > accurate.sla_violation_fraction,
             "misprediction must hurt: {:.4} vs {:.4}",
@@ -483,12 +532,14 @@ mod tests {
             mispredict_shift_hours: Some(16.0),
             policy: ScalingPolicy::Both,
             ..quick_config()
-        });
+        })
+        .unwrap();
         let fooled_pred_only = run_day8(&Day8Config {
             mispredict_shift_hours: Some(16.0),
             policy: ScalingPolicy::Predictive,
             ..quick_config()
-        });
+        })
+        .unwrap();
         assert!(
             fooled_pred_only.sla_violation_fraction > fooled_both.sla_violation_fraction,
             "without the reactive corrector things must stay bad: {:.4} vs {:.4}",
@@ -497,13 +548,21 @@ mod tests {
         );
     }
 
-    /// The API-redesign invariant: driving the pool through
-    /// `Provisioner::propose` must make byte-identical decisions to the
-    /// pre-redesign hand-wired loop (manual cadence bookkeeping, manual
-    /// σ²_a η²-scaling, manual `predictive_tick`/`reactive_tick` calls,
-    /// per-sub-decision `set_target`). Zero per-slot divergence allowed.
+    /// Every pool-target change of the 06:00–12:00 ramp at a 3 000
+    /// req/min peak, as (tick minute, target, λ_pred in req/s), recorded
+    /// from the policy wiring this crate had before the simulated and the
+    /// live day shared one. Minute 0 is the initial pool.
+    const GOLDEN_RAMP: &[(usize, usize, f64)] = &[
+        (0, 4, 21.124988270637044),
+        (105, 5, 32.321186407897535),
+        (135, 4, 29.05666666666667),
+        (140, 5, 35.43666666666667),
+        (225, 6, 42.884464997010724),
+        (315, 7, 49.720206471910934),
+    ];
+
     #[test]
-    fn trait_path_decisions_identical_to_legacy_wiring() {
+    fn ramp_decisions_match_the_golden_vector() {
         let config = Day8Config {
             ub1: Ub1Config {
                 peak_per_min: 3000.0,
@@ -513,107 +572,38 @@ mod tests {
             duration_minutes: 6 * 60,
             ..Day8Config::default()
         };
-        let new = run_day8(&config);
-
-        // ---- Legacy wiring, reproduced verbatim from the old run_day8 ----
-        let trace = Ub1Trace::synthesize(&config.ub1, 8);
-        let slot_minutes = (config.predictive_period.as_secs() / 60) as usize;
-        let model = GgOneModel {
-            target_response: config.sla,
-            mean_service: ServiceTimeDist::paper().mean,
-            var_interarrival: ServiceTimeDist::paper().variance(),
-            var_service: ServiceTimeDist::paper().variance(),
+        let mut decisions = Vec::new();
+        replay_day8(&config, |minute, d| {
+            decisions.push((minute, d.target, d.predicted_rate.unwrap_or(0.0)));
+        })
+        .unwrap();
+        let bits = |v: &[(usize, usize, f64)]| {
+            v.iter()
+                .map(|&(m, t, rate)| (m, t, rate.to_bits()))
+                .collect::<Vec<_>>()
         };
-        let mut predictive =
-            PredictiveProvisioner::new(model.clone(), config.predictive_period, config.percentile);
-        predictive.observe_series(&trace.slot_rates(0..7, slot_minutes));
-        let reactive = ReactiveProvisioner::paper_defaults(model);
-        let mut scaler = AutoScaler::new(predictive, reactive, config.policy);
+        assert_eq!(bits(&decisions), bits(GOLDEN_RAMP));
+    }
 
-        let window: Vec<f64> = trace
-            .day(7)
-            .iter()
-            .skip(config.start_minute)
-            .take(config.duration_minutes)
-            .cloned()
-            .collect();
-        let arrivals = poisson_arrivals(&window, config.seed);
-        let end_time = window.len() as f64 * 60.0;
-        let wall_offset = config.start_minute as f64 * 60.0;
-        let slot_time = |now: f64| Duration::from_secs_f64((now + wall_offset).max(0.0));
-        let initial = scaler
-            .predictive_tick(slot_time(0.0))
-            .unwrap_or(scaler.target());
-        let minutes = window.len();
-        let mut instances = vec![initial; minutes];
-        let mut predicted =
-            vec![scaler.predictive().last_prediction().unwrap_or(0.0) * 60.0; minutes];
-
-        let mut sim = PoolSim::new(PoolSimConfig {
-            service: ServiceTimeDist::paper(),
-            spawn_delay: 1.0,
-            seed: config.seed ^ 0xA5A5,
-        });
-        let reactive_every = config.reactive_period.as_secs_f64();
-        let predictive_every = config.predictive_period.as_secs_f64();
-        let mut last_arrivals_total = 0u64;
-        let mut last_reactive = 0.0f64;
-        let mut last_predictive = 0.0f64;
-        sim.run(
-            &arrivals,
-            end_time,
-            initial,
-            60.0,
-            |ctx| {
-                let now = ctx.now();
-                if now - last_predictive >= predictive_every - 1e-6 {
-                    last_predictive = now;
-                    if let Some(var) = ctx.interarrival_variance() {
-                        let eta = ctx.live().max(1) as f64;
-                        scaler.observe_interarrival_variance(var * eta * eta);
-                        ctx.reset_interarrival_stats();
-                    }
-                    if let Some(n) = scaler.predictive_tick(slot_time(now)) {
-                        ctx.set_target(n);
-                    }
-                }
-                if now - last_reactive >= reactive_every - 1e-6 {
-                    let observed =
-                        (ctx.total_arrivals() - last_arrivals_total) as f64 / (now - last_reactive);
-                    last_reactive = now;
-                    last_arrivals_total = ctx.total_arrivals();
-                    if let Some(n) = scaler.reactive_tick(observed) {
-                        ctx.set_target(n);
-                    }
-                }
-                let minute = ((now / 60.0) as usize).saturating_sub(1).min(minutes - 1);
-                instances[minute] = ctx.live().max(ctx.target());
-                predicted[minute] = scaler.predictive().last_prediction().unwrap_or(0.0) * 60.0;
-            },
-            &[],
-            |_| {},
-        );
-
-        let new_instances: Vec<usize> = new.points.iter().map(|p| p.instances).collect();
-        assert_eq!(
-            new_instances, instances,
-            "per-minute pool sizes must not diverge between the legacy \
-             wiring and the Provisioner trait path"
-        );
-        let new_predicted: Vec<f64> = new.points.iter().map(|p| p.predicted).collect();
-        assert_eq!(
-            new_predicted, predicted,
-            "per-minute λ_pred must not diverge either"
-        );
-        assert!(
-            *new_instances.iter().max().unwrap() > *new_instances.iter().min().unwrap(),
-            "the run must actually scale, or the identity check is vacuous"
-        );
+    #[test]
+    fn a_window_past_the_end_of_the_day_names_the_bound() {
+        let err = run_day8(&Day8Config {
+            duration_minutes: 2000,
+            ..Day8Config::default()
+        })
+        .unwrap_err();
+        assert!(err.contains("1440"), "{err}");
+        assert!(run_day8(&Day8Config {
+            start_minute: 23 * 60,
+            duration_minutes: 61,
+            ..Day8Config::default()
+        })
+        .is_err());
     }
 
     #[test]
     fn fault_tolerance_loses_nothing_and_stays_subsecond() {
-        let summary = run_fault_tolerance(&FaultConfig::default());
+        let summary = run_fault_tolerance();
         assert_eq!(
             summary.completed, summary.offered,
             "queue redelivery must not lose a single request"

@@ -12,28 +12,27 @@
 //!   [`objectmq::Proxy`];
 //! * a [`objectmq::Supervisor`] enforcing pool size on a
 //!   [`objectmq::RemoteBroker`] slave, driven by the *same*
-//!   [`objectmq::provision::AutoScaler`] the simulator runs — fed live
-//!   queue-side observations by [`objectmq::ElasticController`];
-//! * the [`workload::ArrivalSchedule`] iterator pacing Poisson arrivals,
+//!   [`objectmq::provision::AutoScaler`] the simulator runs, built by
+//!   [`crate::experiment::autoscaler`] — fed live queue-side observations
+//!   by [`objectmq::ElasticController`];
+//! * the [`workload::ArrivalSchedule`] window of
+//!   [`crate::experiment::day_window`] pacing Poisson arrivals,
 //!   time-compressed so a 24-hour trace day replays in tens of wall
 //!   seconds (the predictive/reactive cadences compress by the same
-//!   factor via [`objectmq::provision::AutoScaler::with_periods`] and
-//!   [`objectmq::provision::AutoScaler::with_slot_mapping`]).
+//!   factor via [`objectmq::provision::AutoScaler::with_compression`]).
 //!
 //! After the day drains, the harness replays the client-visible history
 //! through the [`faultsim::History`] checker against the metadata store's
 //! final word — no lost commit, no double commit, gap-free version chains
 //! — even when a crash loop is killing instances throughout the run.
 
+use crate::experiment::{autoscaler, day_window, DAY, PERCENTILE, SLOT_MINUTES};
 use crate::stats::percentile;
 use faultsim::{Event, History, SubmitFate};
 use metadata::{ItemMetadata, MetadataStore, ShardedStore, WorkspaceId};
-use objectmq::provision::{
-    AutoScaler, GgOneModel, PredictiveProvisioner, ReactiveProvisioner, ScalingPolicy,
-};
+use objectmq::provision::{GgOneModel, ScalingPolicy, REACTIVE_PERIOD};
 use objectmq::{
-    Broker, BrokerConfig, ControllerConfig, ElasticController, Proxy, RemoteBroker, Supervisor,
-    SupervisorConfig,
+    Broker, BrokerConfig, ElasticController, Proxy, RemoteBroker, Supervisor, SupervisorConfig,
 };
 use parking_lot::Mutex;
 use stacksync::{protocol, provision_user, SYNC_SERVICE_OID};
@@ -43,6 +42,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wire::Value;
 use workload::{Ub1Config, Ub1Trace};
+
+/// Supervisor enforcement period (wall time; well under the compressed
+/// reactive period, so the pool converges within a slot).
+const CHECK_INTERVAL: Duration = Duration::from_millis(40);
 
 /// Configuration of one live replay.
 #[derive(Debug, Clone)]
@@ -59,26 +62,16 @@ pub struct LiveConfig {
     /// *compressed* wall-clock rate stays within the harness budget
     /// (wall peak req/s = `peak_per_min` × `compression` / 60).
     pub ub1: Ub1Config,
-    /// Trace day to replay (7 = the paper's "day 8").
-    pub day: usize,
-    /// Days `0..train_days` feed the predictive provisioner's history.
-    pub train_days: usize,
     /// First minute of the replay window within the day.
     pub start_minute: usize,
     /// Window length in trace minutes.
     pub duration_minutes: usize,
     /// Trace seconds per wall second (1440 replays a day in one minute).
     pub compression: f64,
-    /// Reporting/predictor slot width in trace minutes.
-    pub slot_minutes: usize,
     /// Injected per-commit service time of each SyncService instance.
     pub service_delay: Duration,
     /// G/G/1 capacity model shared by both provisioning policies.
     pub model: GgOneModel,
-    /// Which provisioning policies run.
-    pub policy: ScalingPolicy,
-    /// Percentile of the training history the predictor provisions for.
-    pub percentile: f64,
     /// Driver threads pacing the arrival schedule (each owns an equal
     /// share of the client fleet).
     pub drivers: usize,
@@ -89,11 +82,6 @@ pub struct LiveConfig {
     /// If set, one pool instance is crashed this often (wall time) —
     /// the live counterpart of Fig. 8(f).
     pub crash_period: Option<Duration>,
-    /// Supervisor enforcement period (wall time; must be well under the
-    /// compressed reactive period to converge within a slot).
-    pub check_interval: Duration,
-    /// Controller observation tick (wall time).
-    pub controller_tick: Duration,
     /// Seed for the Poisson arrival sampling.
     pub seed: u64,
     /// Hard cap on the post-day drain wait.
@@ -110,12 +98,9 @@ impl Default for LiveConfig {
                 peak_per_min: 10.0,
                 ..Ub1Config::default()
             },
-            day: 7,
-            train_days: 7,
             start_minute: 0,
             duration_minutes: workload::ub1::MINUTES_PER_DAY,
             compression: 1440.0,
-            slot_minutes: 15,
             service_delay: Duration::from_millis(25),
             // Paper-shaped model matched to the injected 25 ms service
             // time with a 250 ms SLA: capacity ≈ 8.7 req/s per instance.
@@ -125,13 +110,9 @@ impl Default for LiveConfig {
                 var_interarrival: 0.04,
                 var_service: 0.0004,
             },
-            policy: ScalingPolicy::Both,
-            percentile: 0.95,
             drivers: 8,
             sync_commits: false,
             crash_period: None,
-            check_interval: Duration::from_millis(40),
-            controller_tick: Duration::from_millis(15),
             seed: 0xB8,
             drain_timeout: Duration::from_secs(60),
         }
@@ -233,36 +214,6 @@ fn commit_args(client: &LiveClient, item: &ItemMetadata) -> Vec<Value> {
         Value::from(client.device.as_str()),
         Value::List(vec![protocol::item_to_value(item)]),
     ]
-}
-
-/// Builds the scaler exactly as the simulator does — same model, same
-/// policies, same cadences — but with the cadence periods compressed and
-/// the wall clock mapped back onto trace time for slot lookups.
-fn build_scaler(config: &LiveConfig, trace: &Ub1Trace, start_abs_minute: usize) -> AutoScaler {
-    let mut predictive = PredictiveProvisioner::new(
-        config.model.clone(),
-        Duration::from_secs(60 * config.slot_minutes as u64),
-        config.percentile,
-    );
-    // Train on compressed (wall) rates: the controller observes wall-time
-    // arrival rates, so predictions must live in the same unit.
-    for day in 0..config.train_days {
-        let sched = trace
-            .schedule()
-            .day(day)
-            .slots_of(config.slot_minutes)
-            .compress(config.compression);
-        for slot in sched.iter() {
-            predictive.observe(slot.index, slot.rate);
-        }
-    }
-    let reactive = ReactiveProvisioner::paper_defaults(config.model.clone());
-    AutoScaler::new(predictive, reactive, config.policy)
-        .with_periods(
-            Duration::from_secs_f64(900.0 / config.compression),
-            Duration::from_secs_f64(300.0 / config.compression),
-        )
-        .with_slot_mapping(config.compression, (start_abs_minute * 60) as f64)
 }
 
 /// Connects `count` fleet clients, provisioning one user + workspace per
@@ -470,6 +421,14 @@ pub fn run_live(config: &LiveConfig) -> Result<LiveReport, String> {
         ));
     }
 
+    let trace = Ub1Trace::synthesize(&config.ub1, DAY + 1);
+    let window = day_window(
+        &trace,
+        config.start_minute,
+        config.duration_minutes,
+        config.compression,
+    )?;
+
     // ── Server side: real TCP in front of one shared message broker. ──
     let mq = mqsim::MessageBroker::new();
     let server = net::BrokerServer::bind("127.0.0.1:0", mq.clone())
@@ -477,7 +436,7 @@ pub fn run_live(config: &LiveConfig) -> Result<LiveReport, String> {
     let addr = server.local_addr();
     // The reactive policy reads this estimator; its window must roughly
     // match the compressed 5-minute cadence or decisions lag the slots.
-    let reactive_wall = Duration::from_secs_f64(300.0 / config.compression);
+    let reactive_wall = REACTIVE_PERIOD.div_f64(config.compression);
     let server_broker = Broker::new(
         mq,
         BrokerConfig {
@@ -499,24 +458,22 @@ pub fn run_live(config: &LiveConfig) -> Result<LiveReport, String> {
         server_broker.clone(),
         SupervisorConfig {
             oid: SYNC_SERVICE_OID,
-            check_interval: config.check_interval,
-            command_timeout: Duration::from_millis(800),
+            check_interval: CHECK_INTERVAL,
             ..Default::default()
         },
     )
     .map_err(|e| format!("starting supervisor: {e}"))?;
 
     // ── Policy: identical construction to the simulator, compressed. ──
-    let days = config.day.max(config.train_days) + 1;
-    let trace = Ub1Trace::synthesize(&config.ub1, days);
-    let sched = trace
-        .schedule()
-        .day(config.day)
-        .window(config.start_minute, config.duration_minutes)
-        .slots_of(config.slot_minutes)
-        .compress(config.compression);
-    let mut scaler = build_scaler(config, &trace, sched.start_minute());
-    let initial = scaler.predictive_tick(Duration::ZERO).unwrap_or(1).max(1);
+    let mut scaler = autoscaler(
+        &trace,
+        &window,
+        config.model.clone(),
+        ScalingPolicy::Both,
+        PERCENTILE,
+        0.0,
+    );
+    let initial = scaler.prime().target;
     supervisor.set_target(initial);
     if !supervisor.wait_targets_met(Duration::from_secs(20)) {
         return Err(format!(
@@ -525,16 +482,9 @@ pub fn run_live(config: &LiveConfig) -> Result<LiveReport, String> {
         ));
     }
 
-    let controller = ElasticController::start(
-        server_broker.clone(),
-        supervisor,
-        scaler,
-        ControllerConfig {
-            oid: SYNC_SERVICE_OID,
-            tick: config.controller_tick,
-        },
-    )
-    .map_err(|e| format!("starting controller: {e}"))?;
+    let controller =
+        ElasticController::start(server_broker.clone(), supervisor, scaler, SYNC_SERVICE_OID)
+            .map_err(|e| format!("starting controller: {e}"))?;
 
     // ── Fleet + probes connect before the clock starts. ──
     obs::gauge("elastic.live.clients").set(config.clients as f64);
@@ -562,7 +512,7 @@ pub fn run_live(config: &LiveConfig) -> Result<LiveReport, String> {
 
     // Arrival k drives client (k mod clients); a client belongs to exactly
     // one driver, so per-client commit order is preserved.
-    let arrivals = sched.poisson_arrivals(config.seed);
+    let arrivals = window.poisson_arrivals(config.seed);
     let mut per_driver_arrivals: Vec<Vec<(f64, usize, u64)>> =
         (0..per_driver).map(|_| Vec::new()).collect();
     let mut owner_of = vec![(0usize, 0usize); config.clients];
@@ -649,7 +599,7 @@ pub fn run_live(config: &LiveConfig) -> Result<LiveReport, String> {
     let mut slots = Vec::new();
     let mut last_offered = 0u64;
     let mut last_committed = 0u64;
-    for slot in sched.iter() {
+    for slot in window.slots_of(SLOT_MINUTES).iter() {
         let end = anchor + slot.start + slot.duration;
         let now = Instant::now();
         if end > now {

@@ -422,30 +422,6 @@ impl PoolSim {
     }
 }
 
-/// Generates Poisson arrivals from a per-minute rate trace: minute `m`
-/// contributes exponential inter-arrival gaps at `rates[m]/60` per second.
-pub fn poisson_arrivals(rates_per_minute: &[f64], seed: u64) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut arrivals = Vec::new();
-    for (minute, &rate) in rates_per_minute.iter().enumerate() {
-        if rate <= 0.0 {
-            continue;
-        }
-        let per_sec = rate / 60.0;
-        let start = minute as f64 * 60.0;
-        let mut t = start;
-        loop {
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            t += -u.ln() / per_sec;
-            if t >= start + 60.0 {
-                break;
-            }
-            arrivals.push(t);
-        }
-    }
-    arrivals
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,7 +586,7 @@ mod tests {
     #[test]
     fn poisson_arrivals_match_rate() {
         let rates = vec![600.0; 10]; // 10 req/s for 10 minutes
-        let arrivals = poisson_arrivals(&rates, 9);
+        let arrivals = workload::poisson_arrivals(rates, 1.0, 9);
         let expected = 600.0 * 10.0;
         let got = arrivals.len() as f64;
         assert!(
@@ -623,7 +599,7 @@ mod tests {
     #[test]
     fn poisson_zero_rate_minutes_are_silent() {
         let rates = vec![0.0, 600.0, 0.0];
-        let arrivals = poisson_arrivals(&rates, 9);
+        let arrivals = workload::poisson_arrivals(rates, 1.0, 9);
         assert!(arrivals.iter().all(|&t| (60.0..120.0).contains(&t)));
     }
 }

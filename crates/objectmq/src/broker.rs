@@ -19,8 +19,6 @@ use wire::{BinaryCodec, Codec};
 pub struct BrokerConfig {
     /// Transport encoding for requests and responses.
     pub codec: Arc<dyn Codec>,
-    /// Poll interval of skeleton loops; bounds shutdown latency.
-    pub poll: Duration,
     /// Averaging window of queue arrival-rate estimators.
     pub rate_window: Duration,
 }
@@ -29,7 +27,6 @@ impl std::fmt::Debug for BrokerConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BrokerConfig")
             .field("codec", &self.codec.name())
-            .field("poll", &self.poll)
             .field("rate_window", &self.rate_window)
             .finish()
     }
@@ -39,7 +36,6 @@ impl Default for BrokerConfig {
     fn default() -> Self {
         BrokerConfig {
             codec: Arc::new(BinaryCodec),
-            poll: Duration::from_millis(20),
             rate_window: Duration::from_secs(60),
         }
     }
@@ -144,7 +140,6 @@ impl Broker {
                 codec: self.config.codec.clone(),
                 oid: oid.as_str().to_string(),
                 instance,
-                poll: self.config.poll,
             },
             unicast,
             multicast,

@@ -20,29 +20,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Controller timing configuration.
-#[derive(Debug, Clone)]
-pub struct ControllerConfig {
-    /// The service oid whose global request queue is observed.
-    pub oid: Oid,
-    /// How often the provisioner is offered a fresh [`Observation`].
-    /// Policies run their own cadence off the observation clock (the
-    /// [`crate::provision::AutoScaler`] fires its predictive/reactive
-    /// periods internally), so the tick just bounds decision latency.
-    pub tick: Duration,
-}
-
-impl ControllerConfig {
-    /// Default 50 ms observation tick for a service oid. The paper's
-    /// 15-minute/5-minute cadence lives in the policy
-    /// ([`crate::provision::AutoScaler::with_periods`]), not here.
-    pub fn paper(oid: impl Into<Oid>) -> Self {
-        ControllerConfig {
-            oid: oid.into(),
-            tick: Duration::from_millis(50),
-        }
-    }
-}
+/// How often the provisioner is offered a fresh [`Observation`]. Policies
+/// run their own cadence off the observation clock (the
+/// [`crate::provision::AutoScaler`] fires its predictive/reactive periods
+/// internally), so the tick just bounds decision latency.
+pub const TICK: Duration = Duration::from_millis(15);
 
 /// Drives any [`Provisioner`] from live queue observations and enforces its
 /// decisions through a [`Supervisor`] — the same policy objects the
@@ -63,8 +45,9 @@ impl std::fmt::Debug for ElasticController {
 }
 
 impl ElasticController {
-    /// Starts the control loop. The supervisor is owned by the controller
-    /// for its lifetime; targets flow exclusively through the policies.
+    /// Starts the control loop, observing the global request queue of
+    /// `oid`. The supervisor is owned by the controller for its lifetime;
+    /// targets flow exclusively through the policies.
     ///
     /// # Errors
     ///
@@ -73,10 +56,11 @@ impl ElasticController {
         broker: Broker,
         supervisor: Supervisor,
         mut provisioner: impl Provisioner + 'static,
-        config: ControllerConfig,
+        oid: impl Into<Oid>,
     ) -> OmqResult<Self> {
-        if !broker.object_exists(&config.oid) {
-            return Err(OmqError::UnknownObject(config.oid.as_str().to_string()));
+        let oid = oid.into();
+        if !broker.object_exists(&oid) {
+            return Err(OmqError::UnknownObject(oid.as_str().to_string()));
         }
         let stop = Arc::new(AtomicBool::new(false));
         let last_target = Arc::new(AtomicUsize::new(supervisor.target()));
@@ -100,12 +84,9 @@ impl ElasticController {
                 }
                 let stats = broker
                     .messaging()
-                    .queue_stats(config.oid.as_str())
+                    .queue_stats(oid.as_str())
                     .unwrap_or_default();
-                let rate = broker
-                    .messaging()
-                    .queue_arrival_rate(config.oid.as_str())
-                    .ok();
+                let rate = broker.messaging().queue_arrival_rate(oid.as_str()).ok();
                 if let Some(observed) = rate {
                     lambda_gauge.set(observed);
                 }
@@ -127,15 +108,12 @@ impl ElasticController {
                         obs::log(
                             obs::Level::Info,
                             "elastic.controller",
-                            &format!(
-                                "pool target for `{}` set to {n} ({})",
-                                config.oid, decision.policy
-                            ),
+                            &format!("pool target for `{oid}` set to {n} ({})", decision.policy),
                         );
                         t_decisions.lock().push((started.elapsed(), n));
                     }
                 }
-                std::thread::sleep(config.tick);
+                std::thread::sleep(TICK);
             }
         });
 
@@ -223,7 +201,6 @@ mod tests {
             SupervisorConfig {
                 oid: "svc".into(),
                 check_interval: Duration::from_millis(60),
-                command_timeout: Duration::from_millis(800),
                 ..Default::default()
             },
         )
@@ -243,19 +220,12 @@ mod tests {
         };
         let predictive = PredictiveProvisioner::new(model.clone(), Duration::from_secs(900), 0.95);
         let reactive = ReactiveProvisioner::paper_defaults(model);
+        // Compression 1 500 puts the reactive cadence at 200 ms.
         let scaler = AutoScaler::new(predictive, reactive, ScalingPolicy::Reactive)
-            .with_periods(Duration::from_secs(900), Duration::from_millis(200));
+            .with_compression(1500.0, 0.0);
 
-        let controller = ElasticController::start(
-            broker.clone(),
-            supervisor,
-            scaler,
-            ControllerConfig {
-                oid: "svc".into(),
-                tick: Duration::from_millis(50),
-            },
-        )
-        .unwrap();
+        let controller =
+            ElasticController::start(broker.clone(), supervisor, scaler, "svc").unwrap();
 
         // Offer ~100 req/s for a second: the controller must scale out.
         let proxy = broker.lookup("svc").unwrap();
@@ -291,7 +261,6 @@ mod tests {
             SupervisorConfig {
                 oid: "ghost".into(),
                 check_interval: Duration::from_millis(100),
-                command_timeout: Duration::from_millis(500),
                 ..Default::default()
             },
         )
@@ -302,8 +271,7 @@ mod tests {
             ReactiveProvisioner::paper_defaults(model),
             ScalingPolicy::Both,
         );
-        let result =
-            ElasticController::start(broker, supervisor, scaler, ControllerConfig::paper("ghost"));
+        let result = ElasticController::start(broker, supervisor, scaler, "ghost");
         assert!(matches!(result, Err(OmqError::UnknownObject(_))));
         node.stop();
     }

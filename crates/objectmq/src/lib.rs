@@ -25,8 +25,12 @@
 //! * Fault tolerance (§3.4): a request is acknowledged only after the server
 //!   object finished processing it, so a crash mid-call redelivers the
 //!   invocation to another instance; the [`Supervisor`] respawns missing
-//!   instances every second through [`RemoteBroker`]s, and the remote
-//!   brokers elect a replacement supervisor if it dies.
+//!   instances every second through [`RemoteBroker`]s. Supervisor failover
+//!   is two library steps that the host runs, as the
+//!   `failover_elects_new_supervisor_which_keeps_enforcing` test does:
+//!   [`supervisor::HeartbeatMonitor`] reports that the heartbeats went
+//!   stale, and [`supervisor::run_election`] picks the broker whose host
+//!   starts the replacement. Nothing runs them on its own.
 //! * Programmatic elasticity (§3.3, §4.3): the [`provision`] module has the
 //!   `Provisioner` hook plus the paper's predictive and reactive policies
 //!   built on a G/G/1 capacity model.
@@ -75,7 +79,7 @@ mod server;
 pub mod supervisor;
 
 pub use broker::{Broker, BrokerConfig};
-pub use controller::{ControllerConfig, ElasticController};
+pub use controller::ElasticController;
 pub use error::{CallError, CallResult, OmqError, OmqResult};
 pub use info::{ObjectInfo, PoolInfo, ServiceStats};
 pub use oid::Oid;

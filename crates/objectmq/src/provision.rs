@@ -13,6 +13,11 @@
 
 use std::time::Duration;
 
+/// The predictive provisioner's cadence and slot width (paper: 15 minutes).
+pub const PREDICTIVE_PERIOD: Duration = Duration::from_secs(900);
+/// The reactive provisioner's cadence (paper: 5 minutes).
+pub const REACTIVE_PERIOD: Duration = Duration::from_secs(300);
+
 /// G/G/1 capacity model for one synchronization server (paper eq. 1–2).
 ///
 /// Units are seconds; variances are in seconds². Table 3 of the paper lists
@@ -67,11 +72,6 @@ impl GgOneModel {
         let eta = (lambda / delta).ceil();
         (eta.max(1.0)) as usize
     }
-
-    /// Updates the measured interarrival-time variance.
-    pub fn observe_interarrival_variance(&mut self, variance: f64) {
-        self.var_interarrival = variance;
-    }
 }
 
 /// One observation of whatever is driving the pool — the shared input type
@@ -87,7 +87,7 @@ pub struct Observation {
     /// Offset from experiment/controller start. For sources replaying a
     /// trace under time compression this is *wall* time; slot mapping back
     /// to trace time is the policy's job (see
-    /// [`AutoScaler::with_slot_mapping`]).
+    /// [`AutoScaler::with_compression`]).
     pub now: Duration,
     /// Total requests ever observed arriving (monotonic).
     pub total_arrivals: u64,
@@ -259,22 +259,6 @@ impl PredictiveProvisioner {
     pub fn last_prediction(&self) -> Option<f64> {
         self.last_prediction
     }
-
-    /// Overrides the current prediction — used by the misprediction
-    /// experiment (paper §5.3.3) to "fool" the predictor.
-    pub fn force_prediction(&mut self, rate: f64) {
-        self.last_prediction = Some(rate);
-    }
-
-    /// The capacity model (shared with the reactive policy).
-    pub fn model(&self) -> &GgOneModel {
-        &self.model
-    }
-
-    /// Mutable access to the capacity model for online re-estimation.
-    pub fn model_mut(&mut self) -> &mut GgOneModel {
-        &mut self.model
-    }
 }
 
 impl Provisioner for PredictiveProvisioner {
@@ -336,16 +320,6 @@ impl ReactiveProvisioner {
             _ => Some(self.model.required_instances(observed)),
         }
     }
-
-    /// The capacity model.
-    pub fn model(&self) -> &GgOneModel {
-        &self.model
-    }
-
-    /// Mutable access to the capacity model for online re-estimation.
-    pub fn model_mut(&mut self) -> &mut GgOneModel {
-        &mut self.model
-    }
 }
 
 impl Provisioner for ReactiveProvisioner {
@@ -402,11 +376,10 @@ impl std::str::FromStr for ScalingPolicy {
 /// observation clock: feed it [`Observation`]s as often as you like (the
 /// simulator does so once per simulated minute, the live controller every
 /// few tens of milliseconds) and it fires the predictive step every
-/// `predictive_period` and the reactive step every `reactive_period`
-/// (paper: 15 and 5 minutes), returning a [`Decision`] whenever either
-/// cadence elapsed. The lower-level [`AutoScaler::predictive_tick`] /
-/// [`AutoScaler::reactive_tick`] steps remain public for priming the
-/// initial pool and for tests.
+/// [`PREDICTIVE_PERIOD`] and the reactive step every [`REACTIVE_PERIOD`],
+/// both divided by the compression factor, returning a [`Decision`]
+/// whenever either cadence elapsed. [`AutoScaler::prime`] sizes the
+/// initial pool before the first observation.
 #[derive(Debug, Clone)]
 pub struct AutoScaler {
     predictive: PredictiveProvisioner,
@@ -445,8 +418,8 @@ impl AutoScaler {
             reactive,
             policy,
             target: 1,
-            predictive_period: 900.0,
-            reactive_period: 300.0,
+            predictive_period: PREDICTIVE_PERIOD.as_secs_f64(),
+            reactive_period: REACTIVE_PERIOD.as_secs_f64(),
             last_predictive: 0.0,
             last_reactive: 0.0,
             last_arrivals: 0,
@@ -455,40 +428,25 @@ impl AutoScaler {
         }
     }
 
-    /// Sets the two cadence periods (in observation time). A compressed
-    /// trace replay divides the paper's 900 s / 300 s by its compression
-    /// factor so the policies fire at the same *trace* times as in
-    /// simulation.
+    /// Replays the trace `factor` times faster than real time (trace
+    /// seconds per observation second, 1.0 = real time): both cadences
+    /// shrink by `factor`, so the policies fire at the same *trace* times,
+    /// and slot lookup maps observation time back onto the trace as
+    /// `trace_time = now * factor + offset_secs`. `offset_secs` positions
+    /// the experiment start within the trace (and is also how the
+    /// misprediction experiment shifts the predictor off its slot).
     ///
     /// # Panics
     ///
-    /// Panics if either period is zero.
-    pub fn with_periods(mut self, predictive: Duration, reactive: Duration) -> Self {
+    /// Panics if `factor` is not finite and positive.
+    pub fn with_compression(mut self, factor: f64, offset_secs: f64) -> Self {
         assert!(
-            !predictive.is_zero() && !reactive.is_zero(),
-            "cadence periods must be positive"
+            factor.is_finite() && factor > 0.0,
+            "compression must be positive"
         );
-        self.predictive_period = predictive.as_secs_f64();
-        self.reactive_period = reactive.as_secs_f64();
-        self
-    }
-
-    /// Sets the observation→trace time mapping used for predictive slot
-    /// lookup: `trace_time = now * scale + offset_secs`. `scale` is the
-    /// time-compression factor (trace seconds per observation second,
-    /// 1.0 = real time); `offset_secs` positions the experiment start
-    /// within the trace day (and is also how the misprediction experiment
-    /// shifts the predictor off its slot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is not finite and positive.
-    pub fn with_slot_mapping(mut self, scale: f64, offset_secs: f64) -> Self {
-        assert!(
-            scale.is_finite() && scale > 0.0,
-            "slot scale must be positive"
-        );
-        self.slot_scale = scale;
+        self.predictive_period = PREDICTIVE_PERIOD.as_secs_f64() / factor;
+        self.reactive_period = REACTIVE_PERIOD.as_secs_f64() / factor;
+        self.slot_scale = factor;
         self.slot_offset = offset_secs;
         self
     }
@@ -498,33 +456,33 @@ impl AutoScaler {
         Duration::from_secs_f64((now.as_secs_f64() * self.slot_scale + self.slot_offset).max(0.0))
     }
 
-    /// Current target pool size.
-    pub fn target(&self) -> usize {
-        self.target
-    }
-
-    /// The predictive sub-policy.
-    pub fn predictive(&self) -> &PredictiveProvisioner {
-        &self.predictive
+    /// Sizes the initial pool before the first observation: runs the
+    /// predictive step for the slot at observation time zero. The decision
+    /// carries the target to start with and the λ_pred it was sized for.
+    pub fn prime(&mut self) -> Decision {
+        let changed = self.predictive_tick(Duration::ZERO).is_some();
+        Decision {
+            target: self.target,
+            changed,
+            policy: "predictive",
+            predicted_rate: self.predictive.last_prediction(),
+            reset_variance_window: false,
+        }
     }
 
     /// Feeds an online measurement of the interarrival-time variance σ²_a
     /// into both policies' capacity models (the paper updates σ²_a "once
     /// every 15 minutes based on online measurements of the global request
     /// queue").
-    pub fn observe_interarrival_variance(&mut self, variance: f64) {
-        self.predictive
-            .model_mut()
-            .observe_interarrival_variance(variance);
-        self.reactive
-            .model_mut()
-            .observe_interarrival_variance(variance);
+    fn observe_interarrival_variance(&mut self, variance: f64) {
+        self.predictive.model.var_interarrival = variance;
+        self.reactive.model.var_interarrival = variance;
     }
 
     /// Runs the predictive step for the slot containing `now` (offset from
     /// experiment start, mapped through the configured slot mapping).
     /// Returns the new target if it changed.
-    pub fn predictive_tick(&mut self, now: Duration) -> Option<usize> {
+    fn predictive_tick(&mut self, now: Duration) -> Option<usize> {
         if self.policy == ScalingPolicy::Reactive {
             return None;
         }
@@ -540,7 +498,7 @@ impl AutoScaler {
 
     /// Runs the reactive step with the arrival rate observed over the past
     /// reactive period. Returns the new target if corrective action fired.
-    pub fn reactive_tick(&mut self, observed_rate: f64) -> Option<usize> {
+    fn reactive_tick(&mut self, observed_rate: f64) -> Option<usize> {
         if self.policy == ScalingPolicy::Predictive {
             return None;
         }
@@ -548,7 +506,7 @@ impl AutoScaler {
         let proposed = self.reactive.check(observed_rate, predicted)?;
         // After correcting, treat the observation as the working prediction
         // so we do not flap every reactive tick.
-        self.predictive.force_prediction(observed_rate);
+        self.predictive.last_prediction = Some(observed_rate);
         if proposed != self.target {
             self.target = proposed;
             Some(proposed)
@@ -746,12 +704,12 @@ mod tests {
 
         let t0 = scaler.predictive_tick(Duration::ZERO);
         assert_eq!(t0, None, "1 instance predicted, same as initial target");
-        assert_eq!(scaler.target(), 1);
+        assert_eq!(scaler.target, 1);
 
         // Reality: a storm of 100 req/s. The reactive tick must fix it.
         let corrected = scaler.reactive_tick(100.0).expect("must react");
         assert_eq!(corrected, model.required_instances(100.0));
-        assert_eq!(scaler.target(), corrected);
+        assert_eq!(scaler.target, corrected);
 
         // Same observation again: prediction was updated, no flapping.
         assert_eq!(scaler.reactive_tick(100.0), None);
@@ -849,7 +807,7 @@ mod tests {
                 last_react = now;
                 manual.reactive_tick(40.0);
             }
-            manual_targets.push(manual.target());
+            manual_targets.push(manual.target);
         }
 
         // Trait path: one observation per simulated minute; arrivals run at
@@ -860,12 +818,12 @@ mod tests {
             let now = step as f64 * 60.0;
             let obs = Observation {
                 total_arrivals: (now * 40.0) as u64,
-                live: auto.target(),
-                target: auto.target(),
+                live: auto.target,
+                target: auto.target,
                 ..Observation::at(Duration::from_secs_f64(now))
             };
             let _ = auto.propose(&obs);
-            auto_targets.push(auto.target());
+            auto_targets.push(auto.target);
         }
 
         assert_eq!(manual_targets, auto_targets);
@@ -880,8 +838,8 @@ mod tests {
         let model = GgOneModel::paper_defaults();
         let predictive = PredictiveProvisioner::new(model.clone(), Duration::from_secs(900), 0.95);
         let reactive = ReactiveProvisioner::paper_defaults(model);
-        let mut scaler = AutoScaler::new(predictive, reactive, ScalingPolicy::Both)
-            .with_periods(Duration::from_secs(900), Duration::from_secs(300));
+        let mut scaler =
+            AutoScaler::new(predictive, reactive, ScalingPolicy::Both).with_compression(1.0, 0.0);
         assert_eq!(
             scaler.propose(&Observation::at(Duration::from_secs(60))),
             None,
@@ -914,7 +872,7 @@ mod tests {
             "variance consumed at the 15-min tick"
         );
         // η = 4 live servers → the aggregate measurement is scaled by 16.
-        let got = scaler.predictive().model().var_interarrival;
+        let got = scaler.predictive.model.var_interarrival;
         assert!(close(got, 0.01 * 16.0), "η² scaling, got {got}");
     }
 
@@ -930,8 +888,7 @@ mod tests {
         // Compression 60: one wall second is a trace minute, and the
         // predictive cadence compresses with it (900/60 = 15 s wall).
         let mut scaler = AutoScaler::new(predictive, reactive, ScalingPolicy::Predictive)
-            .with_periods(Duration::from_secs(15), Duration::from_secs(5))
-            .with_slot_mapping(60.0, 0.0);
+            .with_compression(60.0, 0.0);
         // Wall t=30 s → trace t=1800 s → slot 2.
         let d = scaler
             .propose(&Observation::at(Duration::from_secs(30)))

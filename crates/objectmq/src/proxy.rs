@@ -2,8 +2,8 @@
 
 use crate::error::{CallError, CallResult, OmqError};
 use crate::rpc::{decode_response, fresh_id, Request, Response};
-use mqsim::{Message, MessageConsumer, MessageProperties, Messaging, MqError};
-use parking_lot::Mutex;
+use mqsim::{Message, MessageConsumer, MessageProperties, Messaging};
+use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,9 +23,36 @@ pub struct Proxy {
     multi_exchange: String,
     response_queue: String,
     response_consumer: Box<dyn MessageConsumer>,
-    /// Responses that arrived while waiting for a different correlation id.
-    pending: Mutex<HashMap<String, Response>>,
+    inbox: Mutex<Inbox>,
+    /// Signalled when a response is stashed for a waiter and when the
+    /// reader leaves the consumer.
+    inbox_changed: Condvar,
     obs: ProxyObs,
+}
+
+/// The response-queue state shared by the threads calling one proxy. One
+/// caller at a time reads the consumer; it stashes every response that is
+/// not its own here for the caller it belongs to.
+#[derive(Default)]
+struct Inbox {
+    /// Responses that arrived while waiting for a different correlation id.
+    pending: HashMap<String, Vec<Response>>,
+    /// Whether a caller is reading the consumer.
+    reading: bool,
+    /// Callers blocked on `inbox_changed`. A lone caller never waits, so it
+    /// is never signalled either.
+    waiting: usize,
+}
+
+impl Inbox {
+    fn take(&mut self, id: &str) -> Option<Response> {
+        let waiting = self.pending.get_mut(id)?;
+        let response = waiting.pop();
+        if waiting.is_empty() {
+            self.pending.remove(id);
+        }
+        response
+    }
 }
 
 /// Observability handles shared by all proxies (global `omq.*` family),
@@ -73,7 +100,8 @@ impl Proxy {
             multi_exchange,
             response_queue,
             response_consumer,
-            pending: Mutex::new(HashMap::new()),
+            inbox: Mutex::new(Inbox::default()),
+            inbox_changed: Condvar::new(),
             obs: ProxyObs::new(),
         }
     }
@@ -175,7 +203,7 @@ impl Proxy {
                 break Err(CallError::from(e));
             }
             let wait = obs::Span::start_child_of("reply.wait", &ctx);
-            let response = self.await_response(&id, timeout);
+            let response = self.recv_correlated(&id, timeout);
             wait.finish();
             match response {
                 Some(response) => {
@@ -258,46 +286,62 @@ impl Proxy {
         Ok(results)
     }
 
-    /// Waits for a single response with the given correlation id.
-    fn await_response(&self, id: &str, timeout: Duration) -> Option<Response> {
-        if let Some(r) = self.pending.lock().remove(id) {
-            return Some(r);
-        }
-        let deadline = Instant::now() + timeout;
-        let now = Instant::now();
-        if now >= deadline {
-            return None;
-        }
-        self.recv_correlated(id, deadline - now)
-    }
-
-    /// Receives messages from the response queue until one matches `id` or
-    /// the timeout elapses. Non-matching responses are stashed for their
-    /// waiters (a proxy may be shared across threads).
+    /// Waits until a response with correlation id `id` arrives or the
+    /// timeout elapses. A proxy may be shared across threads: the first
+    /// caller to find the consumer free reads it, stashing other callers'
+    /// responses and waking them, and hands the consumer on when it leaves.
     fn recv_correlated(&self, id: &str, timeout: Duration) -> Option<Response> {
         let deadline = Instant::now() + timeout;
+        let mut inbox = self.inbox.lock();
         loop {
-            if let Some(r) = self.pending.lock().remove(id) {
+            if let Some(r) = inbox.take(id) {
                 return Some(r);
             }
+            if !inbox.reading {
+                break;
+            }
+            inbox.waiting += 1;
+            let waited = self.inbox_changed.wait_until(&mut inbox, deadline);
+            inbox.waiting -= 1;
+            if waited.timed_out() {
+                return inbox.take(id);
+            }
+        }
+        inbox.reading = true;
+        drop(inbox);
+        let response = self.read_consumer(id, deadline);
+        let mut inbox = self.inbox.lock();
+        inbox.reading = false;
+        if inbox.waiting > 0 {
+            self.inbox_changed.notify_all();
+        }
+        response
+    }
+
+    /// Reads the response queue until a response for `id` arrives or the
+    /// deadline passes. Only the caller holding the reader role calls this.
+    fn read_consumer(&self, id: &str, deadline: Instant) -> Option<Response> {
+        loop {
             let now = Instant::now();
             if now >= deadline {
                 return None;
             }
-            match self.response_consumer.recv_timeout(deadline - now) {
-                Ok(delivery) => {
-                    let decoded = decode_response(self.codec.as_ref(), delivery.message.payload());
-                    delivery.ack();
-                    if let Ok(response) = decoded {
-                        if response.id == id {
-                            return Some(response);
-                        }
-                        self.pending.lock().insert(response.id.clone(), response);
-                    }
-                    // Malformed responses are dropped.
-                }
-                Err(MqError::RecvTimeout) => return None,
-                Err(_) => return None,
+            let delivery = self.response_consumer.recv_timeout(deadline - now).ok()?;
+            let decoded = decode_response(self.codec.as_ref(), delivery.message.payload());
+            delivery.ack();
+            // Malformed responses are dropped.
+            let Ok(response) = decoded else { continue };
+            if response.id == id {
+                return Some(response);
+            }
+            let mut inbox = self.inbox.lock();
+            inbox
+                .pending
+                .entry(response.id.clone())
+                .or_default()
+                .push(response);
+            if inbox.waiting > 0 {
+                self.inbox_changed.notify_all();
             }
         }
     }
@@ -386,7 +430,7 @@ mod tests {
 
         let timeout = Duration::from_millis(300);
         let started = Instant::now();
-        let got = proxy.await_response("wanted", timeout);
+        let got = proxy.recv_correlated("wanted", timeout);
         let elapsed = started.elapsed();
         stop.store(true, Ordering::Release);
         noise.join().unwrap();

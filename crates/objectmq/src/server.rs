@@ -40,6 +40,10 @@ where
 
 static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
 
+/// How long a serve loop waits for a delivery before it looks at its stop
+/// and crash flags again; bounds shutdown latency.
+const POLL: Duration = Duration::from_millis(20);
+
 pub(crate) fn fresh_instance_name(oid: &str) -> String {
     let n = NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed);
     // The process id is part of the name: instances in different OS
@@ -122,8 +126,6 @@ pub(crate) struct SkeletonConfig {
     pub codec: Arc<dyn Codec>,
     pub oid: String,
     pub instance: String,
-    /// Poll interval of the serve loops (also the shutdown latency bound).
-    pub poll: Duration,
 }
 
 /// Spawns the two skeleton threads for one object instance.
@@ -146,7 +148,6 @@ pub(crate) fn spawn_instance(
             stats: stats.clone(),
             stop: stop.clone(),
             crash: crash.clone(),
-            poll: config.poll,
         };
         threads.push(std::thread::spawn(move || serve_loop(loop_ctx, consumer)));
     }
@@ -169,7 +170,6 @@ struct LoopCtx {
     stats: Arc<ServiceStats>,
     stop: Arc<AtomicBool>,
     crash: Arc<AtomicBool>,
-    poll: Duration,
 }
 
 fn serve_loop(ctx: LoopCtx, consumer: Box<dyn MessageConsumer>) {
@@ -184,7 +184,7 @@ fn serve_loop(ctx: LoopCtx, consumer: Box<dyn MessageConsumer>) {
         if ctx.stop.load(Ordering::Acquire) || ctx.crash.load(Ordering::Acquire) {
             return;
         }
-        let delivery = match consumer.recv_timeout(ctx.poll) {
+        let delivery = match consumer.recv_timeout(POLL) {
             Ok(d) => d,
             Err(mqsim::MqError::RecvTimeout) => continue,
             Err(_) => return, // queue deleted or broker gone

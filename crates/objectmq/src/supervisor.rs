@@ -1,9 +1,14 @@
 //! The Master/Slave enforcement layer of the provisioning framework
 //! (paper §3.3–3.4): a central [`Supervisor`] enforces the pool size
 //! proposed by provisioners by spawning or shutting down server objects in
-//! [`RemoteBroker`] slaves, monitors instance liveness every second, and is
-//! itself monitored by the remote brokers, which run a leader election when
-//! it dies.
+//! [`RemoteBroker`] slaves, monitors instance liveness every second, and
+//! publishes heartbeats.
+//!
+//! Supervisor failover is two library steps that the host runs; nothing
+//! here runs them on its own. A [`HeartbeatMonitor`] tells the host that
+//! the heartbeats went stale, and [`run_election`] tells each candidate
+//! broker whether it won; the winner's host then starts a new
+//! [`Supervisor`].
 
 use crate::broker::Broker;
 use crate::error::{OmqError, OmqResult};
@@ -27,6 +32,8 @@ pub const RBROKER_OID: &str = "omq.rbroker";
 pub const HEARTBEAT_EXCHANGE: &str = "omq.supervisor.hb";
 /// Fanout exchange used for leader election among remote brokers.
 pub const ELECTION_EXCHANGE: &str = "omq.election";
+/// Timeout of each command the supervisor sends to the remote brokers.
+const COMMAND_TIMEOUT: Duration = Duration::from_millis(800);
 
 #[derive(Default)]
 struct RemoteBrokerState {
@@ -250,8 +257,6 @@ pub struct SupervisorConfig {
     pub oid: Oid,
     /// Liveness/enforcement period (paper: every second).
     pub check_interval: Duration,
-    /// Timeout for each command to the remote brokers.
-    pub command_timeout: Duration,
     /// Time source pacing the enforcement rounds. Tests substitute a
     /// [`mqsim::VirtualClock`] so rounds are stepped, not slept.
     pub clock: Arc<dyn Clock>,
@@ -262,7 +267,6 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             oid: Oid::from_static(""),
             check_interval: Duration::from_secs(1),
-            command_timeout: Duration::from_millis(800),
             clock: Arc::new(SystemClock::new()),
         }
     }
@@ -294,8 +298,8 @@ struct ObservedPool {
 ///
 /// Every `check_interval` it queries the remote brokers with a multi-call,
 /// compares the live instance count against the current target, and spawns
-/// or removes instances to converge. It also publishes heartbeats so remote
-/// brokers can detect its death and elect a successor.
+/// or removes instances to converge. It also publishes heartbeats, which a
+/// [`HeartbeatMonitor`] watches (see the module docs for failover).
 pub struct Supervisor {
     stop: Arc<AtomicBool>,
     target: Arc<AtomicUsize>,
@@ -378,9 +382,13 @@ impl Supervisor {
     /// [`Supervisor::set_target`], and that round counted exactly `target`
     /// live instances.
     pub fn targets_met(&self) -> bool {
-        let obs = *self.observed.state.lock();
-        obs.generation >= self.observed.settle_after.load(Ordering::Acquire)
-            && obs.live == self.target()
+        self.settled(&self.observed.state.lock())
+    }
+
+    /// The [`Supervisor::targets_met`] predicate on one round's census.
+    fn settled(&self, round: &PoolObservation) -> bool {
+        round.generation >= self.observed.settle_after.load(Ordering::Acquire)
+            && round.live == self.target()
     }
 
     /// Blocks until [`Supervisor::targets_met`] or the timeout elapses;
@@ -389,26 +397,17 @@ impl Supervisor {
     pub fn wait_targets_met(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut state = self.observed.state.lock();
-        loop {
-            let settled = state.generation >= self.observed.settle_after.load(Ordering::Acquire)
-                && state.live == self.target();
-            if settled {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
+        while !self.settled(&state) {
             if self
                 .observed
                 .changed
                 .wait_until(&mut state, deadline)
                 .timed_out()
             {
-                return state.generation >= self.observed.settle_after.load(Ordering::Acquire)
-                    && state.live == self.target();
+                return self.settled(&state);
             }
         }
+        true
     }
 
     /// Graceful stop.
@@ -463,7 +462,7 @@ fn supervise_loop(
         let counts = proxy.call_multi_sync(
             "count",
             vec![Value::from(config.oid.as_str())],
-            config.command_timeout,
+            COMMAND_TIMEOUT,
         );
         let live: usize = match counts {
             Ok(results) => results
@@ -489,7 +488,7 @@ fn supervise_loop(
                 let spawned = proxy.call_sync(
                     "spawn",
                     vec![Value::from(config.oid.as_str())],
-                    config.command_timeout,
+                    COMMAND_TIMEOUT,
                     1,
                 );
                 if spawned.is_ok() {
@@ -511,7 +510,7 @@ fn supervise_loop(
                 if let Ok(Value::Bool(true)) = proxy.call_sync(
                     "shutdown_one",
                     vec![Value::from(config.oid.as_str())],
-                    config.command_timeout,
+                    COMMAND_TIMEOUT,
                     0,
                 ) {
                     to_remove -= 1;
@@ -542,13 +541,12 @@ fn supervise_loop(
 
 /// Watches supervisor heartbeats on behalf of a remote broker.
 ///
-/// Every broker runs one of these; when [`HeartbeatMonitor::elapsed`]
-/// exceeds a staleness threshold the broker calls [`run_election`] and, if
-/// it wins, starts a replacement supervisor (paper §3.4).
+/// The host decides what staleness means: once [`HeartbeatMonitor::elapsed`]
+/// exceeds its threshold, the host calls [`run_election`] for its broker
+/// and, if that broker wins, starts a replacement supervisor (paper §3.4).
 pub struct HeartbeatMonitor {
-    /// Clock-time of the last heartbeat heard.
-    last: Arc<Mutex<Duration>>,
-    clock: Arc<dyn Clock>,
+    /// When the last heartbeat was heard.
+    last: Arc<Mutex<Instant>>,
     stop: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
 }
@@ -568,37 +566,21 @@ impl HeartbeatMonitor {
     ///
     /// Propagates messaging failures.
     pub fn start(mq: &dyn Messaging, listener_id: u64) -> OmqResult<Self> {
-        Self::start_with_clock(mq, listener_id, Arc::new(SystemClock::new()))
-    }
-
-    /// Same as [`HeartbeatMonitor::start`] but timestamps heartbeats on the
-    /// given clock, so staleness can be asserted under stepped virtual
-    /// time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates messaging failures.
-    pub fn start_with_clock(
-        mq: &dyn Messaging,
-        listener_id: u64,
-        clock: Arc<dyn Clock>,
-    ) -> OmqResult<Self> {
         mq.declare_exchange(HEARTBEAT_EXCHANGE, ExchangeKind::Fanout)?;
         let queue = format!("omq.hbmon.{listener_id}");
         mq.declare_queue(&queue, QueueOptions::default())?;
         mq.bind_queue(HEARTBEAT_EXCHANGE, "", &queue)?;
         let consumer = mq.subscribe(&queue)?;
-        let last = Arc::new(Mutex::new(clock.now()));
+        let last = Arc::new(Mutex::new(Instant::now()));
         let stop = Arc::new(AtomicBool::new(false));
         let t_last = last.clone();
         let t_stop = stop.clone();
-        let t_clock = clock.clone();
         let thread = std::thread::spawn(move || {
             while !t_stop.load(Ordering::Acquire) {
                 match consumer.recv_timeout(Duration::from_millis(50)) {
                     Ok(d) => {
                         d.ack();
-                        *t_last.lock() = t_clock.now();
+                        *t_last.lock() = Instant::now();
                     }
                     Err(mqsim::MqError::RecvTimeout) => continue,
                     Err(_) => return,
@@ -607,7 +589,6 @@ impl HeartbeatMonitor {
         });
         Ok(HeartbeatMonitor {
             last,
-            clock,
             stop,
             thread: Some(thread),
         })
@@ -615,7 +596,7 @@ impl HeartbeatMonitor {
 
     /// Time since the last heartbeat was heard.
     pub fn elapsed(&self) -> Duration {
-        self.clock.now().saturating_sub(*self.last.lock())
+        self.last.lock().elapsed()
     }
 
     /// Stops the monitor.
@@ -730,7 +711,6 @@ mod tests {
         SupervisorConfig {
             oid: Oid::from(oid),
             check_interval: Duration::from_millis(60),
-            command_timeout: Duration::from_millis(500),
             ..Default::default()
         }
     }

@@ -37,4 +37,4 @@ pub use dedup::{DedupReport, ReplayConfig};
 pub use generator::{GeneratorConfig, Trace, TraceOp, TraceStats};
 pub use markov::{FileState, MarkovModel};
 pub use sizes::FileSizeDist;
-pub use ub1::{ArrivalSchedule, ArrivalSlot, Ub1Config, Ub1Trace};
+pub use ub1::{poisson_arrivals, ArrivalSchedule, ArrivalSlot, Ub1Config, Ub1Trace};

@@ -128,11 +128,6 @@ impl Ub1Trace {
         self.per_minute.len() / MINUTES_PER_DAY
     }
 
-    /// One day's slice (0-indexed), arrivals per minute.
-    pub fn day(&self, day: usize) -> &[f64] {
-        &self.per_minute[day * MINUTES_PER_DAY..(day + 1) * MINUTES_PER_DAY]
-    }
-
     /// The whole trace as an [`ArrivalSchedule`]: 1-minute slots, real
     /// time. Narrow and reshape with the builder methods —
     /// `trace.schedule().day(7).slots_of(15).compress(1440.0)` is "day 8
@@ -145,15 +140,6 @@ impl Ub1Trace {
             slot_minutes: 1,
             compression: 1.0,
         }
-    }
-
-    /// Concatenated slot rates (req/s) for a day range — e.g. days 0..7 as
-    /// the predictor's training history.
-    ///
-    /// Thin forwarder; prefer [`Ub1Trace::schedule`] per day.
-    pub fn slot_rates(&self, days: std::ops::Range<usize>, slot_minutes: usize) -> Vec<f64> {
-        days.flat_map(|d| self.schedule().day(d).slots_of(slot_minutes).rates())
-            .collect()
     }
 }
 
@@ -269,6 +255,11 @@ impl<'a> ArrivalSchedule<'a> {
         self.compression
     }
 
+    /// Arrivals per trace minute over the window (uncompressed).
+    pub fn per_minute(&self) -> &'a [f64] {
+        &self.trace.per_minute[self.start_minute..self.start_minute + self.minutes]
+    }
+
     /// Wall-clock length of the whole window under compression.
     pub fn duration(&self) -> Duration {
         Duration::from_secs_f64(self.minutes as f64 * 60.0 / self.compression)
@@ -278,7 +269,7 @@ impl<'a> ArrivalSchedule<'a> {
     /// (window not divisible by the slot width) is yielded at its true,
     /// shorter length.
     pub fn iter(&self) -> impl Iterator<Item = ArrivalSlot> + 'a {
-        let window = &self.trace.per_minute[self.start_minute..self.start_minute + self.minutes];
+        let window = self.per_minute();
         let start_minute = self.start_minute;
         let slot_minutes = self.slot_minutes;
         let compression = self.compression;
@@ -307,40 +298,47 @@ impl<'a> ArrivalSchedule<'a> {
 
     /// Peak arrivals per trace minute over the window (uncompressed).
     pub fn peak_per_minute(&self) -> f64 {
-        self.trace.per_minute[self.start_minute..self.start_minute + self.minutes]
-            .iter()
-            .cloned()
-            .fold(0.0, f64::max)
+        self.per_minute().iter().cloned().fold(0.0, f64::max)
     }
 
     /// Samples Poisson arrival offsets (wall seconds from the window
-    /// start) across the window: minute `m` of the trace contributes
-    /// exponential inter-arrival gaps at its per-second rate, and the
-    /// resulting trace-time offsets are divided by the compression factor.
-    /// At compression 1.0 this is bit-identical to the simulator's
-    /// generator over the same window and seed.
+    /// start) across the window with [`poisson_arrivals`] at the
+    /// schedule's compression.
     pub fn poisson_arrivals(&self, seed: u64) -> Vec<f64> {
-        let window = &self.trace.per_minute[self.start_minute..self.start_minute + self.minutes];
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut arrivals = Vec::new();
-        for (minute, &rate) in window.iter().enumerate() {
-            if rate <= 0.0 {
-                continue;
-            }
-            let per_sec = rate / 60.0;
-            let start = minute as f64 * 60.0;
-            let mut t = start;
-            loop {
-                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                t += -u.ln() / per_sec;
-                if t >= start + 60.0 {
-                    break;
-                }
-                arrivals.push(t / self.compression);
-            }
-        }
-        arrivals
+        poisson_arrivals(self.per_minute().iter().copied(), self.compression, seed)
     }
+}
+
+/// The one Poisson arrival generator of the elasticity experiments: minute
+/// `m` of `rates_per_minute` contributes exponential inter-arrival gaps at
+/// its per-second rate, and each trace-time offset is divided by
+/// `compression` (trace seconds per wall second). The offsets at
+/// compression `C` are therefore the compression-1 offsets divided by `C`,
+/// bit for bit.
+pub fn poisson_arrivals(
+    rates_per_minute: impl IntoIterator<Item = f64>,
+    compression: f64,
+    seed: u64,
+) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut arrivals = Vec::new();
+    for (minute, rate) in rates_per_minute.into_iter().enumerate() {
+        if rate <= 0.0 {
+            continue;
+        }
+        let per_sec = rate / 60.0;
+        let start = minute as f64 * 60.0;
+        let mut t = start;
+        loop {
+            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+            t += -u.ln() / per_sec;
+            if t >= start + 60.0 {
+                break;
+            }
+            arrivals.push(t / compression);
+        }
+    }
+    arrivals
 }
 
 #[cfg(test)]
@@ -371,7 +369,7 @@ mod tests {
     #[test]
     fn diurnal_pattern_peaks_at_midday_and_troughs_at_night() {
         let t = trace();
-        let day = t.day(7);
+        let day = t.schedule().day(7).per_minute();
         let noonish: f64 = day[12 * 60..14 * 60].iter().sum::<f64>() / 120.0;
         let night: f64 = day[2 * 60..4 * 60].iter().sum::<f64>() / 120.0;
         assert!(
@@ -384,8 +382,8 @@ mod tests {
     fn weekends_are_quieter() {
         let t = trace();
         // Days 0-4 weekdays, 5-6 weekend under our convention.
-        let weekday_total: f64 = t.day(2).iter().sum();
-        let weekend_total: f64 = t.day(5).iter().sum();
+        let weekday_total: f64 = t.schedule().day(2).per_minute().iter().sum();
+        let weekend_total: f64 = t.schedule().day(5).per_minute().iter().sum();
         assert!(weekend_total < 0.9 * weekday_total);
     }
 
@@ -412,10 +410,8 @@ mod tests {
         let slots = t.schedule().day(0).slots_of(15).rates();
         assert_eq!(slots.len(), 96);
         // Rate in req/s: slot sum / (15*60).
-        let manual: f64 = t.day(0)[..15].iter().sum::<f64>() / 900.0;
+        let manual: f64 = t.per_minute[..15].iter().sum::<f64>() / 900.0;
         assert!((slots[0] - manual).abs() < 1e-9);
-        let week = t.slot_rates(0..7, 15);
-        assert_eq!(week.len(), 7 * 96);
     }
 
     #[test]
@@ -437,22 +433,6 @@ mod tests {
     fn rates_are_nonnegative() {
         let t = trace();
         assert!(t.per_minute.iter().all(|&r| r >= 0.0));
-    }
-
-    #[test]
-    fn schedule_rates_match_legacy_accessors() {
-        let t = trace();
-        assert_eq!(t.schedule().day(0).slots_of(15).rates(), {
-            // The aggregation the schedule replaced, by hand.
-            t.day(0)
-                .chunks(15)
-                .map(|slot| slot.iter().sum::<f64>() / (slot.len() as f64 * 60.0))
-                .collect::<Vec<f64>>()
-        });
-        assert_eq!(
-            t.schedule().day(7).peak_per_minute(),
-            t.day(7).iter().cloned().fold(0.0, f64::max)
-        );
     }
 
     #[test]
@@ -504,11 +484,13 @@ mod tests {
             .window(720, 30)
             .compress(60.0)
             .poisson_arrivals(99);
-        assert_eq!(real.len(), fast.len(), "compression keeps every arrival");
         assert!(real.windows(2).all(|w| w[0] <= w[1]), "sorted offsets");
-        for (a, b) in real.iter().zip(&fast) {
-            assert!((a / 60.0 - b).abs() < 1e-9, "offsets scale by 1/60");
-        }
+        let scaled: Vec<f64> = real.iter().map(|a| a / 60.0).collect();
+        assert_eq!(
+            fast.iter().map(|t| t.to_bits()).collect::<Vec<u64>>(),
+            scaled.iter().map(|t| t.to_bits()).collect::<Vec<u64>>(),
+            "compression divides every compression-1 offset by 60, bit for bit"
+        );
         // ~30 minutes around midday: tens of thousands of arrivals.
         assert!(real.len() > 10_000, "got {}", real.len());
         assert!(real.iter().all(|&a| (0.0..30.0 * 60.0).contains(&a)));

@@ -40,7 +40,6 @@ impl Cloud {
             SupervisorConfig {
                 oid: SYNC_SERVICE_OID,
                 check_interval: Duration::from_millis(100),
-                command_timeout: Duration::from_millis(800),
                 ..Default::default()
             },
         )?;

@@ -16,7 +16,8 @@ fn main() {
     let summary = run_day8(&Day8Config {
         policy: ScalingPolicy::Both,
         ..Day8Config::default()
-    });
+    })
+    .expect("the whole day is a valid window");
 
     println!("hour  req/min  pool  p95(ms)   workload");
     let max = summary.points.iter().map(|p| p.arrivals).max().unwrap_or(1) as f64;

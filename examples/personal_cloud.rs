@@ -33,7 +33,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         SupervisorConfig {
             oid: SYNC_SERVICE_OID,
             check_interval: Duration::from_millis(100),
-            command_timeout: Duration::from_millis(800),
             ..Default::default()
         },
     )?;

@@ -96,7 +96,6 @@ fn supervisor_pacing_runs_on_the_virtual_clock() {
         SupervisorConfig {
             oid: SYNC_SERVICE_OID,
             check_interval: Duration::from_secs(3600),
-            command_timeout: Duration::from_millis(800),
             clock: Arc::new(clock.clone()),
         },
     )

@@ -7,7 +7,8 @@ use integration_tests::wait_until;
 use metadata::{MetadataStore, ShardedStore};
 use mqsim::QueueStats;
 use objectmq::provision::{
-    AutoScaler, GgOneModel, PredictiveProvisioner, ReactiveProvisioner, ScalingPolicy,
+    AutoScaler, GgOneModel, Observation, PredictiveProvisioner, Provisioner, ReactiveProvisioner,
+    ScalingPolicy, REACTIVE_PERIOD,
 };
 use objectmq::{Broker, RemoteBroker, Supervisor, SupervisorConfig};
 use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService, SYNC_SERVICE_OID};
@@ -34,7 +35,6 @@ fn autoscaler_grows_live_pool_under_load_and_shrinks_after() {
         SupervisorConfig {
             oid: SYNC_SERVICE_OID,
             check_interval: Duration::from_millis(80),
-            command_timeout: Duration::from_millis(800),
             ..Default::default()
         },
     )
@@ -79,13 +79,23 @@ fn autoscaler_grows_live_pool_under_load_and_shrinks_after() {
         std::thread::sleep(Duration::from_millis(8));
     }
 
-    // Reactive decision from the real queue-side observation.
+    // Reactive decision from the real queue-side observation, offered one
+    // reactive period into the scaler's clock.
     let observed = broker
         .messaging()
         .queue_arrival_rate(SYNC_SERVICE_OID.as_str())
         .unwrap();
     assert!(observed > 10.0, "observed rate too low: {observed}");
-    let target = scaler.reactive_tick(observed).expect("must react");
+    let decision = scaler
+        .propose(&Observation {
+            arrival_rate: Some(observed),
+            live: 1,
+            target: 1,
+            ..Observation::at(REACTIVE_PERIOD)
+        })
+        .expect("the reactive cadence elapsed");
+    assert!(decision.changed, "must react");
+    let target = decision.target;
     assert!(target >= 2, "load must demand ≥2 instances, got {target}");
     supervisor.set_target(target);
     wait_until(
@@ -103,9 +113,16 @@ fn autoscaler_grows_live_pool_under_load_and_shrinks_after() {
 
     // Load stops; the scaler shrinks the pool back.
     std::thread::sleep(Duration::from_millis(600));
-    let idle_rate = 0.5; // post-burst observation
-    if let Some(down) = scaler.reactive_tick(idle_rate) {
-        supervisor.set_target(down);
+    let idle = scaler
+        .propose(&Observation {
+            arrival_rate: Some(0.5), // post-burst observation
+            live: target,
+            target,
+            ..Observation::at(REACTIVE_PERIOD * 2)
+        })
+        .expect("the reactive cadence elapsed again");
+    if idle.changed {
+        supervisor.set_target(idle.target);
     }
     wait_until("pool to shrink back to 1", Duration::from_secs(5), || {
         node.local_count(SYNC_SERVICE_OID) == 1
