@@ -4,10 +4,9 @@
 //! and checks that commits trace across the wire and that the critical
 //! path accounts for the commit's end-to-end latency.
 
-use obs::traceview::{
-    assemble, chrome_trace_json, commit_critical_path, parse_dump, Json, ProcessDump,
-};
+use obs::traceview::{assemble, chrome_trace_json, commit_critical_path, parse_dump, ProcessDump};
 use std::process::Command;
+use wire::{Codec, JsonCodec, Value};
 
 #[test]
 fn three_process_commit_assembles_into_one_trace() {
@@ -64,15 +63,17 @@ fn three_process_commit_assembles_into_one_trace() {
     // The Chrome export of the whole run must be valid JSON with complete
     // ("X") events from at least two distinct processes.
     let chrome = chrome_trace_json(&traces);
-    let parsed = Json::parse(&chrome).expect("chrome export parses");
+    let parsed = JsonCodec
+        .decode(chrome.as_bytes())
+        .expect("chrome export parses");
     let events = parsed
-        .get("traceEvents")
-        .and_then(Json::as_array)
+        .field("traceEvents")
+        .and_then(Value::as_list)
         .expect("traceEvents array");
     let mut pids = std::collections::BTreeSet::new();
     for event in events {
-        if event.get("ph").and_then(Json::as_str) == Some("X") {
-            pids.insert(event.get("pid").and_then(Json::as_u64).expect("pid"));
+        if event.field("ph").and_then(Value::as_str) == Ok("X") {
+            pids.insert(event.field("pid").and_then(Value::as_u64).expect("pid"));
         }
     }
     assert!(

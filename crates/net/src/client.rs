@@ -53,6 +53,14 @@ const DIALERS: usize = 4;
 /// event before yielding the loop (level-triggered poll re-fires).
 const CLIENT_READ_BURSTS: usize = 64;
 
+/// First reconnect delay; doubles per attempt up to
+/// [`NetConfig::backoff_cap`].
+const BACKOFF_INITIAL: Duration = Duration::from_millis(20);
+
+/// TCP connection-establishment timeout per reconnect attempt, and the
+/// deadline for the clock handshake's reply.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Tuning knobs of a [`NetBroker`].
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -63,12 +71,9 @@ pub struct NetConfig {
     pub credit: u64,
     /// Ping period while the connection is healthy.
     pub heartbeat: Duration,
-    /// First reconnect delay; doubles per attempt up to `backoff_cap`.
-    pub backoff_initial: Duration,
-    /// Upper bound of the reconnect backoff.
+    /// Upper bound of the reconnect backoff, which starts at 20 ms and
+    /// doubles per attempt.
     pub backoff_cap: Duration,
-    /// TCP connection-establishment timeout per reconnect attempt.
-    pub connect_timeout: Duration,
     /// Time source for the heartbeat and the reconnect backoff. The client
     /// reactor sleeps in `poll(2)` toward the earliest of these deadlines;
     /// stepping a [`mqsim::VirtualClock`] does not wake a parked `poll`, so
@@ -82,9 +87,7 @@ impl Default for NetConfig {
             op_timeout: Duration::from_secs(10),
             credit: 64,
             heartbeat: Duration::from_millis(500),
-            backoff_initial: Duration::from_millis(20),
             backoff_cap: Duration::from_secs(2),
-            connect_timeout: Duration::from_secs(2),
             clock: Arc::new(SystemClock::new()),
         }
     }
@@ -583,9 +586,7 @@ fn dial_one(client: &Arc<ClientInner>, rng: &mut rand::rngs::StdRng) {
         return;
     }
     let attempt = client.attempt.fetch_add(1, Ordering::Relaxed);
-    let base = client
-        .config
-        .backoff_initial
+    let base = BACKOFF_INITIAL
         .saturating_mul(1u32 << attempt.min(16))
         .min(client.config.backoff_cap);
     // Full jitter: retry uniformly in [base/2, base] on the client's own
@@ -606,14 +607,14 @@ fn dial_one(client: &Arc<ClientInner>, rng: &mut rand::rngs::StdRng) {
 /// registers the connection with the reactor. `false` on any failure (the
 /// caller schedules the backoff).
 fn try_connect(client: &Arc<ClientInner>) -> bool {
-    let Ok(stream) = TcpStream::connect_timeout(&client.addr, client.config.connect_timeout) else {
+    let Ok(stream) = TcpStream::connect_timeout(&client.addr, CONNECT_TIMEOUT) else {
         return false;
     };
     let _ = stream.set_nodelay(true);
     // Clock handshake on the still-blocking stream, before the writer is
     // installed or the source registered — the reply is the only traffic,
     // so reading it inline here cannot race frame dispatch.
-    if !clock_handshake(client, &stream) {
+    if !clock_handshake(&stream) {
         return false;
     }
     let Ok(rt) = runtime() else {
@@ -860,7 +861,7 @@ impl EventSource for ClientSource {
 /// pick it up so [`obs::traceview`] can align this process's spans onto the
 /// broker's timeline. `false` if the exchange failed (treated like any other
 /// connect failure).
-fn clock_handshake(inner: &ClientInner, stream: &TcpStream) -> bool {
+fn clock_handshake(stream: &TcpStream) -> bool {
     let t0 = obs::unix_now_ns();
     let hello = Request::Hello {
         pid: u64::from(std::process::id()),
@@ -869,7 +870,7 @@ fn clock_handshake(inner: &ClientInner, stream: &TcpStream) -> bool {
     if write_frame(&mut (&*stream), &hello.to_frame(0)).is_err() {
         return false;
     }
-    let _ = stream.set_read_timeout(Some(inner.config.connect_timeout));
+    let _ = stream.set_read_timeout(Some(CONNECT_TIMEOUT));
     let reply = read_frame(&mut (&*stream));
     let _ = stream.set_read_timeout(None);
     let t1 = obs::unix_now_ns();

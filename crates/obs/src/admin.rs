@@ -11,11 +11,13 @@
 //! | `/snapshot`       | monotonic counter/histogram snapshot with seq       |
 //! | `/flightrecorder` | flight-recorder events, JSON lines                  |
 
+use crate::export::object;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use wire::{to_json_string, Value};
 
 /// How long a single request may take to arrive before the connection is
 /// abandoned — keeps one stalled scraper from wedging the accept thread.
@@ -153,36 +155,26 @@ fn serve_one(stream: TcpStream) -> std::io::Result<()> {
 }
 
 fn healthz_json(report: &[crate::HealthCheck]) -> String {
-    use std::fmt::Write;
     let all_ok = report.iter().all(|c| c.result.is_ok());
-    let mut out = format!(
-        "{{\"status\":\"{}\",\"checks\":[",
-        if all_ok { "ok" } else { "fail" }
-    );
-    for (i, check) in report.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match &check.result {
-            Ok(()) => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{}\",\"ok\":true}}",
-                    crate::export::json_escape(&check.name)
-                );
+    let checks = report
+        .iter()
+        .map(|check| {
+            let name = ("name", check.name.as_str().into());
+            match &check.result {
+                Ok(()) => object([name, ("ok", true.into())]),
+                Err(reason) => object([
+                    name,
+                    ("ok", false.into()),
+                    ("error", reason.as_str().into()),
+                ]),
             }
-            Err(reason) => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{}\",\"ok\":false,\"error\":\"{}\"}}",
-                    crate::export::json_escape(&check.name),
-                    crate::export::json_escape(reason)
-                );
-            }
-        }
-    }
-    out.push_str("]}");
-    out
+        })
+        .collect();
+    let status = if all_ok { "ok" } else { "fail" };
+    to_json_string(&object([
+        ("status", status.into()),
+        ("checks", Value::List(checks)),
+    ]))
 }
 
 #[cfg(test)]

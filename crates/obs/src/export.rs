@@ -4,7 +4,9 @@
 //! file, a test assertion).
 
 use crate::metrics::registry;
+use crate::FinishedSpan;
 use std::fmt::Write;
+use wire::{to_json_string, Value};
 
 /// Sanitizes a metric name into the Prometheus charset
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`): dots and dashes become underscores.
@@ -62,52 +64,48 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// A JSON object with `fields` in order.
+pub(crate) fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Map(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// One JSON document per line.
+pub(crate) fn json_lines(values: impl IntoIterator<Item = Value>) -> String {
+    let mut out = String::new();
+    for value in values {
+        out.push_str(&to_json_string(&value));
+        out.push('\n');
     }
     out
+}
+
+/// A trace or span id as the dump writes it: 16 lowercase hex digits.
+pub(crate) fn hex_id(id: u64) -> Value {
+    Value::Str(format!("{id:016x}"))
+}
+
+fn span_value(span: FinishedSpan) -> Value {
+    object([
+        ("trace", hex_id(span.trace_id)),
+        ("span", hex_id(span.span_id)),
+        ("parent", span.parent_id.map_or(Value::Null, hex_id)),
+        ("name", Value::Str(span.name)),
+        ("start_ns", Value::U64(span.start_ns)),
+        ("end_ns", Value::U64(span.end_ns)),
+        ("annotations", span.annotations.into()),
+    ])
 }
 
 /// Renders the span ring buffer as JSON lines — one span object per line,
 /// oldest first. Suitable for `--obs-dump` files and offline trace
 /// reconstruction.
 pub fn spans_json() -> String {
-    let mut out = String::new();
-    for span in crate::finished_spans() {
-        let parent = match span.parent_id {
-            Some(p) => format!("\"{p:016x}\""),
-            None => "null".to_string(),
-        };
-        let annotations = span
-            .annotations
-            .iter()
-            .map(|a| format!("\"{}\"", json_escape(a)))
-            .collect::<Vec<_>>()
-            .join(",");
-        let _ = writeln!(
-            out,
-            "{{\"trace\":\"{:016x}\",\"span\":\"{:016x}\",\"parent\":{parent},\
-             \"name\":\"{}\",\"start_ns\":{},\"end_ns\":{},\"annotations\":[{annotations}]}}",
-            span.trace_id,
-            span.span_id,
-            json_escape(&span.name),
-            span.start_ns,
-            span.end_ns,
-        );
-    }
-    out
+    json_lines(crate::finished_spans().into_iter().map(span_value))
 }
 
 /// [`spans_json`] preceded by a one-line meta header identifying the
@@ -120,13 +118,13 @@ pub fn spans_json() -> String {
 /// This is the on-disk format `obs::traceview` assembles multi-process
 /// traces from; `skew_ns` carries the net handshake's clock-offset estimate.
 pub fn spans_json_with_meta(process: &str) -> String {
-    let mut out = format!(
-        "{{\"meta\":{{\"process\":\"{}\",\"pid\":{},\"epoch_unix_ns\":{},\"skew_ns\":{}}}}}\n",
-        json_escape(process),
-        std::process::id(),
-        crate::epoch_unix_ns(),
-        crate::clock_skew_ns(),
-    );
+    let meta = object([
+        ("process", process.into()),
+        ("pid", std::process::id().into()),
+        ("epoch_unix_ns", crate::epoch_unix_ns().into()),
+        ("skew_ns", crate::clock_skew_ns().into()),
+    ]);
+    let mut out = json_lines([object([("meta", meta)])]);
     out.push_str(&spans_json());
     out
 }
@@ -136,60 +134,54 @@ pub fn spans_json_with_meta(process: &str) -> String {
 /// scrapes and detect restarts), raw counter/gauge values, and full
 /// histogram state — bucket occupancy as sparse `[index, count]` pairs —
 /// which [`crate::HistogramSnapshot::delta`] turns into per-window
-/// distributions on the collector side.
+/// distributions on the collector side. A non-finite gauge reads `0.0`.
 pub fn snapshot_json() -> String {
     use std::sync::atomic::{AtomicU64, Ordering};
     static SEQ: AtomicU64 = AtomicU64::new(1);
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
 
-    let sane = |v: f64| if v.is_finite() { v } else { 0.0 };
-    let mut out = format!(
-        "{{\"seq\":{seq},\"unix_ns\":{},\"process\":\"{}\"",
-        crate::unix_now_ns(),
-        json_escape(&crate::process_label()),
-    );
-    out.push_str(",\"counters\":{");
-    for (i, (name, counter)) in registry().counters().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{}", json_escape(&name), counter.value());
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, (name, gauge)) in registry().gauges().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{}", json_escape(&name), sane(gauge.value()));
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, (name, histogram)) in registry().histograms().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let snap = histogram.snapshot();
-        let _ = write!(
-            out,
-            "\"{}\":{{\"count\":{},\"sum_ns\":{},\"max_ns\":{},\"buckets\":[",
-            json_escape(&name),
-            snap.count,
-            snap.sum_ns,
-            snap.max_ns
-        );
-        let mut first = true;
-        for (idx, &c) in snap.buckets.iter().enumerate() {
-            if c > 0 {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, "[{idx},{c}]");
-            }
-        }
-        out.push_str("]}");
-    }
-    out.push_str("}}");
-    out
+    let counters: Value = registry()
+        .counters()
+        .into_iter()
+        .map(|(name, counter)| (name, counter.value().into()))
+        .collect();
+    let gauges: Value = registry()
+        .gauges()
+        .into_iter()
+        .map(|(name, gauge)| {
+            let v = gauge.value();
+            (name, Value::F64(if v.is_finite() { v } else { 0.0 }))
+        })
+        .collect();
+    let histograms: Value = registry()
+        .histograms()
+        .into_iter()
+        .map(|(name, histogram)| {
+            let snap = histogram.snapshot();
+            let buckets = snap
+                .buckets
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| c > 0)
+                .map(|(idx, &c)| vec![Value::from(idx), c.into()].into())
+                .collect();
+            let state = object([
+                ("count", snap.count.into()),
+                ("sum_ns", snap.sum_ns.into()),
+                ("max_ns", snap.max_ns.into()),
+                ("buckets", Value::List(buckets)),
+            ]);
+            (name, state)
+        })
+        .collect();
+    to_json_string(&object([
+        ("seq", seq.into()),
+        ("unix_ns", crate::unix_now_ns().into()),
+        ("process", crate::process_label().into()),
+        ("counters", counters),
+        ("gauges", gauges),
+        ("histograms", histograms),
+    ]))
 }
 
 #[cfg(test)]

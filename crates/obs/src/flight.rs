@@ -77,18 +77,13 @@ pub fn clear() {
 
 /// Renders the retained events as JSON lines, oldest first.
 pub fn to_json() -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    for event in events() {
-        let _ = writeln!(
-            out,
-            "{{\"ts_unix_ns\":{},\"subsystem\":\"{}\",\"message\":\"{}\"}}",
-            event.ts_unix_ns,
-            crate::export::json_escape(&event.subsystem),
-            crate::export::json_escape(&event.message),
-        );
-    }
-    out
+    crate::export::json_lines(events().into_iter().map(|event| {
+        crate::export::object([
+            ("ts_unix_ns", event.ts_unix_ns.into()),
+            ("subsystem", event.subsystem.into()),
+            ("message", event.message.into()),
+        ])
+    }))
 }
 
 /// Writes the JSON-lines dump to `path`.

@@ -3,7 +3,8 @@
 //! invocation tracing with causally-linked spans, and pluggable exporters
 //! (Prometheus-style text, JSON-lines traces, env-gated stderr logging).
 //!
-//! Everything is hand-rolled on `std` — no external dependencies — and the
+//! Everything is hand-rolled on `std` — no external dependencies; JSON is
+//! read and written by the workspace's `wire` codec — and the
 //! hot paths are atomics only. A global kill switch ([`disable`]) turns every
 //! recording site into a single relaxed load so instrumented builds can run
 //! measurement-free.

@@ -5,317 +5,19 @@
 //!
 //! Input is the [`crate::spans_json_with_meta`] format: a meta header line
 //! anchoring the process's monotonic span clock to unix time (plus the net
-//! handshake's clock-skew estimate), then one span per line. Alignment adds
+//! handshake's clock-skew estimate), then one span per line, each decoded
+//! with `wire`'s [`JsonCodec`], the codec that wrote it. Alignment adds
 //! `epoch_unix_ns + skew_ns` to every timestamp, which places all processes
 //! on the broker server's timeline; the critical-path decomposition then
 //! telescopes — its six segments partition the root span exactly, so they
 //! sum to the end-to-end latency by construction (modulo clamping of
 //! skew-inverted boundaries to zero).
 
+use crate::export::{hex_id, object};
 use crate::FinishedSpan;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-// ---------------------------------------------------------------------------
-// Minimal JSON value + parser (std-only; integers kept exact)
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Integers are held exactly (span timestamps exceed
-/// `f64`'s 53-bit mantissa), everything else is the usual tree.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// A number written without fraction or exponent.
-    Int(i128),
-    /// Any other number.
-    Float(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in document order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parses one JSON document (trailing whitespace allowed).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description with a byte offset.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut parser = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        parser.skip_ws();
-        let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", parser.pos));
-        }
-        Ok(value)
-    }
-
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// String payload, if a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Non-negative integer payload.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Int(i) => u64::try_from(*i).ok(),
-            _ => None,
-        }
-    }
-
-    /// Signed integer payload.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(i) => i64::try_from(*i).ok(),
-            _ => None,
-        }
-    }
-
-    /// Numeric payload (integer or float).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Int(i) => Some(*i as f64),
-            Json::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
-    /// Array elements, if an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected byte at {}", self.pos)),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let escape = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let code = self.hex4()?;
-                            // Surrogate pair handling: a high surrogate must
-                            // be followed by `\uDC00..\uDFFF`.
-                            let c = if (0xd800..0xdc00).contains(&code) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let low = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((code - 0xd800) << 10)
-                                        + (low.wrapping_sub(0xdc00) & 0x3ff);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(code)
-                            };
-                            out.push(c.unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(format!("bad escape `\\{}`", other as char));
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Copy the run up to the next quote or backslash, checked
-                    // once; checking the rest of the line per character made
-                    // a long line quadratic. An unterminated run is reported
-                    // by the next turn of the loop.
-                    let rest = &self.bytes[self.pos..];
-                    let len = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
-                    let run = std::str::from_utf8(&rest[..len]).map_err(|_| "invalid utf-8")?;
-                    out.push_str(run);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
-        let hex = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or("truncated \\u escape")?;
-        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-        self.pos = end;
-        Ok(code)
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut integral = true;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    integral = false;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if integral {
-            if let Ok(i) = text.parse::<i128>() {
-                return Ok(Json::Int(i));
-            }
-        }
-        text.parse::<f64>()
-            .map(Json::Float)
-            .map_err(|_| format!("bad number at byte {start}"))
-    }
-}
+use wire::{to_json_string, Codec, JsonCodec, Value, WireError, WireResult};
 
 // ---------------------------------------------------------------------------
 // Dump parsing & cross-process assembly
@@ -357,64 +59,53 @@ pub fn parse_dump(text: &str) -> Result<ProcessDump, String> {
         if !line.starts_with('{') {
             continue;
         }
-        let value = Json::parse(line).map_err(|e| format!("line {}: {e}", index + 1))?;
-        if let Some(meta) = value.get("meta") {
-            if let Some(p) = meta.get("process").and_then(Json::as_str) {
+        let at_line = |e: WireError| format!("line {}: {e}", index + 1);
+        let mut value = JsonCodec.decode(line.as_bytes()).map_err(at_line)?;
+        if let Ok(meta) = value.field("meta") {
+            if let Ok(p) = meta.field("process").and_then(Value::as_str) {
                 dump.process = p.to_string();
             }
-            dump.pid = meta.get("pid").and_then(Json::as_u64).unwrap_or(0);
+            dump.pid = meta.field("pid").and_then(Value::as_u64).unwrap_or(0);
             dump.epoch_unix_ns = meta
-                .get("epoch_unix_ns")
-                .and_then(Json::as_u64)
+                .field("epoch_unix_ns")
+                .and_then(Value::as_u64)
                 .unwrap_or(0);
-            dump.skew_ns = meta.get("skew_ns").and_then(Json::as_i64).unwrap_or(0);
+            dump.skew_ns = meta.field("skew_ns").and_then(Value::as_i64).unwrap_or(0);
             continue;
         }
-        let hex_field = |key: &str| -> Result<u64, String> {
-            let s = value
-                .get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("line {}: missing `{key}`", index + 1))?;
-            u64::from_str_radix(s, 16).map_err(|e| format!("line {}: bad `{key}`: {e}", index + 1))
-        };
-        let num_field = |key: &str| -> Result<u64, String> {
-            value
-                .get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("line {}: missing `{key}`", index + 1))
-        };
-        let parent_id = match value.get("parent") {
-            None | Some(Json::Null) => None,
-            Some(Json::Str(s)) => Some(
-                u64::from_str_radix(s, 16)
-                    .map_err(|e| format!("line {}: bad `parent`: {e}", index + 1))?,
-            ),
-            Some(_) => return Err(format!("line {}: bad `parent`", index + 1)),
-        };
-        dump.spans.push(FinishedSpan {
-            trace_id: hex_field("trace")?,
-            span_id: hex_field("span")?,
-            parent_id,
-            name: value
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("line {}: missing `name`", index + 1))?
-                .to_string(),
-            start_ns: num_field("start_ns")?,
-            end_ns: num_field("end_ns")?,
-            annotations: value
-                .get("annotations")
-                .and_then(Json::as_array)
-                .map(|items| {
-                    items
-                        .iter()
-                        .filter_map(|a| a.as_str().map(str::to_string))
-                        .collect()
-                })
-                .unwrap_or_default(),
-        });
+        dump.spans.push(span_from(&mut value).map_err(at_line)?);
     }
     Ok(dump)
+}
+
+/// One span line of the dump, its strings moved out of `value`.
+fn span_from(value: &mut Value) -> WireResult<FinishedSpan> {
+    let hex = |v: &Value| -> WireResult<u64> {
+        let s = v.as_str()?;
+        u64::from_str_radix(s, 16).map_err(|e| WireError::Invalid(format!("`{s}`: {e}")))
+    };
+    let parent_id = match value.get("parent") {
+        None | Some(Value::Null) => None,
+        Some(parent) => Some(hex(parent)?),
+    };
+    Ok(FinishedSpan {
+        trace_id: hex(value.field("trace")?)?,
+        span_id: hex(value.field("span")?)?,
+        parent_id,
+        name: value.take_field("name")?.into_string()?,
+        start_ns: value.field("start_ns")?.as_u64()?,
+        end_ns: value.field("end_ns")?.as_u64()?,
+        annotations: value
+            .take_field("annotations")
+            .and_then(Value::into_list)
+            .map(|items| {
+                items
+                    .into_iter()
+                    .filter_map(|a| a.into_string().ok())
+                    .collect()
+            })
+            .unwrap_or_default(),
+    })
 }
 
 /// A span placed on the shared unix timeline.
@@ -500,61 +191,45 @@ pub fn chrome_trace_json(traces: &[Trace]) -> String {
         .map(|s| s.start_unix_ns)
         .min()
         .unwrap_or(0);
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut emit = |event: String, out: &mut String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&event);
-    };
-
+    let mut events = Vec::new();
     let mut seen_pids: Vec<u64> = Vec::new();
-    for trace in traces {
-        for span in &trace.spans {
-            if !seen_pids.contains(&span.pid) {
-                seen_pids.push(span.pid);
-                emit(
-                    format!(
-                        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
-                         \"args\":{{\"name\":\"{}\"}}}}",
-                        span.pid,
-                        crate::export::json_escape(&span.process)
-                    ),
-                    &mut out,
-                );
-            }
+    for span in traces.iter().flat_map(|t| &t.spans) {
+        if !seen_pids.contains(&span.pid) {
+            seen_pids.push(span.pid);
+            events.push(object([
+                ("name", "process_name".into()),
+                ("ph", "M".into()),
+                ("pid", span.pid.into()),
+                ("tid", 0u64.into()),
+                ("args", object([("name", span.process.as_str().into())])),
+            ]));
         }
     }
     for (lane, trace) in traces.iter().enumerate() {
         for span in &trace.spans {
             let ts_us = span.start_unix_ns.saturating_sub(base) as f64 / 1e3;
             let dur_us = span.end_unix_ns.saturating_sub(span.start_unix_ns) as f64 / 1e3;
-            let annotations = span
-                .span
-                .annotations
-                .iter()
-                .map(|a| crate::export::json_escape(a))
-                .collect::<Vec<_>>()
-                .join("; ");
-            emit(
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{ts_us:.3},\
-                     \"dur\":{dur_us:.3},\"pid\":{},\"tid\":{},\"args\":{{\
-                     \"trace\":\"{:016x}\",\"span\":\"{:016x}\",\"annotations\":\"{annotations}\"}}}}",
-                    crate::export::json_escape(&span.span.name),
-                    span.pid,
-                    lane + 1,
-                    trace.trace_id,
-                    span.span.span_id,
-                ),
-                &mut out,
-            );
+            let args = object([
+                ("trace", hex_id(trace.trace_id)),
+                ("span", hex_id(span.span.span_id)),
+                ("annotations", span.span.annotations.join("; ").into()),
+            ]);
+            events.push(object([
+                ("name", span.span.name.as_str().into()),
+                ("cat", "span".into()),
+                ("ph", "X".into()),
+                ("ts", ts_us.into()),
+                ("dur", dur_us.into()),
+                ("pid", span.pid.into()),
+                ("tid", (lane + 1).into()),
+                ("args", args),
+            ]));
         }
     }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+    to_json_string(&object([
+        ("traceEvents", Value::List(events)),
+        ("displayTimeUnit", "ms".into()),
+    ]))
 }
 
 // ---------------------------------------------------------------------------
@@ -729,47 +404,6 @@ pub fn render_critical_path(path: &CriticalPath) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn json_parser_handles_the_dump_grammar() {
-        let v = Json::parse(
-            r#"{"a":null,"b":true,"big":1722180000000000123,"neg":-5,"f":1.5e3,
-                "s":"he\"llo\nworld é","arr":[1,2,[]],"o":{}}"#,
-        )
-        .unwrap();
-        assert_eq!(v.get("a"), Some(&Json::Null));
-        assert_eq!(v.get("b"), Some(&Json::Bool(true)));
-        // Exact past 2^53: this is why integers are not parsed as f64.
-        assert_eq!(
-            v.get("big").and_then(Json::as_u64),
-            Some(1_722_180_000_000_000_123)
-        );
-        assert_eq!(v.get("neg").and_then(Json::as_i64), Some(-5));
-        assert_eq!(v.get("f").and_then(Json::as_f64), Some(1500.0));
-        assert_eq!(v.get("s").and_then(Json::as_str), Some("he\"llo\nworld é"));
-        assert_eq!(
-            v.get("arr").and_then(Json::as_array).map(<[Json]>::len),
-            Some(3)
-        );
-        assert!(Json::parse("{\"unterminated\":").is_err());
-        assert!(Json::parse("[1,2] trailing").is_err());
-        assert!(Json::parse("\"no closing quote é").is_err());
-    }
-
-    /// With a scanner that re-validates the rest of the line per character
-    /// this does not finish in minutes.
-    #[test]
-    fn megabytes_of_string_parse_in_linear_time() {
-        let plain = "span é ".repeat(2 * 1024 * 1024 / 8);
-        let escaped = "fifteen plain b\\n".repeat(1024 * 1024 / 17);
-        let v = Json::parse(&format!("[\"{plain}\",\"{escaped}\"]")).unwrap();
-        let items = v.as_array().unwrap();
-        assert_eq!(items[0].as_str(), Some(plain.as_str()));
-        assert_eq!(
-            items[1].as_str(),
-            Some("fifteen plain b\n".repeat(1024 * 1024 / 17).as_str())
-        );
-    }
-
     /// Builds the writer + server dump pair for one synthetic commit with
     /// microsecond-exact boundaries, exercising every layer: parse, align
     /// (including a skewed client clock), assemble, decompose.
@@ -844,27 +478,29 @@ mod tests {
         let dumps = [parse_dump(&client).unwrap(), parse_dump(&server).unwrap()];
         let traces = assemble(&dumps);
         let chrome = chrome_trace_json(&traces);
-        let parsed = Json::parse(&chrome).expect("chrome export must be valid JSON");
+        let parsed = JsonCodec
+            .decode(chrome.as_bytes())
+            .expect("chrome export must be valid JSON");
         let events = parsed
-            .get("traceEvents")
-            .and_then(Json::as_array)
+            .field("traceEvents")
+            .and_then(Value::as_list)
             .expect("traceEvents array");
         // 7 spans + 2 process_name metadata events.
         assert_eq!(events.len(), 9);
         let complete = events
             .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+            .filter(|e| e.field("ph").and_then(Value::as_str) == Ok("X"))
             .count();
         assert_eq!(complete, 7);
         assert!(events.iter().any(|e| {
-            e.get("ph").and_then(Json::as_str) == Some("M")
-                && e.get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(Json::as_str)
-                    == Some("writer")
+            e.field("ph").and_then(Value::as_str) == Ok("M")
+                && e.field("args")
+                    .and_then(|a| a.field("name"))
+                    .and_then(Value::as_str)
+                    == Ok("writer")
         }));
         // The viewer opens at t=0: the earliest event is rebased.
-        assert!(chrome.contains("\"ts\":0.000"));
+        assert!(chrome.contains("\"ts\":0.0,"));
     }
 
     #[test]

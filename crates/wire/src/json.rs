@@ -34,8 +34,9 @@ impl Codec for JsonCodec {
     }
 }
 
-/// Serializes a value as compact JSON text.
-pub(crate) fn to_json_string(value: &Value) -> String {
+/// Serializes a value as compact JSON text: the bytes [`JsonCodec`] encodes,
+/// as a `String`.
+pub fn to_json_string(value: &Value) -> String {
     let mut out = String::with_capacity(64);
     write_value(&mut out, value);
     out
@@ -339,35 +340,62 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Four hex digits, no sign (`from_str_radix` would take a `+`).
     fn hex4(&mut self) -> WireResult<u32> {
-        if self.pos + 4 > self.text.len() {
-            return Err(WireError::UnexpectedEof);
+        let digits = self
+            .bytes()
+            .get(self.pos..self.pos + 4)
+            .ok_or(WireError::UnexpectedEof)?;
+        let mut v = 0;
+        for &digit in digits {
+            let nibble = hex_nibble(digit).ok_or_else(|| self.err("bad hex digits"))?;
+            v = v << 4 | u32::from(nibble);
         }
-        let hex = std::str::from_utf8(&self.bytes()[self.pos..self.pos + 4])
-            .map_err(|_| WireError::InvalidUtf8)?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad hex digits"))?;
         self.pos += 4;
         Ok(v)
     }
 
+    /// Steps over a run of decimal digits; an empty run is an error.
+    fn digits(&mut self) -> WireResult<()> {
+        let run = self.bytes()[self.pos..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        if run == 0 {
+            return Err(self.err("expected a digit"));
+        }
+        self.pos += run;
+        Ok(())
+    }
+
+    /// RFC 8259's `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`:
+    /// no leading zero before more digits, a digit on both sides of `.`.
     fn number(&mut self) -> WireResult<Value> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
+        if self.peek() == Some(b'0') {
+            self.pos += 1;
+        } else {
+            self.digits()?;
         }
-        let raw = std::str::from_utf8(&self.bytes()[start..self.pos])
-            .map_err(|_| WireError::InvalidUtf8)?;
+        let mut is_float = false;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits()?;
+            is_float = true;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits()?;
+            is_float = true;
+        }
+        // The grammar above admits ASCII only.
+        let raw = &self.text[start..self.pos];
         if is_float {
             raw.parse::<f64>()
                 .map(Value::F64)
@@ -448,13 +476,25 @@ mod tests {
 
     #[test]
     fn parses_whitespace_and_nesting() {
-        let v = parse(" { \"a\" : [ 1 , 2.5 , \"x\" ] , \"b\" : { } } ").unwrap();
+        let v = parse(
+            " { \"a\" : [ 1 , 2.5 , \"x\" , 1722180000000000123 , 1.5e3 , -0 , 0.5 ] , \"b\" : { } } ",
+        )
+        .unwrap();
         assert_eq!(
             v,
             Value::Map(vec![
                 (
                     "a".into(),
-                    Value::List(vec![Value::I64(1), Value::F64(2.5), Value::from("x")])
+                    Value::List(vec![
+                        Value::I64(1),
+                        Value::F64(2.5),
+                        Value::from("x"),
+                        // Exact past 2^53: span timestamps need every digit.
+                        Value::I64(1_722_180_000_000_000_123),
+                        Value::F64(1500.0),
+                        Value::I64(0),
+                        Value::F64(0.5),
+                    ])
                 ),
                 ("b".into(), Value::Map(vec![])),
             ])
@@ -480,6 +520,19 @@ mod tests {
             "\"\\u12\"",
             "\"\\ud800\"",
             "nulltrailing",
+            // RFC 8259 numbers: no leading zero, a digit on both sides of `.`.
+            "01",
+            "-01",
+            "00",
+            "[00]",
+            "1.",
+            "2.",
+            "1.e5",
+            "-.5",
+            "-",
+            "1e",
+            // A sign is not a hex digit.
+            "\"\\u+041\"",
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }

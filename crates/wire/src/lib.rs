@@ -38,7 +38,7 @@ mod value;
 
 pub use binary::BinaryCodec;
 pub use error::{WireError, WireResult};
-pub use json::JsonCodec;
+pub use json::{to_json_string, JsonCodec};
 pub use pool::{encode_pooled, encode_to_bytes, BufPool};
 pub use value::{FromValue, ToValue, Value};
 
