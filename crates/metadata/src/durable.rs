@@ -11,9 +11,11 @@
 //! ```
 //!
 //! **One format.** Every file holds `wal` frames
-//! (`[len u32][seq u64][crc u64][payload]`) whose payloads are
-//! [`BinaryCodec`] maps `{"lsn", "op", ...}` of four kinds: `user`, `ws`,
-//! `share`, `commit`. The snapshot is a compacted log in that format: frame
+//! (`[len u32][seq u64][crc u64][payload]`) whose payloads are binary
+//! ([`wire::BinaryCodec`]) maps `{"lsn", "op", ...}` of four kinds: `user`,
+//! `ws`, `share`, `commit`. They are written through [`wire::Writer`] and
+//! read through [`wire::Reader`], never as a `Value` tree
+//! ([`crate::record`]). The snapshot is a compacted log in that format: frame
 //! 0 is a header `{"format": "stacksync-metadata-v2", "records": N}`, frames
 //! 1..=N are the `user` records, then the `ws` records, then one `share` per
 //! member, then one `commit` per item chain carrying every version, oldest
@@ -37,8 +39,12 @@
 //! (torn-tail tolerant, merged by LSN) through one `parse_record` →
 //! `apply_op`. The appliers are idempotent: a record already reflected in
 //! the snapshot confirms against the stored chain instead of
-//! double-applying. A crash can only lose a *suffix* of un-fsynced records
-//! per log — and those were never acknowledged — so recovery always lands on
+//! double-applying. It confirms under the live at-least-once rule of
+//! `ItemTables::apply_proposal` (same chunks, device and tombstone flag),
+//! because a confirmed redelivery logs the proposal as it came, and its
+//! path or size may differ from the stored version's. A crash can only
+//! lose a *suffix* of un-fsynced records per log — and those were never
+//! acknowledged — so recovery always lands on
 //! exactly the state every acknowledged operation saw: no lost acked commit,
 //! no double-commit, gap-free version chains.
 //!
@@ -48,7 +54,10 @@
 //! with the header, a record that does not decode or a chain with a gap each
 //! fail the whole open with `InvalidData`, never a partly loaded store. So
 //! does a root that holds only a `snapshot.json` of the earlier JSON format,
-//! which this version cannot load and must not ignore.
+//! which this version cannot load and must not ignore. A root holding the
+//! log of a shard past the count it is opened with (`shard-<i>`,
+//! `i >= shards`) is refused with `InvalidInput` before any log is opened:
+//! replay would leave out that log's commits.
 //!
 //! **Checkpoint.** [`ShardedStore::checkpoint`] copies each shard and its
 //! log's watermark under the shard lock and the directory, with its
@@ -60,10 +69,12 @@
 //! over the snapshot.
 
 use crate::error::{MetadataError, MetadataResult};
-use crate::model::{CommitOutcome, ItemMetadata, Workspace, WorkspaceId};
+use crate::model::{CommitOutcome, CommitResult, ItemMetadata, Workspace, WorkspaceId};
+use crate::record::{parse_record, parse_snapshot_header, Op};
+use crate::record::{write_commit, write_item, write_share, write_snapshot_header};
+use crate::record::{write_user, write_ws};
 use crate::shard::{route_workspace, Directory, Shard, ShardedStore};
-use crate::snapshot::{item_from_value, item_to_value, parts_to_value};
-use crate::snapshot::{write_atomic, StoreParts};
+use crate::snapshot::{parts_to_value, write_atomic, StoreParts};
 use crate::store::ItemTables;
 use std::collections::HashMap;
 use std::io::Write;
@@ -71,14 +82,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use wire::{BinaryCodec, Codec, Value, WireError, WireResult};
+use wire::{BufPool, Value, Writer};
 
 const SNAPSHOT_FILE: &str = "snapshot.bin";
 /// What `write_atomic` writes before renaming; one left by a crash is junk.
 const SNAPSHOT_TEMP_FILE: &str = "snapshot.tmp";
 /// The snapshot of the earlier JSON format, refused at open.
 const LEGACY_SNAPSHOT_FILE: &str = "snapshot.json";
-const SNAPSHOT_FORMAT: &str = "stacksync-metadata-v2";
 
 /// The WAL side of a durable [`ShardedStore`]: one log per shard, one for
 /// the directory, and the store-wide LSN counter.
@@ -127,96 +137,6 @@ fn invalid(e: impl std::fmt::Display) -> std::io::Error {
 }
 
 // ---------------------------------------------------------------------------
-// Record encoding
-// ---------------------------------------------------------------------------
-
-/// One logged operation, the replay unit.
-enum Op {
-    User(String),
-    Ws {
-        id: String,
-        owner: String,
-        name: String,
-    },
-    Share {
-        ws: String,
-        user: String,
-    },
-    Commit {
-        ws: WorkspaceId,
-        items: Vec<ItemMetadata>,
-    },
-}
-
-fn user_record(lsn: u64, user: &str) -> Value {
-    Value::Map(vec![
-        ("lsn".into(), Value::U64(lsn)),
-        ("op".into(), Value::from("user")),
-        ("user".into(), Value::Str(user.to_string())),
-    ])
-}
-
-fn ws_record(lsn: u64, id: &str, owner: &str, name: &str) -> Value {
-    Value::Map(vec![
-        ("lsn".into(), Value::U64(lsn)),
-        ("op".into(), Value::from("ws")),
-        ("id".into(), Value::Str(id.to_string())),
-        ("owner".into(), Value::Str(owner.to_string())),
-        ("name".into(), Value::Str(name.to_string())),
-    ])
-}
-
-fn share_record(lsn: u64, ws: &str, user: &str) -> Value {
-    Value::Map(vec![
-        ("lsn".into(), Value::U64(lsn)),
-        ("op".into(), Value::from("share")),
-        ("ws".into(), Value::Str(ws.to_string())),
-        ("user".into(), Value::Str(user.to_string())),
-    ])
-}
-
-fn commit_record(lsn: u64, ws: &WorkspaceId, items: Vec<Value>) -> Value {
-    Value::Map(vec![
-        ("lsn".into(), Value::U64(lsn)),
-        ("op".into(), Value::from("commit")),
-        ("ws".into(), Value::Str(ws.0.clone())),
-        ("items".into(), Value::List(items)),
-    ])
-}
-
-fn parse_record(bytes: &[u8]) -> WireResult<(u64, Op)> {
-    let v = BinaryCodec.decode(bytes)?;
-    let lsn = v.field("lsn")?.as_u64()?;
-    let op = match v.field("op")?.as_str()? {
-        "user" => Op::User(v.field("user")?.as_str()?.to_string()),
-        "ws" => Op::Ws {
-            id: v.field("id")?.as_str()?.to_string(),
-            owner: v.field("owner")?.as_str()?.to_string(),
-            name: v.field("name")?.as_str()?.to_string(),
-        },
-        "share" => Op::Share {
-            ws: v.field("ws")?.as_str()?.to_string(),
-            user: v.field("user")?.as_str()?.to_string(),
-        },
-        "commit" => Op::Commit {
-            ws: WorkspaceId(v.field("ws")?.as_str()?.to_string()),
-            items: v
-                .field("items")?
-                .as_list()?
-                .iter()
-                .map(item_from_value)
-                .collect::<WireResult<Vec<ItemMetadata>>>()?,
-        },
-        other => {
-            return Err(WireError::Invalid(format!(
-                "unknown wal record op `{other}`"
-            )))
-        }
-    };
-    Ok((lsn, op))
-}
-
-// ---------------------------------------------------------------------------
 // Write-path hooks (called from the MetadataStore impl in shard.rs)
 // ---------------------------------------------------------------------------
 
@@ -224,34 +144,37 @@ fn parse_record(bytes: &[u8]) -> WireResult<(u64, Op)> {
 /// holding the directory lock; [`wait`] on the ticket after releasing it.
 pub(crate) fn append_dir(
     store: &ShardedStore,
-    build: impl FnOnce(u64) -> Value,
+    write: impl FnOnce(&mut Writer<'_>, u64),
 ) -> MetadataResult<Option<wal::Ticket>> {
     let Some(plane) = &store.wal else {
         return Ok(None);
     };
-    let record = build(plane.next_lsn());
-    plane
-        .dir_log
-        .append(&BinaryCodec.encode(&record))
-        .map(Some)
-        .map_err(wal_err)
+    BufPool::with(|buf| {
+        write(&mut Writer::new(buf), plane.next_lsn());
+        plane.dir_log.append(buf)
+    })
+    .map(Some)
+    .map_err(wal_err)
 }
 
-/// Directory record builders, paired with [`append_dir`].
-pub(crate) fn dir_user(user: &str) -> impl FnOnce(u64) -> Value + '_ {
-    move |lsn| user_record(lsn, user)
+/// Directory record writers, paired with [`append_dir`].
+pub(crate) fn dir_user(user: &str) -> impl FnOnce(&mut Writer<'_>, u64) + '_ {
+    move |w, lsn| write_user(w, lsn, user)
 }
 
 pub(crate) fn dir_workspace<'a>(
     id: &'a WorkspaceId,
     owner: &'a str,
     name: &'a str,
-) -> impl FnOnce(u64) -> Value + 'a {
-    move |lsn| ws_record(lsn, &id.0, owner, name)
+) -> impl FnOnce(&mut Writer<'_>, u64) + 'a {
+    move |w, lsn| write_ws(w, lsn, &id.0, owner, name)
 }
 
-pub(crate) fn dir_share<'a>(ws: &'a WorkspaceId, user: &'a str) -> impl FnOnce(u64) -> Value + 'a {
-    move |lsn| share_record(lsn, &ws.0, user)
+pub(crate) fn dir_share<'a>(
+    ws: &'a WorkspaceId,
+    user: &'a str,
+) -> impl FnOnce(&mut Writer<'_>, u64) + 'a {
+    move |w, lsn| write_share(w, lsn, &ws.0, user)
 }
 
 /// Appends the commit record for the *stored* (winning) items of a commit.
@@ -266,23 +189,26 @@ pub(crate) fn append_commit(
     let Some(plane) = &store.wal else {
         return Ok(None);
     };
-    let mut items = Vec::new();
-    for outcome in outcomes {
-        if let crate::model::CommitResult::Committed { version } = outcome.result {
-            let mut stored = outcome.proposed.clone();
-            stored.version = version;
-            stored.workspace = workspace.clone();
-            items.push(item_to_value(&stored));
-        }
-    }
-    if items.is_empty() {
+    let stored = || {
+        outcomes.iter().filter_map(|outcome| match outcome.result {
+            CommitResult::Committed { version } => Some((&outcome.proposed, version)),
+            CommitResult::Conflict { .. } => None,
+        })
+    };
+    let count = stored().count();
+    if count == 0 {
         return Ok(None);
     }
-    let record = commit_record(plane.next_lsn(), workspace, items);
-    plane.shard_logs[shard_index]
-        .append(&BinaryCodec.encode(&record))
-        .map(Some)
-        .map_err(wal_err)
+    BufPool::with(|buf| {
+        let mut w = Writer::new(buf);
+        write_commit(&mut w, plane.next_lsn(), workspace, count);
+        for (proposed, version) in stored() {
+            write_item(&mut w, proposed, workspace, version);
+        }
+        plane.shard_logs[shard_index].append(buf)
+    })
+    .map(Some)
+    .map_err(wal_err)
 }
 
 /// Blocks until a ticket from [`append_dir`]/[`append_commit`] is durable.
@@ -305,9 +231,9 @@ fn write_snapshot(out: &mut impl Write, parts: &StoreParts) -> std::io::Result<(
     let mut payload = Vec::new();
     let mut frame = Vec::new();
     // Frames one record, numbered by its position in the file.
-    let mut put = |record: &dyn Fn(u64) -> Value| -> std::io::Result<()> {
+    let mut put = |record: &dyn Fn(&mut Writer<'_>, u64)| -> std::io::Result<()> {
         payload.clear();
-        BinaryCodec.encode_into(&record(seq), &mut payload);
+        record(&mut Writer::new(&mut payload), seq);
         if payload.len() > wal::MAX_RECORD_LEN {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -322,42 +248,28 @@ fn write_snapshot(out: &mut impl Write, parts: &StoreParts) -> std::io::Result<(
         seq += 1;
         out.write_all(&frame)
     };
-    put(&|_| {
-        Value::Map(vec![
-            ("format".into(), Value::from(SNAPSHOT_FORMAT)),
-            ("records".into(), Value::U64(records as u64)),
-        ])
-    })?;
+    put(&|w, _| write_snapshot_header(w, records as u64))?;
     for user in &parts.users {
-        put(&|lsn| user_record(lsn, user))?;
+        put(&|w, lsn| write_user(w, lsn, user))?;
     }
     for ws in &parts.workspaces {
-        put(&|lsn| ws_record(lsn, &ws.id.0, &ws.owner, &ws.name))?;
+        put(&|w, lsn| write_ws(w, lsn, &ws.id.0, &ws.owner, &ws.name))?;
     }
     for ws in &parts.workspaces {
         for member in &ws.members {
-            put(&|lsn| share_record(lsn, &ws.id.0, member))?;
+            put(&|w, lsn| write_share(w, lsn, &ws.id.0, member))?;
         }
     }
     for chain in &parts.histories {
-        put(&|lsn| {
-            let items = chain.iter().map(item_to_value).collect();
-            commit_record(lsn, &chain[0].workspace, items)
+        put(&|w, lsn| {
+            let ws = &chain[0].workspace;
+            write_commit(w, lsn, ws, chain.len());
+            for item in chain {
+                write_item(w, item, &item.workspace, item.version);
+            }
         })?;
     }
     Ok(())
-}
-
-/// The record count a snapshot's header frame announces.
-fn parse_snapshot_header(bytes: &[u8]) -> WireResult<u64> {
-    let v = BinaryCodec.decode(bytes)?;
-    let format = v.field("format")?.as_str()?;
-    if format != SNAPSHOT_FORMAT {
-        return Err(WireError::Invalid(format!(
-            "unsupported metadata snapshot format `{format}`"
-        )));
-    }
-    v.field("records")?.as_u64()
 }
 
 /// Replays the snapshot at `path`, if there is one, into the empty state
@@ -416,9 +328,10 @@ fn load_snapshot(
 // ---------------------------------------------------------------------------
 
 /// Applies one stored (post-Algorithm-1) item during replay. Idempotent:
-/// versions at or below the chain head must *match* the chain (the record
-/// was already covered by the snapshot or an earlier log); version head+1
-/// extends the chain; anything else is a recovery invariant violation.
+/// versions at or below the chain head must match the chain where a live
+/// redelivery must (chunks, device, tombstone flag; the record was already
+/// covered by the snapshot or an earlier log); version head+1 extends the
+/// chain; anything else is a recovery invariant violation.
 fn replay_item(
     tables: &mut ItemTables,
     ws: &WorkspaceId,
@@ -518,6 +431,37 @@ fn apply_op(
 // Open / checkpoint / crash hooks
 // ---------------------------------------------------------------------------
 
+/// Refuses a root holding the log of a shard `shards` does not include:
+/// opening without it would leave out every commit that log holds, and
+/// the items it holds would start again at version 1.
+fn refuse_dropped_shards(root: &Path, shards: usize) -> std::io::Result<()> {
+    let mut dropped: Option<(usize, PathBuf)> = None;
+    for entry in std::fs::read_dir(root)? {
+        let entry = entry?;
+        let shard = entry.file_name().to_str().and_then(|name| {
+            name.strip_prefix("shard-")
+                .and_then(|i| i.parse::<usize>().ok())
+        });
+        if let Some(i) = shard.filter(|&i| i >= shards) {
+            if entry.file_type()?.is_dir() {
+                dropped = dropped.max(Some((i, entry.path())));
+            }
+        }
+    }
+    match dropped {
+        None => Ok(()),
+        Some((i, dir)) => Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "{} is the log of shard {i}, but the store is opened with {shards} \
+                 shard(s); open it with at least {}",
+                dir.display(),
+                i + 1
+            ),
+        )),
+    }
+}
+
 impl ShardedStore {
     /// Opens (or creates) a durable sharded store rooted at `root`:
     /// `shards` partitions, each commit WAL-logged before acknowledgement.
@@ -529,9 +473,12 @@ impl ShardedStore {
     ///
     /// # Errors
     ///
-    /// Filesystem errors, or `InvalidData` when the snapshot is damaged in
-    /// any way, is of the earlier JSON format (`snapshot.json`), or a log
-    /// record fails to decode or violates a replay invariant.
+    /// Filesystem errors; `InvalidInput`, before any log is opened, when
+    /// `root` holds the log directory of a shard at or past `shards`
+    /// (`shard-<i>` with `i >= shards`); or `InvalidData` when the snapshot
+    /// is damaged in any way, is of the earlier JSON format
+    /// (`snapshot.json`), or a log record fails to decode or violates a
+    /// replay invariant.
     pub fn open_durable(
         root: impl AsRef<Path>,
         shards: usize,
@@ -541,6 +488,7 @@ impl ShardedStore {
         let root = root.as_ref().to_path_buf();
         std::fs::create_dir_all(&root)?;
         let n = shards.max(1);
+        refuse_dropped_shards(&root, n)?;
 
         // A checkpoint that died between creating its temp file and the
         // rename left one behind; nothing reads it.
@@ -660,7 +608,7 @@ impl ShardedStore {
     /// the shard count: two stores hold the same state exactly when their
     /// dumps are equal.
     pub fn snapshot(&self) -> Value {
-        parts_to_value(&self.capture().0)
+        parts_to_value(self.capture().0)
     }
 
     /// Copies the whole state and, on a durable store, each log's watermark
@@ -758,7 +706,9 @@ impl std::fmt::Debug for WalPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::SNAPSHOT_FORMAT;
     use crate::store::MetadataStore;
+    use wire::{BinaryCodec, Codec};
 
     fn ws1() -> Workspace {
         Workspace {
@@ -780,13 +730,31 @@ mod tests {
             .collect()
     }
 
-    /// Writes `parts` as the snapshot of an otherwise empty root and opens it.
-    fn open_with(tag: &str, parts: &StoreParts) -> std::io::Result<ShardedStore> {
+    /// Writes `parts` as the snapshot of an otherwise empty root, a commit
+    /// of `logged` to `ws-1` in its shard's log, and opens it.
+    fn open_with(
+        tag: &str,
+        parts: &StoreParts,
+        logged: &[ItemMetadata],
+    ) -> std::io::Result<ShardedStore> {
         let root = std::env::temp_dir().join(format!("meta-snap-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         std::fs::create_dir_all(&root)?;
         write_atomic(&root.join(SNAPSHOT_FILE), |out| write_snapshot(out, parts))?;
         let cfg = wal::LogConfig::named("snap-test");
+        if !logged.is_empty() {
+            let ws = ws1().id;
+            let dir = root.join(format!("shard-{}", route_workspace(&ws.0, 2)));
+            let (log, _) = wal::Log::open(&dir, cfg.clone()).map_err(wal_io)?;
+            let mut record = Vec::new();
+            let mut w = Writer::new(&mut record);
+            write_commit(&mut w, 100, &ws, logged.len());
+            for item in logged {
+                write_item(&mut w, item, &ws, item.version);
+            }
+            log.append_durable(&record).map_err(wal_io)?;
+            log.close();
+        }
         let opened = ShardedStore::open_durable(&root, 2, Duration::ZERO, cfg);
         let _ = std::fs::remove_dir_all(&root);
         opened.map(|(store, _)| store)
@@ -802,7 +770,12 @@ mod tests {
 
     #[test]
     fn snapshot_chains_go_through_the_replay_checks() {
-        let store = open_with("ok", &parts(vec![ws1()], vec![chain("ws-1", &[1, 2, 3])])).unwrap();
+        let store = open_with(
+            "ok",
+            &parts(vec![ws1()], vec![chain("ws-1", &[1, 2, 3])]),
+            &[],
+        )
+        .unwrap();
         assert_eq!(store.history(9).unwrap().len(), 3);
         assert_eq!(
             store.get_workspace(&ws1().id).unwrap().members,
@@ -815,9 +788,44 @@ mod tests {
             // `capture` cannot produce this one (directory copied last).
             ("homeless", parts(vec![], vec![chain("ws-1", &[1])])),
         ] {
-            let err = open_with(tag, &doctored).unwrap_err();
+            let err = open_with(tag, &doctored, &[]).unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{tag}: {err}");
             assert!(err.to_string().contains(SNAPSHOT_FILE), "{tag}: {err}");
+        }
+    }
+
+    /// A covered version confirms when it matches the stored one where
+    /// `ItemTables::apply_proposal` confirms a redelivered proposal: its
+    /// chunks, its device and its tombstone flag. Path and size may differ,
+    /// because a confirmed commit logs the proposal as it came.
+    #[test]
+    fn a_covered_version_confirms_under_the_live_rule() {
+        let stored = || parts(vec![ws1()], vec![chain("ws-1", &[1, 2, 3])]);
+        type Edit = fn(&mut ItemMetadata);
+        let covered = |edit: Edit| {
+            let mut item = chain("ws-1", &[2]).remove(0);
+            edit(&mut item);
+            item
+        };
+        for (what, edit) in [
+            ("path", (|i| i.path = "elsewhere".into()) as Edit),
+            ("size", |i| i.size = 77),
+        ] {
+            let store = open_with(what, &stored(), &[covered(edit)]).unwrap();
+            let history = store.history(9).unwrap();
+            assert_eq!(history, chain("ws-1", &[1, 2, 3]), "{what}");
+        }
+        for (what, edit) in [
+            (
+                "chunks",
+                (|i| i.chunks = vec![content::ChunkId::of(b"x")]) as Edit,
+            ),
+            ("device", |i| i.modified_by = "other".into()),
+            ("deleted", |i| i.is_deleted = true),
+        ] {
+            let err = open_with(what, &stored(), &[covered(edit)]).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(err.to_string().contains("diverges"), "{what}: {err}");
         }
     }
 
@@ -832,6 +840,8 @@ mod tests {
         assert_eq!(parse_snapshot_header(&header(SNAPSHOT_FORMAT)), Ok(3));
         assert!(parse_snapshot_header(&header("stacksync-metadata-v1")).is_err());
         // A record is not a header.
-        assert!(parse_snapshot_header(&BinaryCodec.encode(&user_record(0, "u"))).is_err());
+        let mut user = Vec::new();
+        write_user(&mut Writer::new(&mut user), 0, "u");
+        assert!(parse_snapshot_header(&user).is_err());
     }
 }

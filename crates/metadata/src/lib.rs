@@ -42,6 +42,7 @@
 mod durable;
 mod error;
 mod model;
+mod record;
 mod shard;
 mod snapshot;
 mod store;
@@ -50,4 +51,5 @@ pub use durable::DurableRecovery;
 pub use error::{MetadataError, MetadataResult};
 pub use model::{CommitOutcome, CommitResult, ItemMetadata, Workspace, WorkspaceId};
 pub use shard::ShardedStore;
+pub use snapshot::{item_from_value, item_into_value};
 pub use store::MetadataStore;

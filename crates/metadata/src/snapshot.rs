@@ -1,7 +1,8 @@
-//! The store's state in the wire data model: the item codec the WAL records
-//! and the binary snapshot are built from ([`crate::durable`]), the
-//! whole-store dump behind [`crate::ShardedStore::snapshot`] that recovery
-//! tests compare, and the crash-safe file write the checkpoint uses.
+//! The store's state in the wire data model: the item codec of the sync
+//! protocol, the whole-store dump behind [`crate::ShardedStore::snapshot`]
+//! that recovery tests compare, and the crash-safe file write the
+//! checkpoint uses. The WAL records and the binary snapshot do not go
+//! through this tree form ([`crate::record`]).
 
 use crate::model::{ItemMetadata, Workspace, WorkspaceId};
 use content::ChunkId;
@@ -9,11 +10,14 @@ use std::fs::File;
 use std::io::BufWriter;
 use wire::{Value, WireError, WireResult};
 
-pub(crate) fn item_to_value(item: &ItemMetadata) -> Value {
+/// Lowers an item's metadata into the wire data model, moving its strings
+/// into the value: the tree form of an item, for the dump of
+/// [`crate::ShardedStore::snapshot`] and the sync protocol's messages.
+pub fn item_into_value(item: ItemMetadata) -> Value {
     Value::Map(vec![
         ("item".into(), Value::U64(item.item_id)),
-        ("ws".into(), Value::Str(item.workspace.0.clone())),
-        ("path".into(), Value::Str(item.path.clone())),
+        ("ws".into(), Value::Str(item.workspace.0)),
+        ("path".into(), Value::Str(item.path)),
         ("version".into(), Value::U64(item.version)),
         (
             "chunks".into(),
@@ -26,11 +30,17 @@ pub(crate) fn item_to_value(item: &ItemMetadata) -> Value {
         ),
         ("size".into(), Value::U64(item.size)),
         ("deleted".into(), Value::Bool(item.is_deleted)),
-        ("device".into(), Value::Str(item.modified_by.clone())),
+        ("device".into(), Value::Str(item.modified_by)),
     ])
 }
 
-pub(crate) fn item_from_value(value: &Value) -> WireResult<ItemMetadata> {
+/// Parses an item's metadata from the wire data model, moving the strings
+/// out of it. Keys it does not know are ignored.
+///
+/// # Errors
+///
+/// Returns a [`WireError`] on shape mismatches; a missing field is named.
+pub fn item_from_value(mut value: Value) -> WireResult<ItemMetadata> {
     let chunks = value
         .field("chunks")?
         .as_list()?
@@ -45,13 +55,13 @@ pub(crate) fn item_from_value(value: &Value) -> WireResult<ItemMetadata> {
         .collect::<WireResult<Vec<ChunkId>>>()?;
     Ok(ItemMetadata {
         item_id: value.field("item")?.as_u64()?,
-        workspace: WorkspaceId(value.field("ws")?.as_str()?.to_string()),
-        path: value.field("path")?.as_str()?.to_string(),
+        workspace: WorkspaceId(value.take_field("ws")?.into_string()?),
+        path: value.take_field("path")?.into_string()?,
         version: value.field("version")?.as_u64()?,
         chunks,
         size: value.field("size")?.as_u64()?,
         is_deleted: value.field("deleted")?.as_bool()?,
-        modified_by: value.field("device")?.as_str()?.to_string(),
+        modified_by: value.take_field("device")?.into_string()?,
     })
 }
 
@@ -64,27 +74,27 @@ pub(crate) struct StoreParts {
     pub(crate) histories: Vec<Vec<ItemMetadata>>,
 }
 
-pub(crate) fn parts_to_value(parts: &StoreParts) -> Value {
+pub(crate) fn parts_to_value(parts: StoreParts) -> Value {
     Value::Map(vec![
         ("format".into(), Value::from("stacksync-metadata-v1")),
         (
             "users".into(),
-            Value::List(parts.users.iter().cloned().map(Value::Str).collect()),
+            Value::List(parts.users.into_iter().map(Value::Str).collect()),
         ),
         (
             "workspaces".into(),
             Value::List(
                 parts
                     .workspaces
-                    .iter()
+                    .into_iter()
                     .map(|w| {
                         Value::Map(vec![
-                            ("id".into(), Value::Str(w.id.0.clone())),
-                            ("owner".into(), Value::Str(w.owner.clone())),
-                            ("name".into(), Value::Str(w.name.clone())),
+                            ("id".into(), Value::Str(w.id.0)),
+                            ("owner".into(), Value::Str(w.owner)),
+                            ("name".into(), Value::Str(w.name)),
                             (
                                 "members".into(),
-                                Value::List(w.members.iter().cloned().map(Value::Str).collect()),
+                                Value::List(w.members.into_iter().map(Value::Str).collect()),
                             ),
                         ])
                     })
@@ -96,8 +106,10 @@ pub(crate) fn parts_to_value(parts: &StoreParts) -> Value {
             Value::List(
                 parts
                     .histories
-                    .iter()
-                    .map(|versions| Value::List(versions.iter().map(item_to_value).collect()))
+                    .into_iter()
+                    .map(|versions| {
+                        Value::List(versions.into_iter().map(item_into_value).collect())
+                    })
                     .collect(),
             ),
         ),

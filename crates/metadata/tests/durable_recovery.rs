@@ -504,3 +504,72 @@ fn non_durable_store_rejects_durable_only_calls() {
     store.wal_simulate_crash(0);
     store.create_user("still-works").unwrap();
 }
+
+/// Commits to a store of `shards` shards one single-item workspace per item
+/// id in `ids`, and closes it.
+fn spread_store(root: &PathBuf, shards: usize, ids: std::ops::Range<u64>) {
+    let (store, _) = open(root, shards);
+    let _ = store.create_user("u");
+    for id in ids {
+        let ws = store.create_workspace("u", &format!("w{id}")).unwrap();
+        let item = ItemMetadata::new_file(id, &ws, "f", vec![], id, "d");
+        assert!(store.commit(&ws, vec![item]).unwrap()[0].is_committed());
+    }
+}
+
+fn root_entries(root: &PathBuf) -> Vec<PathBuf> {
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(root)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    entries.sort();
+    entries
+}
+
+fn items_present(store: &ShardedStore, ids: std::ops::Range<u64>) -> usize {
+    ids.filter(|&id| store.get_current(id).is_ok()).count()
+}
+
+#[test]
+fn reopening_with_fewer_shards_is_refused_before_any_log_opens() {
+    let root = temp_root("fewer-shards");
+    spread_store(&root, 8, 1..17);
+    let entries = root_entries(&root);
+
+    let err = ShardedStore::open_durable(&root, 2, std::time::Duration::ZERO, cfg())
+        .expect_err("a root of 8 shards opened with 2");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert!(err.to_string().contains("shard-7"), "{err}");
+    assert!(err.to_string().contains("at least 8"), "{err}");
+    assert_eq!(
+        root_entries(&root),
+        entries,
+        "the refused open touched the root"
+    );
+
+    // With its own shard count every acknowledged commit is there.
+    let (store, _) = open(&root, 8);
+    assert_eq!(items_present(&store, 1..17), 16);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn reopening_with_more_shards_keeps_every_commit() {
+    let root = temp_root("more-shards");
+    spread_store(&root, 2, 1..17);
+    // Eight shards route the same workspaces elsewhere; replay re-homes
+    // them, and commits continue from the replayed versions.
+    spread_store(&root, 8, 17..25);
+    let (store, _) = open(&root, 8);
+    assert_eq!(items_present(&store, 1..25), 24);
+    let ws = store.get_current(3).unwrap();
+    let next = ws.next_version(vec![], 9, "d");
+    assert!(store.commit(&ws.workspace, vec![next]).unwrap()[0].is_committed());
+    store.checkpoint().unwrap();
+    let before = snap_bytes(&store);
+    drop(store);
+    let (store, _) = open(&root, 8);
+    assert_eq!(snap_bytes(&store), before);
+    assert_eq!(store.get_current(3).unwrap().version, 2);
+    let _ = std::fs::remove_dir_all(&root);
+}

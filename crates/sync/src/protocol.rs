@@ -1,67 +1,15 @@
 //! Wire schema of the synchronization protocol: how `ItemMetadata`,
 //! commit requests and `CommitNotification`s cross ObjectMQ.
 
-use content::ChunkId;
 use metadata::{CommitOutcome, CommitResult, ItemMetadata, Workspace, WorkspaceId};
-use wire::{Value, WireError, WireResult};
+use wire::{Value, WireResult};
 
-/// Lowers an item's metadata into the wire model.
+pub use metadata::{item_from_value, item_into_value};
+
+/// Lowers an item's metadata into the wire model ([`item_into_value`] of a
+/// copy).
 pub fn item_to_value(item: &ItemMetadata) -> Value {
     item_into_value(item.clone())
-}
-
-/// [`item_to_value`] for a caller that owns the item: the strings move
-/// into the value (a `get_changes` reply lowers every item of a workspace).
-pub fn item_into_value(item: ItemMetadata) -> Value {
-    Value::Map(vec![
-        ("item".into(), Value::U64(item.item_id)),
-        ("ws".into(), Value::Str(item.workspace.0)),
-        ("path".into(), Value::Str(item.path)),
-        ("version".into(), Value::U64(item.version)),
-        (
-            "chunks".into(),
-            Value::List(
-                item.chunks
-                    .iter()
-                    .map(|c| Value::Bytes(c.as_bytes().to_vec()))
-                    .collect(),
-            ),
-        ),
-        ("size".into(), Value::U64(item.size)),
-        ("deleted".into(), Value::Bool(item.is_deleted)),
-        ("device".into(), Value::Str(item.modified_by)),
-    ])
-}
-
-/// Parses an item's metadata from the wire model, moving the strings out
-/// of it. Keys it does not know are ignored.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] on shape mismatches; a missing field is named.
-pub fn item_from_value(mut value: Value) -> WireResult<ItemMetadata> {
-    let chunks = value
-        .field("chunks")?
-        .as_list()?
-        .iter()
-        .map(|v| {
-            let raw = v.as_bytes()?;
-            let arr: [u8; 20] = raw
-                .try_into()
-                .map_err(|_| WireError::Invalid("chunk id must be 20 bytes".into()))?;
-            Ok(ChunkId::from_bytes(arr))
-        })
-        .collect::<WireResult<Vec<ChunkId>>>()?;
-    Ok(ItemMetadata {
-        item_id: value.field("item")?.as_u64()?,
-        workspace: WorkspaceId(value.take_field("ws")?.into_string()?),
-        path: value.take_field("path")?.into_string()?,
-        version: value.field("version")?.as_u64()?,
-        chunks,
-        size: value.field("size")?.as_u64()?,
-        is_deleted: value.field("deleted")?.as_bool()?,
-        modified_by: value.take_field("device")?.into_string()?,
-    })
 }
 
 /// Lowers a workspace record.
@@ -81,7 +29,7 @@ pub fn workspace_to_value(ws: &Workspace) -> Value {
 ///
 /// # Errors
 ///
-/// Returns a [`WireError`] on shape mismatches.
+/// Returns a [`wire::WireError`] on shape mismatches.
 pub fn workspace_from_value(value: &Value) -> WireResult<Workspace> {
     let members = match value.get("members") {
         Some(list) => list
@@ -173,7 +121,7 @@ impl CommitNotification {
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on shape mismatches.
+    /// Returns a [`wire::WireError`] on shape mismatches.
     pub fn from_value(value: &Value) -> WireResult<Self> {
         let changes = value
             .field("changes")?
@@ -207,6 +155,8 @@ impl CommitNotification {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use content::ChunkId;
+    use wire::WireError;
 
     fn sample_item() -> ItemMetadata {
         ItemMetadata {

@@ -1,6 +1,11 @@
 //! Compact binary codec: one tag byte per value, zigzag varints for
 //! integers, length-prefixed strings/bytes/containers. This is the Kryo
 //! stand-in and the default ObjectMQ transport.
+//!
+//! [`Reader`] is the one scanner of this encoding and [`Writer`] its one
+//! emitter. [`BinaryCodec`] builds and walks [`Value`] trees through them; a
+//! caller that knows its schema (the metadata WAL and snapshot) reads and
+//! writes its records through them without a tree.
 
 use crate::error::{WireError, WireResult};
 use crate::value::Value;
@@ -27,11 +32,9 @@ impl Codec for BinaryCodec {
     }
 
     fn decode(&self, bytes: &[u8]) -> WireResult<Value> {
-        let mut reader = Reader { bytes, pos: 0 };
+        let mut reader = Reader::new(bytes);
         let value = read_value(&mut reader, 0)?;
-        if reader.pos != bytes.len() {
-            return Err(WireError::TrailingBytes(bytes.len() - reader.pos));
-        }
+        reader.finish()?;
         Ok(value)
     }
 
@@ -45,50 +48,61 @@ impl Codec for BinaryCodec {
     }
 }
 
+/// Writes `value` and everything it holds. Each level makes its own
+/// [`Writer`] over `out` rather than taking one by reference: the extra
+/// indirection made a 3 012-item reply ~10 % slower to encode.
 fn write_value(out: &mut Vec<u8>, value: &Value) {
+    let mut w = Writer::new(out);
     match value {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(false) => out.push(TAG_FALSE),
-        Value::Bool(true) => out.push(TAG_TRUE),
-        Value::I64(v) => {
-            out.push(TAG_I64);
-            write_varint(out, zigzag(*v));
-        }
-        Value::U64(v) => {
-            out.push(TAG_U64);
-            write_varint(out, *v);
-        }
-        Value::F64(v) => {
-            out.push(TAG_F64);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            write_varint(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Bytes(b) => {
-            out.push(TAG_BYTES);
-            write_varint(out, b.len() as u64);
-            out.extend_from_slice(b);
-        }
+        Value::Null => w.null(),
+        Value::Bool(v) => w.bool(*v),
+        Value::I64(v) => w.i64(*v),
+        Value::U64(v) => w.u64(*v),
+        Value::F64(v) => w.f64(*v),
+        Value::Str(s) => w.str(s),
+        Value::Bytes(b) => w.bytes(b),
         Value::List(items) => {
-            out.push(TAG_LIST);
-            write_varint(out, items.len() as u64);
+            w.list(items.len());
             for item in items {
-                write_value(out, item);
+                write_value(w.out, item);
             }
         }
         Value::Map(entries) => {
-            out.push(TAG_MAP);
-            write_varint(out, entries.len() as u64);
+            w.map(entries.len());
             for (key, item) in entries {
-                write_varint(out, key.len() as u64);
-                out.extend_from_slice(key.as_bytes());
-                write_value(out, item);
+                w.key(key);
+                write_value(w.out, item);
             }
         }
     }
+}
+
+/// Reads one value that `depth` lists and maps already enclose.
+fn read_value(r: &mut Reader<'_>, depth: usize) -> WireResult<Value> {
+    Ok(match r.next(depth)? {
+        Token::Null => Value::Null,
+        Token::Bool(v) => Value::Bool(v),
+        Token::I64(v) => Value::I64(v),
+        Token::U64(v) => Value::U64(v),
+        Token::F64(v) => Value::F64(v),
+        Token::Str(s) => Value::Str(s.to_string()),
+        Token::Bytes(b) => Value::Bytes(b.to_vec()),
+        Token::List(len) => {
+            let mut items = Vec::with_capacity(len);
+            for _ in 0..len {
+                items.push(read_value(r, depth + 1)?);
+            }
+            Value::List(items)
+        }
+        Token::Map(len) => {
+            let mut entries = Vec::with_capacity(len);
+            for _ in 0..len {
+                let key = r.key()?.to_string();
+                entries.push((key, read_value(r, depth + 1)?));
+            }
+            Value::Map(entries)
+        }
+    })
 }
 
 /// Bytes [`write_value`] writes for `value`: its tag, then as
@@ -119,27 +133,191 @@ fn prefixed_len(len: usize) -> usize {
     varint_len(len as u64) + len
 }
 
-/// Bytes [`write_varint`] writes for `v`: one per started 7 bits.
+/// Bytes [`Writer`] takes for the varint `v`: one per started 7 bits.
 fn varint_len(v: u64) -> usize {
     (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
-struct Reader<'a> {
+/// The head of one value, as [`Reader::next`] reads it. Strings and byte
+/// strings are borrowed from the input; a container gives its length, and
+/// its contents follow.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Token<'a> {
+    /// `null`.
+    Null,
+    /// A boolean.
+    Bool(bool),
+    /// A signed integer.
+    I64(i64),
+    /// An unsigned integer.
+    U64(u64),
+    /// A float.
+    F64(f64),
+    /// A string, valid UTF-8.
+    Str(&'a str),
+    /// A byte string.
+    Bytes(&'a [u8]),
+    /// A list of this many values, which follow it.
+    List(usize),
+    /// A map of this many entries, each a [`Reader::key`] and then a value.
+    Map(usize),
+}
+
+impl Token<'_> {
+    /// The [`Value::kind`] of the value this token starts.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Token::Null => "null",
+            Token::Bool(_) => "bool",
+            Token::I64(_) => "i64",
+            Token::U64(_) => "u64",
+            Token::F64(_) => "f64",
+            Token::Str(_) => "str",
+            Token::Bytes(_) => "bytes",
+            Token::List(_) => "list",
+            Token::Map(_) => "map",
+        }
+    }
+}
+
+/// A pull scanner over one binary encoding: the caller asks for each value's
+/// [`Token`] in document order, each map key with [`Reader::key`], and
+/// passes over what it does not want with [`Reader::skip`].
+///
+/// Every check of the encoding is made here: an unknown tag, a varint
+/// longer than 64 bits, a length prefix larger than the input left (so
+/// nothing a hostile prefix names is allocated), a position that would
+/// overflow, a string that is not UTF-8, and a list or map nested deeper
+/// than [`MAX_DEPTH`]. The caller counts a container's values and says how
+/// deep each one sits, since the encoding has no end marker.
+///
+/// ```
+/// use wire::{BinaryCodec, Codec, Reader, Token, Value};
+///
+/// let bytes = BinaryCodec.encode(&Value::Map(vec![
+///     ("id".into(), Value::U64(7)),
+///     ("tags".into(), Value::List(vec![Value::from("a")])),
+/// ]));
+/// let mut r = Reader::new(&bytes);
+/// assert_eq!(r.next(0), Ok(Token::Map(2)));
+/// assert_eq!(r.key(), Ok("id"));
+/// assert_eq!(r.next(1), Ok(Token::U64(7)));
+/// assert_eq!(r.key(), Ok("tags"));
+/// assert_eq!(r.skip(1), Ok(Token::List(1)));
+/// r.finish().unwrap();
+/// ```
+#[derive(Debug)]
+pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Reader { bytes, pos: 0 }
+    }
+
+    /// Reads the head of the next value, which `depth` lists and maps
+    /// enclose (0 for the outermost value).
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::UnexpectedEof`], [`WireError::UnknownTag`],
+    /// [`WireError::VarintOverflow`] or [`WireError::InvalidUtf8`] on bytes
+    /// that are not an encoding; [`WireError::TooDeep`] for a list or map at
+    /// depth [`MAX_DEPTH`].
+    #[inline]
+    pub fn next(&mut self, depth: usize) -> WireResult<Token<'a>> {
+        Ok(match self.byte()? {
+            TAG_NULL => Token::Null,
+            TAG_FALSE => Token::Bool(false),
+            TAG_TRUE => Token::Bool(true),
+            TAG_I64 => Token::I64(unzigzag(self.varint()?)),
+            TAG_U64 => Token::U64(self.varint()?),
+            TAG_F64 => {
+                let mut buf = [0u8; 8];
+                buf.copy_from_slice(self.take(8)?);
+                Token::F64(f64::from_le_bytes(buf))
+            }
+            TAG_STR => Token::Str(self.text()?),
+            TAG_BYTES => {
+                let len = self.len()?;
+                Token::Bytes(self.take(len)?)
+            }
+            TAG_LIST | TAG_MAP if depth >= MAX_DEPTH => return Err(WireError::TooDeep),
+            TAG_LIST => Token::List(self.len()?),
+            TAG_MAP => Token::Map(self.len()?),
+            tag => return Err(WireError::UnknownTag(tag)),
+        })
+    }
+
+    /// Reads the key of the next map entry; its value follows.
+    ///
+    /// # Errors
+    ///
+    /// As [`Reader::next`] for a string.
+    #[inline]
+    pub fn key(&mut self) -> WireResult<&'a str> {
+        self.text()
+    }
+
+    /// Reads past the next value and everything it holds, checking all of
+    /// it as [`Reader::next`] does, and returns its head: for a scalar that
+    /// is the value itself.
+    ///
+    /// # Errors
+    ///
+    /// As [`Reader::next`], for any value inside.
+    pub fn skip(&mut self, depth: usize) -> WireResult<Token<'a>> {
+        let head = self.next(depth)?;
+        match head {
+            Token::List(len) => {
+                for _ in 0..len {
+                    self.skip(depth + 1)?;
+                }
+            }
+            Token::Map(len) => {
+                for _ in 0..len {
+                    self.key()?;
+                    self.skip(depth + 1)?;
+                }
+            }
+            _ => {}
+        }
+        Ok(head)
+    }
+
+    /// Bytes read so far.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// Ends the read: the input must hold nothing after the last value.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::TrailingBytes`] with the count left over.
+    pub fn finish(self) -> WireResult<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            left => Err(WireError::TrailingBytes(left)),
+        }
+    }
+
+    #[inline]
     fn byte(&mut self) -> WireResult<u8> {
         let b = *self.bytes.get(self.pos).ok_or(WireError::UnexpectedEof)?;
         self.pos += 1;
         Ok(b)
     }
 
+    #[inline]
     fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> WireResult<&'a [u8]> {
         // `pos + n` must not overflow: a hostile length prefix can be up to
         // `usize::MAX` and wrapping would alias an earlier slice.
@@ -151,97 +329,156 @@ impl<'a> Reader<'a> {
         self.pos = end;
         Ok(slice)
     }
-}
 
-/// Reads one value that `depth` lists and maps already enclose.
-fn read_value(r: &mut Reader<'_>, depth: usize) -> WireResult<Value> {
-    match r.byte()? {
-        TAG_NULL => Ok(Value::Null),
-        TAG_FALSE => Ok(Value::Bool(false)),
-        TAG_TRUE => Ok(Value::Bool(true)),
-        TAG_I64 => Ok(Value::I64(unzigzag(read_varint(r)?))),
-        TAG_U64 => Ok(Value::U64(read_varint(r)?)),
-        TAG_F64 => {
-            let raw = r.take(8)?;
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(raw);
-            Ok(Value::F64(f64::from_le_bytes(buf)))
+    /// A length-prefixed UTF-8 string: a string value's body or a key.
+    #[inline]
+    fn text(&mut self) -> WireResult<&'a str> {
+        let len = self.len()?;
+        std::str::from_utf8(self.take(len)?).map_err(|_| WireError::InvalidUtf8)
+    }
+
+    #[inline]
+    fn len(&mut self) -> WireResult<usize> {
+        let len = self.varint()?;
+        let len = usize::try_from(len).map_err(|_| WireError::VarintOverflow)?;
+        // Every counted element (byte, list item, map entry) consumes at
+        // least one input byte, so any count beyond the remaining input is
+        // corrupt. Rejecting it here keeps a caller's `Vec::with_capacity`
+        // bounded by the input size — a hostile 4 GiB length prefix never
+        // allocates anything.
+        if len > self.remaining() {
+            return Err(WireError::UnexpectedEof);
         }
-        TAG_STR => {
-            let len = read_len(r)?;
-            let raw = r.take(len)?;
-            let s = std::str::from_utf8(raw).map_err(|_| WireError::InvalidUtf8)?;
-            Ok(Value::Str(s.to_string()))
-        }
-        TAG_BYTES => {
-            let len = read_len(r)?;
-            Ok(Value::Bytes(r.take(len)?.to_vec()))
-        }
-        TAG_LIST | TAG_MAP if depth == MAX_DEPTH => Err(WireError::TooDeep),
-        TAG_LIST => {
-            let len = read_len(r)?;
-            let mut items = Vec::with_capacity(len.min(r.remaining()));
-            for _ in 0..len {
-                items.push(read_value(r, depth + 1)?);
+        Ok(len)
+    }
+
+    #[inline]
+    fn varint(&mut self) -> WireResult<u64> {
+        let mut result: u64 = 0;
+        for shift in (0..64).step_by(7) {
+            let byte = self.byte()?;
+            result |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                // Reject non-canonical bits beyond 64.
+                if shift == 63 && byte > 1 {
+                    return Err(WireError::VarintOverflow);
+                }
+                return Ok(result);
             }
-            Ok(Value::List(items))
         }
-        TAG_MAP => {
-            let len = read_len(r)?;
-            let mut entries = Vec::with_capacity(len.min(r.remaining()));
-            for _ in 0..len {
-                let key_len = read_len(r)?;
-                let raw = r.take(key_len)?;
-                let key = std::str::from_utf8(raw)
-                    .map_err(|_| WireError::InvalidUtf8)?
-                    .to_string();
-                entries.push((key, read_value(r, depth + 1)?));
+        Err(WireError::VarintOverflow)
+    }
+}
+
+/// A push emitter of the binary encoding, appending to a buffer: the
+/// caller writes each value's head in document order, a container's length
+/// before its contents and each map key before its value. What it writes
+/// is what [`BinaryCodec::encode`](Codec::encode) makes of the same tree,
+/// byte for byte.
+///
+/// ```
+/// use wire::{BinaryCodec, Codec, Value, Writer};
+///
+/// let mut out = Vec::new();
+/// let mut w = Writer::new(&mut out);
+/// w.map(1);
+/// w.key("id");
+/// w.u64(7);
+/// let tree = Value::Map(vec![("id".into(), Value::U64(7))]);
+/// assert_eq!(out, BinaryCodec.encode(&tree));
+/// ```
+#[derive(Debug)]
+pub struct Writer<'a> {
+    out: &'a mut Vec<u8>,
+}
+
+impl<'a> Writer<'a> {
+    /// A writer appending to `out`, whose contents it leaves as they are.
+    pub fn new(out: &'a mut Vec<u8>) -> Self {
+        Writer { out }
+    }
+
+    /// Writes `null`.
+    #[inline]
+    pub fn null(&mut self) {
+        self.out.push(TAG_NULL);
+    }
+
+    /// Writes a boolean.
+    #[inline]
+    pub fn bool(&mut self, v: bool) {
+        self.out.push(if v { TAG_TRUE } else { TAG_FALSE });
+    }
+
+    /// Writes a signed integer.
+    #[inline]
+    pub fn i64(&mut self, v: i64) {
+        self.out.push(TAG_I64);
+        self.varint(zigzag(v));
+    }
+
+    /// Writes an unsigned integer.
+    #[inline]
+    pub fn u64(&mut self, v: u64) {
+        self.out.push(TAG_U64);
+        self.varint(v);
+    }
+
+    /// Writes a float.
+    #[inline]
+    pub fn f64(&mut self, v: f64) {
+        self.out.push(TAG_F64);
+        self.out.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Writes a string.
+    #[inline]
+    pub fn str(&mut self, s: &str) {
+        self.out.push(TAG_STR);
+        self.key(s);
+    }
+
+    /// Writes a byte string.
+    #[inline]
+    pub fn bytes(&mut self, b: &[u8]) {
+        self.out.push(TAG_BYTES);
+        self.varint(b.len() as u64);
+        self.out.extend_from_slice(b);
+    }
+
+    /// Starts a list of `len` values; write them next.
+    #[inline]
+    pub fn list(&mut self, len: usize) {
+        self.out.push(TAG_LIST);
+        self.varint(len as u64);
+    }
+
+    /// Starts a map of `len` entries; write each as a [`Writer::key`] and a
+    /// value next.
+    #[inline]
+    pub fn map(&mut self, len: usize) {
+        self.out.push(TAG_MAP);
+        self.varint(len as u64);
+    }
+
+    /// Writes the key of the next map entry.
+    #[inline]
+    pub fn key(&mut self, key: &str) {
+        self.varint(key.len() as u64);
+        self.out.extend_from_slice(key.as_bytes());
+    }
+
+    fn varint(&mut self, mut v: u64) {
+        loop {
+            let byte = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                self.out.push(byte);
+                return;
             }
-            Ok(Value::Map(entries))
-        }
-        tag => Err(WireError::UnknownTag(tag)),
-    }
-}
-
-fn read_len(r: &mut Reader<'_>) -> WireResult<usize> {
-    let len = read_varint(r)?;
-    let len = usize::try_from(len).map_err(|_| WireError::VarintOverflow)?;
-    // Every counted element (byte, list item, map entry) consumes at least
-    // one input byte, so any count beyond the remaining input is corrupt.
-    // Rejecting it here keeps `Vec::with_capacity` bounded by the input
-    // size — a hostile 4 GiB length prefix never allocates anything.
-    if len > r.remaining() {
-        return Err(WireError::UnexpectedEof);
-    }
-    Ok(len)
-}
-
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn read_varint(r: &mut Reader<'_>) -> WireResult<u64> {
-    let mut result: u64 = 0;
-    for shift in (0..64).step_by(7) {
-        let byte = r.byte()?;
-        result |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            // Reject non-canonical bits beyond 64.
-            if shift == 63 && byte > 1 {
-                return Err(WireError::VarintOverflow);
-            }
-            return Ok(result);
+            self.out.push(byte | 0x80);
         }
     }
-    Err(WireError::VarintOverflow)
 }
 
 fn zigzag(v: i64) -> u64 {
@@ -319,7 +556,7 @@ mod tests {
         // Decoding must return Err before any proportional allocation.
         for tag in [TAG_STR, TAG_BYTES, TAG_LIST, TAG_MAP] {
             let mut bytes = vec![tag];
-            write_varint(&mut bytes, u32::MAX as u64);
+            Writer::new(&mut bytes).varint(u32::MAX as u64);
             assert!(
                 BinaryCodec.decode(&bytes).is_err(),
                 "tag {tag:#04x} accepted a 4 GiB length"
@@ -332,7 +569,7 @@ mod tests {
         // `pos + n` with `n == usize::MAX` would wrap without checked_add;
         // wrapping past `pos` would read an aliased slice instead of Err.
         let mut bytes = vec![TAG_BYTES];
-        write_varint(&mut bytes, usize::MAX as u64);
+        Writer::new(&mut bytes).varint(usize::MAX as u64);
         bytes.extend_from_slice(b"payload");
         assert!(BinaryCodec.decode(&bytes).is_err());
     }
@@ -419,6 +656,23 @@ mod tests {
         }
 
         #[test]
+        fn prop_skip_accepts_exactly_what_decode_accepts(
+            v in arb_value(),
+            flips in proptest::collection::vec((0usize..4096, any::<u8>()), 0..4),
+            cut in 0usize..4096,
+        ) {
+            let mut bytes = BinaryCodec.encode(&v);
+            for (pos, xor) in flips {
+                let len = bytes.len();
+                bytes[pos % len] ^= xor;
+            }
+            bytes.truncate(cut.max(bytes.len() / 2));
+            let mut r = Reader::new(&bytes);
+            let skipped = r.skip(0).and_then(|_| r.finish());
+            prop_assert_eq!(skipped.is_ok(), BinaryCodec.decode(&bytes).is_ok());
+        }
+
+        #[test]
         fn prop_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
             let _ = BinaryCodec.decode(&bytes);
         }
@@ -492,11 +746,11 @@ mod tests {
         #[test]
         fn prop_varint_roundtrip(v in any::<u64>()) {
             let mut out = Vec::new();
-            write_varint(&mut out, v);
+            Writer::new(&mut out).varint(v);
             prop_assert_eq!(varint_len(v), out.len());
-            let mut r = Reader { bytes: &out, pos: 0 };
-            prop_assert_eq!(read_varint(&mut r).unwrap(), v);
-            prop_assert_eq!(r.pos, out.len());
+            let mut r = Reader::new(&out);
+            prop_assert_eq!(r.varint().unwrap(), v);
+            prop_assert_eq!(r.position(), out.len());
         }
     }
 }

@@ -10,6 +10,8 @@
 //! * [`Codec`] is the transport hook. Two implementations are provided:
 //!   [`BinaryCodec`] (compact, varint-based — the Kryo stand-in and the
 //!   default) and [`JsonCodec`] (hand-rolled JSON, human-readable).
+//! * [`Reader`] and [`Writer`] read and write the binary encoding token by
+//!   token, without a [`Value`] tree; [`BinaryCodec`] is built on them.
 //! * [`ToValue`]/[`FromValue`] convert domain types to and from [`Value`].
 //!
 //! ## Example
@@ -36,7 +38,7 @@ mod json;
 mod pool;
 mod value;
 
-pub use binary::BinaryCodec;
+pub use binary::{BinaryCodec, Reader, Token, Writer};
 pub use error::{WireError, WireResult};
 pub use json::{to_json_string, JsonCodec};
 pub use pool::{encode_pooled, encode_to_bytes, BufPool};
