@@ -2,8 +2,8 @@
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper's evaluation (run them with `cargo run --release -p bench --bin
-//! fig7a` etc.); the Criterion benches under `benches/` cover micro
-//! performance and the design-choice ablations called out in DESIGN.md.
+//! fig7a` etc.). Per-layer performance is measured by `stackbench`, the
+//! repository's benchmark, and by `perf_suite`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -471,7 +471,7 @@ impl<T, F: Fn(usize) -> T> CallState<T, F> {
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A minimal persistent helper pool: a locked deque plus a condvar. The
+/// A minimal long-lived helper pool: a locked deque plus a condvar. The
 /// threads live as long as the process.
 struct Pool {
     shared: Arc<PoolShared>,

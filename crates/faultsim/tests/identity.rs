@@ -18,7 +18,6 @@ enum Op {
     ConsumeAck,
     ConsumeDrop,
     ConsumeRequeue,
-    Purge,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -27,7 +26,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         3 => Just(Op::ConsumeAck),
         1 => Just(Op::ConsumeDrop),
         1 => Just(Op::ConsumeRequeue),
-        1 => Just(Op::Purge),
     ]
 }
 
@@ -50,8 +48,7 @@ fn arb_batch_op() -> impl Strategy<Value = BatchOp> {
 }
 
 /// Applies one op to a broker, returning what a client could observe of
-/// it: the payload and redelivery flag of any delivery, and the purge
-/// count.
+/// it: the payload and redelivery flag of any delivery.
 fn observe(broker: &MessageBroker, consumer: &mqsim::Consumer, op: &Op) -> Vec<(Vec<u8>, bool)> {
     match op {
         Op::Publish(b) => {
@@ -80,7 +77,6 @@ fn observe(broker: &MessageBroker, consumer: &mqsim::Consumer, op: &Op) -> Vec<(
             }
             None => Vec::new(),
         },
-        Op::Purge => vec![(vec![broker.purge_queue("q").unwrap() as u8], false)],
     }
 }
 
@@ -88,7 +84,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every observable — delivery order, payloads, redelivery flags,
-    /// purge counts, final stats — matches between a hooked and an
+    /// final stats — matches between a hooked and an
     /// un-hooked broker across arbitrary op sequences.
     #[test]
     fn identity_plan_is_observationally_invisible(

@@ -12,6 +12,11 @@
 //!
 //! Because the surface is a trait, `Broker::bind`/`lookup`, proxies, the
 //! Supervisor and the SyncService run unchanged over either transport.
+//!
+//! [`Messaging`] holds the twelve operations something above calls. AMQP
+//! has more (purging a queue, removing one binding, listing queues, probing
+//! for an exchange); nothing here used them, so neither trait, broker nor
+//! wire protocol carries them.
 
 use crate::broker::{MessageBroker, QueueOptions};
 use crate::error::MqResult;
@@ -33,18 +38,12 @@ pub trait Messaging: Send + Sync + fmt::Debug {
     fn declare_queue(&self, name: &str, options: QueueOptions) -> MqResult<()>;
     /// Deletes a queue, waking blocked consumers with `Closed`.
     fn delete_queue(&self, name: &str) -> MqResult<()>;
-    /// Drops all ready messages of a queue; returns how many were purged.
-    fn purge_queue(&self, name: &str) -> MqResult<usize>;
     /// Declares an exchange of the given kind.
     fn declare_exchange(&self, name: &str, kind: ExchangeKind) -> MqResult<()>;
     /// Binds a queue to an exchange under a routing key.
     fn bind_queue(&self, exchange: &str, routing_key: &str, queue: &str) -> MqResult<()>;
-    /// Removes a binding. Returns whether it existed.
-    fn unbind_queue(&self, exchange: &str, routing_key: &str, queue: &str) -> MqResult<bool>;
     /// Whether the queue exists.
     fn queue_exists(&self, name: &str) -> bool;
-    /// Whether the exchange exists.
-    fn exchange_exists(&self, name: &str) -> bool;
     /// Publishes directly to a named queue (default-exchange path).
     fn publish_to_queue(&self, queue: &str, message: Message) -> MqResult<()>;
     /// Publishes a batch of messages to one queue, preserving FIFO order
@@ -68,8 +67,6 @@ pub trait Messaging: Send + Sync + fmt::Debug {
     fn queue_depth(&self, name: &str) -> MqResult<usize>;
     /// Windowed arrival rate (messages/sec) observed on a queue.
     fn queue_arrival_rate(&self, name: &str) -> MqResult<f64>;
-    /// All queue names, sorted.
-    fn queue_names(&self) -> Vec<String>;
 }
 
 /// A subscription handle obtained through [`Messaging::subscribe`].
@@ -206,23 +203,14 @@ impl Messaging for MessageBroker {
     fn delete_queue(&self, name: &str) -> MqResult<()> {
         MessageBroker::delete_queue(self, name)
     }
-    fn purge_queue(&self, name: &str) -> MqResult<usize> {
-        MessageBroker::purge_queue(self, name)
-    }
     fn declare_exchange(&self, name: &str, kind: ExchangeKind) -> MqResult<()> {
         MessageBroker::declare_exchange(self, name, kind)
     }
     fn bind_queue(&self, exchange: &str, routing_key: &str, queue: &str) -> MqResult<()> {
         MessageBroker::bind_queue(self, exchange, routing_key, queue)
     }
-    fn unbind_queue(&self, exchange: &str, routing_key: &str, queue: &str) -> MqResult<bool> {
-        MessageBroker::unbind_queue(self, exchange, routing_key, queue)
-    }
     fn queue_exists(&self, name: &str) -> bool {
         MessageBroker::queue_exists(self, name)
-    }
-    fn exchange_exists(&self, name: &str) -> bool {
-        MessageBroker::exchange_exists(self, name)
     }
     fn publish_to_queue(&self, queue: &str, message: Message) -> MqResult<()> {
         MessageBroker::publish_to_queue(self, queue, message)
@@ -244,9 +232,6 @@ impl Messaging for MessageBroker {
     }
     fn queue_arrival_rate(&self, name: &str) -> MqResult<f64> {
         MessageBroker::queue_arrival_rate(self, name)
-    }
-    fn queue_names(&self) -> Vec<String> {
-        MessageBroker::queue_names(self)
     }
 }
 
@@ -323,11 +308,10 @@ mod tests {
             mq.bind_queue("ex", "", q).unwrap();
         }
         assert_eq!(mq.publish("ex", "", Message::from_static(b"n")).unwrap(), 2);
-        assert_eq!(mq.queue_names(), vec!["a", "b"]);
-        assert!(mq.unbind_queue("ex", "", "a").unwrap());
-        assert_eq!(mq.purge_queue("b").unwrap(), 1);
+        assert_eq!(mq.queue_depth("a").unwrap(), 1);
+        assert_eq!(mq.queue_depth("b").unwrap(), 1);
         mq.delete_queue("a").unwrap();
         assert!(!mq.queue_exists("a"));
-        assert!(mq.exchange_exists("ex"));
+        assert_eq!(mq.publish("ex", "", Message::from_static(b"n")).unwrap(), 1);
     }
 }

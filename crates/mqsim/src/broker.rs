@@ -308,12 +308,6 @@ impl MessageBroker {
         Ok(())
     }
 
-    /// Drops all ready messages of a queue. Returns how many were purged.
-    pub fn purge_queue(&self, name: &str) -> MqResult<usize> {
-        self.check_up()?;
-        Ok(self.queue(name)?.purge())
-    }
-
     /// Subscribes a new consumer to the queue.
     pub fn subscribe(&self, queue: &str) -> MqResult<Consumer> {
         self.check_up()?;
@@ -353,11 +347,6 @@ impl MessageBroker {
         Ok(())
     }
 
-    /// Whether the exchange exists.
-    pub fn exchange_exists(&self, name: &str) -> bool {
-        self.inner.exchanges.read().contains_key(name)
-    }
-
     /// Binds a queue to an exchange under a routing key.
     pub fn bind_queue(&self, exchange: &str, routing_key: &str, queue: &str) -> MqResult<()> {
         self.check_up()?;
@@ -370,16 +359,6 @@ impl MessageBroker {
             .ok_or_else(|| MqError::ExchangeNotFound(exchange.to_string()))?;
         ex.bind(routing_key, queue);
         Ok(())
-    }
-
-    /// Removes a binding. Returns whether it existed.
-    pub fn unbind_queue(&self, exchange: &str, routing_key: &str, queue: &str) -> MqResult<bool> {
-        self.check_up()?;
-        let mut exchanges = self.inner.exchanges.write();
-        let ex = exchanges
-            .get_mut(exchange)
-            .ok_or_else(|| MqError::ExchangeNotFound(exchange.to_string()))?;
-        Ok(ex.unbind(routing_key, queue))
     }
 
     /// Publishes through an exchange. Returns the number of queues that
@@ -414,15 +393,6 @@ impl MessageBroker {
         Ok(delivered)
     }
 
-    /// Number of distinct queues bound to an exchange.
-    pub fn exchange_fanout_width(&self, exchange: &str) -> MqResult<usize> {
-        let exchanges = self.inner.exchanges.read();
-        exchanges
-            .get(exchange)
-            .map(|e| e.bound_queue_count())
-            .ok_or_else(|| MqError::ExchangeNotFound(exchange.to_string()))
-    }
-
     /// Counter snapshot of a queue.
     pub fn queue_stats(&self, name: &str) -> MqResult<QueueStats> {
         Ok(self.queue(name)?.stats())
@@ -438,15 +408,8 @@ impl MessageBroker {
         Ok(self.queue(name)?.arrivals.rate_per_sec())
     }
 
-    /// All queue names, sorted.
-    pub fn queue_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.queues.read().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// Simulates a node crash: all operations fail until [`Self::restart`].
-    /// Queue contents are preserved (RabbitMQ with persistent messages).
+    /// Queue contents are preserved (RabbitMQ with durable messages).
     pub fn kill(&self) {
         self.inner.down.store(true, Ordering::Release);
     }
@@ -553,7 +516,8 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         b2.delete_queue("q").unwrap();
         assert!(matches!(h.join().unwrap(), Err(MqError::Closed)));
-        assert_eq!(b.exchange_fanout_width("ex").unwrap(), 0);
+        // The binding went with the queue: the fanout now reaches nobody.
+        assert_eq!(b.publish("ex", "", Message::from_static(b"m")).unwrap(), 0);
     }
 
     #[test]
@@ -568,14 +532,5 @@ mod tests {
         b.restart();
         b.publish_to_queue("q", Message::from_static(b"x")).unwrap();
         assert_eq!(b.queue_depth("q").unwrap(), 1, "state preserved over crash");
-    }
-
-    #[test]
-    fn queue_names_sorted() {
-        let b = MessageBroker::new();
-        for q in ["zeta", "alpha", "mid"] {
-            b.declare_queue(q, QueueOptions::default()).unwrap();
-        }
-        assert_eq!(b.queue_names(), vec!["alpha", "mid", "zeta"]);
     }
 }

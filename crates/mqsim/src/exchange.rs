@@ -38,22 +38,6 @@ impl Exchange {
         }
     }
 
-    /// Removes a binding. Returns whether it existed.
-    pub(crate) fn unbind(&mut self, routing_key: &str, queue: &str) -> bool {
-        match self.bindings.get_mut(routing_key) {
-            Some(queues) => {
-                let before = queues.len();
-                queues.retain(|q| q != queue);
-                let removed = queues.len() != before;
-                if queues.is_empty() {
-                    self.bindings.remove(routing_key);
-                }
-                removed
-            }
-            None => false,
-        }
-    }
-
     /// Removes the queue from every binding (queue deletion).
     pub(crate) fn unbind_queue_everywhere(&mut self, queue: &str) {
         self.bindings.retain(|_, queues| {
@@ -77,14 +61,6 @@ impl Exchange {
                 all
             }
         }
-    }
-
-    /// Number of distinct queues bound to this exchange.
-    pub(crate) fn bound_queue_count(&self) -> usize {
-        let mut all: Vec<&String> = self.bindings.values().flatten().collect();
-        all.sort();
-        all.dedup();
-        all.len()
     }
 }
 
@@ -119,17 +95,6 @@ mod tests {
         e.bind("", "q1");
         e.bind("", "q1");
         assert_eq!(e.route(""), vec!["q1"]);
-        assert_eq!(e.bound_queue_count(), 1);
-    }
-
-    #[test]
-    fn unbind_removes_only_target() {
-        let mut e = Exchange::new(ExchangeKind::Direct);
-        e.bind("k", "q1");
-        e.bind("k", "q2");
-        assert!(e.unbind("k", "q1"));
-        assert!(!e.unbind("k", "q1"));
-        assert_eq!(e.route("k"), vec!["q2"]);
     }
 
     #[test]

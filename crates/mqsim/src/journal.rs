@@ -16,14 +16,22 @@
 //! un-fsynced acks is safe — the messages are redelivered, which is the
 //! at-least-once contract ("no invocation is ever lost", paper §3.4).
 //!
-//! Record formats (all integers little-endian, strings length-prefixed):
+//! Record formats (all integers little-endian, strings and payloads
+//! prefixed by a `u32` length, an optional string by a `0`/`1` byte):
 //!
 //! ```text
 //! decl:   [1][auto_delete u8][rate_window_ms u64][name]
-//! pub:    [2][jid u64][queue][payload][persistent u8][4 × optional string]
 //! ack:    [3][jid u64]
 //! delq:   [4][name]
+//! pub:    [5][jid u64][queue][payload][reply_to?][trace?]
 //! ```
+//!
+//! A record ends where its last field does; trailing bytes are refused.
+//! Kind 2 is retired: it was the publish record that also stored three
+//! message headers nothing read (`correlation_id`, `content_type`,
+//! `persistent`). A journal holding one fails to open with `InvalidData`
+//! naming the kind, like `snapshot.json` in the metadata plane: no loader,
+//! no option. Drain such a broker before upgrading it.
 
 use crate::broker::QueueOptions;
 use crate::error::{MqError, MqResult};
@@ -34,9 +42,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 const K_DECL: u8 = 1;
-const K_PUB: u8 = 2;
+/// The publish record of the five-header layout; refused on replay.
+const K_PUB_RETIRED: u8 = 2;
 const K_ACK: u8 = 3;
 const K_DELQ: u8 = 4;
+const K_PUB: u8 = 5;
 
 fn wal_err(e: wal::WalError) -> MqError {
     MqError::Durability(e.to_string())
@@ -93,10 +103,7 @@ impl Journal {
         put_bytes(&mut buf, queue.as_bytes());
         put_bytes(&mut buf, message.payload());
         let p = message.properties();
-        buf.push(p.persistent as u8);
-        put_opt(&mut buf, p.correlation_id.as_deref());
         put_opt(&mut buf, p.reply_to.as_deref());
-        put_opt(&mut buf, p.content_type.as_deref());
         put_opt(&mut buf, p.trace.as_deref());
         let ticket = self.log.append(&buf).map_err(wal_err)?;
         Ok((jid, ticket))
@@ -173,10 +180,7 @@ pub(crate) fn replay(records: &[(u64, Vec<u8>)]) -> io::Result<RecoveredState> {
                 let queue = r.string()?;
                 let payload = r.bytes()?.to_vec();
                 let properties = MessageProperties {
-                    persistent: r.u8()? != 0,
-                    correlation_id: r.opt_string()?,
                     reply_to: r.opt_string()?,
-                    content_type: r.opt_string()?,
                     trace: r.opt_string()?,
                 };
                 next_jid = next_jid.max(jid + 1);
@@ -190,12 +194,19 @@ pub(crate) fn replay(records: &[(u64, Vec<u8>)]) -> io::Result<RecoveredState> {
                 queues.remove(&name);
                 pending.retain(|_, (q, _)| q != &name);
             }
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unknown journal record kind {other}"),
-                ));
+            K_PUB_RETIRED => {
+                return Err(invalid(format!(
+                    "journal record kind {K_PUB_RETIRED} (the five-header publish record) \
+                     is retired; this journal was written by an older broker"
+                )));
             }
+            other => return Err(invalid(format!("unknown journal record kind {other}"))),
+        }
+        if r.at != payload.len() {
+            return Err(invalid(format!(
+                "{} trailing byte(s) in a journal record",
+                payload.len() - r.at
+            )));
         }
     }
     Ok(RecoveredState {
@@ -206,6 +217,10 @@ pub(crate) fn replay(records: &[(u64, Vec<u8>)]) -> io::Result<RecoveredState> {
             .collect(),
         next_jid,
     })
+}
+
+fn invalid(message: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
 fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
@@ -242,10 +257,7 @@ impl<'a> Reader<'a> {
                 self.at = end;
                 Ok(slice)
             }
-            None => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "truncated journal record",
-            )),
+            None => Err(invalid("truncated journal record".to_string())),
         }
     }
 
@@ -263,8 +275,7 @@ impl<'a> Reader<'a> {
     }
 
     fn string(&mut self) -> io::Result<String> {
-        String::from_utf8(self.bytes()?.to_vec())
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        String::from_utf8(self.bytes()?.to_vec()).map_err(|e| invalid(e.to_string()))
     }
 
     fn opt_string(&mut self) -> io::Result<Option<String>> {
@@ -285,10 +296,8 @@ mod tests {
         buf.extend_from_slice(&jid.to_le_bytes());
         put_bytes(&mut buf, queue.as_bytes());
         put_bytes(&mut buf, payload);
-        buf.push(0);
-        for _ in 0..4 {
-            put_opt(&mut buf, None);
-        }
+        put_opt(&mut buf, None);
+        put_opt(&mut buf, None);
         buf
     }
 
@@ -340,24 +349,43 @@ mod tests {
 
     #[test]
     fn properties_roundtrip_through_records() {
-        let props = MessageProperties {
-            correlation_id: Some("c9".into()),
-            reply_to: Some("q.reply".into()),
-            content_type: None,
-            persistent: true,
-            trace: Some("span".into()),
-        };
-        let message = Message::with_properties(b"body".as_slice(), props.clone());
-        let mut buf = vec![K_PUB];
-        buf.extend_from_slice(&7u64.to_le_bytes());
-        put_bytes(&mut buf, b"q");
-        put_bytes(&mut buf, message.payload());
-        buf.push(1);
-        put_opt(&mut buf, Some("c9"));
-        put_opt(&mut buf, Some("q.reply"));
-        put_opt(&mut buf, None);
-        put_opt(&mut buf, Some("span"));
-        let state = replay(&[(0, buf)]).unwrap();
-        assert_eq!(state.pending[0].2.properties(), &props);
+        for props in [
+            MessageProperties {
+                reply_to: Some("q.reply".into()),
+                trace: Some("span".into()),
+            },
+            MessageProperties {
+                reply_to: None,
+                trace: Some("span".into()),
+            },
+            MessageProperties::default(),
+        ] {
+            let mut buf = vec![K_PUB];
+            buf.extend_from_slice(&7u64.to_le_bytes());
+            put_bytes(&mut buf, b"q");
+            put_bytes(&mut buf, b"body");
+            put_opt(&mut buf, props.reply_to.as_deref());
+            put_opt(&mut buf, props.trace.as_deref());
+            let state = replay(&[(0, buf)]).unwrap();
+            assert_eq!(state.pending[0].2.payload(), b"body");
+            assert_eq!(state.pending[0].2.properties(), &props);
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_are_refused_in_every_kind() {
+        let mut decl = vec![K_DECL, 0];
+        decl.extend_from_slice(&60_000u64.to_le_bytes());
+        put_bytes(&mut decl, b"q");
+        let mut delq = vec![K_DELQ];
+        put_bytes(&mut delq, b"q");
+        for record in [decl, pub_record(1, "q", b"x"), ack_record(1), delq] {
+            assert!(replay(&[(0, record.clone())]).is_ok());
+            let mut longer = record;
+            longer.push(0);
+            let err = replay(&[(0, longer)]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("1 trailing byte"), "{err}");
+        }
     }
 }

@@ -27,23 +27,17 @@ impl fmt::Display for DeliveryTag {
     }
 }
 
-/// AMQP-style message properties used by the RPC layer on top.
+/// AMQP-style message properties: the two that ObjectMQ's skeleton reads.
 ///
-/// `correlation_id` ties a response to its request and `reply_to` names the
-/// queue where the response must be published — exactly the two properties
-/// ObjectMQ proxies rely on for `@SyncMethod` calls.
+/// An invocation carries its own id in the payload (`objectmq::rpc`), each
+/// broker has one codec, and durability belongs to the queue
+/// ([`crate::QueueOptions::durable`]), so AMQP's correlation, content-type
+/// and delivery-mode headers have no reader here and are not carried.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MessageProperties {
-    /// Correlates a response with the request that produced it.
-    pub correlation_id: Option<String>,
-    /// Name of the queue where replies should be published.
+    /// Name of the queue where replies should be published; `None` for a
+    /// call that expects no reply.
     pub reply_to: Option<String>,
-    /// Free-form content type marker (e.g. `"wire/binary"`).
-    pub content_type: Option<String>,
-    /// Whether the broker must keep the message across restarts. The
-    /// in-process broker keeps everything in memory, but the flag is tracked
-    /// so tests can assert that ObjectMQ marks invocations persistent.
-    pub persistent: bool,
     /// Encoded tracing context (`obs::SpanContext`) propagated with the
     /// message, so the consumer side can link its spans to the publisher's
     /// trace. `None` when the publisher is not tracing.
@@ -127,14 +121,6 @@ impl Message {
         &self.properties
     }
 
-    /// Mutable access to properties (used by publishers before sending).
-    ///
-    /// Copy-on-write: if the properties are shared with another message
-    /// clone, they are copied once here so the mutation stays local.
-    pub fn properties_mut(&mut self) -> &mut MessageProperties {
-        Arc::make_mut(&mut self.properties)
-    }
-
     /// Instant at which the broker accepted the message, if it has been
     /// published. Used to measure queueing delay.
     pub fn enqueued_at(&self) -> Option<Instant> {
@@ -182,10 +168,7 @@ mod tests {
     #[test]
     fn properties_are_attached() {
         let props = MessageProperties {
-            correlation_id: Some("c1".into()),
             reply_to: Some("q.reply".into()),
-            content_type: None,
-            persistent: true,
             trace: None,
         };
         let m = Message::with_properties(b"x".as_slice(), props.clone());
@@ -212,14 +195,5 @@ mod tests {
         let m = Message::from_static(b"static payload");
         assert_eq!(m.payload(), b"static payload");
         assert!(m.properties() == &MessageProperties::default());
-    }
-
-    #[test]
-    fn properties_mutation_does_not_leak_into_clones() {
-        let mut a = Message::from_static(b"x");
-        let b = a.clone();
-        a.properties_mut().correlation_id = Some("c1".into());
-        assert_eq!(a.properties().correlation_id.as_deref(), Some("c1"));
-        assert_eq!(b.properties().correlation_id, None);
     }
 }

@@ -59,7 +59,7 @@ struct ReadyEntry {
     message: Message,
     redelivered: bool,
     /// Journal id of the publish record on a durable queue; carried so the
-    /// eventual ack (or purge) can cancel the record.
+    /// eventual ack can cancel the record.
     jid: Option<u64>,
 }
 
@@ -561,29 +561,6 @@ impl QueueCore {
         }
     }
 
-    /// Drops all ready messages; returns how many were purged. On a durable
-    /// queue the drops are journaled as acks so they stay purged across a
-    /// restart (in-flight deliveries survive the purge, as live).
-    pub(crate) fn purge(&self) -> usize {
-        let mut state = self.state.lock();
-        let n = state.ready.len();
-        let dropped_jids: Vec<u64> = state.ready.iter().filter_map(|(_, e)| e.jid).collect();
-        state.ready.clear();
-        drop(state);
-        self.journal_acks(dropped_jids);
-        n
-    }
-
-    /// Journals ack records for messages removed without a consumer ack
-    /// (purge, mirror drop).
-    fn journal_acks(&self, jids: Vec<u64>) {
-        if let Some(journal) = &self.journal {
-            for jid in jids {
-                journal.record_ack(jid);
-            }
-        }
-    }
-
     /// Closes the queue, waking all blocked consumers with `Closed`.
     pub(crate) fn close(&self) {
         let mut state = self.state.lock();
@@ -721,19 +698,6 @@ mod tests {
         assert_eq!(s.depth, 1);
         assert_eq!(s.unacked, 0);
         assert_eq!(s.consumers, 1);
-    }
-
-    #[test]
-    fn purge_drops_ready_only() {
-        let queue = q();
-        let c = queue.register_consumer().unwrap();
-        queue.push(Message::from_static(b"a")).unwrap();
-        queue.push(Message::from_static(b"b")).unwrap();
-        let (_tag, ..) = queue.recv(c, Duration::from_millis(10)).unwrap();
-        assert_eq!(queue.purge(), 1);
-        let s = queue.stats();
-        assert_eq!(s.depth, 0);
-        assert_eq!(s.unacked, 1, "in-flight survives purge");
     }
 
     #[test]

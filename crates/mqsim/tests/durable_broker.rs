@@ -32,10 +32,7 @@ fn unacked_durable_messages_survive_restart() {
             .declare_queue("jobs", QueueOptions::durable())
             .unwrap();
         let props = MessageProperties {
-            correlation_id: Some("c1".into()),
             reply_to: Some("jobs.reply".into()),
-            content_type: Some("text/plain".into()),
-            persistent: true,
             trace: None,
         };
         broker
@@ -72,8 +69,8 @@ fn unacked_durable_messages_survive_restart() {
     // FIFO order by journal id, both flagged redelivered.
     assert_eq!(d1.message.payload(), b"keep-1");
     assert_eq!(
-        d1.message.properties().correlation_id.as_deref(),
-        Some("c1")
+        d1.message.properties().reply_to.as_deref(),
+        Some("jobs.reply")
     );
     assert!(d1.redelivered);
     assert_eq!(d2.message.payload(), b"keep-2");

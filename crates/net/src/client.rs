@@ -865,7 +865,6 @@ fn clock_handshake(stream: &TcpStream) -> bool {
     let t0 = obs::unix_now_ns();
     let hello = Request::Hello {
         pid: u64::from(std::process::id()),
-        unix_ns: t0,
     };
     if write_frame(&mut (&*stream), &hello.to_frame(0)).is_err() {
         return false;
@@ -898,19 +897,6 @@ fn clock_handshake(stream: &TcpStream) -> bool {
 // Messaging impl
 // ---------------------------------------------------------------------------
 
-/// Collapses a fallible existence probe into the infallible `Messaging`
-/// signature, counting transport-degraded answers (see
-/// [`Messaging::queue_exists`] on [`NetBroker`] for the semantics).
-fn exists_or_degraded(result: MqResult<bool>) -> bool {
-    match result {
-        Ok(exists) => exists,
-        Err(_) => {
-            obs::counter("net.client.exists_degraded").inc();
-            false
-        }
-    }
-}
-
 impl Messaging for NetBroker {
     fn declare_queue(&self, name: &str, options: QueueOptions) -> MqResult<()> {
         self.inner
@@ -922,11 +908,6 @@ impl Messaging for NetBroker {
         self.inner
             .request(&Request::DeleteQueue(name.into()))
             .map(|_| ())
-    }
-
-    fn purge_queue(&self, name: &str) -> MqResult<usize> {
-        let v = self.inner.request(&Request::PurgeQueue(name.into()))?;
-        Ok(v.as_u64().unwrap_or(0) as usize)
     }
 
     fn declare_exchange(&self, name: &str, kind: ExchangeKind) -> MqResult<()> {
@@ -945,16 +926,6 @@ impl Messaging for NetBroker {
             .map(|_| ())
     }
 
-    fn unbind_queue(&self, exchange: &str, routing_key: &str, queue: &str) -> MqResult<bool> {
-        let v = self.inner.request(&Request::UnbindQueue(
-            exchange.into(),
-            routing_key.into(),
-            queue.into(),
-        ))?;
-        v.as_bool()
-            .map_err(|e| MqError::Transport(format!("bad unbind reply: {e}")))
-    }
-
     /// Whether the queue exists on the server.
     ///
     /// The `Messaging` signature is infallible, so a transport failure that
@@ -965,21 +936,14 @@ impl Messaging for NetBroker {
     /// [`Messaging::queue_depth`], which surfaces [`MqError::Transport`].
     /// Each degraded answer bumps the `net.client.exists_degraded` counter.
     fn queue_exists(&self, name: &str) -> bool {
-        exists_or_degraded(
-            self.inner
-                .request(&Request::QueueExists(name.into()))
-                .and_then(|v| v.as_bool().map_err(|e| MqError::Transport(e.to_string()))),
-        )
-    }
-
-    /// Whether the exchange exists on the server. Same degraded semantics
-    /// under partition as [`Self::queue_exists`].
-    fn exchange_exists(&self, name: &str) -> bool {
-        exists_or_degraded(
-            self.inner
-                .request(&Request::ExchangeExists(name.into()))
-                .and_then(|v| v.as_bool().map_err(|e| MqError::Transport(e.to_string()))),
-        )
+        let answer = self
+            .inner
+            .request(&Request::QueueExists(name.into()))
+            .and_then(|v| v.as_bool().map_err(|e| MqError::Transport(e.to_string())));
+        answer.unwrap_or_else(|_| {
+            obs::counter("net.client.exists_degraded").inc();
+            false
+        })
     }
 
     fn publish_to_queue(&self, queue: &str, message: Message) -> MqResult<()> {
@@ -1049,21 +1013,6 @@ impl Messaging for NetBroker {
             .request(&Request::QueueArrivalRate(name.into()))?;
         v.as_f64()
             .map_err(|e| MqError::Transport(format!("bad rate reply: {e}")))
-    }
-
-    fn queue_names(&self) -> Vec<String> {
-        self.inner
-            .request(&Request::QueueNames)
-            .ok()
-            .and_then(|v| {
-                v.as_list().ok().map(|items| {
-                    items
-                        .iter()
-                        .filter_map(|i| i.as_str().ok().map(str::to_string))
-                        .collect()
-                })
-            })
-            .unwrap_or_default()
     }
 }
 
@@ -1241,7 +1190,6 @@ mod tests {
         assert!(client.queue_exists("q"));
         assert!(!client.queue_exists("other"));
         client.declare_exchange("x", ExchangeKind::Fanout).unwrap();
-        assert!(client.exchange_exists("x"));
         client.bind_queue("x", "", "q").unwrap();
         let n = client
             .publish("x", "", Message::from_static(b"fan"))
@@ -1251,7 +1199,6 @@ mod tests {
             .publish_to_queue("q", Message::from_static(b"direct"))
             .unwrap();
         assert_eq!(client.queue_depth("q").unwrap(), 2);
-        assert_eq!(client.queue_names(), vec!["q".to_string()]);
         assert!(client.queue_arrival_rate("q").unwrap() > 0.0);
 
         let consumer = client.subscribe("q").unwrap();
@@ -1271,10 +1218,15 @@ mod tests {
             assert!(Instant::now() < deadline, "acks not applied: {stats:?}");
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(client.purge_queue("q").unwrap(), 0);
-        assert!(client.unbind_queue("x", "", "q").unwrap());
         client.delete_queue("q").unwrap();
         assert!(!client.queue_exists("q"));
+        assert_eq!(
+            client
+                .publish("x", "", Message::from_static(b"gone"))
+                .unwrap(),
+            0,
+            "deleting the queue removed its binding"
+        );
         client.close();
         server.shutdown();
     }

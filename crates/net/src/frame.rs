@@ -4,7 +4,14 @@
 //! bytes of a [`wire::BinaryCodec`]-encoded [`Value::Map`]. Requests carry a
 //! client-chosen correlation id; the server answers each request with exactly
 //! one `reply` frame echoing the id. `deliver` frames are server-initiated
-//! pushes (correlation id 0) carrying a message toward a subscription.
+//! pushes carrying a message toward a subscription; they answer no request,
+//! so they carry no correlation id.
+//!
+//! A frame carries only what its reader reads, and the decoders accept
+//! exactly what the encoders write: both ends are this build and there is
+//! no version handshake, so a missing required field or a mistyped one is a
+//! protocol error, never a default. A message's optional properties
+//! (`reply_to`, `trace`) may be absent, but not of another type.
 //!
 //! The protocol is deliberately un-clever: no pipelining constraints, no
 //! versioned handshake, text opcodes. Robustness against a hostile or
@@ -281,18 +288,12 @@ pub enum Request {
     DeclareQueue(String, QueueOptions),
     /// `delete_queue(name)`
     DeleteQueue(String),
-    /// `purge_queue(name)`
-    PurgeQueue(String),
     /// `declare_exchange(name, kind)`
     DeclareExchange(String, ExchangeKind),
     /// `bind_queue(exchange, routing_key, queue)`
     BindQueue(String, String, String),
-    /// `unbind_queue(exchange, routing_key, queue)`
-    UnbindQueue(String, String, String),
     /// `queue_exists(name)`
     QueueExists(String),
-    /// `exchange_exists(name)`
-    ExchangeExists(String),
     /// `publish_to_queue(queue, message)`
     PublishToQueue(String, Message),
     /// `publish_batch_to_queue(queue, messages)` — one frame, one broker
@@ -325,18 +326,15 @@ pub enum Request {
     QueueDepth(String),
     /// `queue_arrival_rate(name)`
     QueueArrivalRate(String),
-    /// `queue_names()`
-    QueueNames,
     /// Liveness probe; the reply is the heartbeat.
     Ping,
-    /// Connection handshake: the client introduces itself and both sides
-    /// exchange unix-clock readings so the client can estimate its offset
-    /// from the broker (the fleet's trace-alignment reference).
+    /// Connection handshake: the client introduces itself and the reply
+    /// carries the broker's unix clock, which the client places at the
+    /// midpoint of its own round trip to estimate its offset from the
+    /// broker (the fleet's trace-alignment reference).
     Hello {
         /// The connecting process's pid.
         pid: u64,
-        /// The client's unix clock at send time, nanoseconds.
-        unix_ns: u64,
     },
 }
 
@@ -359,39 +357,36 @@ fn field_bool(map: &Value, key: &str) -> Result<bool, FrameError> {
         .map_err(|e| FrameError::Protocol(format!("bad `{key}` field: {e}")))
 }
 
-fn opt_str(map: &Value, key: &str) -> Option<String> {
+/// An optional string field: absent is `None`, present must be a string.
+fn opt_str(map: &Value, key: &str) -> Result<Option<String>, FrameError> {
     match map.get(key) {
-        Some(Value::Str(s)) => Some(s.clone()),
-        _ => None,
+        None => Ok(None),
+        Some(Value::Str(s)) => Ok(Some(s.clone())),
+        Some(other) => Err(FrameError::Protocol(format!(
+            "bad `{key}` field: expected a string, got {other:?}"
+        ))),
     }
 }
 
 fn props_to_value(p: &MessageProperties) -> Value {
     let mut fields = Vec::new();
-    if let Some(c) = &p.correlation_id {
-        fields.push(("correlation_id".into(), Value::from(c.clone())));
-    }
     if let Some(r) = &p.reply_to {
         fields.push(("reply_to".into(), Value::from(r.clone())));
-    }
-    if let Some(ct) = &p.content_type {
-        fields.push(("content_type".into(), Value::from(ct.clone())));
     }
     if let Some(t) = &p.trace {
         fields.push(("trace".into(), Value::from(t.clone())));
     }
-    fields.push(("persistent".into(), Value::Bool(p.persistent)));
     Value::Map(fields)
 }
 
-fn props_from_value(v: &Value) -> MessageProperties {
-    MessageProperties {
-        correlation_id: opt_str(v, "correlation_id"),
-        reply_to: opt_str(v, "reply_to"),
-        content_type: opt_str(v, "content_type"),
-        persistent: matches!(v.get("persistent"), Some(Value::Bool(true))),
-        trace: opt_str(v, "trace"),
+fn props_from_value(v: &Value) -> Result<MessageProperties, FrameError> {
+    if !matches!(v, Value::Map(_)) {
+        return Err(FrameError::Protocol("message props is not a map".into()));
     }
+    Ok(MessageProperties {
+        reply_to: opt_str(v, "reply_to")?,
+        trace: opt_str(v, "trace")?,
+    })
 }
 
 fn message_to_value(m: &Message) -> Value {
@@ -418,8 +413,10 @@ fn message_from_value(v: &Value) -> Result<Message, FrameError> {
         .and_then(|p| p.as_bytes())
         .map_err(|e| FrameError::Protocol(format!("bad message payload: {e}")))?
         .to_vec();
-    let props = v.get("props").map(props_from_value).unwrap_or_default();
-    Ok(Message::with_properties(payload, props))
+    let props = v
+        .field("props")
+        .map_err(|e| FrameError::Protocol(format!("bad message props: {e}")))?;
+    Ok(Message::with_properties(payload, props_from_value(props)?))
 }
 
 impl Request {
@@ -440,10 +437,6 @@ impl Request {
             ),
             Request::DeleteQueue(name) => (
                 "delete_queue",
-                vec![("name".into(), Value::from(name.clone()))],
-            ),
-            Request::PurgeQueue(name) => (
-                "purge_queue",
                 vec![("name".into(), Value::from(name.clone()))],
             ),
             Request::DeclareExchange(name, kind) => (
@@ -467,20 +460,8 @@ impl Request {
                     ("queue".into(), Value::from(q.clone())),
                 ],
             ),
-            Request::UnbindQueue(e, k, q) => (
-                "unbind_queue",
-                vec![
-                    ("exchange".into(), Value::from(e.clone())),
-                    ("key".into(), Value::from(k.clone())),
-                    ("queue".into(), Value::from(q.clone())),
-                ],
-            ),
             Request::QueueExists(name) => (
                 "queue_exists",
-                vec![("name".into(), Value::from(name.clone()))],
-            ),
-            Request::ExchangeExists(name) => (
-                "exchange_exists",
                 vec![("name".into(), Value::from(name.clone()))],
             ),
             Request::PublishToQueue(queue, message) => (
@@ -550,15 +531,8 @@ impl Request {
                 "queue_arrival_rate",
                 vec![("name".into(), Value::from(name.clone()))],
             ),
-            Request::QueueNames => ("queue_names", vec![]),
             Request::Ping => ("ping", vec![]),
-            Request::Hello { pid, unix_ns } => (
-                "hello",
-                vec![
-                    ("pid".into(), Value::U64(*pid)),
-                    ("unix_ns".into(), Value::U64(*unix_ns)),
-                ],
-            ),
+            Request::Hello { pid } => ("hello", vec![("pid".into(), Value::U64(*pid))]),
         };
         fields.insert(0, ("op".into(), Value::from(op)));
         fields.insert(1, ("corr".into(), Value::U64(corr)));
@@ -579,12 +553,10 @@ impl Request {
                 QueueOptions {
                     auto_delete: field_bool(v, "auto_delete")?,
                     rate_window: Duration::from_millis(field_u64(v, "rate_window_ms")?),
-                    // Absent on frames from peers predating durable queues.
-                    durable: field_bool(v, "durable").unwrap_or(false),
+                    durable: field_bool(v, "durable")?,
                 },
             ),
             "delete_queue" => Request::DeleteQueue(field_str(v, "name")?),
-            "purge_queue" => Request::PurgeQueue(field_str(v, "name")?),
             "declare_exchange" => Request::DeclareExchange(
                 field_str(v, "name")?,
                 match field_str(v, "kind")?.as_str() {
@@ -602,13 +574,7 @@ impl Request {
                 field_str(v, "key")?,
                 field_str(v, "queue")?,
             ),
-            "unbind_queue" => Request::UnbindQueue(
-                field_str(v, "exchange")?,
-                field_str(v, "key")?,
-                field_str(v, "queue")?,
-            ),
             "queue_exists" => Request::QueueExists(field_str(v, "name")?),
-            "exchange_exists" => Request::ExchangeExists(field_str(v, "name")?),
             "publish_to_queue" => {
                 let message = message_from_value(
                     v.field("message")
@@ -657,11 +623,9 @@ impl Request {
             "queue_stats" => Request::QueueStats(field_str(v, "name")?),
             "queue_depth" => Request::QueueDepth(field_str(v, "name")?),
             "queue_arrival_rate" => Request::QueueArrivalRate(field_str(v, "name")?),
-            "queue_names" => Request::QueueNames,
             "ping" => Request::Ping,
             "hello" => Request::Hello {
                 pid: field_u64(v, "pid")?,
-                unix_ns: field_u64(v, "unix_ns")?,
             },
             other => return Err(FrameError::Protocol(format!("unknown opcode `{other}`"))),
         };
@@ -788,7 +752,6 @@ impl ServerFrame {
                 message,
             } => Value::Map(vec![
                 ("op".into(), Value::from("deliver")),
-                ("corr".into(), Value::U64(0)),
                 ("sub".into(), Value::U64(*sub)),
                 ("tag".into(), Value::U64(*tag)),
                 ("redelivered".into(), Value::Bool(*redelivered)),
@@ -872,7 +835,7 @@ mod tests {
     fn frame_buffer_survives_timeouts_mid_frame() {
         let mut encoded = Vec::new();
         write_frame(&mut encoded, &Request::Ping.to_frame(3)).unwrap();
-        write_frame(&mut encoded, &Request::QueueNames.to_frame(4)).unwrap();
+        write_frame(&mut encoded, &Request::QueueDepth("q".into()).to_frame(4)).unwrap();
         let total = encoded.len();
         let mut reader = DribbleReader {
             data: encoded,
@@ -891,7 +854,7 @@ mod tests {
         assert_eq!(out[0].0, 3);
         assert!(matches!(out[0].1, Request::Ping));
         assert_eq!(out[1].0, 4);
-        assert!(matches!(out[1].1, Request::QueueNames));
+        assert!(matches!(out[1].1, Request::QueueDepth(_)));
         // One WouldBlock per byte read: none of them lost frame progress.
         assert!(
             idle_ticks >= total,
@@ -941,12 +904,9 @@ mod tests {
         roundtrip(Request::Ack(3, 99));
         roundtrip(Request::AckMany(3, vec![99, 100, 101]));
         roundtrip(Request::AckMany(1, vec![]));
-        roundtrip(Request::QueueNames);
+        roundtrip(Request::QueueDepth("q".into()));
         roundtrip(Request::Ping);
-        roundtrip(Request::Hello {
-            pid: 4242,
-            unix_ns: 1_722_180_000_000_000_123,
-        });
+        roundtrip(Request::Hello { pid: 4242 });
     }
 
     #[test]
@@ -956,7 +916,7 @@ mod tests {
             Message::with_properties(
                 b"b".as_slice(),
                 MessageProperties {
-                    correlation_id: Some("c".into()),
+                    reply_to: Some("r".into()),
                     ..Default::default()
                 },
             ),
@@ -970,7 +930,7 @@ mod tests {
                 assert_eq!(msgs.len(), 2);
                 assert_eq!(msgs[0].payload(), b"a");
                 assert_eq!(msgs[1].payload(), b"b");
-                assert_eq!(msgs[1].properties().correlation_id.as_deref(), Some("c"));
+                assert_eq!(msgs[1].properties().reply_to.as_deref(), Some("r"));
             }
             other => panic!("wrong request: {other:?}"),
         }
@@ -982,7 +942,7 @@ mod tests {
         // stream, byte-identical to individual write_frame output.
         let frames = [
             Request::Ping.to_frame(1),
-            Request::QueueNames.to_frame(2),
+            Request::QueueDepth("q".into()).to_frame(2),
             Request::Ack(1, 9).to_frame(3),
         ];
         let mut coalesced = Vec::new();
@@ -1014,10 +974,7 @@ mod tests {
     #[test]
     fn message_properties_roundtrip() {
         let props = MessageProperties {
-            correlation_id: Some("c".into()),
             reply_to: Some("r".into()),
-            content_type: None,
-            persistent: true,
             trace: Some("t".into()),
         };
         let m = Message::with_properties(b"body".as_slice(), props.clone());
@@ -1031,6 +988,101 @@ mod tests {
             }
             other => panic!("wrong request: {other:?}"),
         }
+    }
+
+    /// `frame` with the field at `path` (a chain of map keys) replaced by
+    /// `value`, or removed when `value` is `None`.
+    fn with_field(mut frame: Value, path: &[&str], value: Option<Value>) -> Value {
+        let mut map = &mut frame;
+        for key in &path[..path.len() - 1] {
+            let Value::Map(fields) = map else {
+                panic!("not a map")
+            };
+            map = &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1;
+        }
+        let Value::Map(fields) = map else {
+            panic!("not a map")
+        };
+        let last = path[path.len() - 1];
+        fields.retain(|(k, _)| k != last);
+        if let Some(v) = value {
+            fields.push((last.to_string(), v));
+        }
+        frame
+    }
+
+    #[test]
+    fn a_declaration_without_a_boolean_durable_is_refused() {
+        let frame = Request::DeclareQueue("q".into(), QueueOptions::durable()).to_frame(1);
+        for bad in [None, Some(Value::U64(1)), Some(Value::from("true"))] {
+            let frame = with_field(frame.clone(), &["durable"], bad.clone());
+            assert!(
+                matches!(Request::from_frame(&frame), Err(FrameError::Protocol(_))),
+                "durable {bad:?} must not declare a queue"
+            );
+        }
+    }
+
+    #[test]
+    fn a_mistyped_message_property_is_refused() {
+        let message = Message::with_properties(
+            b"x".as_slice(),
+            MessageProperties {
+                reply_to: Some("r".into()),
+                trace: Some("t".into()),
+            },
+        );
+        let frame = Request::PublishToQueue("q".into(), message).to_frame(1);
+        for key in ["reply_to", "trace"] {
+            for bad in [Value::U64(7), Value::Bytes(b"r".to_vec()), Value::Null] {
+                let frame = with_field(frame.clone(), &["message", "props", key], Some(bad));
+                assert!(
+                    matches!(Request::from_frame(&frame), Err(FrameError::Protocol(_))),
+                    "a mistyped {key} must be refused"
+                );
+            }
+        }
+        let frame = with_field(frame.clone(), &["message", "props"], Some(Value::U64(0)));
+        assert!(Request::from_frame(&frame).is_err(), "props must be a map");
+    }
+
+    #[test]
+    fn an_absent_property_is_none_but_props_are_required() {
+        let frame = Request::PublishToQueue("q".into(), Message::from_static(b"x")).to_frame(1);
+        assert_eq!(
+            frame.get("message").unwrap().get("props"),
+            Some(&Value::Map(vec![]))
+        );
+        match Request::from_frame(&frame).unwrap().1 {
+            Request::PublishToQueue(_, m) => {
+                assert_eq!(m.properties(), &MessageProperties::default())
+            }
+            other => panic!("wrong request: {other:?}"),
+        }
+        let without_props = with_field(frame, &["message", "props"], None);
+        assert!(Request::from_frame(&without_props).is_err());
+    }
+
+    #[test]
+    fn deliver_and_hello_frames_carry_only_what_is_read() {
+        let deliver = ServerFrame::Deliver {
+            sub: 1,
+            tag: 2,
+            redelivered: false,
+            message: Message::from_static(b"n"),
+        }
+        .to_value();
+        assert_eq!(deliver.get("corr"), None);
+        assert!(matches!(
+            ServerFrame::from_value(&deliver),
+            Ok(ServerFrame::Deliver { sub: 1, tag: 2, .. })
+        ));
+        let hello = Request::Hello { pid: 9 }.to_frame(0);
+        let keys: Vec<&str> = match &hello {
+            Value::Map(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => unreachable!(),
+        };
+        assert_eq!(keys, ["op", "corr", "pid"]);
     }
 
     #[test]

@@ -462,7 +462,7 @@ impl EventSource for ListenerSource {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(_) => {
-                    // A persistent accept error (e.g. EMFILE) must neither
+                    // A lasting accept error (e.g. EMFILE) must neither
                     // busy-spin the loop (level-triggered poll re-fires at
                     // once) nor stall its other connections: the listener
                     // sits out 10 ms, and only it.
@@ -696,14 +696,11 @@ fn execute(
             broker.declare_queue(&name, opts).map(|()| Value::Null)
         }
         Request::DeleteQueue(name) => broker.delete_queue(&name).map(|()| Value::Null),
-        Request::PurgeQueue(name) => broker.purge_queue(&name).map(|n| Value::U64(n as u64)),
         Request::DeclareExchange(name, kind) => {
             broker.declare_exchange(&name, kind).map(|()| Value::Null)
         }
         Request::BindQueue(e, k, q) => broker.bind_queue(&e, &k, &q).map(|()| Value::Null),
-        Request::UnbindQueue(e, k, q) => broker.unbind_queue(&e, &k, &q).map(Value::Bool),
         Request::QueueExists(name) => Ok(Value::Bool(broker.queue_exists(&name))),
-        Request::ExchangeExists(name) => Ok(Value::Bool(broker.exchange_exists(&name))),
         Request::PublishToQueue(queue, message) => {
             let res = broker.publish_to_queue(&queue, message);
             if res.is_ok() {
@@ -788,18 +785,15 @@ fn execute(
         Request::QueueStats(name) => broker.queue_stats(&name).map(|s| stats_to_value(&s)),
         Request::QueueDepth(name) => broker.queue_depth(&name).map(|n| Value::U64(n as u64)),
         Request::QueueArrivalRate(name) => broker.queue_arrival_rate(&name).map(Value::F64),
-        Request::QueueNames => Ok(Value::List(
-            broker.queue_names().into_iter().map(Value::from).collect(),
-        )),
         Request::Ping => Ok(Value::Null),
         // Clock handshake: echo our unix clock so the client can estimate
         // its offset from this broker (the fleet's trace timeline anchor).
-        Request::Hello { pid, .. } => {
+        Request::Hello { pid } => {
             obs::flight_event!("net", "hello from pid {pid} on conn {}", conn.id);
-            Ok(Value::Map(vec![
-                ("unix_ns".into(), Value::U64(obs::unix_now_ns())),
-                ("pid".into(), Value::U64(u64::from(std::process::id()))),
-            ]))
+            Ok(Value::Map(vec![(
+                "unix_ns".into(),
+                Value::U64(obs::unix_now_ns()),
+            )]))
         }
     }
 }

@@ -186,15 +186,6 @@ impl Broker {
         self.mq.queue_exists(oid.into().as_str())
     }
 
-    /// Number of instances currently competing on the `oid` queue.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `oid` was never bound.
-    pub fn instance_count(&self, oid: impl Into<Oid>) -> OmqResult<usize> {
-        Ok(self.mq.queue_stats(oid.into().as_str())?.consumers)
-    }
-
     /// Aggregates queue-side observations with per-instance stats into the
     /// snapshot provisioners consume.
     ///
@@ -222,6 +213,7 @@ impl Broker {
 mod tests {
     use super::*;
     use crate::error::OmqError;
+    use mqsim::Message;
     use wire::{JsonCodec, Value};
 
     #[test]
@@ -240,9 +232,17 @@ mod tests {
             .bind("svc", |_: &str, _: &[Value]| Ok(Value::Null))
             .unwrap();
         assert!(broker.object_exists("svc"));
-        assert!(broker.messaging().exchange_exists("omq.multi.svc"));
-        assert_eq!(broker.instance_count("svc").unwrap(), 1);
+        let multi = broker
+            .messaging()
+            .publish("omq.multi.svc", "", Message::from_static(b"x"));
+        assert_eq!(multi, Ok(1), "the multi exchange reaches the instance");
+        assert_eq!(instances(&broker, "svc"), 1);
         server.shutdown();
+    }
+
+    /// Consumers competing on the `oid` queue: the live instances.
+    fn instances(broker: &Broker, oid: &str) -> usize {
+        broker.messaging().queue_stats(oid).unwrap().consumers
     }
 
     #[test]
@@ -254,14 +254,14 @@ mod tests {
         let s2 = broker
             .bind("pool", |_: &str, _: &[Value]| Ok(Value::Null))
             .unwrap();
-        assert_eq!(broker.instance_count("pool").unwrap(), 2);
+        assert_eq!(instances(&broker, "pool"), 2);
         s1.shutdown();
         // Shutdown unsubscribes from the shared queue.
         let deadline = std::time::Instant::now() + Duration::from_secs(1);
-        while broker.instance_count("pool").unwrap() > 1 && std::time::Instant::now() < deadline {
+        while instances(&broker, "pool") > 1 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(broker.instance_count("pool").unwrap(), 1);
+        assert_eq!(instances(&broker, "pool"), 1);
         s2.shutdown();
     }
 

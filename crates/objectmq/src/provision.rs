@@ -223,14 +223,6 @@ impl PredictiveProvisioner {
         self.history[slot % slots].push(rate);
     }
 
-    /// Convenience: ingest a whole multi-day history of per-slot rates
-    /// (e.g. the previous week of the UB1 trace).
-    pub fn observe_series(&mut self, rates_per_slot: &[f64]) {
-        for (i, rate) in rates_per_slot.iter().enumerate() {
-            self.observe(i % self.slots_per_day(), *rate);
-        }
-    }
-
     /// Predicted peak rate (req/s) for `slot`: a high percentile of the
     /// slot's history. Returns `None` with no history.
     pub fn predict(&self, slot: usize) -> Option<f64> {
@@ -673,8 +665,10 @@ mod tests {
             Duration::from_secs(900),
             0.95,
         );
-        let two_days: Vec<f64> = (0..192).map(|i| i as f64).collect();
-        p.observe_series(&two_days);
+        // Two days of 96 slots, observed by their index in the series.
+        for i in 0..192 {
+            p.observe(i, i as f64);
+        }
         // Slot 0 saw rates 0.0 and 96.0; the 95th percentile is 96.
         assert!(close(p.predict(0).unwrap(), 96.0));
     }

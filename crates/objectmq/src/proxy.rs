@@ -129,10 +129,7 @@ impl Proxy {
         };
         let payload = wire::encode_to_bytes(self.codec.as_ref(), &request.into_value());
         let props = MessageProperties {
-            correlation_id: Some(id.clone()),
             reply_to: expect_reply.then(|| self.response_queue.clone()),
-            content_type: Some(format!("omq/{}", self.codec.name())),
-            persistent: true,
             trace: Some(trace.encode()),
         };
         (id, Message::with_properties(payload, props))
@@ -151,7 +148,7 @@ impl Proxy {
     }
 
     /// `@AsyncMethod`: fire-and-forget unicast invocation. The message is
-    /// queued persistently; one idle server instance will process it. The
+    /// queued durably; one idle server instance will process it. The
     /// client gets no confirmation (paper §3.2).
     ///
     /// # Errors

@@ -4,7 +4,7 @@
 use crate::error::OmqResult;
 use crate::info::ServiceStats;
 use crate::rpc::{decode_request, Request, Response};
-use mqsim::{Message, MessageConsumer, MessageProperties, Messaging};
+use mqsim::{Message, MessageConsumer, Messaging};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -279,23 +279,13 @@ fn serve_loop(ctx: LoopCtx, consumer: Box<dyn MessageConsumer>) {
         }
 
         if let Some(reply_to) = delivery.message.properties().reply_to.clone() {
-            let response = Response {
-                id: id.clone(),
-                outcome,
-            };
+            let response = Response { id, outcome };
             let payload = wire::encode_to_bytes(ctx.codec.as_ref(), &response.into_value());
-            let props = MessageProperties {
-                correlation_id: Some(id),
-                reply_to: None,
-                content_type: Some(format!("omq/{}", ctx.codec.name())),
-                persistent: true,
-                trace: None,
-            };
             let reply_span = dispatch_span.as_ref().map(|d| d.child("reply.publish"));
             // A missing reply queue means the client left; that is fine.
             let _ = ctx
                 .mq
-                .publish_to_queue(&reply_to, Message::with_properties(payload, props));
+                .publish_to_queue(&reply_to, Message::from_bytes(payload));
             if let Some(span) = reply_span {
                 span.finish();
             }

@@ -109,7 +109,7 @@ fn serve_one(stream: TcpStream) -> std::io::Result<()> {
     let mut parts = request_line.split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
 
-    let (status, content_type, body) = if method != "GET" {
+    let (status, media_type, body) = if method != "GET" {
         (
             "405 Method Not Allowed",
             "text/plain",
@@ -147,7 +147,7 @@ fn serve_one(stream: TcpStream) -> std::io::Result<()> {
     let mut out = stream;
     write!(
         out,
-        "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        "HTTP/1.0 {status}\r\nContent-Type: {media_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     )?;
     out.write_all(body.as_bytes())?;

@@ -4,7 +4,7 @@
 //! tokens, ACLs and traffic accounting; the backend only stores bytes
 //! under `(account, container, object)` keys. Two implementations:
 //! in-memory (default, used by simulations and tests) and on-disk
-//! (persistent across process restarts, the deployment story).
+//! (durable across process restarts, the deployment story).
 
 use bytes::Bytes;
 use parking_lot::RwLock;

@@ -123,11 +123,6 @@ impl Ub1Trace {
         (0.5 * (1.0 + phase.cos())).powf(1.3)
     }
 
-    /// Number of days in the trace.
-    pub fn days(&self) -> usize {
-        self.per_minute.len() / MINUTES_PER_DAY
-    }
-
     /// The whole trace as an [`ArrivalSchedule`]: 1-minute slots, real
     /// time. Narrow and reshape with the builder methods —
     /// `trace.schedule().day(7).slots_of(15).compress(1440.0)` is "day 8
@@ -260,11 +255,6 @@ impl<'a> ArrivalSchedule<'a> {
         &self.trace.per_minute[self.start_minute..self.start_minute + self.minutes]
     }
 
-    /// Wall-clock length of the whole window under compression.
-    pub fn duration(&self) -> Duration {
-        Duration::from_secs_f64(self.minutes as f64 * 60.0 / self.compression)
-    }
-
     /// Iterates the slots of the window in order. A ragged final slot
     /// (window not divisible by the slot width) is yielded at its true,
     /// shorter length.
@@ -289,11 +279,6 @@ impl<'a> ArrivalSchedule<'a> {
                     trace_rate,
                 }
             })
-    }
-
-    /// Mean trace rates (req/s) per slot.
-    pub fn rates(&self) -> Vec<f64> {
-        self.iter().map(|s| s.trace_rate).collect()
     }
 
     /// Peak arrivals per trace minute over the window (uncompressed).
@@ -349,11 +334,16 @@ mod tests {
         Ub1Trace::synthesize(&Ub1Config::default(), 8)
     }
 
+    /// Mean trace rates (req/s) per slot of a schedule.
+    fn rates(schedule: ArrivalSchedule<'_>) -> Vec<f64> {
+        schedule.iter().map(|s| s.trace_rate).collect()
+    }
+
     #[test]
     fn eight_days_of_minutes() {
         let t = trace();
-        assert_eq!(t.days(), 8);
-        assert_eq!(t.per_minute.len(), 8 * 24 * 60);
+        assert_eq!(t.per_minute.len(), 8 * MINUTES_PER_DAY);
+        assert_eq!(t.schedule().day(7).per_minute().len(), MINUTES_PER_DAY);
     }
 
     #[test]
@@ -393,8 +383,8 @@ mod tests {
         // must be high — that is the property the predictive provisioner
         // exploits.
         let t = trace();
-        let a = t.schedule().day(0).slots_of(15).rates();
-        let b = t.schedule().day(7).slots_of(15).rates();
+        let a = rates(t.schedule().day(0).slots_of(15));
+        let b = rates(t.schedule().day(7).slots_of(15));
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         let (ma, mb) = (mean(&a), mean(&b));
         let cov: f64 = a.iter().zip(&b).map(|(x, y)| (x - ma) * (y - mb)).sum();
@@ -407,7 +397,7 @@ mod tests {
     #[test]
     fn slot_rates_aggregate_correctly() {
         let t = trace();
-        let slots = t.schedule().day(0).slots_of(15).rates();
+        let slots = rates(t.schedule().day(0).slots_of(15));
         assert_eq!(slots.len(), 96);
         // Rate in req/s: slot sum / (15*60).
         let manual: f64 = t.per_minute[..15].iter().sum::<f64>() / 900.0;
@@ -442,7 +432,11 @@ mod tests {
         let sched = t.schedule().day(7).slots_of(15).compress(1440.0);
         let slots: Vec<ArrivalSlot> = sched.iter().collect();
         assert_eq!(slots.len(), 96);
-        assert_eq!(sched.duration(), Duration::from_secs(60));
+        let end = slots[95].start + slots[95].duration;
+        assert!(
+            (end.as_secs_f64() - 60.0).abs() < 1e-9,
+            "the window ends at {end:?}"
+        );
         let s0 = &slots[0];
         assert_eq!(s0.trace_minute, 7 * 24 * 60);
         assert_eq!(s0.start, Duration::ZERO);
@@ -451,8 +445,8 @@ mod tests {
         assert!((s0.rate - s0.trace_rate * 1440.0).abs() < 1e-6);
         let s1 = &slots[1];
         assert!((s1.start.as_secs_f64() - 0.625).abs() < 1e-9);
-        // Compression leaves the trace rates what `rates()` reports.
-        let uncompressed = t.schedule().day(7).slots_of(15).rates();
+        // Compression leaves the trace rates as they are uncompressed.
+        let uncompressed = rates(t.schedule().day(7).slots_of(15));
         for (s, r) in slots.iter().zip(&uncompressed) {
             assert!((s.trace_rate - r).abs() < 1e-12);
         }
