@@ -628,24 +628,26 @@ struct IngestPoint {
 struct IngestResults {
     /// Single-thread chunk + SHA-1 loop — the seed ingest path.
     scalar: Vec<IngestPoint>,
-    /// FastHash staged pipeline, no compression, at several worker
-    /// counts: short tasks (~280 µs per 512 KiB chunk).
+    /// SHA-1 staged pipeline, no compression, at several worker counts:
+    /// short tasks (~0.6 ms per 512 KiB chunk on SHA-NI).
     pipeline: Vec<IngestPoint>,
     /// The shipped client's pipeline, SHA-1 + LZSS, at the same worker
     /// counts: long tasks (~13 ms per chunk).
     pipeline_shipped: Vec<IngestPoint>,
     /// One-shot SHA-1 over a 4 MB buffer, MB/s.
     sha1_hash_mbps: f64,
-    /// One-shot FastHash over the same buffer, MB/s.
-    fasthash_mbps: f64,
+    /// Whether that SHA-1 ran on SHA-NI (`content.sha1.hardware`).
+    sha1_hardware: bool,
     /// Workload-trace dedup replay.
     dedup: workload::DedupReport,
 }
 
 /// Worker counts measured for the pipeline.
 const INGEST_WORKERS: &[usize] = &[1, 2, 4];
-/// Buffer for the one-shot hash-algorithm comparison (a typical large
-/// chunk span).
+/// The least the no-compression pipeline must gain over the scalar loop.
+/// Both hash with SHA-1, so this is the pool's parallel efficiency alone.
+const PIPELINE_OVER_SCALAR: f64 = 1.5;
+/// Buffer for the one-shot hash throughput (a typical large chunk span).
 const HASH_PROBE_BYTES: usize = 4 * 1024 * 1024;
 
 /// Deterministic pseudo-random fill — content does not affect hash or
@@ -673,10 +675,10 @@ fn best_mbps(size: usize, reps: usize, mut run: impl FnMut() -> Duration) -> f64
 
 /// Measures ingest throughput: the scalar chunk+SHA-1 loop (the paper's
 /// client, single thread) against the staged pipeline at
-/// [`INGEST_WORKERS`] — FastHash without compression, and SHA-1 + LZSS as
-/// shipped — over files of `sizes`, each point with the share of its
-/// tasks the shared pool's helpers ran; plus a one-shot hash
-/// algorithm comparison and a workload dedup replay.
+/// [`INGEST_WORKERS`] — without compression, and with LZSS as shipped —
+/// over files of `sizes`, each point with the share of its tasks the
+/// shared pool's helpers ran; plus one-shot SHA-1 throughput and a
+/// workload dedup replay.
 fn ingest_scenario(sizes: &[usize], reps: usize, smoke: bool) -> IngestResults {
     use content::chunker::{Chunker, FixedChunker};
     use content::compress::Algorithm;
@@ -712,21 +714,20 @@ fn ingest_scenario(sizes: &[usize], reps: usize, smoke: bool) -> IngestResults {
         });
 
         let arms = [
-            ("fasthash     ", Fingerprint::FastHash, None, &mut pipeline),
+            ("sha1         ", None, &mut pipeline),
             (
                 "sha1+lzss    ",
-                Fingerprint::Sha1,
                 Some(Algorithm::Lzss),
                 &mut pipeline_shipped,
             ),
         ];
-        for (label, fingerprint, compression, points) in arms {
+        for (label, compression, points) in arms {
             for &workers in INGEST_WORKERS {
                 let pipe = IngestPipeline::new(
                     std::sync::Arc::new(FixedChunker::new(chunk_size)),
                     PipelineConfig {
                         workers,
-                        fingerprint,
+                        fingerprint: Fingerprint::Sha1,
                         compression,
                     },
                 );
@@ -759,15 +760,10 @@ fn ingest_scenario(sizes: &[usize], reps: usize, smoke: bool) -> IngestResults {
         std::hint::black_box(content::sha1::sha1(&probe));
         start.elapsed()
     });
-    let fasthash_mbps = best_mbps(HASH_PROBE_BYTES, reps.max(3), || {
-        let start = Instant::now();
-        std::hint::black_box(content::fasthash::hash(&probe));
-        start.elapsed()
-    });
+    let sha1_hardware = obs::gauge("content.sha1.hardware").value() == 1.0;
     println!(
-        "  hash 4MB one-shot: sha1 {sha1_hash_mbps:.1} MB/s | fasthash {fasthash_mbps:.1} MB/s \
-         ({:.2}x)",
-        fasthash_mbps / sha1_hash_mbps
+        "  hash 4MB one-shot: sha1 {sha1_hash_mbps:.1} MB/s ({} kernel)",
+        if sha1_hardware { "SHA-NI" } else { "portable" }
     );
 
     // Dedup replay: the generated trace through chunk/hash/compress and
@@ -795,14 +791,14 @@ fn ingest_scenario(sizes: &[usize], reps: usize, smoke: bool) -> IngestResults {
         pipeline,
         pipeline_shipped,
         sha1_hash_mbps,
-        fasthash_mbps,
+        sha1_hardware,
         dedup,
     }
 }
 
 /// Runs the ingest scenario, writes `BENCH_9.json`, and enforces the
-/// relative gates: FastHash ≥ 2x SHA-1 one-shot, the pipeline at the
-/// highest worker count ≥ 2x the scalar loop on the largest file, and a
+/// relative gates: the pipeline at its best worker count ≥
+/// [`PIPELINE_OVER_SCALAR`] × the scalar loop on the largest file, and a
 /// dedup ratio above 1.0.
 fn run_ingest(smoke: bool, gate: bool, out_path: &str) {
     let sizes: &[usize] = if smoke {
@@ -837,10 +833,10 @@ fn run_ingest(smoke: bool, gate: bool, out_path: &str) {
             "  \"smoke\": {smoke},\n",
             "  \"chunk_size\": {chunk},\n",
             "  \"hash_one_shot\": {{ \"bytes\": {probe}, \"sha1_mbps\": {sm:.1}, ",
-            "\"fasthash_mbps\": {fm:.1}, \"speedup\": {sp:.3} }},\n",
+            "\"hardware\": {hw} }},\n",
             "  \"scalar_sha1\": [\n{scalar}\n  ],\n",
             "  \"host_workers\": {host},\n",
-            "  \"pipeline_fasthash\": [\n{pipeline}\n  ],\n",
+            "  \"pipeline_sha1\": [\n{pipeline}\n  ],\n",
             "  \"pipeline_sha1_lzss\": [\n{shipped}\n  ],\n",
             "  \"dedup\": {{ \"ops\": {ops}, \"logical_bytes\": {lb}, \"stored_bytes\": {sb}, ",
             "\"ratio\": {ratio:.3}, \"chunk_writes\": {cw}, \"dedup_hits\": {dh}, ",
@@ -851,8 +847,7 @@ fn run_ingest(smoke: bool, gate: bool, out_path: &str) {
         chunk = content::DEFAULT_CHUNK_SIZE,
         probe = HASH_PROBE_BYTES,
         sm = r.sha1_hash_mbps,
-        fm = r.fasthash_mbps,
-        sp = r.fasthash_mbps / r.sha1_hash_mbps,
+        hw = r.sha1_hardware,
         scalar = fmt_points(&r.scalar),
         host = content::pipeline::host_workers(),
         pipeline = fmt_points(&r.pipeline),
@@ -871,19 +866,6 @@ fn run_ingest(smoke: bool, gate: bool, out_path: &str) {
     if !gate {
         return;
     }
-    // What this protects is "the dedup hash is worth having beside SHA-1",
-    // not SHA-1 being slow: it read 6-8x against the SHA-1 of PRs 9-16 and
-    // reads ~3x since PR 17 unrolled SHA-1's rounds, so the bar is 2x.
-    let hash_speedup = r.fasthash_mbps / r.sha1_hash_mbps;
-    if hash_speedup < 2.0 {
-        eprintln!(
-            "GATE FAILED: fasthash one-shot {:.0} MB/s is only {hash_speedup:.2}x SHA-1's \
-             {:.0} MB/s in the same run; a second fingerprint has to be at least 2x the \
-             default to be worth keeping",
-            r.fasthash_mbps, r.sha1_hash_mbps
-        );
-        std::process::exit(1);
-    }
     let largest = *sizes.last().unwrap();
     let scalar_large = r
         .scalar
@@ -897,10 +879,11 @@ fn run_ingest(smoke: bool, gate: bool, out_path: &str) {
         .filter(|p| p.size == largest)
         .map(|p| p.mbps)
         .fold(0.0f64, f64::max);
-    if pipeline_large < 2.0 * scalar_large {
+    if pipeline_large < PIPELINE_OVER_SCALAR * scalar_large {
         eprintln!(
-            "GATE FAILED: pipeline ingest {pipeline_large:.0} MB/s is under 2x the scalar \
-             SHA-1 loop's {scalar_large:.0} MB/s on {largest} B files in the same run"
+            "GATE FAILED: pipeline ingest {pipeline_large:.0} MB/s is under \
+             {PIPELINE_OVER_SCALAR}x the scalar SHA-1 loop's {scalar_large:.0} MB/s on \
+             {largest} B files in the same run"
         );
         std::process::exit(1);
     }
@@ -912,7 +895,7 @@ fn run_ingest(smoke: bool, gate: bool, out_path: &str) {
         std::process::exit(1);
     }
     println!(
-        "ingest gate passed: fasthash {hash_speedup:.2}x sha1, pipeline {:.2}x scalar on \
+        "ingest gate passed: pipeline {:.2}x scalar on \
          {} MB files, dedup ratio {:.2}x",
         pipeline_large / scalar_large,
         largest / (1024 * 1024),

@@ -58,17 +58,42 @@ impl Algorithm {
     }
 
     /// Decompresses a buffer produced by [`Algorithm::compress`] (any
-    /// algorithm: the framing is self-identifying).
+    /// algorithm: the framing is self-identifying). A `Store` object read
+    /// from [`Bytes`] comes back as a window of it, not a copy.
     ///
     /// # Errors
     ///
     /// [`CompressError`] if the framing or stream is malformed.
-    pub fn decompress(data: &[u8]) -> Result<Bytes, CompressError> {
-        match data.first() {
-            Some(0) => Ok(Bytes::copy_from_slice(&data[1..])),
-            Some(1) => decompress(&data[1..]).map(Bytes::from),
+    pub fn decompress(data: &(impl Stored + ?Sized)) -> Result<Bytes, CompressError> {
+        let bytes = data.as_ref();
+        match bytes.first() {
+            Some(0) => Ok(data.body()),
+            Some(1) => decompress(&bytes[1..]).map(Bytes::from),
             _ => Err(CompressError::BadHeader),
         }
+    }
+}
+
+/// A stored object as [`Algorithm::decompress`] reads it: a byte slice,
+/// or a [`Bytes`] handle that can lend its body without a copy.
+pub trait Stored: AsRef<[u8]> {
+    /// The bytes after the one-byte framing tag.
+    ///
+    /// # Panics
+    ///
+    /// If the object is empty (it has no tag).
+    fn body(&self) -> Bytes;
+}
+
+impl Stored for [u8] {
+    fn body(&self) -> Bytes {
+        Bytes::copy_from_slice(&self[1..])
+    }
+}
+
+impl Stored for Bytes {
+    fn body(&self) -> Bytes {
+        self.slice(1..)
     }
 }
 
@@ -574,8 +599,20 @@ mod tests {
         let packed = Algorithm::Lzss.compress(&data);
         assert_eq!(Algorithm::decompress(&stored).unwrap(), data);
         assert_eq!(Algorithm::decompress(&packed).unwrap(), data);
-        assert!(Algorithm::decompress(&[9, 9, 9]).is_err());
-        assert!(Algorithm::decompress(&[]).is_err());
+        assert!(Algorithm::decompress(&[9u8, 9, 9][..]).is_err());
+        assert!(Algorithm::decompress(&[][..]).is_err());
+    }
+
+    #[test]
+    fn a_store_object_in_bytes_decompresses_to_a_window_of_it() {
+        let stored = Algorithm::Store.compress(b"incompressible enough");
+        let plain = Algorithm::decompress(&stored).unwrap();
+        assert_eq!(plain, b"incompressible enough");
+        assert_eq!(plain.as_ptr(), stored[1..].as_ptr());
+        // From a plain slice the body is copied out.
+        let copied = Algorithm::decompress(&stored[..]).unwrap();
+        assert_eq!(copied, plain);
+        assert_ne!(copied.as_ptr(), stored[1..].as_ptr());
     }
 
     #[test]
@@ -690,7 +727,7 @@ mod tests {
         #[test]
         fn prop_decompress_never_panics(data in proptest::collection::vec(any::<u8>(), 0..512)) {
             let _ = decompress(&data);
-            let _ = Algorithm::decompress(&data);
+            let _ = Algorithm::decompress(&data[..]);
         }
     }
 }

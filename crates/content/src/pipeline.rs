@@ -10,9 +10,7 @@
 //!    but runs at memory speed — a Buzhash roll per byte — so it is never
 //!    the bottleneck. Every span then becomes an independent fingerprint
 //!    task; the calling thread and the pool's helpers drain a shared
-//!    index counter. When a file yields fewer spans than workers (one
-//!    big file), the FastHash tree splits *within* the chunk across the
-//!    idle cores.
+//!    index counter.
 //! 2. **Pack** ([`IngestPipeline::pack`]) — compress a chosen subset of
 //!    the indexed chunks the same way. Compression is the expensive
 //!    stage (tens of MB/s against hundreds for the fingerprint), and
@@ -235,11 +233,6 @@ impl IngestPipeline {
         self.config.workers.max(1)
     }
 
-    /// The configured fingerprint algorithm.
-    pub fn fingerprint(&self) -> Fingerprint {
-        self.config.fingerprint
-    }
-
     /// The index stage: chunk boundaries and one fingerprint per chunk.
     /// Nothing is compressed and nothing is copied.
     pub fn index(&self, data: Bytes) -> FileIndex {
@@ -261,13 +254,6 @@ impl IngestPipeline {
         self.metrics.chunk_seconds.record(chunk_started.elapsed());
 
         let n = spans.len();
-        // Hash an oversized single span across the pool via the tree
-        // hash instead of leaving the other workers idle.
-        let hash_workers = if n < self.workers() {
-            self.workers() / n.max(1)
-        } else {
-            1
-        };
         let ids = {
             let (data, spans) = (data.clone(), spans.clone());
             let fingerprint = self.config.fingerprint;
@@ -281,7 +267,7 @@ impl IngestPipeline {
                     return (id, false);
                 }
                 let hash_started = Instant::now();
-                let id = fingerprint.of_parallel(bytes, hash_workers);
+                let id = fingerprint.of(bytes);
                 hash_seconds.record(hash_started.elapsed());
                 (id, true)
             })
@@ -600,7 +586,7 @@ mod tests {
             Arc::new(FixedChunker::new(4096)),
             PipelineConfig {
                 workers,
-                fingerprint: Fingerprint::FastHash,
+                fingerprint: Fingerprint::Sha1,
                 compression,
             },
         )
@@ -669,39 +655,19 @@ mod tests {
     #[test]
     fn ids_match_fingerprint_of_content() {
         let data = Bytes::from(random_bytes(50_000, 4));
-        for fp in [Fingerprint::Sha1, Fingerprint::FastHash] {
-            let p = IngestPipeline::new(
-                Arc::new(ContentDefinedChunker::test_scale()),
-                PipelineConfig {
-                    workers: 2,
-                    fingerprint: fp,
-                    compression: None,
-                },
-            );
-            let report = p.ingest(data.clone());
-            assert!(report.chunks.len() > 1);
-            for c in &report.chunks {
-                assert_eq!(c.id, fp.of(&data.slice(c.offset..c.offset + c.len)));
-            }
-        }
-    }
-
-    #[test]
-    fn single_giant_span_uses_tree_parallelism() {
-        // One span larger than the parallel threshold with 4 workers:
-        // result must equal the scalar hash (tree split correctness).
-        let data = Bytes::from(random_bytes(1 << 20, 5));
         let p = IngestPipeline::new(
-            Arc::new(FixedChunker::new(1 << 20)),
+            Arc::new(ContentDefinedChunker::test_scale()),
             PipelineConfig {
-                workers: 4,
-                fingerprint: Fingerprint::FastHash,
+                workers: 2,
+                fingerprint: Fingerprint::Sha1,
                 compression: None,
             },
         );
         let report = p.ingest(data.clone());
-        assert_eq!(report.chunks.len(), 1);
-        assert_eq!(report.chunks[0].id, Fingerprint::FastHash.of(&data));
+        assert!(report.chunks.len() > 1);
+        for c in &report.chunks {
+            assert_eq!(c.id, ChunkId::of(&data.slice(c.offset..c.offset + c.len)));
+        }
     }
 
     #[test]
@@ -881,7 +847,7 @@ mod tests {
             };
             let p = IngestPipeline::new(
                 chunker,
-                PipelineConfig { workers: 2, fingerprint: Fingerprint::FastHash, compression: None },
+                PipelineConfig { workers: 2, fingerprint: Fingerprint::Sha1, compression: None },
             );
             let v1 = Bytes::from(random_bytes(len, seed));
             let v2 = Bytes::from(edited(&v1, edit, at, !seed));
@@ -923,7 +889,7 @@ mod tests {
                     Arc::new(ContentDefinedChunker::test_scale()),
                     PipelineConfig {
                         workers,
-                        fingerprint: Fingerprint::FastHash,
+                        fingerprint: Fingerprint::Sha1,
                         compression: compress.then_some(Algorithm::Lzss),
                     },
                 );
@@ -951,7 +917,7 @@ mod tests {
             let data = Bytes::from(random_bytes(len, seed));
             let p = IngestPipeline::new(
                 Arc::new(ContentDefinedChunker::test_scale()),
-                PipelineConfig { workers, fingerprint: Fingerprint::FastHash, compression: None },
+                PipelineConfig { workers, fingerprint: Fingerprint::Sha1, compression: None },
             );
             let report = p.ingest(data.clone());
             let spans: Vec<crate::chunker::ChunkSpan> = report

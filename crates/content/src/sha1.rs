@@ -2,8 +2,16 @@
 //!
 //! StackSync identifies every 512 KB chunk by the 20 bytes of its SHA-1
 //! hash (paper §4.1). SHA-1 is cryptographically broken for collision
-//! resistance, but this reproduction keeps it for fidelity to the paper;
-//! swapping the fingerprint function is a one-line change in callers.
+//! resistance, but this reproduction keeps it for fidelity to the paper.
+//!
+//! The block function has two kernels with one result. On an x86_64 CPU
+//! that reports the SHA extensions (SHA-NI) with SSSE3 and SSE4.1, whole
+//! blocks go through the SHA-NI instructions; everywhere else through the
+//! portable rounds. The choice is made once per process, from the CPU
+//! alone, and is published as the `content.sha1.hardware` gauge (1 for
+//! SHA-NI, 0 for portable) so that a hash figure says which kernel made it.
+
+use std::sync::OnceLock;
 
 /// Streaming SHA-1 hasher.
 #[derive(Debug, Clone)]
@@ -43,15 +51,12 @@ impl Sha1 {
             if self.buffered < 64 {
                 return;
             }
-            compress(&mut self.state, &self.buffer);
+            compress_blocks(&mut self.state, &self.buffer);
             self.buffered = 0;
         }
-        // Whole blocks are read where they lie.
-        let mut blocks = data.chunks_exact(64);
-        for block in blocks.by_ref() {
-            compress(&mut self.state, block.try_into().expect("64-byte block"));
-        }
-        let rest = blocks.remainder();
+        // Whole blocks are read where they lie, in one run.
+        let (blocks, rest) = data.split_at(data.len() - data.len() % 64);
+        compress_blocks(&mut self.state, blocks);
         self.buffer[..rest.len()].copy_from_slice(rest);
         self.buffered = rest.len();
     }
@@ -147,6 +152,113 @@ fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
     }
 }
 
+/// Runs the block function over whole 64-byte blocks: on SHA-NI where the
+/// CPU has it, in the portable rounds elsewhere.
+fn compress_blocks(state: &mut [u32; 5], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    if hardware() {
+        // SAFETY: `hardware()`, the check on the line before, is true only
+        // where `is_x86_feature_detected!` found every feature
+        // `ni::compress_blocks` enables.
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        return unsafe { ni::compress_blocks(state, blocks) };
+    }
+    for block in blocks.chunks_exact(64) {
+        compress(state, block.try_into().expect("64-byte block"));
+    }
+}
+
+/// Whether whole blocks go through SHA-NI. The CPU is asked once per
+/// process, and the answer is published as `content.sha1.hardware`.
+fn hardware() -> bool {
+    static HARDWARE: OnceLock<bool> = OnceLock::new();
+    *HARDWARE.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        let hardware = is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1");
+        #[cfg(not(target_arch = "x86_64"))]
+        let hardware = false;
+        obs::gauge("content.sha1.hardware").set(f64::from(u8::from(hardware)));
+        hardware
+    })
+}
+
+/// The block function on the SHA extensions. One `sha1rnds4` runs four
+/// rounds on a, b, c, d (lanes 3 to 0 of one register); `sha1nexte`
+/// derives the next four rounds' e from a four rounds back and adds it to
+/// their schedule words; `sha1msg1`/`sha1msg2` extend the schedule four
+/// words at a time.
+#[cfg(target_arch = "x86_64")]
+mod ni {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_extract_epi32, _mm_set_epi32, _mm_sha1msg1_epu32,
+        _mm_sha1msg2_epu32, _mm_sha1nexte_epu32, _mm_sha1rnds4_epu32, _mm_xor_si128,
+    };
+
+    /// Runs whole 64-byte blocks. SSE4.1 is for reading the state back
+    /// out; SSSE3 lets the compiler make the sixteen big-endian word reads
+    /// one load and a byte shuffle.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub(super) fn compress_blocks(state: &mut [u32; 5], blocks: &[u8]) {
+        let mut abcd = _mm_set_epi32(
+            state[0] as i32,
+            state[1] as i32,
+            state[2] as i32,
+            state[3] as i32,
+        );
+        let mut e = _mm_set_epi32(state[4] as i32, 0, 0, 0);
+        for block in blocks.chunks_exact(64) {
+            let word = |i: usize| {
+                i32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("four bytes"))
+            };
+            // Schedule words 4g..4g+3 of group g sit in `w[g % 4]`, the
+            // earliest in lane 3.
+            let mut w: [__m128i; 4] = [0, 4, 8, 12]
+                .map(|i| _mm_set_epi32(word(i), word(i + 1), word(i + 2), word(i + 3)));
+            let (abcd_in, e_in) = (abcd, e);
+            // Group 0 takes e as it is; `before` is a, b, c, d as the group
+            // before the current one found them.
+            let mut before = abcd;
+            abcd = _mm_sha1rnds4_epu32::<0>(abcd, _mm_add_epi32(e, w[0]));
+            macro_rules! group {
+                ($f:literal, $g:literal) => {
+                    let e_w = _mm_sha1nexte_epu32(before, w[$g % 4]);
+                    before = abcd;
+                    abcd = _mm_sha1rnds4_epu32::<$f>(abcd, e_w);
+                };
+            }
+            macro_rules! scheduled_groups {
+                ($f:literal; $($g:literal)+) => {$(
+                    w[$g % 4] = _mm_sha1msg2_epu32(
+                        _mm_xor_si128(
+                            _mm_sha1msg1_epu32(w[$g % 4], w[($g + 1) % 4]),
+                            w[($g + 2) % 4],
+                        ),
+                        w[($g + 3) % 4],
+                    );
+                    group!($f, $g);
+                )+};
+            }
+            group!(0, 1);
+            group!(0, 2);
+            group!(0, 3);
+            scheduled_groups!(0; 4);
+            scheduled_groups!(1; 5 6 7 8 9);
+            scheduled_groups!(2; 10 11 12 13 14);
+            scheduled_groups!(3; 15 16 17 18 19);
+            abcd = _mm_add_epi32(abcd, abcd_in);
+            e = _mm_sha1nexte_epu32(before, e_in);
+        }
+        state[0] = _mm_extract_epi32::<3>(abcd) as u32;
+        state[1] = _mm_extract_epi32::<2>(abcd) as u32;
+        state[2] = _mm_extract_epi32::<1>(abcd) as u32;
+        state[3] = _mm_extract_epi32::<0>(abcd) as u32;
+        state[4] = _mm_extract_epi32::<3>(e) as u32;
+    }
+}
+
 /// One-shot SHA-1 of a byte string.
 pub fn sha1(data: &[u8]) -> [u8; 20] {
     let mut h = Sha1::new();
@@ -210,6 +322,93 @@ mod tests {
             rest = &rest[take..];
         }
         assert_eq!(h.finalize(), oneshot);
+    }
+
+    /// Deterministic filler bytes.
+    fn bytes(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    /// The portable rounds alone, block by block, whatever the CPU has.
+    fn portable_blocks(state: &mut [u32; 5], blocks: &[u8]) {
+        for block in blocks.chunks_exact(64) {
+            compress(state, block.try_into().unwrap());
+        }
+    }
+
+    /// SHA-1 with the portable rounds and the padding as FIPS 180-1 states
+    /// it, apart from `Sha1`'s buffering and dispatch.
+    fn portable_sha1(data: &[u8]) -> [u8; 20] {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = Sha1::new().state;
+        portable_blocks(&mut state, &padded);
+        let mut out = [0u8; 20];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn dispatch_takes_sha_ni_exactly_when_the_cpu_reports_it() {
+        #[cfg(target_arch = "x86_64")]
+        let reported = is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1");
+        #[cfg(not(target_arch = "x86_64"))]
+        let reported = false;
+        assert_eq!(hardware(), reported);
+        let gauge = obs::gauge("content.sha1.hardware").value();
+        assert_eq!(gauge, if reported { 1.0 } else { 0.0 });
+    }
+
+    #[test]
+    fn block_function_matches_the_portable_rounds_on_1_to_64_blocks() {
+        for n in 1..=64 {
+            let data = bytes(n * 64, n as u64);
+            let (mut dispatched, mut portable) = ([1, 2, 3, 4, 5], [1, 2, 3, 4, 5]);
+            compress_blocks(&mut dispatched, &data);
+            portable_blocks(&mut portable, &data);
+            assert_eq!(dispatched, portable, "{n} blocks");
+        }
+    }
+
+    #[test]
+    fn block_function_matches_the_portable_rounds_on_a_4_mib_run() {
+        let data = bytes(4 << 20, 64);
+        let mut dispatched = Sha1::new().state;
+        let mut portable = dispatched;
+        compress_blocks(&mut dispatched, &data);
+        portable_blocks(&mut portable, &data);
+        assert_eq!(dispatched, portable);
+        assert_eq!(sha1(&data), portable_sha1(&data));
+    }
+
+    #[test]
+    fn every_update_tail_matches_the_portable_digest() {
+        for tail in 0..64 {
+            let data = bytes(5 * 64 + tail, 100 + tail as u64);
+            let want = portable_sha1(&data);
+            assert_eq!(sha1(&data), want, "one update, tail {tail}");
+            // A buffered head, then a whole-block run and the tail.
+            let mut h = Sha1::new();
+            h.update(&data[..7]);
+            h.update(&data[7..]);
+            assert_eq!(h.finalize(), want, "split update, tail {tail}");
+        }
     }
 
     #[test]

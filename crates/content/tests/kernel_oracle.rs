@@ -442,7 +442,7 @@ fn decoder_does_not_reserve_what_the_header_claims() {
     LARGEST_REQUEST.with(|largest| largest.set(0));
     assert_eq!(decompress(&claim), Err(CompressError::Truncated));
     assert_eq!(
-        Algorithm::decompress(&framed),
+        Algorithm::decompress(&framed[..]),
         Err(CompressError::Truncated)
     );
     assert_eq!(decompress(&expanding), Err(CompressError::Truncated));

@@ -75,9 +75,8 @@ pub struct ClientConfig {
     pub chunking: ChunkingStrategy,
     /// Compression applied to chunks before upload.
     pub compression: Algorithm,
-    /// Fingerprint algorithm deriving chunk ids (default: the paper's
-    /// SHA-1). All devices of a workspace must agree — chunk objects are
-    /// addressed by fingerprint hex.
+    /// Fingerprint algorithm deriving chunk ids: the paper's SHA-1, the
+    /// only one. Chunk objects are addressed by fingerprint hex.
     pub fingerprint: Fingerprint,
     /// Threads one file's chunks may occupy, both ways: fingerprinting
     /// and compressing on the way up, fetching, decompressing and
@@ -131,13 +130,6 @@ impl ClientConfig {
     /// Overrides the compression algorithm.
     pub fn with_compression(mut self, algorithm: Algorithm) -> Self {
         self.compression = algorithm;
-        self
-    }
-
-    /// Overrides the fingerprint algorithm (must match across all
-    /// devices of a workspace).
-    pub fn with_fingerprint(mut self, fingerprint: Fingerprint) -> Self {
-        self.fingerprint = fingerprint;
         self
     }
 

@@ -560,16 +560,15 @@ fn renaming_a_file_onto_itself_changes_nothing_anywhere() {
 }
 
 #[test]
-fn fasthash_pipeline_full_sync_roundtrip() {
-    // Two devices running the parallel ingest pipeline with the FastHash
-    // fingerprint and content-defined chunking: content must round-trip
-    // bit-exactly, and chunk verification must pass on download.
+fn cdc_pipeline_full_sync_roundtrip() {
+    // Two devices running the parallel ingest pipeline with content-defined
+    // chunking: content must round-trip bit-exactly, and chunk verification
+    // must pass on download.
     let s = stack();
     let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
     let cfg = |device: &str| {
         ClientConfig::new("alice", device)
             .with_cdc(1024, 8192, 11, 48)
-            .with_fingerprint(content::Fingerprint::FastHash)
             .with_ingest_workers(2)
     };
     let a = DesktopClient::connect(&s.broker, &s.store, cfg("laptop"), &ws).unwrap();

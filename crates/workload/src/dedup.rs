@@ -12,7 +12,7 @@ use crate::content_gen;
 use crate::generator::{Trace, TraceOp};
 use content::chunker::Chunker;
 use content::compress::Algorithm;
-use content::Fingerprint;
+use content::ChunkId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -23,8 +23,6 @@ use storage::{ChunkMeta, DedupStats, RefcountTracker};
 pub struct ReplayConfig {
     /// Chunk size for the fixed chunker driving the replay.
     pub chunk_size: usize,
-    /// Fingerprint algorithm naming the chunks.
-    pub fingerprint: Fingerprint,
     /// Compression applied before "storing"; `None` stores raw bytes.
     pub compression: Option<Algorithm>,
 }
@@ -33,7 +31,6 @@ impl Default for ReplayConfig {
     fn default() -> Self {
         ReplayConfig {
             chunk_size: 64 * 1024,
-            fingerprint: Fingerprint::Sha1,
             compression: Some(Algorithm::Lzss),
         }
     }
@@ -158,7 +155,7 @@ fn ingest(
                 None => window.len() as u64,
             };
             ChunkMeta {
-                name: config.fingerprint.of(window).to_string(),
+                name: ChunkId::of(window).to_string(),
                 logical_len: window.len() as u64,
                 stored_len,
             }
@@ -200,28 +197,6 @@ mod tests {
         assert!(report.dedup_hits > 0, "updates must produce dedup hits");
         // The render line mentions the headline ratio.
         assert!(report.render().contains("saved"));
-    }
-
-    #[test]
-    fn fasthash_replay_matches_sha1_savings_shape() {
-        // Fingerprint choice must not change *what* dedups, only the
-        // chunk names: both algorithms see identical hit/write counts.
-        let trace = Trace::generate(&GeneratorConfig::test_scale());
-        let cfg = ReplayConfig {
-            chunk_size: 1024,
-            ..ReplayConfig::default()
-        };
-        let sha = replay(&trace, &cfg);
-        let fast = replay(
-            &trace,
-            &ReplayConfig {
-                fingerprint: Fingerprint::FastHash,
-                ..cfg
-            },
-        );
-        assert_eq!(sha.dedup_hits, fast.dedup_hits);
-        assert_eq!(sha.chunk_writes, fast.chunk_writes);
-        assert_eq!(sha.bytes_stored, fast.bytes_stored);
     }
 
     #[test]
