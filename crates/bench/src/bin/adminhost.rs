@@ -4,9 +4,9 @@
 //! cargo run -p bench --bin adminhost -- --admin 127.0.0.1:9633 [--duration 30]
 //! ```
 //!
-//! Boots the real server stack — a *durable* `mqsim` broker behind a
-//! [`BrokerServer`], a bound `SyncService` over the WAL-backed
-//! [`metadata::ShardedStore`] — plus the obs admin endpoint, then commits
+//! Boots the real server stack as a [`stacksync::Deployment`] — a
+//! journaled broker behind a TCP front end, a bound `SyncService` over the
+//! WAL-backed metadata store — plus the obs admin endpoint, then commits
 //! one small change per 100 ms so `/metrics`, `/spans` and `/healthz` have
 //! live data to serve, including the `metadata.wal` and `mqsim.journal`
 //! health checks and the `wal.*` metric family. Prints
@@ -14,14 +14,8 @@
 //! that line), and exits cleanly after `--duration` seconds (default 30).
 
 use bench::arg_value;
-use metadata::{MetadataStore, ShardedStore};
-use mqsim::MessageBroker;
-use net::BrokerServer;
-use objectmq::{Broker, BrokerConfig};
-use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
-use std::sync::Arc;
+use stacksync::{ClientConfig, Deployment};
 use std::time::{Duration, Instant};
-use storage::{LatencyModel, SwiftStore};
 
 fn main() {
     let admin_addr = arg_value("--admin").unwrap_or_else(|| "127.0.0.1:0".to_string());
@@ -34,24 +28,17 @@ fn main() {
     let wal_root = std::env::temp_dir().join(format!("adminhost-wal-{}", std::process::id()));
     std::fs::remove_dir_all(&wal_root).ok();
 
-    let (mq, _broker_recovery) =
-        MessageBroker::open_durable(wal_root.join("mq"), wal::LogConfig::named("adminhost-mq"))
-            .expect("open durable broker");
-    let server = BrokerServer::bind("127.0.0.1:0", mq.clone()).expect("bind broker server");
-    let broker = Broker::new(mq, BrokerConfig::default());
-    let (meta, _meta_recovery) = ShardedStore::open_durable(
-        wal_root.join("meta"),
-        4,
-        Duration::ZERO,
-        wal::LogConfig::named("adminhost-meta"),
-    )
-    .expect("open durable store");
-    let meta: Arc<dyn MetadataStore> = Arc::new(meta);
-    let service = SyncService::builder(&broker).store(meta.clone()).build();
-    let _service_handle = service.bind(&broker).expect("bind service");
-    let ws = provision_user(meta.as_ref(), "admin-smoke", "ws").expect("provision");
+    let cloud = Deployment::builder()
+        .tcp()
+        .journal(wal_root.join("mq"))
+        .durable(wal_root.join("meta"))
+        .shards(4)
+        .build()
+        .expect("deploy");
+    let ws = cloud.provision("admin-smoke", "ws").expect("provision");
 
     let admin = obs::serve_admin(&admin_addr[..]).expect("bind admin endpoint");
+    let server = cloud.server().expect("a TCP front end");
     println!("broker server on {}", server.local_addr());
     println!("ADMIN http://{}", admin.local_addr());
 
@@ -94,23 +81,15 @@ fn main() {
         }
     });
 
-    let store = SwiftStore::new(LatencyModel::instant());
-    let client = DesktopClient::connect(
-        &broker,
-        &store,
-        ClientConfig::new("admin-smoke", "smoke-dev"),
-        &ws,
-    )
-    .expect("connect client");
+    let config = |device: &str| ClientConfig::new("admin-smoke", device);
+    let client = cloud
+        .connect(config("smoke-dev"), &ws)
+        .expect("connect client");
     // A second device of the same account: it fetches what the first
     // commits, so `sync.client.fetch_seconds` has samples.
-    let watcher = DesktopClient::connect(
-        &broker,
-        &store,
-        ClientConfig::new("admin-smoke", "smoke-watch"),
-        &ws,
-    )
-    .expect("connect watcher");
+    let watcher = cloud
+        .connect(config("smoke-watch"), &ws)
+        .expect("connect watcher");
 
     // A steady trickle of real commits keeps every admin surface non-empty
     // while the scraper probes it. Every WAL-journaled commit feeds the
@@ -121,6 +100,7 @@ fn main() {
     // collection. Every tenth file, the first included, spans three
     // chunks, which is what it takes to reach the worker pool
     // (`content.pool.*`) in both directions.
+    let store = cloud.objects();
     let gc_token = store
         .authenticate("admin-smoke", "pw-admin-smoke")
         .expect("authenticate");
@@ -147,11 +127,8 @@ fn main() {
     }
     println!("adminhost done: {i} commits served for {duration}s");
     let _ = live.join();
-    server.shutdown();
     drop(client);
     drop(watcher);
-    drop(service);
-    drop(broker);
-    drop(meta);
+    cloud.shutdown();
     std::fs::remove_dir_all(&wal_root).ok();
 }

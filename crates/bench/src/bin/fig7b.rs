@@ -75,22 +75,14 @@ fn main() {
 /// Replays the trace through the real stack and reports measured traffic.
 fn live_stack(trace: &Trace, benchmark_bytes: u64) {
     use baselines::FileSet;
-    use metadata::{MetadataStore, ShardedStore};
-    use objectmq::Broker;
-    use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
-    use std::sync::Arc;
-    use storage::{LatencyModel, SwiftStore};
+    use stacksync::{ClientConfig, Deployment};
 
     header("Fig 7(b) addendum: live StackSync stack (real middleware path)");
-    let broker = Broker::in_process();
-    let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
-    let service = SyncService::builder(&broker).store(meta.clone()).build();
-    let _server = service.bind(&broker).expect("bind service");
-    let ws = provision_user(meta.as_ref(), "bench", "ws").expect("provision");
-    let client =
-        DesktopClient::connect(&broker, &store, ClientConfig::new("bench", "replayer"), &ws)
-            .expect("connect");
+    let cloud = Deployment::builder().build().expect("deploy");
+    let ws = cloud.provision("bench", "ws").expect("provision");
+    let client = cloud
+        .connect(ClientConfig::new("bench", "replayer"), &ws)
+        .expect("connect");
 
     let mut files = FileSet::new();
     let mut executed = 0usize;
@@ -110,10 +102,10 @@ fn live_stack(trace: &Trace, benchmark_bytes: u64) {
     }
     // Wait for all commits to be processed.
     assert!(client.wait(std::time::Duration::from_secs(120), || {
-        service.commits_processed() as usize >= executed
+        cloud.service().commits_processed() as usize >= executed
     }));
     let control = client.stats().control_bytes();
-    let storage_up = store.traffic().uploaded_bytes();
+    let storage_up = cloud.objects().traffic().uploaded_bytes();
     println!(
         "live stack: control {} | storage {} | total {} | overhead {:+.1}%",
         mb(control),

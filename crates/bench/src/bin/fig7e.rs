@@ -6,12 +6,9 @@
 
 use bench::{arg_value, header};
 use elastic::BoxplotStats;
-use metadata::{MetadataStore, ShardedStore};
-use objectmq::Broker;
-use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
-use std::sync::Arc;
+use stacksync::{ClientConfig, Deployment, DesktopClient};
 use std::time::{Duration, Instant};
-use storage::{LatencyModel, SwiftStore};
+use storage::LatencyModel;
 use workload::content_gen;
 use workload::{ChangePattern, FileSizeDist};
 
@@ -24,22 +21,17 @@ fn main() {
         .unwrap_or(30);
 
     header("Fig 7(e): synchronization time for 6 devices (real stack)");
-    let broker = Broker::in_process();
-    let store = SwiftStore::new(LatencyModel::lan_cluster());
-    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
-    let service = SyncService::builder(&broker).store(meta.clone()).build();
-    let _server = service.bind(&broker).expect("bind");
-    let ws = provision_user(meta.as_ref(), "alice", "ws").expect("provision");
+    let cloud = Deployment::builder()
+        .latency(LatencyModel::lan_cluster())
+        .build()
+        .expect("deploy");
+    let ws = cloud.provision("alice", "ws").expect("provision");
 
     let clients: Vec<DesktopClient> = (0..DEVICES)
         .map(|i| {
-            DesktopClient::connect(
-                &broker,
-                &store,
-                ClientConfig::new("alice", &format!("device-{i}")),
-                &ws,
-            )
-            .expect("connect")
+            cloud
+                .connect(ClientConfig::new("alice", &format!("device-{i}")), &ws)
+                .expect("connect")
         })
         .collect();
 

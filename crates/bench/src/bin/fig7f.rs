@@ -5,12 +5,9 @@
 //! ObjectMQ+SyncService cost.
 
 use bench::{arg_value, bar, header};
-use metadata::{MetadataStore, ShardedStore};
-use objectmq::Broker;
-use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
-use std::sync::Arc;
+use stacksync::{ClientConfig, Deployment, DesktopClient};
 use std::time::{Duration, Instant};
-use storage::{LatencyModel, SwiftStore};
+use storage::LatencyModel;
 use workload::content_gen;
 
 const DEVICES: usize = 6;
@@ -21,22 +18,17 @@ fn main() {
         .unwrap_or(3);
 
     header("Fig 7(f): sync time vs file size (6 devices, real stack)");
-    let broker = Broker::in_process();
-    let store = SwiftStore::new(LatencyModel::lan_cluster());
-    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
-    let service = SyncService::builder(&broker).store(meta.clone()).build();
-    let _server = service.bind(&broker).expect("bind");
-    let ws = provision_user(meta.as_ref(), "alice", "ws").expect("provision");
+    let cloud = Deployment::builder()
+        .latency(LatencyModel::lan_cluster())
+        .build()
+        .expect("deploy");
+    let ws = cloud.provision("alice", "ws").expect("provision");
 
     let clients: Vec<DesktopClient> = (0..DEVICES)
         .map(|i| {
-            DesktopClient::connect(
-                &broker,
-                &store,
-                ClientConfig::new("alice", &format!("device-{i}")),
-                &ws,
-            )
-            .expect("connect")
+            cloud
+                .connect(ClientConfig::new("alice", &format!("device-{i}")), &ws)
+                .expect("connect")
         })
         .collect();
 

@@ -2,11 +2,11 @@
 //! clients run in *three separate OS processes*, talking over TCP loopback
 //! through `crates/net`.
 //!
-//! The driver process hosts the `mqsim` broker behind a [`BrokerServer`]
-//! plus the SyncService (bound through the in-process path — it plays the
-//! server machine). It then re-executes itself twice: a *watcher* client
-//! process and a *writer* client process, each of which dials the broker
-//! with [`NetBroker`] and runs the unmodified `DesktopClient` on top. The
+//! The driver process hosts a [`Deployment`] with its TCP front end (the
+//! SyncService is bound through the in-process path — it plays the server
+//! machine). It then re-executes itself twice: a *watcher* client process
+//! and a *writer* client process, each of which dials the front end with a
+//! [`Link`] and runs the unmodified `DesktopClient` on top. The
 //! writer performs the Fig. 7(e) operation mix (ADD / UPDATE / REMOVE); the
 //! watcher asserts every commit arrives, with the same at-least-once commit
 //! semantics as the in-process stack.
@@ -16,11 +16,8 @@
 //! workspace metadata — rides the TCP frame protocol.
 
 use bench::{arg_value, header};
-use metadata::{MetadataStore, ShardedStore, WorkspaceId};
-use mqsim::MessageBroker;
-use net::{BrokerServer, NetBroker};
-use objectmq::{Broker, BrokerConfig};
-use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
+use metadata::WorkspaceId;
+use stacksync::{ClientConfig, Deployment, DesktopClient, Link};
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
@@ -71,9 +68,12 @@ fn trace_dump(role: &str) {
 fn driver() {
     header("netdemo: sync across 3 OS processes over TCP loopback");
 
-    let mq = MessageBroker::new();
-    let server = BrokerServer::bind("127.0.0.1:0", mq.clone()).expect("bind server");
-    let addr = server.local_addr().to_string();
+    let cloud = Deployment::builder().tcp().build().expect("deploy");
+    let addr = cloud
+        .server()
+        .expect("a TCP front end")
+        .local_addr()
+        .to_string();
     println!("broker server on {addr}");
 
     // `--admin <addr>` exposes /metrics, /healthz, /spans, /snapshot and
@@ -84,11 +84,7 @@ fn driver() {
         admin
     });
 
-    let broker = Broker::new(mq, BrokerConfig::default());
-    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
-    let service = SyncService::builder(&broker).store(meta.clone()).build();
-    let _service_handle = service.bind(&broker).expect("bind service");
-    let ws = provision_user(meta.as_ref(), "alice", "ws").expect("provision");
+    let ws = cloud.provision("alice", "ws").expect("provision");
 
     let store_dir = std::env::temp_dir().join(format!("netdemo-{}", std::process::id()));
     let exe = std::env::current_exe().expect("current_exe");
@@ -138,7 +134,7 @@ fn driver() {
     );
     bench::obs_dump();
     trace_dump("driver");
-    server.shutdown();
+    cloud.shutdown();
 }
 
 /// Blocks until the child prints `marker` on a line of its own.
@@ -189,15 +185,15 @@ fn client_process(role: Role) {
     let ws = WorkspaceId(arg_value("--ws").expect("--ws"));
     let n = ops();
 
-    let mq = NetBroker::connect(&addr[..]).expect("dial broker server");
-    let broker = Broker::over(Arc::new(mq), BrokerConfig::default());
+    let link = Link::dial(&addr[..]).expect("dial broker server");
     let backend = Arc::new(DiskBackend::open(&store_dir).expect("open shared store"));
     let store = SwiftStore::with_backend(LatencyModel::instant(), backend);
     let device = match role {
         Role::Writer => "writer-dev",
         Role::Watcher => "watcher-dev",
     };
-    let client = DesktopClient::connect(&broker, &store, ClientConfig::new("alice", device), &ws)
+    let client = link
+        .connect(&store, ClientConfig::new("alice", device), &ws)
         .expect("connect client");
 
     match role {

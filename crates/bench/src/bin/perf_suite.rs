@@ -52,10 +52,9 @@ use metadata::{ItemMetadata, MetadataStore, ShardedStore};
 use mqsim::{Delivery, Message, MessageBroker, QueueOptions};
 use net::{BrokerServer, NetBroker, NetConfig};
 use objectmq::{Broker, BrokerConfig};
-use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
+use stacksync::{ClientConfig, Deployment, DesktopClient, Link};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use storage::{LatencyModel, SwiftStore};
 use wire::Value;
 
 /// Messages per `publish_batch_to_queue` / `recv_batch` in batched mode.
@@ -239,13 +238,10 @@ fn with_loopback<T>(f: impl FnOnce(&Broker) -> T) -> T {
 }
 
 fn commit_throughput(commits: usize) -> f64 {
-    let broker = Broker::in_process();
-    let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
-    let service = SyncService::builder(&broker).store(meta.clone()).build();
-    let _server = service.bind(&broker).expect("bind service");
-    let ws = provision_user(meta.as_ref(), "perf", "ws").expect("provision");
-    let client = DesktopClient::connect(&broker, &store, ClientConfig::new("perf", "dev"), &ws)
+    let cloud = Deployment::builder().build().expect("deploy");
+    let ws = cloud.provision("perf", "ws").expect("provision");
+    let client = cloud
+        .connect(ClientConfig::new("perf", "dev"), &ws)
         .expect("connect");
     let content = vec![7u8; 16 * 1024];
     let start = Instant::now();
@@ -461,16 +457,9 @@ struct ConnLevel {
 /// the full sync stack; measures commit latency and memory per connection
 /// at every level.
 fn connection_scaling(levels: &[usize], commits_per_client: usize) -> Vec<ConnLevel> {
-    let mq = MessageBroker::new();
-    let server = BrokerServer::bind("127.0.0.1:0", mq.clone()).expect("bind server");
+    let cloud = Deployment::builder().tcp().build().expect("deploy");
+    let server = cloud.server().expect("a TCP front end");
     let addr = server.local_addr();
-    let service_broker = Broker::new(mq, BrokerConfig::default());
-    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
-    let service = SyncService::builder(&service_broker)
-        .store(meta.clone())
-        .build();
-    let _service_handle = service.bind(&service_broker).expect("bind service");
-    let store = SwiftStore::new(LatencyModel::instant());
 
     // One ping per idle connection per second: a realistic keepalive load
     // at 10k connections without drowning the loop in heartbeat traffic.
@@ -482,11 +471,11 @@ fn connection_scaling(levels: &[usize], commits_per_client: usize) -> Vec<ConnLe
     let active: Vec<Arc<DesktopClient>> = (0..ACTIVE_CLIENTS)
         .map(|i| {
             let user = format!("u{i}");
-            let ws = provision_user(meta.as_ref(), &user, "ws").expect("provision");
+            let ws = cloud.provision(&user, "ws").expect("provision");
             let net = NetBroker::connect_with(addr, fleet_config.clone()).expect("dial active");
-            let broker = Broker::over(Arc::new(net), BrokerConfig::default());
             Arc::new(
-                DesktopClient::connect(&broker, &store, ClientConfig::new(&user, "dev"), &ws)
+                Link::over(net)
+                    .connect(cloud.objects(), ClientConfig::new(&user, "dev"), &ws)
                     .expect("connect active client"),
             )
         })
@@ -604,7 +593,7 @@ fn connection_scaling(levels: &[usize], commits_per_client: usize) -> Vec<ConnLe
     }
     drop(active);
     drop(idle);
-    server.shutdown();
+    cloud.shutdown();
     // Let the shared client reactor finish unwinding the fleet's sources
     // before the next scenario starts timing anything: thousands of
     // connections tearing down in the background would skew its numbers.

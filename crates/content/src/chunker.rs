@@ -140,12 +140,6 @@ impl ContentDefinedChunker {
         }
     }
 
-    /// A configuration comparable to the paper's 512 KB average: expected
-    /// 512 KB chunks, bounded in [128 KB, 2 MB].
-    pub fn paper_scale() -> Self {
-        ContentDefinedChunker::new(128 * 1024, 2 * 1024 * 1024, 19, 48)
-    }
-
     /// A small-scale configuration convenient for tests (avg 4 KB).
     pub fn test_scale() -> Self {
         ContentDefinedChunker::new(1024, 16 * 1024, 12, 48)

@@ -61,11 +61,6 @@ impl Signature {
         self.block_size
     }
 
-    /// Number of blocks in the base file.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Wire size of this signature (weak 4 B + strong 20 B per block).
     pub fn encoded_size(&self) -> usize {
         8 + self.blocks.len() * 24
@@ -338,7 +333,6 @@ mod tests {
     fn empty_base_yields_all_literals() {
         let target = random_bytes(3_000, 5);
         let sig = Signature::of(&[], 512);
-        assert_eq!(sig.block_count(), 0);
         let delta = diff(&sig, &target);
         assert_eq!(delta.literal_bytes(), target.len());
         assert_eq!(apply(&[], &delta).unwrap(), target);
@@ -361,7 +355,6 @@ mod tests {
     fn signature_size_accounting() {
         let base = random_bytes(10_240, 6);
         let sig = Signature::of(&base, 1024);
-        assert_eq!(sig.block_count(), 10);
         assert_eq!(sig.encoded_size(), 8 + 10 * 24);
     }
 

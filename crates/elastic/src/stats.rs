@@ -62,11 +62,6 @@ impl BoxplotStats {
             count: sorted.len(),
         }
     }
-
-    /// Upper whisker (Tukey): largest sample ≤ Q3 + 1.5·IQR.
-    pub fn upper_whisker(&self) -> f64 {
-        self.q3 + 1.5 * (self.q3 - self.q1)
-    }
 }
 
 #[cfg(test)]
@@ -99,7 +94,6 @@ mod tests {
         assert_eq!(b.q3, 6.0);
         assert_eq!(b.mean, 4.5);
         assert_eq!(b.count, 8);
-        assert_eq!(b.upper_whisker(), 12.0);
     }
 
     #[test]

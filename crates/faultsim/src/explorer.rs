@@ -70,13 +70,6 @@ pub struct ExploreOutcome {
     pub failure: Option<Box<SimFailure>>,
 }
 
-impl ExploreOutcome {
-    /// True when every seed in the sweep passed.
-    pub fn all_passed(&self) -> bool {
-        self.failure.is_none()
-    }
-}
-
 /// Sweeps `count` consecutive seeds starting at `start`, stopping at the
 /// first failure.
 pub fn explore(start: u64, count: u64, config: &SimConfig) -> ExploreOutcome {
@@ -105,7 +98,7 @@ mod tests {
     #[test]
     fn explore_counts_passes() {
         let outcome = explore(100, 3, &SimConfig::default());
-        assert!(outcome.all_passed(), "{:?}", outcome.failure);
+        assert!(outcome.failure.is_none(), "{:?}", outcome.failure);
         assert_eq!(outcome.passed, 3);
     }
 

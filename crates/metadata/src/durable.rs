@@ -687,11 +687,6 @@ impl ShardedStore {
             }
         }
     }
-
-    /// The filesystem root of a durable store.
-    pub fn durable_root(&self) -> Option<&Path> {
-        self.wal.as_ref().map(|p| p.root.as_path())
-    }
 }
 
 impl std::fmt::Debug for WalPlane {

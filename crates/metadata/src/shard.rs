@@ -137,13 +137,19 @@ impl Default for ShardedStore {
 }
 
 impl ShardedStore {
-    /// Creates an in-memory store with one partition per available CPU (at
-    /// least 2, so the default always exercises cross-shard routing).
+    /// Creates an in-memory store with [`ShardedStore::host_shards`]
+    /// partitions.
     pub fn new() -> Self {
-        let cpus = std::thread::available_parallelism()
+        Self::with_shards(Self::host_shards())
+    }
+
+    /// The default partition count: one per available CPU, at least 2, so
+    /// the default always exercises cross-shard routing.
+    pub fn host_shards() -> usize {
+        std::thread::available_parallelism()
             .map(|n| n.get())
-            .unwrap_or(4);
-        Self::with_shards(cpus.max(2))
+            .unwrap_or(4)
+            .max(2)
     }
 
     /// Creates a store with exactly `shards` partitions (min 1).
@@ -184,11 +190,6 @@ impl ShardedStore {
             wal,
             _wal_health: wal_health,
         }
-    }
-
-    /// Number of partitions.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The partition index a workspace routes to.
@@ -571,7 +572,6 @@ mod tests {
     #[test]
     fn single_shard_degenerates_to_global_behavior() {
         let (s, ws) = setup(1);
-        assert_eq!(s.shard_count(), 1);
         s.commit(&ws, vec![file(1, &ws, 1)]).unwrap();
         let cur = s.get_current(1).unwrap();
         let out = s.commit(&ws, vec![cur.tombstone("dev")]).unwrap();

@@ -38,7 +38,6 @@ fn clean_restart_recovers_exact_state() {
         assert!(!rec.snapshot_loaded);
         assert_eq!(rec.replayed, 0);
         assert!(store.is_durable());
-        assert_eq!(store.durable_root(), Some(root.as_path()));
 
         store.create_user("alice").unwrap();
         store.create_user("bob").unwrap();
@@ -497,7 +496,6 @@ fn every_checkpoint_racing_new_workspaces_reopens() {
 fn non_durable_store_rejects_durable_only_calls() {
     let store = ShardedStore::with_shards(2);
     assert!(!store.is_durable());
-    assert!(store.durable_root().is_none());
     let err = store.checkpoint().unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::Unsupported);
     // And the crash hook is a harmless no-op.

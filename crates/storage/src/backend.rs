@@ -11,6 +11,7 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Storage backend for object bytes.
 pub trait ObjectBackend: Send + Sync {
@@ -48,13 +49,6 @@ pub trait ObjectBackend: Send + Sync {
     ///
     /// I/O errors from the underlying medium.
     fn list(&self, account: &str, container: &str) -> io::Result<Vec<String>>;
-
-    /// Total bytes stored under an account.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the underlying medium.
-    fn usage(&self, account: &str) -> io::Result<u64>;
 }
 
 /// The default in-memory backend.
@@ -115,17 +109,6 @@ impl ObjectBackend for MemoryBackend {
         names.sort();
         Ok(names)
     }
-
-    fn usage(&self, account: &str) -> io::Result<u64> {
-        Ok(self
-            .objects
-            .read()
-            .iter()
-            .filter(|((a, _), _)| a == account)
-            .flat_map(|(_, objects)| objects.values())
-            .map(|b| b.len() as u64)
-            .sum())
-    }
 }
 
 /// Filesystem-backed object store: objects live at
@@ -134,6 +117,9 @@ impl ObjectBackend for MemoryBackend {
 #[derive(Debug)]
 pub struct DiskBackend {
     root: PathBuf,
+    /// Numbers each put's temp file, so concurrent puts into one container
+    /// never write through the same one.
+    next_tmp: AtomicU64,
 }
 
 impl DiskBackend {
@@ -146,6 +132,7 @@ impl DiskBackend {
         std::fs::create_dir_all(root.as_ref())?;
         Ok(DiskBackend {
             root: root.as_ref().to_path_buf(),
+            next_tmp: AtomicU64::new(0),
         })
     }
 
@@ -178,8 +165,11 @@ impl ObjectBackend for DiskBackend {
     fn put(&self, account: &str, container: &str, name: &str, data: &[u8]) -> io::Result<()> {
         let dir = self.container_dir(account, container);
         std::fs::create_dir_all(&dir)?;
-        // Write-then-rename for crash atomicity.
-        let tmp = dir.join(format!(".tmp-{}", std::process::id()));
+        // Write-then-rename for crash atomicity, through a temp file of
+        // this put's own: the pid keeps processes sharing the root apart,
+        // the counter keeps this backend's threads apart.
+        let n = self.next_tmp.fetch_add(1, Ordering::Relaxed);
+        let tmp = dir.join(format!(".tmp-{}-{n}", std::process::id()));
         std::fs::write(&tmp, data)?;
         std::fs::rename(&tmp, self.object_path(account, container, name))
     }
@@ -222,25 +212,6 @@ impl ObjectBackend for DiskBackend {
         names.sort();
         Ok(names)
     }
-
-    fn usage(&self, account: &str) -> io::Result<u64> {
-        let dir = self.root.join(encode(account));
-        let mut total = 0;
-        let containers = match std::fs::read_dir(&dir) {
-            Ok(c) => c,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
-            Err(e) => return Err(e),
-        };
-        for container in containers {
-            let container = container?;
-            if container.file_type()?.is_dir() {
-                for object in std::fs::read_dir(container.path())? {
-                    total += object?.metadata()?.len();
-                }
-            }
-        }
-        Ok(total)
-    }
 }
 
 #[cfg(test)]
@@ -269,8 +240,6 @@ mod tests {
             backend.list("a", "c").unwrap(),
             vec!["x".to_string(), "y/slashed name".to_string()]
         );
-        assert_eq!(backend.usage("a").unwrap(), 6);
-        assert_eq!(backend.usage("other").unwrap(), 0);
         // Overwrite replaces.
         backend.put("a", "c", "x", b"replaced").unwrap();
         assert_eq!(
@@ -311,6 +280,35 @@ mod tests {
             &reopened.get("acct", "chunks", "deadbeef").unwrap().unwrap()[..],
             b"payload"
         );
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn concurrent_puts_into_one_container_keep_their_own_bytes() {
+        let root = temp_root("concurrent");
+        let backend = DiskBackend::open(&root).unwrap();
+        let bytes = |t: usize, i: usize| format!("thread {t} object {i}").repeat(1 + i % 7);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (backend, start) = (&backend, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..500 {
+                        backend
+                            .put("a", "c", &format!("{t}-{i}"), bytes(t, i).as_bytes())
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        for t in 0..4 {
+            for i in 0..500 {
+                let got = backend.get("a", "c", &format!("{t}-{i}")).unwrap();
+                assert_eq!(got.as_deref(), Some(bytes(t, i).as_bytes()), "{t}-{i}");
+            }
+        }
+        assert_eq!(backend.list("a", "c").unwrap().len(), 2000);
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -424,23 +424,6 @@ impl DedupRegistry {
             .gc_reclaimed_bytes_total
             .add(report.reclaimed_bytes);
     }
-
-    /// Sum of all scopes' statistics (diagnostic; takes every scope lock
-    /// in turn).
-    pub(crate) fn totals(&self) -> DedupStats {
-        let scopes: Vec<Arc<Mutex<RefcountTracker>>> =
-            self.scopes.read().values().map(Arc::clone).collect();
-        let mut total = DedupStats::default();
-        for scope in scopes {
-            let s = scope.lock().stats();
-            total.live_chunks += s.live_chunks;
-            total.orphan_chunks += s.orphan_chunks;
-            total.logical_bytes += s.logical_bytes;
-            total.stored_bytes += s.stored_bytes;
-            total.orphan_bytes += s.orphan_bytes;
-        }
-        total
-    }
 }
 
 #[cfg(test)]

@@ -408,19 +408,6 @@ impl SwiftStore {
         Ok(self.backend.list(&owner, container)?)
     }
 
-    /// Total bytes stored under an account (for quota-style assertions).
-    ///
-    /// # Errors
-    ///
-    /// Authorization errors.
-    pub fn account_usage(&self, token: &Token) -> StorageResult<u64> {
-        {
-            let accounts = self.accounts.read();
-            Self::check(&accounts, token)?;
-        }
-        Ok(self.backend.usage(&token.account)?)
-    }
-
     /// Offers a file's chunk list with refcount dedup. A chunk may come
     /// without its payload, which asks "do you hold this already?": if
     /// every such chunk is tracked (live, or an orphan not yet collected)
@@ -620,12 +607,6 @@ impl SwiftStore {
         self.check_container(token, owner, container)?;
         Ok(self.dedup.scope(owner, container).lock().stats())
     }
-
-    /// Dedup statistics summed across every container in the store
-    /// (diagnostic; no authorization, like [`SwiftStore::traffic`]).
-    pub fn dedup_totals(&self) -> DedupStats {
-        self.dedup.totals()
-    }
 }
 
 #[cfg(test)]
@@ -756,7 +737,11 @@ mod tests {
             .unwrap();
         s.put(&t, "chunks", "a", Bytes::from(vec![0u8; 5])).unwrap();
         assert_eq!(s.list(&t, "chunks").unwrap(), vec!["a", "b"]);
-        assert_eq!(s.account_usage(&t).unwrap(), 15);
+        let used: usize = ["a", "b"]
+            .iter()
+            .map(|name| s.get(&t, "chunks", name).unwrap().len())
+            .sum();
+        assert_eq!(used, 15);
     }
 
     #[test]
@@ -765,7 +750,7 @@ mod tests {
         s.put(&t, "chunks", "a", Bytes::from_static(b"v1")).unwrap();
         s.put(&t, "chunks", "a", Bytes::from_static(b"v2")).unwrap();
         assert_eq!(&s.get(&t, "chunks", "a").unwrap()[..], b"v2");
-        assert_eq!(s.account_usage(&t).unwrap(), 2);
+        assert_eq!(s.list(&t, "chunks").unwrap(), vec!["a"]);
     }
 
     #[test]
@@ -916,9 +901,10 @@ mod tests {
             .put_chunks(&t, "u1", "other", "f", &[dchunk("a", b"zz")])
             .unwrap();
         assert_eq!(r.uploaded, 1);
-        let totals = s.dedup_totals();
-        assert_eq!(totals.live_chunks, 2);
-        assert_eq!(totals.stored_bytes, 4);
+        for container in ["chunks", "other"] {
+            let stats = s.dedup_stats(&t, "u1", container).unwrap();
+            assert_eq!((stats.live_chunks, stats.stored_bytes), (1, 2));
+        }
     }
 
     /// The ISSUE acceptance criterion: overwrite/delete never orphans a

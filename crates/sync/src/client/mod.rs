@@ -1139,38 +1139,11 @@ mod tests {
             .collect()
     }
 
-    /// A broker, a chunk store and a bound SyncService over one workspace
-    /// of alice's.
-    struct TestStack {
-        broker: Broker,
-        store: SwiftStore,
-        workspace: WorkspaceId,
-        _service: crate::SyncService,
-        _server: ServerHandle,
-    }
-
-    impl TestStack {
-        fn new() -> Self {
-            let broker = Broker::in_process();
-            let store = SwiftStore::new(storage::LatencyModel::instant());
-            let meta: Arc<dyn metadata::MetadataStore> = Arc::new(metadata::ShardedStore::new());
-            let service = crate::SyncService::builder(&broker)
-                .store(meta.clone())
-                .build();
-            let server = service.bind(&broker).unwrap();
-            let workspace = crate::provision_user(meta.as_ref(), "alice", "Docs").unwrap();
-            TestStack {
-                broker,
-                store,
-                workspace,
-                _service: service,
-                _server: server,
-            }
-        }
-
-        fn connect(&self, config: ClientConfig) -> DesktopClient {
-            DesktopClient::connect(&self.broker, &self.store, config, &self.workspace).unwrap()
-        }
+    /// A deployment with one workspace of alice's.
+    fn deployment() -> (crate::Deployment, WorkspaceId) {
+        let stack = crate::Deployment::builder().build().unwrap();
+        let ws = stack.provision("alice", "Docs").unwrap();
+        (stack, ws)
     }
 
     const TIMEOUT: Duration = Duration::from_secs(5);
@@ -1180,10 +1153,10 @@ mod tests {
         // A local write racing a notification for the same path, stopped
         // where it matters: the new bytes are in the folder, the local
         // database still describes the old ones.
-        let stack = TestStack::new();
+        let (stack, ws) = deployment();
         let config = |device: &str| ClientConfig::new("alice", device).with_chunk_size(4096);
-        let a = stack.connect(config("laptop"));
-        let b = stack.connect(config("phone"));
+        let a = stack.connect(config("laptop"), &ws).unwrap();
+        let b = stack.connect(config("phone"), &ws).unwrap();
         let timeout = TIMEOUT;
 
         let v1 = distinct_chunks(3, 0);
@@ -1273,10 +1246,10 @@ mod tests {
     /// Multi-chunk ADD, append UPDATE (the watcher reuses its local
     /// chunks), rename (metadata only), then a device that joins late.
     fn run_schedule(configure: impl Fn(ClientConfig) -> ClientConfig) -> Outcome {
-        let stack = TestStack::new();
+        let (stack, ws) = deployment();
         let config = |device: &str| configure(ClientConfig::new("alice", device));
-        let a = stack.connect(config("laptop"));
-        let b = stack.connect(config("phone"));
+        let a = stack.connect(config("laptop"), &ws).unwrap();
+        let b = stack.connect(config("phone"), &ws).unwrap();
 
         let v1 = distinct_chunks(10, 3);
         a.write_file("f.bin", v1.clone()).unwrap();
@@ -1288,13 +1261,13 @@ mod tests {
         a.rename_file("f.bin", "g.bin").unwrap();
         assert!(b.wait_for_content("g.bin", &v2, TIMEOUT));
         assert!(b.wait_for_absent("f.bin", TIMEOUT));
-        let c = stack.connect(config("tablet"));
+        let c = stack.connect(config("tablet"), &ws).unwrap();
         assert_eq!(c.read_file("g.bin").unwrap(), v2);
 
         let devices = [&a, &b, &c]
             .map(|device| observe(device, &["f.bin", "g.bin"]))
             .to_vec();
-        let traffic = stack.store.traffic();
+        let traffic = stack.objects().traffic();
         Outcome {
             devices,
             traffic: [
@@ -1403,11 +1376,11 @@ mod tests {
     /// to its id, and both folders must hold what was committed.
     fn run_seeded_schedule(seed: u64, configure: fn(ClientConfig) -> ClientConfig) -> usize {
         const PATHS: [&str; 4] = ["a.bin", "b.bin", "c.bin", "d.bin"];
-        let stack = TestStack::new();
+        let (stack, ws) = deployment();
         let config = |device: &str| configure(ClientConfig::new("alice", device));
         let devices = [
-            stack.connect(config("laptop")),
-            stack.connect(config("phone")),
+            stack.connect(config("laptop"), &ws).unwrap(),
+            stack.connect(config("phone"), &ws).unwrap(),
         ];
         let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
         // What was last committed under each path.
@@ -1533,14 +1506,14 @@ mod tests {
 
     #[test]
     fn a_corrupt_chunk_mid_file_is_named_in_file_order_and_changes_nothing() {
-        let stack = TestStack::new();
+        let (stack, ws) = deployment();
         let config = |device: &str| {
             ClientConfig::new("alice", device)
                 .with_chunk_size(4096)
                 .with_ingest_workers(8)
         };
-        let a = stack.connect(config("laptop"));
-        let b = stack.connect(config("phone"));
+        let a = stack.connect(config("laptop"), &ws).unwrap();
+        let b = stack.connect(config("phone"), &ws).unwrap();
         let v1 = distinct_chunks(6, 0);
         a.write_file("f.bin", v1.clone()).unwrap();
         assert!(b.wait_for_content("f.bin", &v1, TIMEOUT));
@@ -1561,13 +1534,13 @@ mod tests {
             };
             let (owner, container) = (&b.shared.container_owner, &b.shared.container);
             stack
-                .store
+                .objects()
                 .put_in(&b.shared.token, owner, container, &chunk_hex(id), stored)
                 .unwrap();
         }
         let item = ItemMetadata {
             item_id: entry_before.item_id,
-            workspace: stack.workspace.clone(),
+            workspace: ws.clone(),
             path: "f.bin".to_string(),
             version: 2,
             chunks: ids.clone(),
@@ -1637,7 +1610,7 @@ mod tests {
     fn a_join_is_the_same_state_whatever_the_thread_count() {
         // Files below, at and above the window, one of exactly its size,
         // an empty one and a tombstone, in the order the store lists them.
-        let stack = TestStack::new();
+        let (stack, ws) = deployment();
         let config = |device: &str| {
             ClientConfig::new("alice", device)
                 .with_chunk_size(256 * 1024)
@@ -1658,17 +1631,17 @@ mod tests {
             ("gone.bin", body(9_000, 5)),
             ("small-c.bin", body(1, 6)),
         ];
-        let writer = stack.connect(config("laptop"));
+        let writer = stack.connect(config("laptop"), &ws).unwrap();
         for (path, contents) in &files {
             writer.write_file(path, contents.clone()).unwrap();
         }
         writer.delete_file("gone.bin").unwrap();
         let commits = files.len() as u64 + 1;
-        assert!(writer.wait(TIMEOUT, || stack._service.commits_processed() == commits));
+        assert!(writer.wait(TIMEOUT, || stack.service().commits_processed() == commits));
         let paths: Vec<&str> = files.iter().map(|(path, _)| *path).collect();
 
         let join = |device: &str, configure: fn(ClientConfig) -> ClientConfig| {
-            let joiner = stack.connect(configure(config(device)));
+            let joiner = stack.connect(configure(config(device)), &ws).unwrap();
             observe(&joiner, &paths)
         };
         let inline = join("one", |c| c.with_ingest_workers(1));
@@ -1695,14 +1668,14 @@ mod tests {
 
     #[test]
     fn a_corrupt_chunk_mid_window_is_named_in_item_then_file_order_and_changes_nothing() {
-        let stack = TestStack::new();
+        let (stack, ws) = deployment();
         let config = |device: &str| {
             ClientConfig::new("alice", device)
                 .with_chunk_size(4096)
                 .with_ingest_workers(8)
         };
-        let a = stack.connect(config("laptop"));
-        let b = stack.connect(config("phone"));
+        let a = stack.connect(config("laptop"), &ws).unwrap();
+        let b = stack.connect(config("phone"), &ws).unwrap();
         let paths: Vec<String> = (0..6).map(|i| format!("f{i}.bin")).collect();
         let v1: Vec<Vec<u8>> = (0..6).map(|i| distinct_chunks(2, i)).collect();
         for (path, contents) in paths.iter().zip(&v1) {
@@ -1734,13 +1707,13 @@ mod tests {
                 };
                 let (owner, container) = (&b.shared.container_owner, &b.shared.container);
                 stack
-                    .store
+                    .objects()
                     .put_in(&b.shared.token, owner, container, &chunk_hex(id), stored)
                     .unwrap();
             }
             items.push(ItemMetadata {
-                item_id: stable_item_id(&stack.workspace, path),
-                workspace: stack.workspace.clone(),
+                item_id: stable_item_id(&ws, path),
+                workspace: ws.clone(),
                 path: path.clone(),
                 version: 2,
                 chunks: ids,
@@ -1771,10 +1744,10 @@ mod tests {
 
     #[test]
     fn a_declared_size_is_checked_and_never_reserved() {
-        let stack = TestStack::new();
+        let (stack, ws) = deployment();
         let config = |device: &str| ClientConfig::new("alice", device).with_chunk_size(4096);
-        let a = stack.connect(config("laptop"));
-        let b = stack.connect(config("phone"));
+        let a = stack.connect(config("laptop"), &ws).unwrap();
+        let b = stack.connect(config("phone"), &ws).unwrap();
         let v1 = distinct_chunks(3, 7);
         a.write_file("f.bin", v1.clone()).unwrap();
         assert!(b.wait_for_content("f.bin", &v1, TIMEOUT));
@@ -1785,7 +1758,7 @@ mod tests {
         for size in [u64::MAX, 4 << 30, v1.len() as u64 + 1, 0] {
             let item = ItemMetadata {
                 item_id: entry.item_id,
-                workspace: stack.workspace.clone(),
+                workspace: ws.clone(),
                 path: "f.bin".to_string(),
                 version: 2,
                 chunks: entry.chunks.iter().map(|(id, _)| *id).collect(),
@@ -1809,11 +1782,13 @@ mod tests {
 
     #[test]
     fn a_waiter_wakes_with_the_apply_not_at_the_next_poll() {
-        let stack = TestStack::new();
-        let watcher = stack.connect(ClientConfig::new("alice", "phone"));
+        let (stack, ws) = deployment();
+        let watcher = stack
+            .connect(ClientConfig::new("alice", "phone"), &ws)
+            .unwrap();
         let version_of = |version| ItemMetadata {
-            item_id: stable_item_id(&stack.workspace, "f.txt"),
-            workspace: stack.workspace.clone(),
+            item_id: stable_item_id(&ws, "f.txt"),
+            workspace: ws.clone(),
             path: "f.txt".to_string(),
             version,
             chunks: vec![],

@@ -89,11 +89,6 @@ impl VirtualFs {
     pub fn is_empty(&self) -> bool {
         self.files.is_empty()
     }
-
-    /// Total bytes stored.
-    pub fn total_size(&self) -> u64 {
-        self.files.values().map(|v| v.bytes.len() as u64).sum()
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +103,6 @@ mod tests {
         assert_eq!(fs.read("a/b.txt").unwrap(), &[1u8, 2, 3]);
         assert!(fs.contains("a/b.txt"));
         assert_eq!(fs.len(), 1);
-        assert_eq!(fs.total_size(), 3);
         assert_eq!(fs.remove("a/b.txt").unwrap(), &[1u8, 2, 3]);
         assert!(fs.is_empty());
     }

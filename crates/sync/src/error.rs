@@ -24,6 +24,8 @@ pub enum SyncError {
     Corrupt(String),
     /// A local path does not exist in the workspace.
     NoSuchFile(String),
+    /// A deployment could not open a store or bind a listener.
+    Io(std::io::Error),
 }
 
 impl fmt::Display for SyncError {
@@ -36,6 +38,7 @@ impl fmt::Display for SyncError {
             SyncError::Wire(e) => write!(f, "wire error: {e}"),
             SyncError::Corrupt(m) => write!(f, "corrupt chunk data: {m}"),
             SyncError::NoSuchFile(p) => write!(f, "no such file in workspace: {p}"),
+            SyncError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }
 }
@@ -48,6 +51,7 @@ impl Error for SyncError {
             SyncError::Metadata(e) => Some(e),
             SyncError::Storage(e) => Some(e),
             SyncError::Wire(e) => Some(e),
+            SyncError::Io(e) => Some(e),
             SyncError::Corrupt(_) | SyncError::NoSuchFile(_) => None,
         }
     }
@@ -71,6 +75,11 @@ impl From<metadata::MetadataError> for SyncError {
 impl From<storage::StorageError> for SyncError {
     fn from(e: storage::StorageError) -> Self {
         SyncError::Storage(e)
+    }
+}
+impl From<std::io::Error> for SyncError {
+    fn from(e: std::io::Error) -> Self {
+        SyncError::Io(e)
     }
 }
 impl From<wire::WireError> for SyncError {

@@ -19,27 +19,20 @@
 //!   per-user dedup, compression before upload, conflict copies on losing
 //!   commits.
 //! * [`protocol`] — the wire schema of metadata and notifications.
+//! * [`Deployment`] — the whole server side in one value: broker, service
+//!   pool, metadata store, chunk store and an optional TCP front end.
 //!
 //! ## Example: two devices in sync
 //!
 //! ```
-//! use objectmq::Broker;
-//! use storage::{SwiftStore, LatencyModel};
-//! use metadata::{ShardedStore, MetadataStore};
-//! use stacksync::{SyncService, DesktopClient, ClientConfig};
-//! use std::sync::Arc;
+//! use stacksync::{ClientConfig, Deployment};
 //! use std::time::Duration;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let broker = Broker::in_process();
-//! let store = SwiftStore::new(LatencyModel::instant());
-//! let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
-//! let service = SyncService::builder(&broker).store(meta.clone()).build();
-//! let _server = service.bind(&broker)?;
-//!
-//! let ws = stacksync::provision_user(meta.as_ref(), "alice", "Documents")?;
-//! let a = DesktopClient::connect(&broker, &store, ClientConfig::new("alice", "laptop"), &ws)?;
-//! let b = DesktopClient::connect(&broker, &store, ClientConfig::new("alice", "phone"), &ws)?;
+//! let cloud = Deployment::builder().build()?;
+//! let ws = cloud.provision("alice", "Documents")?;
+//! let a = cloud.connect(ClientConfig::new("alice", "laptop"), &ws)?;
+//! let b = cloud.connect(ClientConfig::new("alice", "phone"), &ws)?;
 //!
 //! a.write_file("notes.txt", b"hello from the laptop".to_vec())?;
 //! assert!(b.wait_for_content("notes.txt", b"hello from the laptop", Duration::from_secs(5)));
@@ -52,15 +45,17 @@
 
 pub mod client;
 mod conflict;
+mod deployment;
 mod error;
 pub mod protocol;
 mod service;
 
 pub use client::{ChunkingStrategy, ClientConfig, ClientStats, DesktopClient};
 pub use conflict::conflict_copy_path;
+pub use deployment::{Deployment, DeploymentBuilder, Link};
 pub use error::{SyncError, SyncResult};
 pub use protocol::{CommitNotification, NotifiedChange};
-pub use service::{SyncService, SyncServiceBuilder, SyncServiceConfig, SYNC_SERVICE_OID};
+pub use service::{SyncService, SyncServiceBuilder, SYNC_SERVICE_OID};
 
 use metadata::{MetadataStore, WorkspaceId};
 use objectmq::Oid;

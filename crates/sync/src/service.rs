@@ -18,27 +18,12 @@ use wire::Value;
 /// what makes the pool elastically scalable.
 pub const SYNC_SERVICE_OID: Oid = Oid::from_static("sync-service");
 
-/// SyncService tuning.
-#[derive(Debug, Clone)]
-pub struct SyncServiceConfig {
-    /// Extra processing time injected per commit request. Zero by default;
-    /// the elasticity experiments set it to the paper's measured mean
-    /// service time (50 ms) so a single instance saturates realistically.
-    pub service_delay: Duration,
-}
-
-impl Default for SyncServiceConfig {
-    fn default() -> Self {
-        SyncServiceConfig {
-            service_delay: Duration::ZERO,
-        }
-    }
-}
-
 struct ServiceInner {
     meta: Arc<dyn MetadataStore>,
     broker: Broker,
-    config: SyncServiceConfig,
+    /// Extra processing time per commit request (see
+    /// [`SyncServiceBuilder::service_delay`]).
+    service_delay: Duration,
     notify_proxies: Mutex<HashMap<Oid, Arc<Proxy>>>,
     commits: AtomicU64,
     conflicts: AtomicU64,
@@ -50,19 +35,19 @@ struct ServiceInner {
 
 /// Builds a [`SyncService`]: picks the metadata store (the DAO the paper
 /// says is replaceable — a [`ShardedStore`], in memory or durable, or any
-/// other [`MetadataStore`]) and the service tuning, then [`build`]s.
+/// other [`MetadataStore`]) and the commit delay, then [`build`]s.
 ///
 /// [`build`]: SyncServiceBuilder::build
 pub struct SyncServiceBuilder {
     broker: Broker,
     store: Option<Arc<dyn MetadataStore>>,
-    config: SyncServiceConfig,
+    service_delay: Duration,
 }
 
 impl std::fmt::Debug for SyncServiceBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SyncServiceBuilder")
-            .field("config", &self.config)
+            .field("service_delay", &self.service_delay)
             .field("store_set", &self.store.is_some())
             .finish()
     }
@@ -77,18 +62,12 @@ impl SyncServiceBuilder {
         self
     }
 
-    /// Injects extra processing time per commit request (elasticity
-    /// experiments set the paper's measured 50 ms mean service time).
+    /// Injects extra processing time per commit request. Zero by default;
+    /// the elasticity experiments set the paper's measured 50 ms mean
+    /// service time so a single instance saturates realistically.
     #[must_use]
     pub fn service_delay(mut self, delay: Duration) -> Self {
-        self.config.service_delay = delay;
-        self
-    }
-
-    /// Replaces the whole tuning block.
-    #[must_use]
-    pub fn config(mut self, config: SyncServiceConfig) -> Self {
-        self.config = config;
+        self.service_delay = delay;
         self
     }
 
@@ -102,7 +81,7 @@ impl SyncServiceBuilder {
             inner: Arc::new(ServiceInner {
                 meta,
                 broker: self.broker,
-                config: self.config,
+                service_delay: self.service_delay,
                 notify_proxies: Mutex::new(HashMap::new()),
                 commits: AtomicU64::new(0),
                 conflicts: AtomicU64::new(0),
@@ -157,7 +136,7 @@ impl SyncService {
         SyncServiceBuilder {
             broker: broker.clone(),
             store: None,
-            config: SyncServiceConfig::default(),
+            service_delay: Duration::ZERO,
         }
     }
 
@@ -239,8 +218,8 @@ impl SyncService {
 
     /// Algorithm 1 of the paper.
     fn commit_request(&self, args: &[Value]) -> Result<Value, String> {
-        if !self.inner.config.service_delay.is_zero() {
-            std::thread::sleep(self.inner.config.service_delay);
+        if !self.inner.service_delay.is_zero() {
+            std::thread::sleep(self.inner.service_delay);
         }
         let ws = args
             .first()

@@ -2,36 +2,16 @@
 //! in-process broker, SyncService over the metadata store, desktop clients
 //! over the chunk store.
 
-use metadata::{MetadataStore, ShardedStore};
-use objectmq::Broker;
-use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
-use std::sync::Arc;
+use metadata::MetadataStore;
+use objectmq::RemoteObject;
+use stacksync::{ClientConfig, Deployment, DesktopClient, SYNC_SERVICE_OID};
 use std::time::Duration;
-use storage::{LatencyModel, SwiftStore};
+use wire::Value;
 
 const T: Duration = Duration::from_secs(5);
 
-struct Stack {
-    broker: Broker,
-    store: SwiftStore,
-    meta: Arc<dyn MetadataStore>,
-    service: SyncService,
-    _server: objectmq::ServerHandle,
-}
-
-fn stack() -> Stack {
-    let broker = Broker::in_process();
-    let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
-    let service = SyncService::builder(&broker).store(meta.clone()).build();
-    let server = service.bind(&broker).unwrap();
-    Stack {
-        broker,
-        store,
-        meta,
-        service,
-        _server: server,
-    }
+fn stack() -> Deployment {
+    Deployment::builder().build().unwrap()
 }
 
 fn small_config(user: &str, device: &str) -> ClientConfig {
@@ -42,11 +22,9 @@ fn small_config(user: &str, device: &str) -> ClientConfig {
 #[test]
 fn two_devices_full_sync() {
     let s = stack();
-    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
-    let a =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "laptop"), &ws).unwrap();
-    let b =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "phone"), &ws).unwrap();
+    let ws = s.provision("alice", "Docs").unwrap();
+    let a = s.connect(small_config("alice", "laptop"), &ws).unwrap();
+    let b = s.connect(small_config("alice", "phone"), &ws).unwrap();
 
     let payload = vec![42u8; 10_000];
     a.write_file("report.txt", payload.clone()).unwrap();
@@ -58,11 +36,9 @@ fn two_devices_full_sync() {
 #[test]
 fn update_propagates_new_version() {
     let s = stack();
-    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
-    let a =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "laptop"), &ws).unwrap();
-    let b =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "phone"), &ws).unwrap();
+    let ws = s.provision("alice", "Docs").unwrap();
+    let a = s.connect(small_config("alice", "laptop"), &ws).unwrap();
+    let b = s.connect(small_config("alice", "phone"), &ws).unwrap();
 
     a.write_file("f.txt", b"v1".to_vec()).unwrap();
     assert!(b.wait_for_content("f.txt", b"v1", T));
@@ -74,11 +50,9 @@ fn update_propagates_new_version() {
 #[test]
 fn delete_propagates_tombstone() {
     let s = stack();
-    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
-    let a =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "laptop"), &ws).unwrap();
-    let b =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "phone"), &ws).unwrap();
+    let ws = s.provision("alice", "Docs").unwrap();
+    let a = s.connect(small_config("alice", "laptop"), &ws).unwrap();
+    let b = s.connect(small_config("alice", "phone"), &ws).unwrap();
 
     a.write_file("gone.txt", b"bye".to_vec()).unwrap();
     assert!(b.wait_for_content("gone.txt", b"bye", T));
@@ -91,11 +65,9 @@ fn delete_propagates_tombstone() {
 #[test]
 fn recreate_after_delete_continues_version_chain() {
     let s = stack();
-    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
-    let a =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "laptop"), &ws).unwrap();
-    let b =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "phone"), &ws).unwrap();
+    let ws = s.provision("alice", "Docs").unwrap();
+    let a = s.connect(small_config("alice", "laptop"), &ws).unwrap();
+    let b = s.connect(small_config("alice", "phone"), &ws).unwrap();
 
     a.write_file("phoenix.txt", b"first life".to_vec()).unwrap();
     assert!(b.wait_for_content("phoenix.txt", b"first life", T));
@@ -114,20 +86,18 @@ fn recreate_after_delete_continues_version_chain() {
 #[test]
 fn late_joiner_gets_full_state_via_get_changes() {
     let s = stack();
-    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
-    let a =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "laptop"), &ws).unwrap();
+    let ws = s.provision("alice", "Docs").unwrap();
+    let a = s.connect(small_config("alice", "laptop"), &ws).unwrap();
     a.write_file("one.txt", b"1".to_vec()).unwrap();
     a.write_file("two.txt", vec![7u8; 9000]).unwrap();
     a.write_file("doomed.txt", b"x".to_vec()).unwrap();
     // Wait until the service processed all three commits.
-    assert!(a.wait(T, || s.service.commits_processed() >= 3));
+    assert!(a.wait(T, || s.service().commits_processed() >= 3));
     a.delete_file("doomed.txt").unwrap();
-    assert!(a.wait(T, || s.service.commits_processed() >= 4));
+    assert!(a.wait(T, || s.service().commits_processed() >= 4));
 
     // A device connecting later must reconstruct exactly the live files.
-    let late =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "tablet"), &ws).unwrap();
+    let late = s.connect(small_config("alice", "tablet"), &ws).unwrap();
     assert_eq!(late.list_files(), vec!["one.txt", "two.txt"]);
     assert_eq!(late.read_file("two.txt").unwrap(), vec![7u8; 9000]);
 }
@@ -135,9 +105,8 @@ fn late_joiner_gets_full_state_via_get_changes() {
 #[test]
 fn per_user_dedup_skips_duplicate_chunks() {
     let s = stack();
-    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
-    let a =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "laptop"), &ws).unwrap();
+    let ws = s.provision("alice", "Docs").unwrap();
+    let a = s.connect(small_config("alice", "laptop"), &ws).unwrap();
 
     let chunk = vec![9u8; 4096];
     // Two files with identical content: second upload must dedup entirely.
@@ -147,8 +116,7 @@ fn per_user_dedup_skips_duplicate_chunks() {
     assert_eq!(a.stats().chunks_deduplicated(), 1);
 
     // Both files still sync correctly to another device.
-    let b =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "phone"), &ws).unwrap();
+    let b = s.connect(small_config("alice", "phone"), &ws).unwrap();
     assert!(b.wait_for_content("a.bin", &chunk, T));
     assert!(b.wait_for_content("copy-of-a.bin", &chunk, T));
 }
@@ -156,11 +124,9 @@ fn per_user_dedup_skips_duplicate_chunks() {
 #[test]
 fn multi_chunk_files_reassemble_in_order() {
     let s = stack();
-    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
-    let a =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "laptop"), &ws).unwrap();
-    let b =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "phone"), &ws).unwrap();
+    let ws = s.provision("alice", "Docs").unwrap();
+    let a = s.connect(small_config("alice", "laptop"), &ws).unwrap();
+    let b = s.connect(small_config("alice", "phone"), &ws).unwrap();
 
     // 3.5 chunks of distinct content so ordering mistakes are detectable.
     let payload: Vec<u8> = (0..14_336u32).map(|i| (i % 251) as u8).collect();
@@ -171,28 +137,23 @@ fn multi_chunk_files_reassemble_in_order() {
 #[test]
 fn conflict_creates_conflict_copy_and_converges() {
     // A conflict needs *concurrent* edits: both devices must commit before
-    // either sees the other's notification. Injecting the paper's measured
-    // 50 ms service time (Table 3) makes the race deterministic.
-    let broker = Broker::in_process();
-    let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
-    let service = SyncService::builder(&broker)
-        .store(meta.clone())
-        .service_delay(Duration::from_millis(100))
-        .build();
-    let _server = service.bind(&broker).unwrap();
-    let s = Stack {
-        broker,
-        store,
-        meta,
-        service,
-        _server,
-    };
-    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
-    let a =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "laptop"), &ws).unwrap();
-    let b =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "phone"), &ws).unwrap();
+    // either sees the other's notification. The one instance sleeps before
+    // each commit, longer than the paper's measured 50 ms service time
+    // (Table 3), which makes the race deterministic.
+    let s = Deployment::builder().instances(0).build().unwrap();
+    let service = s.service().clone();
+    let _slow = s
+        .broker()
+        .bind(SYNC_SERVICE_OID, move |method: &str, args: &[Value]| {
+            if method == "commit_request" {
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            service.dispatch(method, args)
+        })
+        .unwrap();
+    let ws = s.provision("alice", "Docs").unwrap();
+    let a = s.connect(small_config("alice", "laptop"), &ws).unwrap();
+    let b = s.connect(small_config("alice", "phone"), &ws).unwrap();
 
     // Both devices create the same path concurrently with different bytes:
     // both propose version 1 of the same item — the second one processed
@@ -218,7 +179,7 @@ fn conflict_creates_conflict_copy_and_converges() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    assert_eq!(s.service.conflicts_detected(), 1);
+    assert_eq!(s.service().conflicts_detected(), 1);
     let total_conflict_copies = a.stats().conflicts() + b.stats().conflicts();
     assert_eq!(total_conflict_copies, 1, "exactly one device lost");
     // The conflict copy path carries the losing device's name.
@@ -232,16 +193,15 @@ fn conflict_creates_conflict_copy_and_converges() {
 #[test]
 fn control_traffic_is_accounted() {
     let s = stack();
-    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
-    let a =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "laptop"), &ws).unwrap();
+    let ws = s.provision("alice", "Docs").unwrap();
+    let a = s.connect(small_config("alice", "laptop"), &ws).unwrap();
     a.write_file("f.txt", vec![1u8; 5000]).unwrap();
     assert!(a.wait(T, || a.stats().notifications() >= 1));
     assert!(a.stats().control_sent_bytes() > 0);
     assert!(a.stats().control_received_bytes() > 0);
     // Control traffic must be far smaller than the data shipped.
     assert!(a.stats().control_bytes() < 5000);
-    assert!(s.store.traffic().uploaded_bytes() > 0);
+    assert!(s.objects().traffic().uploaded_bytes() > 0);
 }
 
 #[test]
@@ -249,19 +209,17 @@ fn service_pool_scales_without_client_changes() {
     // Bind three SyncService instances to the same oid: the clients are
     // oblivious and the broker load-balances commits.
     let s = stack();
-    let extra1 = s.service.bind(&s.broker).unwrap();
-    let extra2 = s.service.bind(&s.broker).unwrap();
-    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
-    let a =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "laptop"), &ws).unwrap();
-    let b =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "phone"), &ws).unwrap();
+    let extra1 = s.service().bind(s.broker()).unwrap();
+    let extra2 = s.service().bind(s.broker()).unwrap();
+    let ws = s.provision("alice", "Docs").unwrap();
+    let a = s.connect(small_config("alice", "laptop"), &ws).unwrap();
+    let b = s.connect(small_config("alice", "phone"), &ws).unwrap();
     for i in 0..20 {
         a.write_file(&format!("file-{i}.txt"), vec![i as u8; 100])
             .unwrap();
     }
     assert!(a.wait(Duration::from_secs(10), || {
-        s.service.commits_processed() >= 20
+        s.service().commits_processed() >= 20
     }));
     // All files eventually on device b.
     assert!(b.wait(Duration::from_secs(10), || b.list_files().len() == 20));
@@ -274,31 +232,28 @@ fn instance_crash_mid_commit_is_redelivered() {
     // One healthy instance + commits while an instance dies: the queue
     // redelivers unacked commits, so nothing is lost (paper §3.4).
     let s = stack();
-    let victim = s.service.bind(&s.broker).unwrap();
-    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
-    let a =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "laptop"), &ws).unwrap();
+    let victim = s.service().bind(s.broker()).unwrap();
+    let ws = s.provision("alice", "Docs").unwrap();
+    let a = s.connect(small_config("alice", "laptop"), &ws).unwrap();
     for i in 0..10 {
         a.write_file(&format!("f{i}.txt"), vec![i as u8; 64])
             .unwrap();
     }
     victim.kill();
     assert!(
-        a.wait(Duration::from_secs(10), || s.service.commits_processed()
+        a.wait(Duration::from_secs(10), || s.service().commits_processed()
             >= 10),
         "all commits must be processed despite the crash (got {})",
-        s.service.commits_processed()
+        s.service().commits_processed()
     );
 }
 
 #[test]
 fn empty_file_syncs() {
     let s = stack();
-    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
-    let a =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "laptop"), &ws).unwrap();
-    let b =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "phone"), &ws).unwrap();
+    let ws = s.provision("alice", "Docs").unwrap();
+    let a = s.connect(small_config("alice", "laptop"), &ws).unwrap();
+    let b = s.connect(small_config("alice", "phone"), &ws).unwrap();
     a.write_file("empty.txt", vec![]).unwrap();
     assert!(b.wait_for_content("empty.txt", b"", T));
 }
@@ -306,8 +261,8 @@ fn empty_file_syncs() {
 #[test]
 fn get_workspaces_rpc_through_middleware() {
     let s = stack();
-    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
-    let proxy = s.broker.lookup(stacksync::SYNC_SERVICE_OID).unwrap();
+    let ws = s.provision("alice", "Docs").unwrap();
+    let proxy = s.broker().lookup(stacksync::SYNC_SERVICE_OID).unwrap();
     let result = proxy
         .call_sync(
             "get_workspaces",
@@ -330,25 +285,23 @@ fn cdc_chunking_strategy_syncs_and_saves_prepend_traffic() {
     // less than a fixed-chunking client when a file is modified at the
     // beginning (the boundary-shifting problem).
     let s = stack();
-    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
-    let fixed_dev = DesktopClient::connect(
-        &s.broker,
-        &s.store,
-        ClientConfig::new("alice", "fixed-dev").with_chunk_size(2048),
-        &ws,
-    )
-    .unwrap();
+    let ws = s.provision("alice", "Docs").unwrap();
+    let fixed_dev = s
+        .connect(
+            ClientConfig::new("alice", "fixed-dev").with_chunk_size(2048),
+            &ws,
+        )
+        .unwrap();
 
     // Separate user so the chunk stores do not cross-pollinate.
-    provision_user(s.meta.as_ref(), "bob", "Docs").unwrap();
-    let ws_b = s.meta.workspaces_of("bob").unwrap()[0].id.clone();
-    let cdc_dev = DesktopClient::connect(
-        &s.broker,
-        &s.store,
-        ClientConfig::new("bob", "cdc-dev").with_cdc(512, 8192, 11, 48),
-        &ws_b,
-    )
-    .unwrap();
+    s.provision("bob", "Docs").unwrap();
+    let ws_b = s.store().workspaces_of("bob").unwrap()[0].id.clone();
+    let cdc_dev = s
+        .connect(
+            ClientConfig::new("bob", "cdc-dev").with_cdc(512, 8192, 11, 48),
+            &ws_b,
+        )
+        .unwrap();
 
     // Identical pseudo-random content for both.
     let base: Vec<u8> = (0..60_000u32)
@@ -377,13 +330,12 @@ fn cdc_chunking_strategy_syncs_and_saves_prepend_traffic() {
     );
 
     // And the CDC workspace still syncs correctly to a second device.
-    let verifier = DesktopClient::connect(
-        &s.broker,
-        &s.store,
-        ClientConfig::new("bob", "verifier").with_cdc(512, 8192, 11, 48),
-        &ws_b,
-    )
-    .unwrap();
+    let verifier = s
+        .connect(
+            ClientConfig::new("bob", "verifier").with_cdc(512, 8192, 11, 48),
+            &ws_b,
+        )
+        .unwrap();
     assert_eq!(verifier.read_file("doc.bin").unwrap(), prepended);
 }
 
@@ -393,27 +345,25 @@ fn shared_workspace_across_users() {
     // storage-layer container grant (Swift ACLs). Bob's device then reads
     // Alice's chunks from *her* container and contributes its own.
     let s = stack();
-    let ws = provision_user(s.meta.as_ref(), "alice", "Shared").unwrap();
-    let alice = DesktopClient::connect(&s.broker, &s.store, small_config("alice", "a-laptop"), &ws)
-        .unwrap();
+    let ws = s.provision("alice", "Shared").unwrap();
+    let alice = s.connect(small_config("alice", "a-laptop"), &ws).unwrap();
     alice.write_file("spec.md", b"# spec v1".to_vec()).unwrap();
-    assert!(alice.wait(T, || s.service.commits_processed() >= 1));
+    assert!(alice.wait(T, || s.service().commits_processed() >= 1));
 
     // Share: metadata membership + storage grant on alice's container.
-    s.meta.create_user("bob").unwrap();
-    s.meta.share_workspace(&ws, "bob").unwrap();
-    let alice_token = s.store.authenticate("alice", "pw-alice").unwrap();
-    s.store
+    s.store().create_user("bob").unwrap();
+    s.store().share_workspace(&ws, "bob").unwrap();
+    let alice_token = s.objects().authenticate("alice", "pw-alice").unwrap();
+    s.objects()
         .grant_access(&alice_token, "alice-chunks", "bob")
         .unwrap();
 
     // Bob sees the workspace in his listing and connects to it.
-    let bobs = s.meta.workspaces_of("bob").unwrap();
+    let bobs = s.store().workspaces_of("bob").unwrap();
     assert_eq!(bobs.len(), 1);
     assert_eq!(bobs[0].id, ws);
     assert_eq!(bobs[0].members, vec!["bob".to_string()]);
-    let bob =
-        DesktopClient::connect(&s.broker, &s.store, small_config("bob", "b-laptop"), &ws).unwrap();
+    let bob = s.connect(small_config("bob", "b-laptop"), &ws).unwrap();
     assert_eq!(bob.read_file("spec.md").unwrap(), b"# spec v1");
 
     // Bob contributes; Alice receives.
@@ -433,18 +383,17 @@ fn unshared_user_cannot_read_foreign_chunks() {
     // storage layer (the metadata leak is a separate policy; chunk bytes
     // stay protected).
     let s = stack();
-    let ws = provision_user(s.meta.as_ref(), "alice", "Private").unwrap();
-    let alice =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "a-dev"), &ws).unwrap();
+    let ws = s.provision("alice", "Private").unwrap();
+    let alice = s.connect(small_config("alice", "a-dev"), &ws).unwrap();
     alice
         .write_file("secret.txt", b"classified".to_vec())
         .unwrap();
-    assert!(alice.wait(T, || s.service.commits_processed() >= 1));
+    assert!(alice.wait(T, || s.service().commits_processed() >= 1));
 
-    s.meta.create_user("eve").unwrap();
+    s.store().create_user("eve").unwrap();
     // Eve knows the workspace id but has no storage grant: connect must
     // fail while materializing alice's chunks.
-    let result = DesktopClient::connect(&s.broker, &s.store, small_config("eve", "e-dev"), &ws);
+    let result = s.connect(small_config("eve", "e-dev"), &ws);
     assert!(result.is_err(), "chunk access without a grant must fail");
 }
 
@@ -452,33 +401,31 @@ fn unshared_user_cannot_read_foreign_chunks() {
 fn startup_flow_lists_workspaces_then_connects() {
     // The paper's client startup: getWorkspaces → pick one → getChanges.
     let s = stack();
-    provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
-    let second = s.meta.create_workspace("alice", "Photos").unwrap();
+    s.provision("alice", "Docs").unwrap();
+    let second = s.store().create_workspace("alice", "Photos").unwrap();
     let cfg = small_config("alice", "laptop");
-    let mut workspaces = DesktopClient::workspaces(&s.broker, &cfg).unwrap();
+    let mut workspaces = DesktopClient::workspaces(s.broker(), &cfg).unwrap();
     workspaces.sort_by(|a, b| a.name.cmp(&b.name));
     assert_eq!(workspaces.len(), 2);
     assert_eq!(workspaces[0].name, "Docs");
     assert_eq!(workspaces[1].name, "Photos");
     assert_eq!(workspaces[1].id, second);
 
-    let client = DesktopClient::connect(&s.broker, &s.store, cfg, &workspaces[1].id).unwrap();
+    let client = s.connect(cfg, &workspaces[1].id).unwrap();
     client.write_file("cat.jpg", vec![1, 2, 3]).unwrap();
-    assert!(client.wait(T, || s.service.commits_processed() >= 1));
+    assert!(client.wait(T, || s.service().commits_processed() >= 1));
 
     // Unknown users get a remote error, not a panic.
     let ghost_cfg = small_config("ghost", "x");
-    assert!(DesktopClient::workspaces(&s.broker, &ghost_cfg).is_err());
+    assert!(DesktopClient::workspaces(s.broker(), &ghost_cfg).is_err());
 }
 
 #[test]
 fn rename_costs_metadata_only_and_propagates() {
     let s = stack();
-    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
-    let a =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "laptop"), &ws).unwrap();
-    let b =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "phone"), &ws).unwrap();
+    let ws = s.provision("alice", "Docs").unwrap();
+    let a = s.connect(small_config("alice", "laptop"), &ws).unwrap();
+    let b = s.connect(small_config("alice", "phone"), &ws).unwrap();
 
     let payload = vec![5u8; 9000];
     a.write_file("old-name.bin", payload.clone()).unwrap();
@@ -508,18 +455,16 @@ fn rename_costs_metadata_only_and_propagates() {
 #[test]
 fn renaming_a_file_onto_itself_changes_nothing_anywhere() {
     let s = stack();
-    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
-    let a =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "laptop"), &ws).unwrap();
-    let b =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "phone"), &ws).unwrap();
+    let ws = s.provision("alice", "Docs").unwrap();
+    let a = s.connect(small_config("alice", "laptop"), &ws).unwrap();
+    let b = s.connect(small_config("alice", "phone"), &ws).unwrap();
     let payload = noise(9_000, 3);
     a.write_file("same.bin", payload.clone()).unwrap();
     assert!(b.wait_for_content("same.bin", &payload, T));
-    assert!(a.wait(T, || s.service.commits_processed() == 1));
-    let token = s.store.authenticate("alice", "pw-alice").unwrap();
+    assert!(a.wait(T, || s.service().commits_processed() == 1));
+    let token = s.objects().authenticate("alice", "pw-alice").unwrap();
     let chunks = || {
-        s.store
+        s.objects()
             .dedup_stats(&token, "alice", "alice-chunks")
             .unwrap()
     };
@@ -532,7 +477,7 @@ fn renaming_a_file_onto_itself_changes_nothing_anywhere() {
     a.write_file("marker.txt", b"after".to_vec()).unwrap();
     assert!(b.wait_for_content("marker.txt", b"after", T));
     assert_eq!(
-        s.service.commits_processed(),
+        s.service().commits_processed(),
         2,
         "the marker's, and no other"
     );
@@ -565,14 +510,14 @@ fn cdc_pipeline_full_sync_roundtrip() {
     // chunking: content must round-trip bit-exactly, and chunk verification
     // must pass on download.
     let s = stack();
-    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
+    let ws = s.provision("alice", "Docs").unwrap();
     let cfg = |device: &str| {
         ClientConfig::new("alice", device)
             .with_cdc(1024, 8192, 11, 48)
             .with_ingest_workers(2)
     };
-    let a = DesktopClient::connect(&s.broker, &s.store, cfg("laptop"), &ws).unwrap();
-    let b = DesktopClient::connect(&s.broker, &s.store, cfg("phone"), &ws).unwrap();
+    let a = s.connect(cfg("laptop"), &ws).unwrap();
+    let b = s.connect(cfg("phone"), &ws).unwrap();
 
     // Structured + noisy payload spanning many CDC chunks.
     let mut payload = Vec::with_capacity(60_000);
@@ -599,9 +544,8 @@ fn cdc_pipeline_full_sync_roundtrip() {
 #[test]
 fn delete_releases_chunks_for_gc() {
     let s = stack();
-    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
-    let a =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "laptop"), &ws).unwrap();
+    let ws = s.provision("alice", "Docs").unwrap();
+    let a = s.connect(small_config("alice", "laptop"), &ws).unwrap();
 
     // "unique" has exclusive chunks; "shared"'s chunk is also held by
     // "keeper" under a different path.
@@ -611,25 +555,24 @@ fn delete_releases_chunks_for_gc() {
     let mut unique_payload = vec![4u8; 4096];
     unique_payload.extend_from_slice(&[5u8; 4096]); // two distinct chunks
     a.write_file("unique.bin", unique_payload).unwrap();
-    let token = s.store.authenticate("alice", "pw-alice").unwrap();
+    let token = s.objects().authenticate("alice", "pw-alice").unwrap();
     let container = "alice-chunks";
-    let live_before = s.store.dedup_stats(&token, "alice", container).unwrap();
+    let live_before = s.objects().dedup_stats(&token, "alice", container).unwrap();
     assert_eq!(live_before.live_chunks, 3); // 1 shared + 2 unique
     assert_eq!(live_before.orphan_chunks, 0);
 
     a.delete_file("unique.bin").unwrap();
     a.delete_file("shared.bin").unwrap();
-    let stats = s.store.dedup_stats(&token, "alice", container).unwrap();
+    let stats = s.objects().dedup_stats(&token, "alice", container).unwrap();
     // unique.bin's two chunks orphaned; the shared chunk survives via
     // keeper.bin.
     assert_eq!(stats.orphan_chunks, 2);
     assert_eq!(stats.live_chunks, 1);
 
-    let gc = s.store.gc_chunks(&token, "alice", container).unwrap();
+    let gc = s.objects().gc_chunks(&token, "alice", container).unwrap();
     assert_eq!(gc.collected, 2);
     // keeper.bin still materializes for a fresh device after the sweep.
-    let late =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "tablet"), &ws).unwrap();
+    let late = s.connect(small_config("alice", "tablet"), &ws).unwrap();
     assert_eq!(late.read_file("keeper.bin").unwrap(), shared_payload);
 }
 
@@ -663,10 +606,10 @@ fn append_only_update_moves_only_the_new_chunks() {
     ];
     for (chunker, configure) in cases {
         let s = stack();
-        let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
+        let ws = s.provision("alice", "Docs").unwrap();
         let cfg = |device: &str| configure(ClientConfig::new("alice", device));
-        let a = DesktopClient::connect(&s.broker, &s.store, cfg("laptop"), &ws).unwrap();
-        let b = DesktopClient::connect(&s.broker, &s.store, cfg("phone"), &ws).unwrap();
+        let a = s.connect(cfg("laptop"), &ws).unwrap();
+        let b = s.connect(cfg("phone"), &ws).unwrap();
         let ids = |data: &[u8]| -> Vec<content::ChunkId> {
             chunker
                 .chunk(data)
@@ -731,10 +674,10 @@ fn an_append_update_fingerprints_only_the_chunks_that_changed() {
     ];
     for (chunker, configure) in cases {
         let s = stack();
-        let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
+        let ws = s.provision("alice", "Docs").unwrap();
         let cfg = |device: &str| configure(ClientConfig::new("alice", device));
-        let a = DesktopClient::connect(&s.broker, &s.store, cfg("laptop"), &ws).unwrap();
-        let b = DesktopClient::connect(&s.broker, &s.store, cfg("phone"), &ws).unwrap();
+        let a = s.connect(cfg("laptop"), &ws).unwrap();
+        let b = s.connect(cfg("phone"), &ws).unwrap();
         let name = chunker.name();
 
         let v1 = noise(40_000, 5);
@@ -786,12 +729,10 @@ fn update_racing_delete_and_gc_leaves_every_commit_fetchable() {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     let s = stack();
-    let ws = provision_user(s.meta.as_ref(), "alice", "Docs").unwrap();
-    let a =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "laptop"), &ws).unwrap();
-    let b =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "phone"), &ws).unwrap();
-    let token = s.store.authenticate("alice", "pw-alice").unwrap();
+    let ws = s.provision("alice", "Docs").unwrap();
+    let a = s.connect(small_config("alice", "laptop"), &ws).unwrap();
+    let b = s.connect(small_config("alice", "phone"), &ws).unwrap();
+    let token = s.objects().authenticate("alice", "pw-alice").unwrap();
     let container = "alice-chunks";
 
     struct StopOnDrop<'a>(&'a AtomicBool);
@@ -806,7 +747,7 @@ fn update_racing_delete_and_gc_leaves_every_commit_fetchable() {
         let _stop = StopOnDrop(&stop);
         sc.spawn(|| {
             while !stop.load(Ordering::Relaxed) {
-                s.store.gc_chunks(&token, "alice", container).unwrap();
+                s.objects().gc_chunks(&token, "alice", container).unwrap();
                 std::thread::yield_now();
             }
         });
@@ -827,33 +768,27 @@ fn update_racing_delete_and_gc_leaves_every_commit_fetchable() {
     // The phone converges on the last version, and a device that was not
     // there for any of it can fetch every chunk the store's head names.
     assert!(b.wait_for_content("laptop.bin", &last, T));
-    let late =
-        DesktopClient::connect(&s.broker, &s.store, small_config("alice", "tablet"), &ws).unwrap();
+    let late = s.connect(small_config("alice", "tablet"), &ws).unwrap();
     assert_eq!(late.read_file("laptop.bin").unwrap(), last);
     assert_eq!(late.list_files(), vec!["laptop.bin"]);
     // Exactly the last version's chunks outlive a final sweep.
-    s.store.gc_chunks(&token, "alice", container).unwrap();
-    let stats = s.store.dedup_stats(&token, "alice", container).unwrap();
+    s.objects().gc_chunks(&token, "alice", container).unwrap();
+    let stats = s.objects().dedup_stats(&token, "alice", container).unwrap();
     assert_eq!((stats.live_chunks, stats.orphan_chunks), (4, 0));
-    assert_eq!(s.store.list(&token, container).unwrap().len(), 4);
+    assert_eq!(s.objects().list(&token, container).unwrap().len(), 4);
 }
 
 #[test]
 fn a_commit_made_while_a_device_joins_reaches_it() {
-    use objectmq::RemoteObject;
-    use stacksync::SYNC_SERVICE_OID;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::OnceLock;
-    use wire::Value;
+    use std::sync::{Arc, OnceLock};
 
     // The service, bound by hand so that one `get_changes` can be stopped
     // where the lost update used to happen: the snapshot is taken, the
     // reply is not yet on its way, and device A commits in between.
-    let broker = Broker::in_process();
-    let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
-    let service = SyncService::builder(&broker).store(meta.clone()).build();
-    let ws = provision_user(meta.as_ref(), "alice", "Docs").unwrap();
+    let s = Deployment::builder().instances(0).build().unwrap();
+    let service = s.service();
+    let ws = s.provision("alice", "Docs").unwrap();
     let writer: Arc<OnceLock<DesktopClient>> = Arc::new(OnceLock::new());
     let armed = Arc::new(AtomicBool::new(false));
     let update = vec![0xB2; 3000];
@@ -876,11 +811,11 @@ fn a_commit_made_while_a_device_joins_reaches_it() {
                 }
                 reply
             };
-            broker.bind(SYNC_SERVICE_OID, object).unwrap()
+            s.broker().bind(SYNC_SERVICE_OID, object).unwrap()
         })
         .collect();
 
-    let a = DesktopClient::connect(&broker, &store, small_config("alice", "laptop"), &ws).unwrap();
+    let a = s.connect(small_config("alice", "laptop"), &ws).unwrap();
     for i in 0..300 {
         a.write_file(&format!("n{i:03}.txt"), noise(2048, i))
             .unwrap();
@@ -890,7 +825,7 @@ fn a_commit_made_while_a_device_joins_reaches_it() {
     let a = writer.get().unwrap();
 
     armed.store(true, Ordering::SeqCst);
-    let b = DesktopClient::connect(&broker, &store, small_config("alice", "phone"), &ws).unwrap();
+    let b = s.connect(small_config("alice", "phone"), &ws).unwrap();
     assert!(!armed.load(Ordering::SeqCst), "the join was intercepted");
     assert_eq!(a.file_version("n100.txt"), Some(2));
     assert!(

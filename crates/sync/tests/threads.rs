@@ -3,12 +3,8 @@
 //! thread of the process, and a neighbouring test's would be counted too.
 #![cfg(target_os = "linux")]
 
-use metadata::{MetadataStore, ShardedStore};
-use objectmq::Broker;
-use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
-use std::sync::Arc;
+use stacksync::{ClientConfig, Deployment, DesktopClient};
 use std::time::Duration;
-use storage::{LatencyModel, SwiftStore};
 
 fn process_threads() -> usize {
     std::fs::read_to_string("/proc/self/status")
@@ -20,17 +16,13 @@ fn process_threads() -> usize {
 
 #[test]
 fn sixty_four_clients_share_one_pool() {
-    let broker = Broker::in_process();
-    let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
-    let service = SyncService::builder(&broker).store(meta.clone()).build();
-    let _server = service.bind(&broker).unwrap();
-    let ws = provision_user(meta.as_ref(), "alice", "Docs").unwrap();
+    let cloud = Deployment::builder().build().unwrap();
+    let ws = cloud.provision("alice", "Docs").unwrap();
     let connect = |device: &str, workers: usize| {
         let config = ClientConfig::new("alice", device)
             .with_chunk_size(4096)
             .with_ingest_workers(workers);
-        DesktopClient::connect(&broker, &store, config, &ws).unwrap()
+        cloud.connect(config, &ws).unwrap()
     };
     // Eight chunks: every device that joins later fetches them through
     // the pool, so the pool is running by the time threads are counted.

@@ -38,15 +38,6 @@ impl ChangePattern {
         }
     }
 
-    /// Whether the pattern includes a beginning change (the one that
-    /// triggers the boundary-shifting problem for fixed chunking).
-    pub fn touches_beginning(&self) -> bool {
-        matches!(
-            self,
-            ChangePattern::B | ChangePattern::BE | ChangePattern::BM
-        )
-    }
-
     /// Applies the pattern to `data`, mutating roughly `edit_size` bytes
     /// per touched location. Prepends/appends insert fresh bytes; middle
     /// changes overwrite in place.
@@ -156,20 +147,11 @@ mod tests {
             ChangePattern::EM,
         ] {
             let out = p.apply(&[], 10, &mut rng);
-            // Must not panic; prepend/append still grow the file.
-            if p.touches_beginning() || matches!(p, ChangePattern::E | ChangePattern::EM) {
+            // Must not panic; prepend/append (every pattern but M) still
+            // grow the file.
+            if !matches!(p, ChangePattern::M) {
                 assert!(!out.is_empty());
             }
         }
-    }
-
-    #[test]
-    fn touches_beginning_classification() {
-        assert!(ChangePattern::B.touches_beginning());
-        assert!(ChangePattern::BE.touches_beginning());
-        assert!(ChangePattern::BM.touches_beginning());
-        assert!(!ChangePattern::E.touches_beginning());
-        assert!(!ChangePattern::M.touches_beginning());
-        assert!(!ChangePattern::EM.touches_beginning());
     }
 }

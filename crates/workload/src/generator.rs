@@ -258,19 +258,6 @@ impl Trace {
             })
             .collect()
     }
-
-    /// Splits into three single-action traces (the Fig. 7(c)/(d) variant:
-    /// "we grouped all the actions of the same type").
-    pub fn split_by_action(&self) -> (Trace, Trace, Trace) {
-        let filter = |pred: fn(&TraceOp) -> bool| Trace {
-            ops: self.ops.iter().filter(|op| pred(op)).cloned().collect(),
-        };
-        (
-            filter(|op| matches!(op, TraceOp::Add { .. })),
-            filter(|op| matches!(op, TraceOp::Update { .. })),
-            filter(|op| matches!(op, TraceOp::Remove { .. })),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -365,25 +352,6 @@ mod tests {
                 _ => {}
             }
         }
-    }
-
-    #[test]
-    fn split_by_action_partitions() {
-        let trace = Trace::generate(&GeneratorConfig::test_scale());
-        let (adds, updates, removes) = trace.split_by_action();
-        assert_eq!(
-            adds.ops.len() + updates.ops.len() + removes.ops.len(),
-            trace.ops.len()
-        );
-        assert!(adds.ops.iter().all(|o| matches!(o, TraceOp::Add { .. })));
-        assert!(updates
-            .ops
-            .iter()
-            .all(|o| matches!(o, TraceOp::Update { .. })));
-        assert!(removes
-            .ops
-            .iter()
-            .all(|o| matches!(o, TraceOp::Remove { .. })));
     }
 
     #[test]

@@ -97,14 +97,6 @@ impl MarkovModel {
         // Floating point slack: fall back to the last state with mass.
         STATES[3]
     }
-
-    /// Stationary expectation sanity check: expected steps before deletion
-    /// starting from Unmodified (used to validate calibration).
-    pub fn expected_lifetime_from_unmodified(&self) -> f64 {
-        // For this matrix class the delete hazard from U dominates; a
-        // simple geometric approximation suffices for calibration checks.
-        1.0 / self.prob(FileState::Unmodified, FileState::Deleted)
-    }
 }
 
 impl Default for MarkovModel {
@@ -166,7 +158,9 @@ mod tests {
     #[test]
     fn lifetime_estimate_is_sane() {
         let m = MarkovModel::homes();
-        let life = m.expected_lifetime_from_unmodified();
+        // Steps before deletion from Unmodified: for this matrix class the
+        // delete hazard from U dominates, so a geometric estimate will do.
+        let life = 1.0 / m.prob(FileState::Unmodified, FileState::Deleted);
         assert!((100.0..300.0).contains(&life), "lifetime {life}");
     }
 }

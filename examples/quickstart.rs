@@ -5,12 +5,9 @@
 //! cargo run -p stacksync-examples --bin quickstart
 //! ```
 
-use metadata::{MetadataStore, ShardedStore};
 use objectmq::{Broker, RemoteObject};
-use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
-use std::sync::Arc;
+use stacksync::{ClientConfig, Deployment};
 use std::time::Duration;
-use storage::{LatencyModel, SwiftStore};
 use wire::Value;
 
 /// The paper's HelloWorld remote object (Fig. 2).
@@ -48,26 +45,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     hello.call_async("hello_world", vec![Value::from("nobody listens")])?;
 
     // --- Part 2: a minimal personal cloud. ------------------------------
-    // Metadata tier (PostgreSQL stand-in), storage tier (Swift stand-in),
-    // and the SyncService bound on the same messaging layer.
-    let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
-    let service = SyncService::builder(&broker).store(meta.clone()).build();
-    let _sync_server = service.bind(&broker)?;
-
-    let workspace = provision_user(meta.as_ref(), "alice", "Documents")?;
-    let laptop = DesktopClient::connect(
-        &broker,
-        &store,
-        ClientConfig::new("alice", "laptop"),
-        &workspace,
-    )?;
-    let phone = DesktopClient::connect(
-        &broker,
-        &store,
-        ClientConfig::new("alice", "phone"),
-        &workspace,
-    )?;
+    // One deployment: the messaging layer, the metadata tier (PostgreSQL
+    // stand-in), the storage tier (Swift stand-in) and a SyncService bound
+    // on the messaging layer.
+    let cloud = Deployment::builder().build()?;
+    let workspace = cloud.provision("alice", "Documents")?;
+    let laptop = cloud.connect(ClientConfig::new("alice", "laptop"), &workspace)?;
+    let phone = cloud.connect(ClientConfig::new("alice", "phone"), &workspace)?;
 
     laptop.write_file("notes.txt", b"bought milk; fixed the middleware".to_vec())?;
     let synced = phone.wait_for_content(

@@ -6,32 +6,35 @@
 //! cargo run -p stacksync-examples --bin shared_workspace
 //! ```
 
-use metadata::{MetadataStore, ShardedStore};
-use objectmq::Broker;
-use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
-use std::sync::Arc;
+use objectmq::RemoteObject;
+use stacksync::{ClientConfig, Deployment, SYNC_SERVICE_OID};
 use std::time::Duration;
-use storage::{LatencyModel, SwiftStore};
+use wire::Value;
 
 const WAIT: Duration = Duration::from_secs(10);
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let broker = Broker::in_process();
-    let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
-    // Inject the paper's measured 50 ms commit service time so concurrent
-    // edits genuinely race (and conflict) like on a real deployment.
-    let service = SyncService::builder(&broker)
-        .store(meta.clone())
-        .service_delay(Duration::from_millis(50))
-        .build();
-    let _server = service.bind(&broker)?;
+    // The one SyncService instance takes the paper's measured 50 ms per
+    // commit, so concurrent edits genuinely race (and conflict) like on a
+    // real deployment. Any object bound to the service's oid is a pool
+    // instance; this one delays, then delegates.
+    let cloud = Deployment::builder().instances(0).build()?;
+    let service = cloud.service().clone();
+    let _instance =
+        cloud
+            .broker()
+            .bind(SYNC_SERVICE_OID, move |method: &str, args: &[Value]| {
+                if method == "commit_request" {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                service.dispatch(method, args)
+            })?;
 
-    let ws = provision_user(meta.as_ref(), "team", "Project")?;
+    let ws = cloud.provision("team", "Project")?;
     let cfg = |device: &str| ClientConfig::new("team", device).with_chunk_size(64 * 1024);
-    let laptop = DesktopClient::connect(&broker, &store, cfg("laptop"), &ws)?;
-    let desktop = DesktopClient::connect(&broker, &store, cfg("desktop"), &ws)?;
-    let tablet = DesktopClient::connect(&broker, &store, cfg("tablet"), &ws)?;
+    let laptop = cloud.connect(cfg("laptop"), &ws)?;
+    let desktop = cloud.connect(cfg("desktop"), &ws)?;
+    let tablet = cloud.connect(cfg("tablet"), &ws)?;
 
     // 1. Plain propagation.
     println!("1) laptop adds design.md …");
@@ -81,8 +84,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "\ntotals: service processed {} commits, {} conflicts detected",
-        service.commits_processed(),
-        service.conflicts_detected()
+        cloud.service().commits_processed(),
+        cloud.service().conflicts_detected()
     );
     println!(
         "laptop control traffic: {} B sent / {} B received",

@@ -6,14 +6,10 @@
 //! the snapshot sequence number advances, and the trace of the wire commit
 //! is serveable.
 
-use metadata::{ItemMetadata, MetadataStore, ShardedStore};
-use mqsim::MessageBroker;
-use net::{BrokerServer, NetBroker};
-use objectmq::{Broker, BrokerConfig};
-use stacksync::{SyncService, SYNC_SERVICE_OID};
+use metadata::ItemMetadata;
+use stacksync::{Deployment, SYNC_SERVICE_OID};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::Duration;
 use wire::Value;
 
@@ -35,23 +31,16 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
 
 #[test]
 fn admin_endpoints_serve_a_live_tcp_stack() {
-    let mq = MessageBroker::new();
-    let server = BrokerServer::bind("127.0.0.1:0", mq.clone()).expect("bind server");
-    let broker = Broker::new(mq, BrokerConfig::default());
-    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
-    meta.create_user("alice").unwrap();
-    let ws = meta.create_workspace("alice", "Docs").unwrap();
-    let service = SyncService::builder(&broker).store(meta.clone()).build();
-    let _handle = service.bind(&broker).unwrap();
+    let cloud = Deployment::builder().tcp().build().unwrap();
+    let ws = cloud.provision("alice", "Docs").unwrap();
 
     let admin = obs::serve_admin("127.0.0.1:0").expect("bind admin");
     let addr = admin.local_addr();
 
     // One commit over the actual TCP transport so the admin plane has a
     // cross-process-shaped trace and live counters to serve.
-    let net = NetBroker::connect(server.local_addr()).expect("dial server");
-    let remote = Broker::over(Arc::new(net), BrokerConfig::default());
-    let proxy = remote.lookup(SYNC_SERVICE_OID).unwrap();
+    let link = cloud.dial().expect("dial server");
+    let proxy = link.broker().lookup(SYNC_SERVICE_OID).unwrap();
     let item = ItemMetadata::new_file(1, &ws, "a.txt", vec![], 16, "dev");
     proxy
         .call_sync(
@@ -122,5 +111,5 @@ fn admin_endpoints_serve_a_live_tcp_stack() {
     let (status, _) = http_get(addr, "/nope");
     assert!(status.contains("404"), "unknown path: {status}");
 
-    server.shutdown();
+    cloud.shutdown();
 }

@@ -5,12 +5,8 @@
 //! the live measurements.
 
 use baselines::{run_trace, FileSet, StackSyncModel};
-use metadata::{MetadataStore, ShardedStore};
-use objectmq::Broker;
-use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
-use std::sync::Arc;
+use stacksync::{ClientConfig, Deployment};
 use std::time::Duration;
-use storage::{LatencyModel, SwiftStore};
 use workload::{GeneratorConfig, Trace, TraceOp};
 
 const CHUNK: usize = 16 * 1024;
@@ -26,27 +22,21 @@ fn test_trace() -> Trace {
 #[test]
 fn trace_replay_converges_to_reference_fileset() {
     let trace = test_trace();
-    let broker = Broker::in_process();
-    let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
-    let service = SyncService::builder(&broker).store(meta.clone()).build();
-    let _server = service.bind(&broker).unwrap();
-    let ws = provision_user(meta.as_ref(), "replay", "ws").unwrap();
+    let cloud = Deployment::builder().build().unwrap();
+    let ws = cloud.provision("replay", "ws").unwrap();
 
-    let writer = DesktopClient::connect(
-        &broker,
-        &store,
-        ClientConfig::new("replay", "writer").with_chunk_size(CHUNK),
-        &ws,
-    )
-    .unwrap();
-    let observer = DesktopClient::connect(
-        &broker,
-        &store,
-        ClientConfig::new("replay", "observer").with_chunk_size(CHUNK),
-        &ws,
-    )
-    .unwrap();
+    let writer = cloud
+        .connect(
+            ClientConfig::new("replay", "writer").with_chunk_size(CHUNK),
+            &ws,
+        )
+        .unwrap();
+    let observer = cloud
+        .connect(
+            ClientConfig::new("replay", "observer").with_chunk_size(CHUNK),
+            &ws,
+        )
+        .unwrap();
 
     // Execute the trace while maintaining the reference state.
     let mut reference = FileSet::new();
@@ -63,10 +53,10 @@ fn trace_replay_converges_to_reference_fileset() {
     }
     assert!(
         writer.wait(Duration::from_secs(60), || {
-            service.commits_processed() >= executed
+            cloud.service().commits_processed() >= executed
         }),
         "service must process all {executed} commits, got {}",
-        service.commits_processed()
+        cloud.service().commits_processed()
     );
 
     // The observer must converge to exactly the reference live set.
@@ -110,19 +100,14 @@ fn live_traffic_agrees_with_protocol_model() {
     let report = run_trace(&mut model, &trace, 1);
 
     // Live measurement.
-    let broker = Broker::in_process();
-    let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
-    let service = SyncService::builder(&broker).store(meta.clone()).build();
-    let _server = service.bind(&broker).unwrap();
-    let ws = provision_user(meta.as_ref(), "model", "ws").unwrap();
-    let client = DesktopClient::connect(
-        &broker,
-        &store,
-        ClientConfig::new("model", "dev").with_chunk_size(CHUNK),
-        &ws,
-    )
-    .unwrap();
+    let cloud = Deployment::builder().build().unwrap();
+    let ws = cloud.provision("model", "ws").unwrap();
+    let client = cloud
+        .connect(
+            ClientConfig::new("model", "dev").with_chunk_size(CHUNK),
+            &ws,
+        )
+        .unwrap();
 
     let mut reference = FileSet::new();
     let mut executed = 0;
@@ -137,10 +122,10 @@ fn live_traffic_agrees_with_protocol_model() {
         executed += 1;
     }
     assert!(client.wait(Duration::from_secs(60), || {
-        service.commits_processed() >= executed
+        cloud.service().commits_processed() >= executed
     }));
 
-    let live_storage = store.traffic().uploaded_bytes();
+    let live_storage = cloud.objects().traffic().uploaded_bytes();
     let model_storage = report.storage_total();
     let ratio = live_storage as f64 / model_storage as f64;
     assert!(

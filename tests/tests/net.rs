@@ -12,69 +12,38 @@
 //! two fit together.
 
 use integration_tests::wait_until;
-use metadata::{MetadataStore, ShardedStore};
+use metadata::{MetadataStore, WorkspaceId};
 use mqsim::{Message, MessageBroker, Messaging as _, QueueOptions};
 use net::{BrokerServer, FaultProxy, NetBroker, NetConfig};
-use objectmq::{Broker, BrokerConfig};
-use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
-use std::sync::Arc;
+use stacksync::{ClientConfig, Deployment, DesktopClient, Link};
 use std::time::{Duration, Instant};
-use storage::{LatencyModel, SwiftStore};
 
 const WAIT: Duration = Duration::from_secs(15);
 
-struct TcpStack {
-    server: BrokerServer,
-    meta: Arc<dyn MetadataStore>,
-    store: SwiftStore,
-    _service_handle: objectmq::ServerHandle,
-}
-
-impl TcpStack {
-    /// Broker server + SyncService on the server side; clients must dial in.
-    fn start() -> TcpStack {
-        let mq = MessageBroker::new();
-        let server = BrokerServer::bind("127.0.0.1:0", mq.clone()).expect("bind server");
-        let broker = Broker::new(mq, BrokerConfig::default());
-        let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
-        let service = SyncService::builder(&broker).store(meta.clone()).build();
-        let service_handle = service.bind(&broker).expect("bind service");
-        TcpStack {
-            server,
-            meta,
-            store: SwiftStore::new(LatencyModel::instant()),
-            _service_handle: service_handle,
-        }
-    }
-
-    /// Dials the broker server and connects a desktop client through it.
-    fn connect_client(
-        &self,
-        user: &str,
-        device: &str,
-        ws: &metadata::WorkspaceId,
-    ) -> DesktopClient {
-        let mq = NetBroker::connect_with(
-            self.server.local_addr(),
-            NetConfig {
-                // Tight heartbeat so reconnects happen well inside WAIT.
-                heartbeat: Duration::from_millis(200),
-                ..NetConfig::default()
-            },
-        )
-        .expect("dial broker server");
-        let broker = Broker::over(Arc::new(mq), BrokerConfig::default());
-        DesktopClient::connect(&broker, &self.store, ClientConfig::new(user, device), ws)
-            .expect("connect client")
-    }
+/// Dials the deployment's front end and connects a desktop client through
+/// it.
+fn connect_client(cloud: &Deployment, user: &str, device: &str, ws: &WorkspaceId) -> DesktopClient {
+    let addr = cloud.server().expect("a TCP front end").local_addr();
+    let net = NetBroker::connect_with(
+        addr,
+        NetConfig {
+            // Tight heartbeat so reconnects happen well inside WAIT.
+            heartbeat: Duration::from_millis(200),
+            ..NetConfig::default()
+        },
+    )
+    .expect("dial broker server");
+    Link::over(net)
+        .connect(cloud.objects(), ClientConfig::new(user, device), ws)
+        .expect("connect client")
 }
 
 #[test]
 fn two_clients_sync_over_tcp_loopback() {
-    let stack = TcpStack::start();
-    let ws = provision_user(stack.meta.as_ref(), "alice", "ws").unwrap();
-    let writer = stack.connect_client("alice", "writer", &ws);
-    let reader = stack.connect_client("alice", "reader", &ws);
+    let stack = Deployment::builder().tcp().build().unwrap();
+    let ws = stack.provision("alice", "ws").unwrap();
+    let writer = connect_client(&stack, "alice", "writer", &ws);
+    let reader = connect_client(&stack, "alice", "reader", &ws);
 
     writer.write_file("a.txt", b"created".to_vec()).unwrap();
     writer.write_file("b.txt", b"v1".to_vec()).unwrap();
@@ -98,10 +67,10 @@ fn two_clients_sync_over_tcp_loopback() {
 
 #[test]
 fn sync_rides_through_a_server_socket_kill() {
-    let stack = TcpStack::start();
-    let ws = provision_user(stack.meta.as_ref(), "bob", "ws").unwrap();
-    let writer = stack.connect_client("bob", "writer", &ws);
-    let reader = stack.connect_client("bob", "reader", &ws);
+    let stack = Deployment::builder().tcp().build().unwrap();
+    let ws = stack.provision("bob", "ws").unwrap();
+    let writer = connect_client(&stack, "bob", "writer", &ws);
+    let reader = connect_client(&stack, "bob", "reader", &ws);
     let reconnects = obs::counter("net.client.reconnects");
 
     // Phase 1: baseline traffic, fully confirmed on the reader.
@@ -122,7 +91,7 @@ fn sync_rides_through_a_server_socket_kill() {
     // client's transparent retry, and the reader's notification listener
     // must resubscribe on its new connection.
     let reconnects_before = reconnects.value();
-    stack.server.disconnect_all();
+    stack.server().unwrap().disconnect_all();
     for i in 0..3 {
         writer
             .write_file(&format!("post{i}.dat"), vec![0x40 + i as u8; 4096])
@@ -141,7 +110,7 @@ fn sync_rides_through_a_server_socket_kill() {
 
     // Every file (pre- and post-partition) is in the server metadata: no
     // acked commit was lost.
-    let committed = stack.meta.current_items(&ws).unwrap();
+    let committed = stack.store().current_items(&ws).unwrap();
     let mut paths: Vec<&str> = committed
         .iter()
         .filter(|i| !i.is_deleted)

@@ -5,11 +5,9 @@
 //! (`omq.call_sync → proxy.publish / queue.wait → skeleton.dispatch →
 //! handler.exec / reply.publish`, plus `reply.wait` back on the caller).
 
-use metadata::{ItemMetadata, MetadataStore, ShardedStore};
-use objectmq::Broker;
-use stacksync::{SyncService, SYNC_SERVICE_OID};
+use metadata::ItemMetadata;
+use stacksync::{Deployment, SYNC_SERVICE_OID};
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Duration;
 use wire::Value;
 
@@ -19,13 +17,9 @@ fn item_value(item: &ItemMetadata) -> Value {
 
 #[test]
 fn call_sync_produces_counters_histograms_and_a_complete_trace() {
-    let broker = Broker::in_process();
-    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
-    meta.create_user("alice").unwrap();
-    let ws = meta.create_workspace("alice", "Docs").unwrap();
-    let service = SyncService::builder(&broker).store(meta.clone()).build();
-    let _handle = service.bind(&broker).unwrap();
-    let proxy = broker.lookup(SYNC_SERVICE_OID).unwrap();
+    let cloud = Deployment::builder().build().unwrap();
+    let ws = cloud.provision("alice", "Docs").unwrap();
+    let proxy = cloud.broker().lookup(SYNC_SERVICE_OID).unwrap();
 
     // Several commits so the queue-wait histogram has a real distribution.
     for version in 1..=5u64 {
@@ -39,7 +33,7 @@ fn call_sync_produces_counters_histograms_and_a_complete_trace() {
             .call_sync("commit_request", args, Duration::from_secs(5), 0)
             .unwrap();
     }
-    assert_eq!(service.commits_processed(), 5);
+    assert_eq!(cloud.service().commits_processed(), 5);
 
     // (a) Broker counters moved: every request and every reply is published
     // to some queue and acked after consumption.

@@ -4,9 +4,8 @@
 //! property a downstream user needs.
 
 use metadata::{MetadataStore, ShardedStore, WorkspaceId};
-use objectmq::Broker;
-use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
-use std::path::PathBuf;
+use stacksync::{ClientConfig, Deployment, DesktopClient};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 use storage::{DiskBackend, LatencyModel, SwiftStore};
@@ -17,11 +16,19 @@ fn temp_dir(tag: &str) -> PathBuf {
     d
 }
 
-fn open_meta(root: &PathBuf) -> (Arc<ShardedStore>, metadata::DurableRecovery) {
-    let (store, recovery) =
-        ShardedStore::open_durable(root, 4, Duration::ZERO, wal::LogConfig::named("e2e-meta"))
-            .unwrap();
-    (Arc::new(store), recovery)
+/// One life of the server side: a durable deployment over `meta_root`,
+/// and a chunk store over `chunk_root` that outlives it.
+fn deploy(meta_root: &Path, chunk_root: &Path) -> (Deployment, SwiftStore) {
+    let cloud = Deployment::builder()
+        .durable(meta_root)
+        .shards(4)
+        .build()
+        .unwrap();
+    let backend = Arc::new(DiskBackend::open(chunk_root).unwrap());
+    (
+        cloud,
+        SwiftStore::with_backend(LatencyModel::instant(), backend),
+    )
 }
 
 #[test]
@@ -33,15 +40,11 @@ fn server_side_restart_preserves_the_cloud() {
 
     // ---- First life of the deployment. -------------------------------
     {
-        let broker = Broker::in_process();
-        let backend = Arc::new(DiskBackend::open(&chunk_root).unwrap());
-        let store = SwiftStore::with_backend(LatencyModel::instant(), backend);
-        let (meta, _) = open_meta(&meta_root);
-        let service = SyncService::builder(&broker).store(meta.clone()).build();
-        let _server = service.bind(&broker).unwrap();
-        ws = provision_user(meta.as_ref(), "alice", "Docs").unwrap();
+        let (cloud, store) = deploy(&meta_root, &chunk_root);
+        let service = cloud.service();
+        ws = cloud.provision("alice", "Docs").unwrap();
         let client = DesktopClient::connect(
-            &broker,
+            cloud.broker(),
             &store,
             ClientConfig::new("alice", "laptop").with_chunk_size(4096),
             &ws,
@@ -56,20 +59,18 @@ fn server_side_restart_preserves_the_cloud() {
         assert!(client.wait(Duration::from_secs(10), || {
             service.commits_processed() >= 3
         }));
-        // Checkpoint the metadata tier; chunks are already on disk.
-        meta.checkpoint().unwrap();
+        // Checkpoint the metadata tier; chunks are already on disk. The
+        // checkpoint truncates the logs below it, so the second life can
+        // only see this state through the snapshot.
+        cloud.store().checkpoint().unwrap();
         // Everything is dropped here: broker, service, clients — a crash.
     }
 
     // ---- Second life: fresh process state, same disk. ------------------
     {
-        let broker = Broker::in_process();
-        let backend = Arc::new(DiskBackend::open(&chunk_root).unwrap());
-        let store = SwiftStore::with_backend(LatencyModel::instant(), backend);
-        let (meta, recovery) = open_meta(&meta_root);
-        assert!(recovery.snapshot_loaded);
-        let service = SyncService::builder(&broker).store(meta.clone()).build();
-        let _server = service.bind(&broker).unwrap();
+        assert!(meta_root.join("snapshot.bin").exists());
+        let (cloud, store) = deploy(&meta_root, &chunk_root);
+        let service = cloud.service();
 
         // The account/container are front-end state; re-register like a
         // restarted gateway would.
@@ -79,7 +80,7 @@ fn server_side_restart_preserves_the_cloud() {
         // A brand-new device joins and must reconstruct the workspace
         // purely from persisted chunks + restored metadata.
         let device = DesktopClient::connect(
-            &broker,
+            cloud.broker(),
             &store,
             ClientConfig::new("alice", "phone").with_chunk_size(4096),
             &ws,
@@ -96,7 +97,10 @@ fn server_side_restart_preserves_the_cloud() {
         assert!(device.wait(Duration::from_secs(10), || {
             service.commits_processed() >= 1
         }));
-        assert_eq!(meta.get_current_version_of("keep.bin", &ws), Some(2));
+        assert_eq!(
+            cloud.store().get_current_version_of("keep.bin", &ws),
+            Some(2)
+        );
     }
 
     std::fs::remove_dir_all(&chunk_root).ok();
