@@ -12,8 +12,9 @@
 
 use obs::traceview::{
     assemble, chrome_trace_json, commit_critical_path, mean_critical_path, parse_dump,
-    render_critical_path,
+    render_critical_path, Trace,
 };
+use std::io::{self, Write};
 
 fn main() {
     let mut out: Option<String> = None;
@@ -76,29 +77,57 @@ fn main() {
     }
 
     let traces = assemble(&dumps);
-    println!(
-        "assembled {} trace(s) from {} process dump(s)",
-        traces.len(),
-        dumps.len()
-    );
+    let mut stdout = io::stdout().lock();
+    let mut printed = print_report(&mut stdout, &traces, dumps.len());
+    if let Some(out) = out {
+        if let Err(e) = std::fs::write(&out, chrome_trace_json(&traces)) {
+            fail(&format!("cannot write {out}: {e}"));
+        }
+        printed = printed.and_then(|()| {
+            writeln!(
+                stdout,
+                "Chrome trace written to {out} (load in chrome://tracing)"
+            )
+        });
+    }
+    std::process::exit(exit_code(printed));
+}
 
+/// Prints how many traces were assembled and the mean commit critical
+/// path.
+fn print_report(out: &mut impl Write, traces: &[Trace], dumps: usize) -> io::Result<()> {
+    writeln!(
+        out,
+        "assembled {} trace(s) from {dumps} process dump(s)",
+        traces.len()
+    )?;
     let paths: Vec<_> = traces.iter().filter_map(commit_critical_path).collect();
     match mean_critical_path(&paths) {
         Some(mean) => {
-            println!(
+            writeln!(
+                out,
                 "\ncommit critical path (mean over {} commit trace(s)):\n",
                 paths.len()
-            );
-            println!("{}", render_critical_path(&mean));
+            )?;
+            writeln!(out, "{}", render_critical_path(&mean))
         }
-        None => println!("no commit traces found (nothing rooted at omq.call_sync/commit_request)"),
+        None => writeln!(
+            out,
+            "no commit traces found (nothing rooted at omq.call_sync/commit_request)"
+        ),
     }
+}
 
-    if let Some(out) = out {
-        let json = chrome_trace_json(&traces);
-        match std::fs::write(&out, json) {
-            Ok(()) => println!("Chrome trace written to {out} (load in chrome://tracing)"),
-            Err(e) => fail(&format!("cannot write {out}: {e}")),
+/// The exit status after printing: 0 when everything was printed, and
+/// also when the reader closed the pipe early (`traceview dump | head`),
+/// which is not a failure of this program; 1 on any other write error.
+fn exit_code(printed: io::Result<()>) -> i32 {
+    match printed {
+        Ok(()) => 0,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => 0,
+        Err(e) => {
+            eprintln!("error: cannot print the report: {e}");
+            1
         }
     }
 }
@@ -114,4 +143,56 @@ fn usage(msg: &str) -> ! {
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Standard output whose reader went away after `room` bytes.
+    struct ClosedPipe {
+        room: usize,
+        kind: io::ErrorKind,
+    }
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.room == 0 {
+                return Err(io::Error::from(self.kind));
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_pipe_ends_the_report_quietly() {
+        for room in [0, 10] {
+            let mut pipe = ClosedPipe {
+                room,
+                kind: io::ErrorKind::BrokenPipe,
+            };
+            let printed = print_report(&mut pipe, &[], 1);
+            assert_eq!(
+                printed.as_ref().map_err(io::Error::kind),
+                Err(io::ErrorKind::BrokenPipe)
+            );
+            assert_eq!(exit_code(printed), 0);
+        }
+        let mut full = ClosedPipe {
+            room: 0,
+            kind: io::ErrorKind::StorageFull,
+        };
+        assert_eq!(exit_code(print_report(&mut full, &[], 1)), 1);
+        let mut open = ClosedPipe {
+            room: usize::MAX,
+            kind: io::ErrorKind::BrokenPipe,
+        };
+        assert_eq!(exit_code(print_report(&mut open, &[], 1)), 0);
+    }
 }

@@ -13,9 +13,9 @@
 //! **One format.** Every file holds `wal` frames
 //! (`[len u32][seq u64][crc u64][payload]`) whose payloads are binary
 //! ([`wire::BinaryCodec`]) maps `{"lsn", "op", ...}` of four kinds: `user`,
-//! `ws`, `share`, `commit`. They are written through [`wire::Writer`] and
-//! read through [`wire::Reader`], never as a `Value` tree
-//! ([`crate::record`]). The snapshot is a compacted log in that format: frame
+//! `ws`, `share`, `commit`. They are written through
+//! [`wire::BinaryWriter`] and read through [`wire::BinaryReader`], never as
+//! a `Value` tree ([`crate::record`]). The snapshot is a compacted log in that format: frame
 //! 0 is a header `{"format": "stacksync-metadata-v2", "records": N}`, frames
 //! 1..=N are the `user` records, then the `ws` records, then one `share` per
 //! member, then one `commit` per item chain carrying every version, oldest
@@ -82,7 +82,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use wire::{BufPool, Value, Writer};
+use wire::{BinaryWriter, BufPool, Value};
 
 const SNAPSHOT_FILE: &str = "snapshot.bin";
 /// What `write_atomic` writes before renaming; one left by a crash is junk.
@@ -144,13 +144,13 @@ fn invalid(e: impl std::fmt::Display) -> std::io::Error {
 /// holding the directory lock; [`wait`] on the ticket after releasing it.
 pub(crate) fn append_dir(
     store: &ShardedStore,
-    write: impl FnOnce(&mut Writer<'_>, u64),
+    write: impl FnOnce(&mut BinaryWriter<'_>, u64),
 ) -> MetadataResult<Option<wal::Ticket>> {
     let Some(plane) = &store.wal else {
         return Ok(None);
     };
     BufPool::with(|buf| {
-        write(&mut Writer::new(buf), plane.next_lsn());
+        write(&mut BinaryWriter::new(buf), plane.next_lsn());
         plane.dir_log.append(buf)
     })
     .map(Some)
@@ -158,7 +158,7 @@ pub(crate) fn append_dir(
 }
 
 /// Directory record writers, paired with [`append_dir`].
-pub(crate) fn dir_user(user: &str) -> impl FnOnce(&mut Writer<'_>, u64) + '_ {
+pub(crate) fn dir_user(user: &str) -> impl FnOnce(&mut BinaryWriter<'_>, u64) + '_ {
     move |w, lsn| write_user(w, lsn, user)
 }
 
@@ -166,14 +166,14 @@ pub(crate) fn dir_workspace<'a>(
     id: &'a WorkspaceId,
     owner: &'a str,
     name: &'a str,
-) -> impl FnOnce(&mut Writer<'_>, u64) + 'a {
+) -> impl FnOnce(&mut BinaryWriter<'_>, u64) + 'a {
     move |w, lsn| write_ws(w, lsn, &id.0, owner, name)
 }
 
 pub(crate) fn dir_share<'a>(
     ws: &'a WorkspaceId,
     user: &'a str,
-) -> impl FnOnce(&mut Writer<'_>, u64) + 'a {
+) -> impl FnOnce(&mut BinaryWriter<'_>, u64) + 'a {
     move |w, lsn| write_share(w, lsn, &ws.0, user)
 }
 
@@ -200,7 +200,7 @@ pub(crate) fn append_commit(
         return Ok(None);
     }
     BufPool::with(|buf| {
-        let mut w = Writer::new(buf);
+        let mut w = BinaryWriter::new(buf);
         write_commit(&mut w, plane.next_lsn(), workspace, count);
         for (proposed, version) in stored() {
             write_item(&mut w, proposed, workspace, version);
@@ -231,9 +231,9 @@ fn write_snapshot(out: &mut impl Write, parts: &StoreParts) -> std::io::Result<(
     let mut payload = Vec::new();
     let mut frame = Vec::new();
     // Frames one record, numbered by its position in the file.
-    let mut put = |record: &dyn Fn(&mut Writer<'_>, u64)| -> std::io::Result<()> {
+    let mut put = |record: &dyn Fn(&mut BinaryWriter<'_>, u64)| -> std::io::Result<()> {
         payload.clear();
-        record(&mut Writer::new(&mut payload), seq);
+        record(&mut BinaryWriter::new(&mut payload), seq);
         if payload.len() > wal::MAX_RECORD_LEN {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -742,7 +742,7 @@ mod tests {
             let dir = root.join(format!("shard-{}", route_workspace(&ws.0, 2)));
             let (log, _) = wal::Log::open(&dir, cfg.clone()).map_err(wal_io)?;
             let mut record = Vec::new();
-            let mut w = Writer::new(&mut record);
+            let mut w = BinaryWriter::new(&mut record);
             write_commit(&mut w, 100, &ws, logged.len());
             for item in logged {
                 write_item(&mut w, item, &ws, item.version);
@@ -836,7 +836,7 @@ mod tests {
         assert!(parse_snapshot_header(&header("stacksync-metadata-v1")).is_err());
         // A record is not a header.
         let mut user = Vec::new();
-        write_user(&mut Writer::new(&mut user), 0, "u");
+        write_user(&mut BinaryWriter::new(&mut user), 0, "u");
         assert!(parse_snapshot_header(&user).is_err());
     }
 }

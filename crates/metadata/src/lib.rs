@@ -50,6 +50,7 @@ mod store;
 pub use durable::DurableRecovery;
 pub use error::{MetadataError, MetadataResult};
 pub use model::{CommitOutcome, CommitResult, ItemMetadata, Workspace, WorkspaceId};
+pub use record::{item_from_reader, items_from_reader, write_item};
 pub use shard::ShardedStore;
 pub use snapshot::{item_from_value, item_into_value};
 pub use store::MetadataStore;

@@ -1,7 +1,10 @@
 //! The records of the durable metadata plane ([`crate::durable`] gives
-//! their layout), written through [`wire::Writer`] and read through
-//! [`wire::Reader`]: no record becomes a [`wire::Value`] tree on its way to
-//! or from the disk.
+//! their layout), written through [`wire::BinaryWriter`] and read through
+//! [`wire::BinaryReader`]: no record becomes a [`wire::Value`] tree on its
+//! way to or from the disk. The item codec, [`write_item`] and
+//! [`item_from_reader`], is written once for every [`wire::TokenWriter`]
+//! and [`wire::TokenReader`]: the sync protocol's `get_changes` reply goes
+//! through it in either transport codec.
 //!
 //! A record is read in one pass, and reads as `BinaryCodec::decode` followed
 //! by field lookups on the tree would: keys come in any order, the first
@@ -12,7 +15,8 @@
 
 use crate::model::{ItemMetadata, WorkspaceId};
 use content::ChunkId;
-use wire::{Reader, Token, WireError, WireResult, Writer};
+use std::borrow::Cow;
+use wire::{BinaryReader, BinaryWriter, Token, TokenReader, TokenWriter, WireError, WireResult};
 
 pub(crate) const SNAPSHOT_FORMAT: &str = "stacksync-metadata-v2";
 
@@ -39,14 +43,14 @@ pub(crate) enum Op {
 // Writing
 // ---------------------------------------------------------------------------
 
-pub(crate) fn write_user(w: &mut Writer<'_>, lsn: u64, user: &str) {
+pub(crate) fn write_user(w: &mut BinaryWriter<'_>, lsn: u64, user: &str) {
     w.map(3);
     write_head(w, lsn, "user");
     w.key("user");
     w.str(user);
 }
 
-pub(crate) fn write_ws(w: &mut Writer<'_>, lsn: u64, id: &str, owner: &str, name: &str) {
+pub(crate) fn write_ws(w: &mut BinaryWriter<'_>, lsn: u64, id: &str, owner: &str, name: &str) {
     w.map(5);
     write_head(w, lsn, "ws");
     w.key("id");
@@ -57,7 +61,7 @@ pub(crate) fn write_ws(w: &mut Writer<'_>, lsn: u64, id: &str, owner: &str, name
     w.str(name);
 }
 
-pub(crate) fn write_share(w: &mut Writer<'_>, lsn: u64, ws: &str, user: &str) {
+pub(crate) fn write_share(w: &mut BinaryWriter<'_>, lsn: u64, ws: &str, user: &str) {
     w.map(4);
     write_head(w, lsn, "share");
     w.key("ws");
@@ -68,7 +72,7 @@ pub(crate) fn write_share(w: &mut Writer<'_>, lsn: u64, ws: &str, user: &str) {
 
 /// Starts a commit record of `items` items; write each with [`write_item`]
 /// next.
-pub(crate) fn write_commit(w: &mut Writer<'_>, lsn: u64, ws: &WorkspaceId, items: usize) {
+pub(crate) fn write_commit(w: &mut BinaryWriter<'_>, lsn: u64, ws: &WorkspaceId, items: usize) {
     w.map(4);
     write_head(w, lsn, "commit");
     w.key("ws");
@@ -77,15 +81,21 @@ pub(crate) fn write_commit(w: &mut Writer<'_>, lsn: u64, ws: &WorkspaceId, items
     w.list(items);
 }
 
-fn write_head(w: &mut Writer<'_>, lsn: u64, op: &str) {
+fn write_head(w: &mut BinaryWriter<'_>, lsn: u64, op: &str) {
     w.key("lsn");
     w.u64(lsn);
     w.key("op");
     w.str(op);
 }
 
-/// Writes `item` as it is stored: in workspace `ws`, at `version`.
-pub(crate) fn write_item(w: &mut Writer<'_>, item: &ItemMetadata, ws: &WorkspaceId, version: u64) {
+/// Writes `item` as it is stored: in workspace `ws`, at `version`. This is
+/// [`crate::item_into_value`]'s tree, written without building it.
+pub fn write_item(
+    w: &mut (impl TokenWriter + ?Sized),
+    item: &ItemMetadata,
+    ws: &WorkspaceId,
+    version: u64,
+) {
     w.map(8);
     w.key("item");
     w.u64(item.item_id);
@@ -108,7 +118,7 @@ pub(crate) fn write_item(w: &mut Writer<'_>, item: &ItemMetadata, ws: &Workspace
     w.str(&item.modified_by);
 }
 
-pub(crate) fn write_snapshot_header(w: &mut Writer<'_>, records: u64) {
+pub(crate) fn write_snapshot_header(w: &mut BinaryWriter<'_>, records: u64) {
     w.map(2);
     w.key("format");
     w.str(SNAPSHOT_FORMAT);
@@ -120,51 +130,17 @@ pub(crate) fn write_snapshot_header(w: &mut Writer<'_>, records: u64) {
 // Reading
 // ---------------------------------------------------------------------------
 
-fn mismatch(expected: &'static str, found: Token<'_>) -> WireError {
-    WireError::TypeMismatch {
-        expected,
-        found: found.kind(),
-    }
-}
-
 fn missing(key: &str) -> WireError {
     WireError::MissingField(key.to_string())
-}
-
-fn as_u64(t: Token<'_>) -> WireResult<u64> {
-    match t {
-        Token::U64(v) => Ok(v),
-        Token::I64(v) if v >= 0 => Ok(v as u64),
-        other => Err(mismatch("u64", other)),
-    }
-}
-
-fn as_str(t: Token<'_>) -> WireResult<&str> {
-    match t {
-        Token::Str(s) => Ok(s),
-        other => Err(mismatch("str", other)),
-    }
-}
-
-fn as_bool(t: Token<'_>) -> WireResult<bool> {
-    match t {
-        Token::Bool(v) => Ok(v),
-        other => Err(mismatch("bool", other)),
-    }
-}
-
-/// The entry count of the map that must come next.
-fn map_len(r: &mut Reader<'_>, depth: usize) -> WireResult<usize> {
-    match r.next(depth)? {
-        Token::Map(len) => Ok(len),
-        other => Err(mismatch("map", other)),
-    }
 }
 
 /// A string field the record's op may not use: taken as the first
 /// occurrence's head, checked only when the op turns out to use it.
 fn text(field: Option<Token<'_>>, key: &str) -> WireResult<String> {
-    as_str(field.ok_or_else(|| missing(key))?).map(str::to_string)
+    field
+        .ok_or_else(|| missing(key))?
+        .into_str()
+        .map(Cow::into_owned)
 }
 
 /// Reads one record of the WAL or the snapshot.
@@ -175,21 +151,21 @@ pub(crate) fn parse_record(bytes: &[u8]) -> WireResult<(u64, Op)> {
         Read(Vec<ItemMetadata>),
         At(std::ops::Range<usize>),
     }
-    let mut r = Reader::new(bytes);
+    let mut r = BinaryReader::new(bytes);
     let (mut lsn, mut op) = (None, None);
     let (mut user, mut id, mut owner, mut name, mut ws) = (None, None, None, None, None);
     let mut items = None;
-    for _ in 0..map_len(&mut r, 0)? {
-        match r.key()? {
-            "lsn" if lsn.is_none() => lsn = Some(as_u64(r.skip(1)?)?),
-            "op" if op.is_none() => op = Some(as_str(r.skip(1)?)?),
+    for _ in 0..r.next(0)?.map_len()? {
+        match &*r.key()? {
+            "lsn" if lsn.is_none() => lsn = Some(r.skip(1)?.as_u64()?),
+            "op" if op.is_none() => op = Some(r.skip(1)?.into_str()?),
             "user" if user.is_none() => user = Some(r.skip(1)?),
             "id" if id.is_none() => id = Some(r.skip(1)?),
             "owner" if owner.is_none() => owner = Some(r.skip(1)?),
             "name" if name.is_none() => name = Some(r.skip(1)?),
             "ws" if ws.is_none() => ws = Some(r.skip(1)?),
-            "items" if items.is_none() && op == Some("commit") => {
-                items = Some(Items::Read(read_items(&mut r)?));
+            "items" if items.is_none() && op.as_deref() == Some("commit") => {
+                items = Some(Items::Read(items_from_reader(&mut r, 1)?));
             }
             "items" if items.is_none() => {
                 let start = r.position();
@@ -203,7 +179,7 @@ pub(crate) fn parse_record(bytes: &[u8]) -> WireResult<(u64, Op)> {
     }
     r.finish()?;
     let lsn = lsn.ok_or_else(|| missing("lsn"))?;
-    let op = match op.ok_or_else(|| missing("op"))? {
+    let op = match &*op.ok_or_else(|| missing("op"))? {
         "user" => Op::User(text(user, "user")?),
         "ws" => Op::Ws {
             id: text(id, "id")?,
@@ -218,7 +194,7 @@ pub(crate) fn parse_record(bytes: &[u8]) -> WireResult<(u64, Op)> {
             ws: WorkspaceId(text(ws, "ws")?),
             items: match items.ok_or_else(|| missing("items"))? {
                 Items::Read(items) => items,
-                Items::At(range) => read_items(&mut Reader::new(&bytes[range]))?,
+                Items::At(range) => items_from_reader(&mut BinaryReader::new(&bytes[range]), 1)?,
             },
         },
         other => {
@@ -230,38 +206,54 @@ pub(crate) fn parse_record(bytes: &[u8]) -> WireResult<(u64, Op)> {
     Ok((lsn, op))
 }
 
-/// A commit record's `items`: a list of items, inside the record's map.
-fn read_items(r: &mut Reader<'_>) -> WireResult<Vec<ItemMetadata>> {
-    let len = match r.next(1)? {
-        Token::List(len) => len,
-        other => return Err(mismatch("list", other)),
-    };
+/// Reads a list of items, which `depth` lists and maps enclose: a commit
+/// record's `items`, or the `get_changes` reply that
+/// [`crate::MetadataStore::write_current_items`] writes.
+///
+/// # Errors
+///
+/// As [`item_from_reader`], or a [`WireError::TypeMismatch`] when no list
+/// comes next.
+pub fn items_from_reader<'a>(
+    r: &mut (impl TokenReader<'a> + ?Sized),
+    depth: usize,
+) -> WireResult<Vec<ItemMetadata>> {
+    let len = r.next(depth)?.list_len()?;
     // Sized up front: replay holds every parsed record at once, and a
     // `collect` through `Result` would give each a capacity of four.
     let mut items = Vec::with_capacity(len);
     for _ in 0..len {
-        items.push(item_from_reader(r, 2)?);
+        items.push(item_from_reader(r, depth + 1)?);
     }
     Ok(items)
 }
 
-/// Reads one item's metadata, a map that `depth` lists and maps enclose.
+/// Reads one item's metadata, a map that `depth` lists and maps enclose:
+/// what [`write_item`] writes, as [`crate::item_from_value`] reads its tree.
 /// Each of its eight keys must be there; keys it does not know are checked
 /// and skipped.
-pub(crate) fn item_from_reader(r: &mut Reader<'_>, depth: usize) -> WireResult<ItemMetadata> {
+///
+/// # Errors
+///
+/// The reader's error, or a [`WireError`] naming a missing or mistyped
+/// field.
+pub fn item_from_reader<'a>(
+    r: &mut (impl TokenReader<'a> + ?Sized),
+    depth: usize,
+) -> WireResult<ItemMetadata> {
     let inner = depth + 1;
     let (mut item_id, mut ws, mut path, mut version) = (None, None, None, None);
     let (mut chunks, mut size, mut deleted, mut device) = (None, None, None, None);
-    for _ in 0..map_len(r, depth)? {
-        match r.key()? {
-            "item" if item_id.is_none() => item_id = Some(as_u64(r.skip(inner)?)?),
-            "ws" if ws.is_none() => ws = Some(as_str(r.skip(inner)?)?),
-            "path" if path.is_none() => path = Some(as_str(r.skip(inner)?)?),
-            "version" if version.is_none() => version = Some(as_u64(r.skip(inner)?)?),
+    for _ in 0..r.next(depth)?.map_len()? {
+        match &*r.key()? {
+            "item" if item_id.is_none() => item_id = Some(r.skip(inner)?.as_u64()?),
+            "ws" if ws.is_none() => ws = Some(r.skip(inner)?.into_str()?),
+            "path" if path.is_none() => path = Some(r.skip(inner)?.into_str()?),
+            "version" if version.is_none() => version = Some(r.skip(inner)?.as_u64()?),
             "chunks" if chunks.is_none() => chunks = Some(read_chunks(r, inner)?),
-            "size" if size.is_none() => size = Some(as_u64(r.skip(inner)?)?),
-            "deleted" if deleted.is_none() => deleted = Some(as_bool(r.skip(inner)?)?),
-            "device" if device.is_none() => device = Some(as_str(r.skip(inner)?)?),
+            "size" if size.is_none() => size = Some(r.skip(inner)?.as_u64()?),
+            "deleted" if deleted.is_none() => deleted = Some(r.skip(inner)?.as_bool()?),
+            "device" if device.is_none() => device = Some(r.skip(inner)?.into_str()?),
             _ => {
                 r.skip(inner)?;
             }
@@ -269,28 +261,26 @@ pub(crate) fn item_from_reader(r: &mut Reader<'_>, depth: usize) -> WireResult<I
     }
     Ok(ItemMetadata {
         item_id: item_id.ok_or_else(|| missing("item"))?,
-        workspace: WorkspaceId(ws.ok_or_else(|| missing("ws"))?.to_string()),
-        path: path.ok_or_else(|| missing("path"))?.to_string(),
+        workspace: WorkspaceId(ws.ok_or_else(|| missing("ws"))?.into_owned()),
+        path: path.ok_or_else(|| missing("path"))?.into_owned(),
         version: version.ok_or_else(|| missing("version"))?,
         chunks: chunks.ok_or_else(|| missing("chunks"))?,
         size: size.ok_or_else(|| missing("size"))?,
         is_deleted: deleted.ok_or_else(|| missing("deleted"))?,
-        modified_by: device.ok_or_else(|| missing("device"))?.to_string(),
+        modified_by: device.ok_or_else(|| missing("device"))?.into_owned(),
     })
 }
 
-fn read_chunks(r: &mut Reader<'_>, depth: usize) -> WireResult<Vec<ChunkId>> {
-    let len = match r.next(depth)? {
-        Token::List(len) => len,
-        other => return Err(mismatch("list", other)),
-    };
+fn read_chunks<'a>(
+    r: &mut (impl TokenReader<'a> + ?Sized),
+    depth: usize,
+) -> WireResult<Vec<ChunkId>> {
+    let len = r.next(depth)?.list_len()?;
     let mut chunks = Vec::with_capacity(len);
     for _ in 0..len {
-        let raw = match r.next(depth + 1)? {
-            Token::Bytes(raw) => raw,
-            other => return Err(mismatch("bytes", other)),
-        };
+        let raw = r.next(depth + 1)?.into_bytes()?;
         let id: [u8; 20] = raw
+            .as_ref()
             .try_into()
             .map_err(|_| WireError::Invalid("chunk id must be 20 bytes".into()))?;
         chunks.push(ChunkId::from_bytes(id));
@@ -300,19 +290,19 @@ fn read_chunks(r: &mut Reader<'_>, depth: usize) -> WireResult<Vec<ChunkId>> {
 
 /// The record count a snapshot's header frame announces.
 pub(crate) fn parse_snapshot_header(bytes: &[u8]) -> WireResult<u64> {
-    let mut r = Reader::new(bytes);
+    let mut r = BinaryReader::new(bytes);
     let (mut format, mut records) = (None, None);
-    for _ in 0..map_len(&mut r, 0)? {
-        match r.key()? {
-            "format" if format.is_none() => format = Some(as_str(r.skip(1)?)?),
-            "records" if records.is_none() => records = Some(as_u64(r.skip(1)?)?),
+    for _ in 0..r.next(0)?.map_len()? {
+        match &*r.key()? {
+            "format" if format.is_none() => format = Some(r.skip(1)?.into_str()?),
+            "records" if records.is_none() => records = Some(r.skip(1)?.as_u64()?),
             _ => {
                 r.skip(1)?;
             }
         }
     }
     r.finish()?;
-    match format.ok_or_else(|| missing("format"))? {
+    match &*format.ok_or_else(|| missing("format"))? {
         SNAPSHOT_FORMAT => records.ok_or_else(|| missing("records")),
         format => Err(WireError::Invalid(format!(
             "unsupported metadata snapshot format `{format}`"
@@ -671,6 +661,75 @@ mod tests {
         assert_eq!((lsn, items.len(), items[0].path.as_str()), (9, 1, "p"));
     }
 
+    /// JSON text of `items` as the `get_changes` reply carries them, with
+    /// up to four edits: a byte flipped, a piece of JSON syntax put in, a
+    /// range taken out, or the end cut off.
+    fn damaged_json_items(rng: &mut TestRng, items: &[ItemMetadata]) -> Vec<u8> {
+        const PIECES: [&str; 12] = [
+            ",",
+            "]",
+            "}",
+            "[",
+            "{",
+            "\"",
+            "\\",
+            ":",
+            "{\"$bytes\":\"",
+            "null",
+            "-1",
+            "\\u",
+        ];
+        let mut text = Vec::new();
+        let mut w = wire::JsonWriter::new(&mut text);
+        w.list(items.len());
+        for item in items {
+            write_item(&mut w, item, &item.workspace, item.version);
+        }
+        for _ in 0..rng.below(5) {
+            let at = rng.below(text.len() + 1);
+            match rng.below(4) {
+                0 if at < text.len() => text[at] ^= 1 << rng.below(8),
+                1 => {
+                    let piece = PIECES[rng.below(PIECES.len())].as_bytes();
+                    text.splice(at..at, piece.iter().copied());
+                }
+                2 => {
+                    let end = (at + rng.below(6)).min(text.len());
+                    text.drain(at..end);
+                }
+                _ => text.truncate(at),
+            }
+        }
+        text
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Corrupted JSON never panics the reader or `items_from_reader`,
+        /// and they agree with the tree they replace: decode, then
+        /// `item_from_value` item by item.
+        #[test]
+        fn prop_corrupted_json_items_are_an_error_or_the_tree_reading(seed in any::<u64>()) {
+            let mut rng = TestRng::new(seed);
+            let items: Vec<ItemMetadata> = (0..rng.below(4)).map(|_| item(&mut rng)).collect();
+            let text = damaged_json_items(&mut rng, &items);
+            let streamed = wire::JsonReader::new(&text).and_then(|mut r| {
+                let items = items_from_reader(&mut r, 0)?;
+                r.finish()?;
+                Ok(items)
+            });
+            let tree = wire::JsonCodec.decode(&text).and_then(|v| {
+                v.into_list()?.into_iter().map(item_from_value).collect::<WireResult<Vec<_>>>()
+            });
+            match (&streamed, &tree) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+                (Err(_), Err(_)) => {}
+                _ => prop_assert!(false, "reader {:?}, tree {:?} on {:?}", streamed, tree, String::from_utf8_lossy(&text)),
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -678,9 +737,9 @@ mod tests {
         fn prop_writer_records_are_the_tree_encodings(seed in any::<u64>()) {
             let mut rng = TestRng::new(seed);
             let (lsn, a, b, c) = (number(&mut rng), word(&mut rng), word(&mut rng), word(&mut rng));
-            let written = |write: &dyn Fn(&mut Writer<'_>)| {
+            let written = |write: &dyn Fn(&mut BinaryWriter<'_>)| {
                 let mut out = vec![0xee];
-                write(&mut Writer::new(&mut out));
+                write(&mut BinaryWriter::new(&mut out));
                 out.split_off(1)
             };
             prop_assert_eq!(

@@ -31,6 +31,7 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use wire::TokenWriter;
 
 /// The partition index a workspace id routes to, as a free function so the
 /// durable-recovery path can route before any [`ShardedStore`] exists.
@@ -382,6 +383,26 @@ impl MetadataStore for ShardedStore {
             .lock()
             .current_of(workspace)
             .ok_or_else(|| MetadataError::UnknownWorkspace(workspace.0.clone()))
+    }
+
+    fn write_current_items(
+        &self,
+        workspace: &WorkspaceId,
+        w: &mut dyn TokenWriter,
+    ) -> MetadataResult<()> {
+        // The items are written under the shard lock, where `current_items`
+        // clones them; on a 3 012-item workspace the write holds it no
+        // longer than the clone did (DESIGN.md §16).
+        if self
+            .shard(workspace)
+            .tables
+            .lock()
+            .write_current(workspace, w)
+        {
+            Ok(())
+        } else {
+            Err(MetadataError::UnknownWorkspace(workspace.0.clone()))
+        }
     }
 
     fn get_current(&self, item_id: u64) -> MetadataResult<ItemMetadata> {

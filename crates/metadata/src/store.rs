@@ -3,6 +3,7 @@
 use crate::error::{MetadataError, MetadataResult};
 use crate::model::{CommitOutcome, CommitResult, ItemMetadata, Workspace, WorkspaceId};
 use std::collections::{BTreeSet, HashMap};
+use wire::TokenWriter;
 
 /// The Data Access Object the SyncService talks through (paper §4.2.1:
 /// "The SyncService interacts with the Metadata back-end using an
@@ -75,6 +76,19 @@ pub trait MetadataStore: Send + Sync {
     ///
     /// [`MetadataError::UnknownWorkspace`].
     fn current_items(&self, workspace: &WorkspaceId) -> MetadataResult<Vec<ItemMetadata>>;
+
+    /// Writes what [`MetadataStore::current_items`] returns into `w`, as
+    /// one list of [`crate::write_item`] maps, without copying an item;
+    /// [`crate::items_from_reader`] reads it back.
+    ///
+    /// # Errors
+    ///
+    /// [`MetadataError::UnknownWorkspace`], with nothing written.
+    fn write_current_items(
+        &self,
+        workspace: &WorkspaceId,
+        w: &mut dyn TokenWriter,
+    ) -> MetadataResult<()>;
 
     /// Latest version of one item.
     ///
@@ -180,14 +194,37 @@ impl ItemTables {
         })
     }
 
-    /// Latest versions of every item of a workspace the caller verified.
-    pub(crate) fn current_of(&self, workspace: &WorkspaceId) -> Option<Vec<ItemMetadata>> {
+    /// Latest versions of every item of a workspace, by item id.
+    fn latest_of<'a>(
+        &'a self,
+        workspace: &WorkspaceId,
+    ) -> Option<impl Iterator<Item = &'a ItemMetadata> + 'a> {
         let ids = self.by_workspace.get(&workspace.0)?;
         Some(
             ids.iter()
-                .filter_map(|id| self.items.get(id).and_then(|v| v.last()).cloned())
-                .collect(),
+                .filter_map(|id| self.items.get(id).and_then(|v| v.last())),
         )
+    }
+
+    /// Latest versions of every item of a workspace.
+    pub(crate) fn current_of(&self, workspace: &WorkspaceId) -> Option<Vec<ItemMetadata>> {
+        Some(self.latest_of(workspace)?.cloned().collect())
+    }
+
+    /// Writes the latest versions of every item of a workspace as one list;
+    /// `false`, with nothing written, for a workspace it does not hold.
+    pub(crate) fn write_current(&self, workspace: &WorkspaceId, w: &mut dyn TokenWriter) -> bool {
+        let Some(latest) = self.latest_of(workspace) else {
+            return false;
+        };
+        // The list's length comes first: an id without versions (there is
+        // none in a consistent table) is not counted.
+        let latest: Vec<&ItemMetadata> = latest.collect();
+        w.list(latest.len());
+        for item in latest {
+            crate::record::write_item(w, item, &item.workspace, item.version);
+        }
+        true
     }
 }
 

@@ -84,7 +84,7 @@ pub use error::{CallError, CallResult, OmqError, OmqResult};
 pub use info::{ObjectInfo, PoolInfo, ServiceStats};
 pub use oid::Oid;
 pub use proxy::Proxy;
-pub use rpc::{Request, Response};
+pub use rpc::Request;
 pub use server::{RemoteObject, ServerHandle};
 pub use supervisor::{PoolObservation, RemoteBroker, Supervisor, SupervisorConfig};
 

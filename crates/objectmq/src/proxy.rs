@@ -1,13 +1,13 @@
 //! Client side: dynamic stubs (proxies) and the invocation primitives.
 
 use crate::error::{CallError, CallResult, OmqError};
-use crate::rpc::{decode_response, fresh_id, Request, Response};
+use crate::rpc::{fresh_id, read_response, response_id, Request};
 use mqsim::{Message, MessageConsumer, MessageProperties, Messaging};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wire::{Codec, Value};
+use wire::{Codec, TokenReader, Value, WireResult};
 
 /// A dynamic client stub for a remote object bound to an `oid`.
 ///
@@ -32,11 +32,12 @@ pub struct Proxy {
 
 /// The response-queue state shared by the threads calling one proxy. One
 /// caller at a time reads the consumer; it stashes every response that is
-/// not its own here for the caller it belongs to.
+/// not its own here, as received, for the caller it belongs to, which reads
+/// it.
 #[derive(Default)]
 struct Inbox {
     /// Responses that arrived while waiting for a different correlation id.
-    pending: HashMap<String, Vec<Response>>,
+    pending: HashMap<String, Vec<Message>>,
     /// Whether a caller is reading the consumer.
     reading: bool,
     /// Callers blocked on `inbox_changed`. A lone caller never waits, so it
@@ -45,7 +46,7 @@ struct Inbox {
 }
 
 impl Inbox {
-    fn take(&mut self, id: &str) -> Option<Response> {
+    fn take(&mut self, id: &str) -> Option<Message> {
         let waiting = self.pending.get_mut(id)?;
         let response = waiting.pop();
         if waiting.is_empty() {
@@ -174,7 +175,8 @@ impl Proxy {
     /// # Errors
     ///
     /// [`CallError::Timeout`] after all attempts, [`CallError::Remote`] if
-    /// the server object returned an error.
+    /// the server object returned an error, [`CallError::Middleware`] if
+    /// the response does not decode.
     pub fn call_sync(
         &self,
         method: &str,
@@ -182,6 +184,26 @@ impl Proxy {
         timeout: Duration,
         retries: u32,
     ) -> CallResult<Value> {
+        self.call_sync_with(method, args, timeout, retries, |r| r.value(1))
+    }
+
+    /// [`Proxy::call_sync`] whose result `read` takes from the codec's
+    /// reader, in place in the response: no [`Value`] tree is built unless
+    /// `read` builds one. The value sits inside the response's map (depth
+    /// 1), and `read` reads exactly it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Proxy::call_sync`]; an error of `read` is a
+    /// [`CallError::Middleware`].
+    pub fn call_sync_with<T>(
+        &self,
+        method: &str,
+        args: Vec<Value>,
+        timeout: Duration,
+        retries: u32,
+        read: impl FnOnce(&mut dyn TokenReader<'_>) -> WireResult<T>,
+    ) -> CallResult<T> {
         self.obs.calls.inc();
         let root = self.invocation_span("omq.call_sync", method);
         let ctx = root.context();
@@ -203,9 +225,7 @@ impl Proxy {
             let response = self.recv_correlated(&id, timeout);
             wait.finish();
             match response {
-                Some(response) => {
-                    break response.outcome.map_err(CallError::Remote);
-                }
+                Some(response) => break self.outcome(&response, read),
                 None if attempts > retries => {
                     self.obs.timeouts.inc();
                     break Err(CallError::Timeout { attempts });
@@ -274,7 +294,12 @@ impl Proxy {
                 break;
             }
             match self.recv_correlated(&id, deadline - now) {
-                Some(response) => results.push(response.outcome),
+                Some(response) => match self.outcome(&response, |r| r.value(1)) {
+                    Ok(value) => results.push(Ok(value)),
+                    Err(CallError::Remote(message)) => results.push(Err(message)),
+                    // A response that does not decode is dropped.
+                    Err(_) => {}
+                },
                 None => break,
             }
         }
@@ -283,11 +308,24 @@ impl Proxy {
         Ok(results)
     }
 
+    /// What `response` says: `read`'s result, or the error the remote
+    /// object raised or the response's decoding met.
+    fn outcome<T>(
+        &self,
+        response: &Message,
+        read: impl FnOnce(&mut dyn TokenReader<'_>) -> WireResult<T>,
+    ) -> CallResult<T> {
+        match read_response(self.codec.as_ref(), response.payload(), read) {
+            Ok(outcome) => outcome.map_err(CallError::Remote),
+            Err(e) => Err(CallError::Middleware(OmqError::Wire(e))),
+        }
+    }
+
     /// Waits until a response with correlation id `id` arrives or the
     /// timeout elapses. A proxy may be shared across threads: the first
     /// caller to find the consumer free reads it, stashing other callers'
     /// responses and waking them, and hands the consumer on when it leaves.
-    fn recv_correlated(&self, id: &str, timeout: Duration) -> Option<Response> {
+    fn recv_correlated(&self, id: &str, timeout: Duration) -> Option<Message> {
         let deadline = Instant::now() + timeout;
         let mut inbox = self.inbox.lock();
         loop {
@@ -317,26 +355,25 @@ impl Proxy {
 
     /// Reads the response queue until a response for `id` arrives or the
     /// deadline passes. Only the caller holding the reader role calls this.
-    fn read_consumer(&self, id: &str, deadline: Instant) -> Option<Response> {
+    /// A response is read only as far as its id: its caller reads the rest.
+    fn read_consumer(&self, id: &str, deadline: Instant) -> Option<Message> {
         loop {
             let now = Instant::now();
             if now >= deadline {
                 return None;
             }
             let delivery = self.response_consumer.recv_timeout(deadline - now).ok()?;
-            let decoded = decode_response(self.codec.as_ref(), delivery.message.payload());
+            let message = delivery.message.clone();
             delivery.ack();
-            // Malformed responses are dropped.
-            let Ok(response) = decoded else { continue };
-            if response.id == id {
-                return Some(response);
+            // A response without a readable id is dropped.
+            let Ok(named) = response_id(self.codec.as_ref(), message.payload()) else {
+                continue;
+            };
+            if named == id {
+                return Some(message);
             }
             let mut inbox = self.inbox.lock();
-            inbox
-                .pending
-                .entry(response.id.clone())
-                .or_default()
-                .push(response);
+            inbox.pending.entry(named).or_default().push(message);
             if inbox.waiting > 0 {
                 self.inbox_changed.notify_all();
             }
@@ -414,11 +451,16 @@ mod tests {
         let noise = std::thread::spawn(move || {
             let mut i = 0u64;
             while !noise_stop.load(Ordering::Acquire) {
-                let response = crate::rpc::Response {
-                    id: format!("other-{i}"),
-                    outcome: Ok(Value::Null),
-                };
-                let payload = noise_codec.encode(&response.into_value());
+                let mut payload = Vec::new();
+                crate::rpc::write_response(
+                    noise_codec.as_ref(),
+                    &format!("other-{i}"),
+                    &mut payload,
+                    |w| {
+                        w.null();
+                        Ok(())
+                    },
+                );
                 let _ = noise_mq.publish_to_queue("resp", Message::from_bytes(payload));
                 i += 1;
                 std::thread::sleep(Duration::from_millis(2));

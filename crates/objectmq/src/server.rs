@@ -3,7 +3,7 @@
 
 use crate::error::OmqResult;
 use crate::info::ServiceStats;
-use crate::rpc::{decode_request, Request, Response};
+use crate::rpc::{decode_request, write_response, Request};
 use mqsim::{Message, MessageConsumer, Messaging};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use wire::{Codec, Value};
+use wire::{Codec, TokenWriter, Value};
 
 /// A server object that can be bound to an `oid` and invoked remotely.
 ///
@@ -27,6 +27,25 @@ pub trait RemoteObject: Send + Sync + 'static {
     /// The `Err` string is delivered to the remote caller as
     /// [`crate::CallError::Remote`].
     fn dispatch(&self, method: &str, args: &[Value]) -> Result<Value, String>;
+
+    /// Executes `method` as [`RemoteObject::dispatch`] does and writes its
+    /// result into `out`, in place in the reply: exactly one value on
+    /// `Ok`, anything on `Err` (the skeleton discards it and replies with
+    /// the message). The default writes what `dispatch` returns; an object
+    /// with a large result writes it without building the tree.
+    ///
+    /// # Errors
+    ///
+    /// As [`RemoteObject::dispatch`].
+    fn dispatch_into(
+        &self,
+        method: &str,
+        args: &[Value],
+        out: &mut dyn TokenWriter,
+    ) -> Result<(), String> {
+        out.value(&self.dispatch(method, args)?);
+        Ok(())
+    }
 }
 
 impl<F> RemoteObject for F
@@ -232,18 +251,31 @@ fn serve_loop(ctx: LoopCtx, consumer: Box<dyn MessageConsumer>) {
         let mut exec_span = dispatch_span.as_ref().map(|d| d.child("handler.exec"));
 
         let Request { id, method, args } = request;
+        let reply_to = delivery.message.properties().reply_to.clone();
         // Install the exec context so nested code (handlers issuing their
         // own calls, services tagging workspaces) links into this trace.
         let prev = obs::set_current(exec_span.as_ref().map(|s| s.context()));
-        // The arguments move into the call and are freed when it returns.
-        let outcome = catch_unwind(AssertUnwindSafe(|| ctx.object.dispatch(&method, &args)));
+        // The arguments move into the call and are freed when it returns. A
+        // call that wants a reply has its result written straight into it.
+        let reply = catch_unwind(AssertUnwindSafe(|| {
+            if reply_to.is_none() {
+                // Nobody hears the result of an async call.
+                let _ = ctx.object.dispatch(&method, &args);
+                return None;
+            }
+            let mut reply = Vec::with_capacity(64);
+            write_response(ctx.codec.as_ref(), &id, &mut reply, |out| {
+                ctx.object.dispatch_into(&method, &args, out)
+            });
+            Some(reply)
+        }));
         drop(args);
         obs::set_current(prev);
         let notes = obs::take_annotations();
         ctx.stats.set_busy(false);
 
-        let outcome = match outcome {
-            Ok(r) => r,
+        let reply = match reply {
+            Ok(reply) => reply,
             Err(_) => {
                 // The object panicked mid-call: treat it like a crash. The
                 // unacked delivery is requeued for another instance and this
@@ -278,14 +310,12 @@ fn serve_loop(ctx: LoopCtx, consumer: Box<dyn MessageConsumer>) {
             exec.finish();
         }
 
-        if let Some(reply_to) = delivery.message.properties().reply_to.clone() {
-            let response = Response { id, outcome };
-            let payload = wire::encode_to_bytes(ctx.codec.as_ref(), &response.into_value());
+        if let (Some(reply_to), Some(reply)) = (reply_to, reply) {
             let reply_span = dispatch_span.as_ref().map(|d| d.child("reply.publish"));
             // A missing reply queue means the client left; that is fine.
             let _ = ctx
                 .mq
-                .publish_to_queue(&reply_to, Message::from_bytes(payload));
+                .publish_to_queue(&reply_to, Message::from_bytes(reply));
             if let Some(span) = reply_span {
                 span.finish();
             }

@@ -51,11 +51,15 @@ pub trait ObjectBackend: Send + Sync {
     fn list(&self, account: &str, container: &str) -> io::Result<Vec<String>>;
 }
 
+/// One container's objects: name -> bytes.
+type Objects = HashMap<String, Bytes>;
+
 /// The default in-memory backend.
 #[derive(Debug, Default)]
 pub struct MemoryBackend {
-    /// (account, container) -> name -> bytes
-    objects: RwLock<HashMap<(String, String), HashMap<String, Bytes>>>,
+    /// account -> container -> objects. Nested so that a lookup borrows
+    /// its three keys and allocates nothing.
+    objects: RwLock<HashMap<String, HashMap<String, Objects>>>,
 }
 
 impl MemoryBackend {
@@ -63,49 +67,63 @@ impl MemoryBackend {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Reads one container's objects, if the container holds any.
+    fn with_container<T>(
+        &self,
+        account: &str,
+        container: &str,
+        read: impl FnOnce(Option<&Objects>) -> T,
+    ) -> T {
+        let objects = self.objects.read();
+        read(objects.get(account).and_then(|c| c.get(container)))
+    }
 }
 
 impl ObjectBackend for MemoryBackend {
     fn put(&self, account: &str, container: &str, name: &str, data: &[u8]) -> io::Result<()> {
-        self.objects
-            .write()
-            .entry((account.to_string(), container.to_string()))
-            .or_default()
-            .insert(name.to_string(), Bytes::copy_from_slice(data));
+        let data = Bytes::copy_from_slice(data);
+        let mut objects = self.objects.write();
+        let containers = match objects.get_mut(account) {
+            Some(containers) => containers,
+            None => objects.entry(account.to_string()).or_default(),
+        };
+        let names = match containers.get_mut(container) {
+            Some(names) => names,
+            None => containers.entry(container.to_string()).or_default(),
+        };
+        match names.get_mut(name) {
+            Some(stored) => *stored = data,
+            None => {
+                names.insert(name.to_string(), data);
+            }
+        }
         Ok(())
     }
 
     fn get(&self, account: &str, container: &str, name: &str) -> io::Result<Option<Bytes>> {
-        Ok(self
-            .objects
-            .read()
-            .get(&(account.to_string(), container.to_string()))
-            .and_then(|c| c.get(name).cloned()))
+        Ok(self.with_container(account, container, |c| c?.get(name).cloned()))
     }
 
     fn delete(&self, account: &str, container: &str, name: &str) -> io::Result<bool> {
         Ok(self
             .objects
             .write()
-            .get_mut(&(account.to_string(), container.to_string()))
+            .get_mut(account)
+            .and_then(|c| c.get_mut(container))
             .is_some_and(|c| c.remove(name).is_some()))
     }
 
     fn exists(&self, account: &str, container: &str, name: &str) -> io::Result<bool> {
-        Ok(self
-            .objects
-            .read()
-            .get(&(account.to_string(), container.to_string()))
-            .is_some_and(|c| c.contains_key(name)))
+        Ok(self.with_container(account, container, |c| {
+            c.is_some_and(|c| c.contains_key(name))
+        }))
     }
 
     fn list(&self, account: &str, container: &str) -> io::Result<Vec<String>> {
-        let mut names: Vec<String> = self
-            .objects
-            .read()
-            .get(&(account.to_string(), container.to_string()))
-            .map(|c| c.keys().cloned().collect())
-            .unwrap_or_default();
+        let mut names: Vec<String> = self.with_container(account, container, |c| {
+            c.map(|c| c.keys().cloned().collect()).unwrap_or_default()
+        });
         names.sort();
         Ok(names)
     }

@@ -16,8 +16,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Container ACL table: (owner, container) -> accounts granted access.
-type AclMap = HashMap<(String, String), HashSet<String>>;
+/// Container ACL table: owner -> container -> accounts granted access.
+type AclMap = HashMap<String, HashMap<String, HashSet<String>>>;
 
 /// Result alias for storage operations.
 pub type StorageResult<T> = Result<T, StorageError>;
@@ -201,19 +201,6 @@ impl SwiftStore {
             .ok_or(StorageError::Unauthorized)
     }
 
-    /// Validates a token and that `container` exists under `owner`.
-    fn check_container(&self, token: &Token, owner: &str, container: &str) -> StorageResult<()> {
-        let accounts = self.accounts.read();
-        Self::check(&accounts, token)?;
-        let owner_account = accounts
-            .get(owner)
-            .ok_or_else(|| StorageError::ContainerNotFound(container.to_string()))?;
-        if !owner_account.containers.contains(container) {
-            return Err(StorageError::ContainerNotFound(container.to_string()));
-        }
-        Ok(())
-    }
-
     /// Grants `grantee` access to one of the token owner's containers
     /// (Swift container ACLs) — the mechanism behind cross-user shared
     /// workspaces.
@@ -227,37 +214,50 @@ impl SwiftStore {
         container: &str,
         grantee: &str,
     ) -> StorageResult<()> {
-        self.check_container(owner_token, owner_token.account(), container)?;
+        self.authorize(owner_token, owner_token.account(), container)?;
         self.acls
             .write()
-            .entry((owner_token.account.clone(), container.to_string()))
+            .entry(owner_token.account.clone())
+            .or_default()
+            .entry(container.to_string())
             .or_default()
             .insert(grantee.to_string());
         Ok(())
     }
 
-    /// Authorizes `token` against `owner`'s `container`: the owner always
-    /// may; others need a grant.
+    /// Authorizes `token` against `owner`'s `container`, which must exist:
+    /// the owner always may; others need a grant. One pass under the
+    /// accounts lock, allocating nothing unless it fails.
+    ///
+    /// # Errors
+    ///
+    /// In this order: [`StorageError::Unauthorized`] for a bad token,
+    /// [`StorageError::AccessDenied`] without a grant,
+    /// [`StorageError::ContainerNotFound`].
     fn authorize(&self, token: &Token, owner: &str, container: &str) -> StorageResult<()> {
+        let accounts = self.accounts.read();
+        Self::check(&accounts, token)?;
+        if token.account != owner {
+            let granted = self
+                .acls
+                .read()
+                .get(owner)
+                .and_then(|containers| containers.get(container))
+                .is_some_and(|grants| grants.contains(&token.account));
+            if !granted {
+                return Err(StorageError::AccessDenied {
+                    owner: owner.to_string(),
+                    container: container.to_string(),
+                });
+            }
+        }
+        if accounts
+            .get(owner)
+            .is_some_and(|account| account.containers.contains(container))
         {
-            let accounts = self.accounts.read();
-            Self::check(&accounts, token)?;
-        }
-        if token.account == owner {
-            return Ok(());
-        }
-        let allowed = self
-            .acls
-            .read()
-            .get(&(owner.to_string(), container.to_string()))
-            .is_some_and(|grants| grants.contains(&token.account));
-        if allowed {
             Ok(())
         } else {
-            Err(StorageError::AccessDenied {
-                owner: owner.to_string(),
-                container: container.to_string(),
-            })
+            Err(StorageError::ContainerNotFound(container.to_string()))
         }
     }
 
@@ -305,8 +305,7 @@ impl SwiftStore {
         name: &str,
         data: Bytes,
     ) -> StorageResult<()> {
-        let owner = token.account.clone();
-        self.put_in(token, &owner, container, name, data)
+        self.put_in(token, &token.account, container, name, data)
     }
 
     /// Downloads an object (simulating the transfer time).
@@ -315,8 +314,7 @@ impl SwiftStore {
     ///
     /// [`StorageError::ObjectNotFound`] and friends.
     pub fn get(&self, token: &Token, container: &str, name: &str) -> StorageResult<Bytes> {
-        let owner = token.account.clone();
-        self.get_in(token, &owner, container, name)
+        self.get_in(token, &token.account, container, name)
     }
 
     /// Uploads into `owner`'s container (requires a grant when `owner` is
@@ -335,7 +333,6 @@ impl SwiftStore {
         data: Bytes,
     ) -> StorageResult<()> {
         self.authorize(token, owner, container)?;
-        self.check_container(token, owner, container)?;
         std::thread::sleep(self.latency.upload_delay(data.len()));
         self.traffic.record_put(data.len());
         self.backend.put(owner, container, name, &data)?;
@@ -357,7 +354,6 @@ impl SwiftStore {
         name: &str,
     ) -> StorageResult<Bytes> {
         self.authorize(token, owner, container)?;
-        self.check_container(token, owner, container)?;
         let data = self
             .backend
             .get(owner, container, name)?
@@ -374,10 +370,10 @@ impl SwiftStore {
     ///
     /// Authorization/container errors.
     pub fn head(&self, token: &Token, container: &str, name: &str) -> StorageResult<bool> {
-        let owner = token.account.clone();
-        self.check_container(token, &owner, container)?;
+        let owner = &token.account;
+        self.authorize(token, owner, container)?;
         std::thread::sleep(self.latency.control_delay());
-        Ok(self.backend.exists(&owner, container, name)?)
+        Ok(self.backend.exists(owner, container, name)?)
     }
 
     /// Deletes an object.
@@ -386,11 +382,11 @@ impl SwiftStore {
     ///
     /// [`StorageError::ObjectNotFound`] if missing.
     pub fn delete(&self, token: &Token, container: &str, name: &str) -> StorageResult<()> {
-        let owner = token.account.clone();
-        self.check_container(token, &owner, container)?;
+        let owner = &token.account;
+        self.authorize(token, owner, container)?;
         std::thread::sleep(self.latency.control_delay());
         self.traffic.record_delete();
-        if self.backend.delete(&owner, container, name)? {
+        if self.backend.delete(owner, container, name)? {
             Ok(())
         } else {
             Err(StorageError::ObjectNotFound(name.to_string()))
@@ -403,9 +399,9 @@ impl SwiftStore {
     ///
     /// Authorization/container errors.
     pub fn list(&self, token: &Token, container: &str) -> StorageResult<Vec<String>> {
-        let owner = token.account.clone();
-        self.check_container(token, &owner, container)?;
-        Ok(self.backend.list(&owner, container)?)
+        let owner = &token.account;
+        self.authorize(token, owner, container)?;
+        Ok(self.backend.list(owner, container)?)
     }
 
     /// Offers a file's chunk list with refcount dedup. A chunk may come
@@ -440,7 +436,6 @@ impl SwiftStore {
         chunks: &[ChunkOffer<'_>],
     ) -> StorageResult<OfferOutcome> {
         self.authorize(token, owner, container)?;
-        self.check_container(token, owner, container)?;
         let payloads: HashMap<&str, &Bytes> = chunks
             .iter()
             .filter_map(|c| Some((c.name, c.payload?)))
@@ -549,7 +544,6 @@ impl SwiftStore {
         file_key: &str,
     ) -> StorageResult<bool> {
         self.authorize(token, owner, container)?;
-        self.check_container(token, owner, container)?;
         std::thread::sleep(self.latency.control_delay());
         let scope = self.dedup.scope(owner, container);
         let mut tracker = scope.lock();
@@ -574,7 +568,6 @@ impl SwiftStore {
         container: &str,
     ) -> StorageResult<GcReport> {
         self.authorize(token, owner, container)?;
-        self.check_container(token, owner, container)?;
         let scope = self.dedup.scope(owner, container);
         let mut tracker = scope.lock();
         let before = tracker.stats();
@@ -604,7 +597,6 @@ impl SwiftStore {
         container: &str,
     ) -> StorageResult<DedupStats> {
         self.authorize(token, owner, container)?;
-        self.check_container(token, owner, container)?;
         Ok(self.dedup.scope(owner, container).lock().stats())
     }
 }

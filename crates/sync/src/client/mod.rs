@@ -10,7 +10,7 @@ pub use vfs::{Stamped, VirtualFs};
 
 use crate::conflict::conflict_copy_path;
 use crate::error::{SyncError, SyncResult};
-use crate::protocol::{item_from_value, item_to_value, workspace_from_value, CommitNotification};
+use crate::protocol::{item_to_value, workspace_from_value, CommitNotification};
 use crate::service::SYNC_SERVICE_OID;
 use crate::workspace_notification_oid;
 use bytes::Bytes;
@@ -18,7 +18,7 @@ use content::chunker::{Chunker, ContentDefinedChunker, FixedChunker};
 use content::compress::Algorithm;
 use content::pipeline::{FileIndex, IngestPipeline, PipelineConfig};
 use content::{sha1, ChunkId, Fingerprint};
-use metadata::{ItemMetadata, Workspace, WorkspaceId};
+use metadata::{items_from_reader, ItemMetadata, Workspace, WorkspaceId};
 use objectmq::{Broker, Proxy, RemoteObject, ServerHandle};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -638,23 +638,23 @@ impl DesktopClient {
 /// in arrival order; the ones the snapshot already covered fail
 /// `apply_notification`'s "only if newer" check.
 fn join(shared: &Arc<ClientShared>) -> SyncResult<()> {
-    let state = shared.proxy.call_sync(
+    // The reply is read straight into items: no tree of it is built.
+    let (items, received) = shared.proxy.call_sync_with(
         "get_changes",
         vec![Value::from(shared.workspace.0.as_str())],
         shared.config.call_timeout,
         shared.config.call_retries,
+        |r| {
+            let start = r.position();
+            let items = items_from_reader(r, 1)?;
+            Ok((items, r.position() - start))
+        },
     )?;
-    shared.stats.inner.control_received.fetch_add(
-        wire::BinaryCodec.encoded_len(&state) as u64,
-        Ordering::Relaxed,
-    );
-    // The reply is consumed item by item, so the tree is gone before the
-    // first chunk is fetched.
-    let items = state
-        .into_list()?
-        .into_iter()
-        .map(item_from_value)
-        .collect::<Result<Vec<ItemMetadata>, _>>()?;
+    shared
+        .stats
+        .inner
+        .control_received
+        .fetch_add(received as u64, Ordering::Relaxed);
     materialize_all(shared, &items)?;
     loop {
         let arrived = match &mut *shared.parked.lock() {

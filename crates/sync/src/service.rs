@@ -1,8 +1,6 @@
 //! The SyncService: the paper's stateless server object (§4.2.1).
 
-use crate::protocol::{
-    item_from_value, item_into_value, workspace_to_value, CommitNotification, NotifiedChange,
-};
+use crate::protocol::{item_from_value, workspace_to_value, CommitNotification, NotifiedChange};
 use crate::workspace_notification_oid;
 use metadata::{MetadataStore, ShardedStore, WorkspaceId};
 use objectmq::{Broker, Oid, OmqResult, Proxy, RemoteObject, ServerHandle};
@@ -11,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use wire::Value;
+use wire::{BinaryCodec, BinaryWriter, Codec, TokenWriter, Value};
 
 /// The well-known oid the SyncService binds to. All instances share this
 /// queue; the broker load-balances commit requests between them, which is
@@ -201,19 +199,17 @@ impl SyncService {
         Ok(workspace_to_value(&workspace))
     }
 
-    fn get_changes(&self, args: &[Value]) -> Result<Value, String> {
+    /// Writes the workspace's current items into the reply, straight from
+    /// the metadata store (the start-up state a device joins with).
+    fn get_changes(&self, args: &[Value], out: &mut dyn TokenWriter) -> Result<(), String> {
         let ws = args
             .first()
             .and_then(|v| v.as_str().ok())
             .ok_or("get_changes needs a workspace argument")?;
-        let items = self
-            .inner
+        self.inner
             .meta
-            .current_items(&WorkspaceId(ws.to_string()))
-            .map_err(|e| e.to_string())?;
-        Ok(Value::List(
-            items.into_iter().map(item_into_value).collect(),
-        ))
+            .write_current_items(&WorkspaceId(ws.to_string()), out)
+            .map_err(|e| e.to_string())
     }
 
     /// Algorithm 1 of the paper.
@@ -298,9 +294,29 @@ impl RemoteObject for SyncService {
         match method {
             "get_workspaces" => self.get_workspaces(args),
             "get_workspace_info" => self.get_workspace_info(args),
-            "get_changes" => self.get_changes(args),
+            "get_changes" => {
+                // The reply's one writer, read back as a tree.
+                let mut bytes = Vec::new();
+                self.get_changes(args, &mut BinaryWriter::new(&mut bytes))?;
+                BinaryCodec.decode(&bytes).map_err(|e| e.to_string())
+            }
             "commit_request" => self.commit_request(args),
             other => Err(format!("SyncService has no method `{other}`")),
+        }
+    }
+
+    fn dispatch_into(
+        &self,
+        method: &str,
+        args: &[Value],
+        out: &mut dyn TokenWriter,
+    ) -> Result<(), String> {
+        match method {
+            "get_changes" => self.get_changes(args, out),
+            _ => {
+                out.value(&self.dispatch(method, args)?);
+                Ok(())
+            }
         }
     }
 }
@@ -308,6 +324,7 @@ impl RemoteObject for SyncService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::item_into_value;
     use metadata::{ItemMetadata, ShardedStore};
 
     fn setup() -> (Broker, SyncService, WorkspaceId, Arc<dyn MetadataStore>) {
@@ -336,6 +353,123 @@ mod tests {
         let list = v.as_list().unwrap();
         assert_eq!(list.len(), 1);
         assert_eq!(list[0].field("id").unwrap().as_str().unwrap(), ws.0);
+    }
+
+    /// The raw reply that an instance bound on a broker speaking `codec`
+    /// sends to the `get_changes` of `ws` with invocation id `inv-raw`.
+    fn raw_get_changes_reply(
+        codec: Arc<dyn wire::Codec>,
+        meta: &Arc<dyn MetadataStore>,
+        ws: &WorkspaceId,
+    ) -> Vec<u8> {
+        use mqsim::{Message, MessageBroker, MessageProperties, QueueOptions};
+        let config = objectmq::BrokerConfig {
+            codec: codec.clone(),
+            ..objectmq::BrokerConfig::default()
+        };
+        let broker = Broker::new(MessageBroker::new(), config);
+        let service = SyncService::builder(&broker).store(meta.clone()).build();
+        let _instance = service.bind(&broker).unwrap();
+        let mq = broker.messaging();
+        mq.declare_queue("raw-replies", QueueOptions::default())
+            .unwrap();
+        let replies = mq.subscribe("raw-replies").unwrap();
+        let request = objectmq::Request {
+            id: "inv-raw".into(),
+            method: "get_changes".into(),
+            args: vec![Value::from(ws.0.as_str())],
+        };
+        let properties = MessageProperties {
+            reply_to: Some("raw-replies".into()),
+            trace: None,
+        };
+        let payload = codec.encode(&request.into_value());
+        mq.publish_to_queue(
+            SYNC_SERVICE_OID.as_str(),
+            Message::with_properties(payload, properties),
+        )
+        .unwrap();
+        let delivery = replies.recv_timeout(Duration::from_secs(5)).unwrap();
+        let bytes = delivery.message.payload().to_vec();
+        delivery.ack();
+        bytes
+    }
+
+    #[test]
+    fn the_streamed_get_changes_reply_is_the_bytes_of_the_tree_reply() {
+        for codec in [
+            Arc::new(wire::BinaryCodec) as Arc<dyn wire::Codec>,
+            Arc::new(wire::JsonCodec),
+        ] {
+            for files in [0, 1, 3] {
+                let (_broker, service, ws, meta) = setup();
+                let items: Vec<ItemMetadata> = (0..files)
+                    .map(|i| {
+                        let chunks = (0..i).map(|c| content::ChunkId::from_bytes([c as u8; 20]));
+                        let path = format!("dir/f{i}.txt");
+                        ItemMetadata::new_file(i, &ws, &path, chunks.collect(), 10 * i, "dev")
+                    })
+                    .collect();
+                service
+                    .dispatch("commit_request", &commit_args(&ws, "dev", items.clone()))
+                    .unwrap();
+                if files == 3 {
+                    // One of them a tombstone.
+                    let mut gone = items[1].clone();
+                    gone.version = 2;
+                    gone.is_deleted = true;
+                    gone.chunks.clear();
+                    service
+                        .dispatch("commit_request", &commit_args(&ws, "dev", vec![gone]))
+                        .unwrap();
+                }
+                let current = meta.current_items(&ws).unwrap();
+                assert_eq!(current.len() as u64, files);
+                assert_eq!(
+                    current.iter().filter(|i| i.is_deleted).count(),
+                    usize::from(files == 3)
+                );
+
+                let streamed = raw_get_changes_reply(codec.clone(), &meta, &ws);
+                let tree = Value::Map(vec![
+                    ("id".into(), Value::from("inv-raw")),
+                    ("ok".into(), Value::Bool(true)),
+                    (
+                        "value".into(),
+                        Value::List(current.into_iter().map(item_into_value).collect()),
+                    ),
+                ]);
+                assert_eq!(
+                    streamed,
+                    codec.encode(&tree),
+                    "{} with {files} items",
+                    codec.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn get_changes_as_a_tree_is_the_streamed_list_and_an_unknown_workspace_fails() {
+        let (_broker, service, ws, meta) = setup();
+        let item = ItemMetadata::new_file(7, &ws, "a.txt", vec![], 5, "dev");
+        service
+            .dispatch("commit_request", &commit_args(&ws, "dev", vec![item]))
+            .unwrap();
+        let tree = service
+            .dispatch("get_changes", &[Value::from(ws.0.as_str())])
+            .unwrap();
+        let expected: Vec<Value> = meta
+            .current_items(&ws)
+            .unwrap()
+            .into_iter()
+            .map(item_into_value)
+            .collect();
+        assert_eq!(tree, Value::List(expected));
+        assert!(service
+            .dispatch("get_changes", &[Value::from("no-such-ws")])
+            .unwrap_err()
+            .contains("no-such-ws"));
     }
 
     #[test]

@@ -2,14 +2,16 @@
 //! integers, length-prefixed strings/bytes/containers. This is the Kryo
 //! stand-in and the default ObjectMQ transport.
 //!
-//! [`Reader`] is the one scanner of this encoding and [`Writer`] its one
-//! emitter. [`BinaryCodec`] builds and walks [`Value`] trees through them; a
-//! caller that knows its schema (the metadata WAL and snapshot) reads and
-//! writes its records through them without a tree.
+//! [`BinaryReader`] is the one scanner of this encoding and [`BinaryWriter`]
+//! its one emitter. [`BinaryCodec`] builds and walks [`Value`] trees through
+//! them; a caller that knows its schema (the metadata WAL and snapshot)
+//! reads and writes its records through them without a tree.
 
 use crate::error::{WireError, WireResult};
+use crate::token::{Token, TokenReader, TokenWriter};
 use crate::value::Value;
 use crate::{Codec, MAX_DEPTH};
+use std::borrow::Cow;
 
 const TAG_NULL: u8 = 0x00;
 const TAG_FALSE: u8 = 0x01;
@@ -32,8 +34,8 @@ impl Codec for BinaryCodec {
     }
 
     fn decode(&self, bytes: &[u8]) -> WireResult<Value> {
-        let mut reader = Reader::new(bytes);
-        let value = read_value(&mut reader, 0)?;
+        let mut reader = BinaryReader::new(bytes);
+        let value = reader.value(0)?;
         reader.finish()?;
         Ok(value)
     }
@@ -43,16 +45,24 @@ impl Codec for BinaryCodec {
         value_len(value)
     }
 
+    fn writer<'a>(&self, out: &'a mut Vec<u8>) -> Box<dyn TokenWriter + 'a> {
+        Box::new(BinaryWriter::new(out))
+    }
+
+    fn reader<'a>(&self, bytes: &'a [u8]) -> WireResult<Box<dyn TokenReader<'a> + 'a>> {
+        Ok(Box::new(BinaryReader::new(bytes)))
+    }
+
     fn name(&self) -> &'static str {
         "binary"
     }
 }
 
 /// Writes `value` and everything it holds. Each level makes its own
-/// [`Writer`] over `out` rather than taking one by reference: the extra
-/// indirection made a 3 012-item reply ~10 % slower to encode.
+/// [`BinaryWriter`] over `out` rather than taking one by reference: the
+/// extra indirection made a 3 012-item reply ~10 % slower to encode.
 fn write_value(out: &mut Vec<u8>, value: &Value) {
-    let mut w = Writer::new(out);
+    let mut w = BinaryWriter::new(out);
     match value {
         Value::Null => w.null(),
         Value::Bool(v) => w.bool(*v),
@@ -75,34 +85,6 @@ fn write_value(out: &mut Vec<u8>, value: &Value) {
             }
         }
     }
-}
-
-/// Reads one value that `depth` lists and maps already enclose.
-fn read_value(r: &mut Reader<'_>, depth: usize) -> WireResult<Value> {
-    Ok(match r.next(depth)? {
-        Token::Null => Value::Null,
-        Token::Bool(v) => Value::Bool(v),
-        Token::I64(v) => Value::I64(v),
-        Token::U64(v) => Value::U64(v),
-        Token::F64(v) => Value::F64(v),
-        Token::Str(s) => Value::Str(s.to_string()),
-        Token::Bytes(b) => Value::Bytes(b.to_vec()),
-        Token::List(len) => {
-            let mut items = Vec::with_capacity(len);
-            for _ in 0..len {
-                items.push(read_value(r, depth + 1)?);
-            }
-            Value::List(items)
-        }
-        Token::Map(len) => {
-            let mut entries = Vec::with_capacity(len);
-            for _ in 0..len {
-                let key = r.key()?.to_string();
-                entries.push((key, read_value(r, depth + 1)?));
-            }
-            Value::Map(entries)
-        }
-    })
 }
 
 /// Bytes [`write_value`] writes for `value`: its tag, then as
@@ -133,56 +115,13 @@ fn prefixed_len(len: usize) -> usize {
     varint_len(len as u64) + len
 }
 
-/// Bytes [`Writer`] takes for the varint `v`: one per started 7 bits.
+/// Bytes [`BinaryWriter`] takes for the varint `v`: one per started 7 bits.
 fn varint_len(v: u64) -> usize {
     (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
-/// The head of one value, as [`Reader::next`] reads it. Strings and byte
-/// strings are borrowed from the input; a container gives its length, and
-/// its contents follow.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Token<'a> {
-    /// `null`.
-    Null,
-    /// A boolean.
-    Bool(bool),
-    /// A signed integer.
-    I64(i64),
-    /// An unsigned integer.
-    U64(u64),
-    /// A float.
-    F64(f64),
-    /// A string, valid UTF-8.
-    Str(&'a str),
-    /// A byte string.
-    Bytes(&'a [u8]),
-    /// A list of this many values, which follow it.
-    List(usize),
-    /// A map of this many entries, each a [`Reader::key`] and then a value.
-    Map(usize),
-}
-
-impl Token<'_> {
-    /// The [`Value::kind`] of the value this token starts.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Token::Null => "null",
-            Token::Bool(_) => "bool",
-            Token::I64(_) => "i64",
-            Token::U64(_) => "u64",
-            Token::F64(_) => "f64",
-            Token::Str(_) => "str",
-            Token::Bytes(_) => "bytes",
-            Token::List(_) => "list",
-            Token::Map(_) => "map",
-        }
-    }
-}
-
-/// A pull scanner over one binary encoding: the caller asks for each value's
-/// [`Token`] in document order, each map key with [`Reader::key`], and
-/// passes over what it does not want with [`Reader::skip`].
+/// The [`TokenReader`] of the binary encoding. Strings and byte strings are
+/// borrowed from the input.
 ///
 /// Every check of the encoding is made here: an unknown tag, a varint
 /// longer than 64 bits, a length prefix larger than the input left (so
@@ -192,34 +131,28 @@ impl Token<'_> {
 /// deep each one sits, since the encoding has no end marker.
 ///
 /// ```
-/// use wire::{BinaryCodec, Codec, Reader, Token, Value};
+/// use wire::{BinaryCodec, BinaryReader, Codec, Token, TokenReader, Value};
 ///
 /// let bytes = BinaryCodec.encode(&Value::Map(vec![
 ///     ("id".into(), Value::U64(7)),
 ///     ("tags".into(), Value::List(vec![Value::from("a")])),
 /// ]));
-/// let mut r = Reader::new(&bytes);
+/// let mut r = BinaryReader::new(&bytes);
 /// assert_eq!(r.next(0), Ok(Token::Map(2)));
-/// assert_eq!(r.key(), Ok("id"));
+/// assert_eq!(r.key().as_deref(), Ok("id"));
 /// assert_eq!(r.next(1), Ok(Token::U64(7)));
-/// assert_eq!(r.key(), Ok("tags"));
+/// assert_eq!(r.key().as_deref(), Ok("tags"));
 /// assert_eq!(r.skip(1), Ok(Token::List(1)));
 /// r.finish().unwrap();
 /// ```
 #[derive(Debug)]
-pub struct Reader<'a> {
+pub struct BinaryReader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Reader<'a> {
-    /// A reader at the start of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    /// Reads the head of the next value, which `depth` lists and maps
-    /// enclose (0 for the outermost value).
+impl<'a> TokenReader<'a> for BinaryReader<'a> {
+    /// Reads the head of the next value.
     ///
     /// # Errors
     ///
@@ -228,7 +161,7 @@ impl<'a> Reader<'a> {
     /// that are not an encoding; [`WireError::TooDeep`] for a list or map at
     /// depth [`MAX_DEPTH`].
     #[inline]
-    pub fn next(&mut self, depth: usize) -> WireResult<Token<'a>> {
+    fn next(&mut self, depth: usize) -> WireResult<Token<'a>> {
         Ok(match self.byte()? {
             TAG_NULL => Token::Null,
             TAG_FALSE => Token::Bool(false),
@@ -240,10 +173,10 @@ impl<'a> Reader<'a> {
                 buf.copy_from_slice(self.take(8)?);
                 Token::F64(f64::from_le_bytes(buf))
             }
-            TAG_STR => Token::Str(self.text()?),
+            TAG_STR => Token::Str(Cow::Borrowed(self.text()?)),
             TAG_BYTES => {
                 let len = self.len()?;
-                Token::Bytes(self.take(len)?)
+                Token::Bytes(Cow::Borrowed(self.take(len)?))
             }
             TAG_LIST | TAG_MAP if depth >= MAX_DEPTH => return Err(WireError::TooDeep),
             TAG_LIST => Token::List(self.len()?),
@@ -252,57 +185,27 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// Reads the key of the next map entry; its value follows.
-    ///
-    /// # Errors
-    ///
-    /// As [`Reader::next`] for a string.
     #[inline]
-    pub fn key(&mut self) -> WireResult<&'a str> {
-        self.text()
+    fn key(&mut self) -> WireResult<Cow<'a, str>> {
+        self.text().map(Cow::Borrowed)
     }
 
-    /// Reads past the next value and everything it holds, checking all of
-    /// it as [`Reader::next`] does, and returns its head: for a scalar that
-    /// is the value itself.
-    ///
-    /// # Errors
-    ///
-    /// As [`Reader::next`], for any value inside.
-    pub fn skip(&mut self, depth: usize) -> WireResult<Token<'a>> {
-        let head = self.next(depth)?;
-        match head {
-            Token::List(len) => {
-                for _ in 0..len {
-                    self.skip(depth + 1)?;
-                }
-            }
-            Token::Map(len) => {
-                for _ in 0..len {
-                    self.key()?;
-                    self.skip(depth + 1)?;
-                }
-            }
-            _ => {}
-        }
-        Ok(head)
-    }
-
-    /// Bytes read so far.
-    pub fn position(&self) -> usize {
+    fn position(&self) -> usize {
         self.pos
     }
 
-    /// Ends the read: the input must hold nothing after the last value.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::TrailingBytes`] with the count left over.
-    pub fn finish(self) -> WireResult<()> {
+    fn finish(&mut self) -> WireResult<()> {
         match self.remaining() {
             0 => Ok(()),
             left => Err(WireError::TrailingBytes(left)),
         }
+    }
+}
+
+impl<'a> BinaryReader<'a> {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        BinaryReader { bytes, pos: 0 }
     }
 
     #[inline]
@@ -370,17 +273,13 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// A push emitter of the binary encoding, appending to a buffer: the
-/// caller writes each value's head in document order, a container's length
-/// before its contents and each map key before its value. What it writes
-/// is what [`BinaryCodec::encode`](Codec::encode) makes of the same tree,
-/// byte for byte.
+/// The [`TokenWriter`] of the binary encoding.
 ///
 /// ```
-/// use wire::{BinaryCodec, Codec, Value, Writer};
+/// use wire::{BinaryCodec, BinaryWriter, Codec, TokenWriter, Value};
 ///
 /// let mut out = Vec::new();
-/// let mut w = Writer::new(&mut out);
+/// let mut w = BinaryWriter::new(&mut out);
 /// w.map(1);
 /// w.key("id");
 /// w.u64(7);
@@ -388,84 +287,26 @@ impl<'a> Reader<'a> {
 /// assert_eq!(out, BinaryCodec.encode(&tree));
 /// ```
 #[derive(Debug)]
-pub struct Writer<'a> {
+pub struct BinaryWriter<'a> {
     out: &'a mut Vec<u8>,
 }
 
-impl<'a> Writer<'a> {
+impl<'a> BinaryWriter<'a> {
     /// A writer appending to `out`, whose contents it leaves as they are.
     pub fn new(out: &'a mut Vec<u8>) -> Self {
-        Writer { out }
+        BinaryWriter { out }
     }
 
-    /// Writes `null`.
+    /// A tag and the varint after it, in one step when the varint is one
+    /// byte: the common case of every length and most integers.
     #[inline]
-    pub fn null(&mut self) {
-        self.out.push(TAG_NULL);
-    }
-
-    /// Writes a boolean.
-    #[inline]
-    pub fn bool(&mut self, v: bool) {
-        self.out.push(if v { TAG_TRUE } else { TAG_FALSE });
-    }
-
-    /// Writes a signed integer.
-    #[inline]
-    pub fn i64(&mut self, v: i64) {
-        self.out.push(TAG_I64);
-        self.varint(zigzag(v));
-    }
-
-    /// Writes an unsigned integer.
-    #[inline]
-    pub fn u64(&mut self, v: u64) {
-        self.out.push(TAG_U64);
-        self.varint(v);
-    }
-
-    /// Writes a float.
-    #[inline]
-    pub fn f64(&mut self, v: f64) {
-        self.out.push(TAG_F64);
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a string.
-    #[inline]
-    pub fn str(&mut self, s: &str) {
-        self.out.push(TAG_STR);
-        self.key(s);
-    }
-
-    /// Writes a byte string.
-    #[inline]
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.out.push(TAG_BYTES);
-        self.varint(b.len() as u64);
-        self.out.extend_from_slice(b);
-    }
-
-    /// Starts a list of `len` values; write them next.
-    #[inline]
-    pub fn list(&mut self, len: usize) {
-        self.out.push(TAG_LIST);
-        self.varint(len as u64);
-    }
-
-    /// Starts a map of `len` entries; write each as a [`Writer::key`] and a
-    /// value next.
-    #[inline]
-    pub fn map(&mut self, len: usize) {
-        self.out.push(TAG_MAP);
-        self.varint(len as u64);
-    }
-
-    /// Writes the key of the next map entry.
-    #[inline]
-    pub fn key(&mut self, key: &str) {
-        self.varint(key.len() as u64);
-        self.out.extend_from_slice(key.as_bytes());
+    fn head(&mut self, tag: u8, v: u64) {
+        if v < 0x80 {
+            self.out.extend_from_slice(&[tag, v as u8]);
+        } else {
+            self.out.push(tag);
+            self.varint(v);
+        }
     }
 
     fn varint(&mut self, mut v: u64) {
@@ -478,6 +319,67 @@ impl<'a> Writer<'a> {
             }
             self.out.push(byte | 0x80);
         }
+    }
+}
+
+impl TokenWriter for BinaryWriter<'_> {
+    #[inline]
+    fn null(&mut self) {
+        self.out.push(TAG_NULL);
+    }
+
+    #[inline]
+    fn bool(&mut self, v: bool) {
+        self.out.push(if v { TAG_TRUE } else { TAG_FALSE });
+    }
+
+    #[inline]
+    fn i64(&mut self, v: i64) {
+        self.out.push(TAG_I64);
+        self.varint(zigzag(v));
+    }
+
+    #[inline]
+    fn u64(&mut self, v: u64) {
+        self.head(TAG_U64, v);
+    }
+
+    #[inline]
+    fn f64(&mut self, v: f64) {
+        self.out.push(TAG_F64);
+        self.out.extend_from_slice(&v.to_le_bytes());
+    }
+
+    #[inline]
+    fn str(&mut self, s: &str) {
+        self.head(TAG_STR, s.len() as u64);
+        self.out.extend_from_slice(s.as_bytes());
+    }
+
+    #[inline]
+    fn bytes(&mut self, b: &[u8]) {
+        self.head(TAG_BYTES, b.len() as u64);
+        self.out.extend_from_slice(b);
+    }
+
+    #[inline]
+    fn list(&mut self, len: usize) {
+        self.head(TAG_LIST, len as u64);
+    }
+
+    #[inline]
+    fn map(&mut self, len: usize) {
+        self.head(TAG_MAP, len as u64);
+    }
+
+    #[inline]
+    fn key(&mut self, key: &str) {
+        self.varint(key.len() as u64);
+        self.out.extend_from_slice(key.as_bytes());
+    }
+
+    fn value(&mut self, value: &Value) {
+        write_value(self.out, value);
     }
 }
 
@@ -556,7 +458,7 @@ mod tests {
         // Decoding must return Err before any proportional allocation.
         for tag in [TAG_STR, TAG_BYTES, TAG_LIST, TAG_MAP] {
             let mut bytes = vec![tag];
-            Writer::new(&mut bytes).varint(u32::MAX as u64);
+            BinaryWriter::new(&mut bytes).varint(u32::MAX as u64);
             assert!(
                 BinaryCodec.decode(&bytes).is_err(),
                 "tag {tag:#04x} accepted a 4 GiB length"
@@ -569,7 +471,7 @@ mod tests {
         // `pos + n` with `n == usize::MAX` would wrap without checked_add;
         // wrapping past `pos` would read an aliased slice instead of Err.
         let mut bytes = vec![TAG_BYTES];
-        Writer::new(&mut bytes).varint(usize::MAX as u64);
+        BinaryWriter::new(&mut bytes).varint(usize::MAX as u64);
         bytes.extend_from_slice(b"payload");
         assert!(BinaryCodec.decode(&bytes).is_err());
     }
@@ -667,7 +569,7 @@ mod tests {
                 bytes[pos % len] ^= xor;
             }
             bytes.truncate(cut.max(bytes.len() / 2));
-            let mut r = Reader::new(&bytes);
+            let mut r = BinaryReader::new(&bytes);
             let skipped = r.skip(0).and_then(|_| r.finish());
             prop_assert_eq!(skipped.is_ok(), BinaryCodec.decode(&bytes).is_ok());
         }
@@ -746,9 +648,9 @@ mod tests {
         #[test]
         fn prop_varint_roundtrip(v in any::<u64>()) {
             let mut out = Vec::new();
-            Writer::new(&mut out).varint(v);
+            BinaryWriter::new(&mut out).varint(v);
             prop_assert_eq!(varint_len(v), out.len());
-            let mut r = Reader::new(&out);
+            let mut r = BinaryReader::new(&out);
             prop_assert_eq!(r.varint().unwrap(), v);
             prop_assert_eq!(r.position(), out.len());
         }

@@ -10,8 +10,11 @@
 //! * [`Codec`] is the transport hook. Two implementations are provided:
 //!   [`BinaryCodec`] (compact, varint-based — the Kryo stand-in and the
 //!   default) and [`JsonCodec`] (hand-rolled JSON, human-readable).
-//! * [`Reader`] and [`Writer`] read and write the binary encoding token by
-//!   token, without a [`Value`] tree; [`BinaryCodec`] is built on them.
+//! * [`TokenReader`] and [`TokenWriter`] read and write an encoding token
+//!   by token, without a [`Value`] tree. Each codec has one of each
+//!   ([`BinaryReader`]/[`BinaryWriter`], [`JsonReader`]/[`JsonWriter`]),
+//!   its tree `decode` and `encode` are walks over them, and code that
+//!   knows its schema is written once for both.
 //! * [`ToValue`]/[`FromValue`] convert domain types to and from [`Value`].
 //!
 //! ## Example
@@ -36,12 +39,14 @@ mod binary;
 mod error;
 mod json;
 mod pool;
+mod token;
 mod value;
 
-pub use binary::{BinaryCodec, Reader, Token, Writer};
+pub use binary::{BinaryCodec, BinaryReader, BinaryWriter};
 pub use error::{WireError, WireResult};
-pub use json::{to_json_string, JsonCodec};
+pub use json::{to_json_string, JsonCodec, JsonReader, JsonWriter};
 pub use pool::{encode_pooled, encode_to_bytes, BufPool};
+pub use token::{Token, TokenReader, TokenWriter};
 pub use value::{FromValue, ToValue, Value};
 
 /// How many lists and maps a decoder lets enclose one value; deeper input is
@@ -92,6 +97,17 @@ pub trait Codec: Send + Sync {
             buf.len()
         })
     }
+
+    /// This codec's [`TokenWriter`], appending to `out`.
+    fn writer<'a>(&self, out: &'a mut Vec<u8>) -> Box<dyn TokenWriter + 'a>;
+
+    /// This codec's [`TokenReader`] at the start of `bytes`.
+    ///
+    /// # Errors
+    ///
+    /// A [`WireError`] when the input cannot hold an encoding at all (JSON
+    /// text that is not UTF-8).
+    fn reader<'a>(&self, bytes: &'a [u8]) -> WireResult<Box<dyn TokenReader<'a> + 'a>>;
 
     /// Short name for diagnostics (`"binary"`, `"json"`).
     fn name(&self) -> &'static str;

@@ -168,4 +168,22 @@ fn full_stack_works_over_json_transport() {
     );
     a.delete_file("binary.dat").unwrap();
     assert!(b.wait_for_absent("binary.dat", Duration::from_secs(5)));
+
+    // A third device joins a workspace that has files, one of them a
+    // tombstone: its `get_changes` reply carries items, read from JSON.
+    let text = b"kept \"quoted\" \\ text\n".repeat(500);
+    a.write_file("dir/kept \"1\".txt", text.clone()).unwrap();
+    assert!(b.wait_for_content("dir/kept \"1\".txt", &text, Duration::from_secs(5)));
+    let c = DesktopClient::connect(
+        &broker,
+        &store,
+        ClientConfig::new("json", "c").with_chunk_size(4096),
+        &ws,
+    )
+    .unwrap();
+    assert_eq!(c.list_files(), vec!["dir/kept \"1\".txt"]);
+    assert_eq!(c.read_file("dir/kept \"1\".txt").unwrap(), text);
+    assert_eq!(c.file_version("dir/kept \"1\".txt"), Some(1));
+    assert!(c.read_file("binary.dat").is_none());
+    assert!(c.stats().control_received_bytes() > 0);
 }
