@@ -70,23 +70,6 @@ impl ChunkId {
     pub fn from_bytes(bytes: [u8; 20]) -> Self {
         ChunkId(bytes)
     }
-
-    /// Parses the 40-char lowercase hex form.
-    ///
-    /// # Errors
-    ///
-    /// Returns `None` when the string is not exactly 40 hex characters.
-    pub fn parse_hex(s: &str) -> Option<Self> {
-        if s.len() != 40 {
-            return None;
-        }
-        let mut out = [0u8; 20];
-        for (i, chunk) in s.as_bytes().chunks(2).enumerate() {
-            let hex = std::str::from_utf8(chunk).ok()?;
-            out[i] = u8::from_str_radix(hex, 16).ok()?;
-        }
-        Some(ChunkId(out))
-    }
 }
 
 impl fmt::Display for ChunkId {
@@ -128,16 +111,8 @@ mod tests {
     #[test]
     fn chunk_id_hex_roundtrip() {
         let id = ChunkId::of(b"hello");
-        let hex = id.to_string();
-        assert_eq!(hex.len(), 40);
-        assert_eq!(ChunkId::parse_hex(&hex), Some(id));
-    }
-
-    #[test]
-    fn parse_hex_rejects_bad_input() {
-        assert_eq!(ChunkId::parse_hex("zz"), None);
-        assert_eq!(ChunkId::parse_hex(&"g".repeat(40)), None);
-        assert_eq!(ChunkId::parse_hex(&"a".repeat(39)), None);
+        assert_eq!(id.to_string(), "aaf4c61ddcc5e8a2dabede0f3b482cd9aea9434d");
+        assert_eq!(ChunkId::from_bytes(*id.as_bytes()), id);
     }
 
     #[test]

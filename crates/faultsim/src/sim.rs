@@ -254,11 +254,11 @@ pub fn run(seed: u64, config: &SimConfig) -> SimReport {
     let multi_exchange = format!("omq.multi.{notify_oid}");
     mq.declare_queue(notify_oid.as_str(), mqsim::QueueOptions::default())
         .expect("declare notification oid queue");
-    mq.declare_exchange(&multi_exchange, mqsim::ExchangeKind::Fanout)
+    mq.declare_exchange(&multi_exchange)
         .expect("declare notification fanout");
     mq.declare_queue(READER_QUEUE, mqsim::QueueOptions::default())
         .expect("declare reader queue");
-    mq.bind_queue(&multi_exchange, "", READER_QUEUE)
+    mq.bind_queue(&multi_exchange, READER_QUEUE)
         .expect("bind reader to fanout");
     let reader_in = mq.subscribe(READER_QUEUE).expect("subscribe reader queue");
 
@@ -271,7 +271,10 @@ pub fn run(seed: u64, config: &SimConfig) -> SimReport {
     loop {
         let writers_left = remaining.iter().any(|r| *r > 0);
         let commit_stats = mq.queue_stats(COMMIT_QUEUE).expect("commit queue stats");
-        let reader_depth = mq.queue_depth(READER_QUEUE).expect("reader queue depth");
+        let reader_depth = mq
+            .queue_stats(READER_QUEUE)
+            .expect("reader queue stats")
+            .depth;
         if !writers_left
             && commit_stats.depth == 0
             && commit_stats.unacked == 0
@@ -349,10 +352,10 @@ pub fn run(seed: u64, config: &SimConfig) -> SimReport {
                     device: device.clone(),
                     item: item.clone(),
                 });
-                let depth_before = mq.queue_depth(COMMIT_QUEUE).expect("depth");
+                let depth_before = mq.queue_stats(COMMIT_QUEUE).expect("depth").depth;
                 mq.publish_to_queue(COMMIT_QUEUE, mqsim::Message::from_bytes(payload))
                     .expect("publish commit");
-                let fate = match mq.queue_depth(COMMIT_QUEUE).expect("depth") - depth_before {
+                let fate = match mq.queue_stats(COMMIT_QUEUE).expect("depth").depth - depth_before {
                     0 => SubmitFate::Dropped,
                     1 => SubmitFate::Enqueued,
                     _ => SubmitFate::Duplicated,

@@ -13,14 +13,14 @@
 //! Because the surface is a trait, `Broker::bind`/`lookup`, proxies, the
 //! Supervisor and the SyncService run unchanged over either transport.
 //!
-//! [`Messaging`] holds the twelve operations something above calls. AMQP
-//! has more (purging a queue, removing one binding, listing queues, probing
-//! for an exchange); nothing here used them, so neither trait, broker nor
-//! wire protocol carries them.
+//! [`Messaging`] holds the eleven operations something above calls, each
+//! offered once. AMQP has more (direct and topic exchanges with routing
+//! keys, purging a queue, removing one binding, listing queues, probing for
+//! an exchange); nothing here used them, so neither trait, broker nor wire
+//! protocol carries them.
 
 use crate::broker::{MessageBroker, QueueOptions};
 use crate::error::MqResult;
-use crate::exchange::ExchangeKind;
 use crate::message::Message;
 use crate::stats::QueueStats;
 use std::fmt;
@@ -29,7 +29,7 @@ use std::time::Duration;
 /// Everything ObjectMQ needs from a messaging provider.
 ///
 /// Semantics are those of the in-process broker (see [`MessageBroker`]):
-/// named durable queues, direct/fanout exchanges, competing consumers,
+/// named durable queues, fanout exchanges, competing consumers,
 /// ack/requeue redelivery. Implementations over a network must preserve
 /// at-least-once delivery: an unacked delivery whose consumer (or
 /// connection) dies is redelivered.
@@ -38,10 +38,10 @@ pub trait Messaging: Send + Sync + fmt::Debug {
     fn declare_queue(&self, name: &str, options: QueueOptions) -> MqResult<()>;
     /// Deletes a queue, waking blocked consumers with `Closed`.
     fn delete_queue(&self, name: &str) -> MqResult<()>;
-    /// Declares an exchange of the given kind.
-    fn declare_exchange(&self, name: &str, kind: ExchangeKind) -> MqResult<()>;
-    /// Binds a queue to an exchange under a routing key.
-    fn bind_queue(&self, exchange: &str, routing_key: &str, queue: &str) -> MqResult<()>;
+    /// Declares a fanout exchange; redeclaring it is a no-op.
+    fn declare_exchange(&self, name: &str) -> MqResult<()>;
+    /// Binds a queue to a fanout exchange.
+    fn bind_queue(&self, exchange: &str, queue: &str) -> MqResult<()>;
     /// Whether the queue exists.
     fn queue_exists(&self, name: &str) -> bool;
     /// Publishes directly to a named queue (default-exchange path).
@@ -57,14 +57,13 @@ pub trait Messaging: Send + Sync + fmt::Debug {
         }
         Ok(())
     }
-    /// Publishes through an exchange; returns how many queues got a copy.
-    fn publish(&self, exchange: &str, routing_key: &str, message: Message) -> MqResult<usize>;
+    /// Publishes one copy to every queue bound to a fanout exchange, in
+    /// queue-name order; returns how many queues got a copy.
+    fn publish(&self, exchange: &str, message: Message) -> MqResult<usize>;
     /// Subscribes a new competing consumer to the queue.
     fn subscribe(&self, queue: &str) -> MqResult<Box<dyn MessageConsumer>>;
-    /// Counter snapshot of a queue.
+    /// Counter snapshot of a queue; its `depth` is the ready-message count.
     fn queue_stats(&self, name: &str) -> MqResult<QueueStats>;
-    /// Ready-message count of a queue.
-    fn queue_depth(&self, name: &str) -> MqResult<usize>;
     /// Windowed arrival rate (messages/sec) observed on a queue.
     fn queue_arrival_rate(&self, name: &str) -> MqResult<f64>;
 }
@@ -203,11 +202,11 @@ impl Messaging for MessageBroker {
     fn delete_queue(&self, name: &str) -> MqResult<()> {
         MessageBroker::delete_queue(self, name)
     }
-    fn declare_exchange(&self, name: &str, kind: ExchangeKind) -> MqResult<()> {
-        MessageBroker::declare_exchange(self, name, kind)
+    fn declare_exchange(&self, name: &str) -> MqResult<()> {
+        MessageBroker::declare_exchange(self, name)
     }
-    fn bind_queue(&self, exchange: &str, routing_key: &str, queue: &str) -> MqResult<()> {
-        MessageBroker::bind_queue(self, exchange, routing_key, queue)
+    fn bind_queue(&self, exchange: &str, queue: &str) -> MqResult<()> {
+        MessageBroker::bind_queue(self, exchange, queue)
     }
     fn queue_exists(&self, name: &str) -> bool {
         MessageBroker::queue_exists(self, name)
@@ -218,17 +217,14 @@ impl Messaging for MessageBroker {
     fn publish_batch_to_queue(&self, queue: &str, messages: Vec<Message>) -> MqResult<()> {
         MessageBroker::publish_batch_to_queue(self, queue, messages)
     }
-    fn publish(&self, exchange: &str, routing_key: &str, message: Message) -> MqResult<usize> {
-        MessageBroker::publish(self, exchange, routing_key, message)
+    fn publish(&self, exchange: &str, message: Message) -> MqResult<usize> {
+        MessageBroker::publish(self, exchange, message)
     }
     fn subscribe(&self, queue: &str) -> MqResult<Box<dyn MessageConsumer>> {
         MessageBroker::subscribe(self, queue).map(|c| Box::new(c) as Box<dyn MessageConsumer>)
     }
     fn queue_stats(&self, name: &str) -> MqResult<QueueStats> {
         MessageBroker::queue_stats(self, name)
-    }
-    fn queue_depth(&self, name: &str) -> MqResult<usize> {
-        MessageBroker::queue_depth(self, name)
     }
     fn queue_arrival_rate(&self, name: &str) -> MqResult<f64> {
         MessageBroker::queue_arrival_rate(self, name)
@@ -258,7 +254,7 @@ mod tests {
         assert_eq!(d.message.payload(), b"m");
         assert!(!d.redelivered);
         d.ack();
-        assert_eq!(mq.queue_depth("q").unwrap(), 0);
+        assert_eq!(mq.queue_stats("q").unwrap().depth, 0);
         assert_eq!(mq.queue_stats("q").unwrap().acked, 1);
     }
 
@@ -302,16 +298,16 @@ mod tests {
     fn fanout_through_trait() {
         let broker = MessageBroker::new();
         let mq = as_messaging(&broker);
-        mq.declare_exchange("ex", ExchangeKind::Fanout).unwrap();
+        mq.declare_exchange("ex").unwrap();
         for q in ["a", "b"] {
             mq.declare_queue(q, QueueOptions::default()).unwrap();
-            mq.bind_queue("ex", "", q).unwrap();
+            mq.bind_queue("ex", q).unwrap();
         }
-        assert_eq!(mq.publish("ex", "", Message::from_static(b"n")).unwrap(), 2);
-        assert_eq!(mq.queue_depth("a").unwrap(), 1);
-        assert_eq!(mq.queue_depth("b").unwrap(), 1);
+        assert_eq!(mq.publish("ex", Message::from_static(b"n")).unwrap(), 2);
+        assert_eq!(mq.queue_stats("a").unwrap().depth, 1);
+        assert_eq!(mq.queue_stats("b").unwrap().depth, 1);
         mq.delete_queue("a").unwrap();
         assert!(!mq.queue_exists("a"));
-        assert_eq!(mq.publish("ex", "", Message::from_static(b"n")).unwrap(), 1);
+        assert_eq!(mq.publish("ex", Message::from_static(b"n")).unwrap(), 1);
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::consumer::Consumer;
 use crate::error::{MqError, MqResult};
-use crate::exchange::{Exchange, ExchangeKind};
+use crate::exchange::Exchange;
 use crate::interceptor::{DeliveryInterceptor, InterceptorCell};
 use crate::journal::{Journal, RecoveredState};
 use crate::message::Message;
@@ -297,7 +297,7 @@ impl MessageBroker {
         queue.close();
         let mut exchanges = self.inner.exchanges.write();
         for exchange in exchanges.values_mut() {
-            exchange.unbind_queue_everywhere(name);
+            exchange.unbind(name);
         }
         drop(exchanges);
         if queue.durable {
@@ -332,23 +332,19 @@ impl MessageBroker {
         self.queue(queue)?.push_batch(messages)
     }
 
-    /// Declares an exchange of the given kind. Redeclaration with the same
-    /// kind is a no-op.
-    pub fn declare_exchange(&self, name: &str, kind: ExchangeKind) -> MqResult<()> {
+    /// Declares a fanout exchange. Redeclaration is a no-op.
+    pub fn declare_exchange(&self, name: &str) -> MqResult<()> {
         self.check_up()?;
-        let mut exchanges = self.inner.exchanges.write();
-        if let Some(existing) = exchanges.get(name) {
-            if existing.kind != kind {
-                return Err(MqError::IncompatibleDeclaration(name.to_string()));
-            }
-            return Ok(());
-        }
-        exchanges.insert(name.to_string(), Exchange::new(kind));
+        self.inner
+            .exchanges
+            .write()
+            .entry(name.to_string())
+            .or_default();
         Ok(())
     }
 
-    /// Binds a queue to an exchange under a routing key.
-    pub fn bind_queue(&self, exchange: &str, routing_key: &str, queue: &str) -> MqResult<()> {
+    /// Binds a queue to a fanout exchange; binding it again is a no-op.
+    pub fn bind_queue(&self, exchange: &str, queue: &str) -> MqResult<()> {
         self.check_up()?;
         if !self.queue_exists(queue) {
             return Err(MqError::QueueNotFound(queue.to_string()));
@@ -357,21 +353,21 @@ impl MessageBroker {
         let ex = exchanges
             .get_mut(exchange)
             .ok_or_else(|| MqError::ExchangeNotFound(exchange.to_string()))?;
-        ex.bind(routing_key, queue);
+        ex.bind(queue);
         Ok(())
     }
 
-    /// Publishes through an exchange. Returns the number of queues that
-    /// received a copy (0 if no binding matched, like an unroutable AMQP
-    /// message).
-    pub fn publish(&self, exchange: &str, routing_key: &str, message: Message) -> MqResult<usize> {
+    /// Publishes through a fanout exchange: one copy to every bound queue,
+    /// in queue-name order. Returns the number of queues that received a
+    /// copy (0 if none is bound, like an unroutable AMQP message).
+    pub fn publish(&self, exchange: &str, message: Message) -> MqResult<usize> {
         self.check_up()?;
         let targets = {
             let exchanges = self.inner.exchanges.read();
             let ex = exchanges
                 .get(exchange)
                 .ok_or_else(|| MqError::ExchangeNotFound(exchange.to_string()))?;
-            ex.route(routing_key)
+            ex.route()
         };
         let mut delivered = 0;
         let last = targets.len().saturating_sub(1);
@@ -396,11 +392,6 @@ impl MessageBroker {
     /// Counter snapshot of a queue.
     pub fn queue_stats(&self, name: &str) -> MqResult<QueueStats> {
         Ok(self.queue(name)?.stats())
-    }
-
-    /// Ready-message count of a queue.
-    pub fn queue_depth(&self, name: &str) -> MqResult<usize> {
-        Ok(self.queue(name)?.depth())
     }
 
     /// Windowed arrival rate (messages/sec) observed on a queue.
@@ -467,49 +458,77 @@ mod tests {
     #[test]
     fn fanout_exchange_broadcasts() {
         let b = MessageBroker::new();
-        b.declare_exchange("ws", ExchangeKind::Fanout).unwrap();
+        b.declare_exchange("ws").unwrap();
         for q in ["c1", "c2", "c3"] {
             b.declare_queue(q, QueueOptions::default()).unwrap();
-            b.bind_queue("ws", "", q).unwrap();
+            b.bind_queue("ws", q).unwrap();
         }
-        let n = b
-            .publish("ws", "", Message::from_static(b"notify"))
-            .unwrap();
+        let n = b.publish("ws", Message::from_static(b"notify")).unwrap();
         assert_eq!(n, 3);
         for q in ["c1", "c2", "c3"] {
-            assert_eq!(b.queue_depth(q).unwrap(), 1);
+            assert_eq!(b.queue_stats(q).unwrap().depth, 1);
+        }
+    }
+
+    /// Records the queue of every message pushed onto a ready list, in push
+    /// order: the order a fanout publish routes in.
+    #[derive(Default)]
+    struct PushLog(parking_lot::Mutex<Vec<String>>);
+
+    impl crate::DeliveryInterceptor for PushLog {
+        fn on_publish(&self, queue: &str, _payload: &[u8]) -> crate::PublishFault {
+            self.0.lock().push(queue.to_string());
+            crate::PublishFault::Deliver
         }
     }
 
     #[test]
-    fn direct_exchange_routes_by_key() {
+    fn fanout_reaches_each_bound_queue_once_in_name_order() {
         let b = MessageBroker::new();
-        b.declare_exchange("ex", ExchangeKind::Direct).unwrap();
-        b.declare_queue("qa", QueueOptions::default()).unwrap();
-        b.declare_queue("qb", QueueOptions::default()).unwrap();
-        b.bind_queue("ex", "a", "qa").unwrap();
-        b.bind_queue("ex", "b", "qb").unwrap();
-        b.publish("ex", "a", Message::from_static(b"m")).unwrap();
-        assert_eq!(b.queue_depth("qa").unwrap(), 1);
-        assert_eq!(b.queue_depth("qb").unwrap(), 0);
+        let log = Arc::new(PushLog::default());
+        b.set_interceptor(Some(log.clone()));
+        b.declare_exchange("ex").unwrap();
+        // Declared and bound out of name order; "b" is bound twice.
+        for q in ["c", "a", "b", "d"] {
+            b.declare_queue(q, QueueOptions::default()).unwrap();
+            b.bind_queue("ex", q).unwrap();
+        }
+        b.bind_queue("ex", "b").unwrap();
+        let publish = || {
+            log.0.lock().clear();
+            let n = b.publish("ex", Message::from_static(b"m")).unwrap();
+            let routed = log.0.lock().clone();
+            assert_eq!(n, routed.len());
+            routed
+        };
+        assert_eq!(publish(), ["a", "b", "c", "d"]);
+        // A deleted queue leaves the exchange; re-declared, it is unbound
+        // until bound again, and then it is back in its place.
+        b.delete_queue("a").unwrap();
+        assert_eq!(publish(), ["b", "c", "d"]);
+        b.declare_queue("a", QueueOptions::default()).unwrap();
+        assert_eq!(publish(), ["b", "c", "d"]);
+        b.bind_queue("ex", "a").unwrap();
+        assert_eq!(publish(), ["a", "b", "c", "d"]);
+        for (q, depth) in [("a", 1), ("b", 4), ("c", 4), ("d", 4)] {
+            assert_eq!(b.queue_stats(q).unwrap().depth, depth, "queue {q}");
+        }
     }
 
     #[test]
     fn unroutable_message_is_dropped() {
         let b = MessageBroker::new();
-        b.declare_exchange("ex", ExchangeKind::Direct).unwrap();
-        let n = b
-            .publish("ex", "nokey", Message::from_static(b"m"))
-            .unwrap();
+        b.declare_exchange("ex").unwrap();
+        let n = b.publish("ex", Message::from_static(b"m")).unwrap();
         assert_eq!(n, 0);
     }
 
     #[test]
     fn delete_queue_wakes_consumers_and_unbinds() {
         let b = MessageBroker::new();
-        b.declare_exchange("ex", ExchangeKind::Fanout).unwrap();
+        b.declare_exchange("ex").unwrap();
         b.declare_queue("q", QueueOptions::default()).unwrap();
-        b.bind_queue("ex", "", "q").unwrap();
+        b.bind_queue("ex", "q").unwrap();
         let c = b.subscribe("q").unwrap();
         let b2 = b.clone();
         let h = std::thread::spawn(move || c.recv_timeout(Duration::from_secs(5)));
@@ -517,7 +536,7 @@ mod tests {
         b2.delete_queue("q").unwrap();
         assert!(matches!(h.join().unwrap(), Err(MqError::Closed)));
         // The binding went with the queue: the fanout now reaches nobody.
-        assert_eq!(b.publish("ex", "", Message::from_static(b"m")).unwrap(), 0);
+        assert_eq!(b.publish("ex", Message::from_static(b"m")).unwrap(), 0);
     }
 
     #[test]
@@ -531,6 +550,10 @@ mod tests {
         ));
         b.restart();
         b.publish_to_queue("q", Message::from_static(b"x")).unwrap();
-        assert_eq!(b.queue_depth("q").unwrap(), 1, "state preserved over crash");
+        assert_eq!(
+            b.queue_stats("q").unwrap().depth,
+            1,
+            "state preserved over crash"
+        );
     }
 }

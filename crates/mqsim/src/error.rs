@@ -14,7 +14,7 @@ pub enum MqError {
     QueueNotFound(String),
     /// The named exchange does not exist.
     ExchangeNotFound(String),
-    /// A queue or exchange was redeclared with incompatible options.
+    /// A queue was redeclared with incompatible options.
     IncompatibleDeclaration(String),
     /// Waiting for a message timed out.
     RecvTimeout,

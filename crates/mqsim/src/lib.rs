@@ -6,10 +6,10 @@
 //!
 //! * **Named, durable queues** with FIFO delivery and requeue-at-front on
 //!   redelivery.
-//! * **Exchanges**: the *default* (direct-to-queue) exchange, *direct*
-//!   exchanges with routing-key bindings, and *fanout* exchanges that
-//!   broadcast to every bound queue (used for ObjectMQ `@MultiMethod`
-//!   invocations).
+//! * **Exchanges**: the *default* (direct-to-queue) exchange, and *fanout*
+//!   exchanges that broadcast to every bound queue in queue-name order
+//!   (used for ObjectMQ `@MultiMethod` invocations). There are no routing
+//!   keys: ObjectMQ routes by queue name or by fanout, nothing else.
 //! * **Competing consumers**: many consumers may subscribe to one queue and
 //!   each message is delivered to exactly one of them — the first idle one —
 //!   which is the transparent load balancing the paper builds elasticity on.
@@ -59,7 +59,6 @@ pub use broker::{BrokerRecovery, MessageBroker, QueueOptions};
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use consumer::{Consumer, Delivery};
 pub use error::{MqError, MqResult};
-pub use exchange::ExchangeKind;
 pub use interceptor::{DeliverFault, DeliveryInterceptor, PublishFault};
 pub use message::{DeliveryTag, Message, MessageProperties};
 pub use stats::{QueueStats, RateEstimator};

@@ -569,11 +569,6 @@ impl QueueCore {
         self.available.notify_all();
     }
 
-    /// Number of ready messages.
-    pub(crate) fn depth(&self) -> usize {
-        self.state.lock().ready.len()
-    }
-
     /// Counter snapshot.
     pub(crate) fn stats(&self) -> QueueStats {
         let state = self.state.lock();
@@ -619,7 +614,7 @@ mod tests {
             assert!(!redelivered);
             queue.ack(tag).unwrap();
         }
-        assert_eq!(queue.depth(), 0);
+        assert_eq!(queue.stats().depth, 0);
     }
 
     #[test]
@@ -636,9 +631,9 @@ mod tests {
         let c = queue.register_consumer().unwrap();
         queue.push(Message::from_static(b"a")).unwrap();
         let (_tag, _m, _) = queue.recv(c, Duration::from_millis(10)).unwrap();
-        assert_eq!(queue.depth(), 0);
+        assert_eq!(queue.stats().depth, 0);
         queue.unregister_consumer(c);
-        assert_eq!(queue.depth(), 1);
+        assert_eq!(queue.stats().depth, 1);
         let c2 = queue.register_consumer().unwrap();
         let (_, m, redelivered) = queue.recv(c2, Duration::from_millis(10)).unwrap();
         assert_eq!(m.payload(), b"a");
@@ -706,7 +701,7 @@ mod tests {
         let c = queue.register_consumer().unwrap();
         let batch: Vec<Message> = (0..5u8).map(|i| Message::from_bytes(vec![i])).collect();
         queue.push_batch(batch).unwrap();
-        assert_eq!(queue.depth(), 5);
+        assert_eq!(queue.stats().depth, 5);
         assert_eq!(queue.stats().published, 5);
         let got = queue.recv_batch(c, Duration::from_millis(10), 10).unwrap();
         assert_eq!(got.len(), 5);

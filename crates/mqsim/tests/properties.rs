@@ -94,18 +94,18 @@ proptest! {
         payloads in proptest::collection::vec(any::<u8>(), 0..30),
     ) {
         let broker = MessageBroker::new();
-        broker.declare_exchange("x", mqsim::ExchangeKind::Fanout).unwrap();
+        broker.declare_exchange("x").unwrap();
         for i in 0..n_queues {
             let q = format!("q{i}");
             broker.declare_queue(&q, QueueOptions::default()).unwrap();
-            broker.bind_queue("x", "", &q).unwrap();
+            broker.bind_queue("x", &q).unwrap();
         }
         for &b in &payloads {
-            let delivered = broker.publish("x", "", Message::from_bytes(vec![b])).unwrap();
+            let delivered = broker.publish("x", Message::from_bytes(vec![b])).unwrap();
             prop_assert_eq!(delivered, n_queues);
         }
         for i in 0..n_queues {
-            prop_assert_eq!(broker.queue_depth(&format!("q{i}")).unwrap(), payloads.len());
+            prop_assert_eq!(broker.queue_stats(&format!("q{i}")).unwrap().depth, payloads.len());
         }
     }
 }

@@ -29,8 +29,8 @@ use crate::reactor::{EventSource, Reactor, Ready, INTEREST_READ, INTEREST_WRITE}
 use crate::stats_from_value;
 use crate::tx::{Flush, TxQueue, WriteState};
 use mqsim::{
-    AnyDelivery, Clock, ExchangeKind, Message, MessageConsumer, Messaging, MqError, MqResult,
-    QueueOptions, QueueStats, SystemClock,
+    AnyDelivery, Clock, Message, MessageConsumer, Messaging, MqError, MqResult, QueueOptions,
+    QueueStats, SystemClock,
 };
 use parking_lot::{Condvar, Mutex};
 use rand::{Rng, SeedableRng};
@@ -449,14 +449,12 @@ fn flush_acks(client: &ClientInner, sub: &SubInner) {
             .map(|(_, tag)| tag)
             .collect()
     };
-    let req = match tags.as_slice() {
-        [] => return,
-        [tag] => Request::Ack(sub.id, *tag),
-        _ => Request::AckMany(sub.id, tags),
-    };
-    // Fire-and-forget, like single acks.
+    if tags.is_empty() {
+        return;
+    }
+    // Fire-and-forget: nothing waits for the reply.
     let corr = client.next_corr.fetch_add(1, Ordering::Relaxed);
-    let _ = client.send(&req.to_frame(corr));
+    let _ = client.send(&Request::AckMany(sub.id, tags).to_frame(corr));
 }
 
 // ---------------------------------------------------------------------------
@@ -910,19 +908,15 @@ impl Messaging for NetBroker {
             .map(|_| ())
     }
 
-    fn declare_exchange(&self, name: &str, kind: ExchangeKind) -> MqResult<()> {
+    fn declare_exchange(&self, name: &str) -> MqResult<()> {
         self.inner
-            .request(&Request::DeclareExchange(name.into(), kind))
+            .request(&Request::DeclareExchange(name.into()))
             .map(|_| ())
     }
 
-    fn bind_queue(&self, exchange: &str, routing_key: &str, queue: &str) -> MqResult<()> {
+    fn bind_queue(&self, exchange: &str, queue: &str) -> MqResult<()> {
         self.inner
-            .request(&Request::BindQueue(
-                exchange.into(),
-                routing_key.into(),
-                queue.into(),
-            ))
+            .request(&Request::BindQueue(exchange.into(), queue.into()))
             .map(|_| ())
     }
 
@@ -933,7 +927,7 @@ impl Messaging for NetBroker {
     /// across reconnects until then) degrades to `false` — over TCP a long
     /// partition is indistinguishable from "queue deleted". Callers that
     /// must tell the two apart should probe with a fallible call such as
-    /// [`Messaging::queue_depth`], which surfaces [`MqError::Transport`].
+    /// [`Messaging::queue_stats`], which surfaces [`MqError::Transport`].
     /// Each degraded answer bumps the `net.client.exists_degraded` counter.
     fn queue_exists(&self, name: &str) -> bool {
         let answer = self
@@ -961,12 +955,10 @@ impl Messaging for NetBroker {
             .map(|_| ())
     }
 
-    fn publish(&self, exchange: &str, routing_key: &str, message: Message) -> MqResult<usize> {
-        let v = self.inner.request(&Request::Publish(
-            exchange.into(),
-            routing_key.into(),
-            message,
-        ))?;
+    fn publish(&self, exchange: &str, message: Message) -> MqResult<usize> {
+        let v = self
+            .inner
+            .request(&Request::Publish(exchange.into(), message))?;
         Ok(v.as_u64().unwrap_or(0) as usize)
     }
 
@@ -1000,11 +992,6 @@ impl Messaging for NetBroker {
     fn queue_stats(&self, name: &str) -> MqResult<QueueStats> {
         let v = self.inner.request(&Request::QueueStats(name.into()))?;
         stats_from_value(&v).map_err(MqError::from)
-    }
-
-    fn queue_depth(&self, name: &str) -> MqResult<usize> {
-        let v = self.inner.request(&Request::QueueDepth(name.into()))?;
-        Ok(v.as_u64().unwrap_or(0) as usize)
     }
 
     fn queue_arrival_rate(&self, name: &str) -> MqResult<f64> {
@@ -1189,16 +1176,14 @@ mod tests {
         client.declare_queue("q", QueueOptions::default()).unwrap();
         assert!(client.queue_exists("q"));
         assert!(!client.queue_exists("other"));
-        client.declare_exchange("x", ExchangeKind::Fanout).unwrap();
-        client.bind_queue("x", "", "q").unwrap();
-        let n = client
-            .publish("x", "", Message::from_static(b"fan"))
-            .unwrap();
+        client.declare_exchange("x").unwrap();
+        client.bind_queue("x", "q").unwrap();
+        let n = client.publish("x", Message::from_static(b"fan")).unwrap();
         assert_eq!(n, 1);
         client
             .publish_to_queue("q", Message::from_static(b"direct"))
             .unwrap();
-        assert_eq!(client.queue_depth("q").unwrap(), 2);
+        assert_eq!(client.queue_stats("q").unwrap().depth, 2);
         assert!(client.queue_arrival_rate("q").unwrap() > 0.0);
 
         let consumer = client.subscribe("q").unwrap();
@@ -1221,9 +1206,7 @@ mod tests {
         client.delete_queue("q").unwrap();
         assert!(!client.queue_exists("q"));
         assert_eq!(
-            client
-                .publish("x", "", Message::from_static(b"gone"))
-                .unwrap(),
+            client.publish("x", Message::from_static(b"gone")).unwrap(),
             0,
             "deleting the queue removed its binding"
         );
@@ -1235,7 +1218,7 @@ mod tests {
     fn remote_errors_surface_typed() {
         let (server, client) = pair();
         assert_eq!(
-            client.queue_depth("missing").unwrap_err(),
+            client.queue_stats("missing").unwrap_err(),
             MqError::QueueNotFound("missing".into())
         );
         client.close();
@@ -1364,7 +1347,7 @@ mod tests {
         client.declare_queue("q", QueueOptions::default()).unwrap();
         let batch: Vec<Message> = (0..20u8).map(|i| Message::from_bytes(vec![i])).collect();
         client.publish_batch_to_queue("q", batch).unwrap();
-        assert_eq!(client.queue_depth("q").unwrap(), 20);
+        assert_eq!(client.queue_stats("q").unwrap().depth, 20);
 
         let consumer = client.subscribe("q").unwrap();
         let mut got = 0usize;

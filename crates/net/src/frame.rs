@@ -19,7 +19,7 @@
 //! happens) and the hardened binary codec underneath (truncated or malformed
 //! bytes decode to `Err`, never a panic).
 
-use mqsim::{ExchangeKind, Message, MessageProperties, MqError, QueueOptions, QueueStats};
+use mqsim::{Message, MessageProperties, MqError, QueueOptions, QueueStats};
 use std::io::{Read, Write};
 use std::time::Duration;
 use wire::{BinaryCodec, Codec, Value};
@@ -145,14 +145,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<(Value, usize), FrameError> {
 /// a timeout in the middle of a frame returns `Ok(None)` (an idle tick for
 /// the caller's heartbeat logic) and the partial frame is completed on the
 /// next call.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FrameBuffer {
     partial: Vec<u8>,
-    /// `true` reads greedily ahead of the current frame boundary, so one
-    /// syscall can pull in many small frames; frames already buffered are
-    /// then handed out by [`FrameBuffer::take_buffered`] with no I/O.
-    greedy: bool,
-    /// Current greedy read size. Starts at [`READAHEAD_MIN`] so an idle
+    /// Current read size. Starts at [`READAHEAD_MIN`] so an idle
     /// connection costs kilobytes, not [`READAHEAD`]; doubles toward
     /// [`READAHEAD`] whenever a read fills the whole ask (a busy peer), so
     /// hot connections still drain in large gulps. Matters when one process
@@ -160,26 +156,20 @@ pub struct FrameBuffer {
     readahead: usize,
 }
 
-/// Max bytes pulled per read in greedy mode.
+/// Max bytes pulled per read.
 const READAHEAD: usize = 64 * 1024;
 
-/// Initial greedy read size, before traffic justifies growing it.
+/// Initial read size, before traffic justifies growing it.
 const READAHEAD_MIN: usize = 4 * 1024;
 
 impl FrameBuffer {
-    /// Creates an empty buffer that reads exactly one frame at a time.
-    pub fn new() -> Self {
-        FrameBuffer::default()
-    }
-
-    /// Creates a buffer that reads up to 64 KiB per syscall regardless of
-    /// frame boundaries. Pair with
+    /// Creates an empty buffer that reads up to 64 KiB per syscall
+    /// regardless of frame boundaries. Pair with
     /// [`FrameBuffer::take_buffered`] to drain everything a single read
     /// pulled in — the receive half of the coalesced-write protocol.
     pub fn with_readahead() -> Self {
         FrameBuffer {
             partial: Vec::new(),
-            greedy: true,
             readahead: READAHEAD_MIN,
         }
     }
@@ -228,20 +218,7 @@ impl FrameBuffer {
             if let Some(ok) = self.take_buffered()? {
                 return Ok(Some(ok));
             }
-            // take_buffered validated the length prefix, so the exact-mode
-            // target below never asks for an oversized frame.
-            let target = if self.greedy {
-                self.partial.len() + self.readahead
-            } else if self.partial.len() < 4 {
-                4
-            } else {
-                4 + u32::from_be_bytes([
-                    self.partial[0],
-                    self.partial[1],
-                    self.partial[2],
-                    self.partial[3],
-                ]) as usize
-            };
+            let target = self.partial.len() + self.readahead;
             let have = self.partial.len();
             self.partial.resize(target, 0);
             let read = r.read(&mut self.partial[have..]);
@@ -252,7 +229,7 @@ impl FrameBuffer {
                 }
                 Ok(n) => {
                     self.partial.truncate(have + n);
-                    if self.greedy && n == target - have {
+                    if n == target - have {
                         // The peer filled the whole ask: read bigger next
                         // time, up to the cap.
                         self.readahead = (self.readahead * 2).min(READAHEAD);
@@ -288,10 +265,10 @@ pub enum Request {
     DeclareQueue(String, QueueOptions),
     /// `delete_queue(name)`
     DeleteQueue(String),
-    /// `declare_exchange(name, kind)`
-    DeclareExchange(String, ExchangeKind),
-    /// `bind_queue(exchange, routing_key, queue)`
-    BindQueue(String, String, String),
+    /// `declare_exchange(name)`
+    DeclareExchange(String),
+    /// `bind_queue(exchange, queue)`
+    BindQueue(String, String),
     /// `queue_exists(name)`
     QueueExists(String),
     /// `publish_to_queue(queue, message)`
@@ -299,8 +276,8 @@ pub enum Request {
     /// `publish_batch_to_queue(queue, messages)` — one frame, one broker
     /// lock acquisition for the whole batch.
     PublishBatch(String, Vec<Message>),
-    /// `publish(exchange, routing_key, message)`
-    Publish(String, String, Message),
+    /// `publish(exchange, message)`
+    Publish(String, Message),
     /// `subscribe(queue)` with a client-chosen subscription id and an
     /// initial delivery credit (backpressure window).
     Subscribe {
@@ -313,17 +290,13 @@ pub enum Request {
     },
     /// Cancels a subscription.
     Unsubscribe(u64),
-    /// Acknowledges delivery `tag` of subscription `sub`.
-    Ack(u64, u64),
-    /// Acknowledges several deliveries of subscription `sub` in one frame;
-    /// the freed credit is granted back cumulatively.
+    /// Acknowledges deliveries of subscription `sub`, one or several in
+    /// one frame; the freed credit is granted back cumulatively.
     AckMany(u64, Vec<u64>),
     /// Requeues delivery `tag` of subscription `sub`.
     Requeue(u64, u64),
     /// `queue_stats(name)`
     QueueStats(String),
-    /// `queue_depth(name)`
-    QueueDepth(String),
     /// `queue_arrival_rate(name)`
     QueueArrivalRate(String),
     /// Liveness probe; the reply is the heartbeat.
@@ -439,24 +412,14 @@ impl Request {
                 "delete_queue",
                 vec![("name".into(), Value::from(name.clone()))],
             ),
-            Request::DeclareExchange(name, kind) => (
+            Request::DeclareExchange(name) => (
                 "declare_exchange",
-                vec![
-                    ("name".into(), Value::from(name.clone())),
-                    (
-                        "kind".into(),
-                        Value::from(match kind {
-                            ExchangeKind::Direct => "direct",
-                            ExchangeKind::Fanout => "fanout",
-                        }),
-                    ),
-                ],
+                vec![("name".into(), Value::from(name.clone()))],
             ),
-            Request::BindQueue(e, k, q) => (
+            Request::BindQueue(e, q) => (
                 "bind_queue",
                 vec![
                     ("exchange".into(), Value::from(e.clone())),
-                    ("key".into(), Value::from(k.clone())),
                     ("queue".into(), Value::from(q.clone())),
                 ],
             ),
@@ -478,11 +441,10 @@ impl Request {
                     ("messages".into(), messages_to_value(messages)),
                 ],
             ),
-            Request::Publish(exchange, key, message) => (
+            Request::Publish(exchange, message) => (
                 "publish",
                 vec![
                     ("exchange".into(), Value::from(exchange.clone())),
-                    ("key".into(), Value::from(key.clone())),
                     ("message".into(), message_to_value(message)),
                 ],
             ),
@@ -495,13 +457,6 @@ impl Request {
                 ],
             ),
             Request::Unsubscribe(sub) => ("unsubscribe", vec![("sub".into(), Value::U64(*sub))]),
-            Request::Ack(sub, tag) => (
-                "ack",
-                vec![
-                    ("sub".into(), Value::U64(*sub)),
-                    ("tag".into(), Value::U64(*tag)),
-                ],
-            ),
             Request::AckMany(sub, tags) => (
                 "ack_many",
                 vec![
@@ -521,10 +476,6 @@ impl Request {
             ),
             Request::QueueStats(name) => (
                 "queue_stats",
-                vec![("name".into(), Value::from(name.clone()))],
-            ),
-            Request::QueueDepth(name) => (
-                "queue_depth",
                 vec![("name".into(), Value::from(name.clone()))],
             ),
             Request::QueueArrivalRate(name) => (
@@ -557,23 +508,8 @@ impl Request {
                 },
             ),
             "delete_queue" => Request::DeleteQueue(field_str(v, "name")?),
-            "declare_exchange" => Request::DeclareExchange(
-                field_str(v, "name")?,
-                match field_str(v, "kind")?.as_str() {
-                    "direct" => ExchangeKind::Direct,
-                    "fanout" => ExchangeKind::Fanout,
-                    other => {
-                        return Err(FrameError::Protocol(format!(
-                            "unknown exchange kind `{other}`"
-                        )))
-                    }
-                },
-            ),
-            "bind_queue" => Request::BindQueue(
-                field_str(v, "exchange")?,
-                field_str(v, "key")?,
-                field_str(v, "queue")?,
-            ),
+            "declare_exchange" => Request::DeclareExchange(field_str(v, "name")?),
+            "bind_queue" => Request::BindQueue(field_str(v, "exchange")?, field_str(v, "queue")?),
             "queue_exists" => Request::QueueExists(field_str(v, "name")?),
             "publish_to_queue" => {
                 let message = message_from_value(
@@ -594,7 +530,7 @@ impl Request {
                     v.field("message")
                         .map_err(|e| FrameError::Protocol(e.to_string()))?,
                 )?;
-                Request::Publish(field_str(v, "exchange")?, field_str(v, "key")?, message)
+                Request::Publish(field_str(v, "exchange")?, message)
             }
             "subscribe" => Request::Subscribe {
                 queue: field_str(v, "queue")?,
@@ -602,7 +538,6 @@ impl Request {
                 credit: field_u64(v, "credit")?,
             },
             "unsubscribe" => Request::Unsubscribe(field_u64(v, "sub")?),
-            "ack" => Request::Ack(field_u64(v, "sub")?, field_u64(v, "tag")?),
             "ack_many" => {
                 let tags = match v
                     .field("tags")
@@ -621,7 +556,6 @@ impl Request {
             }
             "requeue" => Request::Requeue(field_u64(v, "sub")?, field_u64(v, "tag")?),
             "queue_stats" => Request::QueueStats(field_str(v, "name")?),
-            "queue_depth" => Request::QueueDepth(field_str(v, "name")?),
             "queue_arrival_rate" => Request::QueueArrivalRate(field_str(v, "name")?),
             "ping" => Request::Ping,
             "hello" => Request::Hello {
@@ -835,14 +769,14 @@ mod tests {
     fn frame_buffer_survives_timeouts_mid_frame() {
         let mut encoded = Vec::new();
         write_frame(&mut encoded, &Request::Ping.to_frame(3)).unwrap();
-        write_frame(&mut encoded, &Request::QueueDepth("q".into()).to_frame(4)).unwrap();
+        write_frame(&mut encoded, &Request::QueueStats("q".into()).to_frame(4)).unwrap();
         let total = encoded.len();
         let mut reader = DribbleReader {
             data: encoded,
             pos: 0,
             ready: false,
         };
-        let mut frames = FrameBuffer::new();
+        let mut frames = FrameBuffer::with_readahead();
         let mut out = Vec::new();
         let mut idle_ticks = 0usize;
         while out.len() < 2 {
@@ -854,7 +788,7 @@ mod tests {
         assert_eq!(out[0].0, 3);
         assert!(matches!(out[0].1, Request::Ping));
         assert_eq!(out[1].0, 4);
-        assert!(matches!(out[1].1, Request::QueueDepth(_)));
+        assert!(matches!(out[1].1, Request::QueueStats(_)));
         // One WouldBlock per byte read: none of them lost frame progress.
         assert!(
             idle_ticks >= total,
@@ -868,7 +802,7 @@ mod tests {
 
     #[test]
     fn frame_buffer_rejects_oversized_length_prefix() {
-        let mut frames = FrameBuffer::new();
+        let mut frames = FrameBuffer::with_readahead();
         let bogus = (MAX_FRAME as u32 + 1).to_be_bytes().to_vec();
         let mut reader = DribbleReader {
             data: bogus,
@@ -894,17 +828,18 @@ mod tests {
                 durable: true,
             },
         ));
-        roundtrip(Request::DeclareExchange("x".into(), ExchangeKind::Fanout));
-        roundtrip(Request::BindQueue("x".into(), "k".into(), "q".into()));
+        roundtrip(Request::DeclareExchange("x".into()));
+        roundtrip(Request::BindQueue("x".into(), "q".into()));
+        roundtrip(Request::Publish("x".into(), Message::from_static(b"n")));
         roundtrip(Request::Subscribe {
             queue: "q".into(),
             sub: 3,
             credit: 32,
         });
-        roundtrip(Request::Ack(3, 99));
+        roundtrip(Request::AckMany(3, vec![99]));
         roundtrip(Request::AckMany(3, vec![99, 100, 101]));
         roundtrip(Request::AckMany(1, vec![]));
-        roundtrip(Request::QueueDepth("q".into()));
+        roundtrip(Request::QueueStats("q".into()));
         roundtrip(Request::Ping);
         roundtrip(Request::Hello { pid: 4242 });
     }
@@ -942,8 +877,8 @@ mod tests {
         // stream, byte-identical to individual write_frame output.
         let frames = [
             Request::Ping.to_frame(1),
-            Request::QueueDepth("q".into()).to_frame(2),
-            Request::Ack(1, 9).to_frame(3),
+            Request::QueueStats("q".into()).to_frame(2),
+            Request::AckMany(1, vec![9]).to_frame(3),
         ];
         let mut coalesced = Vec::new();
         let mut individual = Vec::new();

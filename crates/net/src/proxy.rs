@@ -260,7 +260,7 @@ mod tests {
         client
             .publish_to_queue("q", Message::from_static(b"via-proxy"))
             .unwrap();
-        assert_eq!(client.queue_depth("q").unwrap(), 1);
+        assert_eq!(client.queue_stats("q").unwrap().depth, 1);
         assert!(proxy.bytes_forwarded() > 0);
         assert_eq!(proxy.links_opened(), 1);
         client.close();
@@ -278,7 +278,7 @@ mod tests {
         client
             .publish_to_queue("q", Message::from_static(b"again"))
             .unwrap();
-        assert_eq!(client.queue_depth("q").unwrap(), 1);
+        assert_eq!(client.queue_stats("q").unwrap().depth, 1);
         assert!(proxy.links_opened() >= 2, "reconnect must open a new link");
         client.close();
         proxy.shutdown();
@@ -298,7 +298,7 @@ mod tests {
         assert!(!h.is_finished(), "publish must hang while stalled");
         proxy.set_stalled(false);
         h.join().unwrap().unwrap();
-        assert_eq!(client.queue_depth("q").unwrap(), 1);
+        assert_eq!(client.queue_stats("q").unwrap().depth, 1);
         client.close();
         proxy.shutdown();
         server.shutdown();

@@ -158,17 +158,13 @@ struct SubShared {
 }
 
 impl SubShared {
-    fn resolve(&self, tag: u64, ack: bool) -> MqResult<()> {
+    fn requeue(&self, tag: u64) -> MqResult<()> {
         let delivery = self
             .unacked
             .lock()
             .remove(&tag)
             .ok_or(MqError::UnknownDeliveryTag(tag))?;
-        if ack {
-            delivery.ack();
-        } else {
-            delivery.requeue();
-        }
+        delivery.requeue();
         *self.credit.lock() += 1;
         Ok(())
     }
@@ -176,7 +172,7 @@ impl SubShared {
     /// Acknowledges a batch of tags in one pass and grants the freed credit
     /// back cumulatively. Unknown tags are skipped (a redundant cumulative
     /// ack must not fail the connection).
-    fn resolve_many(&self, tags: &[u64]) -> MqResult<()> {
+    fn ack_many(&self, tags: &[u64]) -> MqResult<()> {
         let mut deliveries = Vec::with_capacity(tags.len());
         {
             let mut unacked = self.unacked.lock();
@@ -696,10 +692,8 @@ fn execute(
             broker.declare_queue(&name, opts).map(|()| Value::Null)
         }
         Request::DeleteQueue(name) => broker.delete_queue(&name).map(|()| Value::Null),
-        Request::DeclareExchange(name, kind) => {
-            broker.declare_exchange(&name, kind).map(|()| Value::Null)
-        }
-        Request::BindQueue(e, k, q) => broker.bind_queue(&e, &k, &q).map(|()| Value::Null),
+        Request::DeclareExchange(name) => broker.declare_exchange(&name).map(|()| Value::Null),
+        Request::BindQueue(e, q) => broker.bind_queue(&e, &q).map(|()| Value::Null),
         Request::QueueExists(name) => Ok(Value::Bool(broker.queue_exists(&name))),
         Request::PublishToQueue(queue, message) => {
             let res = broker.publish_to_queue(&queue, message);
@@ -715,8 +709,8 @@ fn execute(
             }
             res.map(|()| Value::Null)
         }
-        Request::Publish(exchange, key, message) => {
-            let res = broker.publish(&exchange, &key, message);
+        Request::Publish(exchange, message) => {
+            let res = broker.publish(&exchange, message);
             // Exchange routing fans out to queues this thread does not
             // know by name; offer deliveries to every subscription.
             if matches!(res, Ok(n) if n > 0) {
@@ -761,29 +755,21 @@ fn execute(
         // Resolving deliveries frees credit, which may unblock ready
         // messages for this very subscription: no other event will offer
         // them, so this ack round trip refills the credit-capped consumer.
-        Request::Ack(sub, tag) => {
-            let res = with_sub(conn, sub, |s| s.resolve(tag, true));
-            if res.is_ok() {
-                *after_reply = Some(sub_dispatch_hook(conn, shared, sub));
-            }
-            res
-        }
         Request::AckMany(sub, tags) => {
-            let res = with_sub(conn, sub, |s| s.resolve_many(&tags));
+            let res = with_sub(conn, sub, |s| s.ack_many(&tags));
             if res.is_ok() {
                 *after_reply = Some(sub_dispatch_hook(conn, shared, sub));
             }
             res
         }
         Request::Requeue(sub, tag) => {
-            let res = with_sub(conn, sub, |s| s.resolve(tag, false));
+            let res = with_sub(conn, sub, |s| s.requeue(tag));
             if res.is_ok() {
                 *after_reply = Some(sub_dispatch_hook(conn, shared, sub));
             }
             res
         }
         Request::QueueStats(name) => broker.queue_stats(&name).map(|s| stats_to_value(&s)),
-        Request::QueueDepth(name) => broker.queue_depth(&name).map(|n| Value::U64(n as u64)),
         Request::QueueArrivalRate(name) => broker.queue_arrival_rate(&name).map(Value::F64),
         Request::Ping => Ok(Value::Null),
         // Clock handshake: echo our unix clock so the client can estimate
@@ -1143,7 +1129,7 @@ mod tests {
         c.subscribe(1, 4);
         let got = c.next_delivery();
         assert_eq!((got.sub, got.payload), (1, vec![7]));
-        c.call(Request::Ack(got.sub, got.tag));
+        c.call(Request::AckMany(got.sub, vec![got.tag]));
         let stats = stats_from_value(&c.call(Request::QueueStats("q".into()))).unwrap();
         assert_eq!((stats.acked, stats.unacked), (1, 0));
         server.shutdown();
@@ -1153,7 +1139,7 @@ mod tests {
     fn errors_cross_the_wire() {
         let server = BrokerServer::bind("127.0.0.1:0", MessageBroker::new()).unwrap();
         let mut c = Peer::connect(&server);
-        let err = c.try_call(Request::QueueDepth("nope".into())).unwrap_err();
+        let err = c.try_call(Request::QueueStats("nope".into())).unwrap_err();
         assert_eq!(err, MqError::QueueNotFound("nope".into()));
         server.shutdown();
     }
@@ -1265,18 +1251,14 @@ mod tests {
             publish(server, 0..1);
             assert_eq!(c.next_delivery().payload, [0]);
         }
-        fn ack_at_credit_one(server: &BrokerServer, many: bool) {
+        fn ack_at_credit_one(server: &BrokerServer) {
             let mut c = Peer::connect(server);
             c.subscribe(1, 1);
             publish(server, 0..2);
             let first = c.next_delivery();
             assert_eq!(first.payload, [0]);
             // Out of credit: 1 stays queued until the ack frees some.
-            c.call(if many {
-                Request::AckMany(first.sub, vec![first.tag])
-            } else {
-                Request::Ack(first.sub, first.tag)
-            });
+            c.call(Request::AckMany(first.sub, vec![first.tag]));
             assert_eq!(c.next_delivery().payload, [1]);
         }
         fn teardown_redelivers_to_a_sibling(server: &BrokerServer) {
@@ -1311,10 +1293,9 @@ mod tests {
             assert_eq!(got, (0..N).collect::<Vec<_>>());
         }
         type Case = (&'static str, fn(&BrokerServer));
-        let cases: [Case; 6] = [
+        let cases: [Case; 5] = [
             ("in-process publish", in_process_publish),
-            ("Ack at credit 1", |s| ack_at_credit_one(s, false)),
-            ("AckMany at credit 1", |s| ack_at_credit_one(s, true)),
+            ("ack at credit 1", ack_at_credit_one),
             ("teardown", teardown_redelivers_to_a_sibling),
             ("subscribe backlog", subscribe_backlog_past_one_offer),
             ("competing pair", competing_pair_past_one_round),

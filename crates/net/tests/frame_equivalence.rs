@@ -5,9 +5,8 @@
 //! frames arrive split at arbitrary byte boundaries with `WouldBlock`
 //! between every fragment. Whatever the split schedule, the reassembled
 //! frame sequence must be byte-for-byte identical to what the blocking
-//! [`read_frame`] loop produces over the same stream — in both exact and
-//! read-ahead modes — and a corrupted length prefix must be rejected by
-//! both paths before any oversized allocation.
+//! [`read_frame`] loop produces over the same stream, and a corrupted length
+//! prefix must be rejected by both paths before any oversized allocation.
 //!
 //! No property-testing crate is available in this workspace, so the
 //! generator is a hand-rolled deterministic xorshift PRNG: every failure
@@ -132,23 +131,14 @@ fn decode_blocking(data: &[u8]) -> Vec<(Value, usize)> {
 
 /// Decodes every frame in `data` through the nonblocking reassembler fed by
 /// a `ChoppyReader` with the given split schedule.
-fn decode_nonblocking(
-    data: &[u8],
-    readahead: bool,
-    seed: u64,
-    expected: usize,
-) -> Vec<(Value, usize)> {
+fn decode_nonblocking(data: &[u8], seed: u64, expected: usize) -> Vec<(Value, usize)> {
     let mut reader = ChoppyReader {
         data: data.to_vec(),
         pos: 0,
         blocked: false,
         rng: Rng::new(seed),
     };
-    let mut buffer = if readahead {
-        FrameBuffer::with_readahead()
-    } else {
-        FrameBuffer::new()
-    };
+    let mut buffer = FrameBuffer::with_readahead();
     let mut frames = Vec::new();
     // The reactor would re-arm on the next readiness event; here the loop
     // just calls again. Bounded so a reassembler bug cannot hang the test.
@@ -163,7 +153,7 @@ fn decode_nonblocking(
         match buffer.read_step(&mut reader) {
             Ok(Some(frame)) => {
                 frames.push(frame);
-                // Read-ahead mode may have buffered complete frames past the
+                // The read-ahead may have buffered complete frames past the
                 // one returned; drain them exactly like the reactor does.
                 while let Some(buffered) = buffer.take_buffered().expect("buffered frame decodes") {
                     frames.push(buffered);
@@ -198,25 +188,16 @@ fn nonblocking_reassembly_equals_blocking_decode() {
             assert_eq!(value, original, "blocking decode diverged, seed {seed}");
         }
 
-        for readahead in [false, true] {
-            let nonblocking = decode_nonblocking(&stream, readahead, seed ^ 0xC0FFEE, frame_count);
-            assert_eq!(
-                nonblocking.len(),
-                blocking.len(),
-                "frame count diverged (readahead={readahead}, seed {seed})"
-            );
-            for (i, ((nb_value, nb_n), (b_value, b_n))) in
-                nonblocking.iter().zip(&blocking).enumerate()
-            {
-                assert_eq!(
-                    nb_value, b_value,
-                    "frame {i} diverged (readahead={readahead}, seed {seed})"
-                );
-                assert_eq!(
-                    nb_n, b_n,
-                    "frame {i} byte count diverged (readahead={readahead}, seed {seed})"
-                );
-            }
+        let nonblocking = decode_nonblocking(&stream, seed ^ 0xC0FFEE, frame_count);
+        assert_eq!(
+            nonblocking.len(),
+            blocking.len(),
+            "frame count diverged (seed {seed})"
+        );
+        for (i, ((nb_value, nb_n), (b_value, b_n))) in nonblocking.iter().zip(&blocking).enumerate()
+        {
+            assert_eq!(nb_value, b_value, "frame {i} diverged (seed {seed})");
+            assert_eq!(nb_n, b_n, "frame {i} byte count diverged (seed {seed})");
         }
     }
 }
@@ -252,47 +233,41 @@ fn corrupted_length_prefix_rejected_identically() {
         // Nonblocking path over the same bytes, arbitrarily fragmented: the
         // same good frames, then the same rejection — *before* buffering
         // anything near the claimed length.
-        for readahead in [false, true] {
-            let mut reader = ChoppyReader {
-                data: stream.clone(),
-                pos: 0,
-                blocked: false,
-                rng: Rng::new(seed ^ 0xD1CE),
-            };
-            let mut buffer = if readahead {
-                FrameBuffer::with_readahead()
-            } else {
-                FrameBuffer::new()
-            };
-            let mut decoded = 0usize;
-            let mut steps = 0usize;
-            let rejected = loop {
-                steps += 1;
-                assert!(steps < stream.len() * 4 + 64, "no progress, seed {seed}");
-                match buffer.read_step(&mut reader) {
-                    Ok(Some(_)) => {
+        let mut reader = ChoppyReader {
+            data: stream.clone(),
+            pos: 0,
+            blocked: false,
+            rng: Rng::new(seed ^ 0xD1CE),
+        };
+        let mut buffer = FrameBuffer::with_readahead();
+        let mut decoded = 0usize;
+        let mut steps = 0usize;
+        let rejected = loop {
+            steps += 1;
+            assert!(steps < stream.len() * 4 + 64, "no progress, seed {seed}");
+            match buffer.read_step(&mut reader) {
+                Ok(Some(_)) => {
+                    decoded += 1;
+                    while let Ok(Some(_)) = buffer.take_buffered() {
                         decoded += 1;
-                        while let Ok(Some(_)) = buffer.take_buffered() {
-                            decoded += 1;
-                        }
                     }
-                    Ok(None) => {
-                        if let Err(e) = buffer.take_buffered() {
-                            break e;
-                        }
-                    }
-                    Err(e) => break e,
                 }
-            };
-            assert_eq!(
-                decoded, good,
-                "every frame before the corruption decodes (readahead={readahead}, seed {seed})"
-            );
-            assert!(
-                matches!(rejected, FrameError::Protocol(_)),
-                "nonblocking path must reject the oversized prefix, got {rejected} \
-                 (readahead={readahead}, seed {seed})"
-            );
-        }
+                Ok(None) => {
+                    if let Err(e) = buffer.take_buffered() {
+                        break e;
+                    }
+                }
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(
+            decoded, good,
+            "every frame before the corruption decodes (seed {seed})"
+        );
+        assert!(
+            matches!(rejected, FrameError::Protocol(_)),
+            "nonblocking path must reject the oversized prefix, got {rejected} \
+             (seed {seed})"
+        );
     }
 }

@@ -7,7 +7,7 @@ use crate::proxy::{unknown_object, Proxy};
 use crate::server::{
     fresh_instance_name, spawn_instance, RemoteObject, ServerHandle, SkeletonConfig,
 };
-use mqsim::{ExchangeKind, MessageBroker, Messaging, QueueOptions};
+use mqsim::{MessageBroker, Messaging, QueueOptions};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -125,11 +125,11 @@ impl Broker {
         };
         self.mq.declare_queue(oid.as_str(), queue_opts.clone())?;
         let exchange = Self::multi_exchange_name(&oid);
-        self.mq.declare_exchange(&exchange, ExchangeKind::Fanout)?;
+        self.mq.declare_exchange(&exchange)?;
 
         let instance = fresh_instance_name(oid.as_str());
         self.mq.declare_queue(&instance, queue_opts)?;
-        self.mq.bind_queue(&exchange, "", &instance)?;
+        self.mq.bind_queue(&exchange, &instance)?;
 
         let unicast = self.mq.subscribe(oid.as_str())?;
         let multicast = self.mq.subscribe(&instance)?;
@@ -234,7 +234,7 @@ mod tests {
         assert!(broker.object_exists("svc"));
         let multi = broker
             .messaging()
-            .publish("omq.multi.svc", "", Message::from_static(b"x"));
+            .publish("omq.multi.svc", Message::from_static(b"x"));
         assert_eq!(multi, Ok(1), "the multi exchange reaches the instance");
         assert_eq!(instances(&broker, "svc"), 1);
         server.shutdown();

@@ -21,7 +21,9 @@
 //!   [`Proxy::call_sync`] (`@SyncMethod` with timeout and retries), and
 //!   [`Proxy::call_multi_async`] / [`Proxy::call_multi_sync`]
 //!   (`@MultiMethod`) which fan out through a per-`oid` fanout exchange to
-//!   every bound instance's private queue.
+//!   every bound instance's private queue. These four are the whole calling
+//!   convention: a caller names the method and passes [`wire::Value`]
+//!   arguments; there is no generated typed stub.
 //! * Fault tolerance (§3.4): a request is acknowledged only after the server
 //!   object finished processing it, so a crash mid-call redelivers the
 //!   invocation to another instance; the [`Supervisor`] respawns missing
@@ -68,8 +70,6 @@
 mod broker;
 pub mod controller;
 mod error;
-#[macro_use]
-mod macros;
 mod info;
 mod oid;
 pub mod provision;
@@ -87,6 +87,3 @@ pub use proxy::Proxy;
 pub use rpc::Request;
 pub use server::{RemoteObject, ServerHandle};
 pub use supervisor::{PoolObservation, RemoteBroker, Supervisor, SupervisorConfig};
-
-// Re-exported for the `remote_interface!` macro expansion.
-pub use wire;

@@ -251,7 +251,7 @@ impl Proxy {
         let root = self.invocation_span("omq.call_multi_async", method);
         let (_, message) = self.request_message(method, args, false, &root.context());
         let publish = root.child("proxy.publish");
-        let published = self.mq.publish(&self.multi_exchange, "", message);
+        let published = self.mq.publish(&self.multi_exchange, message);
         publish.finish();
         root.finish();
         published.map_err(CallError::from)
@@ -276,7 +276,7 @@ impl Proxy {
         let ctx = root.context();
         let (id, message) = self.request_message(method, args, true, &ctx);
         let publish = root.child("proxy.publish");
-        let published = self.mq.publish(&self.multi_exchange, "", message);
+        let published = self.mq.publish(&self.multi_exchange, message);
         publish.finish();
         let expected = match published {
             Ok(n) => n,

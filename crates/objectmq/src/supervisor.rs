@@ -14,7 +14,7 @@ use crate::broker::Broker;
 use crate::error::{OmqError, OmqResult};
 use crate::oid::Oid;
 use crate::server::{RemoteObject, ServerHandle};
-use mqsim::{Clock, ExchangeKind, Message, Messaging, QueueOptions, SystemClock};
+use mqsim::{Clock, Message, Messaging, QueueOptions, SystemClock};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -326,9 +326,7 @@ impl Supervisor {
         if !broker.object_exists(RBROKER_OID) {
             return Err(OmqError::UnknownObject(RBROKER_OID.to_string()));
         }
-        broker
-            .messaging()
-            .declare_exchange(HEARTBEAT_EXCHANGE, ExchangeKind::Fanout)?;
+        broker.messaging().declare_exchange(HEARTBEAT_EXCHANGE)?;
         let stop = Arc::new(AtomicBool::new(false));
         let target = Arc::new(AtomicUsize::new(1));
         let observed = Arc::new(ObservedPool {
@@ -453,7 +451,7 @@ fn supervise_loop(
         // Heartbeat first: even an idle supervisor proves liveness.
         let _ = broker
             .messaging()
-            .publish(HEARTBEAT_EXCHANGE, "", Message::from_static(b"hb"));
+            .publish(HEARTBEAT_EXCHANGE, Message::from_static(b"hb"));
         hb_count.inc();
 
         let desired = target.load(Ordering::Acquire).max(1);
@@ -566,10 +564,10 @@ impl HeartbeatMonitor {
     ///
     /// Propagates messaging failures.
     pub fn start(mq: &dyn Messaging, listener_id: u64) -> OmqResult<Self> {
-        mq.declare_exchange(HEARTBEAT_EXCHANGE, ExchangeKind::Fanout)?;
+        mq.declare_exchange(HEARTBEAT_EXCHANGE)?;
         let queue = format!("omq.hbmon.{listener_id}");
         mq.declare_queue(&queue, QueueOptions::default())?;
-        mq.bind_queue(HEARTBEAT_EXCHANGE, "", &queue)?;
+        mq.bind_queue(HEARTBEAT_EXCHANGE, &queue)?;
         let consumer = mq.subscribe(&queue)?;
         let last = Arc::new(Mutex::new(Instant::now()));
         let stop = Arc::new(AtomicBool::new(false));
@@ -624,10 +622,10 @@ impl Drop for HeartbeatMonitor {
 /// Propagates messaging failures.
 pub fn run_election(mq: &dyn Messaging, my_id: u64, settle: Duration) -> OmqResult<bool> {
     obs::counter("omq.elections_total").inc();
-    mq.declare_exchange(ELECTION_EXCHANGE, ExchangeKind::Fanout)?;
+    mq.declare_exchange(ELECTION_EXCHANGE)?;
     let queue = format!("omq.election.voter.{my_id}");
     mq.declare_queue(&queue, QueueOptions::default())?;
-    mq.bind_queue(ELECTION_EXCHANGE, "", &queue)?;
+    mq.bind_queue(ELECTION_EXCHANGE, &queue)?;
     let consumer = mq.subscribe(&queue)?;
 
     // Candidacies are re-announced throughout the window so a voter that
@@ -644,7 +642,6 @@ pub fn run_election(mq: &dyn Messaging, my_id: u64, settle: Duration) -> OmqResu
         if now >= next_announce {
             mq.publish(
                 ELECTION_EXCHANGE,
-                "",
                 Message::from_bytes(my_id.to_be_bytes().to_vec()),
             )?;
             next_announce = now + announce_every;

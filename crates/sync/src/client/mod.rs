@@ -254,9 +254,9 @@ struct ClientShared {
     /// items (on the notification path, one item).
     fetch_seconds: Arc<obs::Histogram>,
     /// `Some` while the start-up state is being materialized: what the
-    /// listener received meanwhile, in arrival order. `connect` applies it
-    /// once the snapshot is in place, so nothing runs beside the window.
-    parked: Mutex<Option<Vec<CommitNotification>>>,
+    /// listener received meanwhile, sized, in arrival order. `connect` applies
+    /// it once the snapshot is in place, so nothing runs beside the window.
+    parked: Mutex<Option<Vec<(CommitNotification, usize)>>>,
 }
 
 impl ClientShared {
@@ -323,11 +323,13 @@ impl RemoteObject for NotificationListener {
                 let value = args.first().ok_or("notify_commit needs a notification")?;
                 let notification =
                     CommitNotification::from_value(value).map_err(|e| e.to_string())?;
+                // Sized under the binary codec as received, with no second tree.
+                let size = wire::BinaryCodec.encoded_len(value);
                 if let Some(parked) = self.shared.parked.lock().as_mut() {
-                    parked.push(notification);
+                    parked.push((notification, size));
                     return Ok(Value::Null);
                 }
-                apply_notification(&self.shared, &notification).map_err(|e| e.to_string())?;
+                apply_notification(&self.shared, &notification, size).map_err(|e| e.to_string())?;
                 Ok(Value::Null)
             }
             other => Err(format!("workspace listener has no method `{other}`")),
@@ -665,8 +667,8 @@ fn join(shared: &Arc<ClientShared>) -> SyncResult<()> {
                 return Ok(());
             }
         };
-        for notification in &arrived {
-            apply_notification(shared, notification)?;
+        for (notification, size) in &arrived {
+            apply_notification(shared, notification, *size)?;
         }
     }
 }
@@ -1049,11 +1051,13 @@ fn materialize_window(shared: &Arc<ClientShared>, window: &[ItemMetadata]) -> Sy
     Ok(())
 }
 
-/// Applies a push notification to the local state (paper §4.1: committed
-/// changes "will be immediately applied to the affected workspace").
+/// Applies a push notification of encoded `size` to the local state (paper
+/// §4.1: committed changes "will be immediately applied to the affected
+/// workspace").
 fn apply_notification(
     shared: &Arc<ClientShared>,
     notification: &CommitNotification,
+    size: usize,
 ) -> SyncResult<()> {
     shared
         .stats
@@ -1064,7 +1068,7 @@ fn apply_notification(
         .stats
         .inner
         .control_received
-        .fetch_add(notification.encoded_size() as u64, Ordering::Relaxed);
+        .fetch_add(size as u64, Ordering::Relaxed);
 
     let own_device = shared.config.device == notification.committer;
     for change in &notification.changes {
@@ -1820,6 +1824,52 @@ mod tests {
         // A 5 ms poll is late by 2.5 ms in the median; a median, so that one
         // descheduled wake-up on a busy box fails nothing.
         assert!(lateness[50] < Duration::from_millis(1), "{lateness:?}");
+    }
+
+    #[test]
+    fn notification_bytes_are_counted_from_what_the_listener_received() {
+        let (stack, ws) = deployment();
+        let client = stack
+            .connect(ClientConfig::new("alice", "laptop"), &ws)
+            .unwrap();
+        let item = ItemMetadata {
+            item_id: stable_item_id(&ws, "notes.txt"),
+            workspace: ws.clone(),
+            path: "notes.txt".into(),
+            version: 1,
+            chunks: vec![],
+            size: 0,
+            is_deleted: false,
+            modified_by: "phone".into(),
+        };
+        let confirmed = CommitNotification {
+            workspace: ws.clone(),
+            committer: "phone".into(),
+            changes: vec![crate::protocol::NotifiedChange {
+                metadata: item.clone(),
+                confirmed: true,
+                current: None,
+            }],
+        };
+        // Lost by another device: counted, nothing to apply here.
+        let conflicting = CommitNotification {
+            workspace: ws.clone(),
+            committer: "tablet".into(),
+            changes: vec![crate::protocol::NotifiedChange {
+                metadata: item.next_version(vec![ChunkId::of(b"t")], 1, "tablet"),
+                confirmed: false,
+                current: Some(item.clone()),
+            }],
+        };
+        let listener = NotificationListener {
+            shared: client.shared.clone(),
+        };
+        for n in [&confirmed, &conflicting] {
+            listener.dispatch("notify_commit", &[n.to_value()]).unwrap();
+        }
+        assert_eq!(client.stats().notifications(), 2);
+        // The empty join's reply plus both notifications' binary encodings.
+        assert_eq!(client.stats().control_received_bytes(), 422);
     }
 
     #[test]

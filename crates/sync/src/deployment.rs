@@ -51,8 +51,8 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Journals the broker's queues under `dir`, so messages survive a
-    /// restart of the broker.
+    /// Journals the broker's durable queues under `dir`. ObjectMQ declares
+    /// none, so today no message in the broker survives its restart.
     #[must_use]
     pub fn journal(mut self, dir: impl Into<PathBuf>) -> Self {
         self.journal = Some(dir.into());

@@ -144,12 +144,6 @@ impl CommitNotification {
             changes,
         })
     }
-
-    /// Encoded size under the default binary transport — used for control
-    /// traffic accounting.
-    pub fn encoded_size(&self) -> usize {
-        wire::Codec::encoded_len(&wire::BinaryCodec, &self.to_value())
-    }
 }
 
 #[cfg(test)]
@@ -252,7 +246,6 @@ mod tests {
             ],
         };
         assert_eq!(CommitNotification::from_value(&n.to_value()).unwrap(), n);
-        assert!(n.encoded_size() > 0);
     }
 
     #[test]

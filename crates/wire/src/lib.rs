@@ -15,7 +15,6 @@
 //!   ([`BinaryReader`]/[`BinaryWriter`], [`JsonReader`]/[`JsonWriter`]),
 //!   its tree `decode` and `encode` are walks over them, and code that
 //!   knows its schema is written once for both.
-//! * [`ToValue`]/[`FromValue`] convert domain types to and from [`Value`].
 //!
 //! ## Example
 //!
@@ -47,7 +46,7 @@ pub use error::{WireError, WireResult};
 pub use json::{to_json_string, JsonCodec, JsonReader, JsonWriter};
 pub use pool::{encode_pooled, encode_to_bytes, BufPool};
 pub use token::{Token, TokenReader, TokenWriter};
-pub use value::{FromValue, ToValue, Value};
+pub use value::Value;
 
 /// How many lists and maps a decoder lets enclose one value; deeper input is
 /// refused with [`WireError::TooDeep`]. Both decoders recurse once per level,

@@ -297,125 +297,6 @@ impl FromIterator<(String, Value)> for Value {
     }
 }
 
-/// Conversion of a domain type into the wire data model.
-pub trait ToValue {
-    /// Lowers `self` into a [`Value`].
-    fn to_value(&self) -> Value;
-}
-
-/// Reconstruction of a domain type from the wire data model.
-pub trait FromValue: Sized {
-    /// Rebuilds `Self` from a [`Value`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] when the value has the wrong shape.
-    fn from_value(value: &Value) -> WireResult<Self>;
-}
-
-impl ToValue for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
-    }
-}
-impl FromValue for Value {
-    fn from_value(value: &Value) -> WireResult<Self> {
-        Ok(value.clone())
-    }
-}
-impl ToValue for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-}
-impl FromValue for String {
-    fn from_value(value: &Value) -> WireResult<Self> {
-        Ok(value.as_str()?.to_string())
-    }
-}
-impl ToValue for i64 {
-    fn to_value(&self) -> Value {
-        Value::I64(*self)
-    }
-}
-impl FromValue for i64 {
-    fn from_value(value: &Value) -> WireResult<Self> {
-        value.as_i64()
-    }
-}
-impl ToValue for u64 {
-    fn to_value(&self) -> Value {
-        Value::U64(*self)
-    }
-}
-impl FromValue for u64 {
-    fn from_value(value: &Value) -> WireResult<Self> {
-        value.as_u64()
-    }
-}
-impl ToValue for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-}
-impl FromValue for bool {
-    fn from_value(value: &Value) -> WireResult<Self> {
-        value.as_bool()
-    }
-}
-impl ToValue for f64 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self)
-    }
-}
-impl FromValue for f64 {
-    fn from_value(value: &Value) -> WireResult<Self> {
-        value.as_f64()
-    }
-}
-impl ToValue for () {
-    fn to_value(&self) -> Value {
-        Value::Null
-    }
-}
-impl FromValue for () {
-    fn from_value(value: &Value) -> WireResult<Self> {
-        match value {
-            Value::Null => Ok(()),
-            other => Err(WireError::TypeMismatch {
-                expected: "null",
-                found: other.kind(),
-            }),
-        }
-    }
-}
-impl<T: ToValue> ToValue for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::List(self.iter().map(ToValue::to_value).collect())
-    }
-}
-impl<T: FromValue> FromValue for Vec<T> {
-    fn from_value(value: &Value) -> WireResult<Self> {
-        value.as_list()?.iter().map(T::from_value).collect()
-    }
-}
-impl<T: ToValue> ToValue for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(v) => v.to_value(),
-            None => Value::Null,
-        }
-    }
-}
-impl<T: FromValue> FromValue for Option<T> {
-    fn from_value(value: &Value) -> WireResult<Self> {
-        match value {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::from_value(other)?)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,20 +348,6 @@ mod tests {
         assert_eq!(Value::I64(5).as_u64().unwrap(), 5);
         assert!(Value::I64(-1).as_u64().is_err());
         assert!(Value::U64(u64::MAX).as_i64().is_err());
-    }
-
-    #[test]
-    fn option_roundtrip() {
-        let some: Option<i64> = Some(9);
-        let none: Option<i64> = None;
-        assert_eq!(Option::<i64>::from_value(&some.to_value()).unwrap(), some);
-        assert_eq!(Option::<i64>::from_value(&none.to_value()).unwrap(), none);
-    }
-
-    #[test]
-    fn vec_roundtrip() {
-        let v = vec![1i64, 2, 3];
-        assert_eq!(Vec::<i64>::from_value(&v.to_value()).unwrap(), v);
     }
 
     #[test]

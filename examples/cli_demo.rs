@@ -166,8 +166,8 @@ impl Cloud {
                 let depth = self
                     .broker
                     .messaging()
-                    .queue_depth(SYNC_SERVICE_OID.as_str())
-                    .unwrap_or(0);
+                    .queue_stats(SYNC_SERVICE_OID.as_str())
+                    .map_or(0, |stats| stats.depth);
                 Ok(format!(
                     "pool: {live} instance(s) (target {}) | queue depth {depth} | commits {} | conflicts {}",
                     self.supervisor.target(),

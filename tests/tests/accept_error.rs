@@ -51,7 +51,7 @@ fn an_accept_error_does_not_stall_established_connections() {
         let mut latencies: Vec<Duration> = (0..20)
             .map(|_| {
                 let started = Instant::now();
-                client.queue_depth("q").expect("rpc during accept errors");
+                client.queue_stats("q").expect("rpc during accept errors");
                 started.elapsed()
             })
             .collect();

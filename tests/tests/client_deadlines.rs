@@ -64,7 +64,7 @@ fn a_silent_peer_is_declared_dead_and_redialed() {
         .expect("publisher thread")
         .expect("the pending publish completes on the new link");
     // At least once: the copy the stalled old link held may land as well.
-    assert!(client.queue_depth("q").expect("depth") >= 1);
+    assert!(client.queue_stats("q").expect("depth").depth >= 1);
     client.close();
     proxy.shutdown();
     server.shutdown();

@@ -270,8 +270,8 @@ fn corrupted_length_prefix_disconnects_instead_of_allocating() {
     proxy.corrupt_to_client(4);
     // This request's reply is the corrupted frame; the client must tear
     // the connection down and transparently retry on a fresh one.
-    let depth = client.queue_depth("q").expect("retried request succeeds");
-    assert_eq!(depth, 1);
+    let stats = client.queue_stats("q").expect("retried request succeeds");
+    assert_eq!(stats.depth, 1);
     wait_until(
         "the poisoned link to be replaced",
         Duration::from_secs(5),

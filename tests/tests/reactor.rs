@@ -59,10 +59,10 @@ fn connection_churn_leaks_no_fds_or_registrations() {
         handles.push(std::thread::spawn(move || {
             for i in 0..PER_THREAD {
                 let client = NetBroker::connect(addr).expect("churn dial");
-                let depth = client
-                    .queue_depth("churn")
+                let stats = client
+                    .queue_stats("churn")
                     .unwrap_or_else(|e| panic!("rpc failed (thread {t}, client {i}): {e}"));
-                assert_eq!(depth, 0);
+                assert_eq!(stats.depth, 0);
                 // Dropped here: both reactors must release the connection.
             }
         }));
@@ -132,9 +132,9 @@ fn slow_reader_does_not_block_the_event_loop() {
     let mut latencies = Vec::with_capacity(200);
     for _ in 0..200 {
         let started = Instant::now();
-        let depth = fast.queue_depth("slow").expect("fast client rpc");
+        let stats = fast.queue_stats("slow").expect("fast client rpc");
         latencies.push(started.elapsed());
-        assert!(depth > 0, "undelivered backlog must remain queued");
+        assert!(stats.depth > 0, "undelivered backlog must remain queued");
     }
     latencies.sort_unstable();
     let p99 = latencies[latencies.len() * 99 / 100];
