@@ -1,19 +1,18 @@
 //! Machine-readable performance suite: broker throughput one message at a
-//! time and in batches, ObjectMQ RPC latency in process and over TCP, plus
+//! time, ObjectMQ RPC latency in process and over TCP, plus
 //! sync commit throughput, metadata-store contention, and the durable
 //! commit plane. Writes `BENCH_4.json` (transport), `BENCH_5.json` (metadata
 //! sharding), `BENCH_6.json` (connection scaling on the poll-based reactor)
 //! and `BENCH_7.json` (WAL commit + recovery) at the repo root so
 //! runs can be compared across commits.
 //!
-//! The broker pair is measured in the same run so the ratio is meaningful
-//! on any machine: one-at-a-time publish/consume/ack vs
-//! `publish_batch_to_queue` + `recv_batch` + `ack_all` in batches of
-//! [`BATCH`] (both are `mqsim` API). The TCP RPC figure is `depth`
-//! concurrent callers over a loopback [`BrokerServer`]; the wire protocol
-//! has one mode (coalesced writes, `AckMany`), and its last comparison
-//! against the one-frame-per-write protocol it replaced is BENCH_4.json
-//! (DESIGN.md §8).
+//! The broker figure is one producer and one consumer over an in-process
+//! `mqsim` queue, publishing, receiving and acking one message at a time,
+//! as every commit, reply and notification does. The TCP RPC figure is
+//! `depth` concurrent callers over a loopback [`BrokerServer`]; the wire
+//! protocol has one mode (coalesced writes, `AckMany`), and its last
+//! comparison against the one-frame-per-write protocol it replaced is
+//! quoted in DESIGN.md §8.
 //!
 //! The contention scenario runs 8 writer threads against 8 workspaces in
 //! two variants — cpu-bound, and with a modeled ACID back-end transaction
@@ -40,16 +39,16 @@
 //! `--smoke` shrinks every workload to a few iterations for CI (and caps
 //! the connection scenario at 2 000 connections); `--out` /
 //! `--out-contention` / `--out-conn` / `--out-durable` override the output
-//! paths; `--gate` exits nonzero if batched broker throughput fails to
-//! beat one-at-a-time, the sharded store falls below the one-shard store, the
-//! durable sharded store falls below 60% of the non-durable sharded store,
-//! or the reactor fails to sustain an attempted connection level (or its
-//! commit p99 collapses relative to the smallest level), measured in the
-//! same run (relative gates, so they are robust to machine speed).
+//! paths; `--gate` exits nonzero if the sharded store falls below the
+//! one-shard store, the durable sharded store falls below 60% of the
+//! non-durable sharded store, or the reactor fails to sustain an attempted
+//! connection level (or its commit p99 collapses relative to the smallest
+//! level), measured in the same run (relative gates, so they are robust to
+//! machine speed).
 
 use bench::{arg_value, has_flag, header};
 use metadata::{ItemMetadata, MetadataStore, ShardedStore};
-use mqsim::{Delivery, Message, MessageBroker, QueueOptions};
+use mqsim::{Message, MessageBroker, QueueOptions};
 use net::{BrokerServer, NetBroker, NetConfig};
 use objectmq::{Broker, BrokerConfig};
 use stacksync::{ClientConfig, Deployment, DesktopClient, Link};
@@ -57,8 +56,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wire::Value;
 
-/// Messages per `publish_batch_to_queue` / `recv_batch` in batched mode.
-const BATCH: usize = 64;
 /// Concurrent in-flight RPC callers against the loopback server.
 const PIPELINE_DEPTH: usize = 32;
 /// Per-caller pacing of the pipelined RPC phase. A fully saturated closed
@@ -86,10 +83,9 @@ fn percentiles(samples: &mut [f64]) -> Percentiles {
     }
 }
 
-/// Publish+consume+ack throughput over one in-process queue. `batch == 1`
-/// is the one-lock-per-message protocol; larger batches amortize the queue
-/// lock over `batch` messages on both sides.
-fn broker_throughput(messages: usize, batch: usize) -> f64 {
+/// Publish+consume+ack throughput over one in-process queue, one message
+/// at a time on both sides.
+fn broker_throughput(messages: usize) -> f64 {
     let broker = MessageBroker::new();
     broker
         .declare_queue("perf", QueueOptions::default())
@@ -99,41 +95,17 @@ fn broker_throughput(messages: usize, batch: usize) -> f64 {
     let start = Instant::now();
     let producer_broker = broker.clone();
     let producer = std::thread::spawn(move || {
-        if batch <= 1 {
-            for _ in 0..messages {
-                producer_broker
-                    .publish_to_queue("perf", Message::from_bytes(payload.clone()))
-                    .unwrap();
-            }
-        } else {
-            let mut left = messages;
-            while left > 0 {
-                let n = left.min(batch);
-                let group: Vec<Message> = (0..n)
-                    .map(|_| Message::from_bytes(payload.clone()))
-                    .collect();
-                producer_broker
-                    .publish_batch_to_queue("perf", group)
-                    .unwrap();
-                left -= n;
-            }
+        for _ in 0..messages {
+            producer_broker
+                .publish_to_queue("perf", Message::from_bytes(payload.clone()))
+                .unwrap();
         }
     });
-    let mut got = 0usize;
-    while got < messages {
-        if batch <= 1 {
-            consumer
-                .recv_timeout(Duration::from_secs(10))
-                .expect("consume")
-                .ack();
-            got += 1;
-        } else {
-            let deliveries = consumer
-                .recv_batch(Duration::from_secs(10), batch)
-                .expect("consume batch");
-            got += deliveries.len();
-            Delivery::ack_all(deliveries);
-        }
+    for _ in 0..messages {
+        consumer
+            .recv_timeout(Duration::from_secs(10))
+            .expect("consume")
+            .ack();
     }
     producer.join().unwrap();
     messages as f64 / start.elapsed().as_secs_f64()
@@ -946,15 +918,9 @@ fn main() {
         return;
     }
 
-    println!("broker throughput, unbatched ({messages} msgs of 1 KiB)...");
-    let broker_unbatched = broker_throughput(messages, 1);
-    println!("  {broker_unbatched:.0} msg/s");
-    println!("broker throughput, batched x{BATCH} ({messages} msgs of 1 KiB)...");
-    let broker_batched = broker_throughput(messages, BATCH);
-    println!(
-        "  {broker_batched:.0} msg/s ({:.2}x)",
-        broker_batched / broker_unbatched
-    );
+    println!("broker throughput ({messages} msgs of 1 KiB)...");
+    let broker_msgs_per_sec = broker_throughput(messages);
+    println!("  {broker_msgs_per_sec:.0} msg/s");
 
     println!("ObjectMQ sync RPC, in-process ({calls} calls)...");
     let inproc = rpc_latency(&Broker::in_process(), calls);
@@ -1032,9 +998,7 @@ fn main() {
             "{{\n",
             "  \"suite\": \"perf_suite\",\n",
             "  \"smoke\": {smoke},\n",
-            "  \"broker\": {{ \"messages\": {messages}, \"batch\": {batch}, ",
-            "\"unbatched_msgs_per_sec\": {bu:.1}, \"batched_msgs_per_sec\": {bb:.1}, ",
-            "\"speedup\": {bs:.3} }},\n",
+            "  \"broker\": {{ \"messages\": {messages}, \"msgs_per_sec\": {bm:.1} }},\n",
             "  \"rpc_in_process\": {{ \"calls\": {calls}, \"p50_s\": {ip50:.9}, ",
             "\"p99_s\": {ip99:.9}, \"mean_s\": {imean:.9} }},\n",
             "  \"rpc_tcp_loopback\": {{ \"calls\": {calls}, \"depth\": {depth}, ",
@@ -1045,10 +1009,7 @@ fn main() {
         ),
         smoke = smoke,
         messages = messages,
-        batch = BATCH,
-        bu = broker_unbatched,
-        bb = broker_batched,
-        bs = broker_batched / broker_unbatched,
+        bm = broker_msgs_per_sec,
         calls = calls,
         ip50 = inproc.p50,
         ip99 = inproc.p99,
@@ -1170,13 +1131,6 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if gate && broker_batched < broker_unbatched {
-        eprintln!(
-            "GATE FAILED: batched broker throughput {broker_batched:.0} msg/s \
-             fell below unbatched {broker_unbatched:.0} msg/s in the same run"
-        );
-        std::process::exit(1);
-    }
     if gate {
         let attempted: Vec<&ConnLevel> = conn.iter().filter(|l| l.attempted).collect();
         for level in &attempted {
@@ -1219,9 +1173,8 @@ fn main() {
     }
     if gate {
         println!(
-            "gate passed: batched {:.2}x unbatched broker throughput, sharded {:.2}x \
-             global contention throughput, durable {:.0}% of non-durable sharded",
-            broker_batched / broker_unbatched,
+            "gate passed: sharded {:.2}x global contention throughput, durable {:.0}% of \
+             non-durable sharded",
             txn_latency.speedup(),
             durable.durable / durable.sharded * 100.0
         );

@@ -31,7 +31,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 #[derive(Debug, Clone)]
 enum BatchOp {
-    /// Publish the payloads as one batch (or one-by-one on the singles side).
+    /// Publish the payloads one by one on both sides.
     PublishGroup(Vec<u8>),
     /// Drain up to `max_n` ready deliveries and ack them all.
     ConsumeBatch(usize),
@@ -115,11 +115,10 @@ proptest! {
         prop_assert_eq!(hs.redelivered, bs.redelivered);
     }
 
-    /// The batched fast paths (`publish_batch_to_queue`, `try_recv_batch`,
-    /// `ack_all`) are observationally identical to the one-at-a-time
-    /// protocol — including under an installed identity [`FaultPlan`], so
-    /// the interceptor staging inside `push_batch` sees exactly the same
-    /// per-message decisions the singles path would.
+    /// The batched receive path the broker server dispatches with
+    /// (`try_recv_batch`, `ack_all`) is observationally identical to the
+    /// one-at-a-time protocol — including under an installed identity
+    /// [`FaultPlan`], whose `on_deliver` runs once per entry a batch takes.
     #[test]
     fn batched_path_matches_singles_under_identity_plan(
         ops in proptest::collection::vec(arb_batch_op(), 1..60)
@@ -136,8 +135,11 @@ proptest! {
         for (i, op) in ops.iter().enumerate() {
             let observed_batched: Vec<(Vec<u8>, bool)> = match op {
                 BatchOp::PublishGroup(group) => {
-                    let messages = group.iter().map(|b| Message::from_bytes(vec![*b])).collect();
-                    batched.publish_batch_to_queue("q", messages).unwrap();
+                    for b in group {
+                        batched
+                            .publish_to_queue("q", Message::from_bytes(vec![*b]))
+                            .unwrap();
+                    }
                     Vec::new()
                 }
                 BatchOp::ConsumeBatch(max_n) => {

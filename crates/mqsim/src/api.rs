@@ -13,7 +13,7 @@
 //! Because the surface is a trait, `Broker::bind`/`lookup`, proxies, the
 //! Supervisor and the SyncService run unchanged over either transport.
 //!
-//! [`Messaging`] holds the eleven operations something above calls, each
+//! [`Messaging`] holds the ten operations something above calls, each
 //! offered once. AMQP has more (direct and topic exchanges with routing
 //! keys, purging a queue, removing one binding, listing queues, probing for
 //! an exchange); nothing here used them, so neither trait, broker nor wire
@@ -46,17 +46,6 @@ pub trait Messaging: Send + Sync + fmt::Debug {
     fn queue_exists(&self, name: &str) -> bool;
     /// Publishes directly to a named queue (default-exchange path).
     fn publish_to_queue(&self, queue: &str, message: Message) -> MqResult<()>;
-    /// Publishes a batch of messages to one queue, preserving FIFO order
-    /// within the batch.
-    ///
-    /// Default implementation publishes one at a time; implementations with
-    /// a cheaper amortized path (one lock, one wire frame) should override.
-    fn publish_batch_to_queue(&self, queue: &str, messages: Vec<Message>) -> MqResult<()> {
-        for message in messages {
-            self.publish_to_queue(queue, message)?;
-        }
-        Ok(())
-    }
     /// Publishes one copy to every queue bound to a fanout exchange, in
     /// queue-name order; returns how many queues got a copy.
     fn publish(&self, exchange: &str, message: Message) -> MqResult<usize>;
@@ -73,8 +62,6 @@ pub trait Messaging: Send + Sync + fmt::Debug {
 /// Dropping a consumer cancels the subscription and requeues its unacked
 /// deliveries, like dropping a concrete [`crate::Consumer`].
 pub trait MessageConsumer: Send + Sync + fmt::Debug {
-    /// Name of the queue this consumer is attached to.
-    fn queue_name(&self) -> &str;
     /// Blocks until a message is available or the timeout elapses.
     ///
     /// # Errors
@@ -82,26 +69,6 @@ pub trait MessageConsumer: Send + Sync + fmt::Debug {
     /// [`crate::MqError::RecvTimeout`] on timeout, [`crate::MqError::Closed`]
     /// if the queue was deleted or the subscription cancelled.
     fn recv_timeout(&self, timeout: Duration) -> MqResult<AnyDelivery>;
-    /// Returns a message immediately if one is ready locally.
-    fn try_recv(&self) -> Option<AnyDelivery>;
-    /// Blocks for the first message, then drains up to `max_n` deliveries.
-    ///
-    /// Never returns an empty vec on success. The default implementation
-    /// blocks for one delivery and then drains with [`Self::try_recv`];
-    /// implementations that can batch under one lock or one wire frame
-    /// should override.
-    fn recv_batch(&self, timeout: Duration, max_n: usize) -> MqResult<Vec<AnyDelivery>> {
-        let first = self.recv_timeout(timeout)?;
-        let mut out = Vec::with_capacity(max_n.max(1));
-        out.push(first);
-        while out.len() < max_n.max(1) {
-            match self.try_recv() {
-                Some(d) => out.push(d),
-                None => break,
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// A delivery handed over the [`MessageConsumer`] trait, with a type-erased
@@ -165,34 +132,18 @@ impl fmt::Debug for AnyDelivery {
 }
 
 impl MessageConsumer for crate::Consumer {
-    fn queue_name(&self) -> &str {
-        crate::Consumer::queue_name(self)
-    }
-
     fn recv_timeout(&self, timeout: Duration) -> MqResult<AnyDelivery> {
-        crate::Consumer::recv_timeout(self, timeout).map(delivery_to_any)
+        let d = crate::Consumer::recv_timeout(self, timeout)?;
+        let message = d.message.clone();
+        let redelivered = d.redelivered;
+        Ok(AnyDelivery::new(message, redelivered, move |ok| {
+            if ok {
+                d.ack();
+            } else {
+                d.requeue();
+            }
+        }))
     }
-
-    fn try_recv(&self) -> Option<AnyDelivery> {
-        crate::Consumer::try_recv(self).map(delivery_to_any)
-    }
-
-    fn recv_batch(&self, timeout: Duration, max_n: usize) -> MqResult<Vec<AnyDelivery>> {
-        let got = crate::Consumer::recv_batch(self, timeout, max_n)?;
-        Ok(got.into_iter().map(delivery_to_any).collect())
-    }
-}
-
-fn delivery_to_any(d: crate::Delivery) -> AnyDelivery {
-    let message = d.message.clone();
-    let redelivered = d.redelivered;
-    AnyDelivery::new(message, redelivered, move |ok| {
-        if ok {
-            d.ack();
-        } else {
-            d.requeue();
-        }
-    })
 }
 
 impl Messaging for MessageBroker {
@@ -213,9 +164,6 @@ impl Messaging for MessageBroker {
     }
     fn publish_to_queue(&self, queue: &str, message: Message) -> MqResult<()> {
         MessageBroker::publish_to_queue(self, queue, message)
-    }
-    fn publish_batch_to_queue(&self, queue: &str, messages: Vec<Message>) -> MqResult<()> {
-        MessageBroker::publish_batch_to_queue(self, queue, messages)
     }
     fn publish(&self, exchange: &str, message: Message) -> MqResult<usize> {
         MessageBroker::publish(self, exchange, message)
@@ -270,28 +218,9 @@ mod tests {
         let d = consumer.recv_timeout(T).unwrap();
         assert!(d.redelivered, "dropped delivery must be redelivered");
         d.requeue();
-        let d = consumer.try_recv().unwrap();
+        let d = consumer.recv_timeout(T).unwrap();
         assert!(d.redelivered);
         d.ack();
-    }
-
-    #[test]
-    fn batch_surface_through_trait() {
-        let broker = MessageBroker::new();
-        let mq = as_messaging(&broker);
-        mq.declare_queue("q", QueueOptions::default()).unwrap();
-        let consumer = mq.subscribe("q").unwrap();
-        let batch: Vec<Message> = (0..5u8).map(|i| Message::from_bytes(vec![i])).collect();
-        mq.publish_batch_to_queue("q", batch).unwrap();
-        let got = consumer.recv_batch(T, 16).unwrap();
-        assert_eq!(got.len(), 5);
-        for (i, d) in got.iter().enumerate() {
-            assert_eq!(d.message.payload(), &[i as u8]);
-        }
-        for d in got {
-            d.ack();
-        }
-        assert_eq!(mq.queue_stats("q").unwrap().acked, 5);
     }
 
     #[test]

@@ -323,15 +323,6 @@ impl MessageBroker {
         self.queue(queue)?.push(message)
     }
 
-    /// Publishes a batch of messages to one queue under a single queue-lock
-    /// acquisition. FIFO order within the batch is preserved and any
-    /// installed [`crate::DeliveryInterceptor`] still observes every message
-    /// individually.
-    pub fn publish_batch_to_queue(&self, queue: &str, messages: Vec<Message>) -> MqResult<()> {
-        self.check_up()?;
-        self.queue(queue)?.push_batch(messages)
-    }
-
     /// Declares a fanout exchange. Redeclaration is a no-op.
     pub fn declare_exchange(&self, name: &str) -> MqResult<()> {
         self.check_up()?;

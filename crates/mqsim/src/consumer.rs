@@ -2,7 +2,7 @@
 
 use crate::error::MqResult;
 use crate::message::{DeliveryTag, Message};
-use crate::queue::{ConsumerId, Delivered, QueueCore};
+use crate::queue::{ConsumerId, QueueCore};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -16,21 +16,11 @@ use std::time::Duration;
 pub struct Consumer {
     queue: Arc<QueueCore>,
     id: ConsumerId,
-    cancelled: bool,
 }
 
 impl Consumer {
     pub(crate) fn new(queue: Arc<QueueCore>, id: ConsumerId) -> Self {
-        Consumer {
-            queue,
-            id,
-            cancelled: false,
-        }
-    }
-
-    /// Name of the queue this consumer is attached to.
-    pub fn queue_name(&self) -> &str {
-        self.queue.name()
+        Consumer { queue, id }
     }
 
     /// Blocks until a message is available or the timeout elapses.
@@ -62,31 +52,14 @@ impl Consumer {
         })
     }
 
-    /// Blocks for the first message, then drains up to `max_n` deliveries
-    /// under a single queue-lock acquisition.
-    ///
-    /// Same error contract as [`Consumer::recv_timeout`]; the returned vec
-    /// is never empty on success. Acknowledge the whole batch in one lock
-    /// round trip with [`Delivery::ack_all`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::MqError::RecvTimeout`] on timeout and
-    /// [`crate::MqError::Closed`] if the queue was deleted.
-    pub fn recv_batch(&self, timeout: Duration, max_n: usize) -> MqResult<Vec<Delivery>> {
-        let got = self.queue.recv_batch(self.id, timeout, max_n)?;
-        Ok(self.wrap_batch(got))
-    }
-
-    /// Drains up to `max_n` ready deliveries without blocking. Returns an
-    /// empty vec when nothing is ready.
+    /// Drains up to `max_n` ready deliveries under one queue-lock
+    /// acquisition, without blocking. Returns an empty vec when nothing is
+    /// ready. Acknowledge the whole batch in one lock round trip with
+    /// [`Delivery::ack_all`].
     pub fn try_recv_batch(&self, max_n: usize) -> Vec<Delivery> {
-        let got = self.queue.try_recv_batch(self.id, max_n);
-        self.wrap_batch(got)
-    }
-
-    fn wrap_batch(&self, got: Vec<Delivered>) -> Vec<Delivery> {
-        got.into_iter()
+        self.queue
+            .try_recv_batch(self.id, max_n)
+            .into_iter()
             .map(|(tag, message, redelivered)| Delivery {
                 message,
                 tag,
@@ -96,25 +69,11 @@ impl Consumer {
             })
             .collect()
     }
-
-    /// Cancels the subscription, requeueing any unacked deliveries.
-    ///
-    /// Equivalent to dropping the consumer, but explicit.
-    pub fn cancel(mut self) {
-        self.do_cancel();
-    }
-
-    fn do_cancel(&mut self) {
-        if !self.cancelled {
-            self.cancelled = true;
-            self.queue.unregister_consumer(self.id);
-        }
-    }
 }
 
 impl Drop for Consumer {
     fn drop(&mut self) {
-        self.do_cancel();
+        self.queue.unregister_consumer(self.id);
     }
 }
 
@@ -217,7 +176,7 @@ mod tests {
         broker.declare_queue("q", QueueOptions::default()).unwrap();
         let c = broker.subscribe("q").unwrap();
 
-        // Noise: cancelling a consumer hits the queue condvar with
+        // Noise: dropping a consumer hits the queue condvar with
         // notify_all, so the blocked receiver keeps waking spuriously. A
         // receive loop that re-armed with the *full* timeout after every
         // wakeup would never time out while this runs.
@@ -226,7 +185,7 @@ mod tests {
         let noise_broker = broker.clone();
         let noise = std::thread::spawn(move || {
             while !noise_stop.load(Ordering::Acquire) {
-                noise_broker.subscribe("q").unwrap().cancel();
+                drop(noise_broker.subscribe("q").unwrap());
                 std::thread::sleep(Duration::from_millis(2));
             }
         });
@@ -282,10 +241,10 @@ mod tests {
             .publish_to_queue("q", Message::from_static(b"x"))
             .unwrap();
         let d = c1.recv_timeout(T).unwrap();
-        // Simulate a crash: forget the delivery's ack by leaking through
-        // cancel while in flight. Delivery must go back to the queue.
-        std::mem::drop(d); // delivery dropped unacked -> requeue
-        c1.cancel();
+        // Simulate a crash: the delivery is dropped unacked and the consumer
+        // goes with it. The message must go back to the queue.
+        drop(d);
+        drop(c1);
         let c2 = broker.subscribe("q").unwrap();
         let d2 = c2.recv_timeout(T).unwrap();
         assert_eq!(d2.message.payload(), b"x");
@@ -297,9 +256,12 @@ mod tests {
         let broker = MessageBroker::new();
         broker.declare_queue("q", QueueOptions::default()).unwrap();
         let c = broker.subscribe("q").unwrap();
-        let batch: Vec<Message> = (0..8u8).map(|i| Message::from_bytes(vec![i])).collect();
-        broker.publish_batch_to_queue("q", batch).unwrap();
-        let got = c.recv_batch(T, 16).unwrap();
+        for i in 0..8u8 {
+            broker
+                .publish_to_queue("q", Message::from_bytes(vec![i]))
+                .unwrap();
+        }
+        let got = c.try_recv_batch(16);
         assert_eq!(got.len(), 8);
         for (i, d) in got.iter().enumerate() {
             assert_eq!(d.message.payload(), &[i as u8]);
@@ -316,12 +278,11 @@ mod tests {
         let broker = MessageBroker::new();
         broker.declare_queue("q", QueueOptions::default()).unwrap();
         let c = broker.subscribe("q").unwrap();
-        broker
-            .publish_batch_to_queue(
-                "q",
-                vec![Message::from_static(b"a"), Message::from_static(b"b")],
-            )
-            .unwrap();
+        for m in [b"a", b"b"] {
+            broker
+                .publish_to_queue("q", Message::from_static(m))
+                .unwrap();
+        }
         let got = c.try_recv_batch(8);
         assert_eq!(got.len(), 2);
         crate::Delivery::ack_all(got);

@@ -23,7 +23,6 @@ struct QueueObs {
     acked: Arc<obs::Counter>,
     redelivered: Arc<obs::Counter>,
     queue_wait: Arc<obs::Histogram>,
-    publish_batch: Arc<obs::Histogram>,
 }
 
 impl QueueObs {
@@ -34,7 +33,6 @@ impl QueueObs {
             acked: obs::counter("mq.messages_acked_total"),
             redelivered: obs::counter("mq.messages_redelivered_total"),
             queue_wait: obs::histogram("mq.queue_wait_seconds"),
-            publish_batch: obs::histogram("mqsim.publish.batch"),
         }
     }
 
@@ -134,10 +132,6 @@ impl QueueCore {
         }
     }
 
-    pub(crate) fn name(&self) -> &str {
-        &self.name
-    }
-
     fn fresh_tag(&self) -> DeliveryTag {
         DeliveryTag(self.next_tag.fetch_add(1, Ordering::Relaxed))
     }
@@ -208,70 +202,6 @@ impl QueueCore {
         self.obs.published.inc();
         self.available.notify_one();
         self.waker.wake(&self.name);
-    }
-
-    /// Publishes a batch of messages under one lock acquisition.
-    ///
-    /// Semantically identical to calling [`QueueCore::push`] once per
-    /// message: the interceptor still sees every message individually (all
-    /// `on_publish` decisions are staged before the lock is taken, in batch
-    /// order), counters advance per message, and FIFO order within the batch
-    /// is preserved.
-    pub(crate) fn push_batch(&self, messages: Vec<Message>) -> MqResult<()> {
-        let n = messages.len() as u64;
-        if n == 0 {
-            return Ok(());
-        }
-        let hook = self.interceptor.get();
-        let staged: Vec<(Message, PublishFault)> = messages
-            .into_iter()
-            .map(|mut message| {
-                message.mark_enqueued();
-                let fault = match &hook {
-                    Some(hook) => hook.on_publish(&self.name, message.payload()),
-                    None => PublishFault::Deliver,
-                };
-                (message, fault)
-            })
-            .collect();
-        let mut state = self.state.lock();
-        if state.closed {
-            return Err(MqError::Closed);
-        }
-        let mut enqueued = 0;
-        // One journal record per message, one durability wait for the whole
-        // batch: fsync covers a log prefix, so waiting on the last ticket
-        // covers every record appended before it.
-        let mut last_ticket = None;
-        for (message, fault) in staged {
-            let jid = match &self.journal {
-                Some(journal) => {
-                    let (jid, ticket) = journal.record_publish(&self.name, &message)?;
-                    last_ticket = Some(ticket);
-                    Some(jid)
-                }
-                None => None,
-            };
-            enqueued += self.apply_publish(&mut state, message, fault, jid);
-        }
-        drop(state);
-        self.obs.published.add(n);
-        self.obs.publish_batch.record_value(n as f64);
-        self.arrivals.record_many(n);
-        if enqueued > 1 {
-            self.available.notify_all();
-        } else if enqueued == 1 {
-            self.available.notify_one();
-        }
-        if enqueued > 0 {
-            self.waker.wake(&self.name);
-        }
-        match last_ticket {
-            Some(ticket) => ticket
-                .wait()
-                .map_err(|e| MqError::Durability(e.to_string())),
-            None => Ok(()),
-        }
     }
 
     /// Applies one publish decision to the ready list; returns how many
@@ -414,45 +344,6 @@ impl QueueCore {
             }
             if let Some((tag, entry)) = self.take_ready(&mut state) {
                 return Ok(self.deliver_entry(&mut state, consumer, tag, entry));
-            }
-            if Instant::now() >= deadline {
-                return Err(MqError::RecvTimeout);
-            }
-            state.waiting += 1;
-            let _ = self.available.wait_until(&mut state, deadline);
-            state.waiting -= 1;
-        }
-    }
-
-    /// Blocking batch receive: waits like [`QueueCore::recv`] for the first
-    /// message, then drains up to `max_n` ready entries under the same lock
-    /// acquisition. The interceptor's `on_deliver` hook still fires for each
-    /// entry individually (inside [`QueueCore::take_ready`]).
-    pub(crate) fn recv_batch(
-        &self,
-        consumer: ConsumerId,
-        timeout: Duration,
-        max_n: usize,
-    ) -> MqResult<Vec<Delivered>> {
-        let max_n = max_n.max(1);
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock();
-        loop {
-            if state.closed {
-                return Err(MqError::Closed);
-            }
-            if let Some((tag, entry)) = self.take_ready(&mut state) {
-                let mut out = Vec::with_capacity(max_n.min(state.ready.len() + 1));
-                out.push(self.deliver_entry(&mut state, consumer, tag, entry));
-                while out.len() < max_n {
-                    match self.take_ready(&mut state) {
-                        Some((tag, entry)) => {
-                            out.push(self.deliver_entry(&mut state, consumer, tag, entry));
-                        }
-                        None => break,
-                    }
-                }
-                return Ok(out);
             }
             if Instant::now() >= deadline {
                 return Err(MqError::RecvTimeout);
@@ -696,53 +587,31 @@ mod tests {
     }
 
     #[test]
-    fn push_batch_preserves_fifo_and_counts() {
-        let queue = q();
-        let c = queue.register_consumer().unwrap();
-        let batch: Vec<Message> = (0..5u8).map(|i| Message::from_bytes(vec![i])).collect();
-        queue.push_batch(batch).unwrap();
-        assert_eq!(queue.stats().depth, 5);
-        assert_eq!(queue.stats().published, 5);
-        let got = queue.recv_batch(c, Duration::from_millis(10), 10).unwrap();
-        assert_eq!(got.len(), 5);
-        for (i, (_, m, redelivered)) in got.iter().enumerate() {
-            assert_eq!(m.payload(), &[i as u8]);
-            assert!(!redelivered);
-        }
-    }
-
-    #[test]
     fn recv_batch_respects_max_n() {
         let queue = q();
         let c = queue.register_consumer().unwrap();
-        queue
-            .push_batch((0..6u8).map(|i| Message::from_bytes(vec![i])).collect())
-            .unwrap();
-        let first = queue.recv_batch(c, Duration::from_millis(10), 4).unwrap();
+        for i in 0..6u8 {
+            queue.push(Message::from_bytes(vec![i])).unwrap();
+        }
+        let first = queue.try_recv_batch(c, 4);
         assert_eq!(first.len(), 4);
+        for (i, (_, m, redelivered)) in first.iter().enumerate() {
+            assert_eq!(m.payload(), &[i as u8]);
+            assert!(!redelivered);
+        }
         let rest = queue.try_recv_batch(c, 4);
         assert_eq!(rest.len(), 2);
         assert!(queue.try_recv_batch(c, 4).is_empty());
     }
 
     #[test]
-    fn recv_batch_times_out_when_empty() {
-        let queue = q();
-        let c = queue.register_consumer().unwrap();
-        let err = queue
-            .recv_batch(c, Duration::from_millis(5), 8)
-            .unwrap_err();
-        assert_eq!(err, MqError::RecvTimeout);
-    }
-
-    #[test]
     fn ack_many_skips_unknown_tags() {
         let queue = q();
         let c = queue.register_consumer().unwrap();
-        queue
-            .push_batch((0..3u8).map(|i| Message::from_bytes(vec![i])).collect())
-            .unwrap();
-        let got = queue.recv_batch(c, Duration::from_millis(10), 8).unwrap();
+        for i in 0..3u8 {
+            queue.push(Message::from_bytes(vec![i])).unwrap();
+        }
+        let got = queue.try_recv_batch(c, 8);
         let mut tags: Vec<DeliveryTag> = got.iter().map(|(t, ..)| *t).collect();
         tags.push(DeliveryTag(9999));
         assert_eq!(queue.ack_many(&tags), 3);

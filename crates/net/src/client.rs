@@ -946,20 +946,13 @@ impl Messaging for NetBroker {
             .map(|_| ())
     }
 
-    fn publish_batch_to_queue(&self, queue: &str, messages: Vec<Message>) -> MqResult<()> {
-        if messages.is_empty() {
-            return Ok(());
-        }
-        self.inner
-            .request(&Request::PublishBatch(queue.into(), messages))
-            .map(|_| ())
-    }
-
     fn publish(&self, exchange: &str, message: Message) -> MqResult<usize> {
         let v = self
             .inner
             .request(&Request::Publish(exchange.into(), message))?;
-        Ok(v.as_u64().unwrap_or(0) as usize)
+        v.as_u64()
+            .map(|n| n as usize)
+            .map_err(|e| MqError::Transport(format!("bad publish reply: {e}")))
     }
 
     fn subscribe(&self, queue: &str) -> MqResult<Box<dyn MessageConsumer>> {
@@ -1073,10 +1066,6 @@ impl std::fmt::Debug for NetConsumer {
 }
 
 impl MessageConsumer for NetConsumer {
-    fn queue_name(&self) -> &str {
-        &self.sub.queue
-    }
-
     fn recv_timeout(&self, timeout: Duration) -> MqResult<AnyDelivery> {
         // Every receive is a flush point for batched acks: the consumer is
         // demonstrably alive, so don't sit on credit the server could use.
@@ -1110,36 +1099,6 @@ impl MessageConsumer for NetConsumer {
                 }
             }
         }
-    }
-
-    fn try_recv(&self) -> Option<AnyDelivery> {
-        flush_acks(&self.client, &self.sub);
-        let mut buffer = self.sub.buffer.lock();
-        self.pop_fresh(&mut buffer).map(|d| {
-            drop(buffer);
-            self.to_any(d)
-        })
-    }
-
-    fn recv_batch(&self, timeout: Duration, max_n: usize) -> MqResult<Vec<AnyDelivery>> {
-        let first = self.recv_timeout(timeout)?;
-        let max_n = max_n.max(1);
-        // Drain whatever else is already buffered under one lock instead of
-        // re-locking per message like the default implementation.
-        let mut rest = Vec::new();
-        {
-            let mut buffer = self.sub.buffer.lock();
-            while rest.len() + 1 < max_n {
-                match self.pop_fresh(&mut buffer) {
-                    Some(d) => rest.push(d),
-                    None => break,
-                }
-            }
-        }
-        let mut deliveries = Vec::with_capacity(rest.len() + 1);
-        deliveries.push(first);
-        deliveries.extend(rest.into_iter().map(|d| self.to_any(d)));
-        Ok(deliveries)
     }
 }
 
@@ -1223,6 +1182,39 @@ mod tests {
         );
         client.close();
         server.shutdown();
+    }
+
+    #[test]
+    fn a_mistyped_publish_reply_is_a_transport_error() {
+        // A hand-rolled peer that answers `hello` properly and `publish`
+        // with a string where the number of queues reached belongs.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            while let Ok((frame, _)) = read_frame(&mut (&stream)) {
+                let (corr, req) = Request::from_frame(&frame).unwrap();
+                let value = match req {
+                    Request::Hello { .. } => {
+                        Value::Map(vec![("unix_ns".into(), Value::U64(obs::unix_now_ns()))])
+                    }
+                    Request::Publish(..) => Value::from("two"),
+                    _ => Value::Null,
+                };
+                let reply = ServerFrame::Reply {
+                    corr,
+                    result: Ok(value),
+                };
+                if write_frame(&mut (&stream), &reply.to_value()).is_err() {
+                    return;
+                }
+            }
+        });
+        let client = NetBroker::connect(addr).unwrap();
+        let err = client.publish("x", Message::from_static(b"n")).unwrap_err();
+        assert!(matches!(err, MqError::Transport(_)), "{err:?}");
+        client.close();
+        peer.join().unwrap();
     }
 
     #[test]
@@ -1345,24 +1337,22 @@ mod tests {
     fn batched_publish_and_ack_round_trip() {
         let (server, client) = pair();
         client.declare_queue("q", QueueOptions::default()).unwrap();
-        let batch: Vec<Message> = (0..20u8).map(|i| Message::from_bytes(vec![i])).collect();
-        client.publish_batch_to_queue("q", batch).unwrap();
+        for i in 0..20u8 {
+            client
+                .publish_to_queue("q", Message::from_bytes(vec![i]))
+                .unwrap();
+        }
         assert_eq!(client.queue_stats("q").unwrap().depth, 20);
 
         let consumer = client.subscribe("q").unwrap();
-        let mut got = 0usize;
-        while got < 20 {
-            let deliveries = consumer
-                .recv_batch(Duration::from_secs(2), 8)
-                .expect("batch within timeout");
-            assert!(!deliveries.is_empty());
-            for d in deliveries {
-                assert_eq!(d.message.payload(), &[got as u8], "FIFO order");
-                d.ack();
-                got += 1;
-            }
+        for i in 0..20u8 {
+            let d = consumer
+                .recv_timeout(Duration::from_secs(2))
+                .expect("delivery within timeout");
+            assert_eq!(d.message.payload(), &[i], "FIFO order");
+            d.ack();
         }
-        // Batched acks are flushed lazily; poll until the server applied
+        // Acks are batched and flushed lazily; poll until the server applied
         // them all (the empty-buffer flush fires on the last ack).
         let deadline = Instant::now() + Duration::from_secs(2);
         loop {
@@ -1387,18 +1377,19 @@ mod tests {
                 .unwrap();
         }
         let consumer = client.subscribe("q").unwrap();
-        // Ack while more deliveries are still buffered locally, so the
-        // empty-buffer flush never fires for the early acks.
-        let deliveries = consumer.recv_batch(Duration::from_secs(2), 8).unwrap();
-        let n = deliveries.len();
-        for d in deliveries {
-            d.ack();
-        }
-        drop(consumer); // drop must flush whatever is still pending
+        let first = consumer.recv_timeout(Duration::from_secs(2)).unwrap();
+        // Ack while the other deliveries are on their way to the local
+        // buffer, so the empty-buffer flush does not fire for this ack.
         let deadline = Instant::now() + Duration::from_secs(2);
+        while client.queue_stats("q").unwrap().unacked < 3 {
+            assert!(Instant::now() < deadline, "the server never sent all three");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        first.ack();
+        drop(consumer); // drop must flush whatever is still pending
         loop {
             let stats = client.queue_stats("q").unwrap();
-            if stats.acked as usize >= n {
+            if stats.acked == 1 {
                 break;
             }
             assert!(

@@ -273,9 +273,6 @@ pub enum Request {
     QueueExists(String),
     /// `publish_to_queue(queue, message)`
     PublishToQueue(String, Message),
-    /// `publish_batch_to_queue(queue, messages)` — one frame, one broker
-    /// lock acquisition for the whole batch.
-    PublishBatch(String, Vec<Message>),
     /// `publish(exchange, message)`
     Publish(String, Message),
     /// `subscribe(queue)` with a client-chosen subscription id and an
@@ -369,17 +366,6 @@ fn message_to_value(m: &Message) -> Value {
     ])
 }
 
-fn messages_to_value(msgs: &[Message]) -> Value {
-    Value::List(msgs.iter().map(message_to_value).collect())
-}
-
-fn messages_from_value(v: &Value) -> Result<Vec<Message>, FrameError> {
-    match v {
-        Value::List(items) => items.iter().map(message_from_value).collect(),
-        _ => Err(FrameError::Protocol("message batch is not a list".into())),
-    }
-}
-
 fn message_from_value(v: &Value) -> Result<Message, FrameError> {
     let payload = v
         .field("payload")
@@ -432,13 +418,6 @@ impl Request {
                 vec![
                     ("queue".into(), Value::from(queue.clone())),
                     ("message".into(), message_to_value(message)),
-                ],
-            ),
-            Request::PublishBatch(queue, messages) => (
-                "publish_batch",
-                vec![
-                    ("queue".into(), Value::from(queue.clone())),
-                    ("messages".into(), messages_to_value(messages)),
                 ],
             ),
             Request::Publish(exchange, message) => (
@@ -517,13 +496,6 @@ impl Request {
                         .map_err(|e| FrameError::Protocol(e.to_string()))?,
                 )?;
                 Request::PublishToQueue(field_str(v, "queue")?, message)
-            }
-            "publish_batch" => {
-                let messages = messages_from_value(
-                    v.field("messages")
-                        .map_err(|e| FrameError::Protocol(e.to_string()))?,
-                )?;
-                Request::PublishBatch(field_str(v, "queue")?, messages)
             }
             "publish" => {
                 let message = message_from_value(
@@ -845,29 +817,40 @@ mod tests {
     }
 
     #[test]
-    fn publish_batch_roundtrips() {
-        let msgs = vec![
-            Message::from_static(b"a"),
-            Message::with_properties(
-                b"b".as_slice(),
-                MessageProperties {
-                    reply_to: Some("r".into()),
-                    ..Default::default()
-                },
+    fn retired_opcodes_are_refused() {
+        // Frames of operations the protocol no longer has, shaped as their
+        // encoders wrote them, must be refused by name rather than read as
+        // something else.
+        let message = Value::Map(vec![
+            ("payload".into(), Value::Bytes(b"m".to_vec())),
+            ("props".into(), Value::Map(vec![])),
+        ]);
+        let retired = [
+            (
+                "publish_batch",
+                vec![
+                    ("queue".into(), Value::from("q")),
+                    ("messages".into(), Value::List(vec![message])),
+                ],
             ),
+            (
+                "ack",
+                vec![("sub".into(), Value::U64(3)), ("tag".into(), Value::U64(9))],
+            ),
+            ("queue_depth", vec![("name".into(), Value::from("q"))]),
         ];
-        let frame = Request::PublishBatch("q".into(), msgs).to_frame(5);
-        let (corr, back) = Request::from_frame(&frame).unwrap();
-        assert_eq!(corr, 5);
-        match back {
-            Request::PublishBatch(queue, msgs) => {
-                assert_eq!(queue, "q");
-                assert_eq!(msgs.len(), 2);
-                assert_eq!(msgs[0].payload(), b"a");
-                assert_eq!(msgs[1].payload(), b"b");
-                assert_eq!(msgs[1].properties().reply_to.as_deref(), Some("r"));
+        for (op, rest) in retired {
+            let mut fields: Vec<(String, Value)> = vec![
+                ("op".into(), Value::from(op)),
+                ("corr".into(), Value::U64(7)),
+            ];
+            fields.extend(rest);
+            match Request::from_frame(&Value::Map(fields)) {
+                Err(FrameError::Protocol(m)) => {
+                    assert_eq!(m, format!("unknown opcode `{op}`"));
+                }
+                other => panic!("`{op}` decoded as {other:?}"),
             }
-            other => panic!("wrong request: {other:?}"),
         }
     }
 

@@ -13,10 +13,10 @@
 //!   sockets: a black-hole partition. Bytes read while stalled are *lost*
 //!   if the link is severed before the stall lifts, which is exactly how a
 //!   reply can vanish in a real partition.
-//! * [`FaultProxy::corrupt_to_client`] / [`FaultProxy::corrupt_to_server`]
-//!   — overwrite the next `n` forwarded bytes with `0xFF`, turning a
-//!   frame's length prefix into a ~4 GiB claim. The receiver must reject
-//!   it *before* allocating (see [`crate::MAX_FRAME`]).
+//! * [`FaultProxy::corrupt_to_client`] — overwrite the next `n` bytes
+//!   forwarded toward the client with `0xFF`, turning a frame's length
+//!   prefix into a ~4 GiB claim. The client must reject it *before*
+//!   allocating (see [`crate::MAX_FRAME`]).
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -30,8 +30,7 @@ use parking_lot::Mutex;
 struct ProxyState {
     stop: AtomicBool,
     stalled: AtomicBool,
-    /// Bytes still to corrupt on each leg (client→server, server→client).
-    corrupt_to_server: Mutex<usize>,
+    /// Bytes still to corrupt on the server→client leg.
     corrupt_to_client: Mutex<usize>,
     /// Live sockets, closed by `sever_all`. Each link contributes both of
     /// its streams.
@@ -41,14 +40,9 @@ struct ProxyState {
 }
 
 impl ProxyState {
-    /// Consumes up to `len` from the leg's corruption budget.
-    fn corruption_budget(&self, to_server: bool, len: usize) -> usize {
-        let slot = if to_server {
-            &self.corrupt_to_server
-        } else {
-            &self.corrupt_to_client
-        };
-        let mut remaining = slot.lock();
+    /// Consumes up to `len` from the server→client corruption budget.
+    fn corruption_budget(&self, len: usize) -> usize {
+        let mut remaining = self.corrupt_to_client.lock();
         let take = (*remaining).min(len);
         *remaining -= take;
         take
@@ -83,7 +77,6 @@ impl FaultProxy {
         let state = Arc::new(ProxyState {
             stop: AtomicBool::new(false),
             stalled: AtomicBool::new(false),
-            corrupt_to_server: Mutex::new(0),
             corrupt_to_client: Mutex::new(0),
             links: Mutex::new(Vec::new()),
             links_opened: AtomicU64::new(0),
@@ -125,12 +118,6 @@ impl FaultProxy {
     /// `0xFF`.
     pub fn corrupt_to_client(&self, n: usize) {
         *self.state.corrupt_to_client.lock() += n;
-    }
-
-    /// Corrupts the next `n` bytes forwarded toward the *server* with
-    /// `0xFF`.
-    pub fn corrupt_to_server(&self, n: usize) {
-        *self.state.corrupt_to_server.lock() += n;
     }
 
     /// Total connections accepted since start.
@@ -221,7 +208,11 @@ fn pump(mut from: TcpStream, mut to: TcpStream, to_server: bool, state: &Arc<Pro
         if state.stop.load(Ordering::Acquire) {
             break;
         }
-        let corrupt = state.corruption_budget(to_server, n);
+        let corrupt = if to_server {
+            0
+        } else {
+            state.corruption_budget(n)
+        };
         buf[..corrupt].fill(0xFF);
         if to.write_all(&buf[..n]).is_err() {
             break;

@@ -85,7 +85,7 @@ pub struct BrokerServer {
     /// lifetime; dropped (deregistered) with the server.
     _health: obs::HealthGuard,
     /// Admin endpoint, if `NET_ADMIN_ADDR` was set at bind time.
-    admin: Option<obs::AdminServer>,
+    _admin: Option<obs::AdminServer>,
 }
 
 struct ServerShared {
@@ -327,14 +327,8 @@ impl BrokerServer {
             addr,
             shared,
             _health: health,
-            admin,
+            _admin: admin,
         })
-    }
-
-    /// Address of the admin endpoint, when `NET_ADMIN_ADDR` was set and the
-    /// bind succeeded.
-    pub fn admin_addr(&self) -> Option<SocketAddr> {
-        self.admin.as_ref().map(obs::AdminServer::local_addr)
     }
 
     /// The address the server listens on.
@@ -697,13 +691,6 @@ fn execute(
         Request::QueueExists(name) => Ok(Value::Bool(broker.queue_exists(&name))),
         Request::PublishToQueue(queue, message) => {
             let res = broker.publish_to_queue(&queue, message);
-            if res.is_ok() {
-                *after_reply = Some(dispatch_hook(conn, shared, Some(queue)));
-            }
-            res.map(|()| Value::Null)
-        }
-        Request::PublishBatch(queue, messages) => {
-            let res = broker.publish_batch_to_queue(&queue, messages);
             if res.is_ok() {
                 *after_reply = Some(dispatch_hook(conn, shared, Some(queue)));
             }
@@ -1116,8 +1103,10 @@ mod tests {
 
     /// Publishes to `q` in-process: only the ready-waker tells the server.
     fn publish(server: &BrokerServer, payloads: std::ops::Range<u8>) {
-        let batch = payloads.map(|i| Message::from_bytes(vec![i])).collect();
-        server.broker().publish_batch_to_queue("q", batch).unwrap();
+        for i in payloads {
+            let message = Message::from_bytes(vec![i]);
+            server.broker().publish_to_queue("q", message).unwrap();
+        }
     }
 
     #[test]
@@ -1172,8 +1161,9 @@ mod tests {
     fn publish_batch_and_ack_many_over_the_wire() {
         let server = server_with_queue();
         let mut c = Peer::connect(&server);
-        let batch = (0..6u8).map(|i| Message::from_bytes(vec![i])).collect();
-        c.call(Request::PublishBatch("q".into(), batch));
+        for i in 0..6u8 {
+            c.publish(i);
+        }
         assert_eq!(server.broker().queue_stats("q").unwrap().published, 6);
         c.subscribe(1, 16);
         // All six deliveries arrive, in order, then get acked in one frame.
@@ -1287,7 +1277,11 @@ mod tests {
             let mut c = Peer::connect(server);
             c.subscribe(1, MAX_BATCH as u64);
             c.subscribe(2, MAX_BATCH as u64);
+            // All N ready before one wake, so the offer must go past its
+            // per-round cap: the waker is detached while they land.
+            server.broker().set_ready_waker(None);
             publish(server, 0..N);
+            note_ready(&server.shared, "q");
             let mut got: Vec<u8> = (0..N).map(|_| c.next_delivery().payload[0]).collect();
             got.sort_unstable();
             assert_eq!(got, (0..N).collect::<Vec<_>>());

@@ -132,9 +132,9 @@ pub fn spans_json_with_meta(process: &str) -> String {
 /// Monotonic scrape snapshot for the `/snapshot` admin endpoint: one JSON
 /// object carrying a per-process sequence number (so a scraper can order
 /// scrapes and detect restarts), raw counter/gauge values, and full
-/// histogram state — bucket occupancy as sparse `[index, count]` pairs —
-/// which [`crate::HistogramSnapshot::delta`] turns into per-window
-/// distributions on the collector side. A non-finite gauge reads `0.0`.
+/// histogram state — bucket occupancy as sparse `[index, count]` pairs, so
+/// a collector that subtracts two scrapes gets the window's distribution.
+/// A non-finite gauge reads `0.0`.
 pub fn snapshot_json() -> String {
     use std::sync::atomic::{AtomicU64, Ordering};
     static SEQ: AtomicU64 = AtomicU64::new(1);

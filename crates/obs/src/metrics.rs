@@ -277,32 +277,10 @@ impl Histogram {
             max_ns: self.max_ns.load(Ordering::Relaxed),
         }
     }
-
-    /// Folds a snapshot — typically scraped from another process — into
-    /// this histogram. Buckets add index-for-index; a snapshot with more
-    /// buckets than this build spills the excess into the overflow bucket.
-    /// Not gated on the kill switch: merging is collection, not measurement.
-    pub fn merge(&self, snap: &HistogramSnapshot) {
-        for (i, &c) in snap.buckets.iter().enumerate() {
-            if c > 0 {
-                let idx = i.min(NUM_BUCKETS - 1);
-                self.buckets[idx].fetch_add(c, Ordering::Relaxed);
-            }
-        }
-        self.stripes[0]
-            .count
-            .fetch_add(snap.count, Ordering::Relaxed);
-        self.stripes[0]
-            .sum_ns
-            .fetch_add(snap.sum_ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(snap.max_ns, Ordering::Relaxed);
-    }
 }
 
-/// Owned copy of a [`Histogram`]'s state at one instant. Produced by
-/// [`Histogram::snapshot`], consumed by [`Histogram::merge`] and
-/// [`HistogramSnapshot::delta`] (the scrape-twice-and-subtract idiom of a
-/// pull-based collector).
+/// Owned copy of a [`Histogram`]'s state at one instant, produced by
+/// [`Histogram::snapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts in the crate's geometric layout.
@@ -313,55 +291,6 @@ pub struct HistogramSnapshot {
     pub sum_ns: u64,
     /// Largest observation, in nanoseconds.
     pub max_ns: u64,
-}
-
-impl HistogramSnapshot {
-    /// The observations recorded between `earlier` and `self` (both taken
-    /// from the same histogram, `earlier` first). Counters are monotone, so
-    /// per-bucket saturating subtraction is exact; `max_ns` carries over
-    /// from `self` since a maximum cannot be un-observed.
-    pub fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let buckets = self
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| c.saturating_sub(earlier.buckets.get(i).copied().unwrap_or(0)))
-            .collect();
-        HistogramSnapshot {
-            buckets,
-            count: self.count.saturating_sub(earlier.count),
-            sum_ns: self.sum_ns.saturating_sub(earlier.sum_ns),
-            max_ns: self.max_ns,
-        }
-    }
-
-    /// The `q`-quantile over the snapshot's buckets, in seconds (same
-    /// nearest-rank semantics and error bound as [`Histogram::quantile`]).
-    pub fn quantile(&self, q: f64) -> f64 {
-        let total: u64 = self.buckets.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * total as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        for (i, c) in self.buckets.iter().enumerate() {
-            cumulative += c;
-            if cumulative >= rank {
-                return bucket_value(i.min(NUM_BUCKETS - 1));
-            }
-        }
-        bucket_value(NUM_BUCKETS - 1)
-    }
-
-    /// Mean observation in seconds (0 when empty).
-    pub fn mean_secs(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / 1e9 / self.count as f64
-        }
-    }
 }
 
 /// The process-global named-metric registry.
@@ -487,73 +416,6 @@ mod tests {
         assert_eq!(h.quantile(0.5), 0.0);
         assert_eq!(h.max_secs(), 0.0);
         assert_eq!(h.mean_secs(), 0.0);
-    }
-
-    #[test]
-    fn snapshot_merge_preserves_buckets_count_and_sum() {
-        let a = Histogram::default();
-        for ms in [1u64, 5, 20, 80] {
-            a.record(Duration::from_millis(ms));
-        }
-        let snap = a.snapshot();
-        assert_eq!(snap.count, 4);
-        assert_eq!(snap.buckets.iter().sum::<u64>(), 4);
-        assert_eq!(snap.max_ns, 80_000_000);
-
-        // Merging into an empty histogram reproduces the original exactly:
-        // same bucket occupancy, count, sum, max, and therefore quantiles.
-        let b = Histogram::default();
-        b.merge(&snap);
-        assert_eq!(b.snapshot(), snap);
-        for q in [0.5, 0.9, 0.99] {
-            assert_eq!(b.quantile(q), a.quantile(q), "quantile {q} diverged");
-        }
-
-        // Merging twice doubles counts and sum but keeps bucket alignment.
-        b.merge(&snap);
-        let doubled = b.snapshot();
-        assert_eq!(doubled.count, 8);
-        assert_eq!(doubled.sum_ns, 2 * snap.sum_ns);
-        for (i, &c) in snap.buckets.iter().enumerate() {
-            assert_eq!(doubled.buckets[i], 2 * c, "bucket {i} misaligned");
-        }
-    }
-
-    #[test]
-    fn snapshot_delta_isolates_the_window() {
-        let h = Histogram::default();
-        h.record(Duration::from_millis(10));
-        let first = h.snapshot();
-        h.record(Duration::from_millis(30));
-        h.record(Duration::from_millis(50));
-        let second = h.snapshot();
-
-        let delta = second.delta(&first);
-        assert_eq!(delta.count, 2);
-        assert_eq!(delta.buckets.iter().sum::<u64>(), 2);
-        assert_eq!(delta.sum_ns, 80_000_000);
-        // The 10ms observation belongs to the earlier window.
-        assert_eq!(delta.buckets[bucket_index(0.010)], 0);
-        assert_eq!(delta.buckets[bucket_index(0.030)], 1);
-        assert_eq!(delta.buckets[bucket_index(0.050)], 1);
-        let p99 = delta.quantile(0.99);
-        assert!((p99 - 0.050).abs() / 0.050 < 0.06, "window p99: {p99}");
-    }
-
-    #[test]
-    fn merge_spills_unknown_buckets_into_overflow() {
-        let h = Histogram::default();
-        let mut buckets = vec![0u64; NUM_BUCKETS + 3];
-        buckets[NUM_BUCKETS + 2] = 5; // from a layout with more buckets
-        h.merge(&HistogramSnapshot {
-            buckets,
-            count: 5,
-            sum_ns: 1_000,
-            max_ns: 1_000,
-        });
-        let snap = h.snapshot();
-        assert_eq!(snap.buckets[NUM_BUCKETS - 1], 5);
-        assert_eq!(snap.count, 5);
     }
 
     #[test]

@@ -29,7 +29,6 @@ pub mod dedup;
 pub mod generator;
 pub mod markov;
 pub mod sizes;
-pub mod trace_io;
 pub mod ub1;
 
 pub use changes::ChangePattern;
