@@ -4,12 +4,14 @@
 //! cargo run -p bench --bin adminhost -- --admin 127.0.0.1:9633 [--duration 30]
 //! ```
 //!
-//! Boots the real server stack as a [`stacksync::Deployment`] — a
-//! journaled broker behind a TCP front end, a bound `SyncService` over the
+//! Boots the real server stack as a [`stacksync::Deployment`] — the
+//! broker behind a TCP front end, a bound `SyncService` over the
 //! WAL-backed metadata store — plus the obs admin endpoint, then commits
 //! one small change per 100 ms so `/metrics`, `/spans` and `/healthz` have
-//! live data to serve, including the `metadata.wal` and `mqsim.journal`
-//! health checks and the `wal.*` metric family. Prints
+//! live data to serve, including the `mqsim.broker`, `metadata.wal` and
+//! `sync.service` health checks and the `wal.*` metric family. The metadata
+//! WAL is the stack's one durable log: the broker keeps its queues in
+//! memory. Prints
 //! `ADMIN http://<addr>` once the endpoint is up (the smoke script scrapes
 //! that line), and exits cleanly after `--duration` seconds (default 30).
 
@@ -30,7 +32,6 @@ fn main() {
 
     let cloud = Deployment::builder()
         .tcp()
-        .journal(wal_root.join("mq"))
         .durable(wal_root.join("meta"))
         .shards(4)
         .build()
@@ -92,7 +93,7 @@ fn main() {
         .expect("connect watcher");
 
     // A steady trickle of real commits keeps every admin surface non-empty
-    // while the scraper probes it. Every WAL-journaled commit feeds the
+    // while the scraper probes it. Every WAL-logged commit feeds the
     // wal.fsync_seconds / wal.group_size metrics the smoke test greps.
     // The write path runs the chunk→hash→compress ingest pipeline and the
     // refcount dedup store, so `content.ingest.*` and `storage.dedup.*`

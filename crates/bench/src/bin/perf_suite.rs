@@ -21,7 +21,7 @@
 //! with [`CONTENTION_SHARDS`] in the same run.
 //!
 //! The durable scenario runs the same 8-writer contention workload against
-//! [`metadata::ShardedStore::open_durable`] — every commit journaled to a
+//! [`metadata::ShardedStore::open_durable`] — every commit logged to a
 //! per-shard WAL and fsynced by the committing thread before it is
 //! acknowledged — and then measures recovery: reopen-with-replay over the
 //! full log, and reopen after a snapshot checkpoint. The WAL lives in
@@ -325,8 +325,8 @@ struct DurableNumbers {
 /// Both stores run with the [`TXN_LATENCY`] modeled back-end — the variant
 /// the PR 5 sharding gate measures — so the ratio answers the question the
 /// gate asks: how much of the sharded ACID-backed commit rate survives
-/// journaling? (Against the cpu-bound in-memory store the comparison is
-/// meaningless: any fsync at all loses to a pure memcpy.)
+/// write-ahead logging? (Against the cpu-bound in-memory store the
+/// comparison is meaningless: any fsync at all loses to a pure memcpy.)
 ///
 /// The WAL root prefers `/dev/shm`: this scenario compares lock/commit
 /// protocols, and a CI filesystem's fsync pathology (or lack of real

@@ -21,9 +21,8 @@
 //! gave one. Fingerprints are identical whatever the selection, so a
 //! divergence is a sharding or recovery bug. `--kill-restart` switches to
 //! the kill-restart sweep ([`faultsim::explore_kills`]): seeded
-//! crash-replay of the durable store *and* durable broker, checking no
-//! acked commit is lost, nothing double-commits, and unacked publishes are
-//! redelivered.
+//! crash-replay of the durable store, checking no acked commit is lost,
+//! nothing double-commits, and a crashed store refuses writes.
 
 use faultsim::{explore, explore_kills, KillConfig, SimConfig, StoreSelection};
 

@@ -1,14 +1,12 @@
-//! Kill-restart schedules: seeded crash-replay over the *durable* stack.
+//! Kill-restart schedules: seeded crash-replay over the durable store.
 //!
 //! Where [`crate::sim`] proves the protocol survives crashed service
-//! instances, this module proves the **commit plane** survives crashed
-//! *processes*: a WAL-backed [`metadata::ShardedStore`] and a durable
-//! [`mqsim::MessageBroker`] are driven through a seeded schedule of
-//! commits, publishes, acks and checkpoints; at random points the whole
-//! process "dies" ([`metadata::ShardedStore::wal_simulate_crash`] +
-//! [`mqsim::MessageBroker::journal_simulate_crash`]), both components are
-//! reopened from disk, and the recovered state is checked against a shadow
-//! model kept by the harness:
+//! instances, this module proves the **commit plane** survives a crashed
+//! *process*: a WAL-backed [`metadata::ShardedStore`] is driven through a
+//! seeded schedule of commits and checkpoints; at random points the
+//! process "dies" ([`metadata::ShardedStore::wal_simulate_crash`]), the
+//! store is reopened from disk, and the recovered state is checked against
+//! a shadow model kept by the harness:
 //!
 //! * **No lost acked commit** — every commit the store acknowledged before
 //!   the kill is present after recovery (the reopened snapshot must equal
@@ -17,11 +15,14 @@
 //! * **No double-commit** — version chains replay to exactly `1..=n`,
 //!   never gaining a duplicate from WAL replay (checked through the same
 //!   snapshot equality plus explicit chain inspection).
-//! * **At-least-once delivery** — every unacked durable publish is
-//!   redelivered; a *dirty* kill (buffered ack records lost with the
-//!   un-fsynced tail) may additionally redeliver acked messages, but a
-//!   kill after [`mqsim::MessageBroker::journal_flush`] must recover
-//!   exactly the unacked set. Recovered messages are never fabricated.
+//! * **A crashed store refuses writes** — between the crash and the
+//!   reopen, a commit fails with a durability error instead of diverging
+//!   from what the disk holds.
+//!
+//! The metadata WAL is the stack's one durable log; the broker keeps its
+//! queues in memory, so a broker death loses what was queued in it. That
+//! loss is the client's to repair (ROADMAP item 20), and this schedule
+//! kills the broker only once there is a client half to check.
 //!
 //! Everything is single-threaded and seeded: same seed ⇒ same schedule,
 //! same kills, same verdict.
@@ -29,13 +30,9 @@
 use crate::rng::SimRng;
 use content::ChunkId;
 use metadata::{ItemMetadata, MetadataError, MetadataStore, ShardedStore, WorkspaceId};
-use mqsim::{Message, MessageBroker, MqError, QueueOptions};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
-
-/// The durable queue the schedule publishes to.
-const QUEUE: &str = "killsim.jobs";
 
 /// Shape of one kill-restart run.
 #[derive(Debug, Clone, Copy)]
@@ -68,8 +65,6 @@ pub struct KillReport {
     pub seed: u64,
     /// Commits acknowledged across all lives of the store.
     pub commits: u64,
-    /// Durable publishes acknowledged.
-    pub publishes: u64,
     /// Kill-restart cycles executed (always ≥ 1).
     pub kills: u64,
     /// Snapshot-and-truncate checkpoints taken.
@@ -87,8 +82,8 @@ impl KillReport {
     /// Human-readable failure artifact.
     pub fn transcript(&self) -> String {
         let mut out = format!(
-            "kill-restart seed {} — {} commits, {} publishes, {} kills, {} checkpoints\n",
-            self.seed, self.commits, self.publishes, self.kills, self.checkpoints
+            "kill-restart seed {} — {} commits, {} kills, {} checkpoints\n",
+            self.seed, self.commits, self.kills, self.checkpoints
         );
         for v in &self.violations {
             out.push_str(&format!("VIOLATION: {v}\n"));
@@ -116,75 +111,46 @@ fn open_store(dir: &PathBuf, shards: usize) -> std::io::Result<ShardedStore> {
     .map(|(s, _)| s)
 }
 
-fn open_broker(dir: &PathBuf) -> std::io::Result<MessageBroker> {
-    MessageBroker::open_durable(dir, wal::LogConfig::named("killsim-mq")).map(|(b, _)| b)
-}
-
 /// Runs one seeded kill-restart schedule to completion.
 pub fn run_kill_restart(seed: u64, config: &KillConfig) -> KillReport {
     let mut rng = SimRng::new(seed);
-    let mut violations: Vec<String> = Vec::new();
+    let mut report = KillReport {
+        seed,
+        commits: 0,
+        kills: 0,
+        checkpoints: 0,
+        violations: Vec::new(),
+    };
 
     let root = scratch_dir(seed);
     let meta_dir = root.join("meta");
-    let mq_dir = root.join("mq");
 
     let mut meta = match open_store(&meta_dir, config.shards) {
         Ok(s) => s,
         Err(e) => {
-            return KillReport {
-                seed,
-                commits: 0,
-                publishes: 0,
-                kills: 0,
-                checkpoints: 0,
-                violations: vec![format!("could not open durable store: {e}")],
-            }
+            report
+                .violations
+                .push(format!("could not open durable store: {e}"));
+            return report;
         }
     };
-    let mut mq = match open_broker(&mq_dir) {
-        Ok(b) => b,
-        Err(e) => {
-            return KillReport {
-                seed,
-                commits: 0,
-                publishes: 0,
-                kills: 0,
-                checkpoints: 0,
-                violations: vec![format!("could not open durable broker: {e}")],
-            }
-        }
-    };
-
     let ws = match meta
         .create_user("killer")
         .and_then(|()| meta.create_workspace("killer", "Kills"))
     {
         Ok(ws) => ws,
         Err(e) => {
-            return KillReport {
-                seed,
-                commits: 0,
-                publishes: 0,
-                kills: 0,
-                checkpoints: 0,
-                violations: vec![format!("could not provision workspace: {e}")],
-            }
+            report
+                .violations
+                .push(format!("could not provision workspace: {e}"));
+            return report;
         }
     };
-    mq.declare_queue(QUEUE, QueueOptions::durable())
-        .expect("declare durable queue");
 
     // Shadow model: what the harness knows it was acknowledged for.
     let mut versions: BTreeMap<u64, u64> = BTreeMap::new(); // item -> head version
-    let mut outstanding: BTreeSet<String> = BTreeSet::new(); // published, never acked
-    let mut acked: BTreeSet<String> = BTreeSet::new(); // acked since the last flush point
     let mut payload_seq: u64 = 0;
-
-    let mut commits: u64 = 0;
-    let mut publishes: u64 = 0;
-    let mut kills: u64 = 0;
-    let mut checkpoints: u64 = 0;
+    let violations = &mut report.violations;
 
     let mut step = 0;
     loop {
@@ -192,20 +158,10 @@ pub fn run_kill_restart(seed: u64, config: &KillConfig) -> KillReport {
         step += 1;
 
         if forced_final_kill || rng.chance(config.kill_permille) {
-            kills += 1;
-            // A clean kill flushes buffered ack records first, making the
-            // recovered set exactly predictable; a dirty kill may lose the
-            // buffered acks (torn tail), which may only ever *redeliver*.
-            let clean = rng.chance(500);
-            if clean {
-                if let Err(e) = mq.journal_flush() {
-                    violations.push(format!("kill {kills}: journal flush failed: {e}"));
-                }
-            }
+            report.kills += 1;
+            let kills = report.kills;
             let expected_snapshot = meta.snapshot();
             meta.wal_simulate_crash(0);
-            let survive = (rng.below(64)) as usize; // torn tail of buffered acks
-            mq.journal_simulate_crash(survive);
 
             // A crashed store must refuse writes rather than diverge. The
             // probe is a *fresh* item so it would genuinely append (an
@@ -217,41 +173,16 @@ pub fn run_kill_restart(seed: u64, config: &KillConfig) -> KillReport {
                     "kill {kills}: crashed store accepted a commit: {other:?}"
                 )),
             }
-            match mq.publish_to_queue(QUEUE, Message::from_static(b"post-crash")) {
-                Err(MqError::Durability(_)) => {}
-                other => violations.push(format!(
-                    "kill {kills}: crashed broker accepted a publish: {other:?}"
-                )),
-            }
 
             drop(meta);
-            drop(mq);
-
-            let reopened = open_store(&meta_dir, config.shards)
-                .map_err(|e| format!("store reopen failed: {e}"))
-                .and_then(|s| {
-                    open_broker(&mq_dir)
-                        .map(|b| (s, b))
-                        .map_err(|e| format!("broker reopen failed: {e}"))
-                });
-            match reopened {
-                Ok((s, b)) => {
-                    meta = s;
-                    mq = b;
-                }
+            meta = match open_store(&meta_dir, config.shards) {
+                Ok(s) => s,
                 Err(e) => {
-                    violations.push(format!("kill {kills}: {e}"));
+                    violations.push(format!("kill {kills}: store reopen failed: {e}"));
                     std::fs::remove_dir_all(&root).ok();
-                    return KillReport {
-                        seed,
-                        commits,
-                        publishes,
-                        kills,
-                        checkpoints,
-                        violations,
-                    };
+                    return report;
                 }
-            }
+            };
 
             // Invariant: no lost acked commit, no double-commit. The
             // reopened store must carry exactly the pre-kill state.
@@ -277,48 +208,6 @@ pub fn run_kill_restart(seed: u64, config: &KillConfig) -> KillReport {
                 }
             }
 
-            // Invariant: at-least-once delivery. Drain the recovered queue.
-            let mut recovered: BTreeSet<String> = BTreeSet::new();
-            let consumer = mq.subscribe(QUEUE).expect("subscribe recovered queue");
-            while let Some(delivery) = consumer.try_recv() {
-                let payload = String::from_utf8_lossy(delivery.message.payload()).into_owned();
-                if !delivery.redelivered {
-                    violations.push(format!(
-                        "kill {kills}: recovered message {payload} not flagged redelivered"
-                    ));
-                }
-                if !recovered.insert(payload.clone()) {
-                    violations.push(format!("kill {kills}: message {payload} recovered twice"));
-                }
-                delivery.ack();
-            }
-            for payload in &outstanding {
-                if !recovered.contains(payload) {
-                    violations.push(format!(
-                        "kill {kills}: unacked publish {payload} lost in recovery"
-                    ));
-                }
-            }
-            for payload in &recovered {
-                if !outstanding.contains(payload) && !acked.contains(payload) {
-                    violations.push(format!(
-                        "kill {kills}: recovery fabricated message {payload}"
-                    ));
-                }
-                if clean && acked.contains(payload) {
-                    violations.push(format!(
-                        "kill {kills}: flushed ack for {payload} forgotten (redelivered after clean kill)"
-                    ));
-                }
-            }
-            // The drain acked everything; flush so the next kill starts
-            // from a known-durable point.
-            if let Err(e) = mq.journal_flush() {
-                violations.push(format!("kill {kills}: post-recovery flush failed: {e}"));
-            }
-            outstanding.clear();
-            acked.clear();
-
             if forced_final_kill {
                 break;
             }
@@ -326,70 +215,31 @@ pub fn run_kill_restart(seed: u64, config: &KillConfig) -> KillReport {
         }
 
         if rng.chance(config.checkpoint_permille) {
-            checkpoints += 1;
+            report.checkpoints += 1;
             if let Err(e) = meta.checkpoint() {
-                violations.push(format!("checkpoint {checkpoints} failed: {e}"));
+                violations.push(format!("checkpoint {} failed: {e}", report.checkpoints));
             }
             continue;
         }
 
-        // Regular work: a commit, a publish, or an ack, uniformly.
-        match rng.below(3) {
-            0 => {
-                let item = 1 + rng.below(5);
-                let version = versions.get(&item).copied().unwrap_or(0) + 1;
-                match meta.commit(&ws, vec![proposal(&ws, item, version, &mut payload_seq)]) {
-                    Ok(outcomes) => {
-                        if outcomes.iter().all(|o| o.is_committed()) {
-                            commits += 1;
-                            versions.insert(item, version);
-                        } else {
-                            violations.push(format!(
-                                "single-writer commit of item {item} v{version} conflicted"
-                            ));
-                        }
-                    }
-                    Err(e) => {
-                        violations.push(format!("commit of item {item} v{version} failed: {e}"))
-                    }
-                }
+        // Regular work: a commit of the next version of one of five items.
+        let item = 1 + rng.below(5);
+        let version = versions.get(&item).copied().unwrap_or(0) + 1;
+        match meta.commit(&ws, vec![proposal(&ws, item, version, &mut payload_seq)]) {
+            Ok(outcomes) if outcomes.iter().all(|o| o.is_committed()) => {
+                report.commits += 1;
+                versions.insert(item, version);
             }
-            1 => {
-                payload_seq += 1;
-                let payload = format!("job-{payload_seq}");
-                match mq.publish_to_queue(QUEUE, Message::from_bytes(payload.clone().into_bytes()))
-                {
-                    Ok(()) => {
-                        publishes += 1;
-                        outstanding.insert(payload);
-                    }
-                    Err(e) => violations.push(format!("publish {payload} failed: {e}")),
-                }
-            }
-            _ => {
-                let consumer = mq.subscribe(QUEUE).expect("subscribe queue");
-                if let Some(delivery) = consumer.try_recv() {
-                    let payload = String::from_utf8_lossy(delivery.message.payload()).into_owned();
-                    delivery.ack();
-                    outstanding.remove(&payload);
-                    acked.insert(payload);
-                }
-            }
+            Ok(_) => violations.push(format!(
+                "single-writer commit of item {item} v{version} conflicted"
+            )),
+            Err(e) => violations.push(format!("commit of item {item} v{version} failed: {e}")),
         }
     }
 
     drop(meta);
-    drop(mq);
     std::fs::remove_dir_all(&root).ok();
-
-    KillReport {
-        seed,
-        commits,
-        publishes,
-        kills,
-        checkpoints,
-        violations,
-    }
+    report
 }
 
 fn proposal(ws: &WorkspaceId, item: u64, version: u64, seq: &mut u64) -> ItemMetadata {
@@ -452,8 +302,8 @@ mod tests {
         let b = run_kill_restart(11, &KillConfig::default());
         assert!(a.passed(), "{}", a.transcript());
         assert_eq!(
-            (a.commits, a.publishes, a.kills, a.checkpoints),
-            (b.commits, b.publishes, b.kills, b.checkpoints),
+            (a.commits, a.kills, a.checkpoints),
+            (b.commits, b.kills, b.checkpoints),
         );
     }
 

@@ -352,6 +352,31 @@ mod tests {
         });
     }
 
+    /// Pins today's behaviour: a replay is recognised only at the head
+    /// version. A device that resends its v2 after its own v3 has landed
+    /// gets a conflict carrying v3, so a client that resends every commit
+    /// its notification has not acknowledged (ROADMAP item 20, fix (a))
+    /// would turn such a resend into a spurious conflict copy. Item 20(a)
+    /// flips this test: a resend of a stored version confirms at it.
+    #[test]
+    fn a_resent_proposal_below_the_head_conflicts() {
+        with_workspace(|s, ws| {
+            let at = |version: u64| ItemMetadata {
+                chunks: vec![ChunkId::of(&version.to_le_bytes())],
+                ..file(1, &ws, version)
+            };
+            for version in 1..=3 {
+                assert!(s.commit(&ws, vec![at(version)]).unwrap()[0].is_committed());
+            }
+            let out = s.commit(&ws, vec![at(2)]).unwrap();
+            match &out[0].result {
+                CommitResult::Conflict { current } => assert_eq!(current.version, 3),
+                other => panic!("expected conflict, got {other:?}"),
+            }
+            assert_eq!(s.history(1).unwrap().len(), 3);
+        });
+    }
+
     #[test]
     fn skipping_versions_conflicts() {
         with_workspace(|s, ws| {

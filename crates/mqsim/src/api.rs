@@ -29,7 +29,7 @@ use std::time::Duration;
 /// Everything ObjectMQ needs from a messaging provider.
 ///
 /// Semantics are those of the in-process broker (see [`MessageBroker`]):
-/// named durable queues, fanout exchanges, competing consumers,
+/// named queues, fanout exchanges, competing consumers,
 /// ack/requeue redelivery. Implementations over a network must preserve
 /// at-least-once delivery: an unacked delivery whose consumer (or
 /// connection) dies is redelivered.

@@ -1,22 +1,20 @@
 //! The broker: queue/exchange registry and publish paths. Broker high
 //! availability is left to the broker product, as the paper does (§3.4:
 //! "high availability can be achieved by using clusters of messaging
-//! brokers"); what this broker guarantees across its own death is that
-//! published, unacked messages of durable queues come back
-//! ([`MessageBroker::open_durable`]).
+//! brokers"). Queues live in memory: a message survives the death of the
+//! consumer it was delivered to (it is requeued and redelivered to another),
+//! not the death of the broker.
 
 use crate::consumer::Consumer;
 use crate::error::{MqError, MqResult};
 use crate::exchange::Exchange;
 use crate::interceptor::{DeliveryInterceptor, InterceptorCell};
-use crate::journal::{Journal, RecoveredState};
 use crate::message::Message;
 use crate::queue::QueueCore;
 use crate::stats::QueueStats;
 use crate::waker::{ReadyWaker, WakerCell};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,11 +27,6 @@ pub struct QueueOptions {
     pub auto_delete: bool,
     /// Window of the per-queue arrival-rate estimator.
     pub rate_window: Duration,
-    /// Journal publishes to this queue in the broker WAL so unacked
-    /// messages survive a process crash. Only effective on a broker opened
-    /// with [`MessageBroker::open_durable`]; ignored (plain in-memory
-    /// behaviour) elsewhere.
-    pub durable: bool,
 }
 
 impl Default for QueueOptions {
@@ -41,32 +34,8 @@ impl Default for QueueOptions {
         QueueOptions {
             auto_delete: false,
             rate_window: Duration::from_secs(60),
-            durable: false,
         }
     }
-}
-
-impl QueueOptions {
-    /// Default options with the `durable` flag set.
-    pub fn durable() -> Self {
-        QueueOptions {
-            durable: true,
-            ..QueueOptions::default()
-        }
-    }
-}
-
-/// What [`MessageBroker::open_durable`] reconstructed from the journal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BrokerRecovery {
-    /// Journal records replayed.
-    pub replayed: u64,
-    /// Durable queues re-declared.
-    pub queues: usize,
-    /// Unacked messages re-enqueued (flagged redelivered).
-    pub requeued: usize,
-    /// Whether the journal tail was torn (partial final write dropped).
-    pub torn: bool,
 }
 
 #[derive(Debug, Default)]
@@ -83,10 +52,6 @@ struct BrokerInner {
     /// lifetime. Only populated by [`MessageBroker::new`] — the check needs
     /// a `Weak` to this struct, which `derive(Default)` cannot produce.
     health: std::sync::OnceLock<obs::HealthGuard>,
-    /// The durable-queue journal; only set by [`MessageBroker::open_durable`].
-    journal: std::sync::OnceLock<Arc<Journal>>,
-    /// Keeps the `mqsim.journal` health check registered on durable brokers.
-    journal_health: std::sync::OnceLock<obs::HealthGuard>,
 }
 
 /// An in-process message broker node.
@@ -116,91 +81,6 @@ impl MessageBroker {
         broker
     }
 
-    /// Opens (or creates) a durable broker whose journal lives at `dir`.
-    /// Queues declared with [`QueueOptions::durable`] journal every publish
-    /// before acknowledging it; recovery re-declares those queues and
-    /// re-enqueues every journaled publish without a journaled ack (flagged
-    /// redelivered — at-least-once across process death).
-    ///
-    /// `config` supplies the journal's name, sync policy and segment size.
-    ///
-    /// # Errors
-    ///
-    /// Filesystem errors, or `InvalidData` when a journal record fails to
-    /// decode.
-    pub fn open_durable(
-        dir: impl AsRef<Path>,
-        config: wal::LogConfig,
-    ) -> std::io::Result<(MessageBroker, BrokerRecovery)> {
-        let (log, rec) = wal::Log::open(dir.as_ref(), config)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        let replayed = rec.records.len() as u64;
-        let torn = rec.torn.is_some();
-        let state: RecoveredState = crate::journal::replay(&rec.records)?;
-
-        let broker = MessageBroker::new();
-        let journal = Arc::new(Journal::new(log, state.next_jid));
-        let weak = Arc::downgrade(&journal);
-        let guard = obs::register_health("mqsim.journal", move || match weak.upgrade() {
-            Some(journal) => journal.status(),
-            None => Err("journal dropped".to_string()),
-        });
-        let _ = broker.inner.journal.set(journal);
-        let _ = broker.inner.journal_health.set(guard);
-
-        let queues = state.queues.len();
-        for (name, options) in &state.queues {
-            broker
-                .declare_queue_inner(name, options.clone(), false)
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-        }
-        let requeued = state.pending.len();
-        for (jid, queue, message) in state.pending {
-            // The declaration record always precedes the publish in the
-            // single FIFO journal, so the queue exists by construction.
-            if let Ok(core) = broker.queue(&queue) {
-                core.push_recovered(message, jid);
-            }
-        }
-        obs::flight_event!(
-            "mqsim",
-            "durable broker opened: {replayed} record(s) replayed, {requeued} message(s) requeued"
-        );
-        Ok((
-            broker,
-            BrokerRecovery {
-                replayed,
-                queues,
-                requeued,
-                torn,
-            },
-        ))
-    }
-
-    /// Whether this broker journals durable queues.
-    pub fn is_durable(&self) -> bool {
-        self.inner.journal.get().is_some()
-    }
-
-    /// Forces buffered journal records (acks are journaled fire-and-forget)
-    /// to disk. No-op on a non-durable broker.
-    pub fn journal_flush(&self) -> MqResult<()> {
-        match self.inner.journal.get() {
-            Some(journal) => journal.flush(),
-            None => Ok(()),
-        }
-    }
-
-    /// Fault-simulator hook: crashes the journal as if the process died,
-    /// keeping `surviving_pending_bytes` of the un-flushed buffer as a torn
-    /// tail. Durable publishes fail afterwards until the broker is reopened.
-    /// No-op on a non-durable broker.
-    pub fn journal_simulate_crash(&self, surviving_pending_bytes: usize) {
-        if let Some(journal) = self.inner.journal.get() {
-            journal.simulate_crash(surviving_pending_bytes);
-        }
-    }
-
     fn check_up(&self) -> MqResult<()> {
         if self.inner.down.load(Ordering::Acquire) {
             Err(MqError::BrokerDown)
@@ -218,33 +98,12 @@ impl MessageBroker {
     /// options, [`MqError::BrokerDown`] if the node was killed.
     pub fn declare_queue(&self, name: &str, options: QueueOptions) -> MqResult<()> {
         self.check_up()?;
-        self.declare_queue_inner(name, options, true)
-    }
-
-    /// Shared declaration body; `journal_write` is false on the recovery
-    /// path, where the declaration record already exists in the journal.
-    fn declare_queue_inner(
-        &self,
-        name: &str,
-        options: QueueOptions,
-        journal_write: bool,
-    ) -> MqResult<()> {
         let mut queues = self.inner.queues.write();
         if let Some(existing) = queues.get(name) {
-            if existing.auto_delete != options.auto_delete || existing.durable != options.durable {
+            if existing.auto_delete != options.auto_delete {
                 return Err(MqError::IncompatibleDeclaration(name.to_string()));
             }
             return Ok(());
-        }
-        let journal = if options.durable {
-            self.inner.journal.get().cloned()
-        } else {
-            None
-        };
-        if journal_write {
-            if let Some(journal) = &journal {
-                journal.record_decl(name, &options)?;
-            }
         }
         queues.insert(
             name.to_string(),
@@ -252,8 +111,6 @@ impl MessageBroker {
                 name,
                 options.auto_delete,
                 options.rate_window,
-                options.durable,
-                journal,
                 self.inner.interceptor.clone(),
                 self.inner.waker.clone(),
             )),
@@ -298,12 +155,6 @@ impl MessageBroker {
         let mut exchanges = self.inner.exchanges.write();
         for exchange in exchanges.values_mut() {
             exchange.unbind(name);
-        }
-        drop(exchanges);
-        if queue.durable {
-            if let Some(journal) = self.inner.journal.get() {
-                journal.record_delete(name)?;
-            }
         }
         Ok(())
     }
@@ -390,8 +241,9 @@ impl MessageBroker {
         Ok(self.queue(name)?.arrivals.rate_per_sec())
     }
 
-    /// Simulates a node crash: all operations fail until [`Self::restart`].
-    /// Queue contents are preserved (RabbitMQ with durable messages).
+    /// Simulates a node outage: all operations fail until [`Self::restart`].
+    /// Queue contents are preserved, as on a node that stops serving and
+    /// comes back; the queues do not survive the broker process itself.
     pub fn kill(&self) {
         self.inner.down.store(true, Ordering::Release);
     }

@@ -28,10 +28,6 @@ pub enum MqError {
     /// refused, peer gone, protocol violation). Only produced by remote
     /// [`crate::Messaging`] implementations such as `net::NetBroker`.
     Transport(String),
-    /// A durable broker could not journal the operation (WAL append or
-    /// fsync failed). The publish was **not** accepted; reopen the broker
-    /// to recover.
-    Durability(String),
 }
 
 impl fmt::Display for MqError {
@@ -47,7 +43,6 @@ impl fmt::Display for MqError {
             MqError::UnknownDeliveryTag(t) => write!(f, "unknown delivery tag {t}"),
             MqError::BrokerDown => write!(f, "broker node is down"),
             MqError::Transport(m) => write!(f, "transport failure: {m}"),
-            MqError::Durability(m) => write!(f, "durability failure: {m}"),
         }
     }
 }
@@ -69,7 +64,6 @@ mod tests {
             MqError::UnknownDeliveryTag(3),
             MqError::BrokerDown,
             MqError::Transport("peer gone".into()),
-            MqError::Durability("fsync failed".into()),
         ] {
             assert!(!e.to_string().is_empty());
         }

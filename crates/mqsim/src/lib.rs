@@ -4,8 +4,9 @@
 //! stands in for RabbitMQ 2.8.7 in the original paper and implements the
 //! subset of AMQP 0-9-1 semantics that ObjectMQ relies on:
 //!
-//! * **Named, durable queues** with FIFO delivery and requeue-at-front on
-//!   redelivery.
+//! * **Named in-memory queues** with FIFO delivery and requeue-at-front on
+//!   redelivery. A queue does not outlive the broker process: broker
+//!   availability is the broker product's concern (paper §3.4).
 //! * **Exchanges**: the *default* (direct-to-queue) exchange, and *fanout*
 //!   exchanges that broadcast to every bound queue in queue-name order
 //!   (used for ObjectMQ `@MultiMethod` invocations). There are no routing
@@ -48,14 +49,13 @@ mod consumer;
 mod error;
 mod exchange;
 mod interceptor;
-mod journal;
 mod message;
 mod queue;
 mod stats;
 mod waker;
 
 pub use api::{AnyDelivery, MessageConsumer, Messaging};
-pub use broker::{BrokerRecovery, MessageBroker, QueueOptions};
+pub use broker::{MessageBroker, QueueOptions};
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use consumer::{Consumer, Delivery};
 pub use error::{MqError, MqResult};

@@ -30,9 +30,9 @@ impl fmt::Display for DeliveryTag {
 /// AMQP-style message properties: the two that ObjectMQ's skeleton reads.
 ///
 /// An invocation carries its own id in the payload (`objectmq::rpc`), each
-/// broker has one codec, and durability belongs to the queue
-/// ([`crate::QueueOptions::durable`]), so AMQP's correlation, content-type
-/// and delivery-mode headers have no reader here and are not carried.
+/// broker has one codec, and no queue outlives the broker, so AMQP's
+/// correlation, content-type and delivery-mode headers have no reader here
+/// and are not carried.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MessageProperties {
     /// Name of the queue where replies should be published; `None` for a

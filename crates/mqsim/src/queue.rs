@@ -3,7 +3,6 @@
 use crate::error::{MqError, MqResult};
 use crate::interceptor::InterceptorCell;
 use crate::interceptor::{DeliverFault, PublishFault};
-use crate::journal::Journal;
 use crate::message::{DeliveryTag, Message};
 use crate::stats::{QueueStats, RateEstimator};
 use crate::waker::WakerCell;
@@ -56,9 +55,6 @@ pub(crate) type Delivered = (DeliveryTag, Message, bool);
 struct ReadyEntry {
     message: Message,
     redelivered: bool,
-    /// Journal id of the publish record on a durable queue; carried so the
-    /// eventual ack can cancel the record.
-    jid: Option<u64>,
 }
 
 /// An unacked (in-flight) entry, owned by a consumer.
@@ -66,7 +62,6 @@ struct ReadyEntry {
 struct InFlight {
     message: Message,
     consumer: ConsumerId,
-    jid: Option<u64>,
 }
 
 #[derive(Debug, Default)]
@@ -92,13 +87,6 @@ pub(crate) struct QueueCore {
     next_consumer: AtomicU64,
     pub(crate) arrivals: RateEstimator,
     pub(crate) auto_delete: bool,
-    /// The `durable` flag the queue was declared with (for redeclaration
-    /// compatibility checks). The journal may still be `None` when the
-    /// broker itself has no journal.
-    pub(crate) durable: bool,
-    /// Broker journal, set only for durable queues on a durable broker:
-    /// publishes append (and wait) here, acks append fire-and-forget.
-    journal: Option<Arc<Journal>>,
     interceptor: InterceptorCell,
     /// Broker-wide ready-waker, fired outside the state lock whenever the
     /// ready list gains entries (see `crate::waker`).
@@ -111,8 +99,6 @@ impl QueueCore {
         name: &str,
         auto_delete: bool,
         rate_window: Duration,
-        durable: bool,
-        journal: Option<Arc<Journal>>,
         interceptor: InterceptorCell,
         waker: WakerCell,
     ) -> Self {
@@ -124,8 +110,6 @@ impl QueueCore {
             next_consumer: AtomicU64::new(1),
             arrivals: RateEstimator::new(rate_window),
             auto_delete,
-            durable,
-            journal,
             interceptor,
             waker,
             obs: QueueObs::new(),
@@ -150,58 +134,17 @@ impl QueueCore {
         if state.closed {
             return Err(MqError::Closed);
         }
-        // Durable queues journal the publish under the queue lock (record
-        // order = enqueue order) and make it durable after releasing it, so
-        // the first publisher to flush covers the others that journaled.
-        let (jid, ticket) = match &self.journal {
-            Some(journal) => {
-                let (jid, ticket) = journal.record_publish(&self.name, &message)?;
-                (Some(jid), Some(ticket))
-            }
-            None => (None, None),
-        };
-        let enqueued = self.apply_publish(&mut state, message, fault, jid);
+        let enqueued = self.apply_publish(&mut state, message, fault);
         drop(state);
         self.obs.published.inc();
         self.arrivals.record();
         for _ in 0..enqueued {
             self.available.notify_one();
         }
-        // Wake before the durability wait: the entry is already visible to
-        // consumers (fsync gates the publisher's ack, not deliverability).
         if enqueued > 0 {
             self.waker.wake(&self.name);
         }
-        match ticket {
-            Some(ticket) => ticket
-                .wait()
-                .map_err(|e| MqError::Durability(e.to_string())),
-            None => Ok(()),
-        }
-    }
-
-    /// Re-enqueues a message recovered from the journal, keeping its
-    /// original journal id (so a later ack cancels the original record)
-    /// and *not* journaling again. Conservatively flagged redelivered: the
-    /// journal does not record deliveries, so the message may have been
-    /// seen before the crash.
-    pub(crate) fn push_recovered(&self, mut message: Message, jid: u64) {
-        message.mark_enqueued();
-        let mut state = self.state.lock();
-        state.published += 1;
-        let tag = self.fresh_tag();
-        state.ready.push_back((
-            tag,
-            ReadyEntry {
-                message,
-                redelivered: true,
-                jid: Some(jid),
-            },
-        ));
-        drop(state);
-        self.obs.published.inc();
-        self.available.notify_one();
-        self.waker.wake(&self.name);
+        Ok(())
     }
 
     /// Applies one publish decision to the ready list; returns how many
@@ -212,13 +155,11 @@ impl QueueCore {
         state: &mut QueueState,
         message: Message,
         fault: PublishFault,
-        jid: Option<u64>,
     ) -> usize {
         state.published += 1;
         let entry = |message| ReadyEntry {
             message,
             redelivered: false,
-            jid,
         };
         match fault {
             PublishFault::Deliver => {
@@ -296,7 +237,6 @@ impl QueueCore {
                 ReadyEntry {
                     message: inflight.message,
                     redelivered: true,
-                    jid: inflight.jid,
                 },
             ));
         }
@@ -325,7 +265,6 @@ impl QueueCore {
             InFlight {
                 message: entry.message.clone(),
                 consumer,
-                jid: entry.jid,
             },
         );
         self.obs.delivered.inc();
@@ -386,18 +325,13 @@ impl QueueCore {
     /// Acknowledges a delivery, removing it from the broker.
     pub(crate) fn ack(&self, tag: DeliveryTag) -> MqResult<()> {
         let mut state = self.state.lock();
-        match state.unacked.remove(&tag.0) {
-            Some(f) => {
-                state.acked += 1;
-                drop(state);
-                self.obs.acked.inc();
-                if let (Some(journal), Some(jid)) = (&self.journal, f.jid) {
-                    journal.record_ack(jid);
-                }
-                Ok(())
-            }
-            None => Err(MqError::UnknownDeliveryTag(tag.0)),
+        if state.unacked.remove(&tag.0).is_none() {
+            return Err(MqError::UnknownDeliveryTag(tag.0));
         }
+        state.acked += 1;
+        drop(state);
+        self.obs.acked.inc();
+        Ok(())
     }
 
     /// Acknowledges a batch of deliveries under one lock acquisition.
@@ -407,24 +341,13 @@ impl QueueCore {
             return 0;
         }
         let mut state = self.state.lock();
-        let mut acked = 0u64;
-        let mut jids = Vec::new();
-        for tag in tags {
-            if let Some(f) = state.unacked.remove(&tag.0) {
-                acked += 1;
-                if let Some(jid) = f.jid {
-                    jids.push(jid);
-                }
-            }
-        }
+        let acked = tags
+            .iter()
+            .filter(|tag| state.unacked.remove(&tag.0).is_some())
+            .count() as u64;
         state.acked += acked;
         drop(state);
         self.obs.acked.add(acked);
-        if let Some(journal) = &self.journal {
-            for jid in jids {
-                journal.record_ack(jid);
-            }
-        }
         acked as usize
     }
 
@@ -440,7 +363,6 @@ impl QueueCore {
                     ReadyEntry {
                         message: f.message,
                         redelivered: true,
-                        jid: f.jid,
                     },
                 ));
                 drop(state);
@@ -485,8 +407,6 @@ mod tests {
             "q",
             false,
             Duration::from_secs(10),
-            false,
-            None,
             Default::default(),
             Default::default(),
         )

@@ -391,7 +391,6 @@ impl Request {
                         "rate_window_ms".into(),
                         Value::U64(opts.rate_window.as_millis() as u64),
                     ),
-                    ("durable".into(), Value::Bool(opts.durable)),
                 ],
             ),
             Request::DeleteQueue(name) => (
@@ -483,7 +482,6 @@ impl Request {
                 QueueOptions {
                     auto_delete: field_bool(v, "auto_delete")?,
                     rate_window: Duration::from_millis(field_u64(v, "rate_window_ms")?),
-                    durable: field_bool(v, "durable")?,
                 },
             ),
             "delete_queue" => Request::DeleteQueue(field_str(v, "name")?),
@@ -797,7 +795,6 @@ mod tests {
             QueueOptions {
                 auto_delete: true,
                 rate_window: Duration::from_millis(1500),
-                durable: true,
             },
         ));
         roundtrip(Request::DeclareExchange("x".into()));
@@ -930,13 +927,17 @@ mod tests {
     }
 
     #[test]
-    fn a_declaration_without_a_boolean_durable_is_refused() {
-        let frame = Request::DeclareQueue("q".into(), QueueOptions::durable()).to_frame(1);
+    fn a_declaration_without_a_boolean_auto_delete_is_refused() {
+        let options = QueueOptions {
+            auto_delete: true,
+            ..QueueOptions::default()
+        };
+        let frame = Request::DeclareQueue("q".into(), options).to_frame(1);
         for bad in [None, Some(Value::U64(1)), Some(Value::from("true"))] {
-            let frame = with_field(frame.clone(), &["durable"], bad.clone());
+            let frame = with_field(frame.clone(), &["auto_delete"], bad.clone());
             assert!(
                 matches!(Request::from_frame(&frame), Err(FrameError::Protocol(_))),
-                "durable {bad:?} must not declare a queue"
+                "auto_delete {bad:?} must not declare a queue"
             );
         }
     }

@@ -121,7 +121,6 @@ impl Broker {
         let queue_opts = QueueOptions {
             auto_delete: false,
             rate_window: self.config.rate_window,
-            ..QueueOptions::default()
         };
         self.mq.declare_queue(oid.as_str(), queue_opts.clone())?;
         let exchange = Self::multi_exchange_name(&oid);
@@ -166,7 +165,6 @@ impl Broker {
             QueueOptions {
                 auto_delete: true,
                 rate_window: self.config.rate_window,
-                ..QueueOptions::default()
             },
         )?;
         let consumer = self.mq.subscribe(&response_queue)?;

@@ -148,8 +148,9 @@ impl Proxy {
         span
     }
 
-    /// `@AsyncMethod`: fire-and-forget unicast invocation. The message is
-    /// queued durably; one idle server instance will process it. The
+    /// `@AsyncMethod`: fire-and-forget unicast invocation. The message
+    /// waits in the broker's queue until one idle server instance takes
+    /// it; no queue outlives the broker, so a broker death loses it. The
     /// client gets no confirmation (paper §3.2).
     ///
     /// # Errors

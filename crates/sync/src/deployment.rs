@@ -28,7 +28,6 @@ use storage::{LatencyModel, SwiftStore};
 pub struct DeploymentBuilder {
     tcp: bool,
     durable: Option<PathBuf>,
-    journal: Option<PathBuf>,
     shards: Option<usize>,
     instances: usize,
     latency: LatencyModel,
@@ -48,14 +47,6 @@ impl DeploymentBuilder {
     #[must_use]
     pub fn durable(mut self, dir: impl Into<PathBuf>) -> Self {
         self.durable = Some(dir.into());
-        self
-    }
-
-    /// Journals the broker's durable queues under `dir`. ObjectMQ declares
-    /// none, so today no message in the broker survives its restart.
-    #[must_use]
-    pub fn journal(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.journal = Some(dir.into());
         self
     }
 
@@ -89,8 +80,8 @@ impl DeploymentBuilder {
     ///
     /// # Errors
     ///
-    /// Fails when a durable store or the journal cannot be opened, the
-    /// listener cannot be bound, or an instance cannot be bound.
+    /// Fails when a durable store cannot be opened, the listener cannot be
+    /// bound, or an instance cannot be bound.
     pub fn build(self) -> SyncResult<Deployment> {
         let shards = self.shards.unwrap_or_else(ShardedStore::host_shards);
         let meta = Arc::new(match self.durable {
@@ -100,10 +91,7 @@ impl DeploymentBuilder {
             }
             None => ShardedStore::with_shards(shards),
         });
-        let mq = match self.journal {
-            Some(dir) => MessageBroker::open_durable(dir, wal::LogConfig::named("journal"))?.0,
-            None => MessageBroker::new(),
-        };
+        let mq = MessageBroker::new();
         let server = self
             .tcp
             .then(|| BrokerServer::bind("127.0.0.1:0", mq.clone()))
@@ -143,7 +131,6 @@ impl Deployment {
         DeploymentBuilder {
             tcp: false,
             durable: None,
-            journal: None,
             shards: None,
             instances: 1,
             latency: LatencyModel::instant(),
@@ -283,6 +270,7 @@ impl Link {
 mod tests {
     use super::*;
     use crate::SYNC_SERVICE_OID;
+    use metadata::MetadataStore;
     use std::path::Path;
 
     const T: Duration = Duration::from_secs(5);
@@ -361,23 +349,21 @@ mod tests {
         cloud.shutdown();
     }
 
-    fn entries(dir: &Path, prefix: &str) -> usize {
+    fn shard_logs(dir: &Path) -> usize {
         std::fs::read_dir(dir)
             .unwrap()
             .filter(|e| {
                 let name = e.as_ref().unwrap().file_name();
-                name.to_string_lossy().starts_with(prefix)
+                name.to_string_lossy().starts_with("shard-")
             })
             .count()
     }
 
     #[test]
-    fn a_durable_journaled_deployment_logs_under_its_directories() {
+    fn a_durable_deployment_keeps_a_synced_file_across_reopen() {
         let meta_root = temp_dir("meta");
-        let journal_root = temp_dir("journal");
         let cloud = Deployment::builder()
             .durable(&meta_root)
-            .journal(&journal_root)
             .shards(8)
             .build()
             .unwrap();
@@ -389,13 +375,18 @@ mod tests {
             .connect(ClientConfig::new("alice", "phone"), &ws)
             .unwrap();
         syncs_one_file(&a, &b);
-
-        assert_eq!(entries(&meta_root, "shard-"), 8, "one log per shard");
-        assert!(entries(&journal_root, "") > 0, "the broker journals");
+        let committed = cloud.store().current_items(&ws).unwrap();
         drop((a, b));
         cloud.shutdown();
+
+        assert_eq!(shard_logs(&meta_root), 8, "one log per shard");
+        let config = wal::LogConfig::named("metadata");
+        let (store, _) = ShardedStore::open_durable(&meta_root, 8, Duration::ZERO, config).unwrap();
+        let items = store.current_items(&ws).unwrap();
+        assert_eq!(items, committed);
+        assert_eq!((items[0].path.as_str(), items[0].version), ("notes.txt", 1));
+        drop(store);
         std::fs::remove_dir_all(&meta_root).ok();
-        std::fs::remove_dir_all(&journal_root).ok();
     }
 
     #[test]

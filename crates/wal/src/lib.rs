@@ -1,7 +1,7 @@
 //! Segmented write-ahead log whose waiters flush.
 //!
-//! This is the durability primitive behind the metadata plane's commit path
-//! and mqsim's durable queues. One [`Log`] owns a directory of segment files
+//! This is the durability primitive behind the metadata plane's commit path,
+//! the stack's one durable log. One [`Log`] owns a directory of segment files
 //! (`wal-<seq>.log`); every record is framed as
 //!
 //! ```text
@@ -53,10 +53,10 @@ use std::fmt;
 /// Whether appended records are fsynced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// Appends buffer; [`Ticket::wait`] (or [`Log::flush`], or an `append`
-    /// that finds 256 KiB already buffered) writes and fsyncs everything
-    /// pending, and returns `Ok` only for a record an fsync covers. The
-    /// default.
+    /// Appends buffer; [`Ticket::wait`] (or an `append` that finds 256 KiB
+    /// already buffered, or [`Log::close`]) writes and fsyncs everything
+    /// pending, and `wait` returns `Ok` only for a record an fsync covers.
+    /// The default.
     Durable,
     /// Every append writes inline and nothing ever calls `fsync` —
     /// durability is whatever the OS page cache provides. For tests and

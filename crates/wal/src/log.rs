@@ -127,8 +127,8 @@ pub struct Log {
 }
 
 /// Most bytes a durable log buffers before `append` itself flushes. Appends
-/// somebody waits on never get near it; it bounds what fire-and-forget
-/// appends (mqsim's acks) can lose to a crash and hold in memory.
+/// somebody waits on never get near it; it bounds what appends nobody waits
+/// on can lose to a crash and hold in memory.
 const MAX_PENDING_BYTES: usize = 256 * 1024;
 
 fn segment_path(dir: &Path, first_seq: u64) -> PathBuf {
@@ -302,7 +302,7 @@ impl Log {
         self.shared.metrics.appends.inc();
         // `Never` has nothing to wait for, so it writes here. A durable log
         // leaves the flush to whoever waits — except that appends nobody
-        // waits on (mqsim's acks) must not pile up without limit.
+        // waits on must not pile up without limit.
         if self.shared.config.sync == SyncPolicy::Never || s.pending.len() > MAX_PENDING_BYTES {
             flush_locked(&self.shared, &mut s)?;
         }
@@ -318,14 +318,6 @@ impl Log {
         let ticket = self.append(payload)?;
         ticket.wait()?;
         Ok(ticket.seq())
-    }
-
-    /// Writes and syncs everything buffered, for records nobody waits on. A
-    /// no-op when nothing is pending.
-    pub fn flush(&self) -> WalResult<()> {
-        let mut s = self.shared.state.lock();
-        ensure_live(&s)?;
-        flush_locked(&self.shared, &mut s)
     }
 
     /// Sequence number the next append will receive. All records below the
@@ -383,11 +375,6 @@ impl Log {
             return Err("closed".to_string());
         }
         Ok(())
-    }
-
-    /// Directory this log lives in.
-    pub fn dir(&self) -> &Path {
-        &self.shared.dir
     }
 
     /// Models process death for the fault simulator: writes the first
@@ -604,7 +591,7 @@ mod tests {
 
     #[test]
     fn unwaited_appends_are_bounded_in_memory_and_in_loss() {
-        // What mqsim's `record_ack` does: append, drop the ticket.
+        // Appends nobody waits on: append, drop the ticket.
         const ACK: [u8; 9] = [7; 9];
         const FRAME: usize = 20 + ACK.len();
         let dir = temp_dir("unwaited");
@@ -710,7 +697,7 @@ mod tests {
         let ticket = log.append(b"doomed").unwrap();
         log.simulate_crash(0);
         assert_eq!(ticket.wait(), Err(WalError::Crashed));
-        let _ = fs::remove_dir_all(log.dir());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -723,9 +710,10 @@ mod tests {
         a.wait().unwrap();
         assert!(log.shared.state.lock().pending.is_empty());
         b.wait().unwrap();
-        let c = log.append(b"c").unwrap();
-        log.flush().unwrap();
-        c.wait().unwrap();
+        // Nobody waits on this one: closing the log flushes it.
+        let _c = log.append(b"c").unwrap();
+        log.close();
+        assert!(log.shared.state.lock().pending.is_empty());
         drop(log);
         let (_log, rec) = Log::open(&dir, cfg("flush")).unwrap();
         assert_eq!(rec.records.len(), 3);

@@ -55,12 +55,13 @@ fn check_damage(lens: &[usize], pos_seed: u64, damage_kind: bool, flip_mask: u8)
     let dir = temp_dir(if damage_kind { "flip" } else { "cut" });
     {
         let (log, _) = Log::open(&dir, config()).unwrap();
+        // Only the last ticket is awaited: its flush makes every buffered
+        // frame durable in one pass.
+        let mut last = None;
         for (i, &len) in lens.iter().enumerate() {
-            // Tickets are deliberately not awaited: the trailing Log::flush
-            // makes every buffered frame durable in one pass.
-            let _ = log.append(&payload(i, len)).unwrap();
+            last = Some(log.append(&payload(i, len)).unwrap());
         }
-        log.flush().unwrap();
+        last.expect("at least one record").wait().unwrap();
     }
     let seg = first_segment(&dir);
     let mut bytes = fs::read(&seg).unwrap();
