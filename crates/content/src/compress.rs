@@ -5,11 +5,25 @@
 //! DEFLATE is out of scope here, so the stand-in is an LZSS coder (sliding
 //! window + hash-chain matching); what matters for the reproduction is the
 //! pipeline stage and a realistic ratio on compressible content.
+//!
+//! [`Algorithm::compress`] never frames a stream that is not shorter than
+//! its input: such a chunk is stored raw. For a chunk of at most
+//! [`PRECHECK_MAX`] bytes a pre-check comes first. One pass over the
+//! chunk's 4-byte words into an 8 KiB bit filter bounds what any LZSS
+//! stream could save. When that bound proves the stream would be no
+//! shorter than the chunk, the chunk is stored raw without running the
+//! encoder. The stored bytes are those the encoder-then-compare rule
+//! picks; only the wasted encoder run is gone.
+//! `content.compress.precheck_raw_total` counts those chunks, and
+//! `content.compress.lzss_discarded_total` the chunks whose stream was
+//! computed and then dropped all the same.
 
 use bytes::Bytes;
+use obs::Counter;
 use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
+use std::sync::{Arc, LazyLock};
 
 /// Maximum back-reference distance (32 KB window, like DEFLATE).
 const WINDOW: usize = 32 * 1024;
@@ -40,15 +54,28 @@ impl Algorithm {
     /// LZSS stream that is not smaller than its input (incompressible
     /// content pays a flag bit per literal) is dropped for the `Store`
     /// framing, which every reader already understands.
+    ///
+    /// A chunk of at most [`PRECHECK_MAX`] bytes that the pre-check proves
+    /// cannot shrink is stored without running the encoder at all. Its
+    /// bytes are the same either way: the encoder's stream would have
+    /// been dropped.
     pub fn compress(&self, data: &[u8]) -> Bytes {
         if *self == Algorithm::Lzss {
-            // Tag, header, and the longest an LZSS stream gets (a flag bit
-            // per literal): sized once, `compress_into` never grows it.
-            let mut out = Vec::with_capacity(data.len() + data.len() / 8 + 10);
-            out.push(1u8);
-            compress_into(data, &mut out);
-            if out.len() - 1 < data.len() {
-                return Bytes::from(out);
+            // Registers both counters with the first chunk, whatever it is.
+            let waste = &*WASTE;
+            if data.len() <= PRECHECK_MAX && cannot_shrink(data) {
+                waste.precheck_raw.inc();
+            } else {
+                // Tag, header, and the longest an LZSS stream gets (a flag
+                // bit per literal): sized once, `compress_into` never grows
+                // it.
+                let mut out = Vec::with_capacity(data.len() + data.len() / 8 + 10);
+                out.push(1u8);
+                compress_into(data, &mut out);
+                if out.len() - 1 < data.len() {
+                    return Bytes::from(out);
+                }
+                waste.lzss_discarded.inc();
             }
         }
         let mut out = Vec::with_capacity(data.len() + 1);
@@ -123,6 +150,75 @@ impl fmt::Display for CompressError {
 }
 
 impl Error for CompressError {}
+
+/// Bits of the pre-check's filter: 8 KiB, which stays in L1.
+const FILTER_BITS: usize = 1 << 16;
+
+/// The longest chunk [`Algorithm::compress`] pre-checks (11 915 bytes).
+///
+/// Over `k` positions of random bytes the filter reports about
+/// `k² / (2 · FILTER_BITS)` repeats, and the pre-check gives up once
+/// `11 · repeats` passes `n + 64`: near `k = 2 · FILTER_BITS / 11`. A
+/// longer chunk would be scanned only to run the encoder anyway, so it
+/// goes straight to the encoder. This follows from the filter size and
+/// the bound; it is not a tuning knob.
+pub const PRECHECK_MAX: usize = 2 * FILTER_BITS / 11;
+
+/// The compression layer's waste counters, registered together by the
+/// first LZSS call.
+struct Waste {
+    /// `content.compress.precheck_raw_total`: chunks the pre-check stored
+    /// raw without running the encoder.
+    precheck_raw: Arc<Counter>,
+    /// `content.compress.lzss_discarded_total`: chunks whose LZSS stream
+    /// was computed and then dropped for `Store`.
+    lzss_discarded: Arc<Counter>,
+}
+
+static WASTE: LazyLock<Waste> = LazyLock::new(|| Waste {
+    precheck_raw: obs::counter("content.compress.precheck_raw_total"),
+    lzss_discarded: obs::counter("content.compress.lzss_discarded_total"),
+});
+
+/// Whether the LZSS stream of `data` is certain to be no shorter than
+/// `data`, so that [`Algorithm::compress`] would store it raw.
+///
+/// Every hashable position sets one bit of a filter, chosen by its 4-byte
+/// word; `repeats` counts the positions whose bit an earlier position had
+/// already set. Collisions only add to `repeats`, so it is at least the
+/// number of positions whose word occurred earlier. Take an LZSS stream of
+/// `data` (`n` bytes) with `T` tokens, of which the references have
+/// lengths `L_i ≥ MIN_MATCH`:
+///
+/// * its length is `8 + ⌈T / 8⌉ + n − Σ(L_i − 3)`: the header, one flag
+///   byte per eight tokens, and each reference's three bytes in place of
+///   `L_i` literals. Write `S = Σ(L_i − 3)` for the saving;
+/// * a reference copies its `L_i` bytes from earlier in `data`, so the
+///   first `L_i − 3` positions it covers hold a word that occurred earlier
+///   and each counts in `repeats`. The references cover disjoint
+///   positions, so `S ≤ repeats`;
+/// * `T = n − Σ(L_i − 1)` and `L_i − 1 ≤ 3 · (L_i − 3)`, so `T ≥ n − 3S`.
+///
+/// The stream is therefore at least `n` long when `8 + (n − 3S) / 8 ≥ S`,
+/// that is when `11 · S ≤ n + 64`, and `11 · repeats ≤ n + 64` is enough.
+/// The scan gives up as soon as `repeats` passes that bound.
+fn cannot_shrink(data: &[u8]) -> bool {
+    let bound = (data.len() + 64) / 11;
+    let mut filter = [0u64; FILTER_BITS / 64];
+    let mut repeats = 0;
+    for word in data.windows(MIN_MATCH) {
+        let word = u32::from_le_bytes(word.try_into().expect("four bytes"));
+        // The top 16 bits of the product: one of the 2^16 `FILTER_BITS`.
+        let bit = (word.wrapping_mul(2654435761) >> 16) as usize;
+        let (slot, mask) = (bit / 64, 1u64 << (bit % 64));
+        repeats += usize::from(filter[slot] & mask != 0);
+        filter[slot] |= mask;
+        if repeats > bound {
+            return false;
+        }
+    }
+    true
+}
 
 /// Buckets of the `head` table (15 hash bits).
 const HASH_SIZE: usize = 1 << 15;
@@ -631,6 +727,39 @@ mod tests {
         assert_eq!(Algorithm::decompress(&packed).unwrap(), data);
         // Compressible content still takes the LZSS framing.
         assert_eq!(Algorithm::Lzss.compress(&[7u8; 4096])[0], 1);
+    }
+
+    #[test]
+    fn the_precheck_stores_random_chunks_and_passes_compressible_ones_on() {
+        let random = |len: usize| -> Vec<u8> {
+            let mut state = 0x5eed_u64 + len as u64;
+            (0..len)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    (state >> 33) as u8
+                })
+                .collect()
+        };
+        for len in [2048, 4096] {
+            let data = random(len);
+            assert!(cannot_shrink(&data), "random {len} B");
+            assert_eq!(
+                Algorithm::Lzss.compress(&data),
+                Algorithm::Store.compress(&data)
+            );
+        }
+        let text = workload::content_gen::generate(4096, 3, 1.0);
+        let block = random(1024).repeat(4);
+        for (what, data) in [
+            ("one byte 4096 times", vec![7u8; 4096]),
+            ("text", text),
+            ("a 1 KiB block four times", block),
+        ] {
+            assert!(!cannot_shrink(&data), "{what}");
+            assert_eq!(Algorithm::Lzss.compress(&data)[0], 1, "{what}");
+        }
+        // 2 · 2^16 / 11: about where random bytes' repeats reach the bound.
+        assert_eq!(PRECHECK_MAX, 11_915);
     }
 
     #[test]

@@ -653,6 +653,33 @@ mod tests {
     }
 
     #[test]
+    fn chunks_stored_raw_are_counted_by_whether_lzss_ran() {
+        let precheck_raw = obs::counter("content.compress.precheck_raw_total");
+        let discarded = obs::counter("content.compress.lzss_discarded_total");
+        // Other tests of the process add to both, never take away.
+        let before = precheck_raw.value();
+        let data = Bytes::from(random_bytes(3 * 4096, 9));
+        let report = pipeline(1, Some(Algorithm::Lzss)).ingest(data);
+        // Tag 0: the `Store` framing.
+        assert!(report.chunks.iter().all(|c| c.payload[0] == 0));
+        assert!(precheck_raw.value() >= before + 3);
+        // Random chunks too long to pre-check: LZSS runs, and its stream is
+        // dropped for `Store`.
+        let before = discarded.value();
+        let long = IngestPipeline::new(
+            Arc::new(FixedChunker::new(16 * 1024)),
+            PipelineConfig {
+                workers: 1,
+                fingerprint: Fingerprint::Sha1,
+                compression: Some(Algorithm::Lzss),
+            },
+        );
+        let report = long.ingest(Bytes::from(random_bytes(2 * 16 * 1024, 10)));
+        assert!(report.chunks.iter().all(|c| c.payload[0] == 0));
+        assert!(discarded.value() >= before + 2);
+    }
+
+    #[test]
     fn ids_match_fingerprint_of_content() {
         let data = Bytes::from(random_bytes(50_000, 4));
         let p = IngestPipeline::new(

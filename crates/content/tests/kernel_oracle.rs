@@ -6,8 +6,13 @@
 //! chunks, dedup decisions and every Fig. 7 byte count depend on them — so
 //! the fast kernels must agree with these on every input, byte for byte and
 //! error for error.
+//!
+//! The same holds for the framed object. `Algorithm::Lzss.compress` must
+//! store the oracle's stream when it is shorter than the chunk, and the
+//! chunk raw otherwise. That includes the chunks its pre-check stores raw
+//! without running the encoder.
 
-use content::compress::{compress, decompress, Algorithm, CompressError};
+use content::compress::{compress, decompress, Algorithm, CompressError, PRECHECK_MAX};
 use content::sha1::{sha1, Sha1};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -319,6 +324,53 @@ fn assert_same_stream(data: &[u8], what: &str) {
     }
 }
 
+/// The framed object: what `Algorithm::Lzss.compress` stored before it had
+/// a pre-check was the oracle's stream under tag 1 when that is shorter
+/// than the input, else the input under tag 0.
+fn assert_same_frame(data: &[u8], what: &str) {
+    let stream = oracle::compress(data);
+    let old = if stream.len() < data.len() {
+        [&[1u8][..], &stream].concat()
+    } else {
+        [&[0u8][..], data].concat()
+    };
+    let new = Algorithm::Lzss.compress(data);
+    assert!(
+        new[..] == old[..],
+        "{what} ({} bytes): framed as tag {} ({} bytes), the old rule picks tag {} ({} bytes)",
+        data.len(),
+        new[0],
+        new.len(),
+        old[0],
+        old.len()
+    );
+}
+
+/// `len` random bytes with copies of earlier spans planted in them until the
+/// copies cover `share` times `(len + 64) / 11` positions past their first
+/// three bytes, the number of repeats up to which the pre-check stores a
+/// chunk raw: inputs on both sides of that line, and on the line.
+fn planted(len: usize, seed: u64, share: f64) -> Vec<u8> {
+    let mut data = xorshift_bytes(len, seed);
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut below = |bound: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % bound as u64) as usize
+    };
+    let target = ((len + 64) / 11) as f64 * share;
+    let mut covered = 0;
+    while (covered as f64) < target && len >= 2 * MIN_MATCH {
+        let copy = (MIN_MATCH + below(61)).min(len / 2);
+        let to = copy + below(len - 2 * copy + 1);
+        let from = below(to - copy + 1);
+        data.copy_within(from..from + copy, to);
+        covered += copy - (MIN_MATCH - 1);
+    }
+    data
+}
+
 /// Both decoders on one input: equal output or the same error variant.
 fn assert_same_decode(stream: &[u8], what: &str) {
     assert_eq!(decompress(stream), oracle::decompress(stream), "{what}");
@@ -551,6 +603,47 @@ proptest! {
             from = cut;
         }
         prop_assert_eq!(streamed.finalize(), expected);
+    }
+}
+
+proptest! {
+    // The oracle encoder is slow in a debug build; CI runs this file in
+    // release, with the larger count.
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 24 } else { 512 }))]
+
+    #[test]
+    fn prop_framing_stores_what_the_old_rule_picks(
+        len in 0usize..PRECHECK_MAX + 64,
+        seed in any::<u64>(),
+        compressibility in 0.0f64..1.0,
+        pattern in proptest::collection::vec(any::<u8>(), 1..300),
+        share in 0.0f64..2.0,
+    ) {
+        // Each of the encoder's generators at one length, from empty to
+        // just past the longest chunk the pre-check looks at.
+        assert_same_frame(&xorshift_bytes(len, seed), "random");
+        assert_same_frame(&workload::content_gen::generate(len, seed, 1.0), "text");
+        assert_same_frame(&workload::content_gen::generate(len, seed, compressibility), "mixed");
+        let alphabet: Vec<u8> = xorshift_bytes(len, seed).iter().map(|b| b % 3).collect();
+        assert_same_frame(&alphabet, "alphabet of 3");
+        assert_same_frame(&vec![seed as u8; len], "run");
+        let noise = xorshift_bytes(len / 2, seed);
+        let tail = pattern.iter().cycle().take(len - noise.len());
+        let data: Vec<u8> = noise.iter().chain(tail).cloned().collect();
+        assert_same_frame(&data, "noise then pattern");
+        assert_same_frame(&planted(len, seed, share), "planted repeats");
+    }
+}
+
+#[test]
+fn framing_agrees_at_the_length_edges_of_the_precheck() {
+    // The shortest inputs (no hashable position, then one), and random or
+    // planted bytes a few either side of the longest chunk pre-checked.
+    for len in (0..=2 * MIN_MATCH).chain(PRECHECK_MAX - 3..=PRECHECK_MAX + 3) {
+        assert_same_frame(&xorshift_bytes(len, len as u64), "random");
+        for share in [0.5, 0.9, 1.0, 1.1, 1.5] {
+            assert_same_frame(&planted(len, len as u64, share), "planted repeats");
+        }
     }
 }
 

@@ -560,7 +560,7 @@ impl DesktopClient {
     /// Blocks until the path holds exactly `expected` bytes (test/benchmark
     /// helper). Returns whether the condition was met before the timeout.
     pub fn wait_for_content(&self, path: &str, expected: &[u8], timeout: Duration) -> bool {
-        self.wait_for_change(timeout, || {
+        self.wait_for_change(timeout, None, || {
             self.shared
                 .fs
                 .lock()
@@ -571,7 +571,7 @@ impl DesktopClient {
 
     /// Blocks until the path reaches at least `version`.
     pub fn wait_for_version(&self, path: &str, version: u64, timeout: Duration) -> bool {
-        self.wait_for_change(timeout, || {
+        self.wait_for_change(timeout, None, || {
             self.shared
                 .db
                 .lock()
@@ -582,48 +582,60 @@ impl DesktopClient {
 
     /// Blocks until the path disappears from the workspace.
     pub fn wait_for_absent(&self, path: &str, timeout: Duration) -> bool {
-        self.wait_for_change(timeout, || !self.shared.fs.lock().contains(path))
+        self.wait_for_change(timeout, None, || !self.shared.fs.lock().contains(path))
     }
 
     /// Looks at the folder or the local database once per change to either
     /// (`ClientShared::note_change`), so the caller returns when the change
-    /// it waits for lands and not at the next tick of a poll.
-    fn wait_for_change(&self, timeout: Duration, mut pred: impl FnMut() -> bool) -> bool {
+    /// it waits for lands and not at the next tick of a poll; and, with
+    /// `look_every`, at least that often besides.
+    fn wait_for_change(
+        &self,
+        timeout: Duration,
+        look_every: Option<Duration>,
+        mut pred: impl FnMut() -> bool,
+    ) -> bool {
         let deadline = Instant::now() + timeout;
         let mut seen = *self.shared.generation.lock();
         loop {
             if pred() {
                 return true;
             }
-            if Instant::now() >= deadline {
+            let now = Instant::now();
+            if now >= deadline {
                 return false;
             }
+            let wake = look_every
+                .and_then(|every| now.checked_add(every))
+                .map_or(deadline, |look| look.min(deadline));
             // A change that landed after `seen` was read has moved the
             // generation, so this does not sleep through it; waking for
             // any other reason only costs one more look.
             let mut generation = self.shared.generation.lock();
             if *generation == seen {
-                self.shared.changed.wait_until(&mut generation, deadline);
+                self.shared.changed.wait_until(&mut generation, wake);
             }
             seen = *generation;
         }
     }
 
-    /// Polls an arbitrary predicate every 5 ms. A poll, because the
-    /// predicate may read state whose changes the client cannot see (the
-    /// service's commit counter, another device's folder), so there is
-    /// nothing here to wake it.
-    pub fn wait(&self, timeout: Duration, mut pred: impl FnMut() -> bool) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if pred() {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+    /// Blocks until `pred` holds or `timeout` passes, and returns which.
+    /// `pred` is looked at after each change to this client's folder or
+    /// local database, and every 5 ms besides. Which of the two wakes a
+    /// caller depends on what its predicate reads:
+    ///
+    /// * the folder, the local database, or the stats counted before the
+    ///   change they belong to lands (uploads, downloads, dedup hits,
+    ///   fingerprints, conflicts, and the notifications of another
+    ///   device's commits): the change wakes it, so it returns when the
+    ///   change lands;
+    /// * the control bytes a commit sends (counted after its change has
+    ///   landed), the notification that confirms this device's own commit
+    ///   (it changes nothing here), or state outside the client (the
+    ///   service's commit counter, another device's folder): the 5 ms look
+    ///   sees it, as nothing in the client announces such a change.
+    pub fn wait(&self, timeout: Duration, pred: impl FnMut() -> bool) -> bool {
+        self.wait_for_change(timeout, Some(Duration::from_millis(5)), pred)
     }
 
     /// Disconnects the client, unregistering the notification listener.
@@ -1823,6 +1835,45 @@ mod tests {
         lateness.sort();
         // A 5 ms poll is late by 2.5 ms in the median; a median, so that one
         // descheduled wake-up on a busy box fails nothing.
+        assert!(lateness[50] < Duration::from_millis(1), "{lateness:?}");
+    }
+
+    #[test]
+    fn a_wait_on_the_folder_wakes_with_the_apply_not_at_its_5_ms_look() {
+        let (stack, ws) = deployment();
+        let watcher = stack
+            .connect(ClientConfig::new("alice", "phone"), &ws)
+            .unwrap();
+        let file = |n: usize| ItemMetadata {
+            item_id: stable_item_id(&ws, &format!("f{n}.txt")),
+            workspace: ws.clone(),
+            path: format!("f{n}.txt"),
+            version: 1,
+            chunks: vec![],
+            size: 0,
+            is_deleted: false,
+            modified_by: "laptop".to_string(),
+        };
+        let (woke_tx, woke_rx) = std::sync::mpsc::channel();
+        let mut lateness: Vec<Duration> = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for n in 1..=100 {
+                    assert!(watcher.wait(TIMEOUT, || watcher.list_files().len() >= n));
+                    woke_tx.send(Instant::now()).unwrap();
+                }
+            });
+            (1..=100)
+                .map(|n| {
+                    // Lets the watcher get to sleep, as in the test above.
+                    std::thread::sleep(Duration::from_millis(2));
+                    materialize_all(&watcher.shared, &[file(n)]).unwrap();
+                    let applied = Instant::now();
+                    woke_rx.recv().unwrap().saturating_duration_since(applied)
+                })
+                .collect()
+        });
+        lateness.sort();
+        // The 5 ms look alone is late by 2.5 ms in the median.
         assert!(lateness[50] < Duration::from_millis(1), "{lateness:?}");
     }
 
