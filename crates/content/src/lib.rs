@@ -11,7 +11,8 @@
 //!
 //! * [`sha1`] — FIPS 180-1 SHA-1, verified against the standard vectors,
 //!   on the CPU's SHA extensions where it has them.
-//! * [`ChunkId`] — the 20-byte fingerprint newtype.
+//! * [`ChunkId`] — the 20-byte fingerprint newtype, and [`ChunkName`], its
+//!   hex text on the stack: the name a chunk is stored under.
 //! * [`chunker`] — [`chunker::FixedChunker`] (the paper's default static
 //!   512 KB chunking) and [`chunker::ContentDefinedChunker`] (the
 //!   content-based alternative, immune to the boundary-shifting problem).
@@ -70,14 +71,41 @@ impl ChunkId {
     pub fn from_bytes(bytes: [u8; 20]) -> Self {
         ChunkId(bytes)
     }
+
+    /// The chunk's object name in the store: its digest in lowercase hex,
+    /// built on the stack.
+    pub fn name(&self) -> ChunkName {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut name = [0u8; 40];
+        for (pair, byte) in name.chunks_exact_mut(2).zip(self.0) {
+            pair[0] = HEX[usize::from(byte >> 4)];
+            pair[1] = HEX[usize::from(byte & 0xf)];
+        }
+        ChunkName(name)
+    }
 }
 
 impl fmt::Display for ChunkId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for b in &self.0 {
-            write!(f, "{b:02x}")?;
-        }
-        Ok(())
+        f.write_str(self.name().as_str())
+    }
+}
+
+/// A [`ChunkId`] in lowercase hex: the name its chunk is stored under.
+/// Forty bytes held by value, so naming a chunk allocates nothing.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct ChunkName([u8; 40]);
+
+impl ChunkName {
+    /// The name as text.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.0).expect("hex digits are ASCII")
+    }
+}
+
+impl fmt::Debug for ChunkName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
@@ -113,6 +141,16 @@ mod tests {
         let id = ChunkId::of(b"hello");
         assert_eq!(id.to_string(), "aaf4c61ddcc5e8a2dabede0f3b482cd9aea9434d");
         assert_eq!(ChunkId::from_bytes(*id.as_bytes()), id);
+    }
+
+    #[test]
+    fn a_name_is_the_display_text() {
+        let id = ChunkId::of(b"hello");
+        assert_eq!(id.name().as_str(), id.to_string());
+        assert_eq!(
+            format!("{:?}", id.name()),
+            "\"aaf4c61ddcc5e8a2dabede0f3b482cd9aea9434d\""
+        );
     }
 
     #[test]

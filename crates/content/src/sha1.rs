@@ -193,15 +193,19 @@ fn hardware() -> bool {
 #[cfg(target_arch = "x86_64")]
 mod ni {
     use std::arch::x86_64::{
-        __m128i, _mm_add_epi32, _mm_extract_epi32, _mm_set_epi32, _mm_sha1msg1_epu32,
-        _mm_sha1msg2_epu32, _mm_sha1nexte_epu32, _mm_sha1rnds4_epu32, _mm_xor_si128,
+        __m128i, _mm_add_epi32, _mm_extract_epi32, _mm_set_epi32, _mm_set_epi64x,
+        _mm_sha1msg1_epu32, _mm_sha1msg2_epu32, _mm_sha1nexte_epu32, _mm_sha1rnds4_epu32,
+        _mm_shuffle_epi8, _mm_xor_si128,
     };
 
     /// Runs whole 64-byte blocks. SSE4.1 is for reading the state back
-    /// out; SSSE3 lets the compiler make the sixteen big-endian word reads
-    /// one load and a byte shuffle.
+    /// out; SSSE3 is the byte shuffle that turns sixteen bytes, loaded as
+    /// they lie, into four big-endian schedule words.
     #[target_feature(enable = "sha,ssse3,sse4.1")]
     pub(super) fn compress_blocks(state: &mut [u32; 5], blocks: &[u8]) {
+        // Byte j of a shuffled register is byte 15 - j of the loaded one:
+        // the first word of the sixteen bytes lands in lane 3, big-endian.
+        let reverse = _mm_set_epi64x(0x0001_0203_0405_0607, 0x0809_0a0b_0c0d_0e0f);
         let mut abcd = _mm_set_epi32(
             state[0] as i32,
             state[1] as i32,
@@ -210,13 +214,14 @@ mod ni {
         );
         let mut e = _mm_set_epi32(state[4] as i32, 0, 0, 0);
         for block in blocks.chunks_exact(64) {
-            let word = |i: usize| {
-                i32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("four bytes"))
-            };
             // Schedule words 4g..4g+3 of group g sit in `w[g % 4]`, the
-            // earliest in lane 3.
-            let mut w: [__m128i; 4] = [0, 4, 8, 12]
-                .map(|i| _mm_set_epi32(word(i), word(i + 1), word(i + 2), word(i + 3)));
+            // earliest in lane 3: one unaligned 16-byte load and one
+            // shuffle per group, no pointer read.
+            let mut w: [__m128i; 4] = [0, 16, 32, 48].map(|at| {
+                let bytes = u128::from_le_bytes(block[at..at + 16].try_into().expect("16 bytes"));
+                let loaded = _mm_set_epi64x((bytes >> 64) as i64, bytes as i64);
+                _mm_shuffle_epi8(loaded, reverse)
+            });
             let (abcd_in, e_in) = (abcd, e);
             // Group 0 takes e as it is; `before` is a, b, c, d as the group
             // before the current one found them.
@@ -408,6 +413,25 @@ mod tests {
             h.update(&data[..7]);
             h.update(&data[7..]);
             assert_eq!(h.finalize(), want, "split update, tail {tail}");
+        }
+    }
+
+    #[test]
+    fn every_alignment_and_length_matches_the_portable_digest() {
+        // The SHA-NI kernel loads sixteen bytes at a time wherever the
+        // input lies: start the input at each offset of a 16-byte line.
+        let data = bytes(16 + (1 << 20), 16);
+        for k in 0..16 {
+            for len in 0..=300 {
+                let input = &data[k..k + len];
+                assert_eq!(
+                    sha1(input),
+                    portable_sha1(input),
+                    "offset {k}, length {len}"
+                );
+            }
+            let input = &data[k..k + (1 << 20)];
+            assert_eq!(sha1(input), portable_sha1(input), "offset {k}, 1 MiB");
         }
     }
 

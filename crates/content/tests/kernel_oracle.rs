@@ -11,9 +11,13 @@
 //! store the oracle's stream when it is shorter than the chunk, and the
 //! chunk raw otherwise. That includes the chunks its pre-check stores raw
 //! without running the encoder.
+//!
+//! And for a chunk's name, the text it is stored under: `ChunkId`'s
+//! table-driven hex must be the per-byte `{:02x}` join it replaced.
 
 use content::compress::{compress, decompress, Algorithm, CompressError, PRECHECK_MAX};
 use content::sha1::{sha1, Sha1};
+use content::ChunkId;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -505,7 +509,35 @@ fn decoder_does_not_reserve_what_the_header_claims() {
     );
 }
 
+/// A chunk's name as it was written before the hex table: one `{:02x}` per
+/// byte.
+fn oracle_name(id: &ChunkId) -> String {
+    id.as_bytes().iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn assert_same_name(id: &ChunkId) {
+    let want = oracle_name(id);
+    assert_eq!(id.name().as_str(), want);
+    assert_eq!(id.to_string(), want);
+}
+
+#[test]
+fn chunk_names_agree_for_every_byte_at_every_position() {
+    for position in 0..20 {
+        for byte in 0..=255u8 {
+            let mut bytes = [0x5a; 20];
+            bytes[position] = byte;
+            assert_same_name(&ChunkId::from_bytes(bytes));
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn prop_chunk_names_agree_on_random_ids(bytes in proptest::collection::vec(any::<u8>(), 20)) {
+        assert_same_name(&ChunkId::from_bytes(bytes.try_into().unwrap()));
+    }
+
     #[test]
     fn prop_encoder_agrees_on_random_bytes(data in proptest::collection::vec(any::<u8>(), 0..20_000)) {
         assert_same_stream(&data, "random");

@@ -1,13 +1,13 @@
 //! Client side: dynamic stubs (proxies) and the invocation primitives.
 
 use crate::error::{CallError, CallResult, OmqError};
-use crate::rpc::{fresh_id, read_response, response_id, Request};
+use crate::rpc::{fresh_id, read_response, response_id, ReadReply, Request, ValueReply};
 use mqsim::{Message, MessageConsumer, MessageProperties, Messaging};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wire::{Codec, TokenReader, Value, WireResult};
+use wire::{Codec, Value};
 
 /// A dynamic client stub for a remote object bound to an `oid`.
 ///
@@ -185,26 +185,26 @@ impl Proxy {
         timeout: Duration,
         retries: u32,
     ) -> CallResult<Value> {
-        self.call_sync_with(method, args, timeout, retries, |r| r.value(1))
+        self.call_sync_with(method, args, timeout, retries, ValueReply)
     }
 
     /// [`Proxy::call_sync`] whose result `read` takes from the codec's
     /// reader, in place in the response: no [`Value`] tree is built unless
     /// `read` builds one. The value sits inside the response's map (depth
-    /// 1), and `read` reads exactly it.
+    /// 1), and `read` reads exactly it ([`ReadReply`]).
     ///
     /// # Errors
     ///
     /// As [`Proxy::call_sync`]; an error of `read` is a
     /// [`CallError::Middleware`].
-    pub fn call_sync_with<T>(
+    pub fn call_sync_with<V: ReadReply>(
         &self,
         method: &str,
         args: Vec<Value>,
         timeout: Duration,
         retries: u32,
-        read: impl FnOnce(&mut dyn TokenReader<'_>) -> WireResult<T>,
-    ) -> CallResult<T> {
+        read: V,
+    ) -> CallResult<V::Output> {
         self.obs.calls.inc();
         let root = self.invocation_span("omq.call_sync", method);
         let ctx = root.context();
@@ -295,7 +295,7 @@ impl Proxy {
                 break;
             }
             match self.recv_correlated(&id, deadline - now) {
-                Some(response) => match self.outcome(&response, |r| r.value(1)) {
+                Some(response) => match self.outcome(&response, ValueReply) {
                     Ok(value) => results.push(Ok(value)),
                     Err(CallError::Remote(message)) => results.push(Err(message)),
                     // A response that does not decode is dropped.
@@ -311,11 +311,7 @@ impl Proxy {
 
     /// What `response` says: `read`'s result, or the error the remote
     /// object raised or the response's decoding met.
-    fn outcome<T>(
-        &self,
-        response: &Message,
-        read: impl FnOnce(&mut dyn TokenReader<'_>) -> WireResult<T>,
-    ) -> CallResult<T> {
+    fn outcome<V: ReadReply>(&self, response: &Message, read: V) -> CallResult<V::Output> {
         match read_response(self.codec.as_ref(), response.payload(), read) {
             Ok(outcome) => outcome.map_err(CallError::Remote),
             Err(e) => Err(CallError::Middleware(OmqError::Wire(e))),

@@ -92,7 +92,10 @@ impl Token {
 struct Account {
     password: String,
     containers: HashSet<String>,
-    valid_nonces: Vec<u64>,
+    /// Every token ever issued for the account (each device's connect
+    /// registers one), so a set: a check costs the same however many
+    /// devices have joined.
+    valid_nonces: HashSet<u64>,
 }
 
 /// The object store front-end: accounts → containers → objects.
@@ -165,7 +168,7 @@ impl SwiftStore {
         let entry = accounts.entry(account.to_string()).or_default();
         entry.password = password.to_string();
         let nonce = self.nonce.fetch_add(1, Ordering::Relaxed);
-        entry.valid_nonces.push(nonce);
+        entry.valid_nonces.insert(nonce);
         Token {
             account: account.to_string(),
             secret_nonce: nonce,
@@ -184,7 +187,7 @@ impl SwiftStore {
             .filter(|a| a.password == password)
             .ok_or(StorageError::BadCredentials)?;
         let nonce = self.nonce.fetch_add(1, Ordering::Relaxed);
-        entry.valid_nonces.push(nonce);
+        entry.valid_nonces.insert(nonce);
         Ok(Token {
             account: account.to_string(),
             secret_nonce: nonce,
@@ -227,7 +230,8 @@ impl SwiftStore {
 
     /// Authorizes `token` against `owner`'s `container`, which must exist:
     /// the owner always may; others need a grant. One pass under the
-    /// accounts lock, allocating nothing unless it fails.
+    /// accounts lock, allocating nothing unless it fails; the owner's own
+    /// request looks its account up once.
     ///
     /// # Errors
     ///
@@ -236,8 +240,10 @@ impl SwiftStore {
     /// [`StorageError::ContainerNotFound`].
     fn authorize(&self, token: &Token, owner: &str, container: &str) -> StorageResult<()> {
         let accounts = self.accounts.read();
-        Self::check(&accounts, token)?;
-        if token.account != owner {
+        let caller = Self::check(&accounts, token)?;
+        let owner_account = if token.account == owner {
+            Some(caller)
+        } else {
             let granted = self
                 .acls
                 .read()
@@ -250,11 +256,9 @@ impl SwiftStore {
                     container: container.to_string(),
                 });
             }
-        }
-        if accounts
-            .get(owner)
-            .is_some_and(|account| account.containers.contains(container))
-        {
+            accounts.get(owner)
+        };
+        if owner_account.is_some_and(|account| account.containers.contains(container)) {
             Ok(())
         } else {
             Err(StorageError::ContainerNotFound(container.to_string()))

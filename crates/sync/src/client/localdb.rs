@@ -13,7 +13,8 @@
 //! trusts them.
 
 use content::ChunkId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 /// Local record of one synchronized file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,7 +52,9 @@ pub struct ChunkLocation {
 /// The local database of a desktop client.
 #[derive(Debug, Default)]
 pub struct LocalDb {
-    files: BTreeMap<String, FileEntry>,
+    /// Path → entry, hashed (only [`LocalDb::live_paths`] wants the paths
+    /// in order, and sorts).
+    files: HashMap<String, FileEntry>,
     /// Fingerprint → one place that held the chunk when its entry was
     /// recorded. A chunk in several files keeps the latest.
     locations: HashMap<ChunkId, ChunkLocation>,
@@ -71,51 +74,54 @@ impl LocalDb {
     /// Inserts or replaces an entry. The replaced version's chunk
     /// locations are dropped and the new version's recorded.
     pub fn upsert(&mut self, path: &str, entry: FileEntry) {
-        let mut offset = 0;
-        let placed: Vec<(ChunkId, ChunkLocation)> = entry
-            .chunks
-            .iter()
-            .map(|&(id, len)| {
-                let location = ChunkLocation {
-                    path: path.to_string(),
-                    offset,
-                    len,
-                    stamp: entry.stamp,
-                };
-                offset += len;
-                (id, location)
-            })
-            .collect();
-        if let Some(old) = self.files.insert(path.to_string(), entry) {
-            self.drop_locations(path, &old);
+        let slot = self.files.entry(path.to_string());
+        if let Entry::Occupied(old) = &slot {
+            drop_locations(&mut self.locations, path, old.get());
         }
-        self.locations.extend(placed);
+        let mut offset = 0;
+        for &(id, len) in &entry.chunks {
+            let location = ChunkLocation {
+                path: path.to_string(),
+                offset,
+                len,
+                stamp: entry.stamp,
+            };
+            self.locations.insert(id, location);
+            offset += len;
+        }
+        match slot {
+            Entry::Occupied(mut old) => {
+                old.insert(entry);
+            }
+            Entry::Vacant(new) => {
+                new.insert(entry);
+            }
+        }
+    }
+
+    /// Makes room for `chunks` more locations at once, before a run of
+    /// [`LocalDb::upsert`]s that records them.
+    pub fn reserve(&mut self, chunks: usize) {
+        self.locations.reserve(chunks);
     }
 
     /// Removes an entry entirely (not a tombstone — forget the path).
     pub fn forget(&mut self, path: &str) -> Option<FileEntry> {
         let old = self.files.remove(path)?;
-        self.drop_locations(path, &old);
+        drop_locations(&mut self.locations, path, &old);
         Some(old)
-    }
-
-    /// Forgets the places `old` (the entry `path` used to have) gave its
-    /// chunks, unless another file has claimed the chunk since.
-    fn drop_locations(&mut self, path: &str, old: &FileEntry) {
-        for (id, _) in &old.chunks {
-            if self.locations.get(id).is_some_and(|l| l.path == path) {
-                self.locations.remove(id);
-            }
-        }
     }
 
     /// Paths of live (non-tombstone) entries, sorted.
     pub fn live_paths(&self) -> Vec<String> {
-        self.files
+        let mut paths: Vec<String> = self
+            .files
             .iter()
             .filter(|(_, e)| !e.deleted)
             .map(|(p, _)| p.clone())
-            .collect()
+            .collect();
+        paths.sort_unstable();
+        paths
     }
 
     /// Where the local folder held a copy of the chunk when it was last
@@ -124,6 +130,16 @@ impl LocalDb {
     /// fingerprint it.
     pub fn locate(&self, id: &ChunkId) -> Option<&ChunkLocation> {
         self.locations.get(id)
+    }
+}
+
+/// Forgets the places `old` (the entry `path` used to have) gave its
+/// chunks, unless another file has claimed the chunk since.
+fn drop_locations(locations: &mut HashMap<ChunkId, ChunkLocation>, path: &str, old: &FileEntry) {
+    for (id, _) in &old.chunks {
+        if locations.get(id).is_some_and(|l| l.path == path) {
+            locations.remove(id);
+        }
     }
 }
 

@@ -17,15 +17,15 @@ use bytes::Bytes;
 use content::chunker::{Chunker, ContentDefinedChunker, FixedChunker};
 use content::compress::Algorithm;
 use content::pipeline::{FileIndex, IngestPipeline, PipelineConfig};
-use content::{sha1, ChunkId, Fingerprint};
+use content::{sha1, ChunkId, ChunkName, Fingerprint};
 use metadata::{items_from_reader, ItemMetadata, Workspace, WorkspaceId};
-use objectmq::{Broker, Proxy, RemoteObject, ServerHandle};
+use objectmq::{Broker, Proxy, ReadReply, RemoteObject, ServerHandle};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use storage::{ChunkOffer, OfferOutcome, SwiftStore, Token};
-use wire::{Codec, Value};
+use wire::{Codec, TokenReader, Value, WireResult};
 
 /// Chunking strategy — one of the extension hooks the paper calls out
 /// ("the chunking and deduplication strategies" are replaceable, §4).
@@ -646,30 +646,70 @@ impl DesktopClient {
     }
 }
 
+/// Reads a `get_changes` reply into items, counts its bytes from the
+/// reader's position and times the read.
+struct ChangesReply;
+
+impl ReadReply for ChangesReply {
+    type Output = (Vec<ItemMetadata>, usize, Duration);
+
+    fn read<'a, R: TokenReader<'a> + ?Sized>(self, r: &mut R) -> WireResult<Self::Output> {
+        let (started, start) = (Instant::now(), r.position());
+        let items = items_from_reader(r, 1)?;
+        Ok((items, r.position() - start, started.elapsed()))
+    }
+}
+
+/// Where the time of materializing a list of items went: the chunk fetch
+/// of each window (fetch, decompress, verify, on the pool) and its serial
+/// tail (assembly, folder, local database), summed over the windows.
+#[derive(Debug, Default)]
+struct Materialized {
+    windows: usize,
+    fetch: Duration,
+    tail: Duration,
+}
+
 /// The start-up protocol behind a bound listener: `get_changes` (the one
 /// synchronous, costly call, paper: "StackSync clients perform only on
 /// startup"), the state it lists, then the notifications parked meanwhile,
 /// in arrival order; the ones the snapshot already covered fail
 /// `apply_notification`'s "only if newer" check.
+///
+/// Each join leaves one flight-recorder event with its stage split: the
+/// items and windows, `get_changes` with the part of it spent reading the
+/// reply, and the windows' fetch and tail time.
 fn join(shared: &Arc<ClientShared>) -> SyncResult<()> {
+    let started = Instant::now();
     // The reply is read straight into items: no tree of it is built.
-    let (items, received) = shared.proxy.call_sync_with(
+    let (items, received, decode) = shared.proxy.call_sync_with(
         "get_changes",
         vec![Value::from(shared.workspace.0.as_str())],
         shared.config.call_timeout,
         shared.config.call_retries,
-        |r| {
-            let start = r.position();
-            let items = items_from_reader(r, 1)?;
-            Ok((items, r.position() - start))
-        },
+        ChangesReply,
     )?;
+    let get_changes = started.elapsed();
     shared
         .stats
         .inner
         .control_received
         .fetch_add(received as u64, Ordering::Relaxed);
-    materialize_all(shared, &items)?;
+    let split = materialize_all(shared, &items)?;
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    obs::flight_event!(
+        "sync",
+        "{} joined {}: {} items in {} window(s); get_changes {:.2} ms (decode {:.2} ms), \
+         fetch {:.2} ms, tail {:.2} ms",
+        shared.config.device,
+        shared.workspace,
+        items.len(),
+        split.windows,
+        ms(get_changes),
+        ms(decode),
+        ms(split.fetch),
+        ms(split.tail)
+    );
     loop {
         let arrived = match &mut *shared.parked.lock() {
             Some(parked) if !parked.is_empty() => std::mem::take(parked),
@@ -683,10 +723,6 @@ fn join(shared: &Arc<ClientShared>) -> SyncResult<()> {
             apply_notification(shared, notification, *size)?;
         }
     }
-}
-
-fn chunk_hex(id: &ChunkId) -> String {
-    id.to_string()
 }
 
 /// The refcount key of a path in the chunk store: the item identity (the
@@ -732,7 +768,7 @@ fn index_and_commit(
         None => shared.pipeline.index(written.bytes),
     };
     shared.note_fingerprints(index.hashed() as u64);
-    let names: Vec<String> = index.chunks().iter().map(|c| chunk_hex(&c.id)).collect();
+    let names: Vec<ChunkName> = index.chunks().iter().map(|c| c.id.name()).collect();
 
     // Offer the chunk list to the refcount store by name first: it
     // answers with the chunks it lacks, and only those are compressed
@@ -751,7 +787,7 @@ fn index_and_commit(
             .zip(&names)
             .zip(&payloads)
             .map(|((chunk, name), payload)| ChunkOffer {
-                name,
+                name: name.as_str(),
                 logical_len: chunk.len as u64,
                 payload: payload.as_ref(),
             })
@@ -844,11 +880,10 @@ fn send_commit(shared: &Arc<ClientShared>, proposals: Vec<ItemMetadata>) -> Sync
     Ok(())
 }
 
-/// Where the local database places the chunk, read out of the folder, and
+/// The span of the folder at a place the local database gave a chunk, and
 /// whether the folder still holds the version that place was recorded
-/// from (then the window is the chunk; otherwise it must be hashed).
-fn local_window(shared: &ClientShared, id: &ChunkId) -> Option<(Bytes, bool)> {
-    let location = shared.db.lock().locate(id)?.clone();
+/// from (then the span is the chunk; otherwise it must be hashed).
+fn local_window(shared: &ClientShared, location: &ChunkLocation) -> Option<(Bytes, bool)> {
     let file = shared.fs.lock().read_stamped(&location.path)?.clone();
     let end = location.offset.checked_add(location.len)?;
     if end > file.bytes.len() {
@@ -865,7 +900,7 @@ fn download_chunk(shared: &Arc<ClientShared>, id: &ChunkId) -> SyncResult<Bytes>
         &shared.token,
         &shared.container_owner,
         &shared.container,
-        &chunk_hex(id),
+        id.name().as_str(),
     )?;
     let plain =
         Algorithm::decompress(&raw).map_err(|e| SyncError::Corrupt(format!("chunk {id}: {e}")))?;
@@ -888,13 +923,17 @@ struct Fetched {
     fingerprints: u64,
 }
 
-/// One chunk of an item, verified: from the local folder when the
-/// version there is the one the index recorded, or when what is there
-/// has the chunk's fingerprint; from the chunk store otherwise. A file
-/// rewritten since it was indexed just fails the check.
-fn fetch_chunk(shared: &Arc<ClientShared>, id: &ChunkId) -> SyncResult<Fetched> {
+/// One chunk of an item, verified: from the local folder at `location`
+/// when the version there is the one the index recorded, or when what is
+/// there has the chunk's fingerprint; from the chunk store otherwise. A
+/// file rewritten since it was indexed just fails the check.
+fn fetch_chunk(
+    shared: &Arc<ClientShared>,
+    id: &ChunkId,
+    location: Option<&ChunkLocation>,
+) -> SyncResult<Fetched> {
     let mut fingerprints = 0;
-    if let Some((window, recorded)) = local_window(shared, id) {
+    if let Some((window, recorded)) = location.and_then(|at| local_window(shared, at)) {
         if !recorded {
             fingerprints += 1;
         }
@@ -926,14 +965,18 @@ const WINDOW_BYTES: u64 = 8 << 20;
 /// and, as a one-item slice, every notified change. Items are taken a
 /// window of at most [`WINDOW_BYTES`] at a time; where the windows fall
 /// depends on the sizes the items declare and on nothing else.
-fn materialize_all(shared: &Arc<ClientShared>, items: &[ItemMetadata]) -> SyncResult<()> {
+fn materialize_all(shared: &Arc<ClientShared>, items: &[ItemMetadata]) -> SyncResult<Materialized> {
+    let mut split = Materialized::default();
     let mut rest = items;
     while !rest.is_empty() {
         let (window, later) = rest.split_at(window_len(rest));
-        materialize_window(shared, window)?;
+        let (fetch, tail) = materialize_window(shared, window)?;
+        split.windows += 1;
+        split.fetch += fetch;
+        split.tail += tail;
         rest = later;
     }
-    Ok(())
+    Ok(split)
 }
 
 /// How many of `items`, from the front, make the next window: as many as
@@ -954,14 +997,19 @@ fn window_len(items: &[ItemMetadata]) -> usize {
 
 /// One window: every chunk of every file in it goes through the
 /// pipeline's scheduler as one task (from the local folder when a verified
-/// copy is there, from the chunk store otherwise; either way its
-/// fingerprint has been compared to the committed id), then the files go
-/// into the folder and the local database in item order, under one hold of
-/// each lock. The first failing chunk in item-then-file order is the
+/// copy is at the place the local database gave the chunk as the window
+/// began, from the chunk store otherwise; either way its fingerprint has
+/// been compared to the committed id), then the files go into the folder
+/// and the local database in item order, under one hold of each lock. The first failing chunk in item-then-file order is the
 /// error, and a window that fails changes neither folder nor database nor
 /// counters. No file of the window is in the database while its chunks are
 /// fetched, so a chunk two of its files share is fetched for both.
-fn materialize_window(shared: &Arc<ClientShared>, window: &[ItemMetadata]) -> SyncResult<()> {
+///
+/// Returns how long the fetch took and how long the tail after it.
+fn materialize_window(
+    shared: &Arc<ClientShared>,
+    window: &[ItemMetadata],
+) -> SyncResult<(Duration, Duration)> {
     let started = Instant::now();
     let ids: Vec<ChunkId> = window
         .iter()
@@ -969,11 +1017,20 @@ fn materialize_window(shared: &Arc<ClientShared>, window: &[ItemMetadata]) -> Sy
         .flat_map(|item| item.chunks.iter().copied())
         .collect();
     let tasks = ids.len();
+    // Where the folder may hold each chunk, looked up under one hold of
+    // the database lock, not once per task.
+    let located: Vec<Option<ChunkLocation>> = {
+        let db = shared.db.lock();
+        ids.iter().map(|id| db.locate(id).cloned()).collect()
+    };
     let client = Arc::clone(shared);
     let mut fetched = shared
         .pipeline
-        .map_tasks(tasks, move |k| fetch_chunk(&client, &ids[k]))
+        .map_tasks(tasks, move |k| {
+            fetch_chunk(&client, &ids[k], located[k].as_ref())
+        })
         .into_iter();
+    let fetched_at = Instant::now();
 
     let (mut reused, mut fingerprints) = (0, 0);
     // `None`: a tombstone.
@@ -993,39 +1050,39 @@ fn materialize_window(shared: &Arc<ClientShared>, window: &[ItemMetadata]) -> Sy
             continue;
         }
         let mut chunks = Vec::with_capacity(item.chunks.len());
-        for _ in &item.chunks {
+        let mut placed = Vec::with_capacity(item.chunks.len());
+        for &id in &item.chunks {
             let chunk = fetched.next().expect("one result per task")?;
             reused += u64::from(chunk.reused);
             fingerprints += chunk.fingerprints;
+            placed.push((id, chunk.plain.len()));
             chunks.push(chunk.plain);
         }
-        let lens: Vec<usize> = chunks.iter().map(Bytes::len).collect();
-        // A one-chunk file is its verified chunk. The capacity of any
-        // other comes from the chunks in hand, not from the size the
-        // service declared, which is checked against them instead.
+        // The size the service declared is checked against the chunks in
+        // hand, and never used to size a buffer.
+        let held: usize = placed.iter().map(|&(_, len)| len).sum();
+        if held as u64 != item.size {
+            return Err(SyncError::Corrupt(format!(
+                "`{}` v{} declares {} bytes, its chunks hold {held}",
+                item.path, item.version, item.size
+            )));
+        }
+        // A one-chunk file is its verified chunk; any other is copied into
+        // a buffer of the size its chunks hold.
         let contents = if chunks.len() == 1 {
             chunks.swap_remove(0)
         } else {
-            let mut contents = Vec::with_capacity(lens.iter().sum());
+            let mut contents = Vec::with_capacity(held);
             for chunk in &chunks {
                 contents.extend_from_slice(chunk);
             }
             Bytes::from(contents)
         };
-        if contents.len() as u64 != item.size {
-            return Err(SyncError::Corrupt(format!(
-                "`{}` v{} declares {} bytes, its chunks hold {}",
-                item.path,
-                item.version,
-                item.size,
-                contents.len()
-            )));
-        }
         files.push(Some(contents));
         entries.push(FileEntry {
             item_id: item.item_id,
             version: item.version,
-            chunks: item.chunks.iter().copied().zip(lens).collect(),
+            chunks: placed,
             size: item.size,
             deleted: false,
             // Set once the folder has stamped the file.
@@ -1055,12 +1112,13 @@ fn materialize_window(shared: &Arc<ClientShared>, window: &[ItemMetadata]) -> Sy
     }
     {
         let mut db = shared.db.lock();
+        db.reserve(tasks);
         for (item, entry) in window.iter().zip(entries) {
             db.upsert(&item.path, entry);
         }
     }
     shared.note_change();
-    Ok(())
+    Ok((fetched_at - started, fetched_at.elapsed()))
 }
 
 /// Applies a push notification of encoded `size` to the local state (paper
@@ -1350,7 +1408,8 @@ mod tests {
                 .collect()
         };
         for id in ids {
-            if let Some((window, true)) = local_window(shared, &id) {
+            let location = shared.db.lock().locate(&id).cloned();
+            if let Some((window, true)) = location.and_then(|at| local_window(shared, &at)) {
                 assert_eq!(fingerprint.of(&window), id, "{step}: chunk {id}");
                 checked += 1;
             }
@@ -1551,7 +1610,13 @@ mod tests {
             let (owner, container) = (&b.shared.container_owner, &b.shared.container);
             stack
                 .objects()
-                .put_in(&b.shared.token, owner, container, &chunk_hex(id), stored)
+                .put_in(
+                    &b.shared.token,
+                    owner,
+                    container,
+                    id.name().as_str(),
+                    stored,
+                )
                 .unwrap();
         }
         let item = ItemMetadata {
@@ -1620,6 +1685,50 @@ mod tests {
         // A tombstone's declared size is not read.
         let items = [declared("a", w, false), declared("b", w, true)];
         assert_eq!(window_len(&items), 2);
+    }
+
+    #[test]
+    fn a_join_leaves_its_stage_split_in_the_flight_recorder() {
+        let (stack, ws) = deployment();
+        let config = |device: &str| ClientConfig::new("alice", device).with_chunk_size(4096);
+        let writer = stack.connect(config("split-writer"), &ws).unwrap();
+        let files = [
+            ("one.bin", distinct_chunks(1, 1)),
+            ("three.bin", distinct_chunks(3, 2)),
+        ];
+        for (path, contents) in &files {
+            writer.write_file(path, contents.clone()).unwrap();
+        }
+        let watcher = stack.connect(config("split-watcher"), &ws).unwrap();
+        for (path, contents) in &files {
+            assert!(watcher.wait_for_content(path, contents, TIMEOUT));
+        }
+        writer.delete_file("one.bin").unwrap();
+        assert!(watcher.wait_for_absent("one.bin", TIMEOUT));
+
+        let _joiner = stack.connect(config("split-joiner"), &ws).unwrap();
+        let dump = obs::flight::to_json();
+        let line = dump
+            .lines()
+            .find(|line| line.contains("split-joiner joined"))
+            .unwrap_or_else(|| panic!("no join event in the flight recorder:\n{dump}"));
+        let event = wire::JsonCodec.decode(line.as_bytes()).unwrap();
+        assert_eq!(event.field("subsystem").unwrap().as_str().unwrap(), "sync");
+        let message = event.field("message").unwrap().as_str().unwrap();
+        assert!(
+            message.contains(&format!(
+                "joined {ws}: 2 items in 1 window(s); get_changes "
+            )),
+            "{message}"
+        );
+        // Every stage is there, in milliseconds.
+        for stage in ["get_changes ", "(decode ", "fetch ", "tail "] {
+            let at = message
+                .find(stage)
+                .unwrap_or_else(|| panic!("{stage}in {message}"));
+            let value = message[at + stage.len()..].split(' ').next().unwrap();
+            assert!(value.parse::<f64>().is_ok_and(|ms| ms >= 0.0), "{message}");
+        }
     }
 
     #[test]
@@ -1724,7 +1833,13 @@ mod tests {
                 let (owner, container) = (&b.shared.container_owner, &b.shared.container);
                 stack
                     .objects()
-                    .put_in(&b.shared.token, owner, container, &chunk_hex(id), stored)
+                    .put_in(
+                        &b.shared.token,
+                        owner,
+                        container,
+                        id.name().as_str(),
+                        stored,
+                    )
                     .unwrap();
             }
             items.push(ItemMetadata {

@@ -16,7 +16,7 @@
 //! the folder still holds that very version, without reading it.
 
 use bytes::Bytes;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// One version of a file: its bytes and the stamp of the write that put
 /// them in the folder.
@@ -30,10 +30,12 @@ pub struct Stamped {
     pub stamp: u64,
 }
 
-/// An in-memory folder: path → contents.
+/// An in-memory folder: path → contents, hashed by path (a join writes
+/// thousands of paths in one go; only [`VirtualFs::paths`] wants them in
+/// order, and sorts).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct VirtualFs {
-    files: BTreeMap<String, Stamped>,
+    files: HashMap<String, Stamped>,
     /// The stamp of the latest write.
     stamp: u64,
 }
@@ -77,7 +79,9 @@ impl VirtualFs {
 
     /// Sorted list of paths.
     pub fn paths(&self) -> Vec<String> {
-        self.files.keys().cloned().collect()
+        let mut paths: Vec<String> = self.files.keys().cloned().collect();
+        paths.sort_unstable();
+        paths
     }
 
     /// Number of files.
