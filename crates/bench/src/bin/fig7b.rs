@@ -100,9 +100,9 @@ fn live_stack(trace: &Trace, benchmark_bytes: u64) {
         }
         executed += 1;
     }
-    // Wait for all commits to be processed.
+    // Wait for every change to be decided.
     assert!(client.wait(std::time::Duration::from_secs(120), || {
-        cloud.service().commits_processed() as usize >= executed
+        cloud.service().changes_processed() as usize >= executed
     }));
     let control = client.stats().control_bytes();
     let storage_up = cloud.objects().traffic().uploaded_bytes();

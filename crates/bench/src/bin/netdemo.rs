@@ -17,7 +17,7 @@
 
 use bench::{arg_value, header};
 use metadata::WorkspaceId;
-use stacksync::{ClientConfig, Deployment, DesktopClient, Link};
+use stacksync::{ClientConfig, Deployment, DesktopClient, Link, SyncResult};
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
@@ -208,24 +208,37 @@ fn client_process(role: Role) {
     }
 }
 
+/// Makes one change and waits for the confirmation of its commit, so that
+/// each change is a commit request of its own with a trace of its own;
+/// made back to back, changes would go in the outbox's bundles.
+fn confirmed(client: &DesktopClient, what: &str, change: impl FnOnce() -> SyncResult<()>) {
+    let before = client.stats().commits_confirmed();
+    change().expect(what);
+    assert!(
+        client.wait(WAIT, || client.stats().commits_confirmed() > before),
+        "{what} was not confirmed"
+    );
+}
+
 fn writer(client: &DesktopClient, n: usize) {
     for i in 0..n {
-        client
-            .write_file(&format!("a{i}.dat"), content_for("add", i, 64 * 1024))
-            .expect("ADD");
-        client
-            .write_file(&format!("u{i}.dat"), content_for("u1", i, 64 * 1024))
-            .expect("UPDATE base");
-        client
-            .write_file(&format!("u{i}.dat"), content_for("u2", i, 64 * 1024))
-            .expect("UPDATE");
-        client
-            .write_file(&format!("r{i}.dat"), content_for("rm", i, 16 * 1024))
-            .expect("REMOVE base");
-        client.delete_file(&format!("r{i}.dat")).expect("REMOVE");
+        let (a, u, r) = (
+            format!("a{i}.dat"),
+            format!("u{i}.dat"),
+            format!("r{i}.dat"),
+        );
+        let add = content_for("add", i, 64 * 1024);
+        confirmed(client, "ADD", || client.write_file(&a, add));
+        let base = content_for("u1", i, 64 * 1024);
+        confirmed(client, "UPDATE base", || client.write_file(&u, base));
+        let update = content_for("u2", i, 64 * 1024);
+        confirmed(client, "UPDATE", || client.write_file(&u, update));
+        let doomed = content_for("rm", i, 16 * 1024);
+        confirmed(client, "REMOVE base", || client.write_file(&r, doomed));
+        confirmed(client, "REMOVE", || client.delete_file(&r));
         println!("committed op set {i}");
     }
-    println!("writer done: {} commits acked", n * 5);
+    println!("writer done: {} commits confirmed", n * 5);
 }
 
 fn watcher(client: &DesktopClient, n: usize) {
@@ -233,9 +246,9 @@ fn watcher(client: &DesktopClient, n: usize) {
     let per_set = 5; // a, u(base), u(update), r(base), r(delete)
     let expected = (n * per_set) as u64;
     assert!(
-        client.wait(WAIT, || client.stats().notifications() >= expected),
-        "got {}/{} commit notifications",
-        client.stats().notifications(),
+        client.wait(WAIT, || client.stats().changes_notified() >= expected),
+        "got {}/{} changes notified",
+        client.stats().changes_notified(),
         expected
     );
     for i in 0..n {
@@ -257,7 +270,7 @@ fn watcher(client: &DesktopClient, n: usize) {
         );
     }
     println!(
-        "watcher verified {n} op sets ({} notifications)",
-        client.stats().notifications()
+        "watcher verified {n} op sets ({} changes notified)",
+        client.stats().changes_notified()
     );
 }

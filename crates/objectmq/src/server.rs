@@ -46,6 +46,12 @@ pub trait RemoteObject: Send + Sync + 'static {
         out.value(&self.dispatch(method, args)?);
         Ok(())
     }
+
+    /// Called by each serve loop of the instance whenever its wait for a
+    /// delivery ends with none (every 20 ms while idle), so the object
+    /// can do timed work on a wake the skeleton makes anyway, with no
+    /// thread or timer of its own. The default does nothing.
+    fn idle(&self) {}
 }
 
 impl<F> RemoteObject for F
@@ -60,7 +66,8 @@ where
 static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
 
 /// How long a serve loop waits for a delivery before it looks at its stop
-/// and crash flags again; bounds shutdown latency.
+/// and crash flags again, and calls [`RemoteObject::idle`]; bounds shutdown
+/// latency.
 const POLL: Duration = Duration::from_millis(20);
 
 pub(crate) fn fresh_instance_name(oid: &str) -> String {
@@ -205,7 +212,10 @@ fn serve_loop(ctx: LoopCtx, consumer: Box<dyn MessageConsumer>) {
         }
         let delivery = match consumer.recv_timeout(POLL) {
             Ok(d) => d,
-            Err(mqsim::MqError::RecvTimeout) => continue,
+            Err(mqsim::MqError::RecvTimeout) => {
+                ctx.object.idle();
+                continue;
+            }
             Err(_) => return, // queue deleted or broker gone
         };
         if ctx.crash.load(Ordering::Acquire) {

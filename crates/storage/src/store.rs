@@ -175,6 +175,22 @@ impl SwiftStore {
         }
     }
 
+    /// Ends the session `token` belongs to: the token stops authorizing
+    /// anything. Revoking a token twice, or one never issued, does nothing.
+    pub fn revoke(&self, token: &Token) {
+        if let Some(account) = self.accounts.write().get_mut(&token.account) {
+            account.valid_nonces.remove(&token.secret_nonce);
+        }
+    }
+
+    /// Tokens of `account` that still authorize: one per live session.
+    pub fn sessions(&self, account: &str) -> usize {
+        self.accounts
+            .read()
+            .get(account)
+            .map_or(0, |a| a.valid_nonces.len())
+    }
+
     /// Authenticates against an existing account.
     ///
     /// # Errors

@@ -2,227 +2,36 @@
 //! watcher/indexer pipeline, chunk upload with per-user dedup, asynchronous
 //! commit requests and push-notification handling.
 
+mod config;
 mod localdb;
+mod outbox;
+mod stats;
 mod vfs;
 
+pub use config::{ChunkingStrategy, ClientConfig};
 pub use localdb::{ChunkLocation, FileEntry, LocalDb};
+pub use stats::ClientStats;
 pub use vfs::{Stamped, VirtualFs};
 
 use crate::conflict::conflict_copy_path;
 use crate::error::{SyncError, SyncResult};
-use crate::protocol::{item_to_value, workspace_from_value, CommitNotification};
+use crate::protocol::{item_to_value, workspace_from_value, CommitNotification, NotifiedChange};
 use crate::service::SYNC_SERVICE_OID;
 use crate::workspace_notification_oid;
 use bytes::Bytes;
-use content::chunker::{Chunker, ContentDefinedChunker, FixedChunker};
 use content::compress::Algorithm;
 use content::pipeline::{FileIndex, IngestPipeline, PipelineConfig};
-use content::{sha1, ChunkId, ChunkName, Fingerprint};
+use content::{sha1, ChunkId, ChunkName};
 use metadata::{items_from_reader, ItemMetadata, Workspace, WorkspaceId};
 use objectmq::{Broker, Proxy, ReadReply, RemoteObject, ServerHandle};
+use outbox::Outbox;
 use parking_lot::{Condvar, Mutex};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use storage::{ChunkOffer, OfferOutcome, SwiftStore, Token};
 use wire::{Codec, TokenReader, Value, WireResult};
-
-/// Chunking strategy — one of the extension hooks the paper calls out
-/// ("the chunking and deduplication strategies" are replaceable, §4).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChunkingStrategy {
-    /// Static chunking with a fixed size (the paper's default: 512 KB).
-    Fixed {
-        /// Chunk size in bytes.
-        size: usize,
-    },
-    /// Content-defined chunking: boundaries follow the content, so
-    /// beginning-of-file inserts do not re-ship the whole file.
-    ContentDefined {
-        /// Minimum chunk size.
-        min: usize,
-        /// Maximum chunk size.
-        max: usize,
-        /// Expected chunk size is `2^mask_bits`.
-        mask_bits: u32,
-        /// Rolling-hash window.
-        window: usize,
-    },
-}
-
-impl ChunkingStrategy {
-    fn build(&self) -> Arc<dyn Chunker + Send + Sync> {
-        match self {
-            ChunkingStrategy::Fixed { size } => Arc::new(FixedChunker::new(*size)),
-            ChunkingStrategy::ContentDefined {
-                min,
-                max,
-                mask_bits,
-                window,
-            } => Arc::new(ContentDefinedChunker::new(*min, *max, *mask_bits, *window)),
-        }
-    }
-}
-
-/// Client configuration (chunking, compression, RPC policy).
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Account the device belongs to.
-    pub user: String,
-    /// Device name (also the conflict-copy label).
-    pub device: String,
-    /// How files are split into chunks (default: fixed 512 KB, §4.1).
-    pub chunking: ChunkingStrategy,
-    /// Compression applied to chunks before upload.
-    pub compression: Algorithm,
-    /// Fingerprint algorithm deriving chunk ids: the paper's SHA-1, the
-    /// only one. Chunk objects are addressed by fingerprint hex.
-    pub fingerprint: Fingerprint,
-    /// Threads one file's chunks may occupy, both ways: fingerprinting
-    /// and compressing on the way up, fetching, decompressing and
-    /// verifying on the way down. Default: one per core of the host
-    /// ([`content::pipeline::host_workers`]); every client of the process
-    /// borrows them from one shared pool. `with_ingest_workers(1)` is the
-    /// paper's arrangement, a single-threaded client.
-    pub ingest_workers: usize,
-    /// `@SyncMethod` timeout (paper Fig. 6: 1500 ms).
-    pub call_timeout: Duration,
-    /// `@SyncMethod` retries (paper Fig. 6: 5).
-    pub call_retries: u32,
-}
-
-impl ClientConfig {
-    /// Creates a config with the paper's defaults.
-    pub fn new(user: &str, device: &str) -> Self {
-        ClientConfig {
-            user: user.to_string(),
-            device: device.to_string(),
-            chunking: ChunkingStrategy::Fixed {
-                size: content::DEFAULT_CHUNK_SIZE,
-            },
-            compression: Algorithm::Lzss,
-            fingerprint: Fingerprint::Sha1,
-            ingest_workers: content::pipeline::host_workers(),
-            call_timeout: Duration::from_millis(1500),
-            call_retries: 5,
-        }
-    }
-
-    /// Uses fixed chunking with the given size (small chunks keep tests
-    /// fast).
-    pub fn with_chunk_size(mut self, size: usize) -> Self {
-        self.chunking = ChunkingStrategy::Fixed { size };
-        self
-    }
-
-    /// Uses content-defined chunking (immune to the boundary-shifting
-    /// problem; costs more CPU per index pass).
-    pub fn with_cdc(mut self, min: usize, max: usize, mask_bits: u32, window: usize) -> Self {
-        self.chunking = ChunkingStrategy::ContentDefined {
-            min,
-            max,
-            mask_bits,
-            window,
-        };
-        self
-    }
-
-    /// Overrides the compression algorithm.
-    pub fn with_compression(mut self, algorithm: Algorithm) -> Self {
-        self.compression = algorithm;
-        self
-    }
-
-    /// Lets one file's chunks occupy at most `workers` threads (clamped
-    /// to at least 1, which keeps everything on the calling thread).
-    pub fn with_ingest_workers(mut self, workers: usize) -> Self {
-        self.ingest_workers = workers.max(1);
-        self
-    }
-}
-
-/// Client-side counters: the measurement hook behind the Fig. 7 control
-/// traffic numbers. Cheap to clone; clones share counters.
-#[derive(Debug, Default, Clone)]
-pub struct ClientStats {
-    inner: Arc<StatsInner>,
-}
-
-#[derive(Debug, Default)]
-struct StatsInner {
-    control_sent: AtomicU64,
-    control_received: AtomicU64,
-    chunks_uploaded: AtomicU64,
-    chunk_bytes_uploaded: AtomicU64,
-    chunks_deduplicated: AtomicU64,
-    chunks_downloaded: AtomicU64,
-    chunks_reused: AtomicU64,
-    fingerprints: AtomicU64,
-    conflicts: AtomicU64,
-    notifications: AtomicU64,
-}
-
-impl ClientStats {
-    /// Bytes of control-plane messages sent (commit requests, state
-    /// queries).
-    pub fn control_sent_bytes(&self) -> u64 {
-        self.inner.control_sent.load(Ordering::Relaxed)
-    }
-
-    /// Bytes of control-plane messages received (notifications, state).
-    pub fn control_received_bytes(&self) -> u64 {
-        self.inner.control_received.load(Ordering::Relaxed)
-    }
-
-    /// Total control traffic both ways.
-    pub fn control_bytes(&self) -> u64 {
-        self.control_sent_bytes() + self.control_received_bytes()
-    }
-
-    /// Chunks actually uploaded.
-    pub fn chunks_uploaded(&self) -> u64 {
-        self.inner.chunks_uploaded.load(Ordering::Relaxed)
-    }
-
-    /// Compressed bytes shipped to the store.
-    pub fn chunk_bytes_uploaded(&self) -> u64 {
-        self.inner.chunk_bytes_uploaded.load(Ordering::Relaxed)
-    }
-
-    /// Uploads skipped thanks to per-user dedup.
-    pub fn chunks_deduplicated(&self) -> u64 {
-        self.inner.chunks_deduplicated.load(Ordering::Relaxed)
-    }
-
-    /// Chunks downloaded while applying remote changes.
-    pub fn chunks_downloaded(&self) -> u64 {
-        self.inner.chunks_downloaded.load(Ordering::Relaxed)
-    }
-
-    /// Chunks taken from the local folder instead of downloaded while
-    /// applying remote changes.
-    pub fn chunks_reused(&self) -> u64 {
-        self.inner.chunks_reused.load(Ordering::Relaxed)
-    }
-
-    /// Chunk fingerprints computed, both ways: indexing a written file,
-    /// checking a folder copy whose version the index did not record, and
-    /// verifying a download. A chunk of a folder version whose ids are
-    /// known is not hashed again, on either side.
-    pub fn fingerprints(&self) -> u64 {
-        self.inner.fingerprints.load(Ordering::Relaxed)
-    }
-
-    /// Conflicts this device lost (conflict copies created).
-    pub fn conflicts(&self) -> u64 {
-        self.inner.conflicts.load(Ordering::Relaxed)
-    }
-
-    /// Commit notifications received.
-    pub fn notifications(&self) -> u64 {
-        self.inner.notifications.load(Ordering::Relaxed)
-    }
-}
 
 struct ClientShared {
     config: ClientConfig,
@@ -257,7 +66,21 @@ struct ClientShared {
     /// listener received meanwhile, sized, in arrival order. `connect` applies
     /// it once the snapshot is in place, so nothing runs beside the window.
     parked: Mutex<Option<Vec<(CommitNotification, usize)>>>,
+    /// The commit requests out and the changes queued behind them; only
+    /// [`ClientShared::with_outbox`] takes the lock.
+    outbox: Mutex<Outbox>,
+    /// `sync.client.outbox_depth`: changes queued in every outbox of the
+    /// process ([`QUEUED`]).
+    outbox_depth: Arc<obs::Gauge>,
+    /// `sync.client.bundle_items`: proposals per commit request sent.
+    bundle_items: Arc<obs::Histogram>,
+    /// `sync.client.outbox_released_total`: requests whose deadline
+    /// released the queue behind them unconfirmed.
+    released_total: Arc<obs::Counter>,
 }
+
+/// Changes queued in the outboxes of every client of the process.
+static QUEUED: AtomicU64 = AtomicU64::new(0);
 
 impl ClientShared {
     /// Wakes the `wait_for_*` callers; called after every change to `fs`
@@ -274,6 +97,22 @@ impl ClientShared {
             .fingerprints
             .fetch_add(n, Ordering::Relaxed);
         self.fingerprints_total.add(n);
+    }
+
+    /// Runs `f` on the outbox and keeps `sync.client.outbox_depth` the sum
+    /// of every client's queue.
+    fn with_outbox<R>(&self, f: impl FnOnce(&mut Outbox) -> R) -> R {
+        let (result, before, after) = {
+            let mut outbox = self.outbox.lock();
+            let before = outbox.depth() as u64;
+            let result = f(&mut outbox);
+            (result, before, outbox.depth() as u64)
+        };
+        if after != before {
+            QUEUED.fetch_add(after.wrapping_sub(before), Ordering::Relaxed);
+            self.outbox_depth.set(QUEUED.load(Ordering::Relaxed) as f64);
+        }
+        result
     }
 }
 
@@ -334,6 +173,14 @@ impl RemoteObject for NotificationListener {
             }
             other => Err(format!("workspace listener has no method `{other}`")),
         }
+    }
+
+    /// The listener's own wake with nothing delivered (every 20 ms) is
+    /// when an outbox past its deadline is released: no thread or timer
+    /// of the client's does it.
+    fn idle(&self) {
+        // A failed send is back in the queue; the next wake tries again.
+        let _ = pump(&self.shared, None);
     }
 }
 
@@ -418,6 +265,10 @@ impl DesktopClient {
             fingerprints_total: obs::counter("sync.client.fingerprints_total"),
             fetch_seconds: obs::histogram("sync.client.fetch_seconds"),
             parked: Mutex::new(Some(Vec::new())),
+            outbox: Mutex::new(Outbox::new(config.call_timeout)),
+            outbox_depth: obs::gauge("sync.client.outbox_depth"),
+            bundle_items: obs::histogram("sync.client.bundle_items"),
+            released_total: obs::counter("sync.client.outbox_released_total"),
             config,
         });
 
@@ -434,6 +285,7 @@ impl DesktopClient {
         )?;
         if let Err(error) = join(&shared) {
             listener.shutdown();
+            store.revoke(&shared.token);
             return Err(error);
         }
 
@@ -459,12 +311,16 @@ impl DesktopClient {
     }
 
     /// Writes a file into the workspace and synchronizes it (watcher +
-    /// indexer pipeline: chunk, dedup, upload, async commit).
+    /// indexer pipeline: chunk, dedup, upload, async commit). Returns once
+    /// the chunks are stored and the change is in the outbox: sent at once
+    /// when no commit of the workspace is out, else queued for the next
+    /// bundle.
     ///
     /// # Errors
     ///
-    /// Storage or middleware failures; the commit itself is asynchronous
-    /// and reported later via notification.
+    /// Storage or middleware failures. A change whose send failed stays
+    /// queued and goes with the next bundle; the commit itself is
+    /// asynchronous and reported later via notification.
     pub fn write_file(&self, path: &str, contents: Vec<u8>) -> SyncResult<()> {
         write_and_commit(&self.shared, path, Bytes::from(contents))
     }
@@ -513,7 +369,7 @@ impl DesktopClient {
             &self.shared.container,
             &dedup_file_key(&self.shared.workspace, path),
         )?;
-        send_commit(&self.shared, vec![proposal])
+        pump(&self.shared, Some(proposal))
     }
 
     /// Renames (moves) a file within the workspace.
@@ -545,6 +401,12 @@ impl DesktopClient {
     /// Paths currently in the local workspace copy, sorted.
     pub fn list_files(&self) -> Vec<String> {
         self.shared.fs.lock().paths()
+    }
+
+    /// Changes this device made that no notification has confirmed yet:
+    /// queued in its outbox, or in a commit request that is out.
+    pub fn unconfirmed_changes(&self) -> usize {
+        self.shared.outbox.lock().pending()
     }
 
     /// Version of a path as known locally.
@@ -629,20 +491,33 @@ impl DesktopClient {
     ///   fingerprints, conflicts, and the notifications of another
     ///   device's commits): the change wakes it, so it returns when the
     ///   change lands;
+    /// * the completion of this device's own commit
+    ///   ([`ClientStats::commits_confirmed`]) wakes it too;
     /// * the control bytes a commit sends (counted after its change has
-    ///   landed), the notification that confirms this device's own commit
-    ///   (it changes nothing here), or state outside the client (the
-    ///   service's commit counter, another device's folder): the 5 ms look
-    ///   sees it, as nothing in the client announces such a change.
+    ///   landed) or state outside the client (the service's counters,
+    ///   another device's folder): the 5 ms look sees it, as nothing in
+    ///   the client announces such a change.
     pub fn wait(&self, timeout: Duration, pred: impl FnMut() -> bool) -> bool {
         self.wait_for_change(timeout, Some(Duration::from_millis(5)), pred)
     }
 
-    /// Disconnects the client, unregistering the notification listener.
+    /// Disconnects the client: sends what its outbox holds, then
+    /// unregisters the notification listener and ends its session with
+    /// the chunk store.
     pub fn disconnect(mut self) {
+        send_queued(&self.shared);
         if let Some(l) = self.listener.take() {
             l.shutdown();
         }
+    }
+}
+
+impl Drop for DesktopClient {
+    /// A client dropped without [`DesktopClient::disconnect`] still sends
+    /// what it queued, and revokes the token `connect` registered.
+    fn drop(&mut self) {
+        send_queued(&self.shared);
+        self.shared.store.revoke(&self.shared.token);
     }
 }
 
@@ -857,26 +732,71 @@ fn index_and_commit(
         }
     };
     shared.note_change();
-    send_commit(shared, vec![proposal])
+    pump(shared, Some(proposal))
 }
 
-/// Publishes an asynchronous commit request (paper: `@AsyncMethod
-/// commitRequest`).
-fn send_commit(shared: &Arc<ClientShared>, proposals: Vec<ItemMetadata>) -> SyncResult<()> {
+/// Hands `change` (if any) to the outbox and sends what it lets go: the
+/// next bundle when no commit request holds it, and one released by a
+/// request past its deadline, which is counted and recorded.
+fn pump(shared: &Arc<ClientShared>, change: Option<ItemMetadata>) -> SyncResult<()> {
+    let now = Instant::now();
+    let (release, bundle) = shared.with_outbox(|outbox| {
+        if let Some(change) = change {
+            outbox.push(change);
+        }
+        (outbox.release_due(now), outbox.next_bundle(now))
+    });
+    if let Some(release) = release {
+        shared.released_total.inc();
+        obs::flight_event!(
+            "sync",
+            "{} released the outbox of {}: {} change(s) unconfirmed after {} ms \
+             (attempt {}), {} queued",
+            shared.config.device,
+            shared.workspace,
+            release.unconfirmed,
+            release.waited.as_millis(),
+            release.attempts,
+            release.queued
+        );
+    }
+    bundle.map_or(Ok(()), |bundle| publish(shared, bundle))
+}
+
+/// Sends everything queued, held or not: what a leaving device does. Stops
+/// at the first failed send.
+fn send_queued(shared: &Arc<ClientShared>) {
+    while let Some(bundle) = shared.with_outbox(Outbox::drain_bundle) {
+        if publish(shared, bundle).is_err() {
+            break;
+        }
+    }
+}
+
+/// Publishes one asynchronous commit request (paper: `@AsyncMethod
+/// commitRequest`) carrying `proposals`. A bundle whose send fails goes
+/// back to the front of the outbox.
+fn publish(shared: &Arc<ClientShared>, proposals: Vec<ItemMetadata>) -> SyncResult<()> {
     let args = Value::List(vec![
         Value::from(shared.workspace.0.as_str()),
         Value::from(shared.config.device.as_str()),
         Value::List(proposals.iter().map(item_to_value).collect()),
     ]);
     let encoded = wire::BinaryCodec.encoded_len(&args) as u64;
+    let sent = args
+        .into_list()
+        .map_err(SyncError::from)
+        .and_then(|args| Ok(shared.proxy.call_async("commit_request", args)?));
+    if let Err(error) = sent {
+        shared.with_outbox(|outbox| outbox.unsend(proposals));
+        return Err(error);
+    }
     shared
         .stats
         .inner
         .control_sent
         .fetch_add(encoded, Ordering::Relaxed);
-    shared
-        .proxy
-        .call_async("commit_request", args.into_list()?)?;
+    shared.bundle_items.record_value(proposals.len() as f64);
     Ok(())
 }
 
@@ -1123,40 +1043,68 @@ fn materialize_window(
 
 /// Applies a push notification of encoded `size` to the local state (paper
 /// §4.1: committed changes "will be immediately applied to the affected
-/// workspace").
+/// workspace"). One of this device's own completes its commit request in
+/// the outbox, which then sends the next bundle, conflict copies included.
 fn apply_notification(
     shared: &Arc<ClientShared>,
     notification: &CommitNotification,
     size: usize,
 ) -> SyncResult<()> {
-    shared
-        .stats
-        .inner
-        .notifications
-        .fetch_add(1, Ordering::Relaxed);
-    shared
-        .stats
-        .inner
+    let stats = &shared.stats.inner;
+    stats.notifications.fetch_add(1, Ordering::Relaxed);
+    let changes = notification.changes.len() as u64;
+    stats.changes_notified.fetch_add(changes, Ordering::Relaxed);
+    stats
         .control_received
         .fetch_add(size as u64, Ordering::Relaxed);
 
-    let own_device = shared.config.device == notification.committer;
-    for change in &notification.changes {
+    let own = shared.config.device == notification.committer;
+    let applied = apply_changes(shared, &notification.changes, own);
+    if !own {
+        return applied;
+    }
+    let listed = notification.changes.iter().map(|c| &c.metadata);
+    let listed = listed.map(|item| (item.item_id, item.version));
+    let completed = shared.with_outbox(|outbox| outbox.confirm(listed));
+    if completed > 0 {
+        stats
+            .commits_confirmed
+            .fetch_add(completed as u64, Ordering::Relaxed);
+        shared.note_change();
+    }
+    applied.and(pump(shared, None))
+}
+
+/// The changes of one notification, in order. A confirmed one is applied
+/// if it is newer than the local state and the last version of its path
+/// in the notification: a version a bundle overwrites is never fetched. An
+/// own change is what the local db holds already, unless a conflict
+/// earlier in its bundle adopted an older version.
+///
+/// Items are materialized one at a time: one window for a bundle's items
+/// measured no faster and held more memory (DESIGN.md §17).
+fn apply_changes(
+    shared: &Arc<ClientShared>,
+    changes: &[NotifiedChange],
+    own: bool,
+) -> SyncResult<()> {
+    let device = &shared.config.device;
+    let mut last: HashMap<&str, u64> = HashMap::new();
+    for item in changes.iter().filter(|c| c.confirmed).map(|c| &c.metadata) {
+        let version = last.entry(item.path.as_str()).or_default();
+        *version = (*version).max(item.version);
+    }
+    for change in changes {
         let item = &change.metadata;
         if change.confirmed {
-            if own_device && item.modified_by == shared.config.device {
-                // Confirmation of our own optimistic commit: nothing to do,
-                // the local db already reflects it.
-                continue;
-            }
-            let newer = {
+            let newer = last[item.path.as_str()] == item.version && {
                 let db = shared.db.lock();
                 db.get(&item.path).is_none_or(|e| item.version > e.version)
             };
             if newer {
                 materialize_all(shared, std::slice::from_ref(item))?;
             }
-        } else if own_device && item.modified_by == shared.config.device {
+        } else if own && item.modified_by == *device {
             // We lost a conflict: keep our bytes as a conflict copy, adopt
             // the winning server version under the original path (the
             // Dropbox policy, paper §4.1/§4.2.1).
@@ -1168,9 +1116,9 @@ fn apply_notification(
             let losing_bytes = shared.fs.lock().read(&item.path).cloned();
             materialize_all(shared, std::slice::from_ref(&current))?;
             if let Some(bytes) = losing_bytes {
-                let copy_path = conflict_copy_path(&item.path, &shared.config.device);
+                let copy_path = conflict_copy_path(&item.path, device);
                 // The conflict copy is a brand-new file that must itself be
-                // synchronized to every device.
+                // synchronized to every device: it queues behind this commit.
                 write_and_commit(shared, &copy_path, bytes)?;
             }
         }
@@ -1182,8 +1130,12 @@ fn apply_notification(
 }
 
 #[cfg(test)]
+mod outbox_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use content::Fingerprint;
     use std::collections::BTreeMap;
 
     #[test]
@@ -1557,6 +1509,11 @@ mod tests {
         }
         for device in &devices {
             checked += check_trusted_spans(device, "settled");
+            assert!(
+                device.wait(TIMEOUT, || device.unconfirmed_changes() == 0),
+                "seed {seed}: {} has changes unconfirmed at quiescence",
+                device.device()
+            );
         }
         let [a, b] = devices.map(|device| observe(&device, &PATHS).folder);
         assert_eq!(a, b, "seed {seed}: the two folders agree");
@@ -1761,8 +1718,8 @@ mod tests {
             writer.write_file(path, contents.clone()).unwrap();
         }
         writer.delete_file("gone.bin").unwrap();
-        let commits = files.len() as u64 + 1;
-        assert!(writer.wait(TIMEOUT, || stack.service().commits_processed() == commits));
+        let changes = files.len() as u64 + 1;
+        assert!(writer.wait(TIMEOUT, || stack.service().changes_processed() == changes));
         let paths: Vec<&str> = files.iter().map(|(path, _)| *path).collect();
 
         let join = |device: &str, configure: fn(ClientConfig) -> ClientConfig| {

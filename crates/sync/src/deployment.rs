@@ -96,12 +96,13 @@ impl DeploymentBuilder {
             .tcp
             .then(|| BrokerServer::bind("127.0.0.1:0", mq.clone()))
             .transpose()?;
-        let broker = Broker::new(mq, BrokerConfig::default());
+        let broker = Broker::new(mq.clone(), BrokerConfig::default());
         let service = SyncService::builder(&broker).store(meta.clone()).build();
         let instances = (0..self.instances)
             .map(|_| service.bind(&broker))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Deployment {
+            mq,
             broker,
             server,
             meta,
@@ -117,6 +118,7 @@ impl DeploymentBuilder {
 /// store, all in this process. Devices join with [`Deployment::connect`]
 /// in process or through a [`Link`] over TCP.
 pub struct Deployment {
+    mq: MessageBroker,
     broker: Broker,
     server: Option<BrokerServer>,
     meta: Arc<ShardedStore>,
@@ -179,6 +181,12 @@ impl Deployment {
     /// The in-process broker the service pool is bound on.
     pub fn broker(&self) -> &Broker {
         &self.broker
+    }
+
+    /// The message broker under [`Deployment::broker`], where a test
+    /// installs a [`mqsim::DeliveryInterceptor`] to lose or delay messages.
+    pub fn message_broker(&self) -> &MessageBroker {
+        &self.mq
     }
 
     /// The TCP front end, if the deployment has one: its address, its
@@ -345,7 +353,7 @@ mod tests {
             a.write_file(&format!("f{i}.txt"), vec![i; 64]).unwrap();
         }
         assert!(b.wait(T, || b.list_files().len() == 20));
-        assert_eq!(cloud.service().commits_processed(), 20);
+        assert_eq!(cloud.service().changes_processed(), 20);
         cloud.shutdown();
     }
 

@@ -24,6 +24,7 @@ struct ServiceInner {
     service_delay: Duration,
     notify_proxies: Mutex<HashMap<Oid, Arc<Proxy>>>,
     commits: AtomicU64,
+    changes: AtomicU64,
     conflicts: AtomicU64,
     /// Keeps the `sync.service` health check registered for the lifetime
     /// of the service; set once at build time (the check needs a `Weak` to
@@ -82,6 +83,7 @@ impl SyncServiceBuilder {
                 service_delay: self.service_delay,
                 notify_proxies: Mutex::new(HashMap::new()),
                 commits: AtomicU64::new(0),
+                changes: AtomicU64::new(0),
                 conflicts: AtomicU64::new(0),
                 health: std::sync::OnceLock::new(),
             }),
@@ -166,6 +168,13 @@ impl SyncService {
         self.inner.commits.load(Ordering::Relaxed)
     }
 
+    /// Total item proposals decided (committed or conflicting) across all
+    /// instances: one per change, however the clients bundled them into
+    /// commit requests.
+    pub fn changes_processed(&self) -> u64 {
+        self.inner.changes.load(Ordering::Relaxed)
+    }
+
     /// Total conflicting item proposals detected.
     pub fn conflicts_detected(&self) -> u64 {
         self.inner.conflicts.load(Ordering::Relaxed)
@@ -243,6 +252,9 @@ impl SyncService {
             .meta
             .commit(&workspace, proposals)
             .map_err(|e| e.to_string())?;
+        self.inner
+            .changes
+            .fetch_add(outcomes.len() as u64, Ordering::Relaxed);
         self.inner.commits.fetch_add(1, Ordering::Relaxed);
         obs::counter("sync.commits_total").inc();
         let conflicts = outcomes.iter().filter(|o| !o.is_committed()).count();

@@ -91,10 +91,10 @@ fn late_joiner_gets_full_state_via_get_changes() {
     a.write_file("one.txt", b"1".to_vec()).unwrap();
     a.write_file("two.txt", vec![7u8; 9000]).unwrap();
     a.write_file("doomed.txt", b"x".to_vec()).unwrap();
-    // Wait until the service processed all three commits.
-    assert!(a.wait(T, || s.service().commits_processed() >= 3));
+    // Wait until the service decided all three changes.
+    assert!(a.wait(T, || s.service().changes_processed() >= 3));
     a.delete_file("doomed.txt").unwrap();
-    assert!(a.wait(T, || s.service().commits_processed() >= 4));
+    assert!(a.wait(T, || s.service().changes_processed() >= 4));
 
     // A device connecting later must reconstruct exactly the live files.
     let late = s.connect(small_config("alice", "tablet"), &ws).unwrap();
@@ -212,13 +212,18 @@ fn service_pool_scales_without_client_changes() {
     let extra1 = s.service().bind(s.broker()).unwrap();
     let extra2 = s.service().bind(s.broker()).unwrap();
     let ws = s.provision("alice", "Docs").unwrap();
-    let a = s.connect(small_config("alice", "laptop"), &ws).unwrap();
+    // One device per commit request: a device's outbox would bundle
+    // changes made back to back into fewer requests.
+    let writers: Vec<DesktopClient> = (0..20)
+        .map(|i| s.connect(small_config("alice", &format!("dev-{i}")), &ws))
+        .collect::<Result<_, _>>()
+        .unwrap();
     let b = s.connect(small_config("alice", "phone"), &ws).unwrap();
-    for i in 0..20 {
+    for (i, a) in writers.iter().enumerate() {
         a.write_file(&format!("file-{i}.txt"), vec![i as u8; 100])
             .unwrap();
     }
-    assert!(a.wait(Duration::from_secs(10), || {
+    assert!(b.wait(Duration::from_secs(10), || {
         s.service().commits_processed() >= 20
     }));
     // All files eventually on device b.
@@ -234,12 +239,17 @@ fn instance_crash_mid_commit_is_redelivered() {
     let s = stack();
     let victim = s.service().bind(s.broker()).unwrap();
     let ws = s.provision("alice", "Docs").unwrap();
-    let a = s.connect(small_config("alice", "laptop"), &ws).unwrap();
-    for i in 0..10 {
+    // One device per commit request, so that ten requests are queued.
+    let devices: Vec<DesktopClient> = (0..10)
+        .map(|i| s.connect(small_config("alice", &format!("dev-{i}")), &ws))
+        .collect::<Result<_, _>>()
+        .unwrap();
+    for (i, a) in devices.iter().enumerate() {
         a.write_file(&format!("f{i}.txt"), vec![i as u8; 64])
             .unwrap();
     }
     victim.kill();
+    let a = &devices[0];
     assert!(
         a.wait(Duration::from_secs(10), || s.service().commits_processed()
             >= 10),
@@ -461,7 +471,7 @@ fn renaming_a_file_onto_itself_changes_nothing_anywhere() {
     let payload = noise(9_000, 3);
     a.write_file("same.bin", payload.clone()).unwrap();
     assert!(b.wait_for_content("same.bin", &payload, T));
-    assert!(a.wait(T, || s.service().commits_processed() == 1));
+    assert!(a.wait(T, || s.service().changes_processed() == 1));
     let token = s.objects().authenticate("alice", "pw-alice").unwrap();
     let chunks = || {
         s.objects()
@@ -477,7 +487,7 @@ fn renaming_a_file_onto_itself_changes_nothing_anywhere() {
     a.write_file("marker.txt", b"after".to_vec()).unwrap();
     assert!(b.wait_for_content("marker.txt", b"after", T));
     assert_eq!(
-        s.service().commits_processed(),
+        s.service().changes_processed(),
         2,
         "the marker's, and no other"
     );
@@ -571,6 +581,9 @@ fn delete_releases_chunks_for_gc() {
 
     let gc = s.objects().gc_chunks(&token, "alice", container).unwrap();
     assert_eq!(gc.collected, 2);
+    // The tombstones may still be queued behind an earlier commit; a device
+    // joining before they land would be listed unique.bin's swept chunks.
+    assert!(a.wait(T, || a.unconfirmed_changes() == 0));
     // keeper.bin still materializes for a fresh device after the sweep.
     let late = s.connect(small_config("alice", "tablet"), &ws).unwrap();
     assert_eq!(late.read_file("keeper.bin").unwrap(), shared_payload);
@@ -802,12 +815,12 @@ fn a_commit_made_while_a_device_joins_reaches_it() {
                 let reply = service.dispatch(method, args);
                 if method == "get_changes" && armed.swap(false, Ordering::SeqCst) {
                     let a = writer.get().expect("armed after the writer connected");
-                    let notified = a.stats().notifications();
+                    let confirmed = a.stats().commits_confirmed();
                     a.write_file("n100.txt", update.clone()).unwrap();
                     // A hears of its own commit through the workspace's
                     // fan-out, so by then every device bound to it has
                     // been sent the notification.
-                    assert!(a.wait(T, || a.stats().notifications() > notified));
+                    assert!(a.wait(T, || a.stats().commits_confirmed() > confirmed));
                 }
                 reply
             };
@@ -820,7 +833,11 @@ fn a_commit_made_while_a_device_joins_reaches_it() {
         a.write_file(&format!("n{i:03}.txt"), noise(2048, i))
             .unwrap();
     }
-    assert!(a.wait(T, || service.commits_processed() == 300));
+    // Every change decided and confirmed: nothing is out, so the update
+    // below is sent at once, inside the intercepted `get_changes`.
+    assert!(a.wait(T, || {
+        service.changes_processed() == 300 && a.unconfirmed_changes() == 0
+    }));
     assert!(writer.set(a).is_ok());
     let a = writer.get().unwrap();
 

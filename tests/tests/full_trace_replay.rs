@@ -53,10 +53,10 @@ fn trace_replay_converges_to_reference_fileset() {
     }
     assert!(
         writer.wait(Duration::from_secs(60), || {
-            cloud.service().commits_processed() >= executed
+            cloud.service().changes_processed() >= executed
         }),
-        "service must process all {executed} commits, got {}",
-        cloud.service().commits_processed()
+        "service must decide all {executed} changes, got {}",
+        cloud.service().changes_processed()
     );
 
     // The observer must converge to exactly the reference live set.
@@ -122,7 +122,7 @@ fn live_traffic_agrees_with_protocol_model() {
         executed += 1;
     }
     assert!(client.wait(Duration::from_secs(60), || {
-        cloud.service().commits_processed() >= executed
+        cloud.service().changes_processed() >= executed
     }));
 
     let live_storage = cloud.objects().traffic().uploaded_bytes();

@@ -4,22 +4,36 @@
 //! spawned/retired while clients keep committing.
 
 use integration_tests::wait_until;
-use metadata::{MetadataStore, ShardedStore};
+use metadata::{ItemMetadata, MetadataStore, ShardedStore, WorkspaceId};
 use mqsim::QueueStats;
 use objectmq::provision::{
     AutoScaler, GgOneModel, Observation, PredictiveProvisioner, Provisioner, ReactiveProvisioner,
     ScalingPolicy, REACTIVE_PERIOD,
 };
-use objectmq::{Broker, RemoteBroker, Supervisor, SupervisorConfig};
-use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService, SYNC_SERVICE_OID};
+use objectmq::{Broker, Proxy, RemoteBroker, Supervisor, SupervisorConfig};
+use stacksync::client::stable_item_id;
+use stacksync::protocol::item_to_value;
+use stacksync::{provision_user, SyncService, SYNC_SERVICE_OID};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use storage::{LatencyModel, SwiftStore};
+use wire::Value;
+
+/// Publishes one `commit_request` carrying version 1 of `path`, straight
+/// through the proxy as `elastic::live`'s fleet does: one request per
+/// change, where a device's outbox would bundle changes made back to back.
+fn commit_request(proxy: &Proxy, ws: &WorkspaceId, path: &str) {
+    let item = ItemMetadata::new_file(stable_item_id(ws, path), ws, path, vec![], 0, "gen");
+    let args = vec![
+        Value::from(ws.0.as_str()),
+        Value::from("gen"),
+        Value::List(vec![item_to_value(&item)]),
+    ];
+    proxy.call_async("commit_request", args).unwrap();
+}
 
 #[test]
 fn autoscaler_grows_live_pool_under_load_and_shrinks_after() {
     let broker = Broker::in_process();
-    let store = SwiftStore::new(LatencyModel::instant());
     let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     // A deliberately slow service (20 ms per commit) so load is visible.
     let service = SyncService::builder(&broker)
@@ -59,22 +73,14 @@ fn autoscaler_grows_live_pool_under_load_and_shrinks_after() {
     let mut scaler = AutoScaler::new(predictive, reactive, ScalingPolicy::Reactive);
 
     let ws = provision_user(meta.as_ref(), "load", "ws").unwrap();
-    let client = DesktopClient::connect(
-        &broker,
-        &store,
-        ClientConfig::new("load", "gen").with_chunk_size(4096),
-        &ws,
-    )
-    .unwrap();
+    let proxy = broker.lookup(SYNC_SERVICE_OID).unwrap();
 
     // Generate bursty commit load for ~1.5 s (target ≈ 100 commits/s —
     // needs ≥3 instances under the model above).
     let load_start = Instant::now();
     let mut i = 0;
     while load_start.elapsed() < Duration::from_millis(1500) {
-        client
-            .write_file(&format!("burst-{i}.dat"), vec![i as u8; 256])
-            .unwrap();
+        commit_request(&proxy, &ws, &format!("burst-{i}.dat"));
         i += 1;
         std::thread::sleep(Duration::from_millis(8));
     }
@@ -137,7 +143,6 @@ fn queue_stats_expose_provisioning_signals() {
     // The fine-grained metrics the paper argues for: queue depth and
     // arrival rate must be observable while a slow pool lags behind.
     let broker = Broker::in_process();
-    let store = SwiftStore::new(LatencyModel::instant());
     let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     let service = SyncService::builder(&broker)
         .store(meta.clone())
@@ -145,16 +150,10 @@ fn queue_stats_expose_provisioning_signals() {
         .build();
     let server = service.bind(&broker).unwrap();
     let ws = provision_user(meta.as_ref(), "sig", "ws").unwrap();
-    let client = DesktopClient::connect(
-        &broker,
-        &store,
-        ClientConfig::new("sig", "dev").with_chunk_size(4096),
-        &ws,
-    )
-    .unwrap();
+    let proxy = broker.lookup(SYNC_SERVICE_OID).unwrap();
 
     for i in 0..30 {
-        client.write_file(&format!("f{i}"), vec![0u8; 64]).unwrap();
+        commit_request(&proxy, &ws, &format!("f{i}"));
     }
     let stats: QueueStats = broker
         .messaging()

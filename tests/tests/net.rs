@@ -62,7 +62,7 @@ fn two_clients_sync_over_tcp_loopback() {
         reader.wait_for_absent("a.txt", WAIT),
         "DELETE did not propagate over TCP"
     );
-    assert!(reader.stats().notifications() >= 4);
+    assert_eq!(reader.stats().changes_notified(), 4);
 }
 
 #[test]

@@ -53,11 +53,11 @@ fn server_side_restart_preserves_the_cloud() {
         client.write_file("keep.bin", payload.clone()).unwrap();
         client.write_file("doomed.txt", b"gone".to_vec()).unwrap();
         assert!(client.wait(Duration::from_secs(10), || {
-            service.commits_processed() >= 2
+            service.changes_processed() >= 2
         }));
         client.delete_file("doomed.txt").unwrap();
         assert!(client.wait(Duration::from_secs(10), || {
-            service.commits_processed() >= 3
+            service.changes_processed() >= 3
         }));
         // Checkpoint the metadata tier; chunks are already on disk. The
         // checkpoint truncates the logs below it, so the second life can
