@@ -170,6 +170,19 @@ impl RefcountTracker {
         }
     }
 
+    /// Moves `from`'s references to `to`, then releases what `to` held, as
+    /// recording over it would. Returns `false`, changing nothing, if
+    /// `from` is not tracked.
+    pub fn move_file(&mut self, from: &str, to: &str) -> bool {
+        let Some(names) = self.files.remove(from) else {
+            return false;
+        };
+        if let Some(old) = self.files.insert(to.to_string(), names) {
+            self.release_names(&old);
+        }
+        true
+    }
+
     fn release_names(&mut self, names: &[String]) {
         for name in names {
             let entry = self
@@ -482,6 +495,23 @@ mod tests {
         assert_eq!(collected, vec![("a".to_string(), 8)]);
         assert!(!t.is_tracked("a"));
         assert!(t.is_tracked("b"));
+        assert_eq!(t.stats(), t.recompute_stats());
+    }
+
+    #[test]
+    fn a_move_keeps_the_moved_references_and_releases_the_target_s() {
+        let mut t = RefcountTracker::new();
+        t.record_file("f", &[meta("old", 10, 8), meta("kept", 10, 8)]);
+        t.record_file("f.next", &[meta("new", 10, 8), meta("kept", 10, 8)]);
+        assert_eq!(t.refs("kept"), 2);
+        assert!(t.move_file("f.next", "f"));
+        assert!(!t.move_file("f.next", "f"), "moved once");
+        assert_eq!((t.refs("old"), t.refs("new"), t.refs("kept")), (0, 1, 1));
+        assert_eq!(t.stats().orphan_chunks, 1);
+        assert_eq!(t.stats(), t.recompute_stats());
+        // Onto a key not recorded, nothing is released.
+        assert!(t.move_file("f", "g"));
+        assert_eq!((t.refs("new"), t.refs("kept")), (1, 1));
         assert_eq!(t.stats(), t.recompute_stats());
     }
 

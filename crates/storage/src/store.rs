@@ -183,14 +183,6 @@ impl SwiftStore {
         }
     }
 
-    /// Tokens of `account` that still authorize: one per live session.
-    pub fn sessions(&self, account: &str) -> usize {
-        self.accounts
-            .read()
-            .get(account)
-            .map_or(0, |a| a.valid_nonces.len())
-    }
-
     /// Authenticates against an existing account.
     ///
     /// # Errors
@@ -571,6 +563,40 @@ impl SwiftStore {
         let released = tracker.release_file(file_key);
         self.dedup.observe_delta(before, tracker.stats());
         Ok(released)
+    }
+
+    /// Moves chunk references between file keys, in order, under one hold
+    /// of the scope lock and for one control round trip: each `from`'s
+    /// references go to `to`, and what `to` held is released after them,
+    /// as recording over `to` would; with no `to`, `from`'s are released.
+    /// A `from` never recorded changes nothing. A client records a version
+    /// under a key of its own and moves it onto the file's key when it
+    /// sends the commit, so the version the store's head names keeps its
+    /// chunks until then.
+    ///
+    /// # Errors
+    ///
+    /// Authorization/container errors.
+    pub fn move_files(
+        &self,
+        token: &Token,
+        owner: &str,
+        container: &str,
+        moves: &[(String, Option<String>)],
+    ) -> StorageResult<()> {
+        self.authorize(token, owner, container)?;
+        std::thread::sleep(self.latency.control_delay());
+        let scope = self.dedup.scope(owner, container);
+        let mut tracker = scope.lock();
+        let before = tracker.stats();
+        for (from, to) in moves {
+            match to {
+                Some(to) => tracker.move_file(from, to),
+                None => tracker.release_file(from),
+            };
+        }
+        self.dedup.observe_delta(before, tracker.stats());
+        Ok(())
     }
 
     /// Garbage-collects every refcount-zero chunk in the container:

@@ -2,15 +2,11 @@
 //! watcher/indexer pipeline, chunk upload with per-user dedup, asynchronous
 //! commit requests and push-notification handling.
 
-mod config;
 mod localdb;
 mod outbox;
-mod stats;
 mod vfs;
 
-pub use config::{ChunkingStrategy, ClientConfig};
 pub use localdb::{ChunkLocation, FileEntry, LocalDb};
-pub use stats::ClientStats;
 pub use vfs::{Stamped, VirtualFs};
 
 use crate::conflict::conflict_copy_path;
@@ -19,9 +15,10 @@ use crate::protocol::{item_to_value, workspace_from_value, CommitNotification, N
 use crate::service::SYNC_SERVICE_OID;
 use crate::workspace_notification_oid;
 use bytes::Bytes;
+use content::chunker::{Chunker, ContentDefinedChunker, FixedChunker};
 use content::compress::Algorithm;
 use content::pipeline::{FileIndex, IngestPipeline, PipelineConfig};
-use content::{sha1, ChunkId, ChunkName};
+use content::{sha1, ChunkId, ChunkName, Fingerprint};
 use metadata::{items_from_reader, ItemMetadata, Workspace, WorkspaceId};
 use objectmq::{Broker, Proxy, ReadReply, RemoteObject, ServerHandle};
 use outbox::Outbox;
@@ -32,6 +29,220 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use storage::{ChunkOffer, OfferOutcome, SwiftStore, Token};
 use wire::{Codec, TokenReader, Value, WireResult};
+
+/// Chunking strategy — one of the extension hooks the paper calls out
+/// ("the chunking and deduplication strategies" are replaceable, §4).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ChunkingStrategy {
+    /// Static chunking with a fixed size (the paper's default: 512 KB).
+    Fixed {
+        /// Chunk size in bytes.
+        size: usize,
+    },
+    /// Content-defined chunking: boundaries follow the content, so
+    /// beginning-of-file inserts do not re-ship the whole file.
+    ContentDefined {
+        /// Minimum chunk size.
+        min: usize,
+        /// Maximum chunk size.
+        max: usize,
+        /// Expected chunk size is `2^mask_bits`.
+        mask_bits: u32,
+        /// Rolling-hash window.
+        window: usize,
+    },
+}
+
+impl ChunkingStrategy {
+    fn build(&self) -> Arc<dyn Chunker + Send + Sync> {
+        match self {
+            ChunkingStrategy::Fixed { size } => Arc::new(FixedChunker::new(*size)),
+            ChunkingStrategy::ContentDefined {
+                min,
+                max,
+                mask_bits,
+                window,
+            } => Arc::new(ContentDefinedChunker::new(*min, *max, *mask_bits, *window)),
+        }
+    }
+}
+
+/// Client configuration (chunking, compression, RPC policy).
+#[derive(Debug, Clone)]
+pub struct ClientConfig {
+    /// Account the device belongs to.
+    pub user: String,
+    /// Device name (also the conflict-copy label).
+    pub device: String,
+    /// How files are split into chunks (default: fixed 512 KB, §4.1).
+    pub chunking: ChunkingStrategy,
+    /// Compression applied to chunks before upload.
+    pub compression: Algorithm,
+    /// Fingerprint algorithm deriving chunk ids: the paper's SHA-1, the
+    /// only one. Chunk objects are addressed by fingerprint hex.
+    pub fingerprint: Fingerprint,
+    /// Threads one file's chunks may occupy, both ways: fingerprinting
+    /// and compressing on the way up, fetching, decompressing and
+    /// verifying on the way down. Default: one per core of the host
+    /// ([`content::pipeline::host_workers`]); every client of the process
+    /// borrows them from one shared pool. `with_ingest_workers(1)` is the
+    /// paper's arrangement, a single-threaded client.
+    pub ingest_workers: usize,
+    /// `@SyncMethod` timeout (paper Fig. 6: 1500 ms).
+    pub call_timeout: Duration,
+    /// `@SyncMethod` retries (paper Fig. 6: 5).
+    pub call_retries: u32,
+}
+
+impl ClientConfig {
+    /// Creates a config with the paper's defaults.
+    pub fn new(user: &str, device: &str) -> Self {
+        ClientConfig {
+            user: user.to_string(),
+            device: device.to_string(),
+            chunking: ChunkingStrategy::Fixed {
+                size: content::DEFAULT_CHUNK_SIZE,
+            },
+            compression: Algorithm::Lzss,
+            fingerprint: Fingerprint::Sha1,
+            ingest_workers: content::pipeline::host_workers(),
+            call_timeout: Duration::from_millis(1500),
+            call_retries: 5,
+        }
+    }
+
+    /// Uses fixed chunking with the given size (small chunks keep tests
+    /// fast).
+    pub fn with_chunk_size(mut self, size: usize) -> Self {
+        self.chunking = ChunkingStrategy::Fixed { size };
+        self
+    }
+
+    /// Uses content-defined chunking (immune to the boundary-shifting
+    /// problem; costs more CPU per index pass).
+    pub fn with_cdc(mut self, min: usize, max: usize, mask_bits: u32, window: usize) -> Self {
+        self.chunking = ChunkingStrategy::ContentDefined {
+            min,
+            max,
+            mask_bits,
+            window,
+        };
+        self
+    }
+
+    /// Overrides the compression algorithm.
+    pub fn with_compression(mut self, algorithm: Algorithm) -> Self {
+        self.compression = algorithm;
+        self
+    }
+
+    /// Lets one file's chunks occupy at most `workers` threads (clamped
+    /// to at least 1, which keeps everything on the calling thread).
+    pub fn with_ingest_workers(mut self, workers: usize) -> Self {
+        self.ingest_workers = workers.max(1);
+        self
+    }
+}
+
+/// Client-side counters: the measurement hook behind the Fig. 7 control
+/// traffic numbers. Cheap to clone; clones share counters.
+#[derive(Debug, Default, Clone)]
+pub struct ClientStats {
+    inner: Arc<StatsInner>,
+}
+
+#[derive(Debug, Default)]
+struct StatsInner {
+    control_sent: AtomicU64,
+    control_received: AtomicU64,
+    chunks_uploaded: AtomicU64,
+    chunk_bytes_uploaded: AtomicU64,
+    chunks_deduplicated: AtomicU64,
+    chunks_downloaded: AtomicU64,
+    chunks_reused: AtomicU64,
+    fingerprints: AtomicU64,
+    conflicts: AtomicU64,
+    notifications: AtomicU64,
+    changes_notified: AtomicU64,
+    commits_confirmed: AtomicU64,
+}
+
+impl ClientStats {
+    /// Bytes of control-plane messages sent (commit requests, state
+    /// queries).
+    pub fn control_sent_bytes(&self) -> u64 {
+        self.inner.control_sent.load(Ordering::Relaxed)
+    }
+
+    /// Bytes of control-plane messages received (notifications, state).
+    pub fn control_received_bytes(&self) -> u64 {
+        self.inner.control_received.load(Ordering::Relaxed)
+    }
+
+    /// Total control traffic both ways.
+    pub fn control_bytes(&self) -> u64 {
+        self.control_sent_bytes() + self.control_received_bytes()
+    }
+
+    /// Chunks actually uploaded.
+    pub fn chunks_uploaded(&self) -> u64 {
+        self.inner.chunks_uploaded.load(Ordering::Relaxed)
+    }
+
+    /// Compressed bytes shipped to the store.
+    pub fn chunk_bytes_uploaded(&self) -> u64 {
+        self.inner.chunk_bytes_uploaded.load(Ordering::Relaxed)
+    }
+
+    /// Uploads skipped thanks to per-user dedup.
+    pub fn chunks_deduplicated(&self) -> u64 {
+        self.inner.chunks_deduplicated.load(Ordering::Relaxed)
+    }
+
+    /// Chunks downloaded while applying remote changes.
+    pub fn chunks_downloaded(&self) -> u64 {
+        self.inner.chunks_downloaded.load(Ordering::Relaxed)
+    }
+
+    /// Chunks taken from the local folder instead of downloaded while
+    /// applying remote changes.
+    pub fn chunks_reused(&self) -> u64 {
+        self.inner.chunks_reused.load(Ordering::Relaxed)
+    }
+
+    /// Chunk fingerprints computed, both ways: indexing a written file,
+    /// checking a folder copy whose version the index did not record, and
+    /// verifying a download. A chunk of a folder version whose ids are
+    /// known is not hashed again, on either side.
+    pub fn fingerprints(&self) -> u64 {
+        self.inner.fingerprints.load(Ordering::Relaxed)
+    }
+
+    /// Conflicts this device lost (conflict copies created).
+    pub fn conflicts(&self) -> u64 {
+        self.inner.conflicts.load(Ordering::Relaxed)
+    }
+
+    /// Commit notifications received: one per commit request of the
+    /// workspace, however many changes it carried.
+    pub fn notifications(&self) -> u64 {
+        self.inner.notifications.load(Ordering::Relaxed)
+    }
+
+    /// Changes listed in the notifications received: one per proposal the
+    /// service decided, confirmed or not, whichever device made it.
+    pub fn changes_notified(&self) -> u64 {
+        self.inner.changes_notified.load(Ordering::Relaxed)
+    }
+
+    /// Commit requests of this device that its own notification completed:
+    /// every change in them confirmed, or lost to a conflict and replaced by
+    /// a conflict copy. Counted before `DesktopClient::wait` callers are
+    /// woken, so a wait on it returns when the commit completes.
+    pub fn commits_confirmed(&self) -> u64 {
+        self.inner.commits_confirmed.load(Ordering::Relaxed)
+    }
+}
 
 struct ClientShared {
     config: ClientConfig,
@@ -66,11 +277,11 @@ struct ClientShared {
     /// listener received meanwhile, sized, in arrival order. `connect` applies
     /// it once the snapshot is in place, so nothing runs beside the window.
     parked: Mutex<Option<Vec<(CommitNotification, usize)>>>,
-    /// The commit requests out and the changes queued behind them; only
-    /// [`ClientShared::with_outbox`] takes the lock.
+    /// The commit requests out and the changes queued behind them; every
+    /// change to it goes through [`ClientShared::with_outbox`].
     outbox: Mutex<Outbox>,
     /// `sync.client.outbox_depth`: changes queued in every outbox of the
-    /// process ([`QUEUED`]).
+    /// process.
     outbox_depth: Arc<obs::Gauge>,
     /// `sync.client.bundle_items`: proposals per commit request sent.
     bundle_items: Arc<obs::Histogram>,
@@ -78,9 +289,6 @@ struct ClientShared {
     /// released the queue behind them unconfirmed.
     released_total: Arc<obs::Counter>,
 }
-
-/// Changes queued in the outboxes of every client of the process.
-static QUEUED: AtomicU64 = AtomicU64::new(0);
 
 impl ClientShared {
     /// Wakes the `wait_for_*` callers; called after every change to `fs`
@@ -100,17 +308,18 @@ impl ClientShared {
     }
 
     /// Runs `f` on the outbox and keeps `sync.client.outbox_depth` the sum
-    /// of every client's queue.
+    /// of every client's queue. The gauge moves by deltas, so a change
+    /// queued while recording is off and sent while it is on leaves it one
+    /// low.
     fn with_outbox<R>(&self, f: impl FnOnce(&mut Outbox) -> R) -> R {
-        let (result, before, after) = {
+        let (result, delta) = {
             let mut outbox = self.outbox.lock();
-            let before = outbox.depth() as u64;
+            let before = outbox.depth();
             let result = f(&mut outbox);
-            (result, before, outbox.depth() as u64)
+            (result, outbox.depth() as f64 - before as f64)
         };
-        if after != before {
-            QUEUED.fetch_add(after.wrapping_sub(before), Ordering::Relaxed);
-            self.outbox_depth.set(QUEUED.load(Ordering::Relaxed) as f64);
+        if delta != 0.0 {
+            self.outbox_depth.add(delta);
         }
         result
     }
@@ -179,8 +388,7 @@ impl RemoteObject for NotificationListener {
     /// when an outbox past its deadline is released: no thread or timer
     /// of the client's does it.
     fn idle(&self) {
-        // A failed send is back in the queue; the next wake tries again.
-        let _ = pump(&self.shared, None);
+        pump(&self.shared, None);
     }
 }
 
@@ -314,18 +522,23 @@ impl DesktopClient {
     /// indexer pipeline: chunk, dedup, upload, async commit). Returns once
     /// the chunks are stored and the change is in the outbox: sent at once
     /// when no commit of the workspace is out, else queued for the next
-    /// bundle.
+    /// bundle. A send that fails is recorded in the flight recorder and
+    /// tried again at the outbox's next wake; the commit itself is
+    /// asynchronous and reported later via notification.
     ///
     /// # Errors
     ///
-    /// Storage or middleware failures. A change whose send failed stays
-    /// queued and goes with the next bundle; the commit itself is
-    /// asynchronous and reported later via notification.
+    /// Storage failures: then nothing was queued.
     pub fn write_file(&self, path: &str, contents: Vec<u8>) -> SyncResult<()> {
         write_and_commit(&self.shared, path, Bytes::from(contents))
     }
 
     /// Deletes a file from the workspace and synchronizes the deletion.
+    /// Returns once the tombstone is sent and the file's chunk references
+    /// are released: at once when no commit of the workspace is out, else
+    /// when the outbox lets it go, about two `call_timeout`s on at the
+    /// latest. While sends fail it returns after three, the tombstone
+    /// still queued to go later.
     ///
     /// # Errors
     ///
@@ -361,15 +574,18 @@ impl DesktopClient {
             }
         };
         self.shared.note_change();
-        // Release the item's chunk references: chunks no other file
-        // holds become orphans, reclaimed by the store's next GC sweep.
-        self.shared.store.release_file(
-            &self.shared.token,
-            &self.shared.container_owner,
-            &self.shared.container,
-            &dedup_file_key(&self.shared.workspace, path),
-        )?;
-        pump(&self.shared, Some(proposal))
+        // The item's chunk references are released as the tombstone is
+        // sent (`publish`), not while it waits behind an unconfirmed
+        // commit: the store's head names them until then. Waiting here
+        // drives the outbox's deadline too.
+        let (shared, item, version) = (&self.shared, proposal.item_id, proposal.version);
+        pump(shared, Some(proposal));
+        let look = Some(Duration::from_millis(5));
+        self.wait_for_change(3 * shared.config.call_timeout, look, || {
+            pump(shared, None);
+            !shared.outbox.lock().unsent(item, version)
+        });
+        Ok(())
     }
 
     /// Renames (moves) a file within the workspace.
@@ -600,11 +816,17 @@ fn join(shared: &Arc<ClientShared>) -> SyncResult<()> {
     }
 }
 
-/// The refcount key of a path in the chunk store: the item identity (the
+/// The refcount key of an item in the chunk store: the item identity (the
 /// same 8-byte digest that names the item in commits), so every device
 /// of a workspace releases/overwrites the same reference.
-fn dedup_file_key(workspace: &WorkspaceId, path: &str) -> String {
-    format!("item-{:016x}", stable_item_id(workspace, path))
+fn dedup_file_key(item_id: u64) -> String {
+    format!("item-{item_id:016x}")
+}
+
+/// The refcount key one device's version of an item is recorded under
+/// until its commit is sent; then it moves onto [`dedup_file_key`].
+fn proposal_file_key(item_id: u64, device: &str, version: u64) -> String {
+    format!("item-{item_id:016x}@{device}/v{version}")
 }
 
 /// Puts one buffer into the folder and synchronizes it; the folder and
@@ -645,15 +867,23 @@ fn index_and_commit(
     shared.note_fingerprints(index.hashed() as u64);
     let names: Vec<ChunkName> = index.chunks().iter().map(|c| c.id.name()).collect();
 
+    // The version this write proposes, chosen before the offer so that the
+    // chunks are recorded under a key of the proposal's own: the item's
+    // key keeps the version the store's head names until the commit is
+    // sent (`publish`).
+    let (item_id, version) = match shared.db.lock().get(path) {
+        Some(entry) => (entry.item_id, entry.version + 1),
+        None => (stable_item_id(&shared.workspace, path), 1),
+    };
+
     // Offer the chunk list to the refcount store by name first: it
     // answers with the chunks it lacks, and only those are compressed
     // and offered again. Already-live chunks are skipped server-side
-    // (per-user dedup), and overwriting this item releases its previous
-    // version's references. The store records the file only once it
-    // holds every chunk, so the commit below never names a missing one;
-    // a sweep that collects a chunk between two offers just makes the
-    // next answer ask for it.
-    let file_key = dedup_file_key(&shared.workspace, path);
+    // (per-user dedup). The store records the file only once it holds
+    // every chunk, so the commit below never names a missing one; a
+    // sweep that collects a chunk between two offers just makes the next
+    // answer ask for it.
+    let file_key = proposal_file_key(item_id, &shared.config.device, version);
     let mut payloads: Vec<Option<Bytes>> = vec![None; names.len()];
     let receipt = loop {
         let offer: Vec<ChunkOffer<'_>> = index
@@ -705,10 +935,6 @@ fn index_and_commit(
     let ids: Vec<ChunkId> = index.chunks().iter().map(|c| c.id).collect();
     let proposal = {
         let mut db = shared.db.lock();
-        let (item_id, version) = match db.get(path) {
-            Some(entry) => (entry.item_id, entry.version + 1),
-            None => (stable_item_id(&shared.workspace, path), 1),
-        };
         db.upsert(
             path,
             FileEntry {
@@ -732,13 +958,14 @@ fn index_and_commit(
         }
     };
     shared.note_change();
-    pump(shared, Some(proposal))
+    pump(shared, Some(proposal));
+    Ok(())
 }
 
 /// Hands `change` (if any) to the outbox and sends what it lets go: the
 /// next bundle when no commit request holds it, and one released by a
 /// request past its deadline, which is counted and recorded.
-fn pump(shared: &Arc<ClientShared>, change: Option<ItemMetadata>) -> SyncResult<()> {
+fn pump(shared: &Arc<ClientShared>, change: Option<ItemMetadata>) {
     let now = Instant::now();
     let (release, bundle) = shared.with_outbox(|outbox| {
         if let Some(change) = change {
@@ -760,23 +987,28 @@ fn pump(shared: &Arc<ClientShared>, change: Option<ItemMetadata>) -> SyncResult<
             release.queued
         );
     }
-    bundle.map_or(Ok(()), |bundle| publish(shared, bundle))
+    if let Some(bundle) = bundle {
+        publish(shared, bundle);
+    }
 }
 
 /// Sends everything queued, held or not: what a leaving device does. Stops
 /// at the first failed send.
 fn send_queued(shared: &Arc<ClientShared>) {
     while let Some(bundle) = shared.with_outbox(Outbox::drain_bundle) {
-        if publish(shared, bundle).is_err() {
+        if !publish(shared, bundle) {
             break;
         }
     }
 }
 
 /// Publishes one asynchronous commit request (paper: `@AsyncMethod
-/// commitRequest`) carrying `proposals`. A bundle whose send fails goes
-/// back to the front of the outbox.
-fn publish(shared: &Arc<ClientShared>, proposals: Vec<ItemMetadata>) -> SyncResult<()> {
+/// commitRequest`) carrying `proposals`, then moves their chunk references
+/// in the store: each version's onto its item's key, releasing the
+/// version before it; each tombstone's released. A bundle whose send
+/// fails goes back to the front of the outbox, and the failure to the
+/// flight recorder. Returns whether it was sent.
+fn publish(shared: &Arc<ClientShared>, proposals: Vec<ItemMetadata>) -> bool {
     let args = Value::List(vec![
         Value::from(shared.workspace.0.as_str()),
         Value::from(shared.config.device.as_str()),
@@ -788,8 +1020,15 @@ fn publish(shared: &Arc<ClientShared>, proposals: Vec<ItemMetadata>) -> SyncResu
         .map_err(SyncError::from)
         .and_then(|args| Ok(shared.proxy.call_async("commit_request", args)?));
     if let Err(error) = sent {
+        obs::flight_event!(
+            "sync",
+            "{} could not send a bundle of {} change(s) of {}: {error}",
+            shared.config.device,
+            proposals.len(),
+            shared.workspace
+        );
         shared.with_outbox(|outbox| outbox.unsend(proposals));
-        return Err(error);
+        return false;
     }
     shared
         .stats
@@ -797,7 +1036,38 @@ fn publish(shared: &Arc<ClientShared>, proposals: Vec<ItemMetadata>) -> SyncResu
         .control_sent
         .fetch_add(encoded, Ordering::Relaxed);
     shared.bundle_items.record_value(proposals.len() as f64);
-    Ok(())
+
+    let device = &shared.config.device;
+    let moves: Vec<(String, Option<String>)> = proposals
+        .iter()
+        .map(|p| {
+            if p.is_deleted {
+                (dedup_file_key(p.item_id), None)
+            } else {
+                let from = proposal_file_key(p.item_id, device, p.version);
+                (from, Some(dedup_file_key(p.item_id)))
+            }
+        })
+        .collect();
+    let moved = shared.store.move_files(
+        &shared.token,
+        &shared.container_owner,
+        &shared.container,
+        &moves,
+    );
+    if let Err(error) = moved {
+        // The references stay where they are: a leak, never a chunk lost.
+        obs::flight_event!(
+            "sync",
+            "{device} kept the chunk references of a bundle: {error}"
+        );
+    }
+    shared.with_outbox(Outbox::sent);
+    if proposals.iter().any(|p| p.is_deleted) {
+        // `delete_file` waits for this.
+        shared.note_change();
+    }
+    true
 }
 
 /// The span of the folder at a place the local database gave a chunk, and
@@ -1045,6 +1315,9 @@ fn materialize_window(
 /// §4.1: committed changes "will be immediately applied to the affected
 /// workspace"). One of this device's own completes its commit request in
 /// the outbox, which then sends the next bundle, conflict copies included.
+/// Any notification, own or not, is also when an outbox past its deadline
+/// is released: in a busy workspace the listener seldom goes a whole poll
+/// without one, and so seldom calls [`RemoteObject::idle`].
 fn apply_notification(
     shared: &Arc<ClientShared>,
     notification: &CommitNotification,
@@ -1060,19 +1333,19 @@ fn apply_notification(
 
     let own = shared.config.device == notification.committer;
     let applied = apply_changes(shared, &notification.changes, own);
-    if !own {
-        return applied;
+    if own {
+        let listed = notification.changes.iter().map(|c| &c.metadata);
+        let listed = listed.map(|item| (item.item_id, item.version));
+        let completed = shared.with_outbox(|outbox| outbox.confirm(listed));
+        if completed > 0 {
+            stats
+                .commits_confirmed
+                .fetch_add(completed as u64, Ordering::Relaxed);
+            shared.note_change();
+        }
     }
-    let listed = notification.changes.iter().map(|c| &c.metadata);
-    let listed = listed.map(|item| (item.item_id, item.version));
-    let completed = shared.with_outbox(|outbox| outbox.confirm(listed));
-    if completed > 0 {
-        stats
-            .commits_confirmed
-            .fetch_add(completed as u64, Ordering::Relaxed);
-        shared.note_change();
-    }
-    applied.and(pump(shared, None))
+    pump(shared, None);
+    applied
 }
 
 /// The changes of one notification, in order. A confirmed one is applied

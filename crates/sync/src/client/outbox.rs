@@ -66,6 +66,8 @@ pub(crate) struct Outbox {
     sent: Vec<Sent>,
     /// Changes not sent yet, in the order they were made.
     queued: VecDeque<ItemMetadata>,
+    /// Bundles taken to be sent whose send has not finished yet.
+    sending: usize,
 }
 
 impl Outbox {
@@ -75,6 +77,7 @@ impl Outbox {
             deadline,
             sent: Vec::new(),
             queued: VecDeque::new(),
+            sending: 0,
         }
     }
 
@@ -87,6 +90,16 @@ impl Outbox {
     /// [`Outbox::release_due`]).
     pub(crate) fn pending(&self) -> usize {
         self.queued.len() + self.sent.iter().map(|s| s.pending.len()).sum::<usize>()
+    }
+
+    /// Whether the change of `item` at `version` may still be unsent: it is
+    /// queued, or a bundle is being sent (see [`Outbox::sent`]).
+    pub(crate) fn unsent(&self, item: u64, version: u64) -> bool {
+        self.sending > 0
+            || self
+                .queued
+                .iter()
+                .any(|c| (c.item_id, c.version) == (item, version))
     }
 
     /// Queues a change behind whatever is out.
@@ -141,6 +154,7 @@ impl Outbox {
             attempts: 1,
             released: false,
         });
+        self.sending += 1;
         Some(bundle)
     }
 
@@ -148,7 +162,15 @@ impl Outbox {
     /// nothing: what a device sends as it leaves.
     pub(crate) fn drain_bundle(&mut self) -> Option<Vec<ItemMetadata>> {
         let bundle = self.split_off(|_| true);
+        self.sending += usize::from(!bundle.is_empty());
         (!bundle.is_empty()).then_some(bundle)
+    }
+
+    /// Ends the send of a bundle taken by [`Outbox::next_bundle`] or
+    /// [`Outbox::drain_bundle`]: it went out, and what it does to the chunk
+    /// store's references is done.
+    pub(crate) fn sent(&mut self) {
+        self.sending -= 1;
     }
 
     /// Takes the queued changes `eligible` accepts, in order, up to the
@@ -176,6 +198,7 @@ impl Outbox {
     /// Puts a bundle whose send failed back at the front of the queue, as
     /// if it had never gone.
     pub(crate) fn unsend(&mut self, bundle: Vec<ItemMetadata>) {
+        self.sending -= 1;
         let first = bundle.first().map(|p| (p.item_id, p.version));
         if let Some(at) = self
             .sent
@@ -303,6 +326,25 @@ mod tests {
         assert_eq!(outbox.confirm([(1, 1)]), 0);
         assert_eq!(outbox.confirm([(1, 2)]), 1);
         assert_eq!(outbox.pending(), 0);
+    }
+
+    #[test]
+    fn a_change_is_unsent_until_the_send_of_its_bundle_ends() {
+        let t0 = Instant::now();
+        let mut outbox = Outbox::new(DEADLINE);
+        outbox.push(change(1, 1));
+        assert!(outbox.unsent(1, 1));
+        outbox.next_bundle(t0).unwrap();
+        assert!(outbox.unsent(1, 1), "taken, still being sent");
+        outbox.sent();
+        assert!(!outbox.unsent(1, 1));
+        outbox.push(change(2, 1));
+        assert_eq!(outbox.next_bundle(t0), None);
+        assert!(outbox.unsent(2, 1) && !outbox.unsent(1, 1));
+        outbox.confirm([(1, 1)]);
+        let bundle = outbox.next_bundle(t0).unwrap();
+        outbox.unsend(bundle);
+        assert!(outbox.unsent(2, 1), "a failed send is queued again");
     }
 
     #[test]

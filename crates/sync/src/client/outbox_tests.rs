@@ -1,7 +1,7 @@
 //! The outbox on a running stack: bundles and their per-item outcomes, a
 //! lost confirmation, a device leaving with changes queued, a connection
-//! lost with a commit out, and the session a device holds in the chunk
-//! store.
+//! lost with a commit out, the chunk references of a change that waits,
+//! and the session a device holds in the chunk store.
 
 use super::*;
 use crate::Deployment;
@@ -38,19 +38,19 @@ fn version_of(items: &[ItemMetadata], path: &str) -> Option<u64> {
     items.iter().find(|i| i.path == path).map(|i| i.version)
 }
 
-/// Loses the first message published onto a queue whose name starts with
+/// Loses the first message published onto a queue whose name holds
 /// `queue` and whose payload holds `marker`, as a broker that died with it
 /// queued would.
 struct LoseFirst {
-    queue: &'static str,
+    queue: String,
     marker: &'static [u8],
     lost: AtomicBool,
 }
 
 impl LoseFirst {
-    fn install(stack: &Deployment, queue: &'static str, marker: &'static [u8]) {
+    fn install(stack: &Deployment, queue: &str, marker: &'static [u8]) {
         let plan = LoseFirst {
-            queue,
+            queue: queue.to_string(),
             marker,
             lost: AtomicBool::new(false),
         };
@@ -60,7 +60,7 @@ impl LoseFirst {
 
 impl DeliveryInterceptor for LoseFirst {
     fn on_publish(&self, queue: &str, payload: &[u8]) -> PublishFault {
-        let matches = queue.starts_with(self.queue)
+        let matches = queue.contains(&self.queue)
             && payload.windows(self.marker.len()).any(|w| w == self.marker);
         if matches && !self.lost.swap(true, Ordering::SeqCst) {
             PublishFault::Drop
@@ -231,26 +231,153 @@ fn a_commit_out_when_its_connection_dies_stays_pending_and_is_never_resent() {
 }
 
 #[test]
+fn a_busy_workspace_does_not_keep_a_lost_confirmation_from_releasing() {
+    let stack = Deployment::builder().build().unwrap();
+    let ws = stack.provision("alice", "Docs").unwrap();
+    let mut drowned = config("drowned-laptop");
+    drowned.call_timeout = Duration::from_millis(200);
+    let laptop = stack.connect(drowned, &ws).unwrap();
+    let phone = stack.connect(config("busy-phone"), &ws).unwrap();
+    // The laptop's own first confirmation, on its own listener's queue.
+    let listener = laptop.listener.as_ref().unwrap().instance_name();
+    LoseFirst::install(&stack, listener, b"drowned-laptop");
+
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        // The phone commits every 2 ms, so the laptop's listener never
+        // waits a whole poll (20 ms) for a delivery and never idles.
+        scope.spawn(|| {
+            for i in 0u64.. {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                phone
+                    .write_file("busy.txt", i.to_le_bytes().to_vec())
+                    .unwrap();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        });
+        laptop.write_file("a.txt", b"a1".to_vec()).unwrap();
+        laptop.write_file("b.txt", b"b1".to_vec()).unwrap();
+        // b is released after one deadline, while the phone keeps going.
+        store_reaches(&stack, &ws, |items| version_of(items, "b.txt") == Some(1));
+        stop.store(true, Ordering::Relaxed);
+    });
+    assert!(laptop.wait(T, || laptop.unconfirmed_changes() == 0));
+    assert_eq!(
+        version_of(&stack.store().current_items(&ws).unwrap(), "a.txt"),
+        Some(1)
+    );
+    let dump = obs::flight::to_json();
+    assert!(
+        dump.contains(&format!("drowned-laptop released the outbox of {ws}")),
+        "{dump}"
+    );
+}
+
+#[test]
+fn a_queued_version_keeps_the_chunks_of_the_version_the_store_names() {
+    let (stack, ws, instance) = stoppable_stack();
+    let laptop = stack.connect(config("laptop"), &ws).unwrap();
+    let token = stack.objects().authenticate("alice", "pw-alice").unwrap();
+    let stats = || {
+        let stats = stack.objects().dedup_stats(&token, "alice", "alice-chunks");
+        let stats = stats.unwrap();
+        (stats.live_chunks, stats.orphan_chunks)
+    };
+    laptop.write_file("x.txt", vec![1; 4096]).unwrap();
+    assert!(laptop.wait(T, || laptop.unconfirmed_changes() == 0));
+    instance.shutdown();
+    laptop.write_file("first.txt", vec![2; 4096]).unwrap();
+    laptop.write_file("x.txt", vec![3; 4096]).unwrap();
+    assert_eq!(laptop.shared.outbox.lock().depth(), 1);
+    // x's version 1 is what the store names, and a sweep keeps it.
+    assert_eq!(stats(), (3, 0));
+    let swept = stack.objects().gc_chunks(&token, "alice", "alice-chunks");
+    assert_eq!(swept.unwrap().collected, 0);
+
+    let _instance = stack.service().bind(stack.broker()).unwrap();
+    assert!(laptop.wait(T, || laptop.unconfirmed_changes() == 0));
+    assert_eq!(stats(), (2, 1), "version 2 sent, version 1's chunk let go");
+    let late = stack.connect(config("tablet"), &ws).unwrap();
+    assert_eq!(late.read_file("x.txt").unwrap(), vec![3; 4096]);
+}
+
+#[test]
+fn a_delete_behind_an_unconfirmed_commit_returns_once_its_tombstone_is_sent() {
+    let (stack, ws, instance) = stoppable_stack();
+    let laptop = stack.connect(config("laptop"), &ws).unwrap();
+    let token = stack.objects().authenticate("alice", "pw-alice").unwrap();
+    laptop.write_file("x.txt", vec![1; 4096]).unwrap();
+    assert!(laptop.wait(T, || laptop.unconfirmed_changes() == 0));
+    instance.shutdown();
+    laptop.write_file("first.txt", vec![2; 4096]).unwrap();
+
+    let _instance = std::thread::scope(|scope| {
+        let rebound = scope.spawn(|| {
+            std::thread::sleep(Duration::from_millis(50));
+            stack.service().bind(stack.broker()).unwrap()
+        });
+        laptop.delete_file("x.txt").unwrap();
+        rebound.join().unwrap()
+    });
+    // Sent: first.txt was confirmed, the tombstone went, and x's chunk was
+    // released as it did.
+    assert!(!laptop
+        .shared
+        .outbox
+        .lock()
+        .unsent(stable_item_id(&ws, "x.txt"), 2));
+    let stats = stack.objects().dedup_stats(&token, "alice", "alice-chunks");
+    assert_eq!(stats.unwrap().orphan_chunks, 1);
+    store_reaches(&stack, &ws, |items| {
+        items.iter().any(|i| i.path == "x.txt" && i.is_deleted)
+    });
+}
+
+#[test]
 fn a_thousand_sessions_leave_one_token_per_live_device() {
     let stack = Deployment::builder().build().unwrap();
     let ws = stack.provision("alice", "Docs").unwrap();
     let keeper = stack.connect(config("keeper"), &ws).unwrap();
-    let sessions = || stack.objects().sessions("alice");
-    assert_eq!(sessions(), 1);
+    // A token authorizes while its session lives.
+    let live = |token: &Token| {
+        let stats = stack.objects().dedup_stats(token, "alice", "alice-chunks");
+        match stats {
+            Ok(_) => true,
+            Err(storage::StorageError::Unauthorized) => false,
+            Err(other) => panic!("{other}"),
+        }
+    };
+    let keeper_token = keeper.shared.token.clone();
     // Eight threads, so that each disconnect's wait for its listener does
     // not add up to seconds.
-    std::thread::scope(|scope| {
-        for thread in 0..8 {
-            let (stack, ws) = (&stack, &ws);
-            scope.spawn(move || {
-                for i in 0..125 {
-                    let device = stack.connect(config(&format!("d{thread}-{i}")), ws);
-                    device.unwrap().disconnect();
-                }
-            });
-        }
+    let ended: Vec<Token> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..8)
+            .map(|thread| {
+                let (stack, ws, live) = (&stack, &ws, &live);
+                scope.spawn(move || {
+                    (0..125)
+                        .map(|i| {
+                            let device = stack.connect(config(&format!("d{thread}-{i}")), ws);
+                            let device = device.unwrap();
+                            let token = device.shared.token.clone();
+                            assert!(live(&token));
+                            device.disconnect();
+                            token
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .flat_map(|t| t.join().unwrap())
+            .collect()
     });
-    assert_eq!(sessions(), 1, "the keeper's");
+    assert_eq!(ended.len(), 1000);
+    assert!(ended.iter().all(|token| !live(token)));
+    assert!(live(&keeper_token), "the keeper's");
     drop(keeper);
-    assert_eq!(sessions(), 0);
+    assert!(!live(&keeper_token));
 }

@@ -581,9 +581,6 @@ fn delete_releases_chunks_for_gc() {
 
     let gc = s.objects().gc_chunks(&token, "alice", container).unwrap();
     assert_eq!(gc.collected, 2);
-    // The tombstones may still be queued behind an earlier commit; a device
-    // joining before they land would be listed unique.bin's swept chunks.
-    assert!(a.wait(T, || a.unconfirmed_changes() == 0));
     // keeper.bin still materializes for a fresh device after the sweep.
     let late = s.connect(small_config("alice", "tablet"), &ws).unwrap();
     assert_eq!(late.read_file("keeper.bin").unwrap(), shared_payload);
