@@ -97,11 +97,6 @@ impl SyncProvider for DropboxModel {
     fn batch_fixed_control(&self) -> u64 {
         BATCH_FIXED_CONTROL
     }
-
-    fn reset(&mut self) {
-        self.known_blocks.clear();
-        self.signatures.clear();
-    }
 }
 
 #[cfg(test)]
@@ -167,15 +162,5 @@ mod tests {
         let t = m.on_remove("f.bin");
         assert_eq!(t.storage, 0);
         assert!(t.control > 0);
-    }
-
-    #[test]
-    fn reset_clears_dedup() {
-        let mut m = DropboxModel::new();
-        let content = content_gen::generate(10_000, 5, 0.0);
-        m.on_add("a", &content);
-        m.reset();
-        let t = m.on_add("a", &content);
-        assert!(t.storage > 0, "after reset, content re-uploads");
     }
 }

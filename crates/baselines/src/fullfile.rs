@@ -89,8 +89,6 @@ impl SyncProvider for FullFileModel {
     fn batch_fixed_control(&self) -> u64 {
         self.batch_fixed
     }
-
-    fn reset(&mut self) {}
 }
 
 #[cfg(test)]

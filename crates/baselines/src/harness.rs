@@ -1,8 +1,8 @@
-//! Trace replay harness: materializes file contents, drives a provider
-//! model, and accounts traffic per action type — the machinery behind
+//! Trace replay harness: materializes file contents, drives a provider,
+//! and accounts traffic per action type — the machinery behind
 //! Fig. 7(b)–(d) and Table 2.
 
-use crate::{OpTraffic, SyncProvider};
+use crate::SyncProvider;
 use std::collections::HashMap;
 use workload::content_gen;
 use workload::{Trace, TraceOp};
@@ -63,6 +63,11 @@ impl FileSet {
                 (Some(old), None)
             }
         }
+    }
+
+    /// The live contents of `path`.
+    pub fn get(&self, path: &str) -> Option<&[u8]> {
+        self.files.get(path).map(Vec::as_slice)
     }
 
     /// Number of live files.
@@ -159,36 +164,22 @@ pub fn run_trace(
         batches += 1;
         for op in chunk {
             let (old, new) = files.apply(op);
-            let traffic: OpTraffic = match op {
+            let (kind, traffic) = match op {
                 TraceOp::Add { path, .. } => {
                     let content = new.as_deref().expect("add produces content");
                     benchmark_bytes += content.len() as u64;
-                    let t = provider.on_add(path, content);
-                    adds.count += 1;
-                    adds.control += t.control;
-                    adds.storage += t.storage;
-                    t
+                    (&mut adds, provider.on_add(path, content))
                 }
                 TraceOp::Update { path, .. } => {
-                    let t = provider.on_update(
-                        path,
-                        old.as_deref().expect("update has old"),
-                        new.as_deref().expect("update has new"),
-                    );
-                    updates.count += 1;
-                    updates.control += t.control;
-                    updates.storage += t.storage;
-                    t
+                    let old = old.as_deref().expect("update has old");
+                    let new = new.as_deref().expect("update has new");
+                    (&mut updates, provider.on_update(path, old, new))
                 }
-                TraceOp::Remove { path } => {
-                    let t = provider.on_remove(path);
-                    removes.count += 1;
-                    removes.control += t.control;
-                    removes.storage += t.storage;
-                    t
-                }
+                TraceOp::Remove { path } => (&mut removes, provider.on_remove(path)),
             };
-            let _ = traffic;
+            kind.count += 1;
+            kind.control += traffic.control;
+            kind.storage += traffic.storage;
         }
     }
 
@@ -205,7 +196,7 @@ pub fn run_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DropboxModel, FullFileModel, StackSyncModel};
+    use crate::{DropboxModel, FullFileModel};
     use workload::GeneratorConfig;
 
     fn small_trace() -> Trace {
@@ -228,7 +219,7 @@ mod tests {
     fn counts_match_trace_stats() {
         let trace = small_trace();
         let stats = trace.stats();
-        let mut model = StackSyncModel::with_chunk_size(4096);
+        let mut model = FullFileModel::onedrive();
         let report = run_trace(&mut model, &trace, 1);
         assert_eq!(report.adds.count, stats.adds);
         assert_eq!(report.updates.count, stats.updates);
@@ -241,11 +232,8 @@ mod tests {
         // Table 2's effect: larger batches amortize the fixed exchange
         // cost.
         let trace = small_trace();
-        let mut model = DropboxModel::new();
-        let single = run_trace(&mut model, &trace, 1);
-        model.reset();
-        let mut model2 = DropboxModel::new();
-        let bundled = run_trace(&mut model2, &trace, 40);
+        let single = run_trace(&mut DropboxModel::new(), &trace, 1);
+        let bundled = run_trace(&mut DropboxModel::new(), &trace, 40);
         assert!(
             bundled.control_total() < single.control_total() / 2,
             "batching must slash control traffic: {} vs {}",
@@ -257,81 +245,9 @@ mod tests {
     }
 
     #[test]
-    fn dropbox_control_dwarfs_stacksync() {
-        // Fig. 7(c): Dropbox ≈25 MB of control for ~940 ADDs vs StackSync
-        // ≈3.2 MB. At test scale the ratio is what matters.
-        let trace = small_trace();
-        let mut dropbox = DropboxModel::new();
-        let mut stacksync = StackSyncModel::with_chunk_size(4096);
-        let d = run_trace(&mut dropbox, &trace, 1);
-        let s = run_trace(&mut stacksync, &trace, 1);
-        assert!(
-            d.control_total() > 3 * s.control_total(),
-            "Dropbox control {} must dwarf StackSync {}",
-            d.control_total(),
-            s.control_total()
-        );
-    }
-
-    #[test]
-    fn stacksync_storage_beats_fullfile_providers() {
-        let trace = small_trace();
-        let mut stacksync = StackSyncModel::with_chunk_size(4096);
-        let mut onedrive = FullFileModel::onedrive();
-        let s = run_trace(&mut stacksync, &trace, 1);
-        let o = run_trace(&mut onedrive, &trace, 1);
-        assert!(
-            s.storage_total() < o.storage_total(),
-            "compression + dedup must beat full-file upload: {} vs {}",
-            s.storage_total(),
-            o.storage_total()
-        );
-    }
-
-    #[test]
-    fn stacksync_wins_add_control() {
-        // Fig. 7(c): StackSync's lean commits vs Dropbox's chatter.
-        let trace = small_trace();
-        let mut dropbox = DropboxModel::new();
-        let mut stacksync = StackSyncModel::with_chunk_size(4096);
-        let d = run_trace(&mut dropbox, &trace, 1);
-        let s = run_trace(&mut stacksync, &trace, 1);
-        assert!(
-            s.adds.control < d.adds.control,
-            "StackSync must win ADD control traffic"
-        );
-    }
-
-    #[test]
-    fn dropbox_delta_wins_paper_scale_updates() {
-        // Fig. 7(d) UPDATE asymmetry needs paper-scale files: a small edit
-        // to a file much larger than a chunk. StackSync re-ships at least
-        // a whole 512 KB-class chunk; Dropbox ships a tiny delta.
-        use workload::content_gen;
-        let old = content_gen::generate(600_000, 42, 0.0); // incompressible
-        let mut new = old.clone();
-        new[300_000] ^= 0xff; // small middle edit (an M pattern)
-
-        let mut dropbox = DropboxModel::new();
-        dropbox.on_add("f.bin", &old);
-        let d = dropbox.on_update("f.bin", &old, &new);
-
-        let mut stacksync = StackSyncModel::new(); // 512 KB chunks
-        stacksync.on_add("f.bin", &old);
-        let s = stacksync.on_update("f.bin", &old, &new);
-
-        assert!(
-            d.storage * 10 < s.storage,
-            "delta encoding must win UPDATE storage by a wide margin: {} vs {}",
-            d.storage,
-            s.storage
-        );
-    }
-
-    #[test]
     fn overhead_ratio_is_computed_over_benchmark_size() {
         let trace = small_trace();
-        let mut model = StackSyncModel::with_chunk_size(4096);
+        let mut model = FullFileModel::onedrive();
         let report = run_trace(&mut model, &trace, 1);
         let manual = report.total() as f64 / report.benchmark_bytes as f64 - 1.0;
         assert!((report.overhead_ratio() - manual).abs() < 1e-12);
@@ -341,7 +257,7 @@ mod tests {
     #[should_panic(expected = "batch size")]
     fn zero_batch_panics() {
         let trace = small_trace();
-        let mut model = StackSyncModel::new();
+        let mut model = FullFileModel::onedrive();
         let _ = run_trace(&mut model, &trace, 0);
     }
 }

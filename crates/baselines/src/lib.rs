@@ -16,13 +16,12 @@
 //! * **OneDrive / Google Drive / Box / Cloud Drive**
 //!   ([`FullFileModel`]): full-file re-upload on every change, no dedup,
 //!   moderate control chatter.
-//! * **StackSync** ([`StackSyncModel`]): 512 KB fixed chunks, per-user
-//!   dedup, chunk compression, lean commit metadata. A fast closed-form
-//!   twin of the real stack in the `stacksync` crate, cross-validated by
-//!   the benches.
 //!
-//! [`run_trace`] replays a `workload` trace against any model and returns
-//! per-action traffic totals.
+//! StackSync itself is not modelled: the `bench` crate replays the trace
+//! through the real stack behind the same [`SyncProvider`] trait.
+//!
+//! [`run_trace`] replays a `workload` trace against any provider and
+//! returns per-action traffic totals.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,12 +29,10 @@
 mod dropbox;
 mod fullfile;
 mod harness;
-mod stacksync_model;
 
 pub use dropbox::DropboxModel;
 pub use fullfile::FullFileModel;
 pub use harness::{run_trace, FileSet, OpKindTraffic, ProviderReport};
-pub use stacksync_model::StackSyncModel;
 
 /// Traffic charged for one operation, in bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -59,7 +56,7 @@ impl OpTraffic {
     }
 }
 
-/// A protocol model: charged per operation on actual file contents.
+/// A sync service charged per operation on actual file contents.
 pub trait SyncProvider {
     /// Service name as it appears in the paper's figures.
     fn name(&self) -> &'static str;
@@ -76,9 +73,6 @@ pub trait SyncProvider {
     /// Fixed control cost charged once per commit exchange (batch). This
     /// is what *file bundling* amortizes in Table 2.
     fn batch_fixed_control(&self) -> u64;
-
-    /// Resets all protocol state (dedup caches, signatures).
-    fn reset(&mut self);
 }
 
 #[cfg(test)]

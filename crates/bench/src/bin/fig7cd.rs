@@ -1,9 +1,12 @@
 //! Fig. 7(c) and 7(d): control and storage traffic per action type,
 //! StackSync vs Dropbox, using three single-action traces derived from the
 //! benchmark trace ("we grouped all the actions of the same type").
+//! StackSync's columns are measured on the real in-process stack
+//! ([`bench::LiveStackSync`]); Dropbox's are its protocol model. Exits 1
+//! when a shape check of the paper does not hold.
 
-use baselines::{DropboxModel, StackSyncModel};
-use bench::{header, mb, replay};
+use baselines::{run_trace, DropboxModel};
+use bench::{header, mb, LiveStackSync};
 use workload::{GeneratorConfig, Trace};
 
 fn main() {
@@ -13,10 +16,8 @@ fn main() {
     // grouping by replaying the full trace and attributing per-kind
     // traffic, which run_trace already does.
     header("Fig 7(c): control traffic per action type");
-    let mut stacksync = StackSyncModel::new();
-    let mut dropbox = DropboxModel::new();
-    let s = replay(&mut stacksync, &trace, 1);
-    let d = replay(&mut dropbox, &trace, 1);
+    let s = run_trace(&mut LiveStackSync::new(), &trace, 1);
+    let d = run_trace(&mut DropboxModel::new(), &trace, 1);
 
     println!("{:<10} {:>14} {:>14}", "action", "StackSync", "Dropbox");
     println!(
@@ -59,18 +60,26 @@ fn main() {
         mb(d.removes.storage)
     );
 
+    let checks = [
+        (
+            "StackSync ADD control ≪ Dropbox ADD control",
+            s.adds.control * 3 < d.adds.control + d.batch_control,
+        ),
+        (
+            "Dropbox UPDATE storage ≤ StackSync UPDATE storage",
+            d.updates.storage <= s.updates.storage,
+        ),
+        (
+            "StackSync ADD storage < Dropbox ADD storage",
+            s.adds.storage < d.adds.storage,
+        ),
+    ];
     println!("\nshape checks:");
-    println!(
-        "  StackSync ADD control ≪ Dropbox ADD control: {}",
-        s.adds.control * 3 < d.adds.control + d.batch_control
-    );
-    println!(
-        "  Dropbox UPDATE storage ≤ StackSync UPDATE storage: {}",
-        d.updates.storage <= s.updates.storage
-    );
-    println!(
-        "  StackSync ADD storage < Dropbox ADD storage: {}",
-        s.adds.storage < d.adds.storage
-    );
+    for (check, holds) in checks {
+        println!("  {check}: {holds}");
+    }
     bench::obs_dump();
+    if checks.iter().any(|(_, holds)| !holds) {
+        std::process::exit(1);
+    }
 }

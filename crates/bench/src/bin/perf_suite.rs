@@ -1,10 +1,11 @@
 //! Machine-readable performance suite: broker throughput one message at a
-//! time, ObjectMQ RPC latency in process and over TCP, plus
-//! sync commit throughput, metadata-store contention, and the durable
-//! commit plane. Writes `BENCH_4.json` (transport), `BENCH_5.json` (metadata
-//! sharding), `BENCH_6.json` (connection scaling on the poll-based reactor)
-//! and `BENCH_7.json` (WAL commit + recovery) at the repo root so
-//! runs can be compared across commits.
+//! time, ObjectMQ RPC latency in process and over TCP, plus sync commit
+//! throughput (changes the service decided per second), metadata-store
+//! contention, and the durable commit plane. Writes `BENCH_4.json`
+//! (transport), `BENCH_5.json` (metadata sharding), `BENCH_6.json`
+//! (connection scaling on the poll-based reactor) and `BENCH_7.json` (WAL
+//! commit + recovery) at the repo root so runs can be compared across
+//! commits.
 //!
 //! The broker figure is one producer and one consumer over an in-process
 //! `mqsim` queue, publishing, receiving and acking one message at a time,
@@ -33,7 +34,8 @@
 //! 10 000 live connections (the larger levels are skipped when the fd
 //! limit cannot be raised far enough) — while a small active subset keeps
 //! committing through the full sync stack. Per level it records sync
-//! commit latency percentiles, resident memory per connection, and whether
+//! commit latency percentiles (a change from `write_file` to its
+//! confirmation), resident memory per connection, and whether
 //! the reactor actually sustained the fleet.
 //!
 //! `--smoke` shrinks every workload to a few iterations for CI (and caps
@@ -222,6 +224,13 @@ fn commit_throughput(commits: usize) -> f64 {
             .write_file(&format!("f{i}.dat"), content.clone())
             .expect("commit");
     }
+    // `write_file` returns once the change is queued; the clock runs until
+    // the service has decided every one of them.
+    let decided = || cloud.service().changes_processed() >= commits as u64;
+    assert!(
+        client.wait(Duration::from_secs(60), decided),
+        "the service did not decide all {commits} changes"
+    );
     commits as f64 / start.elapsed().as_secs_f64()
 }
 
@@ -526,10 +535,18 @@ fn connection_scaling(levels: &[usize], commits_per_client: usize) -> Vec<ConnLe
                     if now < due {
                         std::thread::sleep(due - now);
                     }
+                    // Timed to the commit's confirmation, not to the
+                    // return of `write_file`, which only queues it.
                     let start = Instant::now();
                     client
                         .write_file(&format!("l{level}-c{c}-{i}.dat"), content.clone())
                         .expect("commit under load");
+                    assert!(
+                        client.wait(Duration::from_secs(30), || {
+                            client.unconfirmed_changes() == 0
+                        }),
+                        "a commit under load was not confirmed"
+                    );
                     samples.push(start.elapsed().as_secs_f64());
                 }
                 samples
@@ -942,7 +959,7 @@ fn main() {
 
     println!("sync commit throughput ({commits} commits of 16 KiB)...");
     let commits_per_sec = commit_throughput(commits);
-    println!("  {commits_per_sec:.0} commits/s");
+    println!("  {commits_per_sec:.0} changes decided/s");
 
     println!(
         "metadata contention, cpu-bound ({CONTENTION_WRITERS} writers x {contention_commits} \
